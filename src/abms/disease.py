@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import expr as ex
 from . import statemachine as sm
-from .errors import EvalError
 from .source import SourceSpan
 
 SIR = "SIR"
@@ -246,7 +245,7 @@ def attempt_transmission(
     susceptible_ctx: ex.Context,
     candidates: Sequence[Candidate],
     spec: TransmissionSpec,
-    infectious: Sequence[str],
+    infectious: Collection[str],
     rng: random.Random,
 ) -> bool:
     """One independent Bernoulli trial per qualifying source, in ascending id
@@ -255,19 +254,17 @@ def attempt_transmission(
     Agents qualify when their disease instance is in an infectious state;
     entities when their type is a declared source.  The contamination
     condition, when present, is checked against the source's own context.
+    The probability must lie in [0, 1]; probability 0 draws nothing.
     """
-    probability = ex.evaluate(spec.probability, susceptible_ctx)
-    if isinstance(probability, bool) or not isinstance(probability, (int, float)):
-        raise EvalError("transmission probability did not evaluate to a number", spec.span)
-    if probability <= 0:
+    probability = sm.checked_rate(spec.probability, susceptible_ctx)
+    if probability == 0:
         return False
-    infectious_set = set(infectious)
     source_types = set(spec.sources)
     for cand in sorted(candidates, key=lambda c: c.id):
         if cand.is_entity:
             if cand.type_name not in source_types:
                 continue
-        elif cand.disease_state not in infectious_set:
+        elif cand.disease_state not in infectious:
             continue
         if spec.condition is not None and not sm.evaluate_condition(spec.condition, cand.ctx):
             continue
@@ -312,32 +309,22 @@ def introduce(
 
 def evaluate_mortality(
     specs: Iterable[MortalitySpec],
-    event: str,  # "tick" | "leaving"
     ctx: ex.Context,
     tick: int,
     rng: random.Random,
 ) -> bool:
-    """Whether the agent dies under the given circumstance rules.
-
-    ``tick`` events consider every_timeunit, specific_timeunit, and
-    when_condition rules; ``leaving`` events consider leaving_compartment
-    rules (the engine normally realizes those as transition abortions).
-    Rules are checked in declaration order and the first death wins.
+    """Whether the agent dies this tick under the given per-tick rules
+    (every_timeunit, specific_timeunit, when_condition).  Leaving-compartment
+    rules are not evaluated here: :func:`build_machine` turns them into
+    transition abortions.  Rules are checked in declaration order, each
+    applicable rule draws once, and the first death wins.
     """
     for rule in specs:
-        if event == "leaving":
-            if rule.evaluation != LEAVING_COMPARTMENT:
-                continue
-        else:
-            if rule.evaluation == LEAVING_COMPARTMENT:
-                continue
-            if rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick:
-                continue
-            if rule.evaluation == WHEN_CONDITION and not sm.evaluate_condition(rule.condition, ctx):
-                continue
-        rate = ex.evaluate(rule.rate, ctx)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise EvalError("death rate did not evaluate to a number", rule.span)
+        if rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick:
+            continue
+        if rule.evaluation == WHEN_CONDITION and not sm.evaluate_condition(rule.condition, ctx):
+            continue
+        rate = sm.checked_rate(rule.rate, ctx)
         if rng.random() < rate:
             return True
     return False

@@ -30,7 +30,7 @@ from . import metamodel as mm
 from . import statemachine as sm
 from . import traffic as tf
 from .errors import EngineError, EvalError
-from .ingest import Graph, graph_from_inline, load_gis_points, load_osm_graph
+from .ingest import GisPoint, Graph, graph_from_inline, load_gis_points, load_osm_graph
 
 INTERSECTION_DEGREE = 3
 
@@ -64,9 +64,6 @@ class EdgePos:
 class QueuePos:
     node: str
     from_node: str
-
-
-Position = "tuple | NodePos | EdgePos | QueuePos"
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +113,44 @@ class EntityInstance:
     attrs: dict[str, object] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class ResolvedDisease:
+    """What the tick needs of one disease model, resolved once per run."""
+
+    spec: dz.DiseaseModelSpec
+    machine: sm.StateMachineSpec
+    susceptible: str
+    target: str  # compartment entered on infection
+    infectious: frozenset[str]
+    tick_rules: dict[str, list[dz.MortalitySpec]]  # per-tick mortality by compartment
+
+
+def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
+    tick_rules: dict[str, list[dz.MortalitySpec]] = {}
+    for rule in spec.mortality:
+        if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
+            tick_rules.setdefault(rule.compartment, []).append(rule)
+    return ResolvedDisease(
+        spec, dz.build_machine(spec), dz.susceptible_compartment(spec), dz.infection_target(spec),
+        frozenset(dz.infectious_states(spec)), tick_rules,
+    )
+
+
 class World:
     """Mutable simulation state; advanced in place by :func:`tick`."""
 
     def __init__(self, model: mm.Model, config: RunConfig):
+        assert model.environment is not None
         self.model = model
         self.config = config
+        # The model resolved once per run: the tick reads these, never a lookup by name.
+        self.topology = topo = model.environment.topology
+        self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
+        self.agent_type_names = frozenset(a.name for a in model.agent_types)
+        walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
+        self.walk_steps = {a.name: cap.parameters["step"] for a in walkers if (cap := a.capability("mobility"))}
+        self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
+        self.plans = {p.name: (p, tf.plan_to_machine(p)) for p in model.plans}
         self.tick = 0
         self.rng = random.Random(config.seed)
         self.agents: dict[int, AgentInstance] = {}
@@ -137,7 +166,6 @@ class World:
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
         self._cells: dict[tuple[int, int], set[int]] = {}
-        self._machine_cache: dict[str, sm.StateMachineSpec] = {}
 
     # -- ids and spatial index ------------------------------------------------
 
@@ -169,17 +197,11 @@ class World:
 
     # -- geometry ---------------------------------------------------------------
 
-    def topology(self):
-        assert self.model.environment is not None
-        return self.model.environment.topology
-
     def coords(self, position) -> tuple[float, float]:
         if isinstance(position, tuple):
             return (float(position[0]), float(position[1]))
         assert self.graph is not None
-        if isinstance(position, NodePos):
-            return self.graph.nodes[position.node]
-        if isinstance(position, QueuePos):
+        if isinstance(position, (NodePos, QueuePos)):
             return self.graph.nodes[position.node]
         if isinstance(position, EdgePos):
             sx, sy = self.graph.nodes[position.source]
@@ -192,18 +214,11 @@ class World:
         ax, ay = self.coords(a)
         bx, by = self.coords(b)
         dx, dy = abs(ax - bx), abs(ay - by)
-        topo = self.topology()
-        if isinstance(topo, mm.GridTopology) and topo.wrap:
-            dx = min(dx, topo.width - dx)
-            dy = min(dy, topo.height - dy)
+        if self.wrap is not None:
+            width, height = self.wrap
+            dx = min(dx, width - dx)
+            dy = min(dy, height - dy)
         return math.hypot(dx, dy)
-
-    def disease_machine(self, name: str) -> sm.StateMachineSpec:
-        if name not in self._machine_cache:
-            spec = self.model.disease(name)
-            assert spec is not None
-            self._machine_cache[name] = dz.build_machine(spec)
-        return self._machine_cache[name]
 
     # -- digests ------------------------------------------------------------------
 
@@ -268,7 +283,7 @@ class WorldContext(ex.Context):
 
     def population(self, type_name: str):
         world = self.world
-        if world.model.agent_type(type_name) is not None:
+        if type_name in world.agent_type_names:
             return [
                 AgentContext(world, world.agents[aid])
                 for aid in sorted(world.agents)
@@ -357,7 +372,10 @@ def _convert_raw(raw: str, kind: str, where: str):
         if kind == ex.INTEGER:
             return int(raw)
         if kind == ex.REAL:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise EngineError(f"{where}: '{raw}' is not a finite real")
+            return value
         if kind == ex.BOOLEAN:
             if raw in ("true", "1"):
                 return True
@@ -382,7 +400,7 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
         first = "; ".join(str(d) for d in report.errors()[:3])
         raise EngineError(f"model failed validation: {first}")
     world = World(model, config)
-    topo = world.topology()
+    topo = world.topology
     if isinstance(topo, mm.GraphTopology):
         if isinstance(topo.source, mm.OsmGraphStrategy):
             world.graph = load_osm_graph(_resolve(topo.source.path, config))
@@ -422,8 +440,10 @@ def _creation_order(model: mm.Model):
     return [item for _, item in sorted(enumerate(items), key=key)]
 
 
-def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str) -> list:
-    topo = world.topology()
+def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str) -> tuple[list, list | None]:
+    """Positions of the instances to create, and the point-file points they
+    came from (None unless the strategy reads a point file)."""
+    topo = world.topology
     config = world.config
     rng = world.rng
     out: list = []
@@ -452,19 +472,19 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
     elif isinstance(strategy, mm.GisPointsStrategy):
-        for point in load_gis_points(_resolve(strategy.path, config)):
-            out.append(_place_at(world, point.x, point.y, type_name, line=point.line))
+        points = load_gis_points(_resolve(strategy.path, config))
+        return [_place_at(world, p.x, p.y, type_name, line=p.line) for p in points], points
     elif isinstance(strategy, mm.OsmGraphStrategy):
         assert world.graph is not None
         for node in world.graph.intersections(INTERSECTION_DEGREE):
             out.append(NodePos(node))
     else:
         raise EngineError(f"{type_name}: unsupported creational strategy")
-    return out
+    return out, None
 
 
 def _place_at(world: World, x: float, y: float, type_name: str, line: int | None = None):
-    topo = world.topology()
+    topo = world.topology
     where = f"{type_name}" + (f" (point file line {line})" if line else "")
     if isinstance(topo, mm.GridTopology):
         cx, cy = int(round(x)), int(round(y))
@@ -480,10 +500,13 @@ def _place_at(world: World, x: float, y: float, type_name: str, line: int | None
     raise EngineError(f"{where}: explicit coordinates require a grid or cartesian environment")
 
 
-def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], overrides: dict[str, str], where: str, ctx) -> None:
+def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str, ctx) -> None:
+    overrides = point.attrs if point is not None else {}
     for attr in attributes:
         if attr.name in overrides:
-            instance.attrs[attr.name] = _convert_raw(overrides[attr.name], attr.kind, where)
+            instance.attrs[attr.name] = _convert_raw(
+                overrides[attr.name], attr.kind, f"{where} (point file line {point.line})"
+            )
         elif attr.default is not None:
             value = _eval(attr.default, ctx, world, f"{where}.attr:{attr.name}")
             if attr.kind == ex.REAL and isinstance(value, int):
@@ -497,33 +520,27 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], over
 
 
 def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
-    gis_points = None
-    if isinstance(spec.creation, mm.GisPointsStrategy):
-        gis_points = load_gis_points(_resolve(spec.creation.path, world.config))
-    positions = _positions_for(world, spec.creation, f"entity:{spec.name}")
+    positions, points = _positions_for(world, spec.creation, f"entity:{spec.name}")
     for i, position in enumerate(positions):
         entity = EntityInstance(world.new_id(), spec.name, position)
-        overrides = gis_points[i].attrs if gis_points is not None else {}
-        _init_attrs(world, entity, spec.attributes, overrides, f"entity:{spec.name}", EntityContext(world, entity))
+        point = points[i] if points is not None else None
+        _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}", EntityContext(world, entity))
         world.entities[entity.id] = entity
         world.index_add(entity.id, position)
 
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
-    gis_points = None
-    if isinstance(spec.creation, mm.GisPointsStrategy):
-        gis_points = load_gis_points(_resolve(spec.creation.path, world.config))
-    positions = _positions_for(world, spec.creation, f"agent:{spec.name}")
+    positions, points = _positions_for(world, spec.creation, f"agent:{spec.name}")
     model = world.model
     for i, position in enumerate(positions):
         agent = AgentInstance(world.new_id(), spec.name, position)
         for cap in spec.capabilities:
             if cap.kind == "disease" and cap.target:
-                agent.diseases[cap.target] = sm.instantiate(world.disease_machine(cap.target))
+                agent.diseases[cap.target] = sm.instantiate(world.diseases[cap.target].machine)
             elif cap.kind == "state_machine" and cap.target and model.machine(cap.target) is not None:
                 agent.machines[cap.target] = sm.instantiate(model.machine(cap.target))
-        overrides = gis_points[i].attrs if gis_points is not None else {}
-        _init_attrs(world, agent, spec.attributes, overrides, f"agent:{spec.name}", AgentContext(world, agent))
+        point = points[i] if points is not None else None
+        _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}", AgentContext(world, agent))
         world.agents[agent.id] = agent
         world.index_add(agent.id, position)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
@@ -534,23 +551,20 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
             )
             if agent.speed <= 0:
                 raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")
-            _vehicle_enter_random_edge(world, agent)
+            _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
         flow = spec.capability("flow_control")
         if flow is not None:
             _init_controller(world, agent, spec, flow)
 
 
-def _vehicle_enter_random_edge(world: World, agent: AgentInstance) -> None:
+def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
+    """Start the vehicle on a uniformly random edge out of ``node``, if any."""
     assert world.graph is not None
-    if not isinstance(agent.position, NodePos):
-        return
-    node = agent.position.node
     nbrs = world.graph.neighbors(node)
-    if not nbrs:
-        return
-    target = nbrs[world.rng.randrange(len(nbrs))]
-    ticks = max(1, math.ceil(world.graph.edge_length(node, target) / agent.speed))
-    agent.position = EdgePos(node, target, ticks, ticks)
+    if nbrs:
+        target = nbrs[world.rng.randrange(len(nbrs))]
+        ticks = max(1, math.ceil(world.graph.edge_length(node, target) / vehicle.speed))
+        vehicle.position = EdgePos(node, target, ticks, ticks)
 
 
 def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec, flow: mm.CapabilityRef) -> None:
@@ -578,31 +592,26 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     ctrl = ControllerState(node=node, streams=froms, stream_ids=ids, capacities=capacities)
     agent.controller = ctrl
     world.controllers_by_node.setdefault(node, agent.id)
-    model = world.model
     machine_cap = spec.capability("state_machine")
-    if machine_cap is not None and machine_cap.target and model.plan(machine_cap.target) is not None:
-        _controller_set_plan(ctrl, model.plan(machine_cap.target))
+    if machine_cap is not None and machine_cap.target in world.plans:
+        _controller_set_plan(world, ctrl, machine_cap.target)
     learning = spec.capability("reinforcement_learning")
     if learning is not None and learning.qlearning is not None:
         qspec = learning.qlearning
         state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
         action = tf.select_action(tf.QTable(), state, qspec.plans, qspec.epsilon, world.rng)
         ctrl.learner = LearnerState(spec=qspec, table=tf.QTable(), prev_state=state, prev_action=action)
-        _controller_set_plan(ctrl, model.plan(action))
+        _controller_set_plan(world, ctrl, action)
 
 
-def _controller_set_plan(ctrl: ControllerState, plan: tf.PlanSpec | None) -> None:
-    assert plan is not None
-    ctrl.plan = plan
-    ctrl.machine = sm.instantiate(tf.plan_to_machine(plan))
+def _controller_set_plan(world: World, ctrl: ControllerState, plan_name: str) -> None:
+    ctrl.plan, machine = world.plans[plan_name]
+    ctrl.machine = sm.instantiate(machine)
     ctrl.ticks_in_cycle = 0
     _controller_apply_phase(ctrl)
 
 
 def _controller_apply_phase(ctrl: ControllerState) -> None:
-    if ctrl.plan is None or ctrl.machine is None:
-        ctrl.green = set(range(len(ctrl.streams)))
-        return
     phase = next(p for p in ctrl.plan.phases if p.name == ctrl.machine.current)
     green_ids = set(phase.green)
     ctrl.green = {i for i, sid in enumerate(ctrl.stream_ids) if sid in green_ids}
@@ -621,23 +630,20 @@ def controller_stopped(world: World, ctrl: ControllerState) -> int:
 
 
 def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infected_now: set) -> None:
-    spec = world.model.disease(intro.disease)
-    assert spec is not None
     if not dz.introduction_due(intro, world.tick):
         return
-    susceptible = dz.susceptible_compartment(spec)
+    disease = world.diseases[intro.disease]
     pool = [
         (aid, AgentContext(world, agent))
         for aid, agent in sorted(world.agents.items())
-        if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == susceptible
+        if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
     try:
         chosen = dz.introduce(pool, intro, world.tick, world.rng)
     except EvalError as err:
         raise EngineError(f"tick {world.tick}: introduce {intro.disease}: {err.message}") from None
-    target = dz.infection_target(spec)
     for aid in chosen:
-        sm.force_state(world.agents[aid].diseases[intro.disease], target)
+        sm.force_state(world.agents[aid].diseases[intro.disease], disease.target)
         world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
         infected_now.add((aid, intro.disease))
 
@@ -648,7 +654,7 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
 
 def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: random.Random):
     """New position for one random-walk step (graph agents move in phase 4)."""
-    topo = world.topology()
+    topo = world.topology
     ctx = AgentContext(world, agent)
     step = _eval_number(step_expr, ctx, world, f"agent:{agent.type_name}: mobility step")
     if isinstance(topo, mm.GridTopology):
@@ -680,12 +686,8 @@ def neighbors_within(world: World, position, radius: float, exclude: int | None 
     return [i for i in _scan_ids(world, position, radius, exclude) if i in world.agents]
 
 
-def _nearby_source_ids(world: World, position, radius: float, exclude: int) -> list[int]:
-    return _scan_ids(world, position, radius, exclude)
-
-
 def _scan_ids(world: World, position, radius: float, exclude: int | None) -> list[int]:
-    topo = world.topology()
+    topo = world.topology
     out: list[int] = []
     if isinstance(topo, (mm.GridTopology, mm.CartesianTopology)) and isinstance(position, tuple):
         px, py = position
@@ -693,11 +695,11 @@ def _scan_ids(world: World, position, radius: float, exclude: int | None) -> lis
         cx, cy = int(math.floor(px)), int(math.floor(py))
         cells_x = range(cx - reach, cx + reach + 1)
         cells_y = range(cy - reach, cy + reach + 1)
-        wrap = isinstance(topo, mm.GridTopology) and topo.wrap
+        wrap = world.wrap
         seen: set[tuple[int, int]] = set()
         for gx in cells_x:
             for gy in cells_y:
-                cell = ((gx % topo.width, gy % topo.height) if wrap else (gx, gy))
+                cell = (gx % wrap[0], gy % wrap[1]) if wrap else (gx, gy)
                 if cell in seen:
                     continue
                 seen.add(cell)
@@ -738,18 +740,18 @@ def tick(world: World) -> World:
     dying: list[tuple[int, str]] = []
     for aid in list(world.agents):
         agent = world.agents[aid]
-        spec = model.agent_type(agent.type_name)
-        assert spec is not None
-        mobility = spec.capability("mobility")
-        if mobility is not None and world.graph is None:
-            new_pos = mobility_step(world, agent, mobility.parameters["step"], world.rng)
+        step_expr = world.walk_steps.get(agent.type_name)
+        if step_expr is not None:
+            new_pos = mobility_step(world, agent, step_expr, world.rng)
             world.index_move(aid, agent.position, new_pos)
             agent.position = new_pos
-        if agent.controller is not None and agent.controller.machine is not None:
+        ctrl = agent.controller
+        if ctrl is not None and ctrl.machine is not None:
             ctx = AgentContext(world, agent)
-            _step_machine_checked(world, agent.controller.machine, ctx, f"agent:{agent.type_name}: plan")
-            agent.controller.ticks_in_cycle += 1
-            _controller_apply_phase(agent.controller)
+            moved = _step_machine_checked(world, ctrl.machine, ctx, f"agent:{agent.type_name}: plan")
+            ctrl.ticks_in_cycle += 1
+            if moved is not None:
+                _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
             if not inst.terminated:
                 ctx = AgentContext(world, agent)
@@ -757,7 +759,7 @@ def tick(world: World) -> World:
         for disease_name in agent.diseases:
             if (aid, disease_name) in infected_now:
                 continue
-            outcome = _disease_step(world, agent, disease_name)
+            outcome = _disease_step(world, agent, world.diseases[disease_name])
             if outcome is None:
                 continue
             kind, payload = outcome
@@ -810,29 +812,28 @@ def _step_machine_checked(world: World, inst: sm.MachineInstance, ctx, path: str
         raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
 
 
-def _disease_step(world: World, agent: AgentInstance, disease_name: str):
-    spec = world.model.disease(disease_name)
-    assert spec is not None
+def _disease_step(world: World, agent: AgentInstance, disease: ResolvedDisease):
+    disease_name = disease.spec.name
     inst = agent.diseases[disease_name]
     if inst.terminated:
         return None
     ctx = AgentContext(world, agent)
     # Per-tick death rates apply in any compartment, before transmission or
     # progression can move the agent on.
-    tick_rules = [m for m in spec.mortality if m.compartment == inst.current and m.evaluation != dz.LEAVING_COMPARTMENT]
+    tick_rules = disease.tick_rules.get(inst.current)
     if tick_rules:
         try:
-            dies = dz.evaluate_mortality(tick_rules, "tick", ctx, world.tick, world.rng)
+            dies = dz.evaluate_mortality(tick_rules, ctx, world.tick, world.rng)
         except EvalError as err:
             raise EngineError(f"tick {world.tick}: disease:{disease_name}.mortality: {err.message}") from None
         if dies:
             return ("die", inst.current)
-    if inst.current == dz.susceptible_compartment(spec) and spec.transmission is not None:
-        t = spec.transmission
+    t = disease.spec.transmission
+    if inst.current == disease.susceptible and t is not None:
         radius = 0.0
         if t.interaction == dz.PROXIMITY and t.distance is not None:
             radius = _eval_number(t.distance, ctx, world, f"disease:{disease_name}.transmission")
-        candidate_ids = _nearby_source_ids(world, agent.position, radius, agent.id)
+        candidate_ids = _scan_ids(world, agent.position, radius, agent.id)
         candidates = []
         for cid in candidate_ids:
             other = world.agents.get(cid)
@@ -843,11 +844,11 @@ def _disease_step(world: World, agent: AgentInstance, disease_name: str):
                 entity = world.entities[cid]
                 candidates.append(dz.Candidate(cid, True, entity.type_name, EntityContext(world, entity), None))
         try:
-            hit = dz.attempt_transmission(ctx, candidates, t, dz.infectious_states(spec), world.rng)
+            hit = dz.attempt_transmission(ctx, candidates, t, disease.infectious, world.rng)
         except EvalError as err:
             raise EngineError(f"tick {world.tick}: disease:{disease_name}.transmission: {err.message}") from None
         if hit:
-            return ("infect", dz.infection_target(spec))
+            return ("infect", disease.target)
         return None
     snapshot = inst.clone()
     _step_machine_checked(world, snapshot, ctx, f"disease:{disease_name}")
@@ -908,12 +909,7 @@ def _vehicle_phase(world: World) -> None:
             if ctrl is not None and from_node in ctrl.streams:
                 if ctrl.streams.index(from_node) not in ctrl.green:
                     continue
-            vid = queue.pop(0)
-            vehicle = world.agents[vid]
-            nbrs = graph.neighbors(node)
-            target = nbrs[world.rng.randrange(len(nbrs))]
-            ticks = max(1, math.ceil(graph.edge_length(node, target) / vehicle.speed))
-            vehicle.position = EdgePos(node, target, ticks, ticks)
+            _enter_random_edge(world, world.agents[queue.pop(0)], node)
 
 
 def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
@@ -935,7 +931,7 @@ def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -
     learner.prev_state = state
     learner.prev_action = action
     learner.accumulated = 0.0
-    _controller_set_plan(ctrl, world.model.plan(action))
+    _controller_set_plan(world, ctrl, action)
 
 
 # ---------------------------------------------------------------------------

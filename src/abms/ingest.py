@@ -81,6 +81,8 @@ def load_gis_points(path: str | Path) -> list[GisPoint]:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise FileFormatError(f"{path}: line {lineno}: expected number") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FileFormatError(f"{path}: line {lineno}: coordinates must be finite")
         attrs: dict[str, str] = {}
         for extra in parts[2:]:
             if "=" not in extra:
@@ -119,6 +121,8 @@ def load_osm_graph(path: str | Path) -> Graph:
             lat, lon = float(node.attrib["lat"]), float(node.attrib["lon"])
         except (KeyError, ValueError):
             raise FileFormatError(f"{path}: node element missing id/lat/lon") from None
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise FileFormatError(f"{path}: node {node_id}: lat/lon must be finite")
         latlon[node_id] = (lat, lon)
     graph = Graph()
     if latlon:

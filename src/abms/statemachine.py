@@ -96,9 +96,17 @@ class StateMachineSpec:
     initial: str
     transitions: list[Transition]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    _by_state: dict[str, tuple[Transition, ...]] | None = field(default=None, init=False, compare=False, repr=False)
 
-    def transitions_from(self, state: str) -> list[Transition]:
-        return [t for t in self.transitions if t.source == state]
+    def transitions_from(self, state: str) -> tuple[Transition, ...]:
+        """Outgoing transitions of ``state`` in declaration order.  They are
+        keyed by state on first use, so the spec must not change after that."""
+        if self._by_state is None:
+            by_state: dict[str, list[Transition]] = {}
+            for t in self.transitions:
+                by_state.setdefault(t.source, []).append(t)
+            self._by_state = {source: tuple(ts) for source, ts in by_state.items()}
+        return self._by_state.get(state, ())
 
 
 @dataclass
@@ -160,7 +168,7 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
 def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: random.Random) -> TransitionEvent:
     source = instance.current
     if tr.abortion is not None:
-        p = _rate(tr.abortion.probability, ctx)
+        p = checked_rate(tr.abortion.probability, ctx)
         if rng.random() < p:
             instance.current = tr.abortion.abort_to
             instance.dwell = 0
@@ -185,7 +193,7 @@ def force_state(instance: MachineInstance, state: str) -> None:
 
 def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Random) -> bool:
     if isinstance(trigger, ProbabilisticTrigger):
-        return rng.random() < _rate(trigger.rate, ctx)
+        return rng.random() < checked_rate(trigger.rate, ctx)
     if isinstance(trigger, DeterministicTrigger):
         ticks = ex.evaluate(trigger.ticks, ctx)
         if isinstance(ticks, bool) or not isinstance(ticks, (int, float)) or ticks < 0:
@@ -209,7 +217,9 @@ def evaluate_condition(condition: ex.Expr, ctx: ex.Context) -> bool:
     return value
 
 
-def _rate(rate_expr: ex.Expr, ctx: ex.Context) -> float:
+def checked_rate(rate_expr: ex.Expr, ctx: ex.Context) -> float:
+    """Evaluate a run-time rate or probability; anything but a number in
+    [0, 1] (NaN included) raises :class:`EvalError`."""
     value = ex.evaluate(rate_expr, ctx)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise EvalError("rate did not evaluate to a number", getattr(rate_expr, "span", None))
@@ -229,6 +239,6 @@ def expected_dwell(trigger: Trigger, ctx: ex.Context | None = None) -> float:
         value = ex.evaluate(trigger.ticks, ctx)
         return float(value)
     if isinstance(trigger, ProbabilisticTrigger):
-        rate = _rate(trigger.rate, ctx)
+        rate = checked_rate(trigger.rate, ctx)
         return math.inf if rate == 0.0 else 1.0 / rate
     raise ValueError(f"expected dwell undefined for {type(trigger).__name__}")

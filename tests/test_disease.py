@@ -5,6 +5,7 @@ import pytest
 from abms import disease as dz
 from abms import expr as ex
 from abms import statemachine as sm
+from abms.errors import EvalError
 
 # Compartment graph edge sets for the three standard layouts.
 SIR_EDGES = {("S", "I"), ("I", "R")}
@@ -102,6 +103,16 @@ class TestAttemptTransmission:
         candidates = [cand(1, "I"), cand(2, "I")]
         assert not dz.attempt_transmission(ex.MapContext(), candidates, self.spec(0.0), ["I"], random.Random(0))
 
+    def test_zero_probability_draws_nothing(self):
+        rng = random.Random(3)
+        dz.attempt_transmission(ex.MapContext(), [cand(1, "I")], self.spec(0.0), ["I"], rng)
+        assert rng.random() == random.Random(3).random()
+
+    @pytest.mark.parametrize("probability", [1.5, -0.1, float("nan")])
+    def test_out_of_range_probability_is_rejected(self, probability):
+        with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
+            dz.attempt_transmission(ex.MapContext(), [], self.spec(probability), ["I"], random.Random(0))
+
     def test_certain_probability_with_infectious_neighbor(self):
         assert dz.attempt_transmission(ex.MapContext(), [cand(1, "I")], self.spec(1.0), ["I"], random.Random(0))
 
@@ -183,16 +194,17 @@ class TestIntroduce:
 
 
 class TestEvaluateMortality:
-    def test_leaving_certain_death(self):
-        rules = [dz.MortalitySpec("I", ex.lit(1.0), dz.LEAVING_COMPARTMENT)]
-        assert dz.evaluate_mortality(rules, "leaving", ex.MapContext(), 3, random.Random(0))
-        assert not dz.evaluate_mortality(rules, "tick", ex.MapContext(), 3, random.Random(0))
+    @pytest.mark.parametrize("rate", [1.5, float("nan")])
+    def test_out_of_range_rate_is_rejected(self, rate):
+        rules = [dz.MortalitySpec("I", ex.lit(rate), dz.EVERY_TIMEUNIT)]
+        with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
+            dz.evaluate_mortality(rules, ex.MapContext(), 1, random.Random(0))
 
     def test_zero_rate_never_dies(self):
         rules = [dz.MortalitySpec("I", ex.lit(0.0), dz.EVERY_TIMEUNIT)]
         rng = random.Random(0)
         assert not any(
-            dz.evaluate_mortality(rules, "tick", ex.MapContext(), t, rng) for t in range(200)
+            dz.evaluate_mortality(rules, ex.MapContext(), t, rng) for t in range(200)
         )
 
     def test_guard_not_met_blocks_death(self):
@@ -206,13 +218,13 @@ class TestEvaluateMortality:
         ]
         alive = ex.MapContext({"energy": 5})
         exhausted = ex.MapContext({"energy": 0})
-        assert not dz.evaluate_mortality(rules, "tick", alive, 1, random.Random(0))
-        assert dz.evaluate_mortality(rules, "tick", exhausted, 1, random.Random(0))
+        assert not dz.evaluate_mortality(rules, alive, 1, random.Random(0))
+        assert dz.evaluate_mortality(rules, exhausted, 1, random.Random(0))
 
     def test_specific_timeunit_only_that_tick(self):
         rules = [dz.MortalitySpec("I", ex.lit(1.0), dz.SPECIFIC_TIMEUNIT, at_tick=7)]
         rng = random.Random(0)
-        hits = [dz.evaluate_mortality(rules, "tick", ex.MapContext(), t, rng) for t in range(10)]
+        hits = [dz.evaluate_mortality(rules, ex.MapContext(), t, rng) for t in range(10)]
         assert hits == [t == 7 for t in range(10)]
 
 

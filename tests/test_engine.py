@@ -6,7 +6,7 @@ from abms import engine
 from abms import expr as ex
 from abms import metamodel as mm
 from abms.dsl import parse_model
-from abms.errors import EngineError, FileFormatError
+from abms.errors import AbmsError, EngineError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -131,6 +131,34 @@ class TestBuildWorld:
         by_pos = {a.position: a for a in world.agents.values()}
         assert by_pos[(1, 1)].attrs == {"age": 30, "older": True}
         assert by_pos[(2, 2)].attrs == {"age": 7, "older": False}
+
+    @pytest.mark.parametrize("line", ["nan,2.0", "inf,2.0"])
+    def test_gis_point_must_be_finite(self, tmp_path, line):
+        (tmp_path / "bad.points").write_text(f"1.0,1.0\n{line}\n")
+        model = parse_model(
+            'model t {\n  environment grid width 10 height 10\n'
+            '  agent A { create gis "bad.points" }\n}\n'
+        )
+        with pytest.raises(FileFormatError, match="line 2: coordinates must be finite"):
+            engine.build_world(model, cfg(tmp_path))
+
+    def test_gis_real_override_must_be_finite(self, tmp_path):
+        (tmp_path / "p.points").write_text("1.0,1.0,p=0.5\n2.0,2.0,p=nan\n")
+        model = parse_model(
+            'model t {\n  environment grid width 10 height 10\n'
+            '  agent A {\n    create gis "p.points"\n    attr p real = 0.1\n  }\n}\n'
+        )
+        with pytest.raises(EngineError, match="point file line 2.*'nan' is not a finite real"):
+            engine.build_world(model, cfg(tmp_path))
+
+    def test_osm_node_must_be_finite(self, tmp_path):
+        (tmp_path / "m.osm").write_text(MINI_OSM.replace('<node id="2" lat="0.0"', '<node id="2" lat="nan"'))
+        model = parse_model(
+            'model t {\n  environment graph from osm "m.osm"\n'
+            '  agent Car {\n    create fixed 3 random\n    capability mobility random_walk step 10\n  }\n}\n'
+        )
+        with pytest.raises(FileFormatError, match="node 2: lat/lon must be finite"):
+            engine.build_world(model, cfg(tmp_path))
 
     def test_aperiodic_introduction_applies_at_build(self, tmp_path):
         model = grid_model(
@@ -377,6 +405,32 @@ class TestRun:
         model = grid_model("  agent A { create fixed 1 random\n    capability disease ghost\n  }")
         with pytest.raises(EngineError, match="validation"):
             engine.run(model, cfg(tmp_path))
+
+
+class TestRunTimeRanges:
+    """Rates and probabilities computed at run time are checked against
+    [0, 1] where they are used; a violation names the tick and the model path."""
+
+    def run_with(self, tmp_path, clause):
+        model = grid_model(
+            "  agent A {\n    create fixed 20 random\n    attr p real = 1.5\n"
+            "    capability disease d\n  }\n"
+            f"  disease d model SIR {{\n    {clause}\n  }}\n"
+            "  introduce d deterministic 5 arbitrary aperiodic"
+        )
+        engine.run(model, cfg(tmp_path))
+
+    def test_transmission_probability_out_of_range(self, tmp_path):
+        with pytest.raises(AbmsError, match=r"tick 1: disease:d\.transmission: rate 1\.5 outside \[0, 1\]"):
+            self.run_with(tmp_path, "transmission contact probability p\n    duration I deterministic 5")
+
+    def test_mortality_rate_out_of_range(self, tmp_path):
+        with pytest.raises(AbmsError, match=r"tick 1: disease:d\.mortality: rate 1\.5 outside \[0, 1\]"):
+            self.run_with(
+                tmp_path,
+                "transmission contact probability 0.1\n    duration I deterministic 5\n"
+                "    mortality I rate p every_timeunit",
+            )
 
 
 class TestVehicles:

@@ -7,6 +7,7 @@ import pytest
 
 from abms import engine
 from abms import metamodel as mm
+from abms import traffic as tf
 from abms.dsl import parse_model
 
 from randmodels import random_text_model
@@ -315,7 +316,65 @@ model m {
         assert len(blocked) == 2
 
 
+class TestResolvedOncePerRun:
+    """The model is resolved once per run: name lookups and plan machine
+    builds do not grow with the number of ticks."""
+
+    LOOKUPS = [
+        (mm.Model, "agent_type"),
+        (mm.Model, "disease"),
+        (mm.Model, "plan"),
+        (mm.AgentTypeSpec, "capability"),
+        (tf, "plan_to_machine"),
+    ]
+
+    def count_lookups(self, monkeypatch, tmp_path, fixture, ticks):
+        model = parse_model((FIXTURES / f"{fixture}.abms").read_text())
+        counts = {name: 0 for _, name in self.LOOKUPS}
+        for owner, name in self.LOOKUPS:
+            def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+        engine.run(model, cfg(tmp_path / str(ticks), seed=42, max_ticks=ticks, base_dir=FIXTURES))
+        monkeypatch.undo()
+        assert counts["plan_to_machine"] == len(model.plans)
+        return counts
+
+    @pytest.mark.parametrize("fixture", ["measles", "traffic"])
+    def test_lookups_do_not_scale_with_ticks(self, monkeypatch, tmp_path, fixture):
+        short = self.count_lookups(monkeypatch, tmp_path, fixture, 10)
+        assert self.count_lookups(monkeypatch, tmp_path, fixture, 60) == short
+
+
 class TestMortalityOnAnyCompartment:
+    def test_leaving_rule_kills_only_on_exit(self, tmp_path):
+        model = parse_model(
+            """
+model m {
+  environment grid width 8 height 8
+  agent A {
+    create fixed 10 random
+    capability disease d
+  }
+  disease d model SIR {
+    transmission contact probability 0
+    duration I deterministic 5
+    mortality I rate 1.0 leaving_compartment
+  }
+  introduce d deterministic 10 arbitrary aperiodic
+}
+"""
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        for _ in range(4):
+            engine.tick(world)
+            assert len(world.agents) == 10  # the rule applies on leaving I, not per tick
+        engine.tick(world)
+        assert len(world.agents) == 0
+        assert world.deaths_by_disease["d"] == 10
+
+
     def test_susceptible_compartment_mortality_applies(self, tmp_path):
         model = parse_model(
             """
