@@ -63,6 +63,19 @@ def _load(path: str):
     return result.model, text
 
 
+def _load_valid(path: str):
+    """The parsed model if it also validates, else None (errors printed)."""
+    model, _ = _load(path)
+    if model is None:
+        return None
+    report = mm.validate(model)
+    if not report.ok():
+        for diag in report.errors():
+            print(str(diag), file=sys.stderr)
+        return None
+    return model
+
+
 def _out_dir(arg: str | None) -> Path:
     if arg is not None:
         return Path(arg)
@@ -91,13 +104,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    model, _ = _load(args.model)
+    model = _load_valid(args.model)
     if model is None:
-        return 1
-    report = mm.validate(model)
-    if not report.ok():
-        for diag in report.errors():
-            print(str(diag), file=sys.stderr)
         return 1
     if args.seed == "random":
         seed = int.from_bytes(os.urandom(8), "big") % (2**63)
@@ -132,13 +140,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    model, _ = _load(args.model)
+    model = _load_valid(args.model)
     if model is None:
-        return 1
-    report = mm.validate(model)
-    if not report.ok():
-        for diag in report.errors():
-            print(str(diag), file=sys.stderr)
         return 1
     source, gen_report = codegen.generate(model)
     out_dir = _out_dir(args.out_dir)

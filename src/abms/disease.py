@@ -256,7 +256,7 @@ def attempt_transmission(
     condition, when present, is checked against the source's own context.
     The probability must lie in [0, 1]; probability 0 draws nothing.
     """
-    probability = sm.checked_rate(spec.probability, susceptible_ctx)
+    probability = ex.evaluate_number(spec.probability, susceptible_ctx, 0, 1, "rate")
     if probability == 0:
         return False
     source_types = set(spec.sources)
@@ -266,7 +266,7 @@ def attempt_transmission(
                 continue
         elif cand.disease_state not in infectious:
             continue
-        if spec.condition is not None and not sm.evaluate_condition(spec.condition, cand.ctx):
+        if spec.condition is not None and not ex.evaluate_condition(spec.condition, cand.ctx):
             continue
         if rng.random() < probability:
             return True
@@ -297,7 +297,7 @@ def introduce(
     eligible: list[int] = []
     for agent_id, ctx in pool:
         if spec.selection == "eligible" and spec.eligibility is not None:
-            if not sm.evaluate_condition(spec.eligibility, ctx):
+            if not ex.evaluate_condition(spec.eligibility, ctx):
                 continue
         eligible.append(agent_id)
     if spec.quantity_kind == "deterministic":
@@ -322,9 +322,9 @@ def evaluate_mortality(
     for rule in specs:
         if rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick:
             continue
-        if rule.evaluation == WHEN_CONDITION and not sm.evaluate_condition(rule.condition, ctx):
+        if rule.evaluation == WHEN_CONDITION and not ex.evaluate_condition(rule.condition, ctx):
             continue
-        rate = sm.checked_rate(rule.rate, ctx)
+        rate = ex.evaluate_number(rule.rate, ctx, 0, 1, "rate")
         if rng.random() < rate:
             return True
     return False

@@ -118,6 +118,9 @@ class ResolvedDisease:
     """What the tick needs of one disease model, resolved once per run."""
 
     spec: dz.DiseaseModelSpec
+    path: str  # model paths for run-time errors
+    transmission_path: str
+    mortality_path: str
     machine: sm.StateMachineSpec
     susceptible: str
     target: str  # compartment entered on infection
@@ -130,9 +133,10 @@ def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
     for rule in spec.mortality:
         if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
             tick_rules.setdefault(rule.compartment, []).append(rule)
+    path = f"disease:{spec.name}"
     return ResolvedDisease(
-        spec, dz.build_machine(spec), dz.susceptible_compartment(spec), dz.infection_target(spec),
-        frozenset(dz.infectious_states(spec)), tick_rules,
+        spec, path, f"{path}.transmission", f"{path}.mortality", dz.build_machine(spec),
+        dz.susceptible_compartment(spec), dz.infection_target(spec), frozenset(dz.infectious_states(spec)), tick_rules,
     )
 
 
@@ -340,18 +344,13 @@ class EntityContext(WorldContext):
         raise EvalError(f"unknown attribute '{name}'")
 
 
-def _eval(expr_, ctx: ex.Context, world: World, path: str):
+def _checked(world: World, path: str, fn, *args):
+    """``fn(*args)``, with an expression failure raised as an EngineError
+    that names the tick and the model path."""
     try:
-        return ex.evaluate(expr_, ctx)
+        return fn(*args)
     except EvalError as err:
         raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
-
-
-def _eval_number(expr_, ctx, world, path) -> float:
-    value = _eval(expr_, ctx, world, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EngineError(f"tick {world.tick}: {path}: expected a number, got {type(value).__name__}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +465,8 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
             ctx = WorldContext(world)
             spots = []
             for x_expr, y_expr in strategy.placement:
-                x = _eval_number(x_expr, ctx, world, f"{type_name}: position")
-                y = _eval_number(y_expr, ctx, world, f"{type_name}: position")
+                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, ctx)
+                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, ctx)
                 spots.append(_place_at(world, x, y, type_name))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
@@ -508,7 +507,7 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
                 overrides[attr.name], attr.kind, f"{where} (point file line {point.line})"
             )
         elif attr.default is not None:
-            value = _eval(attr.default, ctx, world, f"{where}.attr:{attr.name}")
+            value = _checked(world, f"{where}.attr:{attr.name}", ex.evaluate, attr.default, ctx)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
@@ -546,8 +545,9 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
         mobility = spec.capability("mobility")
         if mobility is not None and world.graph is not None:
-            agent.speed = _eval_number(
-                mobility.parameters["step"], AgentContext(world, agent), world, f"agent:{spec.name}: mobility step"
+            agent.speed = _checked(
+                world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
+                mobility.parameters["step"], AgentContext(world, agent),
             )
             if agent.speed <= 0:
                 raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")
@@ -638,11 +638,7 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
         for aid, agent in sorted(world.agents.items())
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
-    try:
-        chosen = dz.introduce(pool, intro, world.tick, world.rng)
-    except EvalError as err:
-        raise EngineError(f"tick {world.tick}: introduce {intro.disease}: {err.message}") from None
-    for aid in chosen:
+    for aid in _checked(world, f"introduce {intro.disease}", dz.introduce, pool, intro, world.tick, world.rng):
         sm.force_state(world.agents[aid].diseases[intro.disease], disease.target)
         world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
         infected_now.add((aid, intro.disease))
@@ -656,7 +652,7 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
     """New position for one random-walk step (graph agents move in phase 4)."""
     topo = world.topology
     ctx = AgentContext(world, agent)
-    step = _eval_number(step_expr, ctx, world, f"agent:{agent.type_name}: mobility step")
+    step = _checked(world, f"agent:{agent.type_name}: mobility step", ex.evaluate_number, step_expr, ctx)
     if isinstance(topo, mm.GridTopology):
         # 8-neighborhood plus "stay", all nine outcomes equally likely.
         pick = rng.randrange(9)
@@ -680,13 +676,9 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
 # Neighbor queries
 
 
-def neighbors_within(world: World, position, radius: float, exclude: int | None = None) -> list[int]:
-    """Agent ids with Euclidean distance <= radius (toroidal on wrapped
-    grids), ascending, excluding ``exclude``."""
-    return [i for i in _scan_ids(world, position, radius, exclude) if i in world.agents]
-
-
 def _scan_ids(world: World, position, radius: float, exclude: int | None) -> list[int]:
+    """Agent and entity ids within Euclidean distance ``radius`` of
+    ``position`` (toroidal on wrapped grids), ascending, without ``exclude``."""
     topo = world.topology
     out: list[int] = []
     if isinstance(topo, (mm.GridTopology, mm.CartesianTopology)) and isinstance(position, tuple):
@@ -748,14 +740,14 @@ def tick(world: World) -> World:
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
             ctx = AgentContext(world, agent)
-            moved = _step_machine_checked(world, ctrl.machine, ctx, f"agent:{agent.type_name}: plan")
+            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, ctx, world.rng)
             ctrl.ticks_in_cycle += 1
             if moved is not None:
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
             if not inst.terminated:
                 ctx = AgentContext(world, agent)
-                _step_machine_checked(world, inst, ctx, f"machine:{name}")
+                _checked(world, f"machine:{name}", sm.step, inst, ctx, world.rng)
         for disease_name in agent.diseases:
             if (aid, disease_name) in infected_now:
                 continue
@@ -805,13 +797,6 @@ def tick(world: World) -> World:
     return world
 
 
-def _step_machine_checked(world: World, inst: sm.MachineInstance, ctx, path: str):
-    try:
-        return sm.step(inst, ctx, world.rng)
-    except EvalError as err:
-        raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
-
-
 def _disease_step(world: World, agent: AgentInstance, disease: ResolvedDisease):
     disease_name = disease.spec.name
     inst = agent.diseases[disease_name]
@@ -822,17 +807,13 @@ def _disease_step(world: World, agent: AgentInstance, disease: ResolvedDisease):
     # progression can move the agent on.
     tick_rules = disease.tick_rules.get(inst.current)
     if tick_rules:
-        try:
-            dies = dz.evaluate_mortality(tick_rules, ctx, world.tick, world.rng)
-        except EvalError as err:
-            raise EngineError(f"tick {world.tick}: disease:{disease_name}.mortality: {err.message}") from None
-        if dies:
+        if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, ctx, world.tick, world.rng):
             return ("die", inst.current)
     t = disease.spec.transmission
     if inst.current == disease.susceptible and t is not None:
         radius = 0.0
         if t.interaction == dz.PROXIMITY and t.distance is not None:
-            radius = _eval_number(t.distance, ctx, world, f"disease:{disease_name}.transmission")
+            radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, ctx)
         candidate_ids = _scan_ids(world, agent.position, radius, agent.id)
         candidates = []
         for cid in candidate_ids:
@@ -843,15 +824,13 @@ def _disease_step(world: World, agent: AgentInstance, disease: ResolvedDisease):
             else:
                 entity = world.entities[cid]
                 candidates.append(dz.Candidate(cid, True, entity.type_name, EntityContext(world, entity), None))
-        try:
-            hit = dz.attempt_transmission(ctx, candidates, t, disease.infectious, world.rng)
-        except EvalError as err:
-            raise EngineError(f"tick {world.tick}: disease:{disease_name}.transmission: {err.message}") from None
-        if hit:
+        if _checked(
+            world, disease.transmission_path, dz.attempt_transmission, ctx, candidates, t, disease.infectious, world.rng
+        ):
             return ("infect", disease.target)
         return None
     snapshot = inst.clone()
-    _step_machine_checked(world, snapshot, ctx, f"disease:{disease_name}")
+    _checked(world, disease.path, sm.step, snapshot, ctx, world.rng)
     return ("update", snapshot)
 
 
@@ -916,9 +895,8 @@ def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
     if learner.spec.reward is not None:
-        reward = _eval_number(
-            learner.spec.reward, AgentContext(world, agent), world, f"agent:{agent.type_name}: reward"
-        )
+        ctx = AgentContext(world, agent)
+        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, ctx)
     else:
         reward = -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
@@ -938,23 +916,17 @@ def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -
 # Outputs and runs
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise EngineError(f"output value {value!r} is not finite")
-        return f"{value:.6g}"
-    raise EngineError(f"output value {value!r} is not numeric")
+def format_value(value: float | int) -> str:
+    """CSV text of a sampled value (finite by then: see :func:`sample_output`)."""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def sample_output(world: World, output: mm.OutputDatasetSpec) -> None:
     ctx = WorldContext(world)
     row: list = [world.tick]
     for series in output.series:
-        row.append(_eval(series.value, ctx, world, f"output:{output.name}.series:{series.label}"))
+        path = f"output:{output.name}.series:{series.label}"
+        row.append(_checked(world, path, ex.evaluate_number, series.value, ctx))
     world.output_rows[output.name].append(row)
 
 

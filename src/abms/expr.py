@@ -13,6 +13,7 @@ the concrete syntax); integers promote to reals where needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -237,6 +238,33 @@ def _as_bool(v, node) -> bool:
     if not isinstance(v, bool):
         raise EvalError(f"expected a boolean, got {type(v).__name__}", getattr(node, "span", None))
     return v
+
+
+def evaluate_number(
+    expr: Expr, ctx: Context, low: float | None = None, high: float | None = None, name: str = "value"
+) -> float | int:
+    """Evaluate ``expr`` to a finite number, within [low, high] when bounds
+    are given; anything else (bool, text, NaN, inf) raises EvalError.  An
+    integer comes back as an integer."""
+    value = _as_number(evaluate(expr, ctx), expr)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if finite and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    if low is None and high is None:
+        message = f"{name} {value} is not finite"
+    else:
+        lower = "(-inf" if low is None else f"[{low}"
+        upper = "inf)" if high is None else f"{high}]"
+        message = f"{name} {value} outside {lower}, {upper}"
+    raise EvalError(message, getattr(expr, "span", None))
+
+
+def evaluate_condition(expr: Expr, ctx: Context) -> bool:
+    """Evaluate ``expr`` to a boolean; anything else raises EvalError."""
+    return _as_bool(evaluate(expr, ctx), expr)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ the configured probability (this is how death-on-leaving-a-compartment works).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Union
 
 from . import expr as ex
-from .errors import AbmsError, EvalError
+from .errors import AbmsError
 from .source import SourceSpan
 
 DEAD_STATE = "Dead"
@@ -158,7 +157,7 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
     for tr in instance.spec.transitions_from(instance.current):
         if isinstance(tr.trigger, InteractionTrigger) or tr.trigger is None:
             continue
-        if tr.guard is not None and evaluate_condition(tr.guard, ctx) is False:
+        if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
             continue
         if trigger_fires(tr.trigger, instance.dwell, ctx, rng):
             return _take(instance, tr, ctx, rng)
@@ -168,7 +167,7 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
 def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: random.Random) -> TransitionEvent:
     source = instance.current
     if tr.abortion is not None:
-        p = checked_rate(tr.abortion.probability, ctx)
+        p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
         if rng.random() < p:
             instance.current = tr.abortion.abort_to
             instance.dwell = 0
@@ -193,14 +192,11 @@ def force_state(instance: MachineInstance, state: str) -> None:
 
 def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Random) -> bool:
     if isinstance(trigger, ProbabilisticTrigger):
-        return rng.random() < checked_rate(trigger.rate, ctx)
+        return rng.random() < ex.evaluate_number(trigger.rate, ctx, 0, 1, "rate")
     if isinstance(trigger, DeterministicTrigger):
-        ticks = ex.evaluate(trigger.ticks, ctx)
-        if isinstance(ticks, bool) or not isinstance(ticks, (int, float)) or ticks < 0:
-            raise EvalError("deterministic duration must be a non-negative number", trigger.span)
-        return dwell >= ticks
+        return dwell >= ex.evaluate_number(trigger.ticks, ctx, 0, None, "duration")
     if isinstance(trigger, ConditionalTrigger):
-        return evaluate_condition(trigger.condition, ctx)
+        return ex.evaluate_condition(trigger.condition, ctx)
     if isinstance(trigger, CompositeTrigger):
         # Every part is evaluated (draws included) so composition is order-free.
         results = [trigger_fires(p, dwell, ctx, rng) for p in trigger.parts]
@@ -208,37 +204,3 @@ def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Ran
     if isinstance(trigger, InteractionTrigger):
         return False
     raise MachineError(f"unknown trigger {type(trigger).__name__}")
-
-
-def evaluate_condition(condition: ex.Expr, ctx: ex.Context) -> bool:
-    value = ex.evaluate(condition, ctx)
-    if not isinstance(value, bool):
-        raise EvalError("condition did not evaluate to a boolean", getattr(condition, "span", None))
-    return value
-
-
-def checked_rate(rate_expr: ex.Expr, ctx: ex.Context) -> float:
-    """Evaluate a run-time rate or probability; anything but a number in
-    [0, 1] (NaN included) raises :class:`EvalError`."""
-    value = ex.evaluate(rate_expr, ctx)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EvalError("rate did not evaluate to a number", getattr(rate_expr, "span", None))
-    if not 0.0 <= value <= 1.0:
-        raise EvalError(f"rate {value} outside [0, 1]", getattr(rate_expr, "span", None))
-    return float(value)
-
-
-def expected_dwell(trigger: Trigger, ctx: ex.Context | None = None) -> float:
-    """Mean steps to fire: d for deterministic, 1/rate for probabilistic.
-
-    Undefined (raises ValueError) for conditional, composite, and interaction
-    triggers.  Intended as a test oracle helper.
-    """
-    ctx = ctx or ex.MapContext()
-    if isinstance(trigger, DeterministicTrigger):
-        value = ex.evaluate(trigger.ticks, ctx)
-        return float(value)
-    if isinstance(trigger, ProbabilisticTrigger):
-        rate = checked_rate(trigger.rate, ctx)
-        return math.inf if rate == 0.0 else 1.0 / rate
-    raise ValueError(f"expected dwell undefined for {type(trigger).__name__}")

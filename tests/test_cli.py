@@ -85,6 +85,16 @@ class TestRun:
         assert main(["run", str(workdir / "bad.abms")]) == 1
         assert "missing duration" in capsys.readouterr().err
 
+    def test_run_time_error_is_one_line_and_writes_no_csv(self, workdir, capsys):
+        big = "1" + "0" * 400 + ".0"  # parses to inf
+        text = (workdir / "traffic.abms").read_text().replace("count(Vehicle)", f"count(Vehicle) * {big}")
+        (workdir / "big.abms").write_text(text)
+        assert main(["run", str(workdir / "big.abms"), "--out-dir", str(workdir / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tick 0: output:flow.series:moving: ")
+        assert err.count("\n") == 1
+        assert not (workdir / "out").exists()
+
 
 class TestGen:
     def test_writes_source_and_report(self, workdir, capsys):
@@ -93,6 +103,14 @@ class TestGen:
         assert (workdir / "gen" / "measles_outbreak.nlogo").exists()
         report = json.loads((workdir / "gen" / "measles_outbreak.genreport.json").read_text())
         assert "disease:measles" in report["procedures"]
+
+    def test_invalid_model_exit_one(self, workdir, capsys):
+        text = (workdir / "measles.abms").read_text().replace("duration I probabilistic rate 0.08\n", "")
+        (workdir / "bad.abms").write_text(text)
+        assert main(["gen", str(workdir / "bad.abms"), "--out-dir", str(workdir / "gen")]) == 1
+        captured = capsys.readouterr()
+        assert "missing duration" in captured.err and captured.out == ""
+        assert not (workdir / "gen").exists()
 
 
 class TestFmt:

@@ -227,28 +227,28 @@ class TestNeighbors:
     def test_torus_wraps_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)])
         ids = sorted(world.agents)
-        assert engine.neighbors_within(world, world.agents[ids[0]].position, 1, exclude=ids[0]) == [ids[1]]
+        assert engine._scan_ids(world, world.agents[ids[0]].position, 1, ids[0]) == [ids[1]]
 
     def test_no_wrap_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)], wrap=False)
         ids = sorted(world.agents)
-        assert engine.neighbors_within(world, world.agents[ids[0]].position, 1, exclude=ids[0]) == []
+        assert engine._scan_ids(world, world.agents[ids[0]].position, 1, ids[0]) == []
 
     def test_radius_zero_means_contact(self, tmp_path):
         world = self.build(tmp_path, [(3, 3), (3, 3), (3, 4)])
         ids = sorted(world.agents)
-        got = engine.neighbors_within(world, world.agents[ids[0]].position, 0, exclude=ids[0])
+        got = engine._scan_ids(world, world.agents[ids[0]].position, 0, ids[0])
         assert got == [ids[1]]
 
     def test_empty_world(self, tmp_path):
         world = self.build(tmp_path, [(1, 1)])
         only = next(iter(world.agents))
-        assert engine.neighbors_within(world, (5, 5), 2, exclude=only) == []
+        assert engine._scan_ids(world, (5, 5), 2, only) == []
 
     def test_ascending_id_order(self, tmp_path):
         world = self.build(tmp_path, [(5, 5), (5, 6), (5, 4), (6, 5)])
         ids = sorted(world.agents)
-        got = engine.neighbors_within(world, world.agents[ids[0]].position, 1.5, exclude=ids[0])
+        got = engine._scan_ids(world, world.agents[ids[0]].position, 1.5, ids[0])
         assert got == sorted(got)
         assert got == ids[1:]
 
@@ -407,9 +407,61 @@ class TestRun:
             engine.run(model, cfg(tmp_path))
 
 
+BIG = "1" + "0" * 400 + ".0"  # a real literal that parses to inf
+NAN = f"{BIG} - {BIG}"
+GRID = "environment grid width 10 height 10 wrap"
+CART = "environment cartesian 0.0..10.0 0.0..10.0"
+SIR = (
+    "  disease d model SIR {{\n    transmission {how} probability 0.5\n    duration I {duration}\n  }}\n"
+    "  introduce d deterministic 5 arbitrary aperiodic\n"
+)
+
+
+def walker(env, step, attr="", how="contact"):
+    return (
+        f"model t {{\n  {env}\n  agent A {{\n    create fixed 20 random\n{attr}"
+        f"    capability mobility random_walk step {step}\n    capability disease d\n  }}\n"
+        + SIR.format(how=how, duration="deterministic 5")
+        + "}\n"
+    )
+
+
+NON_FINITE_CASES = {
+    "inf step on a grid": (walker(GRID, BIG), r"tick 1: agent:A: mobility step: "),
+    "nan step on a cartesian space": (
+        walker(CART, "s", attr=f"    attr s real = {NAN}\n"), r"tick 1: agent:A: mobility step: "
+    ),
+    "inf distance on a grid": (walker(GRID, "1", how=f"proximity {BIG}"), r"tick 1: disease:d\.transmission: "),
+    "nan distance on a cartesian space": (
+        walker(CART, "1", attr=f"    attr r real = {NAN}\n", how="proximity r"),
+        r"tick 1: disease:d\.transmission: ",
+    ),
+    "inf placement": (
+        f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 at ({BIG}, 1) }}\n}}\n", r"tick 0: agent:A: position: "
+    ),
+    "nan duration": (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 20 random\n    attr w real = {NAN}\n"
+        "    capability disease d\n  }\n" + SIR.format(how="contact", duration="deterministic w") + "}\n",
+        r"tick 1: disease:d: duration nan outside \[0, inf\)",
+    ),
+    "nan reward": (
+        (FIXTURES / "traffic.abms").read_text().replace(
+            "bins 2 5\n", f"bins 2 5 reward x\n    attr x real = {NAN}\n"
+        ),
+        r"tick 1: agent:Controller: reward: ",
+    ),
+    "inf series": (
+        f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 random }}\n"
+        f'  output o every 1 to "o.csv" {{\n    series n count(A)\n    series big {BIG} * 1.0\n  }}\n}}\n',
+        r"tick 0: output:o\.series:big: ",
+    ),
+}
+
+
 class TestRunTimeRanges:
-    """Rates and probabilities computed at run time are checked against
-    [0, 1] where they are used; a violation names the tick and the model path."""
+    """Numbers computed at run time are checked where they are used: rates and
+    probabilities against [0, 1], every number for finiteness.  A violation
+    names the tick and the model path, and no CSV is written."""
 
     def run_with(self, tmp_path, clause):
         model = grid_model(
@@ -431,6 +483,15 @@ class TestRunTimeRanges:
                 "transmission contact probability 0.1\n    duration I deterministic 5\n"
                 "    mortality I rate p every_timeunit",
             )
+
+    @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+    def test_non_finite_value_fails_at_its_tick(self, tmp_path, case):
+        text, expected = NON_FINITE_CASES[case]
+        model = parse_model(text)
+        assert mm.validate(model).ok()
+        with pytest.raises(AbmsError, match=expected):
+            engine.run(model, cfg(tmp_path, max_ticks=80, base_dir=FIXTURES))
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestVehicles:

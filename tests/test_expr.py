@@ -60,6 +60,32 @@ class TestEvaluate:
             ex.evaluate(ex.Unary("not", ex.lit(3)), ctx())
 
 
+class TestEvaluateNumber:
+    def test_numbers_come_back_unchanged(self):
+        assert ex.evaluate_number(ex.lit(3), ctx()) == 3
+        assert type(ex.evaluate_number(ex.lit(3), ctx())) is int
+        assert ex.evaluate_number(ex.lit(0.25), ctx(), 0, 1, "rate") == 0.25
+        assert ex.evaluate_number(ex.lit(0), ctx(), 0, None, "duration") == 0
+
+    @pytest.mark.parametrize(
+        "value,bounds,message",
+        [
+            (True, (None, None, "value"), "expected a number, got bool"),
+            ("x", (None, None, "value"), "expected a number, got str"),
+            (float("inf"), (None, None, "value"), "value inf is not finite"),
+            (float("nan"), (None, None, "value"), "value nan is not finite"),
+            (10**400, (None, None, "value"), "is not finite"),
+            (1.5, (0, 1, "rate"), r"rate 1\.5 outside \[0, 1\]"),
+            (float("nan"), (0, 1, "rate"), r"rate nan outside \[0, 1\]"),
+            (-1, (0, None, "duration"), r"duration -1 outside \[0, inf\)"),
+            (float("inf"), (0, None, "duration"), r"duration inf outside \[0, inf\)"),
+        ],
+    )
+    def test_rejects(self, value, bounds, message):
+        with pytest.raises(EvalError, match=message):
+            ex.evaluate_number(ex.AttrRef(None, "v"), ctx(v=value), *bounds)
+
+
 class TestInferType:
     def env(self, **kw):
         base = dict(

@@ -178,24 +178,11 @@ def episode_length(trigger, rng) -> int:
 
 
 class TestExpectedDwell:
-    def test_deterministic(self):
-        assert sm.expected_dwell(sm.DeterministicTrigger(ex.lit(20))) == 20.0
-
-    def test_probabilistic_values(self):
-        assert sm.expected_dwell(sm.ProbabilisticTrigger(ex.lit(0.1))) == pytest.approx(10.0)
-        assert sm.expected_dwell(sm.ProbabilisticTrigger(ex.lit(0.5))) == pytest.approx(2.0)
-
-    def test_undefined_for_conditional(self):
-        with pytest.raises(ValueError):
-            sm.expected_dwell(sm.ConditionalTrigger(ex.lit(True)))
-        with pytest.raises(ValueError):
-            sm.expected_dwell(sm.CompositeTrigger("any_of", [sm.ConditionalTrigger(ex.lit(True))]))
-
     def test_monte_carlo_matches_inverse_rate(self):
         # Empirical mean dwell of the per-tick Bernoulli trigger vs 1/rate.
         rng = random.Random(20240)
         trigger = sm.ProbabilisticTrigger(ex.lit(0.1))
         n = 100_000
         mean = sum(episode_length(trigger, rng) for _ in range(n)) / n
-        expected = sm.expected_dwell(trigger)
+        expected = 1 / 0.1
         assert abs(mean - expected) / expected < 0.02
