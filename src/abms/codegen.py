@@ -406,8 +406,7 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
     path = f"disease:{spec.name}"
     procs = report.procedures.setdefault(path, [])
     name = _nl_name(spec.name)
-    carriers = [a.name for a in model.carriers(spec.name)]
-    carrier_set = "(turtle-set " + " ".join(_breed_names(c)[0] for c in carriers) + ")" if carriers else "no-turtles"
+    carrier_set = _carrier_set(model, spec.name)
     susceptible = dz.susceptible_compartment(spec)
     t = spec.transmission
     phase_body = [
@@ -440,19 +439,7 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
              f"set {name}-ever-infected {name}-ever-infected + 1"],
             procs,
         )
-    progress_body = [f"set {name}-dwell {name}-dwell + 1"]
-    machine = dz.build_machine(spec)
-    for tr in machine.transitions:
-        if isinstance(tr.trigger, sm.InteractionTrigger) or tr.trigger is None:
-            continue
-        condition = _trigger_condition(tr.trigger, f"{name}-dwell", model)
-        action = f'set {name}-state "{tr.target}" set {name}-dwell 0'
-        if tr.abortion is not None:
-            action = (
-                f"ifelse random-float 1.0 < {_nl_expr(tr.abortion.probability, model)} "
-                f'[ set {name}-state "{tr.abortion.abort_to}" ] [ {action} ]'
-            )
-        progress_body.append(f'if {name}-state = "{tr.source}" and {condition} [ {action} ]')
+    progress_body = _step_body(name, dz.build_machine(spec), model)
     for rule in spec.mortality:
         if rule.evaluation == dz.LEAVING_COMPARTMENT:
             continue
@@ -506,9 +493,7 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     name = _nl_name(intro.disease)
     susceptible = dz.susceptible_compartment(spec) if spec else "S"
     target = dz.infection_target(spec) if spec else "I"
-    carriers = [a.name for a in model.carriers(intro.disease)]
-    carrier_set = "(turtle-set " + " ".join(_breed_names(c)[0] for c in carriers) + ")" if carriers else "no-turtles"
-    body = [f'let pool {carrier_set} with [{name}-state = "{susceptible}"]']
+    body = [f'let pool {_carrier_set(model, intro.disease)} with [{name}-state = "{susceptible}"]']
     if intro.selection == "eligible" and intro.eligibility is not None:
         body.append(f"set pool pool with [{_nl_expr(intro.eligibility, model)}]")
     if intro.quantity_kind == "deterministic":
@@ -525,6 +510,12 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
 def _emit_machine(e: _Emitter, model: mm.Model, machine: sm.StateMachineSpec, path: str, report: GenerationReport) -> None:
     procs = report.procedures.setdefault(path, [])
     name = _nl_name(machine.name)
+    e.proc(f"step-machine-{name}", _step_body(name, machine, model), procs)
+
+
+def _step_body(name: str, machine: sm.StateMachineSpec, model: mm.Model) -> list[str]:
+    """The dwell increment, then one line per timed transition of ``machine``
+    whose state is kept in ``<name>-state``."""
     body = [f"set {name}-dwell {name}-dwell + 1"]
     for tr in machine.transitions:
         if tr.trigger is None or isinstance(tr.trigger, sm.InteractionTrigger):
@@ -539,7 +530,13 @@ def _emit_machine(e: _Emitter, model: mm.Model, machine: sm.StateMachineSpec, pa
                 f'[ set {name}-state "{tr.abortion.abort_to}" ] [ {action} ]'
             )
         body.append(f'if {name}-state = "{tr.source}" and {condition} [ {action} ]')
-    e.proc(f"step-machine-{name}", body, procs)
+    return body
+
+
+def _carrier_set(model: mm.Model, disease: str) -> str:
+    """The NetLogo agentset of every breed that carries ``disease``."""
+    breeds = [_breed_names(a.name)[0] for a in model.carriers(disease)]
+    return "(turtle-set " + " ".join(breeds) + ")" if breeds else "no-turtles"
 
 
 def _emit_plan(e: _Emitter, model: mm.Model, plan: tf.PlanSpec, report: GenerationReport) -> None:

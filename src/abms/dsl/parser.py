@@ -1,14 +1,20 @@
 """Recursive-descent parser with panic-mode recovery.
 
 The parser never raises on bad input: syntax problems are collected as
-:class:`ParseError` values and parsing resumes at the next declaration
-keyword, so one pass can report several independent mistakes.  Duplicate
-declarations are reported here rather than deferred to validation.
+:class:`ParseError` values.  Every block body (model, agent, entity, disease,
+machine, plan, output) is parsed by one loop, :meth:`_Parser.block`, with one
+recovery rule: when an item fails, its error is recorded, the parser moves at
+least one token forward and then skips to the next of the block's item
+keywords at the block's own nesting level, or to the block's closing brace.
+So one pass can report several independent mistakes.  Duplicate names are
+reported here, by :meth:`_Parser.unique`, rather than deferred to validation.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .. import disease as dz
 from .. import expr as ex
@@ -73,9 +79,9 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        # The token list ends in eof and next() never moves past it.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -152,9 +158,30 @@ class _Parser:
     def error_at(self, tok: Token, message: str) -> None:
         self.errors.append(ParseError(tok.span(self.file), (), tok.describe(), message))
 
-    def _ensure_progress(self, before: int) -> None:
-        if self.pos == before and not self.at("eof") and not self.at("punct", "}"):
-            self.next()
+    def unique(self, seen: set[str], tok: Token, what: str) -> bool:
+        """Add ``tok``'s name to ``seen`` and return True, or, when the name is
+        already there, record ``duplicate <what> '<name>'`` and return False."""
+        name = str(tok.value)
+        if name in seen:
+            self.error_at(tok, f"duplicate {what} '{name}'")
+            return False
+        seen.add(name)
+        return True
+
+    def block(self, recover: frozenset, item: Callable[[], None]) -> None:
+        """Parse ``item`` repeatedly up to the block's closing brace (left for
+        the caller).  A syntax error in an item is recorded, and parsing resumes
+        at the next of the ``recover`` keywords in this block."""
+        body_depth = self.depth
+        while not self.at("eof") and not self.at("punct", "}"):
+            before = self.pos
+            try:
+                item()
+            except _Syntax as err:
+                self.record(err)
+                if self.pos == before:
+                    self.next()
+                self.sync(recover, body_depth)
 
     def sync(self, stop_keywords: frozenset, body_depth: int) -> None:
         """Skip ahead to a declaration boundary at ``body_depth`` (or leave the
@@ -181,21 +208,13 @@ class _Parser:
             self.record(err)
             return None
         model = mm.Model(name=str(name))
-        self._names: dict[str, dict[str, Token]] = {}
+        self._names: defaultdict[str, set[str]] = defaultdict(set)
         try:
             self.expect("punct", "{")
         except _Syntax as err:
             self.record(err)
             return None
-        body_depth = self.depth
-        while not self.at("eof") and not self.at("punct", "}"):
-            before = self.pos
-            try:
-                self.parse_item(model)
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(_ITEM_KEYWORDS, body_depth)
+        self.block(_ITEM_KEYWORDS, lambda: self.parse_item(model))
         try:
             self.expect("punct", "}")
         except _Syntax as err:
@@ -210,14 +229,6 @@ class _Parser:
         model.span = self.span_from(start)
         return model
 
-    def declare(self, namespace: str, tok: Token, what: str) -> bool:
-        names = self._names.setdefault(namespace, {})
-        if tok.value in names:
-            self.error_at(tok, f"duplicate {what} name '{tok.value}'")
-            return False
-        names[str(tok.value)] = tok
-        return True
-
     def parse_item(self, model: mm.Model) -> None:
         if self.at_kw("environment"):
             env = self.parse_environment()
@@ -229,33 +240,33 @@ class _Parser:
                 model.environment = env
         elif self.at_kw("agent"):
             spec = self.parse_agent()
-            if self.declare("types", spec._name_token, "type"):
+            if self.unique(self._names["types"], spec._name_token, "type name"):
                 model.agent_types.append(spec.value)
         elif self.at_kw("entity"):
             spec = self.parse_entity()
-            if self.declare("types", spec._name_token, "type"):
+            if self.unique(self._names["types"], spec._name_token, "type name"):
                 model.entity_types.append(spec.value)
         elif self.at_kw("disease"):
             spec = self.parse_disease()
-            if self.declare("diseases", spec._name_token, "disease"):
+            if self.unique(self._names["diseases"], spec._name_token, "disease name"):
                 model.diseases.append(spec.value)
         elif self.at_kw("machine"):
             spec = self.parse_machine()
-            if self.declare("machines", spec._name_token, "machine"):
+            if self.unique(self._names["machines"], spec._name_token, "machine name"):
                 model.machines.append(spec.value)
         elif self.at_kw("plan"):
             spec = self.parse_plan()
-            if self.declare("machines", spec._name_token, "plan"):
+            if self.unique(self._names["machines"], spec._name_token, "plan name"):
                 model.plans.append(spec.value)
         elif self.at_kw("introduce"):
             model.introductions.append(self.parse_introduce())
         elif self.at_kw("output"):
             spec = self.parse_output()
-            if self.declare("outputs", spec._name_token, "output"):
+            if self.unique(self._names["outputs"], spec._name_token, "output name"):
                 model.outputs.append(spec.value)
         elif self.at_kw("concern"):
             spec = self.parse_concern()
-            if self.declare("concerns", spec._name_token, "concern"):
+            if self.unique(self._names["concerns"], spec._name_token, "concern name"):
                 model.concerns.append(spec.value)
         else:
             raise self.fail(*(f"'{k}'" for k in sorted(_ITEM_KEYWORDS)))
@@ -351,23 +362,19 @@ class _Parser:
         name_tok = self.expect_ident("agent name")
         spec = mm.AgentTypeSpec(name=str(name_tok.value), creation=mm.FixedCountStrategy(0))
         self.expect("punct", "{")
-        body_depth = self.depth
         self.expect_kw("create")
         spec.creation = self.parse_strategy()
         attr_names: set[str] = set()
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                if self.at_kw("capability"):
-                    spec.capabilities.append(self.parse_capability())
-                elif self.at_kw("attr"):
-                    self.parse_attr(spec.attributes, attr_names)
-                else:
-                    raise self.fail("'capability'", "'attr'", "'}'")
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(_AGENT_BODY, body_depth)
+
+        def item() -> None:
+            if self.at_kw("capability"):
+                spec.capabilities.append(self.parse_capability())
+            elif self.at_kw("attr"):
+                self.parse_attr(spec.attributes, attr_names)
+            else:
+                raise self.fail("'capability'", "'attr'", "'}'")
+
+        self.block(_AGENT_BODY, item)
         self.expect("punct", "}")
         spec.span = self.span_from(start)
         return self._Named(spec, name_tok)
@@ -377,21 +384,16 @@ class _Parser:
         name_tok = self.expect_ident("entity name")
         spec = mm.EntityTypeSpec(name=str(name_tok.value), creation=mm.FixedCountStrategy(0))
         self.expect("punct", "{")
-        body_depth = self.depth
         self.expect_kw("create")
         spec.creation = self.parse_strategy()
         attr_names: set[str] = set()
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                if self.at_kw("attr"):
-                    self.parse_attr(spec.attributes, attr_names)
-                else:
-                    raise self.fail("'attr'", "'}'")
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(frozenset(["attr"]), body_depth)
+
+        def item() -> None:
+            if not self.at_kw("attr"):
+                raise self.fail("'attr'", "'}'")
+            self.parse_attr(spec.attributes, attr_names)
+
+        self.block(frozenset(["attr"]), item)
         self.expect("punct", "}")
         spec.span = self.span_from(start)
         return self._Named(spec, name_tok)
@@ -406,10 +408,8 @@ class _Parser:
         default = None
         if self.accept("punct", "="):
             default = self.parse_expr()
-        if name_tok.value in seen:
-            self.error_at(name_tok, f"duplicate attribute name '{name_tok.value}'")
+        if not self.unique(seen, name_tok, "attribute name"):
             return
-        seen.add(str(name_tok.value))
         into.append(
             mm.AttributeSpec(str(name_tok.value), str(kind_tok.value), default, span=self.span_from(start))
         )
@@ -524,16 +524,8 @@ class _Parser:
             raise self.fail("'SIR'", "'SEIR'", "'PSIR'", "'custom'")
         spec = dz.DiseaseModelSpec(name=str(name_tok.value), kind=kind, transmission=None)
         self.expect("punct", "{")
-        body_depth = self.depth
         duration_seen: set[str] = set()
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                self.parse_disease_clause(spec, duration_seen)
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(_DISEASE_BODY, body_depth)
+        self.block(_DISEASE_BODY, lambda: self.parse_disease_clause(spec, duration_seen))
         self.expect("punct", "}")
         spec.span = self.span_from(start)
         return self._Named(spec, name_tok)
@@ -548,10 +540,8 @@ class _Parser:
             dstart = self.next()
             comp_tok = self.expect_ident("compartment")
             trigger = self.parse_trigger()
-            if comp_tok.value in duration_seen:
-                self.error_at(comp_tok, f"duplicate duration for compartment '{comp_tok.value}'")
+            if not self.unique(duration_seen, comp_tok, "duration for compartment"):
                 return
-            duration_seen.add(str(comp_tok.value))
             spec.progressions.append(
                 dz.ProgressionSpec(str(comp_tok.value), trigger, span=self.span_from(dstart))
             )
@@ -661,43 +651,36 @@ class _Parser:
         start = self.expect_kw("machine")
         name_tok = self.expect_ident("machine name")
         self.expect("punct", "{")
-        body_depth = self.depth
         self.expect_kw("initial")
         initial = str(self.expect_ident("state name").value)
         states: list[str] = []
+        state_names: set[str] = set()
         transitions: list[sm.Transition] = []
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                if self.accept("kw", "state"):
-                    state_tok = self.expect_ident("state name")
-                    if state_tok.value in states:
-                        self.error_at(state_tok, f"duplicate state name '{state_tok.value}'")
-                    else:
-                        states.append(str(state_tok.value))
-                elif self.at_kw("transition"):
-                    tstart = self.next()
-                    a = str(self.expect_ident("state name").value)
-                    b = str(self.expect_ident("state name").value)
-                    trigger = self.parse_trigger()
-                    guard = None
-                    abortion = None
-                    if self.accept("kw", "guard"):
-                        guard = self.parse_expr()
-                    if self.accept("kw", "abort"):
-                        prob = self.parse_expr()
-                        self.expect_kw("to")
-                        abort_to = str(self.expect_ident("state name").value)
-                        abortion = sm.Abortion(prob, abort_to)
-                    transitions.append(
-                        sm.Transition(a, b, trigger, guard, abortion, span=self.span_from(tstart))
-                    )
-                else:
-                    raise self.fail("'state'", "'transition'", "'}'")
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(_MACHINE_BODY, body_depth)
+
+        def item() -> None:
+            if self.accept("kw", "state"):
+                state_tok = self.expect_ident("state name")
+                if self.unique(state_names, state_tok, "state name"):
+                    states.append(str(state_tok.value))
+            elif self.at_kw("transition"):
+                tstart = self.next()
+                a = str(self.expect_ident("state name").value)
+                b = str(self.expect_ident("state name").value)
+                trigger = self.parse_trigger()
+                guard = None
+                abortion = None
+                if self.accept("kw", "guard"):
+                    guard = self.parse_expr()
+                if self.accept("kw", "abort"):
+                    prob = self.parse_expr()
+                    self.expect_kw("to")
+                    abort_to = str(self.expect_ident("state name").value)
+                    abortion = sm.Abortion(prob, abort_to)
+                transitions.append(sm.Transition(a, b, trigger, guard, abortion, span=self.span_from(tstart)))
+            else:
+                raise self.fail("'state'", "'transition'", "'}'")
+
+        self.block(_MACHINE_BODY, item)
         self.expect("punct", "}")
         spec = sm.StateMachineSpec(str(name_tok.value), states, initial, transitions, span=self.span_from(start))
         return self._Named(spec, name_tok)
@@ -706,27 +689,20 @@ class _Parser:
         start = self.expect_kw("plan")
         name_tok = self.expect_ident("plan name")
         self.expect("punct", "{")
-        body_depth = self.depth
         phases: list[tf.PhaseSpec] = []
         phase_names: set[str] = set()
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                pstart = self.expect_kw("phase")
-                phase_tok = self.expect_ident("phase name")
-                self.expect_kw("green")
-                green = self.parse_ident_list("stream id")
-                self.expect_kw("duration")
-                duration = self.expect_int("duration")
-                if phase_tok.value in phase_names:
-                    self.error_at(phase_tok, f"duplicate phase name '{phase_tok.value}'")
-                    continue
-                phase_names.add(str(phase_tok.value))
+
+        def item() -> None:
+            pstart = self.expect_kw("phase")
+            phase_tok = self.expect_ident("phase name")
+            self.expect_kw("green")
+            green = self.parse_ident_list("stream id")
+            self.expect_kw("duration")
+            duration = self.expect_int("duration")
+            if self.unique(phase_names, phase_tok, "phase name"):
                 phases.append(tf.PhaseSpec(str(phase_tok.value), green, duration, span=self.span_from(pstart)))
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(frozenset(["phase"]), body_depth)
+
+        self.block(frozenset(["phase"]), item)
         self.expect("punct", "}")
         spec = tf.PlanSpec(str(name_tok.value), phases, span=self.span_from(start))
         return self._Named(spec, name_tok)
@@ -770,24 +746,17 @@ class _Parser:
         self.expect_kw("to")
         path = self.expect_string("output path")
         self.expect("punct", "{")
-        body_depth = self.depth
         series: list[mm.SeriesSpec] = []
         labels: set[str] = set()
-        while not self.at("punct", "}") and not self.at("eof"):
-            before = self.pos
-            try:
-                sstart = self.expect_kw("series")
-                label_tok = self.expect_ident("series label")
-                value = self.parse_expr()
-                if label_tok.value in labels:
-                    self.error_at(label_tok, f"duplicate series label '{label_tok.value}'")
-                    continue
-                labels.add(str(label_tok.value))
+
+        def item() -> None:
+            sstart = self.expect_kw("series")
+            label_tok = self.expect_ident("series label")
+            value = self.parse_expr()
+            if self.unique(labels, label_tok, "series label"):
                 series.append(mm.SeriesSpec(str(label_tok.value), value, span=self.span_from(sstart)))
-            except _Syntax as err:
-                self.record(err)
-                self._ensure_progress(before)
-                self.sync(frozenset(["series"]), body_depth)
+
+        self.block(frozenset(["series"]), item)
         self.expect("punct", "}")
         spec = mm.OutputDatasetSpec(str(name_tok.value), interval, path, series, span=self.span_from(start))
         return self._Named(spec, name_tok)

@@ -150,6 +150,15 @@ class World:
         # The model resolved once per run: the tick reads these, never a lookup by name.
         self.topology = topo = model.environment.topology
         self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
+        # Per axis, the first and last cell a position can fall in (None on graphs).
+        if isinstance(topo, mm.GridTopology):
+            self.cell_bounds = ((0, topo.width - 1), (0, topo.height - 1))
+        elif isinstance(topo, mm.CartesianTopology):
+            self.cell_bounds = (
+                (math.floor(topo.x_min), math.floor(topo.x_max)), (math.floor(topo.y_min), math.floor(topo.y_max))
+            )
+        else:
+            self.cell_bounds = None
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
         self.walk_steps = {a.name: cap.parameters["step"] for a in walkers if (cap := a.capability("mobility"))}
@@ -507,7 +516,8 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
                 overrides[attr.name], attr.kind, f"{where} (point file line {point.line})"
             )
         elif attr.default is not None:
-            value = _checked(world, f"{where}.attr:{attr.name}", ex.evaluate, attr.default, ctx)
+            evaluate = ex.evaluate_number if attr.kind in ex.NUMERIC else ex.evaluate
+            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, ctx)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
@@ -678,37 +688,36 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
 
 def _scan_ids(world: World, position, radius: float, exclude: int | None) -> list[int]:
     """Agent and entity ids within Euclidean distance ``radius`` of
-    ``position`` (toroidal on wrapped grids), ascending, without ``exclude``."""
-    topo = world.topology
-    out: list[int] = []
-    if isinstance(topo, (mm.GridTopology, mm.CartesianTopology)) and isinstance(position, tuple):
-        px, py = position
+    ``position`` (toroidal on wrapped grids), ascending, without ``exclude``.
+    On a grid or cartesian space only the cells within reach are read, each
+    once, so no radius costs more than reading every cell."""
+    if world.cell_bounds is not None and isinstance(position, tuple):
         reach = int(math.floor(radius)) + 1
-        cx, cy = int(math.floor(px)), int(math.floor(py))
-        cells_x = range(cx - reach, cx + reach + 1)
-        cells_y = range(cy - reach, cy + reach + 1)
-        wrap = world.wrap
-        seen: set[tuple[int, int]] = set()
-        for gx in cells_x:
-            for gy in cells_y:
-                cell = (gx % wrap[0], gy % wrap[1]) if wrap else (gx, gy)
-                if cell in seen:
-                    continue
-                seen.add(cell)
-                for item_id in world._cells.get(cell, ()):
-                    if item_id == exclude:
-                        continue
-                    item = world.agents.get(item_id) or world.entities.get(item_id)
-                    if item is not None and world.distance(position, item.position) <= radius:
-                        out.append(item_id)
-        return sorted(out)
-    for item_id in sorted(set(world.agents) | set(world.entities)):
+        (x_low, x_high), (y_low, y_high) = world.cell_bounds
+        wrap_x, wrap_y = world.wrap or (None, None)
+        cells_x = _axis_cells(int(math.floor(position[0])), reach, x_low, x_high, wrap_x)
+        cells_y = _axis_cells(int(math.floor(position[1])), reach, y_low, y_high, wrap_y)
+        ids = [item_id for gx in cells_x for gy in cells_y for item_id in world._cells.get((gx, gy), ())]
+    else:
+        ids = [*world.agents, *world.entities]
+    out: list[int] = []
+    for item_id in ids:
         if item_id == exclude:
             continue
         item = world.agents.get(item_id) or world.entities.get(item_id)
         if item is not None and world.distance(position, item.position) <= radius:
             out.append(item_id)
-    return out
+    return sorted(out)
+
+
+def _axis_cells(centre: int, reach: int, low: int, high: int, wrap: int | None):
+    """The cells within ``reach`` of ``centre`` on one axis, each once: on a
+    wrapped axis of ``wrap`` cells modulo ``wrap``, otherwise inside [low, high]."""
+    if wrap is None:
+        return range(max(centre - reach, low), min(centre + reach, high) + 1)
+    if 2 * reach + 1 >= wrap:
+        return range(wrap)
+    return [cell % wrap for cell in range(centre - reach, centre + reach + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -215,16 +215,19 @@ def _evaluate_binary(expr: Binary, ctx: Context):
         ln, rn = _as_number(left, expr), _as_number(right, expr)
         return {"<": ln < rn, "<=": ln <= rn, ">": ln > rn, ">=": ln >= rn}[op]
     ln, rn = _as_number(left, expr), _as_number(right, expr)
-    if op == "+":
-        return ln + rn
-    if op == "-":
-        return ln - rn
-    if op == "*":
-        return ln * rn
-    if op == "/":
-        if rn == 0:
-            raise EvalError("division by zero", expr.span)
-        return ln / rn
+    try:  # an integer beyond the float range meets a float, or is divided
+        if op == "+":
+            return ln + rn
+        if op == "-":
+            return ln - rn
+        if op == "*":
+            return ln * rn
+        if op == "/":
+            if rn == 0:
+                raise EvalError("division by zero", expr.span)
+            return ln / rn
+    except OverflowError as err:
+        raise EvalError(f"'{op}' overflows: {err}", expr.span) from None
     raise EvalError(f"unknown operator '{op}'", expr.span)
 
 

@@ -13,6 +13,7 @@ engine or the code generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import disease as dz
@@ -408,7 +409,9 @@ def _check_environment(model: Model, add: _Collector) -> None:
         if topo.width < 1 or topo.height < 1:
             add("error", "environment", "grid dimensions must be at least 1x1")
     elif isinstance(topo, CartesianTopology):
-        if topo.x_min >= topo.x_max or topo.y_min >= topo.y_max:
+        if not all(math.isfinite(v) for v in (topo.x_min, topo.x_max, topo.y_min, topo.y_max)):
+            add("error", "environment", "cartesian bounds must be finite")
+        elif topo.x_min >= topo.x_max or topo.y_min >= topo.y_max:
             add("error", "environment", "cartesian bounds require min < max on both axes")
     elif isinstance(topo, GraphTopology):
         if not isinstance(topo.source, (OsmGraphStrategy, InlineEdgeListStrategy)):

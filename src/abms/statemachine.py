@@ -169,21 +169,16 @@ def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: rando
     if tr.abortion is not None:
         p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
         if rng.random() < p:
-            instance.current = tr.abortion.abort_to
-            instance.dwell = 0
-            if instance.current == DEAD_STATE:
-                instance.terminated = True
+            force_state(instance, tr.abortion.abort_to)
             return Aborted(source, tr.abortion.abort_to)
-    instance.current = tr.target
-    instance.dwell = 0
-    if instance.current == DEAD_STATE:
-        instance.terminated = True
+    force_state(instance, tr.target)
     return Moved(source, tr.target)
 
 
 def force_state(instance: MachineInstance, state: str) -> None:
-    """Engine hook: place the instance in ``state`` directly (infection,
-    introduction).  Resets dwell; entering Dead terminates."""
+    """Place the instance in ``state``: taken transitions and the engine
+    (infection, introduction) enter states here.  Resets dwell; entering Dead
+    terminates."""
     instance.current = state
     instance.dwell = 0
     if state == DEAD_STATE:

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -407,7 +409,8 @@ class TestRun:
             engine.run(model, cfg(tmp_path))
 
 
-BIG = "1" + "0" * 400 + ".0"  # a real literal that parses to inf
+HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+BIG = f"{HUGE}.0"  # a real literal that parses to inf
 NAN = f"{BIG} - {BIG}"
 GRID = "environment grid width 10 height 10 wrap"
 CART = "environment cartesian 0.0..10.0 0.0..10.0"
@@ -428,25 +431,22 @@ def walker(env, step, attr="", how="contact"):
 
 NON_FINITE_CASES = {
     "inf step on a grid": (walker(GRID, BIG), r"tick 1: agent:A: mobility step: "),
-    "nan step on a cartesian space": (
-        walker(CART, "s", attr=f"    attr s real = {NAN}\n"), r"tick 1: agent:A: mobility step: "
-    ),
+    "nan step on a cartesian space": (walker(CART, NAN), r"tick 1: agent:A: mobility step: "),
     "inf distance on a grid": (walker(GRID, "1", how=f"proximity {BIG}"), r"tick 1: disease:d\.transmission: "),
     "nan distance on a cartesian space": (
-        walker(CART, "1", attr=f"    attr r real = {NAN}\n", how="proximity r"),
-        r"tick 1: disease:d\.transmission: ",
+        walker(CART, "1", how=f"proximity {NAN}"), r"tick 1: disease:d\.transmission: "
     ),
     "inf placement": (
         f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 at ({BIG}, 1) }}\n}}\n", r"tick 0: agent:A: position: "
     ),
     "nan duration": (
-        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 20 random\n    attr w real = {NAN}\n"
-        "    capability disease d\n  }\n" + SIR.format(how="contact", duration="deterministic w") + "}\n",
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 20 random\n"
+        "    capability disease d\n  }\n" + SIR.format(how="contact", duration=f"deterministic {NAN}") + "}\n",
         r"tick 1: disease:d: duration nan outside \[0, inf\)",
     ),
     "nan reward": (
         (FIXTURES / "traffic.abms").read_text().replace(
-            "bins 2 5\n", f"bins 2 5 reward x\n    attr x real = {NAN}\n"
+            "bins 2 5\n", f"bins 2 5 reward {NAN}\n"
         ),
         r"tick 1: agent:Controller: reward: ",
     ),
@@ -454,6 +454,18 @@ NON_FINITE_CASES = {
         f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 random }}\n"
         f'  output o every 1 to "o.csv" {{\n    series n count(A)\n    series big {BIG} * 1.0\n  }}\n}}\n',
         r"tick 0: output:o\.series:big: ",
+    ),
+    "nan attribute default": (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 1 random\n    attr w real = {NAN}\n  }}\n}}\n",
+        r"tick 0: agent:A\.attr:w: value nan is not finite",
+    ),
+    "integer beyond the float range times a real": (
+        f'model t {{\n  {GRID}\n  output o every 1 to "o.csv" {{\n    series x {HUGE} * 1.0\n  }}\n}}\n',
+        r"tick 0: output:o\.series:x: '\*' overflows: int too large to convert to float",
+    ),
+    "integer beyond the float range divided": (
+        f'model t {{\n  {GRID}\n  output o every 1 to "o.csv" {{\n    series x {HUGE} / 3\n  }}\n}}\n',
+        r"tick 0: output:o\.series:x: '/' overflows: integer division result too large for a float",
     ),
 }
 
@@ -492,6 +504,38 @@ class TestRunTimeRanges:
         with pytest.raises(AbmsError, match=expected):
             engine.run(model, cfg(tmp_path, max_ticks=80, base_dir=FIXTURES))
         assert not list(tmp_path.rglob("*.csv"))
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLargeProximity:
+    """Any proximity distance is accepted, and it never costs more than
+    reading every cell of the environment once."""
+
+    @pytest.mark.parametrize(
+        "env", [GRID, "environment grid width 10 height 10", CART], ids=["wrapped grid", "bounded grid", "cartesian"]
+    )
+    def test_huge_distance_runs_like_one_that_reaches_every_pair(self, tmp_path, env):
+        streams = []
+        for distance in ("15.0", "100000.0"):  # 15 exceeds every distance in a 10x10 space
+            world = engine.build_world(parse_model(walker(env, "1", how=f"proximity {distance}")), cfg(tmp_path))
+            with time_limit(10):
+                streams.append([engine.tick(world).digest() for _ in range(10)])
+        assert streams[0] == streams[1]
 
 
 class TestVehicles:

@@ -73,6 +73,12 @@ class TestValidate:
         model.environment = mm.EnvironmentSpec(mm.CartesianTopology(5.0, 5.0, 0.0, 1.0))
         assert any("min < max" in d.message for d in mm.validate(model))
 
+    @pytest.mark.parametrize("bounds", [(float("-inf"), 5.0, 0.0, 1.0), (0.0, 5.0, 0.0, float("nan"))])
+    def test_cartesian_bounds_must_be_finite(self, bounds):
+        model = model_from(SIR_MODEL)
+        model.environment = mm.EnvironmentSpec(mm.CartesianTopology(*bounds))
+        assert any("cartesian bounds must be finite" in d.message for d in mm.validate(model))
+
     def test_duplicate_type_names(self):
         model = model_from(SIR_MODEL)
         model.entity_types.append(mm.EntityTypeSpec("Native", mm.FixedCountStrategy(1)))
