@@ -13,7 +13,9 @@ engine or the code generator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 
 from . import disease as dz
@@ -302,8 +304,8 @@ def _machine_scope(model: Model, agent: AgentTypeSpec) -> dict[str, frozenset]:
 def type_environments(model: Model) -> dict[str | None, ex.TypeEnv]:
     """TypeEnv per agent/entity type plus the world env under key None.
 
-    Population maps are shared so aggregates may nest; callers narrow
-    ``allow_aggregates``/builtins per evaluation site via :func:`site_env`.
+    Population maps are shared so aggregates may nest; :func:`_check_expr`
+    sets ``allow_aggregates`` per evaluation site.
     """
     envs: dict[str | None, ex.TypeEnv] = {}
     populations: dict[str, ex.TypeEnv] = {}
@@ -331,17 +333,6 @@ def type_environments(model: Model) -> dict[str | None, ex.TypeEnv]:
         populations[entity.name] = env
     envs[None] = ex.TypeEnv(populations=populations, builtins={"tick": ex.INTEGER})
     return envs
-
-
-def site_env(base: ex.TypeEnv, allow_aggregates: bool) -> ex.TypeEnv:
-    return ex.TypeEnv(
-        attributes=base.attributes,
-        owner=base.owner,
-        machines=base.machines,
-        populations=base.populations,
-        builtins=base.builtins,
-        allow_aggregates=allow_aggregates,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +443,12 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
     if isinstance(strategy, FixedCountStrategy) and strategy.placement is not None:
         if model.graph_topology() is not None:
             add("error", path, "explicit positions require a grid or cartesian environment")
-        env = site_env(envs[None], allow_aggregates=False)
+        env = dataclasses.replace(envs[None], allow_aggregates=False)
         for j, (x_expr, y_expr) in enumerate(strategy.placement):
             for coord in (x_expr, y_expr):
-                try:
-                    kind = ex.infer_type(coord, env)
-                    if kind not in ex.NUMERIC:
-                        add("error", path, f"position {j} must be numeric")
-                except ExprTypeError as err:
-                    add("error", path, f"position {j}: {err.message}")
-
-
-def _default_env(attributes: list[AttributeSpec], upto: int, owner: str, machines) -> ex.TypeEnv:
-    return ex.TypeEnv(
-        attributes={a.name: a.kind for a in attributes[:upto]},
-        owner=owner,
-        machines=machines,
-        populations={},
-        builtins={"tick": ex.INTEGER},
-        allow_aggregates=False,
-    )
+                kind = _infer(coord, env, add, path, f"position {j}")
+                if kind is not None and kind not in ex.NUMERIC:
+                    add("error", path, f"position {j} must be numeric")
 
 
 def _check_attributes(owner_path: str, owner_name: str, attributes: list[AttributeSpec], machines, add: _Collector) -> None:
@@ -485,22 +462,34 @@ def _check_attributes(owner_path: str, owner_name: str, attributes: list[Attribu
             add("error", path, f"unknown attribute kind '{attr.kind}'")
             continue
         if attr.default is not None:
-            env = _default_env(attributes, i, owner_name, machines)
-            try:
-                kind = ex.infer_type(attr.default, env)
-                if not ex.assignable(kind, attr.kind):
-                    add("error", path, f"default of kind {kind} cannot initialize a {attr.kind} attribute")
-            except ExprTypeError as err:
-                add("error", path, f"default: {err.message}")
+            # A default sees the attributes declared before it, and no population.
+            env = ex.TypeEnv(
+                {a.name: a.kind for a in attributes[:i]}, owner_name, machines, builtins={"tick": ex.INTEGER}, allow_aggregates=False
+            )
+            kind = _infer(attr.default, env, add, path, "default")
+            if kind is not None and not ex.assignable(kind, attr.kind):
+                add("error", path, f"default of kind {kind} cannot initialize a {attr.kind} attribute")
 
 
-def _check_expr(expr_: ex.Expr, env: ex.TypeEnv, expected: tuple[str, ...] | None, add: _Collector, path: str, what: str) -> None:
+def _infer(expr_: ex.Expr, env: ex.TypeEnv, add: _Collector, path: str, what: str) -> str | None:
+    """The kind of ``expr_`` under ``env``, or None after reporting why it has none."""
     try:
-        kind = ex.infer_type(expr_, env)
-        if expected is not None and kind not in expected:
-            add("error", path, f"{what} must be {' or '.join(expected)}, got {kind}")
+        return ex.infer_type(expr_, env)
     except ExprTypeError as err:
         add("error", path, f"{what}: {err.message}")
+        return None
+
+
+def _check_expr(
+    expr_: ex.Expr, envs, owners: list[str], aggregates: bool, expected: tuple[str, ...], add: _Collector, path: str, what: str
+) -> None:
+    """Type ``expr_`` where it is evaluated: in the environment of each owner
+    type, or in the world's when it has none; ``aggregates`` says whether
+    ``count``/``sum`` may appear at this site."""
+    for owner in owners or [None]:
+        kind = _infer(expr_, dataclasses.replace(envs[owner], allow_aggregates=aggregates), add, path, what)
+        if kind is not None and kind not in expected:
+            add("error", path, f"{what} must be {' or '.join(expected)}, got {kind}")
 
 
 def _check_entity(model: Model, entity: EntityTypeSpec, envs, add: _Collector) -> None:
@@ -514,7 +503,6 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
     machines = _machine_scope(model, agent)
     _check_attributes(path, agent.name, agent.attributes, machines, add)
     _check_creation(model, agent.creation, envs, add, path, agent=True)
-    env = envs[agent.name]
     counts: dict[str, int] = {}
     disease_targets: set[str] = set()
     stream_ids: list[str] | None = None
@@ -533,7 +521,7 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
             if step is None:
                 add("error", cpath, "mobility requires a step parameter")
             else:
-                _check_expr(step, site_env(env, False), ex.NUMERIC, add, cpath, "mobility step")
+                _check_expr(step, envs, [agent.name], False, ex.NUMERIC, add, cpath, "mobility step")
                 value = ex.literal_number(step)
                 if value is not None and value < 0:
                     add("error", cpath, "mobility step must not be negative")
@@ -564,7 +552,7 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
                     if model.plan(plan_name) is None:
                         add("error", cpath, f"unknown plan '{plan_name}'")
                 if cap.qlearning.reward is not None:
-                    _check_expr(cap.qlearning.reward, site_env(env, True), ex.NUMERIC, add, cpath, "reward")
+                    _check_expr(cap.qlearning.reward, envs, [agent.name], True, ex.NUMERIC, add, cpath, "reward")
             if agent.capability("flow_control") is None:
                 add("error", cpath, "learning requires the flow_control capability")
         elif cap.kind == "external":
@@ -638,9 +626,7 @@ def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Colle
         add("error", path, "duplicate state names")
     if machine.initial not in states:
         add("error", path, f"initial state '{machine.initial}' is not declared")
-    users = [a for a in model.agent_types if any(c.kind == "state_machine" and c.target == machine.name for c in a.capabilities)]
-    guard_envs = [site_env(envs[a.name], True) for a in users] or [site_env(envs[None], True)]
-    value_envs = [site_env(envs[a.name], False) for a in users] or [site_env(envs[None], False)]
+    users = [a.name for a in model.agent_types if any(c.kind == "state_machine" and c.target == machine.name for c in a.capabilities)]
     deterministic_at: dict[str, set[float]] = {}
     for i, tr in enumerate(machine.transitions):
         tpath = f"{path}.transition[{i}]"
@@ -652,10 +638,9 @@ def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Colle
         if tr.trigger is None:
             add("error", tpath, "transition has no trigger")
             continue
-        _check_trigger(tr.trigger, guard_envs, value_envs, add, tpath)
+        _check_trigger(tr.trigger, envs, users, add, tpath)
         if tr.guard is not None:
-            for genv in guard_envs:
-                _check_expr(tr.guard, genv, (ex.BOOLEAN,), add, tpath, "guard")
+            _check_expr(tr.guard, envs, users, True, (ex.BOOLEAN,), add, tpath, "guard")
         if tr.abortion is not None:
             prob = ex.literal_number(tr.abortion.probability)
             if prob is not None and not 0.0 <= prob <= 1.0:
@@ -669,22 +654,19 @@ def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Colle
                 taken.add(ticks)
 
 
-def _check_trigger(trigger: sm.Trigger, guard_envs, value_envs, add: _Collector, path: str) -> None:
+def _check_trigger(trigger: sm.Trigger, envs, owners: list[str], add: _Collector, path: str) -> None:
     if isinstance(trigger, sm.ProbabilisticTrigger):
         rate = ex.literal_number(trigger.rate)
         if rate is not None and not 0.0 <= rate <= 1.0:
             add("error", path, f"rate {rate} outside [0, 1]")
-        for venv in value_envs:
-            _check_expr(trigger.rate, venv, ex.NUMERIC, add, path, "rate")
+        _check_expr(trigger.rate, envs, owners, False, ex.NUMERIC, add, path, "rate")
     elif isinstance(trigger, sm.DeterministicTrigger):
         ticks = ex.literal_number(trigger.ticks)
         if ticks is not None and (ticks < 0 or ticks != int(ticks)):
             add("error", path, "deterministic duration must be a non-negative integer")
-        for venv in value_envs:
-            _check_expr(trigger.ticks, venv, ex.NUMERIC, add, path, "duration")
+        _check_expr(trigger.ticks, envs, owners, False, ex.NUMERIC, add, path, "duration")
     elif isinstance(trigger, sm.ConditionalTrigger):
-        for genv in guard_envs:
-            _check_expr(trigger.condition, genv, (ex.BOOLEAN,), add, path, "condition")
+        _check_expr(trigger.condition, envs, owners, True, (ex.BOOLEAN,), add, path, "condition")
     elif isinstance(trigger, sm.CompositeTrigger):
         if trigger.mode not in ("all_of", "any_of"):
             add("error", path, f"unknown composition '{trigger.mode}'")
@@ -694,47 +676,40 @@ def _check_trigger(trigger: sm.Trigger, guard_envs, value_envs, add: _Collector,
             if isinstance(part, sm.InteractionTrigger):
                 add("error", path, "interaction triggers cannot be composed")
             else:
-                _check_trigger(part, guard_envs, value_envs, add, path)
+                _check_trigger(part, envs, owners, add, path)
 
 
 def _check_disease(model: Model, spec: dz.DiseaseModelSpec, envs, add: _Collector) -> None:
     path = f"disease:{spec.name}"
     dz.validate_disease(spec, add, path)
-    carriers = model.carriers(spec.name)
+    carriers = [a.name for a in model.carriers(spec.name)]
     if not carriers:
         add("warning", path, "disease is not attached to any agent type")
-    guard_envs = [site_env(envs[a.name], True) for a in carriers] or [site_env(envs[None], True)]
-    value_envs = [site_env(envs[a.name], False) for a in carriers] or [site_env(envs[None], False)]
     t = spec.transmission
     if t is not None:
         tpath = f"{path}.transmission"
-        for venv in value_envs:
-            _check_expr(t.probability, venv, ex.NUMERIC, add, tpath, "probability")
-            if t.distance is not None:
-                _check_expr(t.distance, venv, ex.NUMERIC, add, tpath, "distance")
+        _check_expr(t.probability, envs, carriers, False, ex.NUMERIC, add, tpath, "probability")
+        if t.distance is not None:
+            _check_expr(t.distance, envs, carriers, False, ex.NUMERIC, add, tpath, "distance")
+        sources = [s for s in t.sources if model.entity_type(s) is not None]
         for source in t.sources:
-            if model.entity_type(source) is None:
+            if source not in sources:
                 add("error", tpath, f"unknown entity type '{source}'")
-            elif t.condition is not None:
-                seenv = site_env(envs[source], True)
-                _check_expr(t.condition, seenv, (ex.BOOLEAN,), add, tpath, "condition")
-        if t.condition is not None and not t.sources:
-            for genv in guard_envs:
-                _check_expr(t.condition, genv, (ex.BOOLEAN,), add, tpath, "condition")
+        # The condition is read on the sources; with none it is read on the carriers.
+        if t.condition is not None and (sources or not t.sources):
+            _check_expr(t.condition, envs, sources or carriers, True, (ex.BOOLEAN,), add, tpath, "condition")
     for prog in spec.progressions:
-        _check_trigger(prog.trigger, guard_envs, value_envs, add, f"{path}.duration:{prog.compartment}")
+        _check_trigger(prog.trigger, envs, carriers, add, f"{path}.duration:{prog.compartment}")
     for extra, label in ((spec.passive_immunity, "passive"), (spec.recovered_immunity, "immunity")):
         if extra is not None:
-            _check_trigger(extra, guard_envs, value_envs, add, f"{path}.{label}")
+            _check_trigger(extra, envs, carriers, add, f"{path}.{label}")
     for i, tr in enumerate(spec.custom_transitions):
-        _check_trigger(tr.trigger, guard_envs, value_envs, add, f"{path}.transition[{i}]")
+        _check_trigger(tr.trigger, envs, carriers, add, f"{path}.transition[{i}]")
     for i, rule in enumerate(spec.mortality):
         mpath = f"{path}.mortality[{i}]"
-        for venv in value_envs:
-            _check_expr(rule.rate, venv, ex.NUMERIC, add, mpath, "rate")
+        _check_expr(rule.rate, envs, carriers, False, ex.NUMERIC, add, mpath, "rate")
         if rule.condition is not None:
-            for genv in guard_envs:
-                _check_expr(rule.condition, genv, (ex.BOOLEAN,), add, mpath, "condition")
+            _check_expr(rule.condition, envs, carriers, True, (ex.BOOLEAN,), add, mpath, "condition")
 
 
 def _check_introduction(model: Model, intro: dz.DiseaseIntroductionSpec, envs, add: _Collector, path: str) -> None:
@@ -758,9 +733,9 @@ def _check_introduction(model: Model, intro: dz.DiseaseIntroductionSpec, envs, a
         if intro.eligibility is None:
             add("error", path, "eligible selection requires a criterion expression")
         elif spec is not None:
-            carriers = model.carriers(intro.disease)
-            for carrier in carriers:
-                _check_expr(intro.eligibility, site_env(envs[carrier.name], True), (ex.BOOLEAN,), add, path, "eligibility")
+            carriers = [a.name for a in model.carriers(intro.disease)]
+            if carriers:  # no carrier, no agent the criterion is read on
+                _check_expr(intro.eligibility, envs, carriers, True, (ex.BOOLEAN,), add, path, "eligibility")
     elif intro.selection != "arbitrary":
         add("error", path, f"unknown selection '{intro.selection}'")
 
@@ -772,34 +747,33 @@ def _check_output(model: Model, output: OutputDatasetSpec, envs, add: _Collector
     if not output.path:
         add("error", path, "output path must not be empty")
     labels: set[str] = set()
-    world_env = site_env(envs[None], True)
     for series in output.series:
         spath = f"{path}.series:{series.label}"
         if series.label in labels:
             add("error", spath, f"duplicate series label '{series.label}'")
         labels.add(series.label)
-        _check_expr(series.value, world_env, ex.NUMERIC, add, spath, "series")
+        _check_expr(series.value, envs, [], True, ex.NUMERIC, add, spath, "series")
 
 
-def _element_names(model: Model) -> dict[str, str]:
-    names: dict[str, str] = {}
-    for a in model.agent_types:
-        names[a.name] = "agent"
-    for e in model.entity_types:
-        names[e.name] = "entity"
-    for d in model.diseases:
-        names[d.name] = "disease"
-    for m in model.machines:
-        names[m.name] = "machine"
-    for p in model.plans:
-        names[p.name] = "plan"
-    for o in model.outputs:
-        names[o.name] = "output"
-    return names
+def _elements(model: Model) -> dict[str, tuple[str, object]]:
+    """Element name -> (category, spec).  A name declared twice means its
+    last category and, within that category, its first declaration."""
+    elements: dict[str, tuple[str, object]] = {}
+    for category, specs in (
+        ("agent", model.agent_types),
+        ("entity", model.entity_types),
+        ("disease", model.diseases),
+        ("machine", model.machines),
+        ("plan", model.plans),
+        ("output", model.outputs),
+    ):
+        for spec in reversed(specs):
+            elements[spec.name] = (category, spec)
+    return elements
 
 
 def _check_concern(model: Model, concern: ConcernSpec, add: _Collector) -> None:
-    known = _element_names(model)
+    known = _elements(model)
     for member in concern.members:
         if member not in known:
             add("error", f"concern:{concern.name}", f"member '{member}' does not name a model element")
@@ -822,96 +796,48 @@ class ConcernView:
     outputs: frozenset[str]
 
     def element_names(self) -> frozenset[str]:
-        return frozenset(
-            set(self.agent_types)
-            | set(self.entity_types)
-            | set(self.diseases)
-            | set(self.machines)
-            | set(self.plans)
-            | set(self.outputs)
-        )
+        return self.agent_types | self.entity_types | self.diseases | self.machines | self.plans | self.outputs
 
     def is_empty(self) -> bool:
         return not self.element_names()
 
 
-def _expr_references(expr_: ex.Expr | None, model: Model) -> set[str]:
+_EXPR_NODES = typing.get_args(ex.Expr)
+
+
+def _expressions(spec: object):
+    """Every expression tree held in ``spec``'s fields, at any depth."""
+    if isinstance(spec, _EXPR_NODES):
+        yield spec
+    elif dataclasses.is_dataclass(spec):
+        for f in dataclasses.fields(spec):
+            yield from _expressions(getattr(spec, f.name))
+    elif isinstance(spec, (list, tuple, dict)):
+        for item in spec.values() if isinstance(spec, dict) else spec:
+            yield from _expressions(item)
+
+
+def _direct_references(spec: object) -> set[str]:
+    """Names ``spec`` refers to: capability targets, learning plans and
+    transmission sources, and the populations, state-tested machines and
+    attribute owners of its expressions."""
     refs: set[str] = set()
-    if expr_ is None:
-        return refs
-    known = _element_names(model)
-    for node in ex.walk(expr_):
-        if isinstance(node, ex.Aggregate) and node.population in known:
-            refs.add(node.population)
-        elif isinstance(node, ex.StateTest) and node.machine in known:
-            refs.add(node.machine)
-        elif isinstance(node, ex.AttrRef) and node.owner in known:
-            refs.add(node.owner)
-    return refs
-
-
-def _trigger_exprs(trigger: sm.Trigger | None) -> list[ex.Expr]:
-    if trigger is None or isinstance(trigger, sm.InteractionTrigger):
-        return []
-    if isinstance(trigger, sm.ProbabilisticTrigger):
-        return [trigger.rate]
-    if isinstance(trigger, sm.DeterministicTrigger):
-        return [trigger.ticks]
-    if isinstance(trigger, sm.ConditionalTrigger):
-        return [trigger.condition]
-    out: list[ex.Expr] = []
-    for part in trigger.parts:
-        out.extend(_trigger_exprs(part))
-    return out
-
-
-def _direct_references(model: Model, name: str, category: str) -> set[str]:
-    refs: set[str] = set()
-    exprs: list[ex.Expr | None] = []
-    if category == "agent":
-        agent = model.agent_type(name)
-        if agent is None:
-            return refs
-        for cap in agent.capabilities:
+    if isinstance(spec, AgentTypeSpec):
+        for cap in spec.capabilities:
             if cap.kind in ("disease", "state_machine") and cap.target:
                 refs.add(cap.target)
             if cap.qlearning is not None:
                 refs.update(cap.qlearning.plans)
-                exprs.append(cap.qlearning.reward)
-            exprs.extend(cap.parameters.values())
-        exprs.extend(a.default for a in agent.attributes)
-    elif category == "entity":
-        entity = model.entity_type(name)
-        if entity is not None:
-            exprs.extend(a.default for a in entity.attributes)
-    elif category == "disease":
-        spec = model.disease(name)
-        if spec is not None:
-            if spec.transmission is not None:
-                refs.update(spec.transmission.sources)
-                exprs.extend([spec.transmission.probability, spec.transmission.distance, spec.transmission.condition])
-            for prog in spec.progressions:
-                exprs.extend(_trigger_exprs(prog.trigger))
-            for tr in spec.custom_transitions:
-                exprs.extend(_trigger_exprs(tr.trigger))
-            exprs.extend(_trigger_exprs(spec.passive_immunity))
-            exprs.extend(_trigger_exprs(spec.recovered_immunity))
-            for rule in spec.mortality:
-                exprs.extend([rule.rate, rule.condition])
-    elif category == "machine":
-        machine = model.machine(name)
-        if machine is not None:
-            for tr in machine.transitions:
-                exprs.extend(_trigger_exprs(tr.trigger))
-                exprs.append(tr.guard)
-                if tr.abortion is not None:
-                    exprs.append(tr.abortion.probability)
-    elif category == "output":
-        output = next((o for o in model.outputs if o.name == name), None)
-        if output is not None:
-            exprs.extend(s.value for s in output.series)
-    for expr_ in exprs:
-        refs.update(_expr_references(expr_, model))
+    elif isinstance(spec, dz.DiseaseModelSpec) and spec.transmission is not None:
+        refs.update(spec.transmission.sources)
+    for tree in _expressions(spec):
+        for node in ex.walk(tree):
+            if isinstance(node, ex.Aggregate):
+                refs.add(node.population)
+            elif isinstance(node, ex.StateTest):
+                refs.add(node.machine)
+            elif isinstance(node, ex.AttrRef) and node.owner is not None:
+                refs.add(node.owner)
     return refs
 
 
@@ -923,19 +849,16 @@ def resolve_concern(model: Model, concern_name: str) -> ConcernView:
     concern = next((c for c in model.concerns if c.name == concern_name), None)
     if concern is None:
         raise AbmsError(f"unknown concern '{concern_name}'")
-    known = _element_names(model)
+    known = _elements(model)
     reached: set[str] = set()
     frontier = [m for m in concern.members if m in known]
     while frontier:
         name = frontier.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for ref in sorted(_direct_references(model, name, known[name])):
-            if ref in known and ref not in reached:
-                frontier.append(ref)
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(ref for ref in _direct_references(known[name][1]) if ref in known)
     def of(category: str) -> frozenset[str]:
-        return frozenset(n for n in reached if known[n] == category)
+        return frozenset(n for n in reached if known[n][0] == category)
     return ConcernView(
         concern=concern_name,
         agent_types=of("agent"),
