@@ -58,7 +58,7 @@ def _nl_number(value) -> str:
     return repr(float(value))
 
 
-def _nl_expr(expr_: ex.Expr, model: mm.Model) -> str:
+def _nl_expr(expr_: ex.Expr) -> str:
     """NetLogo rendition of an expression (reporter context)."""
     if isinstance(expr_, ex.Literal):
         if expr_.kind in (ex.TEXT, ex.IDENTIFIER):
@@ -76,17 +76,17 @@ def _nl_expr(expr_: ex.Expr, model: mm.Model) -> str:
         plural, _ = _breed_names(expr_.population)
         agentset = plural
         if expr_.predicate is not None:
-            agentset = f"{plural} with [{_nl_expr(expr_.predicate, model)}]"
+            agentset = f"{plural} with [{_nl_expr(expr_.predicate)}]"
         if expr_.func == "count":
             return f"count {agentset}"
-        return f"sum [{_nl_expr(expr_.value, model)}] of ({agentset})"
+        return f"sum [{_nl_expr(expr_.value)}] of ({agentset})"
     if isinstance(expr_, ex.Unary):
         if expr_.op == "not":
-            return f"not ({_nl_expr(expr_.operand, model)})"
-        return f"(- {_nl_expr(expr_.operand, model)})"
+            return f"not ({_nl_expr(expr_.operand)})"
+        return f"(- {_nl_expr(expr_.operand)})"
     if isinstance(expr_, ex.Binary):
         op = {"==": "=", "and": "and", "or": "or"}.get(expr_.op, expr_.op)
-        return f"({_nl_expr(expr_.left, model)} {op} {_nl_expr(expr_.right, model)})"
+        return f"({_nl_expr(expr_.left)} {op} {_nl_expr(expr_.right)})"
     raise TypeError(f"cannot emit {type(expr_).__name__}")
 
 
@@ -129,9 +129,9 @@ def generate(model: mm.Model) -> tuple[str, GenerationReport]:
     for i, intro in enumerate(model.introductions):
         _emit_introduction(e, model, intro, i, report)
     for machine in model.machines:
-        _emit_machine(e, model, machine, f"machine:{machine.name}", report)
+        _emit_machine(e, machine, f"machine:{machine.name}", report)
     for plan in model.plans:
-        _emit_plan(e, model, plan, report)
+        _emit_plan(e, plan, report)
     for output in model.outputs:
         _emit_output(e, model, output, report)
     for concern in model.concerns:
@@ -275,7 +275,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
     init: list[str] = []
     for attr in agent.attributes:
         if attr.default is not None:
-            init.append(f"set {_nl_name(attr.name)} {_nl_expr(attr.default, model)}")
+            init.append(f"set {_nl_name(attr.name)} {_nl_expr(attr.default)}")
     for cap in agent.capabilities:
         if cap.kind == "disease" and cap.target:
             spec = model.disease(cap.target)
@@ -292,7 +292,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         if creation.placement is None:
             body.append("  setxy random-xcor random-ycor")
         else:
-            spots = " ".join(f"({_nl_expr(x, model)}, {_nl_expr(y, model)})" for x, y in creation.placement)
+            spots = " ".join(f"({_nl_expr(x)}, {_nl_expr(y)})" for x, y in creation.placement)
             body.append(f"  ; place cycling through fixed positions {spots}")
         body.extend("  " + line for line in init)
         body.append("]")
@@ -327,7 +327,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
     mobility = agent.capability("mobility")
     on_graph = isinstance(model.environment.topology if model.environment else None, mm.GraphTopology)
     if mobility is not None and on_graph:
-        step = _nl_expr(mobility.parameters["step"], model)
+        step = _nl_expr(mobility.parameters["step"])
         e.proc(
             f"move-{name}",
             [f"; traverse the current link at {step} length units per tick;",
@@ -335,7 +335,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
             procs,
         )
     elif mobility is not None:
-        step = _nl_expr(mobility.parameters["step"], model)
+        step = _nl_expr(mobility.parameters["step"])
         e.proc(
             f"move-{name}",
             ["; random walk: 8 neighbors plus stay, equal odds",
@@ -371,7 +371,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
     learning = agent.capability("reinforcement_learning")
     if learning is not None and learning.qlearning is not None:
         q = learning.qlearning
-        reward = _nl_expr(q.reward, model) if q.reward is not None else "(- stopped-here)"
+        reward = _nl_expr(q.reward) if q.reward is not None else "(- stopped-here)"
         e.proc(
             f"learning-step-{name}",
             [f"set q-reward-acc q-reward-acc + {reward}",
@@ -417,7 +417,7 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
     ]
     e.proc(f"disease-phase-{name}", phase_body, procs)
     if t is not None:
-        radius = _nl_expr(t.distance, model) if t.interaction == dz.PROXIMITY and t.distance is not None else "0"
+        radius = _nl_expr(t.distance) if t.interaction == dz.PROXIMITY and t.distance is not None else "0"
         infectious = dz.infectious_states(spec)
         states_list = " ".join(f'"{s}"' for s in infectious)
         target = dz.infection_target(spec)
@@ -426,7 +426,7 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
             f"  member? {name}-state (list {states_list})",
             "]",
             "ask sources [",
-            f"  if [{name}-state] of myself = \"{susceptible}\" and random-float 1.0 < {_nl_expr(t.probability, model)} [",
+            f"  if [{name}-state] of myself = \"{susceptible}\" and random-float 1.0 < {_nl_expr(t.probability)} [",
             f"    ask myself [ become-{name}-infected ]",
             "  ]",
             "]",
@@ -439,14 +439,14 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
              f"set {name}-ever-infected {name}-ever-infected + 1"],
             procs,
         )
-    progress_body = _step_body(name, dz.build_machine(spec), model)
+    progress_body = _step_body(name, dz.build_machine(spec))
     for rule in spec.mortality:
         if rule.evaluation == dz.LEAVING_COMPARTMENT:
             continue
-        guard = _mortality_guard(rule, model)
+        guard = _mortality_guard(rule)
         progress_body.append(
             f'if {name}-state = "{rule.compartment}" and {guard} '
-            f"and random-float 1.0 < {_nl_expr(rule.rate, model)} "
+            f"and random-float 1.0 < {_nl_expr(rule.rate)} "
             f'[ set {name}-state "Dead" ]'
         )
     e.proc(f"progress-{name}", progress_body, procs)
@@ -465,24 +465,24 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
     e.proc(f"recolor-{name}", color_lines, procs)
 
 
-def _trigger_condition(trigger: sm.Trigger, dwell_var: str, model: mm.Model) -> str:
+def _trigger_condition(trigger: sm.Trigger, dwell_var: str) -> str:
     if isinstance(trigger, sm.ProbabilisticTrigger):
-        return f"random-float 1.0 < {_nl_expr(trigger.rate, model)}"
+        return f"random-float 1.0 < {_nl_expr(trigger.rate)}"
     if isinstance(trigger, sm.DeterministicTrigger):
-        return f"{dwell_var} >= {_nl_expr(trigger.ticks, model)}"
+        return f"{dwell_var} >= {_nl_expr(trigger.ticks)}"
     if isinstance(trigger, sm.ConditionalTrigger):
-        return _nl_expr(trigger.condition, model)
+        return _nl_expr(trigger.condition)
     if isinstance(trigger, sm.CompositeTrigger):
         joiner = " and " if trigger.mode == "all_of" else " or "
-        return "(" + joiner.join(_trigger_condition(p, dwell_var, model) for p in trigger.parts) + ")"
+        return "(" + joiner.join(_trigger_condition(p, dwell_var) for p in trigger.parts) + ")"
     return "false"
 
 
-def _mortality_guard(rule: dz.MortalitySpec, model: mm.Model) -> str:
+def _mortality_guard(rule: dz.MortalitySpec) -> str:
     if rule.evaluation == dz.SPECIFIC_TIMEUNIT:
         return f"ticks = {rule.at_tick}"
     if rule.evaluation == dz.WHEN_CONDITION and rule.condition is not None:
-        return _nl_expr(rule.condition, model)
+        return _nl_expr(rule.condition)
     return "true"
 
 
@@ -495,7 +495,7 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     target = dz.infection_target(spec) if spec else "I"
     body = [f'let pool {_carrier_set(model, intro.disease)} with [{name}-state = "{susceptible}"]']
     if intro.selection == "eligible" and intro.eligibility is not None:
-        body.append(f"set pool pool with [{_nl_expr(intro.eligibility, model)}]")
+        body.append(f"set pool pool with [{_nl_expr(intro.eligibility)}]")
     if intro.quantity_kind == "deterministic":
         body.append(f"ask n-of (min (list {intro.count} count pool)) pool [")
     else:
@@ -507,26 +507,26 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     e.proc(f"introduce-{name}-{index}", body, procs)
 
 
-def _emit_machine(e: _Emitter, model: mm.Model, machine: sm.StateMachineSpec, path: str, report: GenerationReport) -> None:
+def _emit_machine(e: _Emitter, machine: sm.StateMachineSpec, path: str, report: GenerationReport) -> None:
     procs = report.procedures.setdefault(path, [])
     name = _nl_name(machine.name)
-    e.proc(f"step-machine-{name}", _step_body(name, machine, model), procs)
+    e.proc(f"step-machine-{name}", _step_body(name, machine), procs)
 
 
-def _step_body(name: str, machine: sm.StateMachineSpec, model: mm.Model) -> list[str]:
+def _step_body(name: str, machine: sm.StateMachineSpec) -> list[str]:
     """The dwell increment, then one line per timed transition of ``machine``
     whose state is kept in ``<name>-state``."""
     body = [f"set {name}-dwell {name}-dwell + 1"]
     for tr in machine.transitions:
         if tr.trigger is None or isinstance(tr.trigger, sm.InteractionTrigger):
             continue
-        condition = _trigger_condition(tr.trigger, f"{name}-dwell", model)
+        condition = _trigger_condition(tr.trigger, f"{name}-dwell")
         if tr.guard is not None:
-            condition = f"({_nl_expr(tr.guard, model)}) and {condition}"
+            condition = f"({_nl_expr(tr.guard)}) and {condition}"
         action = f'set {name}-state "{tr.target}" set {name}-dwell 0'
         if tr.abortion is not None:
             action = (
-                f"ifelse random-float 1.0 < {_nl_expr(tr.abortion.probability, model)} "
+                f"ifelse random-float 1.0 < {_nl_expr(tr.abortion.probability)} "
                 f'[ set {name}-state "{tr.abortion.abort_to}" ] [ {action} ]'
             )
         body.append(f'if {name}-state = "{tr.source}" and {condition} [ {action} ]')
@@ -539,7 +539,7 @@ def _carrier_set(model: mm.Model, disease: str) -> str:
     return "(turtle-set " + " ".join(breeds) + ")" if breeds else "no-turtles"
 
 
-def _emit_plan(e: _Emitter, model: mm.Model, plan: tf.PlanSpec, report: GenerationReport) -> None:
+def _emit_plan(e: _Emitter, plan: tf.PlanSpec, report: GenerationReport) -> None:
     procs = report.procedures.setdefault(f"plan:{plan.name}", [])
     name = _nl_name(plan.name)
     body = [f"; {len(plan.phases)} phases, cycle length {plan.cycle_length()} ticks"]
@@ -569,7 +569,7 @@ def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec, rep
         "file-print (word ticks",
     ]
     for series in output.series:
-        sample_body.append(f'  "," {_nl_expr(series.value, model)}')
+        sample_body.append(f'  "," {_nl_expr(series.value)}')
     sample_body.append(")")
     sample_body.append("file-close")
     e.proc(f"sample-output-{name}", sample_body, procs)

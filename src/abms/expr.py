@@ -208,6 +208,10 @@ def _evaluate_binary(expr: Binary, ctx: Context):
         return left or _as_bool(evaluate(expr.right, ctx), expr)
     left = evaluate(expr.left, ctx)
     right = evaluate(expr.right, ctx)
+    if op in COMPARE_OPS:
+        for operand in (left, right):
+            if isinstance(operand, (int, float)) and not _finite(operand):
+                raise EvalError(f"'{op}' operand {operand} is not finite", expr.span)
     if op in ("==", "!="):
         eq = left == right
         return eq if op == "==" else not eq
@@ -237,6 +241,13 @@ def _as_number(v, node) -> float | int:
     return v
 
 
+def _finite(value: float | int) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _as_bool(v, node) -> bool:
     if not isinstance(v, bool):
         raise EvalError(f"expected a boolean, got {type(v).__name__}", getattr(node, "span", None))
@@ -250,11 +261,7 @@ def evaluate_number(
     are given; anything else (bool, text, NaN, inf) raises EvalError.  An
     integer comes back as an integer."""
     value = _as_number(evaluate(expr, ctx), expr)
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if finite and (low is None or low <= value) and (high is None or value <= high):
+    if _finite(value) and (low is None or low <= value) and (high is None or value <= high):
         return value
     if low is None and high is None:
         message = f"{name} {value} is not finite"

@@ -413,7 +413,11 @@ def _check_environment(model: Model, add: _Collector) -> None:
             for e in topo.source.edges:
                 if e.length <= 0:
                     add("error", "environment", f"edge {e.source}-{e.target} must have positive length")
+                elif not math.isfinite(e.length):
+                    add("error", "environment", f"edge {e.source}-{e.target} length must be finite")
             for n in topo.source.nodes:
+                if not (math.isfinite(n.x) and math.isfinite(n.y)):
+                    add("error", "environment", f"node '{n.name}' coordinates must be finite")
                 if sum(1 for m in topo.source.nodes if m.name == n.name) > 1:
                     add("error", "environment", f"duplicate node '{n.name}'")
     else:
@@ -645,6 +649,7 @@ def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Colle
             prob = ex.literal_number(tr.abortion.probability)
             if prob is not None and not 0.0 <= prob <= 1.0:
                 add("error", tpath, f"abort probability {prob} outside [0, 1]")
+            _check_expr(tr.abortion.probability, envs, users, False, ex.NUMERIC, add, tpath, "abort probability")
         if isinstance(tr.trigger, sm.DeterministicTrigger) and tr.guard is None:
             ticks = ex.literal_number(tr.trigger.ticks)
             if ticks is not None:

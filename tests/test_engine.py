@@ -459,6 +459,12 @@ NON_FINITE_CASES = {
         f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 1 random\n    attr w real = {NAN}\n  }}\n}}\n",
         r"tick 0: agent:A\.attr:w: value nan is not finite",
     ),
+    "nan in a comparison": (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 5 random\n    capability state_machine m\n  }}\n"
+        f"  machine m {{\n    initial a\n    state a\n    state b\n"
+        f"    transition a b conditional ({NAN}) > 0.5\n  }}\n}}\n",
+        r"tick 1: machine:m: '>' operand nan is not finite",
+    ),
     "integer beyond the float range times a real": (
         f'model t {{\n  {GRID}\n  output o every 1 to "o.csv" {{\n    series x {HUGE} * 1.0\n  }}\n}}\n',
         r"tick 0: output:o\.series:x: '\*' overflows: int too large to convert to float",

@@ -6,6 +6,8 @@ from abms import statemachine as sm
 from abms.dsl import parse_model
 from abms.errors import AbmsError
 
+HUGE_REAL = "1" + "0" * 400 + ".0"  # parses to inf
+
 SIR_MODEL = """
 model demo {
   environment grid width 10 height 10 wrap
@@ -78,6 +80,40 @@ class TestValidate:
         model = model_from(SIR_MODEL)
         model.environment = mm.EnvironmentSpec(mm.CartesianTopology(*bounds))
         assert any("cartesian bounds must be finite" in d.message for d in mm.validate(model))
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("node a 0 0\n    node b 10 0\n    edge a b " + HUGE_REAL, "edge a-b length must be finite"),
+            ("node a " + HUGE_REAL + " 0\n    node b 10 0\n    edge a b 10", "node 'a' coordinates must be finite"),
+            ("node a 0 0\n    node b 10 " + HUGE_REAL + "\n    edge a b 10", "node 'b' coordinates must be finite"),
+            ("node a 0 0\n    node b 10 0\n    edge a b 0", "edge a-b must have positive length"),
+        ],
+        ids=["infinite edge length", "infinite node x", "infinite node y", "zero edge length"],
+    )
+    def test_inline_graph_values_must_be_finite(self, graph, message):
+        model = model_from(
+            f"model g {{\n  environment graph from edges {{\n    {graph}\n  }}\n"
+            "  agent A {\n    create fixed 2 random\n  }\n}\n"
+        )
+        assert [d.message for d in mm.validate(model).errors()] == [message]
+
+    @pytest.mark.parametrize(
+        "probability, message",
+        [
+            ("nope", "abort probability: unknown attribute 'nope'"),
+            ("true", "abort probability must be integer or real, got boolean"),
+            ("count(A) / 10", "abort probability: aggregates are not allowed in this context"),
+        ],
+    )
+    def test_abort_probability_is_typed(self, probability, message):
+        model = model_from(
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 3 random\n    capability state_machine life\n  }\n"
+            "  machine life {\n    initial a\n    state a\n    state b\n    state Dead\n"
+            f"    transition a b probabilistic rate 0.5 abort {probability} to Dead\n  }}\n}}\n"
+        )
+        assert [d.message for d in mm.validate(model).errors()] == [message]
 
     def test_duplicate_type_names(self):
         model = model_from(SIR_MODEL)

@@ -5,13 +5,26 @@ every mutated model must match fixtures/golden/validate_diagnostics.json
 import json
 import re
 
-from validate_corpus import PINNED, cases, outcome
+from abms import expr as ex
+from abms import metamodel as mm
+from abms.dsl import parse_model
+
+from validate_corpus import PINNED, cases, expression_trees, outcome, texts
 
 CASES = cases()
 SITE_LABELS = (
     "default", r"position \d+", "mobility step", "reward", "guard", "rate", "duration",
     "condition", "probability", "distance", "eligibility", "series",
 )
+EXTERNAL = """
+model with_external {
+  environment grid width 3 height 3
+  agent A {
+    create fixed 1 random
+    capability external "lib.nls" warmup
+  }
+}
+"""
 
 
 def _pinned() -> dict:
@@ -35,3 +48,26 @@ def test_outcomes_match_pinned():
     for name, model in CASES:
         got = outcome(model)
         assert got == pinned[name], f"first differing case: {name}\n got: {got}\nwant: {pinned[name]}"
+
+
+def test_validate_types_every_expression(monkeypatch):
+    """Every expression tree of every corpus text reaches ex.infer_type during
+    validate; only an external capability's library path is a file name, not
+    a value, and goes untyped."""
+    typed: set[int] = set()
+    infer_type = ex.infer_type
+
+    def recording(expr, env):
+        typed.add(id(expr))
+        return infer_type(expr, env)
+
+    monkeypatch.setattr(ex, "infer_type", recording)
+    for name, text in texts() + [("external", EXTERNAL)]:
+        model = parse_model(text)
+        libraries = {
+            id(cap.parameters["library"]) for a in model.agent_types for cap in a.capabilities if cap.kind == "external"
+        }
+        typed.clear()
+        mm.validate(model)
+        untyped = [t for t in expression_trees(model) if id(t) not in typed | libraries]
+        assert not untyped, f"{name}: never typed: {untyped}"
