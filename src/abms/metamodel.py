@@ -301,38 +301,37 @@ def _machine_scope(model: Model, agent: AgentTypeSpec) -> dict[str, frozenset]:
     return scope
 
 
-def type_environments(model: Model) -> dict[str | None, ex.TypeEnv]:
-    """TypeEnv per agent/entity type plus the world env under key None.
+def type_environments(model: Model) -> dict[tuple[str | None, bool], ex.TypeEnv]:
+    """TypeEnv per evaluation site, keyed by agent/entity type name (None for
+    the world) and by whether aggregates are allowed there.
 
-    Population maps are shared so aggregates may nest; :func:`_check_expr`
-    sets ``allow_aggregates`` per evaluation site.
+    Population maps are shared so aggregates may nest.
     """
-    envs: dict[str | None, ex.TypeEnv] = {}
     populations: dict[str, ex.TypeEnv] = {}
     for agent in model.agent_types:
         builtins = {"tick": ex.INTEGER}
         if agent.capability("flow_control") is not None:
             builtins["stopped"] = ex.INTEGER
-        env = ex.TypeEnv(
+        populations[agent.name] = ex.TypeEnv(
             attributes={a.name: a.kind for a in agent.attributes},
             owner=agent.name,
             machines=_machine_scope(model, agent),
             populations=populations,
             builtins=builtins,
         )
-        envs[agent.name] = env
-        populations[agent.name] = env
     for entity in model.entity_types:
-        env = ex.TypeEnv(
+        populations[entity.name] = ex.TypeEnv(
             attributes={a.name: a.kind for a in entity.attributes},
             owner=entity.name,
             populations=populations,
             builtins={"tick": ex.INTEGER},
         )
-        envs[entity.name] = env
-        populations[entity.name] = env
-    envs[None] = ex.TypeEnv(populations=populations, builtins={"tick": ex.INTEGER})
-    return envs
+    world = ex.TypeEnv(populations=populations, builtins={"tick": ex.INTEGER})
+    return {
+        (name, aggregates): dataclasses.replace(env, allow_aggregates=aggregates)
+        for name, env in [*populations.items(), (None, world)]
+        for aggregates in (False, True)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
     if isinstance(strategy, FixedCountStrategy) and strategy.placement is not None:
         if model.graph_topology() is not None:
             add("error", path, "explicit positions require a grid or cartesian environment")
-        env = dataclasses.replace(envs[None], allow_aggregates=False)
+        env = envs[None, False]
         for j, (x_expr, y_expr) in enumerate(strategy.placement):
             for coord in (x_expr, y_expr):
                 kind = _infer(coord, env, add, path, f"position {j}")
@@ -491,7 +490,7 @@ def _check_expr(
     type, or in the world's when it has none; ``aggregates`` says whether
     ``count``/``sum`` may appear at this site."""
     for owner in owners or [None]:
-        kind = _infer(expr_, dataclasses.replace(envs[owner], allow_aggregates=aggregates), add, path, what)
+        kind = _infer(expr_, envs[owner, aggregates], add, path, what)
         if kind is not None and kind not in expected:
             add("error", path, f"{what} must be {' or '.join(expected)}, got {kind}")
 
@@ -696,12 +695,11 @@ def _check_disease(model: Model, spec: dz.DiseaseModelSpec, envs, add: _Collecto
         _check_expr(t.probability, envs, carriers, False, ex.NUMERIC, add, tpath, "probability")
         if t.distance is not None:
             _check_expr(t.distance, envs, carriers, False, ex.NUMERIC, add, tpath, "distance")
-        sources = [s for s in t.sources if model.entity_type(s) is not None]
         for source in t.sources:
-            if source not in sources:
+            if model.entity_type(source) is None:
                 add("error", tpath, f"unknown entity type '{source}'")
-        # The condition is read on the sources; with none it is read on the carriers.
-        if t.condition is not None and (sources or not t.sources):
+        sources = [s for s in t.sources if model.entity_type(s) is not None]
+        if t.condition is not None and (sources or not t.sources):  # read on the sources, else the carriers
             _check_expr(t.condition, envs, sources or carriers, True, (ex.BOOLEAN,), add, tpath, "condition")
     for prog in spec.progressions:
         _check_trigger(prog.trigger, envs, carriers, add, f"{path}.duration:{prog.compartment}")
