@@ -327,11 +327,11 @@ def type_environments(model: Model) -> dict[tuple[str | None, bool], ex.TypeEnv]
             builtins={"tick": ex.INTEGER},
         )
     world = ex.TypeEnv(populations=populations, builtins={"tick": ex.INTEGER})
-    return {
-        (name, aggregates): dataclasses.replace(env, allow_aggregates=aggregates)
-        for name, env in [*populations.items(), (None, world)]
-        for aggregates in (False, True)
-    }
+    envs: dict[tuple[str | None, bool], ex.TypeEnv] = {}
+    for name, env in [*populations.items(), (None, world)]:
+        envs[name, True] = env
+        envs[name, False] = dataclasses.replace(env, allow_aggregates=False)
+    return envs
 
 
 # ---------------------------------------------------------------------------
