@@ -1,16 +1,18 @@
 """Deterministic discrete-time simulation runtime.
 
 One run consumes a single seeded PRNG stream in a fixed schedule, so identical
-(model, seed, max_ticks) triples produce byte-identical outputs.  Each tick:
+(model, seed, max_ticks) triples produce byte-identical outputs.  Each tick
+runs six phase functions:
 
-  1. controller tasks: periodic disease introductions
-  2. per agent in ascending id: mobility, signal plan machines, generic state
-     machines, then the disease step (transmission attempt when susceptible,
-     otherwise mortality and progression) with disease changes buffered
-  3. buffered disease changes applied; dead agents removed
-  4. vehicle movement and queue service on graph environments
-  5. learning updates for controllers whose plan cycle completed
-  6. output sampling when the new tick hits a dataset interval
+  1. ``_introduction_phase``: periodic disease introductions
+  2. ``_agent_phase``: per agent in ascending id, mobility, signal plan
+     machines, generic state machines, then the disease step (transmission
+     attempt when susceptible, otherwise mortality and progression) with
+     disease changes buffered
+  3. ``_disease_phase``: buffered disease changes applied; dead agents removed
+  4. ``_vehicle_phase``: vehicle movement and queue service on graphs
+  5. ``_learning_phase``: learning updates for completed plan cycles
+  6. ``_sampling_phase``: output sampling when the tick hits an interval
 
 Reordering these phases is a breaking change for reproducibility.
 """
@@ -21,6 +23,7 @@ import hashlib
 import math
 import os
 import random
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,6 +106,7 @@ class AgentInstance:
     diseases: dict[str, sm.MachineInstance] = field(default_factory=dict)
     controller: ControllerState | None = None
     speed: float = 0.0  # vehicles: length units per tick
+    ctx: "AgentContext" = field(init=False, repr=False, compare=False)  # set on creation
 
 
 @dataclass
@@ -111,6 +115,7 @@ class EntityInstance:
     type_name: str
     position: object
     attrs: dict[str, object] = field(default_factory=dict)
+    ctx: "EntityContext" = field(init=False, repr=False, compare=False)  # set on creation
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,7 @@ class World:
         else:
             self.cell_bounds = None
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
+        self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
         self.walk_steps = {a.name: cap.parameters["step"] for a in walkers if (cap := a.capability("mobility"))}
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
@@ -179,10 +185,14 @@ class World:
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
         self._cells: dict[tuple[int, int], set[int]] = {}
+        self.context = WorldContext(self)
 
     # -- ids and spatial index ------------------------------------------------
 
     def new_id(self) -> int:
+        """The next instance id.  Ids only count up and an instance enters
+        ``agents`` or ``entities`` only when it is created, so both dicts
+        iterate in ascending id order without sorting."""
         self._next_id += 1
         return self._next_id - 1
 
@@ -244,8 +254,7 @@ class World:
             h.update(b"\x00")
 
         put(f"tick={self.tick}")
-        for aid in sorted(self.agents):
-            agent = self.agents[aid]
+        for aid, agent in self.agents.items():
             put(f"A{aid}:{agent.type_name}:{agent.position!r}")
             for key in sorted(agent.attrs):
                 put(f"{key}={agent.attrs[key]!r}")
@@ -263,8 +272,7 @@ class World:
                     put(f"q:{ctrl.learner.prev_action}:{ctrl.learner.accumulated!r}")
                     for key, value in sorted(ctrl.learner.table.items()):
                         put(f"{key!r}={value!r}")
-        for eid in sorted(self.entities):
-            entity = self.entities[eid]
+        for eid, entity in self.entities.items():
             put(f"E{eid}:{entity.type_name}:{entity.position!r}")
             for key in sorted(entity.attrs):
                 put(f"{key}={entity.attrs[key]!r}")
@@ -286,8 +294,10 @@ class World:
 
 
 class WorldContext(ex.Context):
+    # Contexts refer to their world and instance weakly: the world owns them, and
+    # a cycle would keep a dropped world alive until the cyclic collector runs.
     def __init__(self, world: World):
-        self.world = world
+        self.world = weakref.proxy(world)
 
     def attribute(self, owner, name):
         if owner is None and name == "tick":
@@ -297,24 +307,16 @@ class WorldContext(ex.Context):
     def population(self, type_name: str):
         world = self.world
         if type_name in world.agent_type_names:
-            return [
-                AgentContext(world, world.agents[aid])
-                for aid in sorted(world.agents)
-                if world.agents[aid].type_name == type_name
-            ]
-        if world.model.entity_type(type_name) is not None:
-            return [
-                EntityContext(world, world.entities[eid])
-                for eid in sorted(world.entities)
-                if world.entities[eid].type_name == type_name
-            ]
+            return [agent.ctx for agent in world.agents.values() if agent.type_name == type_name]
+        if type_name in world.entity_type_names:
+            return [entity.ctx for entity in world.entities.values() if entity.type_name == type_name]
         raise EvalError(f"unknown population '{type_name}'")
 
 
 class AgentContext(WorldContext):
     def __init__(self, world: World, agent: AgentInstance):
         super().__init__(world)
-        self.agent = agent
+        self.agent = weakref.proxy(agent)
 
     def attribute(self, owner, name):
         if owner is not None and owner != self.agent.type_name:
@@ -341,7 +343,7 @@ class AgentContext(WorldContext):
 class EntityContext(WorldContext):
     def __init__(self, world: World, entity: EntityInstance):
         super().__init__(world)
-        self.entity = entity
+        self.entity = weakref.proxy(entity)
 
     def attribute(self, owner, name):
         if owner is not None and owner != self.entity.type_name:
@@ -471,11 +473,10 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
                         raise EngineError(f"{type_name}: cannot place agents on an empty graph")
                     out.append(NodePos(nodes[rng.randrange(len(nodes))]))
         else:
-            ctx = WorldContext(world)
             spots = []
             for x_expr, y_expr in strategy.placement:
-                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, ctx)
-                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, ctx)
+                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, world.context)
+                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, world.context)
                 spots.append(_place_at(world, x, y, type_name))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
@@ -508,7 +509,7 @@ def _place_at(world: World, x: float, y: float, type_name: str, line: int | None
     raise EngineError(f"{where}: explicit coordinates require a grid or cartesian environment")
 
 
-def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str, ctx) -> None:
+def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
     overrides = point.attrs if point is not None else {}
     for attr in attributes:
         if attr.name in overrides:
@@ -517,7 +518,7 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
             )
         elif attr.default is not None:
             evaluate = ex.evaluate_number if attr.kind in ex.NUMERIC else ex.evaluate
-            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, ctx)
+            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, instance.ctx)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
@@ -532,8 +533,9 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"entity:{spec.name}")
     for i, position in enumerate(positions):
         entity = EntityInstance(world.new_id(), spec.name, position)
+        entity.ctx = EntityContext(world, entity)
         point = points[i] if points is not None else None
-        _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}", EntityContext(world, entity))
+        _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
         world.index_add(entity.id, position)
 
@@ -543,13 +545,14 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     model = world.model
     for i, position in enumerate(positions):
         agent = AgentInstance(world.new_id(), spec.name, position)
+        agent.ctx = AgentContext(world, agent)
         for cap in spec.capabilities:
             if cap.kind == "disease" and cap.target:
                 agent.diseases[cap.target] = sm.instantiate(world.diseases[cap.target].machine)
             elif cap.kind == "state_machine" and cap.target and model.machine(cap.target) is not None:
                 agent.machines[cap.target] = sm.instantiate(model.machine(cap.target))
         point = points[i] if points is not None else None
-        _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}", AgentContext(world, agent))
+        _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
         world.index_add(agent.id, position)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
@@ -557,7 +560,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         if mobility is not None and world.graph is not None:
             agent.speed = _checked(
                 world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
-                mobility.parameters["step"], AgentContext(world, agent),
+                mobility.parameters["step"], agent.ctx,
             )
             if agent.speed <= 0:
                 raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")
@@ -644,8 +647,8 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
         return
     disease = world.diseases[intro.disease]
     pool = [
-        (aid, AgentContext(world, agent))
-        for aid, agent in sorted(world.agents.items())
+        (aid, agent.ctx)
+        for aid, agent in world.agents.items()
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
     for aid in _checked(world, f"introduce {intro.disease}", dz.introduce, pool, intro, world.tick, world.rng):
@@ -661,8 +664,8 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
 def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: random.Random):
     """New position for one random-walk step (graph agents move in phase 4)."""
     topo = world.topology
-    ctx = AgentContext(world, agent)
-    step = _checked(world, f"agent:{agent.type_name}: mobility step", ex.evaluate_number, step_expr, ctx)
+    path = f"agent:{agent.type_name}: mobility step"
+    step = _checked(world, path, ex.evaluate_number, step_expr, agent.ctx, 0, None, "step")
     if isinstance(topo, mm.GridTopology):
         # 8-neighborhood plus "stay", all nine outcomes equally likely.
         pick = rng.randrange(9)
@@ -726,21 +729,39 @@ def _axis_cells(centre: int, reach: int, low: int, high: int, wrap: int | None):
 
 def tick(world: World) -> World:
     """Advance the world by one tick in the fixed phase order."""
-    model = world.model
     world.tick += 1
-    infected_now: set[tuple[int, str]] = set()
+    infected_now = _introduction_phase(world)
+    changes = _agent_phase(world, infected_now)
+    _disease_phase(world, changes)
+    _vehicle_phase(world)
+    _learning_phase(world)
+    _sampling_phase(world)
+    return world
 
-    # Phase 1: controller tasks (periodic introductions).
-    for intro in model.introductions:
+
+def _introduction_phase(world: World) -> set[tuple[int, str]]:
+    """Phase 1: periodic introductions; returns the (agent id, disease) pairs
+    infected, which skip their disease step this tick."""
+    infected_now: set[tuple[int, str]] = set()
+    for intro in world.model.introductions:
         if intro.periodicity == "periodic":
             _apply_introduction(world, intro, infected_now)
+    return infected_now
 
-    # Phase 2: per-agent behavior, disease changes buffered.
-    infections: list[tuple[int, str, str]] = []
-    machine_updates: list[tuple[int, str, sm.MachineInstance]] = []
-    dying: list[tuple[int, str]] = []
-    for aid in list(world.agents):
-        agent = world.agents[aid]
+
+@dataclass
+class DiseaseChanges:
+    """Disease outcomes buffered in phase 2 and applied in phase 3."""
+
+    infections: list[tuple[int, str, str]] = field(default_factory=list)  # (agent id, disease, target)
+    updates: list[tuple[int, str, sm.MachineInstance]] = field(default_factory=list)  # stepped snapshots
+    dying: list[tuple[int, str]] = field(default_factory=list)  # (agent id, disease)
+
+
+def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseChanges:
+    """Phase 2: per-agent behaviour, with disease changes buffered."""
+    changes = DiseaseChanges()
+    for aid, agent in world.agents.items():
         step_expr = world.walk_steps.get(agent.type_name)
         if step_expr is not None:
             new_pos = mobility_step(world, agent, step_expr, world.rng)
@@ -748,105 +769,74 @@ def tick(world: World) -> World:
             agent.position = new_pos
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
-            ctx = AgentContext(world, agent)
-            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, ctx, world.rng)
+            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent.ctx, world.rng)
             ctrl.ticks_in_cycle += 1
             if moved is not None:
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
             if not inst.terminated:
-                ctx = AgentContext(world, agent)
-                _checked(world, f"machine:{name}", sm.step, inst, ctx, world.rng)
-        for disease_name in agent.diseases:
-            if (aid, disease_name) in infected_now:
-                continue
-            outcome = _disease_step(world, agent, world.diseases[disease_name])
-            if outcome is None:
-                continue
-            kind, payload = outcome
-            if kind == "infect":
-                infections.append((aid, disease_name, payload))
-            elif kind == "update":
-                machine_updates.append((aid, disease_name, payload))
-            else:
-                dying.append((aid, disease_name))
-
-    # Phase 3: apply buffered disease changes, then remove the dead.
-    for aid, disease_name, target in infections:
-        sm.force_state(world.agents[aid].diseases[disease_name], target)
-        world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
-    for aid, disease_name, snapshot in machine_updates:
-        inst = world.agents[aid].diseases[disease_name]
-        inst.current, inst.dwell, inst.terminated = snapshot.current, snapshot.dwell, snapshot.terminated
-        if inst.terminated:
-            dying.append((aid, disease_name))
-    removed: set[int] = set()
-    for aid, disease_name in dying:
-        if aid in removed:
-            continue
-        removed.add(aid)
-        world.deaths_by_disease[disease_name] = world.deaths_by_disease.get(disease_name, 0) + 1
-        _remove_agent(world, aid)
-
-    # Phase 4: vehicle movement, then queue service.
-    if world.graph is not None:
-        _vehicle_phase(world)
-
-    # Phase 5: learning updates for completed plan cycles.
-    for aid in sorted(world.agents):
-        ctrl = world.agents[aid].controller
-        if ctrl is None or ctrl.learner is None:
-            continue
-        _learning_phase(world, world.agents[aid], ctrl)
-
-    # Phase 6: output sampling.
-    for output in model.outputs:
-        if world.tick % output.interval == 0:
-            sample_output(world, output)
-    return world
+                _checked(world, f"machine:{name}", sm.step, inst, agent.ctx, world.rng)
+        for disease_name, inst in agent.diseases.items():
+            if not inst.terminated and (aid, disease_name) not in infected_now:
+                _disease_step(world, agent, inst, world.diseases[disease_name], changes)
+    return changes
 
 
-def _disease_step(world: World, agent: AgentInstance, disease: ResolvedDisease):
+def _disease_step(
+    world: World, agent: AgentInstance, inst: sm.MachineInstance, disease: ResolvedDisease, changes: DiseaseChanges
+) -> None:
     disease_name = disease.spec.name
-    inst = agent.diseases[disease_name]
-    if inst.terminated:
-        return None
-    ctx = AgentContext(world, agent)
+    ctx = agent.ctx
     # Per-tick death rates apply in any compartment, before transmission or
     # progression can move the agent on.
     tick_rules = disease.tick_rules.get(inst.current)
     if tick_rules:
         if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, ctx, world.tick, world.rng):
-            return ("die", inst.current)
+            changes.dying.append((agent.id, disease_name))
+            return
     t = disease.spec.transmission
     if inst.current == disease.susceptible and t is not None:
         radius = 0.0
         if t.interaction == dz.PROXIMITY and t.distance is not None:
             radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, ctx)
-        candidate_ids = _scan_ids(world, agent.position, radius, agent.id)
+            if radius <= 0:
+                raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")
         candidates = []
-        for cid in candidate_ids:
+        for cid in _scan_ids(world, agent.position, radius, agent.id):
             other = world.agents.get(cid)
             if other is not None:
                 state = other.diseases[disease_name].current if disease_name in other.diseases else None
-                candidates.append(dz.Candidate(cid, False, other.type_name, AgentContext(world, other), state))
+                candidates.append(dz.Candidate(cid, False, other.type_name, other.ctx, state))
             else:
                 entity = world.entities[cid]
-                candidates.append(dz.Candidate(cid, True, entity.type_name, EntityContext(world, entity), None))
+                candidates.append(dz.Candidate(cid, True, entity.type_name, entity.ctx, None))
         if _checked(
             world, disease.transmission_path, dz.attempt_transmission, ctx, candidates, t, disease.infectious, world.rng
         ):
-            return ("infect", disease.target)
-        return None
+            changes.infections.append((agent.id, disease_name, disease.target))
+        return
     snapshot = inst.clone()
     _checked(world, disease.path, sm.step, snapshot, ctx, world.rng)
-    return ("update", snapshot)
+    changes.updates.append((agent.id, disease_name, snapshot))
+
+
+def _disease_phase(world: World, changes: DiseaseChanges) -> None:
+    """Phase 3: apply the buffered disease changes, then remove the dead."""
+    for aid, disease_name, target in changes.infections:
+        sm.force_state(world.agents[aid].diseases[disease_name], target)
+        world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
+    for aid, disease_name, snapshot in changes.updates:
+        world.agents[aid].diseases[disease_name] = snapshot
+        if snapshot.terminated:
+            changes.dying.append((aid, disease_name))
+    for aid, disease_name in changes.dying:
+        if aid in world.agents:  # the first death recorded for an agent counts
+            world.deaths_by_disease[disease_name] = world.deaths_by_disease.get(disease_name, 0) + 1
+            _remove_agent(world, aid)
 
 
 def _remove_agent(world: World, aid: int) -> None:
-    agent = world.agents.pop(aid, None)
-    if agent is None:
-        return
+    agent = world.agents.pop(aid)
     world.index_remove(aid, agent.position)
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
     if isinstance(agent.position, QueuePos):
@@ -860,11 +850,12 @@ def _remove_agent(world: World, aid: int) -> None:
 
 
 def _vehicle_phase(world: World) -> None:
+    """Phase 4, on graphs only: vehicle movement, then queue service."""
     graph = world.graph
-    assert graph is not None
+    if graph is None:
+        return
     # Movement: progress along edges; completed traversals join the queue.
-    for aid in sorted(world.agents):
-        agent = world.agents[aid]
+    for aid, agent in world.agents.items():
         pos = agent.position
         if not isinstance(pos, EdgePos):
             continue
@@ -874,11 +865,7 @@ def _vehicle_phase(world: World) -> None:
             continue
         queue_key = (pos.target, pos.source)
         ctrl_id = world.controllers_by_node.get(pos.target)
-        capacity = None
-        if ctrl_id is not None:
-            ctrl = world.agents[ctrl_id].controller
-            if ctrl is not None:
-                capacity = ctrl.capacities.get(pos.source)
+        capacity = world.agents[ctrl_id].controller.capacities.get(pos.source) if ctrl_id is not None else None
         queue = world.queues.setdefault(queue_key, [])
         if capacity is not None and len(queue) >= capacity:
             agent.position = EdgePos(pos.source, pos.target, 0, pos.total)  # blocked; retry next tick
@@ -900,12 +887,19 @@ def _vehicle_phase(world: World) -> None:
             _enter_random_edge(world, world.agents[queue.pop(0)], node)
 
 
-def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
+def _learning_phase(world: World) -> None:
+    """Phase 5: rewards accumulate, and controllers whose plan cycle completed
+    update their Q-table and pick the next plan."""
+    for agent in world.agents.values():
+        if agent.controller is not None and agent.controller.learner is not None:
+            _learn(world, agent, agent.controller)
+
+
+def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
     if learner.spec.reward is not None:
-        ctx = AgentContext(world, agent)
-        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, ctx)
+        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, agent.ctx)
     else:
         reward = -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
@@ -921,6 +915,13 @@ def _learning_phase(world: World, agent: AgentInstance, ctrl: ControllerState) -
     _controller_set_plan(world, ctrl, action)
 
 
+def _sampling_phase(world: World) -> None:
+    """Phase 6: a row for each dataset whose interval divides the new tick."""
+    for output in world.model.outputs:
+        if world.tick % output.interval == 0:
+            sample_output(world, output)
+
+
 # ---------------------------------------------------------------------------
 # Outputs and runs
 
@@ -931,11 +932,10 @@ def format_value(value: float | int) -> str:
 
 
 def sample_output(world: World, output: mm.OutputDatasetSpec) -> None:
-    ctx = WorldContext(world)
     row: list = [world.tick]
     for series in output.series:
         path = f"output:{output.name}.series:{series.label}"
-        row.append(_checked(world, path, ex.evaluate_number, series.value, ctx))
+        row.append(_checked(world, path, ex.evaluate_number, series.value, world.context))
     world.output_rows[output.name].append(row)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import disease as dz
@@ -417,8 +418,9 @@ def _check_environment(model: Model, add: _Collector) -> None:
             for n in topo.source.nodes:
                 if not (math.isfinite(n.x) and math.isfinite(n.y)):
                     add("error", "environment", f"node '{n.name}' coordinates must be finite")
-                if sum(1 for m in topo.source.nodes if m.name == n.name) > 1:
-                    add("error", "environment", f"duplicate node '{n.name}'")
+            for name, count in Counter(n.name for n in topo.source.nodes).items():
+                if count > 1:
+                    add("error", "environment", f"duplicate node '{name}'")
     else:
         add("error", "environment", f"unknown topology {type(topo).__name__}")
 
@@ -800,9 +802,6 @@ class ConcernView:
 
     def element_names(self) -> frozenset[str]:
         return self.agent_types | self.entity_types | self.diseases | self.machines | self.plans | self.outputs
-
-    def is_empty(self) -> bool:
-        return not self.element_names()
 
 
 _EXPR_NODES = typing.get_args(ex.Expr)

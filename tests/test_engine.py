@@ -502,6 +502,31 @@ class TestRunTimeRanges:
                 "    mortality I rate p every_timeunit",
             )
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                walker(GRID, "s", attr="    attr s integer = 0 - 1\n"),
+                r"tick 1: agent:A: mobility step: step -1 outside \[0, inf\)",
+            ),
+            (
+                walker(CART, "1", attr="    attr d real = 0.0 - 1.0\n", how="proximity d"),
+                r"tick 1: disease:d\.transmission: distance -1\.0 outside \(0, inf\)",
+            ),
+            (
+                walker(GRID, "1", attr="    attr d real = 0.0\n", how="proximity d"),
+                r"tick 1: disease:d\.transmission: distance 0\.0 outside \(0, inf\)",
+            ),
+        ],
+        ids=["negative step", "negative proximity distance", "zero proximity distance"],
+    )
+    def test_computed_value_outside_its_domain_fails_at_its_tick(self, tmp_path, text, expected):
+        model = parse_model(text)
+        assert mm.validate(model).ok()
+        with pytest.raises(AbmsError, match=expected):
+            engine.run(model, cfg(tmp_path, max_ticks=30))
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
     def test_non_finite_value_fails_at_its_tick(self, tmp_path, case):
         text, expected = NON_FINITE_CASES[case]

@@ -1,6 +1,8 @@
 """Whole-run properties: invariants that must hold on live engine runs, not
 just at unit level."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -345,6 +347,47 @@ class TestResolvedOncePerRun:
     def test_lookups_do_not_scale_with_ticks(self, monkeypatch, tmp_path, fixture):
         short = self.count_lookups(monkeypatch, tmp_path, fixture, 10)
         assert self.count_lookups(monkeypatch, tmp_path, fixture, 60) == short
+
+
+class TestContextsOncePerInstance:
+    """Each agent and entity gets one evaluation context, made when it is
+    created; the tick reuses it instead of building one per use."""
+
+    def count_contexts(self, monkeypatch, tmp_path, fixture, ticks):
+        model = parse_model((FIXTURES / f"{fixture}.abms").read_text())
+        counts = {"AgentContext": 0, "EntityContext": 0}
+        for name in counts:
+            cls = getattr(engine, name)
+
+            def counting(self, *args, _original=cls.__init__, _name=name, **kwargs):
+                counts[_name] += 1
+                _original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        world = engine.build_world(model, cfg(tmp_path, seed=42, base_dir=FIXTURES))
+        for _ in range(ticks):
+            engine.tick(world)
+        monkeypatch.undo()
+        assert counts == {"AgentContext": sum(world.created.values()), "EntityContext": len(world.entities)}
+        return counts
+
+    @pytest.mark.parametrize("fixture", ["measles", "traffic"])
+    def test_contexts_do_not_grow_with_ticks(self, monkeypatch, tmp_path, fixture):
+        built = self.count_contexts(monkeypatch, tmp_path, fixture, 0)
+        assert built["AgentContext"] > 0
+        assert self.count_contexts(monkeypatch, tmp_path, fixture, 50) == built
+
+    @pytest.mark.parametrize("fixture", ["measles", "traffic"])
+    def test_dropped_world_is_freed_without_the_cycle_collector(self, tmp_path, fixture):
+        model = parse_model((FIXTURES / f"{fixture}.abms").read_text())
+        world = engine.build_world(model, cfg(tmp_path, seed=42, base_dir=FIXTURES))
+        engine.tick(world)
+        freed = weakref.ref(world)
+        gc.disable()
+        try:
+            del world
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestMortalityOnAnyCompartment:

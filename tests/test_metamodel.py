@@ -115,6 +115,13 @@ class TestValidate:
         )
         assert [d.message for d in mm.validate(model).errors()] == [message]
 
+    def test_duplicate_node_reported_once(self):
+        model = model_from(
+            "model g {\n  environment graph from edges {\n    node a 0 0\n    node a 5 0\n    node b 10 0\n"
+            "    edge a b 10\n  }\n  agent A {\n    create fixed 2 random\n  }\n}\n"
+        )
+        assert [d.message for d in mm.validate(model).errors()] == ["duplicate node 'a'"]
+
     def test_duplicate_type_names(self):
         model = model_from(SIR_MODEL)
         model.entity_types.append(mm.EntityTypeSpec("Native", mm.FixedCountStrategy(1)))
@@ -267,7 +274,7 @@ class TestResolveConcern:
 
     def test_empty_concern_gives_empty_view(self):
         view = mm.resolve_concern(self.tutorial(), "empty")
-        assert view.is_empty()
+        assert not view.element_names()
 
     def test_agent_member_pulls_capability_targets(self):
         view = mm.resolve_concern(self.tutorial(), "people")
