@@ -94,6 +94,24 @@ class TestCheckStructure:
         noisy = source + '\n; stray [ ( in comment\n'
         assert codegen.check_structure(noisy, report)
 
+    def test_escaped_quote_keeps_string_open(self):
+        source, report = codegen.generate(fixture_model("measles.abms"))
+        assert codegen.check_structure(source + '\nshow "a \\" ["\n', report)
+
+    def test_semicolon_in_string_starts_no_comment(self):
+        source, report = codegen.generate(fixture_model("measles.abms"))
+        assert not codegen.check_structure(source + '\nshow "a ; b" [\n', report)
+
+    def test_unterminated_string_ends_at_line_end(self):
+        source, report = codegen.generate(fixture_model("measles.abms"))
+        assert codegen.check_structure(source + '\nshow "a [\n', report)
+        assert not codegen.check_structure(source + '\nshow "a\n[\n', report)
+
+    def test_trailing_backslash_ends_string_at_line_end(self):
+        source, report = codegen.generate(fixture_model("measles.abms"))
+        assert codegen.check_structure(source + '\nshow "[ \\', report)
+        assert not codegen.check_structure(source + '\nshow "[ \\\n]\n', report)
+
     def test_duplicated_procedure_fails(self):
         source, report = codegen.generate(fixture_model("measles.abms"))
         victim = report.procedures["disease:measles"][0]

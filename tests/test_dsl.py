@@ -4,12 +4,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abms import codegen, engine
 from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
 from abms.dsl import format_model, parse, parse_model
 from abms.dsl.lexer import tokenize
 
+from netlogo_corpus import INLINE_COMPOSITE
 from randmodels import random_text_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -173,6 +175,38 @@ class TestRoundTripGenerated:
             text = format_model(model)
             parsed = parse_model(text)
             assert parse_model(format_model(parsed)) == parsed, f"seed {seed}"
+
+
+
+class TestCompositeGrammar:
+    """``and``, ``not`` and both composite trigger kinds, through every stage."""
+
+    def test_validates_clean(self):
+        assert list(mm.validate(parse_model(INLINE_COMPOSITE))) == []
+
+    def test_format_round_trip(self):
+        model = parse_model(INLINE_COMPOSITE)
+        text = format_model(model)
+        assert parse_model(text) == model
+        assert format_model(parse_model(text)) == text
+        guard = model.machines[0].transitions[0].guard
+        assert isinstance(guard, ex.Binary) and guard.op == "or"
+        assert isinstance(guard.left, ex.Unary) and guard.left.op == "not"
+        assert isinstance(guard.left.operand, ex.Binary) and guard.left.operand.op == "and"
+        assert [t.trigger.mode for t in model.machines[0].transitions] == ["all_of", "any_of"]
+
+    def test_generated_source_is_well_formed(self):
+        source, report = codegen.generate(parse_model(INLINE_COMPOSITE))
+        assert codegen.check_structure(source, report)
+
+    def test_all_walkers_enter_b_at_tick_4_and_c_at_tick_5(self):
+        world = engine.build_world(parse_model(INLINE_COMPOSITE), engine.RunConfig(seed=42, max_ticks=6))
+        states = []
+        for _ in range(6):
+            engine.tick(world)
+            states.append({a.machines["stage"].current for a in world.agents.values()})
+        assert len(world.agents) == 8
+        assert states == [{"a"}, {"a"}, {"a"}, {"b"}, {"c"}, {"c"}]
 
 
 class TestTotality:
