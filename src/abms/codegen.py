@@ -10,6 +10,8 @@ behavior.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import disease as dz
@@ -129,7 +131,9 @@ def generate(model: mm.Model) -> tuple[str, GenerationReport]:
     for i, intro in enumerate(model.introductions):
         _emit_introduction(e, model, intro, i, report)
     for machine in model.machines:
-        _emit_machine(e, machine, f"machine:{machine.name}", report)
+        name = _nl_name(machine.name)
+        procs = report.procedures.setdefault(f"machine:{machine.name}", [])
+        e.proc(f"step-machine-{name}", _step_body(name, machine), procs)
     for plan in model.plans:
         _emit_plan(e, plan, report)
     for output in model.outputs:
@@ -153,49 +157,34 @@ def _emit_globals(e: _Emitter, model: mm.Model) -> None:
     e.raw()
 
 
-def _own_vars(model: mm.Model, type_name: str) -> list[str]:
-    out: list[str] = []
-    agent = model.agent_type(type_name)
-    entity = model.entity_type(type_name)
-    attrs = agent.attributes if agent else (entity.attributes if entity else [])
-    out.extend(_nl_name(a.name) for a in attrs)
-    if agent is not None:
-        for cap in agent.capabilities:
-            if cap.kind == "disease" and cap.target:
-                out.append(f"{_nl_name(cap.target)}-state")
-                out.append(f"{_nl_name(cap.target)}-dwell")
-            elif cap.kind == "state_machine" and cap.target:
-                out.append(f"{_nl_name(cap.target)}-state")
-                out.append(f"{_nl_name(cap.target)}-dwell")
-            elif cap.kind == "flow_control":
-                out.append("phase-index")
-                out.append("phase-clock")
-                out.append("green-streams")
-            elif cap.kind == "reinforcement_learning":
-                out.append("q-table")
-                out.append("q-prev-state")
-                out.append("q-prev-action")
-                out.append("q-reward-acc")
+def _own_vars(spec: mm.AgentTypeSpec | mm.EntityTypeSpec) -> list[str]:
+    out = [_nl_name(a.name) for a in spec.attributes]
+    for cap in getattr(spec, "capabilities", ()):
+        if cap.kind in ("disease", "state_machine"):
+            out += [f"{_nl_name(cap.target)}-state", f"{_nl_name(cap.target)}-dwell"]
+        elif cap.kind == "flow_control":
+            out += ["phase-index", "phase-clock", "green-streams"]
+        elif cap.kind == "reinforcement_learning":
+            out += ["q-table", "q-prev-state", "q-prev-action", "q-reward-acc"]
     return out
 
 
 def _emit_breeds(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
-    for type_name in [a.name for a in model.agent_types] + [t.name for t in model.entity_types]:
-        plural, singular = _breed_names(type_name)
-        report.breeds[type_name] = (plural, singular)
+    types = [*model.agent_types, *model.entity_types]
+    for spec in types:
+        plural, singular = report.breeds[spec.name] = _breed_names(spec.name)
         e.raw(f"breed [{plural} {singular}]")
     e.raw()
-    for type_name in report.breeds:
-        own = _own_vars(model, type_name)
+    for spec in types:
+        own = _own_vars(spec)
         if own:
-            plural, _ = _breed_names(type_name)
-            e.raw(f"{plural}-own [ {' '.join(own)} ]")
+            e.raw(f"{report.breeds[spec.name][0]}-own [ {' '.join(own)} ]")
     e.raw()
 
 
 def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
     body = ["clear-all"]
-    topo = model.environment.topology if model.environment else None
+    topo = model.environment.topology
     if isinstance(topo, mm.GridTopology):
         body.append(f"resize-world 0 {topo.width - 1} 0 {topo.height - 1}")
         if not topo.wrap:
@@ -207,10 +196,8 @@ def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
     for spec in model.diseases:
         body.append(f"set {_nl_name(spec.name)}-deaths 0")
         body.append(f"set {_nl_name(spec.name)}-ever-infected 0")
-    for agent in model.entity_types:
-        body.append(f"setup-{_nl_name(agent.name)}s")
-    for agent in model.agent_types:
-        body.append(f"setup-{_nl_name(agent.name)}s")
+    for spec in [*model.entity_types, *model.agent_types]:
+        body.append(f"setup-{_nl_name(spec.name)}s")
     for i, intro in enumerate(model.introductions):
         body.append(f"introduce-{_nl_name(intro.disease)}-{i}")
     if model.outputs:
@@ -229,6 +216,7 @@ def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
 
 
 def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
+    vehicles = model.graph_topology() is not None and any(a.capability("mobility") for a in model.agent_types)
     body = ["if ticks >= sim-max-ticks [ stop ]"]
     for i, intro in enumerate(model.introductions):
         if intro.periodicity == "periodic":
@@ -240,13 +228,11 @@ def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
         if agent.capability("flow_control") is not None:
             body.append(f"ask {plural} [ advance-plan-{_nl_name(agent.name)} ]")
         for cap in agent.capabilities:
-            if cap.kind == "state_machine" and cap.target and model.machine(cap.target) is not None:
+            if cap.kind == "state_machine" and model.machine(cap.target) is not None:
                 body.append(f"ask {plural} [ step-machine-{_nl_name(cap.target)} ]")
     for spec in model.diseases:
         body.append(f"disease-phase-{_nl_name(spec.name)}")
-    if any(a.capability("mobility") is not None for a in model.agent_types) and isinstance(
-        model.environment.topology if model.environment else None, mm.GraphTopology
-    ):
+    if vehicles:
         body.append("vehicle-phase")
     for agent in model.agent_types:
         if agent.capability("reinforcement_learning") is not None:
@@ -256,14 +242,13 @@ def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
         body.append("sample-outputs")
     body.append("tick")
     e.proc("go", body, report.procedures.setdefault("model", []))
-    if isinstance(model.environment.topology if model.environment else None, mm.GraphTopology):
-        if any(a.capability("mobility") is not None for a in model.agent_types):
-            e.proc(
-                "vehicle-phase",
-                ["; advance vehicles along links, enqueue at junctions,",
-                 "; then serve one vehicle per green stream"],
-                report.procedures.setdefault("environment", []),
-            )
+    if vehicles:
+        e.proc(
+            "vehicle-phase",
+            ["; advance vehicles along links, enqueue at junctions,",
+             "; then serve one vehicle per green stream"],
+            report.procedures.setdefault("environment", []),
+        )
 
 
 def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, report: GenerationReport) -> None:
@@ -277,15 +262,13 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         if attr.default is not None:
             init.append(f"set {_nl_name(attr.name)} {_nl_expr(attr.default)}")
     for cap in agent.capabilities:
-        if cap.kind == "disease" and cap.target:
-            spec = model.disease(cap.target)
-            entry = dz.entry_compartment(spec) if spec else "S"
-            init.append(f'set {_nl_name(cap.target)}-state "{entry}"')
-            init.append(f"set {_nl_name(cap.target)}-dwell 0")
-        elif cap.kind == "state_machine" and cap.target and model.machine(cap.target) is not None:
-            machine = model.machine(cap.target)
-            init.append(f'set {_nl_name(cap.target)}-state "{machine.initial}"')
-            init.append(f"set {_nl_name(cap.target)}-dwell 0")
+        if cap.kind == "disease":
+            initial = dz.entry_compartment(model.disease(cap.target))
+        elif cap.kind == "state_machine" and (machine := model.machine(cap.target)) is not None:
+            initial = machine.initial
+        else:
+            continue
+        init += [f'set {_nl_name(cap.target)}-state "{initial}"', f"set {_nl_name(cap.target)}-dwell 0"]
     body: list[str] = []
     if isinstance(creation, mm.FixedCountStrategy):
         body.append(f"create-{plural} {creation.count} [")
@@ -325,33 +308,24 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
             reporter=True,
         )
     mobility = agent.capability("mobility")
-    on_graph = isinstance(model.environment.topology if model.environment else None, mm.GraphTopology)
-    if mobility is not None and on_graph:
+    if mobility is not None:
         step = _nl_expr(mobility.parameters["step"])
-        e.proc(
-            f"move-{name}",
-            [f"; traverse the current link at {step} length units per tick;",
-             "; queue at the junction and cross only on green (see vehicle-phase)"],
-            procs,
-        )
-    elif mobility is not None:
-        step = _nl_expr(mobility.parameters["step"])
-        e.proc(
-            f"move-{name}",
-            ["; random walk: 8 neighbors plus stay, equal odds",
-             "let pick random 9",
-             "if pick < 8 [",
-             "  set heading pick * 45",
-             f"  fd {step}",
-             "]"],
-            procs,
-        )
-    flow = agent.capability("flow_control")
-    if flow is not None:
+        if model.graph_topology() is not None:
+            move = [f"; traverse the current link at {step} length units per tick;",
+                    "; queue at the junction and cross only on green (see vehicle-phase)"]
+        else:
+            move = ["; random walk: 8 neighbors plus stay, equal odds",
+                    "let pick random 9",
+                    "if pick < 8 [",
+                    "  set heading pick * 45",
+                    f"  fd {step}",
+                    "]"]
+        e.proc(f"move-{name}", move, procs)
+    learning = agent.capability("reinforcement_learning")
+    if agent.capability("flow_control") is not None:
         plan_cap = agent.capability("state_machine")
-        learning = agent.capability("reinforcement_learning")
         active = "q-prev-action" if learning is not None else (
-            f'"{plan_cap.target}"' if plan_cap is not None and model.plan(plan_cap.target or "") else '""'
+            f'"{plan_cap.target}"' if plan_cap is not None and model.plan(plan_cap.target) else '""'
         )
         e.proc(
             f"advance-plan-{name}",
@@ -368,8 +342,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
             procs,
             reporter=True,
         )
-    learning = agent.capability("reinforcement_learning")
-    if learning is not None and learning.qlearning is not None:
+    if learning is not None:
         q = learning.qlearning
         reward = _nl_expr(q.reward) if q.reward is not None else "(- stopped-here)"
         e.proc(
@@ -395,9 +368,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         )
     for i, cap in enumerate(agent.capabilities):
         if cap.kind == "external":
-            library = cap.parameters.get("library")
-            lib = library.value if isinstance(library, ex.Literal) else "?"
-            e.raw(f"; external capability: {cap.target} (include manually from {lib})")
+            e.raw(f"; external capability: {cap.target} (include manually from {cap.parameters['library'].value})")
             e.raw()
             report.unsupported.append((f"{path}.capability[{i}]", f"external capability {cap.target}"))
 
@@ -491,8 +462,8 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     procs = report.procedures.setdefault(path, [])
     spec = model.disease(intro.disease)
     name = _nl_name(intro.disease)
-    susceptible = dz.susceptible_compartment(spec) if spec else "S"
-    target = dz.infection_target(spec) if spec else "I"
+    susceptible = dz.susceptible_compartment(spec)
+    target = dz.infection_target(spec)
     body = [f'let pool {_carrier_set(model, intro.disease)} with [{name}-state = "{susceptible}"]']
     if intro.selection == "eligible" and intro.eligibility is not None:
         body.append(f"set pool pool with [{_nl_expr(intro.eligibility)}]")
@@ -505,12 +476,6 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     body.append(f"  set {name}-ever-infected {name}-ever-infected + 1")
     body.append("]")
     e.proc(f"introduce-{name}-{index}", body, procs)
-
-
-def _emit_machine(e: _Emitter, machine: sm.StateMachineSpec, path: str, report: GenerationReport) -> None:
-    procs = report.procedures.setdefault(path, [])
-    name = _nl_name(machine.name)
-    e.proc(f"step-machine-{name}", _step_body(name, machine), procs)
 
 
 def _step_body(name: str, machine: sm.StateMachineSpec) -> list[str]:
@@ -573,51 +538,25 @@ def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec, rep
     sample_body.append(")")
     sample_body.append("file-close")
     e.proc(f"sample-output-{name}", sample_body, procs)
-    if "model-outputs" not in report.procedures:
-        report.procedures["model-outputs"] = []
-    if not any("setup-outputs" in names for names in report.procedures.values()):
-        setup_all = [f"setup-output-{_nl_name(o.name)}" for o in model.outputs]
-        e.proc("setup-outputs", setup_all, report.procedures["model-outputs"])
-        sample_all = [f"sample-output-{_nl_name(o.name)}" for o in model.outputs]
-        e.proc("sample-outputs", sample_all, report.procedures["model-outputs"])
+    if output is model.outputs[0]:
+        procs = report.procedures["model-outputs"] = []
+        e.proc("setup-outputs", [f"setup-output-{_nl_name(o.name)}" for o in model.outputs], procs)
+        e.proc("sample-outputs", [f"sample-output-{_nl_name(o.name)}" for o in model.outputs], procs)
+
+
+# A string runs to its closing quote or the end of its line; a backslash
+# escapes the character after it.  A comment runs from ';' to the line end.
+_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\\n]|\\.)*["\\]?|;.*')
 
 
 def check_structure(source: str, report: GenerationReport) -> bool:
     """True iff every reported procedure and breed appears exactly once and
     brackets and parentheses balance (comments and strings ignored)."""
-    stripped_lines: list[str] = []
-    for line in source.split("\n"):
-        out: list[str] = []
-        in_string = False
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if in_string:
-                if ch == "\\" and i + 1 < len(line):
-                    i += 2
-                    continue
-                if ch == '"':
-                    in_string = False
-                i += 1
-                continue
-            if ch == '"':
-                in_string = True
-                i += 1
-                continue
-            if ch == ";":
-                break
-            out.append(ch)
-            i += 1
-        stripped_lines.append("".join(out))
-    stripped = "\n".join(stripped_lines)
-    for name in report.all_procedures():
-        count = 0
-        for line in stripped_lines:
-            words = line.strip().split()
-            if len(words) >= 2 and words[0] in ("to", "to-report") and words[1] == name:
-                count += 1
-        if count != 1:
-            return False
+    stripped = _STRING_OR_COMMENT.sub("", source)
+    lines = map(str.split, stripped.split("\n"))
+    defined = Counter(words[1] for words in lines if len(words) >= 2 and words[0] in ("to", "to-report"))
+    if any(defined[name] != 1 for name in report.all_procedures()):
+        return False
     for plural, singular in report.breeds.values():
         if stripped.count(f"breed [{plural} {singular}]") != 1:
             return False
