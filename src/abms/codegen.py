@@ -196,7 +196,7 @@ def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
     for spec in model.diseases:
         body.append(f"set {_nl_name(spec.name)}-deaths 0")
         body.append(f"set {_nl_name(spec.name)}-ever-infected 0")
-    for spec in [*model.entity_types, *model.agent_types]:
+    for spec in mm.creation_order(model):
         body.append(f"setup-{_nl_name(spec.name)}s")
     for i, intro in enumerate(model.introductions):
         body.append(f"introduce-{_nl_name(intro.disease)}-{i}")
@@ -299,7 +299,8 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         body.extend("  " + line for line in init)
         body.append("]")
     e.proc(f"setup-{name}s", body, procs)
-    if isinstance(creation, mm.OsmGraphStrategy):
+    # A reporter the types share is emitted, and reported, with the first type that needs it.
+    if agent is next((a for a in model.agent_types if isinstance(a.creation, mm.OsmGraphStrategy)), None):
         e.proc(
             "count-intersections",
             ["; junction nodes of the road network with degree >= 3",
@@ -335,6 +336,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
              "; and recolor this junction's incoming streams"],
             procs,
         )
+    if agent is next((a for a in model.agent_types if a.capability("flow_control") is not None), None):
         e.proc(
             "stopped-here",
             ["; vehicles queued on this controller's red streams",

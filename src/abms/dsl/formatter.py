@@ -2,9 +2,11 @@
 
 ``parse(format_model(m))`` reproduces ``m`` structurally (source spans
 excluded), and formatting already-canonical text is a fixed point.
-Declarations keep their in-category order; categories are emitted in a fixed
-sequence (environment, entities, agents, machines, plans, diseases,
-introductions, outputs, concerns).
+Agent and entity types keep their declaration order among each other, since
+the engine creates them in that order (:func:`metamodel.creation_order`);
+the other declarations keep their in-category order.  Categories are emitted
+in a fixed sequence: environment, types, machines, plans, diseases,
+introductions, outputs, concerns.
 """
 
 from __future__ import annotations
@@ -324,10 +326,8 @@ def format_model(model: mm.Model) -> str:
     with w.block(f"model {model.name}"):
         if model.environment is not None:
             _environment(w, model.environment)
-        for entity in model.entity_types:
-            _entity(w, entity)
-        for agent in model.agent_types:
-            _agent(w, agent)
+        for spec in mm.creation_order(model):
+            (_entity if isinstance(spec, mm.EntityTypeSpec) else _agent)(w, spec)
         for machine in model.machines:
             _machine(w, machine)
         for plan in model.plans:

@@ -427,27 +427,14 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
                         f"agent:{agent_type.name}: external capability library "
                         f"'{lib_path}' does not exist"
                     )
-    for kind, spec in _creation_order(model):
-        if kind == "entity":
+    for spec in mm.creation_order(model):
+        if isinstance(spec, mm.EntityTypeSpec):
             _create_entities(world, spec)
         else:
             _create_agents(world, spec)
     for intro in model.introductions:
         _apply_introduction(world, intro, set())
     return world
-
-
-def _creation_order(model: mm.Model):
-    items = [("entity", e) for e in model.entity_types] + [("agent", a) for a in model.agent_types]
-
-    def key(pair):
-        index, (_, spec) = pair
-        span = spec.span
-        if span is None:
-            return (1, 0, 0, index)
-        return (0, span.start_line, span.start_col, index)
-
-    return [item for _, item in sorted(enumerate(items), key=key)]
 
 
 def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str) -> tuple[list, list | None]:

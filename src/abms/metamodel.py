@@ -235,6 +235,14 @@ class Model:
         return None
 
 
+def creation_order(model: Model) -> list[AgentTypeSpec | EntityTypeSpec]:
+    """Agent and entity types in declaration order, the order the engine
+    creates them in; types without a source span follow, entities first."""
+    types = [*model.entity_types, *model.agent_types]
+    spanned = sorted((t for t in types if t.span is not None), key=lambda t: (t.span.start_line, t.span.start_col))
+    return spanned + [t for t in types if t.span is None]
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics
 

@@ -151,6 +151,20 @@ class TestFormat:
         assert text.index("attr zeta") < text.index("attr omega")
         assert parse_model(text).agent_types[0].attributes[0].name == "zeta"
 
+    def test_keeps_type_declaration_order(self):
+        text = (
+            "model m {\n  environment grid width 10 height 10\n"
+            "  agent Walker {\n    create fixed 5 random\n    capability mobility random_walk step 1\n  }\n"
+            "  entity Well {\n    create fixed 3 random\n  }\n}\n"
+        )
+        config = engine.RunConfig(seed=42, max_ticks=1)
+        before = engine.build_world(parse_model(text), config)
+        formatted = format_model(parse_model(text))
+        after = engine.build_world(parse_model(formatted), config)
+        assert after.digest() == before.digest()
+        assert sorted(a.id for a in after.agents.values()) == [0, 1, 2, 3, 4]
+        assert formatted.index("agent Walker") < formatted.index("entity Well")
+
     def test_golden_formatted_tutorial(self):
         text = (FIXTURES / "measles.abms").read_text()
         golden = (FIXTURES / "golden" / "measles.formatted.abms").read_text()
