@@ -454,7 +454,7 @@ def _trigger_condition(trigger: sm.Trigger, dwell_var: str) -> str:
 def _mortality_guard(rule: dz.MortalitySpec) -> str:
     if rule.evaluation == dz.SPECIFIC_TIMEUNIT:
         return f"ticks = {rule.at_tick}"
-    if rule.evaluation == dz.WHEN_CONDITION and rule.condition is not None:
+    if rule.evaluation == dz.WHEN_CONDITION:
         return _nl_expr(rule.condition)
     return "true"
 
@@ -467,7 +467,7 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     susceptible = dz.susceptible_compartment(spec)
     target = dz.infection_target(spec)
     body = [f'let pool {_carrier_set(model, intro.disease)} with [{name}-state = "{susceptible}"]']
-    if intro.selection == "eligible" and intro.eligibility is not None:
+    if intro.selection == "eligible":
         body.append(f"set pool pool with [{_nl_expr(intro.eligibility)}]")
     if intro.quantity_kind == "deterministic":
         body.append(f"ask n-of (min (list {intro.count} count pool)) pool [")
