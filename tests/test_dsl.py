@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +12,11 @@ from abms import statemachine as sm
 from abms.dsl import format_model, parse, parse_model
 from abms.dsl.lexer import tokenize
 
+from digest_corpus import corpus as digest_models
 from netlogo_corpus import INLINE_COMPOSITE
+from parse_error_corpus import error_list
 from randmodels import random_text_model
+from validate_corpus import texts as validate_texts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -239,3 +243,151 @@ class TestTotality:
     def test_tokenizer_total(self):
         tokens = tokenize("\x00\xff model \U0001f600 ..= \"abc")
         assert tokens[-1].type == "eof"
+
+
+def _source_slice(text, line, col, end_line, end_col):
+    """The text between two 1-based (line, column) positions; lines end at '\\n' only."""
+    starts = [0]
+    for part in text.split("\n"):
+        starts.append(starts[-1] + len(part) + 1)
+    return text[starts[line - 1] + col - 1 : starts[end_line - 1] + end_col - 1]
+
+
+def _assert_tokens_are_slices(text):
+    for tok in tokenize(text):
+        assert tok.text == _source_slice(text, tok.line, tok.col, tok.end_line, tok.end_col), tok
+
+
+LEXER_ALPHABET = 'ab_1.2 "\\\n\r\t#<=>!{}()-+*/,'
+
+
+class TestLexer:
+    def test_corpus_tokens_are_source_slices(self):
+        texts = [text for _, text in validate_texts()]
+        texts += [format_model(model) for _, model, _ in digest_models()]
+        texts.append(INLINE_COMPOSITE)
+        for text in texts:
+            _assert_tokens_are_slices(text)
+
+    @given(st.one_of(st.text(max_size=200), st.text(alphabet=LEXER_ALPHABET, max_size=200)))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_tokens_are_source_slices(self, text):
+        _assert_tokens_are_slices(text)
+
+    @pytest.mark.parametrize(
+        "source,value",
+        [
+            (r'"a\nb"', "a\nb"),
+            (r'"a\tb"', "a\tb"),
+            (r'"a\"b"', 'a"b'),
+            (r'"a\\b"', "a\\b"),
+            (r'"\q"', "q"),
+            (r'"\\n"', "\\n"),
+        ],
+    )
+    def test_string_escapes(self, source, value):
+        tok = tokenize(source)[0]
+        assert (tok.type, tok.value, tok.text) == ("string", value, source)
+
+    def test_backslash_newline_in_string_moves_to_next_line(self):
+        text = '"a\\\nb" x'
+        string, ident, eof = tokenize(text)
+        assert (string.type, string.value) == ("string", "a\nb")
+        assert (string.line, string.col, string.end_line, string.end_col) == (1, 1, 2, 3)
+        assert (ident.value, ident.line, ident.col) == ("x", 2, 4)
+        assert (eof.line, eof.col) == (2, 5)
+
+    def test_crlf_line_endings(self):
+        text = "model m\r\n{\r\n  x\r\n}\r\n"
+        got = [(t.text, t.line, t.col, t.end_line, t.end_col) for t in tokenize(text)]
+        assert got == [
+            ("model", 1, 1, 1, 6),
+            ("m", 1, 7, 1, 8),
+            ("{", 2, 1, 2, 2),
+            ("x", 3, 3, 3, 4),
+            ("}", 4, 1, 4, 2),
+            ("", 5, 1, 5, 1),
+        ]
+
+    def test_comment_at_end_of_file(self):
+        tokens = tokenize("model # trailing")
+        assert [(t.type, t.text) for t in tokens] == [("kw", "model"), ("eof", "")]
+        assert (tokens[-1].line, tokens[-1].col) == (1, 17)
+
+    def test_eof_position(self):
+        assert [(t.type, t.line, t.col) for t in tokenize("")] == [("eof", 1, 1)]
+        eof = tokenize("a\n bc\n  ")[-1]
+        assert (eof.line, eof.col, eof.end_line, eof.end_col) == (3, 3, 3, 3)
+
+    def test_unterminated_string_stops_at_line_end(self):
+        tokens = tokenize('"ab\ncd')
+        assert [(t.type, t.value, t.text) for t in tokens[:2]] == [
+            ("error", "unterminated string", '"ab'),
+            ("ident", "cd", "cd"),
+        ]
+
+
+def _expr_text(expr):
+    return (
+        "model m {\n  environment grid width 3 height 3\n"
+        '  output o every 1 to "o.csv" {\n    series s\n' + expr + "\n  }\n}\n"
+    )
+
+
+def _sexpr(e):
+    """Prefix form of a parsed expression and the (start_col, end_col) of every node, in preorder."""
+    span = (e.span.start_col, e.span.end_col)
+    if isinstance(e, ex.Binary):
+        left, lspans = _sexpr(e.left)
+        right, rspans = _sexpr(e.right)
+        return f"({e.op} {left} {right})", [span] + lspans + rspans
+    if isinstance(e, ex.Unary):
+        operand, ospans = _sexpr(e.operand)
+        return f"({'neg' if e.op == '-' else e.op} {operand})", [span] + ospans
+    if isinstance(e, ex.StateTest):
+        return f"(is {e.machine} {e.state})", [span]
+    if isinstance(e, ex.AttrRef):
+        return e.name, [span]
+    return repr(e.value), [span]
+
+
+class TestExpressionGrammar:
+    """Precedence, associativity and spans; the expression sits alone on line 5."""
+
+    @pytest.mark.parametrize(
+        "source,tree,spans",
+        [
+            ("a - b - c", "(- (- a b) c)", [(1, 10), (1, 6), (1, 2), (5, 6), (9, 10)]),
+            ("-a * b", "(* (neg a) b)", [(1, 7), (1, 3), (2, 3), (6, 7)]),
+            ("not a == b", "(not (== a b))", [(1, 11), (5, 11), (5, 6), (10, 11)]),
+            (
+                "not a and b or c",
+                "(or (and (not a) b) c)",
+                [(1, 17), (1, 12), (1, 6), (5, 6), (11, 12), (16, 17)],
+            ),
+            ("a < b + c", "(< a (+ b c))", [(1, 10), (1, 2), (5, 10), (5, 6), (9, 10)]),
+            ("a / b * -c", "(* (/ a b) (neg c))", [(1, 11), (1, 6), (1, 2), (5, 6), (9, 11), (10, 11)]),
+            ("- -(a + b)", "(neg (neg (+ a b)))", [(1, 10), (3, 10), (5, 10), (5, 6), (9, 10)]),
+            ("(x) is S or y", "(or (is x S) y)", [(2, 14), (2, 7), (13, 14)]),
+            ("not not x is S", "(not (not (is x S)))", [(1, 13), (5, 13), (9, 13)]),
+        ],
+    )
+    def test_tree_and_spans(self, source, tree, spans):
+        series = parse_model(_expr_text(source)).outputs[0].series[0].value
+        assert series.span.start_line == series.span.end_line == 5
+        assert _sexpr(series) == (tree, spans)
+
+    @pytest.mark.parametrize(
+        "source,errors",
+        [
+            ("a < b < c", [[[5, 7, 5, 8], ["'series'"], "'<'", "expected 'series', found '<'"]]),
+            ("x is S + 1", [[[5, 8, 5, 9], ["'series'"], "'+'", "expected 'series', found '+'"]]),
+            ("a < not b", [[[5, 5, 5, 8], ["expression"], "'not'", "expected expression, found 'not'"]]),
+            (
+                "(a + b) is S",
+                [[[5, 9, 5, 11], [], "'is'", "the left side of 'is' must name a disease or state machine"]],
+            ),
+        ],
+    )
+    def test_errors(self, source, errors):
+        assert error_list(_expr_text(source)) == errors
