@@ -42,11 +42,15 @@ _TOKEN_RE = re.compile(
     | (?P<badstring>"(?:\\.|[^"\\\n])*)
     | (?P<punct>\.\.|==|!=|<=|>=|[{}(),.=<>+\-*/])
     | (?P<error>.)
+    | (?P<eof>\Z)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+# In a string, backslash-n and backslash-t stand for a newline and a tab; any
+# other escaped character stands for itself.
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 @dataclass(frozen=True)
@@ -72,31 +76,12 @@ class Token:
         return self.type
 
 
-def _unescape(body: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(_ESCAPES.get(body[i + 1], body[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokens for ``text``, always ending with a single eof token."""
     tokens: list[Token] = []
     line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        assert m is not None  # the error alternative matches any character
-        kind = m.lastgroup or "error"
-        raw = m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind, raw = m.lastgroup, m.group()
         start_line, start_col = line, col
         newlines = raw.count("\n")
         if newlines:
@@ -104,24 +89,20 @@ def tokenize(text: str) -> list[Token]:
             col = len(raw) - raw.rfind("\n")
         else:
             col += len(raw)
-        pos = m.end()
-        if kind in ("ws", "comment"):
+        if kind == "ws" or kind == "comment":
             continue
-        end_line, end_col = line, col
-        if kind == "int":
-            tokens.append(Token("int", int(raw), raw, start_line, start_col, end_line, end_col))
+        value: object = raw
+        if kind == "ident":
+            kind = "kw" if raw in KEYWORDS else "ident"
+        elif kind == "int":
+            value = int(raw)
         elif kind == "real":
-            tokens.append(Token("real", float(raw), raw, start_line, start_col, end_line, end_col))
-        elif kind == "ident":
-            ttype = "kw" if raw in KEYWORDS else "ident"
-            tokens.append(Token(ttype, raw, raw, start_line, start_col, end_line, end_col))
+            value = float(raw)
         elif kind == "string":
-            tokens.append(Token("string", _unescape(raw[1:-1]), raw, start_line, start_col, end_line, end_col))
+            value = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), raw[1:-1])
         elif kind == "badstring":
-            tokens.append(Token("error", "unterminated string", raw, start_line, start_col, end_line, end_col))
-        elif kind == "punct":
-            tokens.append(Token("punct", raw, raw, start_line, start_col, end_line, end_col))
-        else:
-            tokens.append(Token("error", f"unexpected character {raw!r}", raw, start_line, start_col, end_line, end_col))
-    tokens.append(Token("eof", "", "", line, col, line, col))
+            kind, value = "error", "unterminated string"
+        elif kind == "error":
+            value = f"unexpected character {raw!r}"
+        tokens.append(Token(kind, value, raw, start_line, start_col, line, col))
     return tokens
