@@ -11,28 +11,14 @@ introductions, outputs, concerns.
 
 from __future__ import annotations
 
+import contextlib
+from typing import Iterator
+
 from .. import disease as dz
 from .. import expr as ex
 from .. import metamodel as mm
 from .. import statemachine as sm
 from .. import traffic as tf
-
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_NEG = 7
-_PREC_ATOM = 8
-
-_BINARY_PREC = {
-    "or": _PREC_OR,
-    "and": _PREC_AND,
-    "==": _PREC_CMP, "!=": _PREC_CMP, "<": _PREC_CMP, "<=": _PREC_CMP, ">": _PREC_CMP, ">=": _PREC_CMP,
-    "+": _PREC_ADD, "-": _PREC_ADD,
-    "*": _PREC_MUL, "/": _PREC_MUL,
-}
 
 
 def format_number(value: float | int) -> str:
@@ -61,28 +47,28 @@ def format_expr(expr: ex.Expr, parent_prec: int = 0) -> str:
 def _expr(expr: ex.Expr) -> tuple[str, int]:
     if isinstance(expr, ex.Literal):
         if expr.kind == ex.BOOLEAN:
-            return ("true" if expr.value else "false", _PREC_ATOM)
+            return ("true" if expr.value else "false", ex.PREC_ATOM)
         if expr.kind in (ex.TEXT, ex.IDENTIFIER):
-            return (_escape(str(expr.value)), _PREC_ATOM)
-        return (format_number(expr.value), _PREC_ATOM)  # type: ignore[arg-type]
+            return (_escape(str(expr.value)), ex.PREC_ATOM)
+        return (format_number(expr.value), ex.PREC_ATOM)  # type: ignore[arg-type]
     if isinstance(expr, ex.AttrRef):
         name = expr.name if expr.owner is None else f"{expr.owner}.{expr.name}"
-        return (name, _PREC_ATOM)
+        return (name, ex.PREC_ATOM)
     if isinstance(expr, ex.StateTest):
-        return (f"{expr.machine} is {expr.state}", _PREC_CMP)
+        return (f"{expr.machine} is {expr.state}", ex.PRECEDENCE["is"])
     if isinstance(expr, ex.Aggregate):
         inner = expr.population
         if expr.predicate is not None:
             inner += f" where {format_expr(expr.predicate)}"
         if expr.func == "sum":
             inner += f", {format_expr(expr.value)}"
-        return (f"{expr.func}({inner})", _PREC_ATOM)
+        return (f"{expr.func}({inner})", ex.PREC_ATOM)
     if isinstance(expr, ex.Unary):
         if expr.op == "not":
-            return (f"not {format_expr(expr.operand, _PREC_NOT)}", _PREC_NOT)
-        return (f"-{format_expr(expr.operand, _PREC_NEG)}", _PREC_NEG)
+            return (f"not {format_expr(expr.operand, ex.PREC_NOT)}", ex.PREC_NOT)
+        return (f"-{format_expr(expr.operand, ex.PREC_NEG)}", ex.PREC_NEG)
     if isinstance(expr, ex.Binary):
-        prec = _BINARY_PREC[expr.op]
+        prec = ex.PRECEDENCE[expr.op]
         left = format_expr(expr.left, prec)
         right = format_expr(expr.right, prec + 1)
         return (f"{left} {expr.op} {right}", prec)
@@ -135,21 +121,13 @@ class _Writer:
         for part in text.split("\n"):
             self.lines.append("  " * self.depth + part if part else "")
 
-    def block(self, header: str):
-        writer = self
-
-        class _Block:
-            def __enter__(self_inner):
-                writer.line(header + " {")
-                writer.depth += 1
-                return writer
-
-            def __exit__(self_inner, *exc):
-                writer.depth -= 1
-                writer.line("}")
-                return False
-
-        return _Block()
+    @contextlib.contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.line(header + " {")
+        self.depth += 1
+        yield
+        self.depth -= 1
+        self.line("}")
 
 
 def _environment(w: _Writer, env: mm.EnvironmentSpec) -> None:
@@ -285,10 +263,7 @@ def _disease(w: _Writer, spec: dz.DiseaseModelSpec) -> None:
             if rule.evaluation == dz.SPECIFIC_TIMEUNIT:
                 text += f" {rule.at_tick}"
             elif rule.evaluation == dz.WHEN_CONDITION:
-                text = (
-                    f"mortality {rule.compartment} rate {format_expr(rule.rate)} "
-                    f"when_condition {format_expr(rule.condition)}"
-                )
+                text += f" {format_expr(rule.condition)}"
             w.line(text)
 
 

@@ -33,7 +33,6 @@ _DISEASE_BODY = frozenset(
     ["transmission", "duration", "passive", "immunity", "mortality", "states", "initial", "transition"]
 )
 _MACHINE_BODY = frozenset(["initial", "state", "transition"])
-_COMPARE_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,10 @@ class _Parser:
         return self.expect("kw", name)
 
     def expect_ident(self, label: str = "identifier") -> Token:
-        tok = self.accept("ident")
-        if tok is None:
-            raise self.fail(label)
-        return tok
+        return self.expect("ident", label=label)
 
     def expect_int(self, label: str = "integer") -> int:
-        tok = self.accept("int")
-        if tok is None:
-            raise self.fail(label)
-        return int(tok.value)  # type: ignore[arg-type]
+        return int(self.expect("int", label=label).value)  # type: ignore[arg-type]
 
     def expect_number(self, label: str = "number") -> float:
         sign = -1.0 if self.accept("punct", "-") else 1.0
@@ -142,10 +135,7 @@ class _Parser:
         return sign * float(tok.value)  # type: ignore[arg-type]
 
     def expect_string(self, label: str = "string") -> str:
-        tok = self.accept("string")
-        if tok is None:
-            raise self.fail(label)
-        return str(tok.value)
+        return str(self.expect("string", label=label).value)
 
     def span_from(self, start: Token) -> SourceSpan:
         prev = self.tokens[max(self.pos - 1, 0)]
@@ -774,75 +764,45 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self) -> ex.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ex.Expr:
-        left = self.parse_and()
-        while self.at_kw("or"):
-            tok = self.next()
-            right = self.parse_and()
-            left = ex.Binary("or", left, right, span=self._espan(left, right, tok))
-        return left
-
-    def parse_and(self) -> ex.Expr:
-        left = self.parse_not()
-        while self.at_kw("and"):
-            tok = self.next()
-            right = self.parse_not()
-            left = ex.Binary("and", left, right, span=self._espan(left, right, tok))
-        return left
-
-    def parse_not(self) -> ex.Expr:
-        if self.at_kw("not"):
-            tok = self.next()
-            operand = self.parse_not()
-            return ex.Unary("not", operand, span=self._espan(operand, operand, tok))
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ex.Expr:
-        left = self.parse_additive()
-        if self.at_kw("is"):
-            tok = self.next()
-            state = str(self.expect_ident("state name").value)
-            if not (isinstance(left, ex.AttrRef) and left.owner is None):
-                raise _Syntax(
-                    ParseError(
-                        tok.span(self.file),
-                        (),
-                        tok.describe(),
-                        "the left side of 'is' must name a disease or state machine",
+    def parse_expr(self, min_prec: int = ex.PREC_OR) -> ex.Expr:
+        """Precedence climbing over :data:`expr.PRECEDENCE`: an expression whose
+        operators all bind at least as tightly as ``min_prec``.  Binary
+        operators are left-associative, and after a comparison or ``is`` only a
+        looser operator (``and``, ``or``) may follow."""
+        tok = self.peek()
+        prefix = ex.PREC_NEG if tok.text == "-" else ex.PREC_NOT if tok.text == "not" else None
+        if prefix is not None and min_prec <= prefix:
+            self.next()
+            operand = self.parse_expr(prefix)
+            left: ex.Expr = ex.Unary(tok.text, operand, span=tok.span(self.file).merge(operand.span))
+        else:
+            left = self.parse_primary()
+        limit = ex.PREC_ATOM
+        while True:
+            tok = self.peek()
+            # Only keyword and punctuation tokens spell an operator: the text of a
+            # string keeps its quotes and a keyword is never an identifier.
+            prec = ex.PRECEDENCE.get(tok.text, 0)
+            if not min_prec <= prec < limit:
+                return left
+            self.next()
+            if prec == ex.PREC_CMP:
+                limit = ex.PREC_CMP
+            if tok.text == "is":
+                state = str(self.expect_ident("state name").value)
+                if not (isinstance(left, ex.AttrRef) and left.owner is None):
+                    raise _Syntax(
+                        ParseError(
+                            tok.span(self.file),
+                            (),
+                            tok.describe(),
+                            "the left side of 'is' must name a disease or state machine",
+                        )
                     )
-                )
-            return ex.StateTest(left.name, state, span=self._espan(left, left, tok))
-        if self.at("punct") and self.peek().value in _COMPARE_OPS:
-            op = str(self.next().value)
-            right = self.parse_additive()
-            return ex.Binary(op, left, right, span=self._espan(left, right))
-        return left
-
-    def parse_additive(self) -> ex.Expr:
-        left = self.parse_multiplicative()
-        while self.at("punct") and self.peek().value in ("+", "-"):
-            op = str(self.next().value)
-            right = self.parse_multiplicative()
-            left = ex.Binary(op, left, right, span=self._espan(left, right))
-        return left
-
-    def parse_multiplicative(self) -> ex.Expr:
-        left = self.parse_unary()
-        while self.at("punct") and self.peek().value in ("*", "/"):
-            op = str(self.next().value)
-            right = self.parse_unary()
-            left = ex.Binary(op, left, right, span=self._espan(left, right))
-        return left
-
-    def parse_unary(self) -> ex.Expr:
-        if self.at("punct", "-"):
-            tok = self.next()
-            operand = self.parse_unary()
-            return ex.Unary("-", operand, span=self._espan(operand, operand, tok))
-        return self.parse_primary()
+                left = ex.StateTest(left.name, state, span=left.span.merge(tok.span(self.file)))
+            else:
+                right = self.parse_expr(prec + 1)
+                left = ex.Binary(tok.text, left, right, span=left.span.merge(right.span))
 
     def parse_primary(self) -> ex.Expr:
         tok = self.peek()
@@ -886,17 +846,6 @@ class _Parser:
             value = self.parse_expr()
         self.expect("punct", ")")
         return ex.Aggregate(func, population, predicate, value, span=tok.span(self.file))
-
-    def _espan(self, left: ex.Expr, right: ex.Expr, tok: Token | None = None) -> SourceSpan | None:
-        spans = [s for s in (getattr(left, "span", None), getattr(right, "span", None)) if s is not None]
-        if tok is not None:
-            spans.append(tok.span(self.file))
-        if not spans:
-            return None
-        merged = spans[0]
-        for s in spans[1:]:
-            merged = merged.merge(s)
-        return merged
 
 
 def _join(expected: tuple[str, ...]) -> str:

@@ -33,6 +33,21 @@ ARITH_OPS = ("+", "-", "*", "/")
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("and", "or")
 
+# Binding strength in the concrete syntax, loosest first; the parser and the
+# formatter both read these.  ``not`` and unary minus are prefix operators at
+# PREC_NOT and PREC_NEG.  A comparison or ``is`` does not chain.
+PREC_OR, PREC_AND, PREC_NOT, PREC_CMP, PREC_ADD, PREC_MUL, PREC_NEG, PREC_ATOM = range(1, 9)
+PRECEDENCE = {
+    "or": PREC_OR,
+    "and": PREC_AND,
+    **dict.fromkeys(COMPARE_OPS, PREC_CMP),
+    "is": PREC_CMP,
+    "+": PREC_ADD,
+    "-": PREC_ADD,
+    "*": PREC_MUL,
+    "/": PREC_MUL,
+}
+
 
 @dataclass
 class Literal:
