@@ -470,12 +470,10 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
     elif isinstance(strategy, mm.GisPointsStrategy):
         points = load_gis_points(_resolve(strategy.path, config))
         return [_place_at(world, p.x, p.y, type_name, line=p.line) for p in points], points
-    elif isinstance(strategy, mm.OsmGraphStrategy):
+    else:  # OSM: validation rules out inline edge lists for populations
         assert world.graph is not None
         for node in world.graph.intersections(INTERSECTION_DEGREE):
             out.append(NodePos(node))
-    else:
-        raise EngineError(f"{type_name}: unsupported creational strategy")
     return out, None
 
 
@@ -489,11 +487,10 @@ def _place_at(world: World, x: float, y: float, type_name: str, line: int | None
         if not (0 <= cx < topo.width and 0 <= cy < topo.height):
             raise EngineError(f"{where}: position ({x:g}, {y:g}) outside the {topo.width}x{topo.height} grid")
         return (cx, cy)
-    if isinstance(topo, mm.CartesianTopology):
-        if not (topo.x_min <= x <= topo.x_max and topo.y_min <= y <= topo.y_max):
-            raise EngineError(f"{where}: position ({x:g}, {y:g}) outside the cartesian bounds")
-        return (float(x), float(y))
-    raise EngineError(f"{where}: explicit coordinates require a grid or cartesian environment")
+    # Cartesian: validation rules out explicit positions and point files on graphs.
+    if not (topo.x_min <= x <= topo.x_max and topo.y_min <= y <= topo.y_max):
+        raise EngineError(f"{where}: position ({x:g}, {y:g}) outside the cartesian bounds")
+    return (float(x), float(y))
 
 
 def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
@@ -568,8 +565,8 @@ def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
 
 
 def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec, flow: mm.CapabilityRef) -> None:
-    if not isinstance(agent.position, NodePos) or world.graph is None:
-        raise EngineError(f"agent:{spec.name}: flow control requires the agent to sit on a graph node")
+    # Validation puts flow control on graphs only, on agents without mobility,
+    # so the controller sits on the node it was created at.
     node = agent.position.node
     capacities: dict[str, int] = {}
     if flow.streams is None:
@@ -663,13 +660,12 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
         if topo.wrap:
             return (nx % topo.width, ny % topo.height)
         return (min(max(nx, 0), topo.width - 1), min(max(ny, 0), topo.height - 1))
-    if isinstance(topo, mm.CartesianTopology):
-        angle = rng.random() * 2.0 * math.pi
-        x, y = agent.position  # type: ignore[misc]
-        nx = min(max(x + math.cos(angle) * step, topo.x_min), topo.x_max)
-        ny = min(max(y + math.sin(angle) * step, topo.y_min), topo.y_max)
-        return (nx, ny)
-    return agent.position
+    # Cartesian: graph agents take no random-walk step (``World.walk_steps``).
+    angle = rng.random() * 2.0 * math.pi
+    x, y = agent.position  # type: ignore[misc]
+    nx = min(max(x + math.cos(angle) * step, topo.x_min), topo.x_max)
+    ny = min(max(y + math.sin(angle) * step, topo.y_min), topo.y_max)
+    return (nx, ny)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +690,8 @@ def _scan_ids(world: World, position, radius: float, exclude: int | None) -> lis
     for item_id in ids:
         if item_id == exclude:
             continue
-        item = world.agents.get(item_id) or world.entities.get(item_id)
-        if item is not None and world.distance(position, item.position) <= radius:
+        item = world.agents.get(item_id) or world.entities[item_id]
+        if world.distance(position, item.position) <= radius:
             out.append(item_id)
     return sorted(out)
 

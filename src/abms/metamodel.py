@@ -453,9 +453,10 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
                 add("error", path, "OSM-based creation requires a graph environment loaded from OSM")
             elif graph.source.path != strategy.path:
                 add("error", path, "OSM-based creation must reference the environment's OSM file")
-    if isinstance(strategy, FixedCountStrategy) and strategy.placement is not None:
-        if model.graph_topology() is not None:
-            add("error", path, "explicit positions require a grid or cartesian environment")
+    explicit = isinstance(strategy, FixedCountStrategy) and strategy.placement is not None
+    if (explicit or isinstance(strategy, GisPointsStrategy)) and model.graph_topology() is not None:
+        add("error", path, "explicit positions require a grid or cartesian environment")
+    if explicit:
         env = envs[None, False]
         for j, (x_expr, y_expr) in enumerate(strategy.placement):
             for coord in (x_expr, y_expr):
@@ -578,6 +579,8 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
         add("error", path, "at most one mobility capability per agent type")
     if counts.get("flow_control", 0) > 1:
         add("error", path, "at most one flow_control capability per agent type")
+    if has_graph and counts.get("flow_control") and counts.get("mobility"):
+        add("error", path, "a flow-control agent must stay on its graph node, so it cannot have mobility")
     if counts.get("reinforcement_learning", 0) > 1:
         add("error", path, "at most one learning capability per agent type")
     fixed_plan = next(

@@ -99,6 +99,24 @@ class TestValidate:
         assert [d.message for d in mm.validate(model).errors()] == [message]
 
     @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "create fixed 2 random\n    capability mobility random_walk step 1\n    capability flow_control streams auto",
+                "a flow-control agent must stay on its graph node, so it cannot have mobility",
+            ),
+            ('create gis "natives.points"', "explicit positions require a grid or cartesian environment"),
+        ],
+        ids=["flow control with mobility", "point file"],
+    )
+    def test_graph_rejects_what_cannot_be_placed_on_a_node(self, body, message):
+        model = model_from(
+            "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
+            f"  agent Car {{\n    {body}\n  }}\n}}\n"
+        )
+        assert [(d.path, d.message) for d in mm.validate(model).errors()] == [("agent:Car", message)]
+
+    @pytest.mark.parametrize(
         "probability, message",
         [
             ("nope", "abort probability: unknown attribute 'nope'"),
