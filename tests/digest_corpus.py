@@ -135,6 +135,92 @@ model inline_grid_custom {
 }
 """
 
+# Vehicles carry a disease on a graph, so transmission scans every instance
+# and measures from edge and queue positions; vehicles and signal controllers
+# die, leaving queues and intersections; a death rule tests a plan's phase.
+INLINE_GRAPH_DISEASE = """
+model inline_graph_disease {
+  environment graph from edges {
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 100 100
+    node e 100 -100
+    edge a b 100
+    edge b c 100
+    edge b d 100
+    edge b e 100
+    edge c d 140
+  }
+  agent Car {
+    create fixed 40 random
+    capability mobility random_walk step 25
+    capability disease flu
+  }
+  agent Light {
+    create fixed 4 random
+    attr waited integer
+    capability flow_control streams auto
+    capability state_machine Cycle
+    capability disease blight
+  }
+  plan Cycle {
+    phase p1 green s0 duration 3
+    phase p2 green s1 s2 duration 2
+  }
+  disease flu model SIR {
+    transmission proximity 60 probability 0.2
+    duration I probabilistic rate 0.1
+    mortality I rate 0.05 every_timeunit
+  }
+  disease blight model SIR {
+    transmission contact probability 0.5
+    duration I deterministic 30
+    mortality I rate 0.2 when_condition Cycle is p2
+  }
+  introduce flu deterministic 6 arbitrary aperiodic
+  introduce blight deterministic 2 arbitrary aperiodic
+  output o every 1 to "o.csv" {
+    series lights count(Light)
+    series red count(Light where Cycle is p1)
+    series waited sum(Light, waited)
+  }
+}
+"""
+
+# Villagers read boolean and text attributes from a point file; attributes
+# without a default start at zero; a guard counts an entity population.
+INLINE_POINTS = """
+model inline_points {
+  environment cartesian 0..20 0..20
+  agent Villager {
+    create gis "villagers.points"
+    attr vaccinated boolean
+    attr clan text
+    attr visits integer
+    capability mobility random_walk step 1
+    capability disease pox
+    capability state_machine chores
+  }
+  entity Well {
+    create fixed 3 at (5, 5) (10, 10) (15, 15)
+    attr depth real
+  }
+  machine chores {
+    initial home
+    state home
+    state fetching
+    transition home fetching probabilistic rate 0.3 guard count(Well where depth == 0.0) > 2 and clan == "north"
+    transition fetching home deterministic 2 guard visits == 0
+  }
+  disease pox model SIR {
+    transmission proximity 4 probability 0.35
+    duration I deterministic 5
+  }
+  introduce pox deterministic 2 eligible not vaccinated and clan != "east" aperiodic
+}
+"""
+
 
 def corpus() -> list[tuple[str, object, Path]]:
     """(name, model, base directory) for every pinned stream."""
@@ -143,7 +229,7 @@ def corpus() -> list[tuple[str, object, Path]]:
         ("fixture_traffic", parse_model((FIXTURES / "traffic.abms").read_text(encoding="utf-8")), FIXTURES),
     ]
     models += [(f"generated_{seed}", random_text_model(seed), FIXTURES) for seed in GENERATED_SEEDS]
-    for text in (INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM):
+    for text in (INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS):
         model = parse_model(text)
         models.append((model.name, model, FIXTURES))
     return models
