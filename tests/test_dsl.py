@@ -10,7 +10,7 @@ from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
 from abms.dsl import format_model, parse, parse_model
-from abms.dsl.lexer import tokenize
+from abms.dsl.lexer import KEYWORDS, tokenize
 
 from digest_corpus import corpus as digest_models
 from netlogo_corpus import INLINE_COMPOSITE
@@ -318,6 +318,11 @@ class TestLexer:
         assert [(t.type, t.line, t.col) for t in tokenize("")] == [("eof", 1, 1)]
         eof = tokenize("a\n bc\n  ")[-1]
         assert (eof.line, eof.col, eof.end_line, eof.end_col) == (3, 3, 3, 3)
+
+    def test_docs_list_the_reserved_keywords(self):
+        docs = (FIXTURES.parent / "docs" / "language.md").read_text(encoding="utf-8")
+        block = docs.split("## Reserved keywords")[1].split("```")[1]
+        assert block.split() == sorted(KEYWORDS)
 
     def test_unterminated_string_stops_at_line_end(self):
         tokens = tokenize('"ab\ncd')
