@@ -676,7 +676,8 @@ def _scan_ids(world: World, position, radius: float, exclude: int | None) -> lis
     """Agent and entity ids within Euclidean distance ``radius`` of
     ``position`` (toroidal on wrapped grids), ascending, without ``exclude``.
     On a grid or cartesian space only the cells within reach are read, each
-    once, so no radius costs more than reading every cell."""
+    once, so no radius costs more than reading every cell.  The cell index,
+    like ``agents`` and ``entities``, holds only live ids."""
     if world.cell_bounds is not None and isinstance(position, tuple):
         reach = int(math.floor(radius)) + 1
         (x_low, x_high), (y_low, y_high) = world.cell_bounds
