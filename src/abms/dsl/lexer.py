@@ -89,7 +89,7 @@ def tokenize(text: str) -> list[Token]:
             col = len(raw) - raw.rfind("\n")
         else:
             col += len(raw)
-        if kind == "ws" or kind == "comment":
+        if kind in ("ws", "comment"):
             continue
         value: object = raw
         if kind == "ident":
