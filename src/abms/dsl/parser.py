@@ -768,16 +768,19 @@ class _Parser:
         """Precedence climbing over :data:`expr.PRECEDENCE`: an expression whose
         operators all bind at least as tightly as ``min_prec``.  Binary
         operators are left-associative, and after a comparison or ``is`` only a
-        looser operator (``and``, ``or``) may follow."""
+        looser operator (``and``, ``or``) may follow.  After each operator only
+        one at its level or looser may follow (only a looser one after a
+        comparison, ``is`` or a prefix), so what an operand refused stays refused."""
         tok = self.peek()
         prefix = ex.PREC_NEG if tok.text == "-" else ex.PREC_NOT if tok.text == "not" else None
         if prefix is not None and min_prec <= prefix:
             self.next()
             operand = self.parse_expr(prefix)
             left: ex.Expr = ex.Unary(tok.text, operand, span=tok.span(self.file).merge(operand.span))
+            limit = prefix
         else:
             left = self.parse_primary()
-        limit = ex.PREC_ATOM
+            limit = ex.PREC_ATOM
         while True:
             tok = self.peek()
             # Only keyword and punctuation tokens spell an operator: the text of a
@@ -786,8 +789,7 @@ class _Parser:
             if not min_prec <= prec < limit:
                 return left
             self.next()
-            if prec == ex.PREC_CMP:
-                limit = ex.PREC_CMP
+            limit = prec if prec == ex.PREC_CMP else prec + 1
             if tok.text == "is":
                 state = str(self.expect_ident("state name").value)
                 if not (isinstance(left, ex.AttrRef) and left.owner is None):

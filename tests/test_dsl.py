@@ -388,6 +388,12 @@ class TestExpressionGrammar:
             ("a < b < c", [[[5, 7, 5, 8], ["'series'"], "'<'", "expected 'series', found '<'"]]),
             ("x is S + 1", [[[5, 8, 5, 9], ["'series'"], "'+'", "expected 'series', found '+'"]]),
             ("a < not b", [[[5, 5, 5, 8], ["expression"], "'not'", "expected expression, found 'not'"]]),
+            # An operand that stops at a second comparison leaves it to no outer operator.
+            ("a and b < c < d", [[[5, 13, 5, 14], ["'series'"], "'<'", "expected 'series', found '<'"]]),
+            ("not a < b < c", [[[5, 11, 5, 12], ["'series'"], "'<'", "expected 'series', found '<'"]]),
+            ("a or b == c == d", [[[5, 13, 5, 15], ["'series'"], "'=='", "expected 'series', found '=='"]]),
+            ("a or x is S + 1", [[[5, 13, 5, 14], ["'series'"], "'+'", "expected 'series', found '+'"]]),
+            ("a and x is S is T", [[[5, 14, 5, 16], ["'series'"], "'is'", "expected 'series', found 'is'"]]),
             (
                 "(a + b) is S",
                 [[[5, 9, 5, 11], [], "'is'", "the left side of 'is' must name a disease or state machine"]],
