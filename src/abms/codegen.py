@@ -289,13 +289,9 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         body.append("  ]")
         body.append("]")
         body.append("file-close")
-    elif isinstance(creation, mm.OsmGraphStrategy):
+    else:  # OSM: validation rules out inline edge lists for populations
         body.append("; one controller per junction with degree >= 3")
         body.append(f"create-{plural} count-intersections [")
-        body.extend("  " + line for line in init)
-        body.append("]")
-    else:
-        body.append(f"create-{plural} 0 [")
         body.extend("  " + line for line in init)
         body.append("]")
     e.proc(f"setup-{name}s", body, procs)

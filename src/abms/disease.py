@@ -237,7 +237,7 @@ class Candidate:
     id: int
     is_entity: bool
     type_name: str
-    ctx: ex.Context
+    source: ex.Context  # the agent or entity itself
     disease_state: str | None  # agents: current compartment for this disease
 
 
@@ -266,7 +266,7 @@ def attempt_transmission(
                 continue
         elif cand.disease_state not in infectious:
             continue
-        if spec.condition is not None and not ex.evaluate_condition(spec.condition, cand.ctx):
+        if spec.condition is not None and not ex.evaluate_condition(spec.condition, cand.source):
             continue
         if rng.random() < probability:
             return True

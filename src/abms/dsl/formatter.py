@@ -69,7 +69,8 @@ def _expr(expr: ex.Expr) -> tuple[str, int]:
         return (f"-{format_expr(expr.operand, ex.PREC_NEG)}", ex.PREC_NEG)
     if isinstance(expr, ex.Binary):
         prec = ex.PRECEDENCE[expr.op]
-        left = format_expr(expr.left, prec)
+        # A comparison does not chain, so one on its left keeps its parentheses.
+        left = format_expr(expr.left, prec + 1 if prec == ex.PREC_CMP else prec)
         right = format_expr(expr.right, prec + 1)
         return (f"{left} {expr.op} {right}", prec)
     raise TypeError(f"cannot format {type(expr).__name__}")

@@ -15,6 +15,9 @@ runs six phase functions:
   6. ``_sampling_phase``: output sampling when the tick hits an interval
 
 Reordering these phases is a breaking change for reproducibility.
+
+Agents, entities and the world are themselves the contexts expressions are
+evaluated in (they implement the ``expr.Context`` hooks).
 """
 
 from __future__ import annotations
@@ -97,25 +100,59 @@ class LearnerState:
 
 
 @dataclass
-class AgentInstance:
+class _Instance(ex.Context):
+    """What agents and entities share: each is the context its own
+    expressions are evaluated in, resolving a name against its own
+    attributes first, then the world's."""
+
+    # Weak, because the world owns its instances: a cycle would keep a dropped
+    # world alive until the cyclic collector runs.
+    world: "World" = field(repr=False, compare=False)  # a weakref.proxy
     id: int
     type_name: str
     position: object
     attrs: dict[str, object] = field(default_factory=dict)
+
+    controller = None  # only agents control flow
+
+    def attribute(self, owner, name):
+        if owner is not None and owner != self.type_name:
+            raise EvalError(f"'{owner}.{name}' does not resolve on {self.type_name}")
+        if name in self.attrs:
+            return self.attrs[name]
+        if name == "stopped" and self.controller is not None:
+            return controller_stopped(self.world, self.controller)
+        return self.world.attribute(None, name)
+
+    def population(self, type_name: str):
+        return self.world.population(type_name)
+
+
+@dataclass
+class AgentInstance(_Instance):
     machines: dict[str, sm.MachineInstance] = field(default_factory=dict)
     diseases: dict[str, sm.MachineInstance] = field(default_factory=dict)
     controller: ControllerState | None = None
     speed: float = 0.0  # vehicles: length units per tick
-    ctx: "AgentContext" = field(init=False, repr=False, compare=False)  # set on creation
+
+    def machine_state(self, name: str) -> str:
+        if name in self.diseases:
+            return self.diseases[name].current
+        if name in self.machines:
+            return self.machines[name].current
+        ctrl = self.controller
+        if ctrl is not None and ctrl.plan is not None and ctrl.plan.name == name and ctrl.machine is not None:
+            return ctrl.machine.current
+        raise EvalError(f"no state machine or disease named '{name}' on this agent")
 
 
-@dataclass
-class EntityInstance:
-    id: int
-    type_name: str
-    position: object
-    attrs: dict[str, object] = field(default_factory=dict)
-    ctx: "EntityContext" = field(init=False, repr=False, compare=False)  # set on creation
+class EntityInstance(_Instance):
+    """A placed entity: a position and attributes, no behaviour."""
+
+
+# The bench's ``engine.agent_contexts`` counter and the once-per-instance tests
+# wrap these names' ``__init__``: each instance is its own context.
+AgentContext, EntityContext = AgentInstance, EntityInstance
 
 
 @dataclass(frozen=True)
@@ -145,8 +182,9 @@ def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
     )
 
 
-class World:
-    """Mutable simulation state; advanced in place by :func:`tick`."""
+class World(ex.Context):
+    """Mutable simulation state, advanced in place by :func:`tick`; the
+    context of world-level expressions (placements and output series)."""
 
     def __init__(self, model: mm.Model, config: RunConfig):
         assert model.environment is not None
@@ -176,7 +214,7 @@ class World:
         self.entities: dict[int, EntityInstance] = {}
         self.graph: Graph | None = None
         self.queues: dict[tuple[str, str], list[int]] = {}
-        self.controllers_by_node: dict[str, int] = {}
+        self.controllers_by_node: dict[str, ControllerState] = {}
         self.created: dict[str, int] = {}
         self.dead: dict[str, int] = {}
         self.deaths_by_disease: dict[str, int] = {}
@@ -185,7 +223,20 @@ class World:
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
         self._cells: dict[tuple[int, int], set[int]] = {}
-        self.context = WorldContext(self)
+
+    # -- evaluation context -----------------------------------------------------
+
+    def attribute(self, owner, name):
+        if owner is None and name == "tick":
+            return self.tick
+        raise EvalError(f"unknown attribute '{name}'")
+
+    def population(self, type_name: str):
+        if type_name in self.agent_type_names:
+            return [agent for agent in self.agents.values() if agent.type_name == type_name]
+        if type_name in self.entity_type_names:
+            return [entity for entity in self.entities.values() if entity.type_name == type_name]
+        raise EvalError(f"unknown population '{type_name}'")
 
     # -- ids and spatial index ------------------------------------------------
 
@@ -226,12 +277,11 @@ class World:
         assert self.graph is not None
         if isinstance(position, (NodePos, QueuePos)):
             return self.graph.nodes[position.node]
-        if isinstance(position, EdgePos):
-            sx, sy = self.graph.nodes[position.source]
-            txx, tyy = self.graph.nodes[position.target]
-            frac = 1.0 - (position.remaining / position.total) if position.total else 1.0
-            return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
-        raise EngineError(f"position {position!r} has no coordinates")
+        # Every other position is an EdgePos.
+        sx, sy = self.graph.nodes[position.source]
+        txx, tyy = self.graph.nodes[position.target]
+        frac = 1.0 - (position.remaining / position.total) if position.total else 1.0
+        return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
 
     def distance(self, a, b) -> float:
         ax, ay = self.coords(a)
@@ -287,72 +337,6 @@ class World:
                 put(f"{label}:{key}={counter[key]}")
         put(f"arrivals={self.arrivals}")
         return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Evaluation contexts
-
-
-class WorldContext(ex.Context):
-    # Contexts refer to their world and instance weakly: the world owns them, and
-    # a cycle would keep a dropped world alive until the cyclic collector runs.
-    def __init__(self, world: World):
-        self.world = weakref.proxy(world)
-
-    def attribute(self, owner, name):
-        if owner is None and name == "tick":
-            return self.world.tick
-        raise EvalError(f"unknown attribute '{name}'")
-
-    def population(self, type_name: str):
-        world = self.world
-        if type_name in world.agent_type_names:
-            return [agent.ctx for agent in world.agents.values() if agent.type_name == type_name]
-        if type_name in world.entity_type_names:
-            return [entity.ctx for entity in world.entities.values() if entity.type_name == type_name]
-        raise EvalError(f"unknown population '{type_name}'")
-
-
-class AgentContext(WorldContext):
-    def __init__(self, world: World, agent: AgentInstance):
-        super().__init__(world)
-        self.agent = weakref.proxy(agent)
-
-    def attribute(self, owner, name):
-        if owner is not None and owner != self.agent.type_name:
-            raise EvalError(f"'{owner}.{name}' does not resolve on {self.agent.type_name}")
-        if name in self.agent.attrs:
-            return self.agent.attrs[name]
-        if name == "tick":
-            return self.world.tick
-        if name == "stopped" and self.agent.controller is not None:
-            return controller_stopped(self.world, self.agent.controller)
-        raise EvalError(f"unknown attribute '{name}'")
-
-    def machine_state(self, name: str) -> str:
-        if name in self.agent.diseases:
-            return self.agent.diseases[name].current
-        if name in self.agent.machines:
-            return self.agent.machines[name].current
-        ctrl = self.agent.controller
-        if ctrl is not None and ctrl.plan is not None and ctrl.plan.name == name and ctrl.machine is not None:
-            return ctrl.machine.current
-        raise EvalError(f"no state machine or disease named '{name}' on this agent")
-
-
-class EntityContext(WorldContext):
-    def __init__(self, world: World, entity: EntityInstance):
-        super().__init__(world)
-        self.entity = weakref.proxy(entity)
-
-    def attribute(self, owner, name):
-        if owner is not None and owner != self.entity.type_name:
-            raise EvalError(f"'{owner}.{name}' does not resolve on {self.entity.type_name}")
-        if name in self.entity.attrs:
-            return self.entity.attrs[name]
-        if name == "tick":
-            return self.world.tick
-        raise EvalError(f"unknown attribute '{name}'")
 
 
 def _checked(world: World, path: str, fn, *args):
@@ -462,8 +446,8 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
         else:
             spots = []
             for x_expr, y_expr in strategy.placement:
-                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, world.context)
-                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, world.context)
+                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, world)
+                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, world)
                 spots.append(_place_at(world, x, y, type_name))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
@@ -502,7 +486,7 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
             )
         elif attr.default is not None:
             evaluate = ex.evaluate_number if attr.kind in ex.NUMERIC else ex.evaluate
-            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, instance.ctx)
+            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, instance)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
@@ -516,8 +500,7 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
 def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"entity:{spec.name}")
     for i, position in enumerate(positions):
-        entity = EntityInstance(world.new_id(), spec.name, position)
-        entity.ctx = EntityContext(world, entity)
+        entity = EntityInstance(weakref.proxy(world), world.new_id(), spec.name, position)
         point = points[i] if points is not None else None
         _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
@@ -528,8 +511,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"agent:{spec.name}")
     model = world.model
     for i, position in enumerate(positions):
-        agent = AgentInstance(world.new_id(), spec.name, position)
-        agent.ctx = AgentContext(world, agent)
+        agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
         for cap in spec.capabilities:
             if cap.kind == "disease" and cap.target:
                 agent.diseases[cap.target] = sm.instantiate(world.diseases[cap.target].machine)
@@ -544,7 +526,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         if mobility is not None and world.graph is not None:
             agent.speed = _checked(
                 world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
-                mobility.parameters["step"], agent.ctx,
+                mobility.parameters["step"], agent,
             )
             if agent.speed <= 0:
                 raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")
@@ -588,7 +570,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
                 capacities[frm] = stream.capacity
     ctrl = ControllerState(node=node, streams=froms, stream_ids=ids, capacities=capacities)
     agent.controller = ctrl
-    world.controllers_by_node.setdefault(node, agent.id)
+    world.controllers_by_node.setdefault(node, ctrl)
     machine_cap = spec.capability("state_machine")
     if machine_cap is not None and machine_cap.target in world.plans:
         _controller_set_plan(world, ctrl, machine_cap.target)
@@ -631,7 +613,7 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
         return
     disease = world.diseases[intro.disease]
     pool = [
-        (aid, agent.ctx)
+        (aid, agent)
         for aid, agent in world.agents.items()
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
@@ -649,7 +631,7 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
     """New position for one random-walk step (graph agents move in phase 4)."""
     topo = world.topology
     path = f"agent:{agent.type_name}: mobility step"
-    step = _checked(world, path, ex.evaluate_number, step_expr, agent.ctx, 0, None, "step")
+    step = _checked(world, path, ex.evaluate_number, step_expr, agent, 0, None, "step")
     if isinstance(topo, mm.GridTopology):
         # 8-neighborhood plus "stay", all nine outcomes equally likely.
         pick = rng.randrange(9)
@@ -753,13 +735,13 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
             agent.position = new_pos
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
-            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent.ctx, world.rng)
+            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
             ctrl.ticks_in_cycle += 1
             if moved is not None:
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
             if not inst.terminated:
-                _checked(world, f"machine:{name}", sm.step, inst, agent.ctx, world.rng)
+                _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)
         for disease_name, inst in agent.diseases.items():
             if not inst.terminated and (aid, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
@@ -770,19 +752,18 @@ def _disease_step(
     world: World, agent: AgentInstance, inst: sm.MachineInstance, disease: ResolvedDisease, changes: DiseaseChanges
 ) -> None:
     disease_name = disease.spec.name
-    ctx = agent.ctx
     # Per-tick death rates apply in any compartment, before transmission or
     # progression can move the agent on.
     tick_rules = disease.tick_rules.get(inst.current)
     if tick_rules:
-        if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, ctx, world.tick, world.rng):
+        if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, agent, world.tick, world.rng):
             changes.dying.append((agent.id, disease_name))
             return
     t = disease.spec.transmission
     if inst.current == disease.susceptible and t is not None:
         radius = 0.0
         if t.interaction == dz.PROXIMITY and t.distance is not None:
-            radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, ctx)
+            radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, agent)
             if radius <= 0:
                 raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")
         candidates = []
@@ -790,17 +771,17 @@ def _disease_step(
             other = world.agents.get(cid)
             if other is not None:
                 state = other.diseases[disease_name].current if disease_name in other.diseases else None
-                candidates.append(dz.Candidate(cid, False, other.type_name, other.ctx, state))
+                candidates.append(dz.Candidate(cid, False, other.type_name, other, state))
             else:
                 entity = world.entities[cid]
-                candidates.append(dz.Candidate(cid, True, entity.type_name, entity.ctx, None))
+                candidates.append(dz.Candidate(cid, True, entity.type_name, entity, None))
         if _checked(
-            world, disease.transmission_path, dz.attempt_transmission, ctx, candidates, t, disease.infectious, world.rng
+            world, disease.transmission_path, dz.attempt_transmission, agent, candidates, t, disease.infectious, world.rng
         ):
             changes.infections.append((agent.id, disease_name, disease.target))
         return
     snapshot = inst.clone()
-    _checked(world, disease.path, sm.step, snapshot, ctx, world.rng)
+    _checked(world, disease.path, sm.step, snapshot, agent, world.rng)
     changes.updates.append((agent.id, disease_name, snapshot))
 
 
@@ -827,10 +808,9 @@ def _remove_agent(world: World, aid: int) -> None:
         queue = world.queues.get((agent.position.node, agent.position.from_node))
         if queue and aid in queue:
             queue.remove(aid)
-    if agent.controller is not None:
-        node = agent.controller.node
-        if world.controllers_by_node.get(node) == aid:
-            del world.controllers_by_node[node]
+    ctrl = agent.controller
+    if ctrl is not None and world.controllers_by_node.get(ctrl.node) is ctrl:
+        del world.controllers_by_node[ctrl.node]
 
 
 def _vehicle_phase(world: World) -> None:
@@ -848,8 +828,8 @@ def _vehicle_phase(world: World) -> None:
             agent.position = EdgePos(pos.source, pos.target, remaining, pos.total)
             continue
         queue_key = (pos.target, pos.source)
-        ctrl_id = world.controllers_by_node.get(pos.target)
-        capacity = world.agents[ctrl_id].controller.capacities.get(pos.source) if ctrl_id is not None else None
+        ctrl = world.controllers_by_node.get(pos.target)
+        capacity = ctrl.capacities.get(pos.source) if ctrl is not None else None
         queue = world.queues.setdefault(queue_key, [])
         if capacity is not None and len(queue) >= capacity:
             agent.position = EdgePos(pos.source, pos.target, 0, pos.total)  # blocked; retry next tick
@@ -859,8 +839,7 @@ def _vehicle_phase(world: World) -> None:
         world.arrivals += 1
     # Service: one vehicle per stream per tick, green or uncontrolled only.
     for node in graph.sorted_nodes():
-        ctrl_id = world.controllers_by_node.get(node)
-        ctrl = world.agents[ctrl_id].controller if ctrl_id is not None else None
+        ctrl = world.controllers_by_node.get(node)
         for from_node in graph.neighbors(node):
             queue = world.queues.get((node, from_node))
             if not queue:
@@ -883,7 +862,7 @@ def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
     if learner.spec.reward is not None:
-        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, agent.ctx)
+        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, agent)
     else:
         reward = -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
@@ -919,7 +898,7 @@ def sample_output(world: World, output: mm.OutputDatasetSpec) -> None:
     row: list = [world.tick]
     for series in output.series:
         path = f"output:{output.name}.series:{series.label}"
-        row.append(_checked(world, path, ex.evaluate_number, series.value, world.context))
+        row.append(_checked(world, path, ex.evaluate_number, series.value, world))
     world.output_rows[output.name].append(row)
 
 

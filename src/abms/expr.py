@@ -412,21 +412,6 @@ def assignable(value_kind: str, target_kind: str) -> bool:
     return False
 
 
-def walk(expr: Expr):
-    """Yield every node of the tree, preorder."""
-    yield expr
-    if isinstance(expr, Aggregate):
-        if expr.predicate is not None:
-            yield from walk(expr.predicate)
-        if expr.value is not None:
-            yield from walk(expr.value)
-    elif isinstance(expr, Unary):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-
-
 def literal_number(expr: Expr) -> float | None:
     """The numeric value of a (possibly negated) literal, else None."""
     if isinstance(expr, Literal) and expr.kind in NUMERIC:

@@ -270,9 +270,6 @@ class ValidationReport:
     def __iter__(self):
         return iter(self.diagnostics)
 
-    def __len__(self) -> int:
-        return len(self.diagnostics)
-
 
 class _Collector:
     def __init__(self) -> None:
@@ -454,8 +451,15 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
             elif graph.source.path != strategy.path:
                 add("error", path, "OSM-based creation must reference the environment's OSM file")
     explicit = isinstance(strategy, FixedCountStrategy) and strategy.placement is not None
-    if (explicit or isinstance(strategy, GisPointsStrategy)) and model.graph_topology() is not None:
+    graph = model.graph_topology()
+    if (explicit or isinstance(strategy, GisPointsStrategy)) and graph is not None:
         add("error", path, "explicit positions require a grid or cartesian environment")
+    elif (
+        isinstance(strategy, FixedCountStrategy) and strategy.count > 0
+        and graph is not None and isinstance(graph.source, InlineEdgeListStrategy)
+        and not (graph.source.nodes or graph.source.edges)
+    ):
+        add("error", path, "cannot place agents on an empty graph")
     if explicit:
         env = envs[None, False]
         for j, (x_expr, y_expr) in enumerate(strategy.placement):
@@ -811,18 +815,15 @@ class ConcernView:
     plans: frozenset[str]
     outputs: frozenset[str]
 
-    def element_names(self) -> frozenset[str]:
-        return self.agent_types | self.entity_types | self.diseases | self.machines | self.plans | self.outputs
-
 
 _EXPR_NODES = typing.get_args(ex.Expr)
 
 
 def _expressions(spec: object):
-    """Every expression tree held in ``spec``'s fields, at any depth."""
+    """Every expression node held in ``spec``'s fields, at any depth."""
     if isinstance(spec, _EXPR_NODES):
         yield spec
-    elif dataclasses.is_dataclass(spec):
+    if dataclasses.is_dataclass(spec):
         for f in dataclasses.fields(spec):
             yield from _expressions(getattr(spec, f.name))
     elif isinstance(spec, (list, tuple, dict)):
@@ -843,14 +844,13 @@ def _direct_references(spec: object) -> set[str]:
                 refs.update(cap.qlearning.plans)
     elif isinstance(spec, dz.DiseaseModelSpec) and spec.transmission is not None:
         refs.update(spec.transmission.sources)
-    for tree in _expressions(spec):
-        for node in ex.walk(tree):
-            if isinstance(node, ex.Aggregate):
-                refs.add(node.population)
-            elif isinstance(node, ex.StateTest):
-                refs.add(node.machine)
-            elif isinstance(node, ex.AttrRef) and node.owner is not None:
-                refs.add(node.owner)
+    for node in _expressions(spec):
+        if isinstance(node, ex.Aggregate):
+            refs.add(node.population)
+        elif isinstance(node, ex.StateTest):
+            refs.add(node.machine)
+        elif isinstance(node, ex.AttrRef) and node.owner is not None:
+            refs.add(node.owner)
     return refs
 
 

@@ -77,9 +77,6 @@ class QTable:
     def items(self):
         return self._values.items()
 
-    def __len__(self) -> int:
-        return len(self._values)
-
 
 def plan_to_machine(plan: PlanSpec) -> sm.StateMachineSpec:
     """Cyclic machine over the plan's phases; a single phase self-loops."""

@@ -185,6 +185,24 @@ class TestFormat:
         text = format_model(model)
         assert parse_model(text).outputs[0].series[0].value == tricky
 
+    @pytest.mark.parametrize("value", [
+        "count(A where (tick < 3) == true)",
+        "count(A where (x > 0) != (tick > 1))",
+        "count(A where (m is S) == true)",
+    ])
+    def test_comparison_operand_keeps_parentheses(self, value):
+        text = (
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 2 random\n    attr x integer = 1\n    capability state_machine m\n  }\n"
+            "  machine m {\n    initial S\n    state S\n    state T\n    transition S T deterministic 2\n  }\n"
+            f'  output o every 1 to "o.csv" {{\n    series v {value}\n  }}\n}}\n'
+        )
+        model = parse_model(text)
+        assert mm.validate(model).ok()
+        formatted = format_model(model)
+        assert value in formatted
+        assert parse_model(formatted) == model
+
 
 class TestRoundTripGenerated:
     def test_generated_models_round_trip(self):

@@ -8,7 +8,7 @@ from abms import engine
 from abms import expr as ex
 from abms import metamodel as mm
 from abms.dsl import parse_model
-from abms.errors import AbmsError, EngineError, FileFormatError
+from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -45,6 +45,48 @@ def cfg(tmp_path, **kw):
     base = dict(seed=42, max_ticks=10, out_dir=tmp_path, base_dir=tmp_path)
     base.update(kw)
     return engine.RunConfig(**base)
+
+
+class TestNameResolution:
+    """Agents, entities and the world resolve names themselves, with the
+    run-time messages the validator otherwise reports first."""
+
+    MODEL = (
+        "  agent A {\n    create fixed 2 random\n    attr x integer = 2\n    capability state_machine m\n  }\n"
+        "  entity W {\n    create fixed 1 random\n    attr d real = 1.5\n  }\n"
+        "  machine m {\n    initial S\n    state S\n    state T\n    transition S T deterministic 2\n  }"
+    )
+
+    @pytest.mark.parametrize(
+        "target, expr, expected",
+        [
+            ("agent", ex.AttrRef(None, "x"), 2),
+            ("agent", ex.AttrRef("A", "x"), 2),
+            ("agent", ex.AttrRef("A", "tick"), 0),
+            ("agent", ex.AttrRef("W", "d"), "'W.d' does not resolve on A"),
+            ("agent", ex.AttrRef(None, "stopped"), "unknown attribute 'stopped'"),
+            ("agent", ex.StateTest("m", "S"), True),
+            ("agent", ex.StateTest("q", "S"), "no state machine or disease named 'q' on this agent"),
+            ("agent", ex.Aggregate("count", "W", None, None), 1),
+            ("entity", ex.AttrRef(None, "d"), 1.5),
+            ("entity", ex.AttrRef(None, "tick"), 0),
+            ("entity", ex.AttrRef(None, "x"), "unknown attribute 'x'"),
+            ("entity", ex.StateTest("m", "S"), "no state machine or disease named 'm' in this context"),
+            ("world", ex.AttrRef(None, "tick"), 0),
+            ("world", ex.AttrRef("A", "tick"), "unknown attribute 'tick'"),
+            ("world", ex.Aggregate("count", "A", None, None), 2),
+            ("world", ex.Aggregate("count", "Z", None, None), "unknown population 'Z'"),
+        ],
+    )
+    def test_resolution_and_messages(self, tmp_path, target, expr, expected):
+        world = engine.build_world(grid_model(self.MODEL), cfg(tmp_path))
+        context = {"agent": world.agents[0], "entity": world.entities[2], "world": world}[target]
+        if isinstance(expected, str):
+            with pytest.raises(EvalError) as err:
+                ex.evaluate(expr, context)
+            assert err.value.message == expected
+        else:
+            assert ex.evaluate(expr, context) == expected
 
 
 class TestBuildWorld:
@@ -160,6 +202,16 @@ class TestBuildWorld:
             '  agent Car {\n    create fixed 3 random\n    capability mobility random_walk step 10\n  }\n}\n'
         )
         with pytest.raises(FileFormatError, match="node 2: lat/lon must be finite"):
+            engine.build_world(model, cfg(tmp_path))
+
+    def test_osm_file_without_nodes_cannot_place_agents(self, tmp_path):
+        (tmp_path / "e.osm").write_text('<?xml version="1.0"?>\n<osm>\n</osm>\n')
+        model = parse_model(
+            'model t {\n  environment graph from osm "e.osm"\n'
+            '  agent Car {\n    create fixed 3 random\n    capability mobility random_walk step 10\n  }\n}\n'
+        )
+        assert mm.validate(model).ok()
+        with pytest.raises(EngineError, match="^agent:Car: cannot place agents on an empty graph$"):
             engine.build_world(model, cfg(tmp_path))
 
     def test_aperiodic_introduction_applies_at_build(self, tmp_path):

@@ -350,8 +350,12 @@ class TestResolvedOncePerRun:
 
 
 class TestContextsOncePerInstance:
-    """Each agent and entity gets one evaluation context, made when it is
-    created; the tick reuses it instead of building one per use."""
+    """Each agent and entity is its own evaluation context, made when it is
+    created; the tick builds none per use."""
+
+    def test_instances_are_the_contexts(self):
+        assert engine.AgentContext is engine.AgentInstance
+        assert engine.EntityContext is engine.EntityInstance
 
     def count_contexts(self, monkeypatch, tmp_path, fixture, ticks):
         model = parse_model((FIXTURES / f"{fixture}.abms").read_text())

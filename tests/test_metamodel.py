@@ -117,6 +117,20 @@ class TestValidate:
         assert [(d.path, d.message) for d in mm.validate(model).errors()] == [("agent:Car", message)]
 
     @pytest.mark.parametrize(
+        "decl, count, expected",
+        [
+            ("agent Car", 3, [("agent:Car", "cannot place agents on an empty graph")]),
+            ("entity Stop", 3, [("entity:Stop", "cannot place agents on an empty graph")]),
+            ("agent Car", 0, []),
+        ],
+    )
+    def test_random_placement_needs_a_node_on_an_inline_graph(self, decl, count, expected):
+        model = model_from(
+            f"model g {{\n  environment graph from edges {{\n  }}\n  {decl} {{\n    create fixed {count} random\n  }}\n}}\n"
+        )
+        assert [(d.path, d.message) for d in mm.validate(model).errors()] == expected
+
+    @pytest.mark.parametrize(
         "probability, message",
         [
             ("nope", "abort probability: unknown attribute 'nope'"),
@@ -292,7 +306,7 @@ class TestResolveConcern:
 
     def test_empty_concern_gives_empty_view(self):
         view = mm.resolve_concern(self.tutorial(), "empty")
-        assert not view.element_names()
+        assert view == mm.ConcernView("empty", *[frozenset()] * 6)
 
     def test_agent_member_pulls_capability_targets(self):
         view = mm.resolve_concern(self.tutorial(), "people")
