@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import random
 import weakref
@@ -99,15 +100,15 @@ class LearnerState:
     updates: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Instance(ex.Context):
     """What agents and entities share: each is the context its own
     expressions are evaluated in, resolving a name against its own
-    attributes first, then the world's."""
+    attributes first, then the world's.  Instances compare by identity."""
 
     # Weak, because the world owns its instances: a cycle would keep a dropped
     # world alive until the cyclic collector runs.
-    world: "World" = field(repr=False, compare=False)  # a weakref.proxy
+    world: "World" = field(repr=False)  # a weakref.proxy
     id: int
     type_name: str
     position: object
@@ -128,7 +129,7 @@ class _Instance(ex.Context):
         return self.world.population(type_name)
 
 
-@dataclass
+@dataclass(eq=False)
 class AgentInstance(_Instance):
     machines: dict[str, sm.MachineInstance] = field(default_factory=dict)
     diseases: dict[str, sm.MachineInstance] = field(default_factory=dict)
@@ -222,7 +223,7 @@ class World(ex.Context):
         self.arrivals = 0
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
-        self._cells: dict[tuple[int, int], set[int]] = {}
+        self._cells: dict[tuple[int, int], list[_Instance]] = {}  # cell -> its live agents and entities
 
     # -- evaluation context -----------------------------------------------------
 
@@ -247,27 +248,13 @@ class World(ex.Context):
         self._next_id += 1
         return self._next_id - 1
 
-    def _cell_of(self, position) -> tuple[int, int] | None:
-        if isinstance(position, tuple):
-            return (int(math.floor(position[0])), int(math.floor(position[1])))
-        return None  # graph positions are scanned linearly
+    def index_add(self, item: _Instance) -> None:
+        if self.cell_bounds is not None:  # graphs keep no index
+            self._cells.setdefault(_cell_of(item.position), []).append(item)
 
-    def index_add(self, item_id: int, position) -> None:
-        cell = self._cell_of(position)
-        if cell is not None:
-            self._cells.setdefault(cell, set()).add(item_id)
-
-    def index_remove(self, item_id: int, position) -> None:
-        cell = self._cell_of(position)
-        if cell is not None:
-            bucket = self._cells.get(cell)
-            if bucket is not None:
-                bucket.discard(item_id)
-
-    def index_move(self, item_id: int, old, new) -> None:
-        if old != new:
-            self.index_remove(item_id, old)
-            self.index_add(item_id, new)
+    def index_remove(self, item: _Instance) -> None:
+        if self.cell_bounds is not None:
+            self._cells[_cell_of(item.position)].remove(item)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -337,6 +324,10 @@ class World(ex.Context):
                 put(f"{label}:{key}={counter[key]}")
         put(f"arrivals={self.arrivals}")
         return h.hexdigest()
+
+
+def _cell_of(position: tuple) -> tuple[int, int]:
+    return (math.floor(position[0]), math.floor(position[1]))
 
 
 def _checked(world: World, path: str, fn, *args):
@@ -439,7 +430,7 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
                     out.append((x, y))
                 else:
                     assert world.graph is not None
-                    nodes = world.graph.sorted_nodes()
+                    nodes = world.graph.sorted_nodes
                     if not nodes:
                         raise EngineError(f"{type_name}: cannot place agents on an empty graph")
                     out.append(NodePos(nodes[rng.randrange(len(nodes))]))
@@ -456,25 +447,17 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
         return [_place_at(world, p.x, p.y, type_name, line=p.line) for p in points], points
     else:  # OSM: validation rules out inline edge lists for populations
         assert world.graph is not None
-        for node in world.graph.intersections(INTERSECTION_DEGREE):
-            out.append(NodePos(node))
+        out = [NodePos(n) for n in world.graph.sorted_nodes if len(world.graph.adjacency[n]) >= INTERSECTION_DEGREE]
     return out, None
 
 
 def _place_at(world: World, x: float, y: float, type_name: str, line: int | None = None):
-    topo = world.topology
-    where = f"{type_name}" + (f" (point file line {line})" if line else "")
-    if isinstance(topo, mm.GridTopology):
-        cx, cy = int(round(x)), int(round(y))
-        if topo.wrap:
-            cx, cy = cx % topo.width, cy % topo.height
-        if not (0 <= cx < topo.width and 0 <= cy < topo.height):
-            raise EngineError(f"{where}: position ({x:g}, {y:g}) outside the {topo.width}x{topo.height} grid")
-        return (cx, cy)
-    # Cartesian: validation rules out explicit positions and point files on graphs.
-    if not (topo.x_min <= x <= topo.x_max and topo.y_min <= y <= topo.y_max):
-        raise EngineError(f"{where}: position ({x:g}, {y:g}) outside the cartesian bounds")
-    return (float(x), float(y))
+    # Validation rules out explicit positions and point files on graphs.
+    try:
+        return mm.place(world.topology, x, y)
+    except ValueError as err:
+        where = type_name + (f" (point file line {line})" if line else "")
+        raise EngineError(f"{where}: {err}") from None
 
 
 def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
@@ -504,7 +487,7 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
-        world.index_add(entity.id, position)
+        world.index_add(entity)
 
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
@@ -520,7 +503,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
-        world.index_add(agent.id, position)
+        world.index_add(agent)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
         mobility = spec.capability("mobility")
         if mobility is not None and world.graph is not None:
@@ -539,7 +522,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
 def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
     """Start the vehicle on a uniformly random edge out of ``node``, if any."""
     assert world.graph is not None
-    nbrs = world.graph.neighbors(node)
+    nbrs = world.graph.adjacency[node]
     if nbrs:
         target = nbrs[world.rng.randrange(len(nbrs))]
         ticks = max(1, math.ceil(world.graph.edge_length(node, target) / vehicle.speed))
@@ -552,7 +535,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     node = agent.position.node
     capacities: dict[str, int] = {}
     if flow.streams is None:
-        froms = world.graph.neighbors(node)
+        froms = world.graph.adjacency[node]
         ids = [f"s{i}" for i in range(len(froms))]
     else:
         froms, ids = [], []
@@ -654,29 +637,25 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
 # Neighbor queries
 
 
-def _scan_ids(world: World, position, radius: float, exclude: int | None) -> list[int]:
-    """Agent and entity ids within Euclidean distance ``radius`` of
-    ``position`` (toroidal on wrapped grids), ascending, without ``exclude``.
-    On a grid or cartesian space only the cells within reach are read, each
-    once, so no radius costs more than reading every cell.  The cell index,
-    like ``agents`` and ``entities``, holds only live ids."""
-    if world.cell_bounds is not None and isinstance(position, tuple):
-        reach = int(math.floor(radius)) + 1
+def _near(world: World, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
+    """The agents and entities within Euclidean distance ``radius`` of
+    ``position`` (toroidal on wrapped grids), in ascending id order, without
+    ``exclude``.  On a grid or cartesian space only the index cells within
+    reach are read, each once, so no radius costs more than reading every
+    cell; the index, like ``agents`` and ``entities``, holds only live
+    instances.  Graphs keep no index, so there every instance is measured."""
+    if world.cell_bounds is not None:
+        reach = math.floor(radius) + 1
         (x_low, x_high), (y_low, y_high) = world.cell_bounds
         wrap_x, wrap_y = world.wrap or (None, None)
-        cells_x = _axis_cells(int(math.floor(position[0])), reach, x_low, x_high, wrap_x)
-        cells_y = _axis_cells(int(math.floor(position[1])), reach, y_low, y_high, wrap_y)
-        ids = [item_id for gx in cells_x for gy in cells_y for item_id in world._cells.get((gx, gy), ())]
+        cx, cy = _cell_of(position)
+        xs, ys = _axis_cells(cx, reach, x_low, x_high, wrap_x), _axis_cells(cy, reach, y_low, y_high, wrap_y)
+        items = [item for gx in xs for gy in ys for item in world._cells.get((gx, gy), ())]
     else:
-        ids = [*world.agents, *world.entities]
-    out: list[int] = []
-    for item_id in ids:
-        if item_id == exclude:
-            continue
-        item = world.agents.get(item_id) or world.entities[item_id]
-        if world.distance(position, item.position) <= radius:
-            out.append(item_id)
-    return sorted(out)
+        items = [*world.agents.values(), *world.entities.values()]
+    out = [item for item in items if item is not exclude and world.distance(position, item.position) <= radius]
+    out.sort(key=operator.attrgetter("id"))
+    return out
 
 
 def _axis_cells(centre: int, reach: int, low: int, high: int, wrap: int | None):
@@ -719,9 +698,9 @@ def _introduction_phase(world: World) -> set[tuple[int, str]]:
 class DiseaseChanges:
     """Disease outcomes buffered in phase 2 and applied in phase 3."""
 
-    infections: list[tuple[int, str, str]] = field(default_factory=list)  # (agent id, disease, target)
-    updates: list[tuple[int, str, sm.MachineInstance]] = field(default_factory=list)  # stepped snapshots
-    dying: list[tuple[int, str]] = field(default_factory=list)  # (agent id, disease)
+    infections: list[tuple[AgentInstance, str, str]] = field(default_factory=list)  # (agent, disease, target)
+    updates: list[tuple[AgentInstance, str, sm.MachineInstance]] = field(default_factory=list)  # stepped snapshots
+    dying: list[tuple[AgentInstance, str]] = field(default_factory=list)  # (agent, disease)
 
 
 def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseChanges:
@@ -730,9 +709,13 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     for aid, agent in world.agents.items():
         step_expr = world.walk_steps.get(agent.type_name)
         if step_expr is not None:
-            new_pos = mobility_step(world, agent, step_expr, world.rng)
-            world.index_move(aid, agent.position, new_pos)
-            agent.position = new_pos
+            position = mobility_step(world, agent, step_expr, world.rng)
+            if position != agent.position:
+                world.index_remove(agent)
+                agent.position = position
+                world.index_add(agent)
+            else:  # the same cell, but 0.0 and -0.0 compare equal and print apart in the digest
+                agent.position = position
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
             moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
@@ -757,7 +740,7 @@ def _disease_step(
     tick_rules = disease.tick_rules.get(inst.current)
     if tick_rules:
         if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, agent, world.tick, world.rng):
-            changes.dying.append((agent.id, disease_name))
+            changes.dying.append((agent, disease_name))
             return
     t = disease.spec.transmission
     if inst.current == disease.susceptible and t is not None:
@@ -767,47 +750,45 @@ def _disease_step(
             if radius <= 0:
                 raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")
         candidates = []
-        for cid in _scan_ids(world, agent.position, radius, agent.id):
-            other = world.agents.get(cid)
-            if other is not None:
-                state = other.diseases[disease_name].current if disease_name in other.diseases else None
-                candidates.append(dz.Candidate(cid, False, other.type_name, other, state))
+        for other in _near(world, agent.position, radius, agent):
+            if isinstance(other, EntityInstance):
+                candidates.append(dz.Candidate(other.id, True, other.type_name, other, None))
             else:
-                entity = world.entities[cid]
-                candidates.append(dz.Candidate(cid, True, entity.type_name, entity, None))
+                state = other.diseases[disease_name].current if disease_name in other.diseases else None
+                candidates.append(dz.Candidate(other.id, False, other.type_name, other, state))
         if _checked(
             world, disease.transmission_path, dz.attempt_transmission, agent, candidates, t, disease.infectious, world.rng
         ):
-            changes.infections.append((agent.id, disease_name, disease.target))
+            changes.infections.append((agent, disease_name, disease.target))
         return
     snapshot = inst.clone()
     _checked(world, disease.path, sm.step, snapshot, agent, world.rng)
-    changes.updates.append((agent.id, disease_name, snapshot))
+    changes.updates.append((agent, disease_name, snapshot))
 
 
 def _disease_phase(world: World, changes: DiseaseChanges) -> None:
     """Phase 3: apply the buffered disease changes, then remove the dead."""
-    for aid, disease_name, target in changes.infections:
-        sm.force_state(world.agents[aid].diseases[disease_name], target)
+    for agent, disease_name, target in changes.infections:
+        sm.force_state(agent.diseases[disease_name], target)
         world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
-    for aid, disease_name, snapshot in changes.updates:
-        world.agents[aid].diseases[disease_name] = snapshot
+    for agent, disease_name, snapshot in changes.updates:
+        agent.diseases[disease_name] = snapshot
         if snapshot.terminated:
-            changes.dying.append((aid, disease_name))
-    for aid, disease_name in changes.dying:
-        if aid in world.agents:  # the first death recorded for an agent counts
+            changes.dying.append((agent, disease_name))
+    for agent, disease_name in changes.dying:
+        if agent.id in world.agents:  # the first death recorded for an agent counts
             world.deaths_by_disease[disease_name] = world.deaths_by_disease.get(disease_name, 0) + 1
-            _remove_agent(world, aid)
+            _remove_agent(world, agent)
 
 
-def _remove_agent(world: World, aid: int) -> None:
-    agent = world.agents.pop(aid)
-    world.index_remove(aid, agent.position)
+def _remove_agent(world: World, agent: AgentInstance) -> None:
+    del world.agents[agent.id]
+    world.index_remove(agent)
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
     if isinstance(agent.position, QueuePos):
         queue = world.queues.get((agent.position.node, agent.position.from_node))
-        if queue and aid in queue:
-            queue.remove(aid)
+        if queue and agent.id in queue:
+            queue.remove(agent.id)
     ctrl = agent.controller
     if ctrl is not None and world.controllers_by_node.get(ctrl.node) is ctrl:
         del world.controllers_by_node[ctrl.node]
@@ -838,9 +819,9 @@ def _vehicle_phase(world: World) -> None:
         agent.position = QueuePos(pos.target, pos.source)
         world.arrivals += 1
     # Service: one vehicle per stream per tick, green or uncontrolled only.
-    for node in graph.sorted_nodes():
+    for node in graph.sorted_nodes:
         ctrl = world.controllers_by_node.get(node)
-        for from_node in graph.neighbors(node):
+        for from_node in graph.adjacency[node]:
             queue = world.queues.get((node, from_node))
             if not queue:
                 continue

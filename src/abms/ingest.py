@@ -27,41 +27,31 @@ class GisPoint:
     line: int = 0
 
 
+def edge_key(a: str, b: str) -> tuple[str, str]:
+    """The key of the undirected edge a-b in ``Graph.edges``."""
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass
 class Graph:
-    """Undirected road graph with planar node coordinates in meters."""
+    """Undirected road graph with planar node coordinates in meters, complete
+    once built: every node's sorted neighbours and the sorted node list."""
 
-    nodes: dict[str, tuple[float, float]] = field(default_factory=dict)
-    edges: dict[tuple[str, str], float] = field(default_factory=dict)
-    _adjacency: dict[str, list[str]] | None = field(default=None, repr=False, compare=False)
+    nodes: dict[str, tuple[float, float]]
+    edges: dict[tuple[str, str], float]  # by edge_key
+    adjacency: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    sorted_nodes: list[str] = field(init=False, repr=False, compare=False)
 
-    def edge_key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def add_edge(self, a: str, b: str, length: float) -> None:
-        self.edges[self.edge_key(a, b)] = length
-        self._adjacency = None
+    def __post_init__(self) -> None:
+        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for a, b in self.edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        self.adjacency = {n: sorted(s) for n, s in adj.items()}
+        self.sorted_nodes = sorted(self.nodes)
 
     def edge_length(self, a: str, b: str) -> float:
-        return self.edges[self.edge_key(a, b)]
-
-    def neighbors(self, node: str) -> list[str]:
-        if self._adjacency is None:
-            adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-            for a, b in self.edges:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            self._adjacency = {n: sorted(s) for n, s in adj.items()}
-        return self._adjacency.get(node, [])
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
-
-    def intersections(self, minimum_degree: int = 3) -> list[str]:
-        return [n for n in sorted(self.nodes) if self.degree(n) >= minimum_degree]
-
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nodes)
+        return self.edges[edge_key(a, b)]
 
 
 def load_gis_points(path: str | Path) -> list[GisPoint]:
@@ -124,7 +114,7 @@ def load_osm_graph(path: str | Path) -> Graph:
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise FileFormatError(f"{path}: node {node_id}: lat/lon must be finite")
         latlon[node_id] = (lat, lon)
-    graph = Graph()
+    nodes: dict[str, tuple[float, float]] = {}
     if latlon:
         # Local planar projection around the mean latitude keeps Euclidean
         # coordinates consistent with the haversine edge lengths.
@@ -135,7 +125,8 @@ def load_osm_graph(path: str | Path) -> Graph:
         for node_id, (lat, lon) in latlon.items():
             x = math.radians(lon - lon0) * EARTH_RADIUS_M * scale
             y = math.radians(lat - lat_min) * EARTH_RADIUS_M
-            graph.nodes[node_id] = (x, y)
+            nodes[node_id] = (x, y)
+    edges: dict[tuple[str, str], float] = {}
     for way in root.iter("way"):
         tags = {t.attrib.get("k"): t.attrib.get("v") for t in way.iter("tag")}
         if "highway" not in tags:
@@ -146,18 +137,16 @@ def load_osm_graph(path: str | Path) -> Graph:
                 raise FileFormatError(f"{path}: way references unknown node id {ref}")
         for a, b in zip(refs, refs[1:]):
             la, lb = latlon[a], latlon[b]
-            graph.add_edge(a, b, haversine_m(la[0], la[1], lb[0], lb[1]))
-    return graph
+            edges[edge_key(a, b)] = haversine_m(la[0], la[1], lb[0], lb[1])
+    return Graph(nodes, edges)
 
 
 def graph_from_inline(nodes, edges) -> Graph:
     """Graph from inline node/edge declarations (metamodel objects)."""
-    graph = Graph()
-    for node in nodes:
-        graph.nodes[node.name] = (node.x, node.y)
+    coords = {node.name: (node.x, node.y) for node in nodes}
+    lengths: dict[tuple[str, str], float] = {}
     for edge in edges:
         for end in (edge.source, edge.target):
-            if end not in graph.nodes:
-                graph.nodes[end] = (0.0, 0.0)
-        graph.add_edge(edge.source, edge.target, edge.length)
-    return graph
+            coords.setdefault(end, (0.0, 0.0))
+        lengths[edge_key(edge.source, edge.target)] = edge.length
+    return Graph(coords, lengths)

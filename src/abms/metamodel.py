@@ -235,6 +235,22 @@ class Model:
         return None
 
 
+def place(topo: GridTopology | CartesianTopology, x: float, y: float) -> tuple:
+    """Where an instance placed at the finite point (x, y) sits: the nearest
+    cell of a grid (modulo its size when wrapped), or the point itself in a
+    cartesian space.  A ValueError names a position outside the environment."""
+    if isinstance(topo, GridTopology):
+        cx, cy = round(x), round(y)
+        if topo.wrap:
+            cx, cy = cx % topo.width, cy % topo.height
+        if not (0 <= cx < topo.width and 0 <= cy < topo.height):
+            raise ValueError(f"position ({x:g}, {y:g}) outside the {topo.width}x{topo.height} grid")
+        return (cx, cy)
+    if not (topo.x_min <= x <= topo.x_max and topo.y_min <= y <= topo.y_max):
+        raise ValueError(f"position ({x:g}, {y:g}) outside the cartesian bounds")
+    return (float(x), float(y))
+
+
 def creation_order(model: Model) -> list[AgentTypeSpec | EntityTypeSpec]:
     """Agent and entity types in declaration order, the order the engine
     creates them in; types without a source span follow, entities first."""
@@ -374,12 +390,13 @@ def validate(model: Model) -> ValidationReport:
 
 
 def _check_names(model: Model, add: _Collector) -> None:
+    # Ignoring case: the NetLogo emitter lower-cases every name.
     def unique(pairs: list[tuple[str, str]], what: str) -> None:
         seen: set[str] = set()
         for name, path in pairs:
-            if name in seen:
+            if name.lower() in seen:
                 add("error", path, f"duplicate {what} name '{name}'")
-            seen.add(name)
+            seen.add(name.lower())
 
     unique(
         [(a.name, f"agent:{a.name}") for a in model.agent_types]
@@ -462,11 +479,20 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
         add("error", path, "cannot place agents on an empty graph")
     if explicit:
         env = envs[None, False]
+        topo = model.environment.topology if model.environment is not None else None
+        # Literal points are placed as the engine would; a grid without cells is reported elsewhere.
+        placeable = isinstance(topo, CartesianTopology) or (isinstance(topo, GridTopology) and min(topo.width, topo.height) >= 1)
         for j, (x_expr, y_expr) in enumerate(strategy.placement):
             for coord in (x_expr, y_expr):
                 kind = _infer(coord, env, add, path, f"position {j}")
                 if kind is not None and kind not in ex.NUMERIC:
                     add("error", path, f"position {j} must be numeric")
+            point = (ex.literal_number(x_expr), ex.literal_number(y_expr))
+            if placeable and all(v is not None and math.isfinite(v) for v in point):
+                try:
+                    place(topo, *point)
+                except ValueError as err:
+                    add("error", path, str(err))
 
 
 def _check_attributes(owner_path: str, owner_name: str, attributes: list[AttributeSpec], machines, add: _Collector) -> None:
@@ -543,6 +569,8 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
                 value = ex.literal_number(step)
                 if value is not None and value < 0:
                     add("error", cpath, "mobility step must not be negative")
+                if value is not None and value <= 0 and has_graph:
+                    add("error", cpath, "vehicle speed must be positive on graphs")
         elif cap.kind == "disease":
             if not cap.target or model.disease(cap.target) is None:
                 add("error", cpath, f"unknown disease '{cap.target}'")

@@ -244,6 +244,23 @@ def digest_stream(model, base_dir: Path) -> list[str]:
     return stream
 
 
+def write_cases(path: Path, pinned: list[tuple[str, object]]) -> None:
+    """Write ``pinned`` to ``path`` as a JSON object of one case a line, and
+    print each case the rewrite adds, drops or changes."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    new = dict(pinned)
+    for name in old:
+        if name not in new:
+            print(f"dropped {name}")
+    for name, result in pinned:
+        if name not in old:
+            print(f"added {name}")
+        elif old[name] != result:
+            print(f"changed {name}")
+    body = ",\n".join(f"{json.dumps(name)}: {json.dumps(result)}" for name, result in pinned)
+    path.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+
+
 def main() -> int:
     pinned = {name: digest_stream(model, base) for name, model, base in corpus()}
     PINNED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -23,7 +23,7 @@ from abms import codegen
 from abms import metamodel as mm
 from abms.dsl import parse_model
 
-from digest_corpus import FIXTURES, corpus as digest_models
+from digest_corpus import FIXTURES, corpus as digest_models, write_cases
 from validate_corpus import cases as validate_cases
 
 PINNED = FIXTURES / "golden" / "netlogo.json"
@@ -70,8 +70,7 @@ def outcome(model: mm.Model) -> dict:
 
 def main() -> int:
     pinned = [(name, outcome(model)) for name, model in corpus()]
-    body = ",\n".join(f"{json.dumps(name)}: {json.dumps(result)}" for name, result in pinned)
-    PINNED.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    write_cases(PINNED, pinned)
     print(f"wrote the NetLogo and report digests of {len(pinned)} cases to {PINNED}")
     return 0
 

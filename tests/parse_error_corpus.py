@@ -14,14 +14,13 @@ CHANGES.md:
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 
 from abms.dsl import format_model, parse
 from abms.dsl.lexer import tokenize
 
-from digest_corpus import FIXTURES, INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM
+from digest_corpus import FIXTURES, INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, write_cases
 from randmodels import random_text_model
 
 PINNED = FIXTURES / "golden" / "parse_errors.json"
@@ -96,8 +95,7 @@ def cases() -> list[tuple[str, str]]:
 
 def main() -> int:
     pinned = [(name, error_list(text)) for name, text in cases()]
-    body = ",\n".join(f"{json.dumps(name)}: {json.dumps(errors)}" for name, errors in pinned)
-    PINNED.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    write_cases(PINNED, pinned)
     print(f"wrote the error lists of {len(pinned)} cases to {PINNED}")
     return 0
 

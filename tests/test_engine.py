@@ -1,3 +1,5 @@
+import math
+import random
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -10,6 +12,8 @@ from abms import metamodel as mm
 from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
+
+from digest_corpus import INLINE_GRAPH_DISEASE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -250,6 +254,12 @@ class TestLoaders:
         # consecutive nodes are 0.001 degrees of longitude apart at the equator
         assert graph.edge_length("1", "2") == pytest.approx(111.19, rel=0.01)
 
+    def test_osm_graph_is_complete_when_loaded(self, tmp_path):
+        (tmp_path / "m.osm").write_text(CROSS_OSM)
+        graph = load_osm_graph(tmp_path / "m.osm")
+        assert graph.sorted_nodes == ["1", "2", "3", "4"]
+        assert graph.adjacency == {"1": ["4"], "2": ["4"], "3": ["4"], "4": ["1", "2", "3"]}
+
     def test_osm_unknown_node_reference(self, tmp_path):
         (tmp_path / "m.osm").write_text(MINI_OSM.replace('<nd ref="3"/>', '<nd ref="99"/>'))
         with pytest.raises(FileFormatError, match="99"):
@@ -278,33 +288,82 @@ class TestNeighbors:
         )
         return engine.build_world(model, cfg(tmp_path))
 
+    @staticmethod
+    def near(world, position, radius, exclude_id):
+        return [item.id for item in engine._near(world, position, radius, world.agents[exclude_id])]
+
     def test_torus_wraps_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)])
         ids = sorted(world.agents)
-        assert engine._scan_ids(world, world.agents[ids[0]].position, 1, ids[0]) == [ids[1]]
+        assert self.near(world, world.agents[ids[0]].position, 1, ids[0]) == [ids[1]]
 
     def test_no_wrap_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)], wrap=False)
         ids = sorted(world.agents)
-        assert engine._scan_ids(world, world.agents[ids[0]].position, 1, ids[0]) == []
+        assert self.near(world, world.agents[ids[0]].position, 1, ids[0]) == []
 
     def test_radius_zero_means_contact(self, tmp_path):
         world = self.build(tmp_path, [(3, 3), (3, 3), (3, 4)])
         ids = sorted(world.agents)
-        got = engine._scan_ids(world, world.agents[ids[0]].position, 0, ids[0])
+        got = self.near(world, world.agents[ids[0]].position, 0, ids[0])
         assert got == [ids[1]]
 
     def test_empty_world(self, tmp_path):
         world = self.build(tmp_path, [(1, 1)])
         only = next(iter(world.agents))
-        assert engine._scan_ids(world, (5, 5), 2, only) == []
+        assert self.near(world, (5, 5), 2, only) == []
 
     def test_ascending_id_order(self, tmp_path):
         world = self.build(tmp_path, [(5, 5), (5, 6), (5, 4), (6, 5)])
         ids = sorted(world.agents)
-        got = engine._scan_ids(world, world.agents[ids[0]].position, 1.5, ids[0])
+        got = self.near(world, world.agents[ids[0]].position, 1.5, ids[0])
         assert got == sorted(got)
         assert got == ids[1:]
+
+
+class TestCellIndex:
+    """The cell index holds each live agent and entity once, in the cell of
+    its position, and nothing else; graphs keep no index."""
+
+    @staticmethod
+    def assert_indexed(world):
+        live = [*world.agents.values(), *world.entities.values()]
+        for item in live:
+            assert [x for x in world._cells[engine._cell_of(item.position)] if x is item] == [item]
+        assert sum(len(bucket) for bucket in world._cells.values()) == len(live)
+
+    def test_wrapped_grid(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 40 random\n    capability mobility random_walk step 2\n  }\n"
+            "  entity W {\n    create fixed 3 at (0, 0) (9, 9) (4, 5)\n  }",
+            width=7, height=5,
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        for _ in range(8):
+            engine.tick(world)
+            self.assert_indexed(world)
+
+    def test_cartesian_with_deaths(self, tmp_path):
+        model = parse_model(
+            "model t {\n  environment cartesian 0..12 -3..9\n"
+            "  agent A {\n    create fixed 60 random\n    capability mobility random_walk step 1.5\n"
+            "    capability disease d\n  }\n"
+            "  entity W {\n    create fixed 2 at (0, -3) (11.5, 8.5)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability 0.6\n"
+            "    duration I deterministic 20\n    mortality I rate 0.3 every_timeunit\n  }\n"
+            "  introduce d deterministic 10 arbitrary aperiodic\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        for _ in range(10):
+            engine.tick(world)
+            self.assert_indexed(world)
+        assert world.dead["A"] > 0
+
+    def test_graph_keeps_no_index(self, tmp_path):
+        world = engine.build_world(parse_model(INLINE_GRAPH_DISEASE), cfg(tmp_path))
+        for _ in range(10):
+            engine.tick(world)
+        assert world.dead and world._cells == {}
 
 
 class TestMobility:
@@ -327,6 +386,25 @@ class TestMobility:
             assert new_pos in allowed
             seen.add(new_pos)
         assert seen == allowed
+
+    def test_walk_keeps_the_sign_of_a_zero_coordinate(self, tmp_path):
+        # 0.0 == -0.0, but the digest prints them apart, so each step's own
+        # position is kept even when it compares equal to the last.
+        model = parse_model(
+            "model t {\n  environment cartesian -1..5 -1..5\n"
+            "  agent A {\n    create fixed 1 at (-0.0, 3)\n    capability mobility random_walk step 0\n  }\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        agent = next(iter(world.agents.values()))
+        rng = random.Random()
+        rng.setstate(world.rng.getstate())
+        signs = set()
+        for _ in range(20):
+            expected = engine.mobility_step(world, agent, ex.lit(0), rng)
+            engine.tick(world)
+            assert repr(agent.position) == repr(expected)
+            signs.add(math.copysign(1.0, agent.position[0]))
+        assert signs == {1.0, -1.0}
 
     def test_cartesian_clamps_at_bounds(self, tmp_path):
         model = parse_model(

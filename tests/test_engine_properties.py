@@ -2,6 +2,7 @@
 just at unit level."""
 
 import gc
+import re
 import weakref
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from abms import engine
 from abms import metamodel as mm
 from abms import traffic as tf
 from abms.dsl import parse_model
+from abms.errors import AbmsError
 
 from randmodels import random_text_model
+from validate_corpus import cases as validate_cases
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,6 +39,24 @@ class TestValidatedModelsAlwaysRun:
                 engine.tick(world)
             ran += 1
         assert ran >= 30  # the generator overwhelmingly produces valid models
+
+
+class TestValidatedCorpusRuns:
+    def test_every_validating_case_runs_or_names_its_tick(self, tmp_path):
+        """The contract on every validating case of the pinned validate
+        corpus: it runs 30 ticks, or fails with an AbmsError naming the tick
+        (a build_world failure counts as tick 0)."""
+        ran = 0
+        for name, model in validate_cases():
+            if not mm.validate(model).ok():
+                continue
+            try:
+                engine.run(model, cfg(tmp_path, max_ticks=30, base_dir=FIXTURES))
+            except AbmsError as err:
+                assert re.match(r"tick \d+: ", str(err)), f"{name}: {err}"
+            else:
+                ran += 1
+        assert ran >= 150  # most mutations leave a model that runs
 
 
 class TestDiseaseInvariantsOnRuns:

@@ -159,6 +159,50 @@ class TestValidate:
         model.entity_types.append(mm.EntityTypeSpec("Native", mm.FixedCountStrategy(1)))
         assert any("duplicate type name" in d.message for d in mm.validate(model))
 
+    @pytest.mark.parametrize("second", ["agent car", "entity CAR"])
+    def test_type_names_are_unique_ignoring_case(self, second):
+        # NetLogo lower-cases breed names: Car and car would be one breed.
+        model = model_from(
+            "model m {\n  environment grid width 5 height 5\n"
+            f"  agent Car {{\n    create fixed 1 random\n  }}\n  {second} {{\n    create fixed 1 random\n  }}\n}}\n"
+        )
+        name = second.split()[1]
+        assert [str(d) for d in mm.validate(model).errors()] == [
+            f"error: {second.split()[0]}:{name}: duplicate type name '{name}'"
+        ]
+
+    @pytest.mark.parametrize(
+        "env, spots, expected",
+        [
+            ("cartesian 0..30 0..30", "(5, 5) (250, 25)", ["position (250, 25) outside the cartesian bounds"]),
+            ("cartesian 0..30 0..30", "(0, 30) (12.5, 0.0)", []),
+            ("grid width 10 height 10", "(9.4, 0) (-1, 3)", ["position (-1, 3) outside the 10x10 grid"]),
+            ("grid width 10 height 10 wrap", "(-1, 3) (12, 25)", []),
+            ("grid width 10 height 10", "(tick + 20, 1)", []),  # not a literal: the engine decides
+            ("grid width 10 height 10", f"({HUGE_REAL}, 1)", []),  # not finite: the engine reports it at tick 0
+        ],
+    )
+    def test_literal_positions_must_lie_in_the_environment(self, env, spots, expected):
+        model = model_from(f"model m {{\n  environment {env}\n  entity Well {{\n    create fixed 2 at {spots}\n  }}\n}}\n")
+        assert [(d.path, d.message) for d in mm.validate(model).errors()] == [("entity:Well", m) for m in expected]
+
+    @pytest.mark.parametrize(
+        "step, expected",
+        [
+            ("0", ["vehicle speed must be positive on graphs"]),
+            ("0.0 - 2", []),  # not a literal: the engine decides
+            ("-2", ["mobility step must not be negative", "vehicle speed must be positive on graphs"]),
+            ("0.5", []),
+        ],
+    )
+    def test_literal_vehicle_step_must_be_positive_on_a_graph(self, step, expected):
+        model = model_from(
+            "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
+            f"  agent Car {{\n    create fixed 2 random\n    capability mobility random_walk step {step}\n  }}\n}}\n"
+        )
+        got = [(d.path, d.message) for d in mm.validate(model).errors()]
+        assert got == [("agent:Car.capability[0]", m) for m in expected]
+
     def test_adaptation_rejected(self):
         model = model_from(SIR_MODEL)
         model.agent_types[0].capabilities.append(mm.CapabilityRef("adaptation"))

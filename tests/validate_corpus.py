@@ -19,7 +19,6 @@ closures, and say why in CHANGES.md:
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 import sys
 import typing
@@ -29,7 +28,7 @@ from abms import metamodel as mm
 from abms.dsl import parse
 from abms.dsl.lexer import tokenize
 
-from digest_corpus import FIXTURES
+from digest_corpus import FIXTURES, write_cases
 from parse_error_corpus import texts as parse_error_texts
 
 PINNED = FIXTURES / "golden" / "validate_diagnostics.json"
@@ -181,8 +180,7 @@ def cases() -> list[tuple[str, mm.Model]]:
 
 def main() -> int:
     pinned = [(name, outcome(model)) for name, model in cases()]
-    body = ",\n".join(f"{json.dumps(name)}: {json.dumps(result)}" for name, result in pinned)
-    PINNED.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    write_cases(PINNED, pinned)
     print(f"wrote the reports and closures of {len(pinned)} cases to {PINNED}")
     return 0
 
