@@ -306,7 +306,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         )
     mobility = agent.capability("mobility")
     if mobility is not None:
-        step = _nl_expr(mobility.parameters["step"])
+        step = _nl_expr(mobility.step)
         if model.graph_topology() is not None:
             move = [f"; traverse the current link at {step} length units per tick;",
                     "; queue at the junction and cross only on green (see vehicle-phase)"]
@@ -366,7 +366,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         )
     for i, cap in enumerate(agent.capabilities):
         if cap.kind == "external":
-            e.raw(f"; external capability: {cap.target} (include manually from {cap.parameters['library'].value})")
+            e.raw(f"; external capability: {cap.target} (include manually from {cap.library})")
             e.raw()
             report.unsupported.append((f"{path}.capability[{i}]", f"external capability {cap.target}"))
 
@@ -481,8 +481,6 @@ def _step_body(name: str, machine: sm.StateMachineSpec) -> list[str]:
     whose state is kept in ``<name>-state``."""
     body = [f"set {name}-dwell {name}-dwell + 1"]
     for tr in machine.transitions:
-        if tr.trigger is None or isinstance(tr.trigger, sm.InteractionTrigger):
-            continue
         condition = _trigger_condition(tr.trigger, f"{name}-dwell")
         if tr.guard is not None:
             condition = f"({_nl_expr(tr.guard)}) and {condition}"

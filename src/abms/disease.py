@@ -186,11 +186,11 @@ def compartment_graph(
 def build_machine(spec: DiseaseModelSpec) -> sm.StateMachineSpec:
     """Executable machine for a validated disease model.
 
-    Transmission edges carry the interaction marker (the engine applies
-    infections directly); progression edges carry the declared duration
-    triggers; a leaving-compartment mortality rule becomes an abortion clause
-    on that compartment's progression.  Deaths evaluated per tick are handled
-    by :func:`evaluate_mortality`, not by machine transitions.
+    Progression edges carry the declared duration triggers; a
+    leaving-compartment mortality rule becomes an abortion clause on that
+    compartment's progression.  Infection is no edge: the engine applies it
+    directly.  Deaths evaluated per tick are handled by
+    :func:`evaluate_mortality`, not by machine transitions.
     """
     durations = {p.compartment: p.trigger for p in spec.progressions}
     leaving = {m.compartment: m for m in spec.mortality if m.evaluation == LEAVING_COMPARTMENT}
@@ -206,7 +206,6 @@ def build_machine(spec: DiseaseModelSpec) -> sm.StateMachineSpec:
     if spec.kind == CUSTOM:
         states = list(spec.custom_states)
         initial = entry_compartment(spec)
-        transitions.append(sm.Transition(susceptible_compartment(spec), infection_target(spec), sm.InteractionTrigger()))
         for tr in spec.custom_transitions:
             transitions.append(progression(tr.source, tr.target, tr.trigger))
     else:
@@ -215,7 +214,6 @@ def build_machine(spec: DiseaseModelSpec) -> sm.StateMachineSpec:
         initial = entry_compartment(spec)
         if spec.kind == PSIR and spec.passive_immunity is not None:
             transitions.append(progression("P", "S", spec.passive_immunity))
-        transitions.append(sm.Transition("S", infection_target(spec), sm.InteractionTrigger()))
         after = {chain[i]: chain[i + 1] for i in range(len(chain) - 1)}
         for comp, trigger in durations.items():
             transitions.append(progression(comp, after[comp], trigger))

@@ -150,7 +150,7 @@ def _environment(w: _Writer, env: mm.EnvironmentSpec) -> None:
 
 def _capability(w: _Writer, cap: mm.CapabilityRef) -> None:
     if cap.kind == "mobility":
-        w.line(f"capability mobility random_walk step {format_expr(cap.parameters['step'])}")
+        w.line(f"capability mobility random_walk step {format_expr(cap.step)}")
     elif cap.kind == "disease":
         w.line(f"capability disease {cap.target}")
     elif cap.kind == "state_machine":
@@ -178,9 +178,7 @@ def _capability(w: _Writer, cap: mm.CapabilityRef) -> None:
             text += f" reward {format_expr(q.reward)}"
         w.line(text)
     elif cap.kind == "external":
-        library = cap.parameters.get("library")
-        path = library.value if isinstance(library, ex.Literal) else ""
-        w.line(f"capability external {_escape(str(path))} {cap.target}")
+        w.line(f"capability external {_escape(cap.library or '')} {cap.target}")
     else:
         w.line(f"capability {cap.kind}")
 

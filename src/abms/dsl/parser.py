@@ -410,7 +410,7 @@ class _Parser:
             self.expect_kw("random_walk")
             self.expect_kw("step")
             step = self.parse_expr()
-            return mm.CapabilityRef("mobility", parameters={"step": step}, span=self.span_from(start))
+            return mm.CapabilityRef("mobility", step=step, span=self.span_from(start))
         if self.accept("kw", "disease"):
             target = str(self.expect_ident("disease name").value)
             return mm.CapabilityRef("disease", target=target, span=self.span_from(start))
@@ -424,8 +424,7 @@ class _Parser:
         if self.accept("kw", "external"):
             library = self.expect_string("library path")
             entry = str(self.expect_ident("entry point").value)
-            params = {"library": ex.Literal(library, ex.TEXT)}
-            return mm.CapabilityRef("external", target=entry, parameters=params, span=self.span_from(start))
+            return mm.CapabilityRef("external", target=entry, library=library, span=self.span_from(start))
         if self.accept("kw", "adaptation"):
             # Reserved vocabulary: parsed so validation can reject it clearly.
             return mm.CapabilityRef("adaptation", span=self.span_from(start))

@@ -206,7 +206,7 @@ class World(ex.Context):
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
-        self.walk_steps = {a.name: cap.parameters["step"] for a in walkers if (cap := a.capability("mobility"))}
+        self.walk_steps = {a.name: cap.step for a in walkers if (cap := a.capability("mobility"))}
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
         self.plans = {p.name: (p, tf.plan_to_machine(p)) for p in model.plans}
         self.tick = 0
@@ -395,9 +395,8 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
     for agent_type in model.agent_types:
         for cap in agent_type.capabilities:
             if cap.kind == "external":
-                library = cap.parameters.get("library")
-                lib_path = _resolve(str(library.value), config) if isinstance(library, ex.Literal) else None
-                if lib_path is None or not lib_path.exists():
+                lib_path = _resolve(cap.library, config)  # validation requires a library
+                if not lib_path.exists():
                     raise EngineError(
                         f"agent:{agent_type.name}: external capability library "
                         f"'{lib_path}' does not exist"
@@ -509,7 +508,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         if mobility is not None and world.graph is not None:
             agent.speed = _checked(
                 world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
-                mobility.parameters["step"], agent,
+                mobility.step, agent,
             )
             if agent.speed <= 0:
                 raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")

@@ -134,14 +134,16 @@ CreationalStrategy = (
 class CapabilityRef:
     """One capability attached to an agent type.
 
-    ``parameters`` holds scalar parameters (mobility step, external library
-    and entry point); structured payloads ride along: stream declarations for
-    flow control and the learning configuration for reinforcement learning.
+    ``target`` names the disease, machine or plan it runs, or an external
+    capability's entry point.  The other fields belong to one kind each: the
+    mobility step, the external library's file name, the flow-control stream
+    declarations and the learning configuration.
     """
 
     kind: str
     target: str | None = None
-    parameters: dict[str, ex.Expr] = field(default_factory=dict)
+    step: ex.Expr | None = None  # mobility
+    library: str | None = None  # external
     streams: list[tf.StreamSpec] | None = None  # flow_control; None = auto
     qlearning: tf.QLearningSpec | None = None
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
@@ -561,7 +563,7 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
             add("error", cpath, f"unknown capability kind '{cap.kind}'")
             continue
         if cap.kind == "mobility":
-            step = cap.parameters.get("step")
+            step = cap.step
             if step is None:
                 add("error", cpath, "mobility requires a step parameter")
             else:
@@ -602,8 +604,7 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
             if agent.capability("flow_control") is None:
                 add("error", cpath, "learning requires the flow_control capability")
         elif cap.kind == "external":
-            library = cap.parameters.get("library")
-            if library is None or not (isinstance(library, ex.Literal) and library.value):
+            if not cap.library:
                 add("error", cpath, "external capability requires a library path")
             if not cap.target:
                 add("error", cpath, "external capability requires an entry point name")
@@ -722,10 +723,7 @@ def _check_trigger(trigger: sm.Trigger, envs, owners: list[str], add: _Collector
         if not trigger.parts:
             add("error", path, "composite trigger needs at least one part")
         for part in trigger.parts:
-            if isinstance(part, sm.InteractionTrigger):
-                add("error", path, "interaction triggers cannot be composed")
-            else:
-                _check_trigger(part, envs, owners, add, path)
+            _check_trigger(part, envs, owners, add, path)
 
 
 def _check_disease(model: Model, spec: dz.DiseaseModelSpec, envs, add: _Collector) -> None:

@@ -54,21 +54,7 @@ class CompositeTrigger:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class InteractionTrigger:
-    """Marker for disease transmission edges; never fires from within step()
-    (the engine applies infections directly)."""
-
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-
-Trigger = Union[
-    ProbabilisticTrigger,
-    DeterministicTrigger,
-    ConditionalTrigger,
-    CompositeTrigger,
-    InteractionTrigger,
-]
+Trigger = Union[ProbabilisticTrigger, DeterministicTrigger, ConditionalTrigger, CompositeTrigger]
 
 
 @dataclass
@@ -155,7 +141,7 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
         raise MachineError(f"step() on terminated machine '{instance.spec.name}'")
     instance.dwell += 1
     for tr in instance.spec.transitions_from(instance.current):
-        if isinstance(tr.trigger, InteractionTrigger) or tr.trigger is None:
+        if tr.trigger is None:
             continue
         if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
             continue
@@ -196,6 +182,4 @@ def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Ran
         # Every part is evaluated (draws included) so composition is order-free.
         results = [trigger_fires(p, dwell, ctx, rng) for p in trigger.parts]
         return all(results) if trigger.mode == "all_of" else any(results)
-    if isinstance(trigger, InteractionTrigger):
-        return False
     raise MachineError(f"unknown trigger {type(trigger).__name__}")

@@ -85,9 +85,7 @@ def random_disease_model(seed: int) -> mm.Model:
         if attr is not None:
             agent.attributes.append(mm.AttributeSpec(attr, ex.INTEGER, ex.lit(rng.randint(0, 9))))
         if rng.random() < 0.8:
-            agent.capabilities.append(
-                mm.CapabilityRef("mobility", parameters={"step": ex.lit(1)})
-            )
+            agent.capabilities.append(mm.CapabilityRef("mobility", step=ex.lit(1)))
         agent.capabilities.append(mm.CapabilityRef("disease", target="bug"))
         model.agent_types.append(agent)
     model.introductions.append(random_introduction(rng, "bug", attr))

@@ -68,8 +68,7 @@ class TestBuildMachine:
         spec = make_spec(dz.SEIR)
         assert dz.infection_target(spec) == "E"
         machine = dz.build_machine(spec)
-        interaction = [t for t in machine.transitions if isinstance(t.trigger, sm.InteractionTrigger)]
-        assert [(t.source, t.target) for t in interaction] == [("S", "E")]
+        assert machine.transitions_from("S") == ()  # the engine applies infections directly
 
     def test_leaving_mortality_becomes_abortion(self):
         spec = make_spec(

@@ -211,17 +211,15 @@ class TestValidate:
 
     def test_mobility_step_required_and_positive(self):
         model = model_from(SIR_MODEL)
-        model.agent_types[0].capabilities[0].parameters = {}
+        model.agent_types[0].capabilities[0].step = None
         assert any("step" in d.message for d in mm.validate(model))
         model = model_from(SIR_MODEL)
-        model.agent_types[0].capabilities[0].parameters["step"] = ex.Unary("-", ex.lit(1))
+        model.agent_types[0].capabilities[0].step = ex.Unary("-", ex.lit(1))
         assert any("must not be negative" in d.message for d in mm.validate(model))
 
     def test_two_mobility_capabilities(self):
         model = model_from(SIR_MODEL)
-        model.agent_types[0].capabilities.append(
-            mm.CapabilityRef("mobility", parameters={"step": ex.lit(1)})
-        )
+        model.agent_types[0].capabilities.append(mm.CapabilityRef("mobility", step=ex.lit(1)))
         assert any("at most one mobility" in d.message for d in mm.validate(model))
 
     def test_same_disease_twice(self):

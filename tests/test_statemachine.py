@@ -133,11 +133,6 @@ class TestStep:
         inst = sm.instantiate(spec)
         assert sm.step(inst, ex.MapContext(), random.Random(0)) == sm.Moved("a", "b")
 
-    def test_interaction_trigger_never_fires(self):
-        inst = sm.instantiate(two_state(sm.InteractionTrigger()))
-        for _ in range(10):
-            assert sm.step(inst, ex.MapContext(), random.Random(0)) is None
-
     def test_determinism_same_seed_same_events(self):
         def run(seed):
             spec = two_state(sm.ProbabilisticTrigger(ex.lit(0.3)))

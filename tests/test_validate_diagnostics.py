@@ -52,8 +52,7 @@ def test_outcomes_match_pinned():
 
 def test_validate_types_every_expression(monkeypatch):
     """Every expression tree of every corpus text reaches ex.infer_type during
-    validate; only an external capability's library path is a file name, not
-    a value, and goes untyped."""
+    validate."""
     typed: set[int] = set()
     infer_type = ex.infer_type
 
@@ -64,10 +63,7 @@ def test_validate_types_every_expression(monkeypatch):
     monkeypatch.setattr(ex, "infer_type", recording)
     for name, text in texts() + [("external", EXTERNAL)]:
         model = parse_model(text)
-        libraries = {
-            id(cap.parameters["library"]) for a in model.agent_types for cap in a.capabilities if cap.kind == "external"
-        }
         typed.clear()
         mm.validate(model)
-        untyped = [t for t in expression_trees(model) if id(t) not in typed | libraries]
+        untyped = [t for t in expression_trees(model) if id(t) not in typed]
         assert not untyped, f"{name}: never typed: {untyped}"
