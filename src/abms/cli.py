@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--out-dir", default=None)
 
     fmt_p = sub.add_parser("fmt", help="rewrite a model in canonical form")
-    add_common(fmt_p)
+    fmt_p.add_argument("model", help="path to a .abms model file")
     fmt_p.add_argument("--check", action="store_true", help="exit 1 if the file is not canonical; do not write")
     return parser
 

@@ -246,8 +246,9 @@ def attempt_transmission(
     infectious: Collection[str],
     rng: random.Random,
 ) -> bool:
-    """One independent Bernoulli trial per qualifying source, in ascending id
-    order; returns True on the first success (at most one infection per tick).
+    """One independent Bernoulli trial per qualifying source, in the order
+    given (the engine passes them in ascending id order); returns True on the
+    first success (at most one infection per tick).
 
     Agents qualify when their disease instance is in an infectious state;
     entities when their type is a declared source.  The contamination
@@ -258,7 +259,7 @@ def attempt_transmission(
     if probability == 0:
         return False
     source_types = set(spec.sources)
-    for cand in sorted(candidates, key=lambda c: c.id):
+    for cand in candidates:
         if cand.is_entity:
             if cand.type_name not in source_types:
                 continue

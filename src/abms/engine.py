@@ -433,30 +433,22 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
                     if not nodes:
                         raise EngineError(f"{type_name}: cannot place agents on an empty graph")
                     out.append(NodePos(nodes[rng.randrange(len(nodes))]))
-        else:
+        else:  # validation rules out explicit positions and point files on graphs
             spots = []
             for x_expr, y_expr in strategy.placement:
                 x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, world)
                 y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, world)
-                spots.append(_place_at(world, x, y, type_name))
+                spots.append(_checked(world, type_name, mm.place, topo, x, y))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
     elif isinstance(strategy, mm.GisPointsStrategy):
         points = load_gis_points(_resolve(strategy.path, config))
-        return [_place_at(world, p.x, p.y, type_name, line=p.line) for p in points], points
+        places = [_checked(world, f"{type_name} (point file line {p.line})", mm.place, topo, p.x, p.y) for p in points]
+        return places, points
     else:  # OSM: validation rules out inline edge lists for populations
         assert world.graph is not None
         out = [NodePos(n) for n in world.graph.sorted_nodes if len(world.graph.adjacency[n]) >= INTERSECTION_DEGREE]
     return out, None
-
-
-def _place_at(world: World, x: float, y: float, type_name: str, line: int | None = None):
-    # Validation rules out explicit positions and point files on graphs.
-    try:
-        return mm.place(world.topology, x, y)
-    except ValueError as err:
-        where = type_name + (f" (point file line {line})" if line else "")
-        raise EngineError(f"{where}: {err}") from None
 
 
 def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
@@ -511,7 +503,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
                 mobility.step, agent,
             )
             if agent.speed <= 0:
-                raise EngineError(f"agent:{spec.name}: vehicle speed must be positive on graphs")
+                raise EngineError(f"tick {world.tick}: agent:{spec.name}: vehicle speed must be positive on graphs")
             _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
         flow = spec.capability("flow_control")
         if flow is not None:

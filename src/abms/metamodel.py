@@ -23,7 +23,7 @@ from . import disease as dz
 from . import expr as ex
 from . import statemachine as sm
 from . import traffic as tf
-from .errors import AbmsError, ExprTypeError
+from .errors import AbmsError, EvalError, ExprTypeError
 from .source import SourceSpan
 
 CAPABILITY_KINDS = (
@@ -240,16 +240,16 @@ class Model:
 def place(topo: GridTopology | CartesianTopology, x: float, y: float) -> tuple:
     """Where an instance placed at the finite point (x, y) sits: the nearest
     cell of a grid (modulo its size when wrapped), or the point itself in a
-    cartesian space.  A ValueError names a position outside the environment."""
+    cartesian space.  An EvalError names a position outside the environment."""
     if isinstance(topo, GridTopology):
         cx, cy = round(x), round(y)
         if topo.wrap:
             cx, cy = cx % topo.width, cy % topo.height
         if not (0 <= cx < topo.width and 0 <= cy < topo.height):
-            raise ValueError(f"position ({x:g}, {y:g}) outside the {topo.width}x{topo.height} grid")
+            raise EvalError(f"position ({x:g}, {y:g}) outside the {topo.width}x{topo.height} grid")
         return (cx, cy)
     if not (topo.x_min <= x <= topo.x_max and topo.y_min <= y <= topo.y_max):
-        raise ValueError(f"position ({x:g}, {y:g}) outside the cartesian bounds")
+        raise EvalError(f"position ({x:g}, {y:g}) outside the cartesian bounds")
     return (float(x), float(y))
 
 
@@ -493,8 +493,8 @@ def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Coll
             if placeable and all(v is not None and math.isfinite(v) for v in point):
                 try:
                     place(topo, *point)
-                except ValueError as err:
-                    add("error", path, str(err))
+                except EvalError as err:
+                    add("error", path, err.message)
 
 
 def _check_attributes(owner_path: str, owner_name: str, attributes: list[AttributeSpec], machines, add: _Collector) -> None:

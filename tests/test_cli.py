@@ -133,3 +133,8 @@ class TestFmt:
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_fmt_takes_no_format_option(workdir, capsys):
+    assert main(["fmt", "--format", "json", str(workdir / "measles.abms")]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err

@@ -139,15 +139,18 @@ class TestAttemptTransmission:
         assert dz.attempt_transmission(ex.MapContext(), hot, spec, ["I"], random.Random(0))
         assert not dz.attempt_transmission(ex.MapContext(), cold, spec, ["I"], random.Random(0))
 
-    def test_candidates_tried_in_ascending_id_order(self):
-        # With probability 1 the first candidate (lowest id) wins, so exactly
-        # one Bernoulli draw is consumed regardless of input order.
-        spec = self.spec(1.0)
-        rng = random.Random(5)
-        assert dz.attempt_transmission(ex.MapContext(), [cand(9, "I"), cand(1, "I")], spec, ["I"], rng)
-        reference = random.Random(5)
-        reference.random()  # the single consumed draw
-        assert rng.random() == reference.random()
+    def test_candidates_tried_in_the_order_given(self):
+        tried = []
+
+        class Recording(ex.MapContext):
+            def attribute(self, owner, name):
+                tried.append(self._attrs["id"])
+                return super().attribute(owner, name)
+
+        spec = self.spec(1.0, condition=ex.Binary(">", ex.AttrRef(None, "id"), ex.lit(5)))
+        candidates = [dz.Candidate(i, False, "Agt", Recording({"id": i}), "I") for i in (1, 9, 4)]
+        assert dz.attempt_transmission(ex.MapContext(), candidates, spec, ["I"], random.Random(0))
+        assert tried == [1, 9]  # id 1 fails the condition, id 9 infects, id 4 is never tried
 
 
 class TestIntroduce:

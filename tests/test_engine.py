@@ -647,14 +647,36 @@ class TestRunTimeRanges:
                 walker(GRID, "1", attr="    attr d real = 0.0\n", how="proximity d"),
                 r"tick 1: disease:d\.transmission: distance 0\.0 outside \(0, inf\)",
             ),
+            (
+                "model t {\n  environment grid width 10 height 10\n  agent A { create fixed 1 at (tick + 20, 1) }\n}\n",
+                r"tick 0: agent:A: position \(20, 1\) outside the 10x10 grid",
+            ),
+            (
+                "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
+                "  agent Car {\n    create fixed 2 random\n    capability mobility random_walk step 0.0 - 2\n  }\n}\n",
+                r"tick 0: agent:Car: vehicle speed must be positive on graphs",
+            ),
         ],
-        ids=["negative step", "negative proximity distance", "zero proximity distance"],
+        ids=[
+            "negative step", "negative proximity distance", "zero proximity distance",
+            "computed placement outside the grid", "computed vehicle step below zero",
+        ],
     )
     def test_computed_value_outside_its_domain_fails_at_its_tick(self, tmp_path, text, expected):
         model = parse_model(text)
         assert mm.validate(model).ok()
         with pytest.raises(AbmsError, match=expected):
             engine.run(model, cfg(tmp_path, max_ticks=30))
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_point_file_position_outside_the_grid_fails_at_tick_0(self, tmp_path):
+        (tmp_path / "p.points").write_text("1.0,1.0\n12.0,1.0\n")
+        model = grid_model('  agent A { create gis "p.points" }', wrap=False)
+        assert mm.validate(model).ok()
+        with pytest.raises(
+            AbmsError, match=r"tick 0: agent:A \(point file line 2\): position \(12, 1\) outside the 10x10 grid"
+        ):
+            engine.run(model, cfg(tmp_path))
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
