@@ -95,7 +95,10 @@ def load_osm_graph(path: str | Path) -> Graph:
     """Build the road graph from an OSM-XML file.
 
     Only ways carrying a ``highway`` tag contribute edges; a way referencing
-    an undeclared node id is an error naming that id.
+    an undeclared node id is an error naming that id.  A node without ``id``,
+    ``lat`` or ``lon``, or with a coordinate that is not a finite number, is
+    an error naming its id, or its 1-based position among the node elements
+    when it has none.
     """
     path = Path(path)
     if not path.exists():
@@ -105,14 +108,18 @@ def load_osm_graph(path: str | Path) -> Graph:
     except ET.ParseError as err:
         raise FileFormatError(f"{path}: malformed XML: {err}") from None
     latlon: dict[str, tuple[float, float]] = {}
-    for node in root.iter("node"):
+    for ordinal, node in enumerate(root.iter("node"), start=1):
+        node_id = node.attrib.get("id")
+        where = f"{path}: node {node_id}" if node_id is not None else f"{path}: node element {ordinal}"
+        missing = [key for key in ("id", "lat", "lon") if key not in node.attrib]
+        if missing:
+            raise FileFormatError(f"{where}: missing {'/'.join(missing)}")
         try:
-            node_id = node.attrib["id"]
             lat, lon = float(node.attrib["lat"]), float(node.attrib["lon"])
-        except (KeyError, ValueError):
-            raise FileFormatError(f"{path}: node element missing id/lat/lon") from None
+        except ValueError:
+            raise FileFormatError(f"{where}: lat/lon must be numbers") from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise FileFormatError(f"{path}: node {node_id}: lat/lon must be finite")
+            raise FileFormatError(f"{where}: lat/lon must be finite")
         latlon[node_id] = (lat, lon)
     nodes: dict[str, tuple[float, float]] = {}
     if latlon:

@@ -241,9 +241,17 @@ class TestLoaders:
         (tmp_path / "p.points").write_text("")
         assert load_gis_points(tmp_path / "p.points") == []
 
-    def test_malformed_line_reports_position(self, tmp_path):
-        (tmp_path / "p.points").write_text("a,b\n")
-        with pytest.raises(FileFormatError, match="line 1: expected number"):
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n", "line 1: expected number"),
+            ("1.0,2.0\n3.0\n", "line 2: expected x,y"),
+            ("1.0,2.0,age=3,tall\n", "line 1: expected key=value, got 'tall'"),
+        ],
+    )
+    def test_malformed_line_reports_position(self, tmp_path, text, expected):
+        (tmp_path / "p.points").write_text(text)
+        with pytest.raises(FileFormatError, match=f"p.points: {expected}$"):
             load_gis_points(tmp_path / "p.points")
 
     def test_osm_three_nodes_one_way(self, tmp_path):
@@ -270,6 +278,24 @@ class TestLoaders:
         graph = load_osm_graph(tmp_path / "m.osm")
         assert len(graph.nodes) == 3
         assert len(graph.edges) == 0
+
+    @pytest.mark.parametrize(
+        "node, expected",
+        [
+            ('<node lat="0.0" lon="0.001"/>', "node element 2: missing id"),
+            ('<node id="2" lon="0.001"/>', "node 2: missing lat"),
+            ("<node/>", "node element 2: missing id/lat/lon"),
+            ('<node id="2" lat="north" lon="0.001"/>', "node 2: lat/lon must be numbers"),
+        ],
+    )
+    def test_osm_malformed_node_is_named(self, tmp_path, node, expected):
+        (tmp_path / "m.osm").write_text(MINI_OSM.replace('<node id="2" lat="0.0" lon="0.001"/>', node))
+        with pytest.raises(FileFormatError, match=f"m.osm: {expected}$"):
+            load_osm_graph(tmp_path / "m.osm")
+
+    def test_osm_file_not_found(self, tmp_path):
+        with pytest.raises(FileFormatError, match="nope.osm: file not found$"):
+            load_osm_graph(tmp_path / "nope.osm")
 
     def test_osm_malformed_xml(self, tmp_path):
         (tmp_path / "m.osm").write_text("<osm><node id=")

@@ -403,3 +403,148 @@ model t {
     )
     report = mm.validate(model)
     assert any("require a grid or cartesian environment" in d.message for d in report)
+
+
+GRID = "environment grid width 5 height 5"
+GRAPH = "environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }"
+OSM = 'environment graph from osm "net.osm"'
+SIGNAL_PLAN = "  plan p { phase x green s0 duration 3 }\n"
+LEARN = "    capability qlearning alpha 0.1 gamma 0.9 epsilon 0.1 plans p"
+SIR_CLAUSES = "    transmission contact probability 0.5\n    duration I deterministic 3\n"
+CUSTOM_CLAUSES = (
+    "    states S I R\n    initial S\n    transmission contact probability 0.5 to I\n    transition I R deterministic 3\n"
+)
+
+
+def _model(env: str, body: str) -> str:
+    return f"model t {{\n  {env}\n{body}}}\n"
+
+
+def _signal(*capabilities: str) -> str:
+    caps = "".join(f"{c}\n" for c in capabilities)
+    return _model(GRAPH, f"  agent S {{\n    create fixed 1 random\n{caps}  }}\n{SIGNAL_PLAN}")
+
+
+def _disease(kind: str, clauses: str, extra: str = "") -> str:
+    return _model(
+        GRID,
+        "  agent A {\n    create fixed 1 random\n    capability disease d\n  }\n"
+        f"  disease d model {kind} {{\n{clauses}  }}\n{extra}",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_model(GRID, '  agent A { create gis "" }\n'), [("agent:A", "file path must not be empty")]),
+        (
+            _model(OSM, '  entity W { create osm "net.osm" }\n'),
+            [("entity:W", "OSM-based creation applies to agent types only")],
+        ),
+        (
+            _model(GRID, '  agent A { create osm "net.osm" }\n'),
+            [("agent:A", "OSM-based creation requires a graph environment loaded from OSM")],
+        ),
+        (
+            _model(OSM, '  agent A { create osm "other.osm" }\n'),
+            [("agent:A", "OSM-based creation must reference the environment's OSM file")],
+        ),
+        (
+            _model(GRID, "  entity W { create edges { node a 0 0 } }\n"),
+            [("entity:W", "inline edge lists describe environments, not populations")],
+        ),
+        (_model(GRID, '  agent A { create fixed 1 at ("a", 1) }\n'), [("agent:A", "position 0 must be numeric")]),
+        (
+            _model(GRID, '  agent A {\n    create fixed 1 random\n    capability external "" warmup\n  }\n'),
+            [("agent:A.capability[0]", "external capability requires a library path")],
+        ),
+        (
+            _signal(
+                "    capability flow_control streams auto", "    capability flow_control streams auto",
+                "    capability state_machine p",
+            ),
+            [("agent:S", "at most one flow_control capability per agent type")],
+        ),
+        (
+            _signal("    capability flow_control streams auto", LEARN, LEARN),
+            [("agent:S", "at most one learning capability per agent type")],
+        ),
+        (
+            _signal("    capability flow_control streams auto", "    capability state_machine p", LEARN),
+            [("agent:S", "an agent type cannot both run a fixed plan and learn plan selection")],
+        ),
+        (
+            _signal("    capability flow_control stream s0 edge a b stream s0 edge b a", "    capability state_machine p"),
+            [("agent:S.capability[0]", "duplicate stream id 's0'")],
+        ),
+        (
+            _signal("    capability flow_control stream s0 edge a b capacity 0", "    capability state_machine p"),
+            [("agent:S.capability[0]", "stream 's0' capacity must be positive")],
+        ),
+        (
+            _signal("    capability flow_control streams auto", LEARN + " p"),
+            [("agent:S.capability[1]", "duplicate plan names in action list")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES.replace("0.5", "0.5 sources Well")),
+            [("disease:d.transmission", "unknown entity type 'Well'")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES + "    passive duration deterministic 2\n"),
+            [("disease:d", "passive immunity duration is only valid for PSIR, not SIR")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES + "    states S I R\n"),
+            [("disease:d", "custom states and transitions are not valid in a SIR model")],
+        ),
+        (
+            _disease("custom", CUSTOM_CLAUSES.replace("states S I R", "states S I R I")),
+            [("disease:d", "duplicate compartment names")],
+        ),
+        (
+            _disease("custom", CUSTOM_CLAUSES.replace("initial S", "initial Z")),
+            [
+                ("disease:d", "compartment 'I' is unreachable from 'Z'"),
+                ("disease:d", "compartment 'R' is unreachable from 'Z'"),
+                ("disease:d", "compartment 'S' is unreachable from 'Z'"),
+                ("disease:d", "initial compartment 'Z' is not declared"),
+            ],
+        ),
+        (
+            _disease("custom", CUSTOM_CLAUSES.replace(" to I", "")),
+            [
+                ("disease:d", "compartment 'I' is unreachable from 'S'"),
+                ("disease:d", "compartment 'R' is unreachable from 'S'"),
+                ("disease:d.transmission", "custom disease models must declare a transmission target"),
+            ],
+        ),
+        (
+            _disease("custom", CUSTOM_CLAUSES + "    duration I deterministic 3\n"),
+            [("disease:d", "custom models declare transitions, not per-compartment durations")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES.replace("0.5", "0.5 to E")),
+            [("disease:d.transmission", "transition violates compartmental model: SIR infections enter I")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES, "  introduce d deterministic 1 arbitrary periodic 0\n"),
+            [("introduce[0]", "periodic interval must be at least 1")],
+        ),
+        (
+            _model(GRID, '  agent A { create fixed 1 random }\n  output o every 1 to "" {\n    series n count(A)\n  }\n'),
+            [("output:o", "output path must not be empty")],
+        ),
+        (_model(GRAPH, "  plan p { }\n"), [("plan:p", "plan declares no phases")]),
+    ],
+    ids=[
+        "gis with an empty path", "osm on an entity", "osm in a grid", "osm with another file",
+        "edges on an entity", "non-numeric position", "empty external library", "two flow_control",
+        "two qlearning", "fixed plan plus learning", "duplicate stream id", "capacity 0", "plans p p",
+        "unknown sources type", "passive in SIR", "states in SIR", "duplicate custom compartments",
+        "undeclared initial", "custom without target", "custom with duration", "SIR to E", "periodic 0",
+        "empty output path", "plan without phases",
+    ],
+)
+def test_text_reachable_diagnostic(text, expected):
+    """Mistakes a modeller can write in ``.abms`` text, each reported at its path."""
+    assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
