@@ -141,8 +141,6 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
         raise MachineError(f"step() on terminated machine '{instance.spec.name}'")
     instance.dwell += 1
     for tr in instance.spec.transitions_from(instance.current):
-        if tr.trigger is None:
-            continue
         if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
             continue
         if trigger_fires(tr.trigger, instance.dwell, ctx, rng):

@@ -241,15 +241,19 @@ class TestLoaders:
         (tmp_path / "p.points").write_text("")
         assert load_gis_points(tmp_path / "p.points") == []
 
+    def test_malformed_line_reports_position(self, tmp_path):
+        (tmp_path / "p.points").write_text("a,b\n")
+        with pytest.raises(FileFormatError, match="line 1: expected number"):
+            load_gis_points(tmp_path / "p.points")
+
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("a,b\n", "line 1: expected number"),
             ("1.0,2.0\n3.0\n", "line 2: expected x,y"),
             ("1.0,2.0,age=3,tall\n", "line 1: expected key=value, got 'tall'"),
         ],
     )
-    def test_malformed_line_reports_position(self, tmp_path, text, expected):
+    def test_malformed_point_line_is_named(self, tmp_path, text, expected):
         (tmp_path / "p.points").write_text(text)
         with pytest.raises(FileFormatError, match=f"p.points: {expected}$"):
             load_gis_points(tmp_path / "p.points")
