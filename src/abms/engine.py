@@ -5,10 +5,10 @@ One run consumes a single seeded PRNG stream in a fixed schedule, so identical
 runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
-  2. ``_agent_phase``: per agent in ascending id, mobility, signal plan
-     machines, generic state machines, then the disease step (transmission
-     attempt when susceptible, otherwise mortality and progression) with
-     disease changes buffered
+  2. ``_agent_phase``: each disease's infection sources indexed; then per
+     agent in ascending id, mobility, signal plan machines, generic state
+     machines, then the disease step (transmission attempt when susceptible,
+     otherwise mortality and progression) with disease changes buffered
   3. ``_disease_phase``: buffered disease changes applied; dead agents removed
   4. ``_vehicle_phase``: vehicle movement and queue service on graphs
   5. ``_learning_phase``: learning updates for completed plan cycles
@@ -223,7 +223,7 @@ class World(ex.Context):
         self.arrivals = 0
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
-        self._cells: dict[tuple[int, int], list[_Instance]] = {}  # cell -> its live agents and entities
+        self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
 
     # -- evaluation context -----------------------------------------------------
 
@@ -239,7 +239,7 @@ class World(ex.Context):
             return [entity for entity in self.entities.values() if entity.type_name == type_name]
         raise EvalError(f"unknown population '{type_name}'")
 
-    # -- ids and spatial index ------------------------------------------------
+    # -- ids --------------------------------------------------------------------
 
     def new_id(self) -> int:
         """The next instance id.  Ids only count up and an instance enters
@@ -247,14 +247,6 @@ class World(ex.Context):
         iterate in ascending id order without sorting."""
         self._next_id += 1
         return self._next_id - 1
-
-    def index_add(self, item: _Instance) -> None:
-        if self.cell_bounds is not None:  # graphs keep no index
-            self._cells.setdefault(_cell_of(item.position), []).append(item)
-
-    def index_remove(self, item: _Instance) -> None:
-        if self.cell_bounds is not None:
-            self._cells[_cell_of(item.position)].remove(item)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -398,7 +390,7 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
                 lib_path = _resolve(cap.library, config)  # validation requires a library
                 if not lib_path.exists():
                     raise EngineError(
-                        f"agent:{agent_type.name}: external capability library "
+                        f"tick {world.tick}: agent:{agent_type.name}: external capability library "
                         f"'{lib_path}' does not exist"
                     )
     for spec in mm.creation_order(model):
@@ -431,7 +423,7 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
                     assert world.graph is not None
                     nodes = world.graph.sorted_nodes
                     if not nodes:
-                        raise EngineError(f"{type_name}: cannot place agents on an empty graph")
+                        raise EngineError(f"tick {world.tick}: {type_name}: cannot place agents on an empty graph")
                     out.append(NodePos(nodes[rng.randrange(len(nodes))]))
         else:  # validation rules out explicit positions and point files on graphs
             spots = []
@@ -453,11 +445,10 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
 
 def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
     overrides = point.attrs if point is not None else {}
+    at = f"tick {world.tick}: {where} (point file line {point.line})" if overrides else ""
     for attr in attributes:
         if attr.name in overrides:
-            instance.attrs[attr.name] = _convert_raw(
-                overrides[attr.name], attr.kind, f"{where} (point file line {point.line})"
-            )
+            instance.attrs[attr.name] = _convert_raw(overrides[attr.name], attr.kind, at)
         elif attr.default is not None:
             evaluate = ex.evaluate_number if attr.kind in ex.NUMERIC else ex.evaluate
             value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, instance)
@@ -468,7 +459,7 @@ def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], poin
             instance.attrs[attr.name] = _ZERO_VALUES[attr.kind]
     for key in overrides:
         if key not in {a.name for a in attributes}:
-            raise EngineError(f"{where}: point file sets unknown attribute '{key}'")
+            raise EngineError(f"{at}: point file sets unknown attribute '{key}'")
 
 
 def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
@@ -478,7 +469,6 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
-        world.index_add(entity)
 
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
@@ -494,7 +484,6 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
-        world.index_add(agent)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
         mobility = spec.capability("mobility")
         if mobility is not None and world.graph is not None:
@@ -625,31 +614,58 @@ def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: r
 
 
 # ---------------------------------------------------------------------------
-# Neighbor queries
+# Infection sources and neighbor queries
 
 
-def _near(world: World, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
-    """The agents and entities within Euclidean distance ``radius`` of
-    ``position`` (toroidal on wrapped grids), in ascending id order, without
-    ``exclude``.  On a grid or cartesian space only the index cells within
-    reach are read, each once, so no radius costs more than reading every
-    cell; the index, like ``agents`` and ``entities``, holds only live
-    instances.  Graphs keep no index, so there every instance is measured."""
-    if world.cell_bounds is not None:
+_BY_ID = operator.attrgetter("id")
+
+
+class SourceIndex:
+    """One disease's infection sources during phase 2, in ascending id order,
+    and on a grid or cartesian space also by cell (``cells`` is None on graphs)."""
+
+    def __init__(self, items: list[_Instance], by_cell: bool):
+        self.items = items
+        self.cells: dict[tuple[int, int], list[_Instance]] | None = None
+        if by_cell:
+            self.cells = {}
+            for item in items:
+                self.cells.setdefault(_cell_of(item.position), []).append(item)
+
+
+def _index_sources(world: World) -> None:
+    """Index, per disease with a transmission, the agents in an infectious
+    state and the entities of a declared source type.  States change only in
+    phases 1 and 3, deaths come in phase 3 and entities never move, so the
+    index stays exact through phase 2 while walking sources are moved in it."""
+    world.sources = {}
+    for name, disease in world.diseases.items():
+        if (t := disease.spec.transmission) is not None:
+            items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
+            items += [e for e in world.entities.values() if e.type_name in t.sources]
+            items.sort(key=_BY_ID)
+            world.sources[name] = SourceIndex(items, world.cell_bounds is not None)
+
+
+def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
+    """The sources within Euclidean distance ``radius`` of ``position``
+    (toroidal on wrapped grids), in ascending id order, without ``exclude``.
+    On a grid or cartesian space the cells within reach are read, each once,
+    unless there are fewer sources than cells: then, as on graphs, the source
+    list itself is measured.  Both paths give the same sources in that order."""
+    items = sources.items
+    if sources.cells is not None:
         reach = math.floor(radius) + 1
         (x_low, x_high), (y_low, y_high) = world.cell_bounds
         wrap_x, wrap_y = world.wrap or (None, None)
         cx, cy = _cell_of(position)
-        xs, ys = _axis_cells(cx, reach, x_low, x_high, wrap_x), _axis_cells(cy, reach, y_low, y_high, wrap_y)
-        items = [item for gx in xs for gy in ys for item in world._cells.get((gx, gy), ())]
-    else:
-        items = [*world.agents.values(), *world.entities.values()]
-    out = [item for item in items if item is not exclude and world.distance(position, item.position) <= radius]
-    out.sort(key=operator.attrgetter("id"))
-    return out
+        xs, ys = _axis_reach(cx, reach, x_low, x_high, wrap_x), _axis_reach(cy, reach, y_low, y_high, wrap_y)
+        if len(xs) * len(ys) <= len(items):
+            items = sorted((item for gx in xs for gy in ys for item in sources.cells.get((gx, gy), ())), key=_BY_ID)
+    return [item for item in items if item is not exclude and world.distance(position, item.position) <= radius]
 
 
-def _axis_cells(centre: int, reach: int, low: int, high: int, wrap: int | None):
+def _axis_reach(centre: int, reach: int, low: int, high: int, wrap: int | None):
     """The cells within ``reach`` of ``centre`` on one axis, each once: on a
     wrapped axis of ``wrap`` cells modulo ``wrap``, otherwise inside [low, high]."""
     if wrap is None:
@@ -696,17 +712,18 @@ class DiseaseChanges:
 
 def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseChanges:
     """Phase 2: per-agent behaviour, with disease changes buffered."""
+    _index_sources(world)
     changes = DiseaseChanges()
     for aid, agent in world.agents.items():
         step_expr = world.walk_steps.get(agent.type_name)
         if step_expr is not None:
-            position = mobility_step(world, agent, step_expr, world.rng)
-            if position != agent.position:
-                world.index_remove(agent)
-                agent.position = position
-                world.index_add(agent)
-            else:  # the same cell, but 0.0 and -0.0 compare equal and print apart in the digest
-                agent.position = position
+            old_cell = _cell_of(agent.position)
+            agent.position = mobility_step(world, agent, step_expr, world.rng)
+            if (new_cell := _cell_of(agent.position)) != old_cell:
+                for index in world.sources.values():  # a walking source changes cell
+                    if agent in (bucket := index.cells.get(old_cell, ())):
+                        bucket.remove(agent)
+                        index.cells.setdefault(new_cell, []).append(agent)
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
             moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
@@ -740,13 +757,11 @@ def _disease_step(
             radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, agent)
             if radius <= 0:
                 raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")
-        candidates = []
-        for other in _near(world, agent.position, radius, agent):
-            if isinstance(other, EntityInstance):
-                candidates.append(dz.Candidate(other.id, True, other.type_name, other, None))
-            else:
-                state = other.diseases[disease_name].current if disease_name in other.diseases else None
-                candidates.append(dz.Candidate(other.id, False, other.type_name, other, state))
+        candidates = [
+            dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
+            else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
+            for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
+        ]
         if _checked(
             world, disease.transmission_path, dz.attempt_transmission, agent, candidates, t, disease.infectious, world.rng
         ):
@@ -774,7 +789,6 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
 
 def _remove_agent(world: World, agent: AgentInstance) -> None:
     del world.agents[agent.id]
-    world.index_remove(agent)
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
     if isinstance(agent.position, QueuePos):
         queue = world.queues.get((agent.position.node, agent.position.from_node))

@@ -135,7 +135,7 @@ model inline_grid_custom {
 }
 """
 
-# Vehicles carry a disease on a graph, so transmission scans every instance
+# Vehicles carry a disease on a graph, so transmission scans the source list
 # and measures from edge and queue positions; vehicles and signal controllers
 # die, leaving queues and intersections; a death rule tests a plan's phase.
 INLINE_GRAPH_DISEASE = """

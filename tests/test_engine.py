@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from abms import engine
 from abms import expr as ex
 from abms import metamodel as mm
+from abms import statemachine as sm
 from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
@@ -215,7 +217,31 @@ class TestBuildWorld:
             '  agent Car {\n    create fixed 3 random\n    capability mobility random_walk step 10\n  }\n}\n'
         )
         assert mm.validate(model).ok()
-        with pytest.raises(EngineError, match="^agent:Car: cannot place agents on an empty graph$"):
+        with pytest.raises(EngineError, match="^tick 0: agent:Car: cannot place agents on an empty graph$"):
+            engine.build_world(model, cfg(tmp_path))
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("2.0,2.0,color=red", "point file sets unknown attribute 'color'"),
+            ("2.0,2.0,age=old", "cannot read 'old' as integer"),
+            ("2.0,2.0,p=inf", "'inf' is not a finite real"),
+        ],
+        ids=["undeclared attribute", "unreadable value", "non-finite real"],
+    )
+    def test_point_file_attribute_error_names_the_tick_and_the_line(self, tmp_path, line, expected):
+        (tmp_path / "p.points").write_text(f"1.0,1.0\n{line}\n")
+        model = grid_model('  agent A {\n    create gis "p.points"\n    attr age integer\n    attr p real = 0.1\n  }')
+        assert mm.validate(model).ok()
+        with pytest.raises(EngineError, match=rf"^tick 0: agent:A \(point file line 2\): {re.escape(expected)}$"):
+            engine.build_world(model, cfg(tmp_path))
+
+    def test_missing_external_library_names_the_tick(self, tmp_path):
+        model = grid_model('  agent A {\n    create fixed 1 random\n    capability external "helper.nls" boost\n  }')
+        assert mm.validate(model).ok()
+        with pytest.raises(
+            EngineError, match=r"^tick 0: agent:A: external capability library '.*helper\.nls' does not exist$"
+        ):
             engine.build_world(model, cfg(tmp_path))
 
     def test_aperiodic_introduction_applies_at_build(self, tmp_path):
@@ -320,7 +346,8 @@ class TestNeighbors:
 
     @staticmethod
     def near(world, position, radius, exclude_id):
-        return [item.id for item in engine._near(world, position, radius, world.agents[exclude_id])]
+        sources = engine.SourceIndex(list(world.agents.values()), True)
+        return [item.id for item in engine._near(world, sources, position, radius, world.agents[exclude_id])]
 
     def test_torus_wraps_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)])
@@ -350,50 +377,194 @@ class TestNeighbors:
         assert got == sorted(got)
         assert got == ids[1:]
 
+    SPACES = {
+        "wrapped grid": "grid width 12 height 9 wrap",
+        "bounded grid": "grid width 12 height 9",
+        "cartesian": "cartesian -3..9 0..9",
+    }
 
-class TestCellIndex:
-    """The cell index holds each live agent and entity once, in the cell of
-    its position, and nothing else; graphs keep no index."""
+    @pytest.mark.parametrize("space", list(SPACES))
+    @pytest.mark.parametrize("count", [4, 300], ids=["fewer sources than cells", "more sources than cells"])
+    def test_cell_scan_and_list_scan_agree(self, tmp_path, space, count):
+        model = parse_model(f"model t {{\n  environment {self.SPACES[space]}\n  agent A {{ create fixed {count} random }}\n}}\n")
+        world = engine.build_world(model, cfg(tmp_path))
+        items = list(world.agents.values())
+        by_cell, listed = engine.SourceIndex(items, True), engine.SourceIndex(items, False)
+        rng = random.Random(count)
+        found = 0
+        for _ in range(300):
+            if space == "cartesian":
+                position = (rng.uniform(-3, 9), rng.uniform(0, 9))
+            else:
+                position = (rng.randrange(12), rng.randrange(9))
+            radius = rng.choice([0, 0.5, 1, 1.5, 2, 2.5, 4, 7])
+            exclude = rng.choice(items)
+            expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
+            assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
+            assert [a.id for a in engine._near(world, listed, position, radius, exclude)] == expected
+            found += len(expected)
+        assert found > 0
+
+
+class TestSourceIndex:
+    """During phase 2 each transmitting disease's index holds exactly its
+    sources, each once and in ascending id order, and on a grid or cartesian
+    space each in the cell of its current position; on a graph it is a list."""
 
     @staticmethod
-    def assert_indexed(world):
-        live = [*world.agents.values(), *world.entities.values()]
-        for item in live:
-            assert [x for x in world._cells[engine._cell_of(item.position)] if x is item] == [item]
-        assert sum(len(bucket) for bucket in world._cells.values()) == len(live)
+    def sources(world, name):
+        disease = world.diseases[name]
+        agents = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
+        entities = [e for e in world.entities.values() if e.type_name in disease.spec.transmission.sources]
+        return sorted(agents + entities, key=lambda item: item.id)
 
-    def test_wrapped_grid(self, tmp_path):
+    @classmethod
+    def assert_indexed(cls, world):
+        assert set(world.sources) == {n for n, d in world.diseases.items() if d.spec.transmission is not None}
+        for name, index in world.sources.items():
+            expected = cls.sources(world, name)
+            assert len(index.items) == len(expected)
+            assert all(got is item for got, item in zip(index.items, expected))
+            if world.cell_bounds is None:
+                assert index.cells is None
+                continue
+            for item in expected:
+                assert [x for x in index.cells[engine._cell_of(item.position)] if x is item] == [item]
+            assert sum(len(bucket) for bucket in index.cells.values()) == len(expected)
+
+    @classmethod
+    def run_checked(cls, monkeypatch, world, ticks):
+        """Tick ``world``, checking the index before every disease step;
+        returns the largest index seen."""
+        largest = 0
+        disease_step = engine._disease_step
+
+        def checked_step(world, *args):
+            nonlocal largest
+            cls.assert_indexed(world)
+            largest = max([largest, *(len(index.items) for index in world.sources.values())])
+            return disease_step(world, *args)
+
+        monkeypatch.setattr(engine, "_disease_step", checked_step)
+        for _ in range(ticks):
+            engine.tick(world)
+        return largest
+
+    def test_wrapped_grid(self, tmp_path, monkeypatch):
         model = grid_model(
-            "  agent A {\n    create fixed 40 random\n    capability mobility random_walk step 2\n  }\n"
-            "  entity W {\n    create fixed 3 at (0, 0) (9, 9) (4, 5)\n  }",
+            "  agent A {\n    create fixed 40 random\n    capability mobility random_walk step 2\n"
+            "    capability disease d\n  }\n"
+            "  entity W {\n    create fixed 3 at (0, 0) (6, 4) (4, 3)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 1.5 probability 0.3 sources W\n"
+            "    duration I deterministic 3\n    immunity duration deterministic 2\n  }\n"
+            "  introduce d deterministic 4 arbitrary periodic 3",
             width=7, height=5,
         )
         world = engine.build_world(model, cfg(tmp_path))
-        for _ in range(8):
-            engine.tick(world)
-            self.assert_indexed(world)
+        assert self.run_checked(monkeypatch, world, 8) > 25  # more sources than cells in reach
 
-    def test_cartesian_with_deaths(self, tmp_path):
+    def test_cartesian_with_deaths(self, tmp_path, monkeypatch):
         model = parse_model(
             "model t {\n  environment cartesian 0..12 -3..9\n"
-            "  agent A {\n    create fixed 60 random\n    capability mobility random_walk step 1.5\n"
+            "  agent A {\n    create fixed 120 random\n    capability mobility random_walk step 1.5\n"
             "    capability disease d\n  }\n"
             "  entity W {\n    create fixed 2 at (0, -3) (11.5, 8.5)\n  }\n"
-            "  disease d model SIR {\n    transmission proximity 2 probability 0.6\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability 0.6 sources W\n"
             "    duration I deterministic 20\n    mortality I rate 0.3 every_timeunit\n  }\n"
-            "  introduce d deterministic 10 arbitrary aperiodic\n}\n"
+            "  introduce d deterministic 20 arbitrary aperiodic\n}\n"
         )
         world = engine.build_world(model, cfg(tmp_path))
-        for _ in range(10):
-            engine.tick(world)
-            self.assert_indexed(world)
+        assert self.run_checked(monkeypatch, world, 10) > 49  # more sources than cells in reach
         assert world.dead["A"] > 0
 
-    def test_graph_keeps_no_index(self, tmp_path):
+    def test_graph_index_is_a_list(self, tmp_path, monkeypatch):
         world = engine.build_world(parse_model(INLINE_GRAPH_DISEASE), cfg(tmp_path))
-        for _ in range(10):
+        assert self.run_checked(monkeypatch, world, 10) > 0
+        assert world.dead
+
+    # Per space: environment, interaction, the walking source's far and near
+    # positions, the susceptible agent's position, the stationary sources'
+    # position.  The far position lies outside the cells the susceptible
+    # agent's scan reads, and there are more sources than those cells, so the
+    # scan goes by cell and finds the walker only where it was moved to.
+    WALKS = {
+        "wrapped grid across the seam": ("grid width 10 height 10 wrap", "contact", (0, 2), (8, 2), (8, 2), (4, 7)),
+        "cartesian": ("cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), (8.5, 1.5)),
+    }
+
+    @pytest.mark.parametrize("space", list(WALKS))
+    @pytest.mark.parametrize("into_reach", [True, False], ids=["into reach", "out of reach"])
+    def test_source_walks_before_a_higher_id_scan(self, tmp_path, monkeypatch, space, into_reach):
+        env, interaction, far, near, at, rest = self.WALKS[space]
+        start, end = (far, near) if into_reach else (near, far)
+        model = parse_model(
+            f"model t {{\n  environment {env}\n"
+            f"  agent Walker {{\n    create fixed 1 at {start}\n    capability mobility random_walk step 1\n"
+            "    capability disease d\n  }\n"
+            f"  agent Host {{\n    create fixed 1 at {at}\n    capability disease d\n  }}\n"
+            f"  agent Still {{\n    create fixed 12 at {rest}\n    capability disease d\n  }}\n"
+            f"  disease d model SIR {{\n    transmission {interaction} probability 1\n"
+            "    duration I deterministic 100\n  }\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        walker, host, *still = world.agents.values()
+        for source in (walker, *still):
+            sm.force_state(source.diseases["d"], "I")
+        monkeypatch.setattr(engine, "mobility_step", lambda world, agent, step, rng: end)
+        engine.tick(world)
+        assert walker.id < host.id and walker.position == end
+        assert len(world.sources["d"].items) > 9  # the scan reads 9 cells
+        assert host.diseases["d"].current == ("I" if into_reach else "S")
+
+    def test_a_source_that_dies_is_absent_from_the_next_index(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 30 random\n    capability mobility random_walk step 1\n"
+            "    capability disease d\n  }\n"
+            "  entity W {\n    create fixed 2 at (1, 1) (5, 5)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability 0 sources W\n"
+            "    duration I deterministic 50\n    mortality I rate 1 every_timeunit\n  }\n"
+            "  introduce d deterministic 12 arbitrary aperiodic"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        engine.tick(world)
+        dead = [item for item in world.sources["d"].items if item.id not in world.agents and item.id not in world.entities]
+        assert len(dead) == 12
+        engine.tick(world)
+        index = world.sources["d"]
+        assert [item.id for item in index.items] == sorted(world.entities)
+        assert not [x for bucket in index.cells.values() for x in bucket if any(x is item for item in dead)]
+
+    def test_a_susceptible_source_does_not_infect_itself(self, tmp_path):
+        # The susceptible compartment may be declared infectious: the scanning
+        # agent is then in its own disease's index, and its scan skips it.
+        model = grid_model(
+            "  agent A {\n    create fixed 1 at (3, 3)\n    capability disease d\n  }\n"
+            "  disease d model SIR {\n    transmission contact probability 1 infectious S I\n"
+            "    duration I deterministic 5\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        (agent,) = world.agents.values()
+        for _ in range(3):
             engine.tick(world)
-        assert world.dead and world._cells == {}
+        assert world.sources["d"].items == [agent] and agent.diseases["d"].current == "S"
+
+    def test_an_agent_is_indexed_only_for_the_disease_it_is_infectious_in(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 4 at (1, 1) (2, 2) (3, 3) (4, 4)\n"
+            "    capability disease d\n    capability disease e\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability 0\n    duration I deterministic 50\n  }\n"
+            "  disease e model SEIR {\n    transmission contact probability 0\n"
+            "    duration E deterministic 50\n    duration I deterministic 50\n  }"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        a, b, c, _ = world.agents.values()
+        sm.force_state(a.diseases["d"], "I")
+        sm.force_state(b.diseases["e"], "I")
+        sm.force_state(c.diseases["e"], "E")  # infected, not infectious
+        engine.tick(world)
+        assert world.sources["d"].items == [a] and world.sources["d"].cells == {(1, 1): [a]}
+        assert world.sources["e"].items == [b] and world.sources["e"].cells == {(2, 2): [b]}
 
 
 class TestMobility:
