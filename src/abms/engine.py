@@ -252,7 +252,7 @@ class World(ex.Context):
 
     def coords(self, position) -> tuple[float, float]:
         if isinstance(position, tuple):
-            return (float(position[0]), float(position[1]))
+            return position
         assert self.graph is not None
         if isinstance(position, (NodePos, QueuePos)):
             return self.graph.nodes[position.node]
