@@ -16,10 +16,19 @@ from pathlib import Path
 from . import codegen, engine
 from . import metamodel as mm
 from .dsl import format_model, parse
-from .errors import AbmsError
+from .errors import AbmsError, FileFormatError
+from .ingest import read_text
 
 DEFAULT_SEED = 42
 DEFAULT_TICKS = 100
+
+
+def positive_int(text: str) -> int:
+    """The argparse type of ``--ticks``; argparse reports a ValueError as an invalid value."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate a model and write output CSVs")
     add_common(run_p)
     run_p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer seed, or 'random' for entropy")
-    run_p.add_argument("--ticks", type=int, default=DEFAULT_TICKS)
+    run_p.add_argument("--ticks", type=positive_int, default=DEFAULT_TICKS)
     run_p.add_argument("--out-dir", default=None, help="output directory (default: $ABMS_OUT_DIR or '.')")
 
     gen_p = sub.add_parser("gen", help="generate NetLogo source text")
@@ -51,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: {path}: {err.strerror or err}", file=sys.stderr)
+        text = read_text(path)
+    except FileFormatError as err:
+        print(f"error: {err}", file=sys.stderr)
         return None, None
     result = parse(text, filename=path)
     if result.model is None:

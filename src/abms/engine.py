@@ -59,8 +59,11 @@ class NodePos:
     node: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class EdgePos:
+    """Phase 4 counts ``remaining`` down in place: each edge entry makes a
+    fresh EdgePos, so one vehicle holds it."""
+
     source: str
     target: str
     remaining: int
@@ -97,7 +100,6 @@ class LearnerState:
     prev_state: tuple
     prev_action: str
     accumulated: float = 0.0
-    updates: int = 0
 
 
 @dataclass(eq=False)
@@ -259,7 +261,7 @@ class World(ex.Context):
         # Every other position is an EdgePos.
         sx, sy = self.graph.nodes[position.source]
         txx, tyy = self.graph.nodes[position.target]
-        frac = 1.0 - (position.remaining / position.total) if position.total else 1.0
+        frac = 1.0 - position.remaining / position.total
         return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
 
     def distance(self, a, b) -> float:
@@ -541,8 +543,9 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     if learning is not None and learning.qlearning is not None:
         qspec = learning.qlearning
         state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
-        action = tf.select_action(tf.QTable(), state, qspec.plans, qspec.epsilon, world.rng)
-        ctrl.learner = LearnerState(spec=qspec, table=tf.QTable(), prev_state=state, prev_action=action)
+        table = tf.QTable()
+        action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
+        ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action)
         _controller_set_plan(world, ctrl, action)
 
 
@@ -728,7 +731,7 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
         if ctrl is not None and ctrl.machine is not None:
             moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
             ctrl.ticks_in_cycle += 1
-            if moved is not None:
+            if moved:
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
             if not inst.terminated:
@@ -790,10 +793,8 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
 def _remove_agent(world: World, agent: AgentInstance) -> None:
     del world.agents[agent.id]
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
-    if isinstance(agent.position, QueuePos):
-        queue = world.queues.get((agent.position.node, agent.position.from_node))
-        if queue and agent.id in queue:
-            queue.remove(agent.id)
+    if isinstance(agent.position, QueuePos):  # a queued vehicle is in its queue until served
+        world.queues[(agent.position.node, agent.position.from_node)].remove(agent.id)
     ctrl = agent.controller
     if ctrl is not None and world.controllers_by_node.get(ctrl.node) is ctrl:
         del world.controllers_by_node[ctrl.node]
@@ -809,16 +810,15 @@ def _vehicle_phase(world: World) -> None:
         pos = agent.position
         if not isinstance(pos, EdgePos):
             continue
-        remaining = pos.remaining - 1
-        if remaining > 0:
-            agent.position = EdgePos(pos.source, pos.target, remaining, pos.total)
+        if pos.remaining > 1:
+            pos.remaining -= 1
             continue
         queue_key = (pos.target, pos.source)
         ctrl = world.controllers_by_node.get(pos.target)
         capacity = ctrl.capacities.get(pos.source) if ctrl is not None else None
         queue = world.queues.setdefault(queue_key, [])
         if capacity is not None and len(queue) >= capacity:
-            agent.position = EdgePos(pos.source, pos.target, 0, pos.total)  # blocked; retry next tick
+            pos.remaining = 0  # blocked; retry next tick
             continue
         queue.append(aid)
         agent.position = QueuePos(pos.target, pos.source)
@@ -856,7 +856,6 @@ def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
         return
     state = tf.discretize_state(_queue_lengths(world, ctrl), learner.spec.bins)
     tf.q_update(learner.table, learner.prev_state, learner.prev_action, learner.accumulated, state, learner.spec)
-    learner.updates += 1
     action = tf.select_action(learner.table, state, learner.spec.plans, learner.spec.epsilon, world.rng)
     learner.prev_state = state
     learner.prev_action = action

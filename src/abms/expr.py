@@ -124,8 +124,8 @@ def lit(value: object) -> Literal:
 class Context:
     """Resolution hooks for evaluation.
 
-    The engine provides world/agent/entity implementations; tests may use
-    :class:`MapContext`.  All hooks raise :class:`EvalError` for unknown names.
+    Worlds, agents and entities implement these hooks in the engine.  Each
+    hook raises :class:`EvalError` for a name it does not know.
     """
 
     def attribute(self, owner: str | None, name: str):
@@ -135,39 +135,6 @@ class Context:
         raise EvalError(f"no state machine or disease named '{name}' in this context")
 
     def population(self, type_name: str) -> Iterable["Context"]:
-        raise EvalError(f"unknown population '{type_name}'")
-
-
-class MapContext(Context):
-    """Context backed by plain dicts; useful for unit tests and defaults."""
-
-    def __init__(
-        self,
-        attrs: Mapping[str, object] | None = None,
-        states: Mapping[str, str] | None = None,
-        populations: Mapping[str, list["Context"]] | None = None,
-        owner: str | None = None,
-    ):
-        self._attrs = dict(attrs or {})
-        self._states = dict(states or {})
-        self._pops = dict(populations or {})
-        self._owner = owner
-
-    def attribute(self, owner: str | None, name: str):
-        if owner is not None and owner != self._owner:
-            raise EvalError(f"unknown attribute '{_dotted(owner, name)}'")
-        if name in self._attrs:
-            return self._attrs[name]
-        raise EvalError(f"unknown attribute '{name}'")
-
-    def machine_state(self, name: str) -> str:
-        if name in self._states:
-            return self._states[name]
-        raise EvalError(f"no state machine or disease named '{name}' in this context")
-
-    def population(self, type_name: str) -> Iterable[Context]:
-        if type_name in self._pops:
-            return self._pops[type_name]
         raise EvalError(f"unknown population '{type_name}'")
 
 

@@ -1,10 +1,10 @@
 """Input file loaders: plain point lists and the OSM-XML road subset.
 
-Point files are comma-separated ``x,y[,key=value...]`` lines.  Road maps are
-OSM XML restricted to ``<node id lat lon>`` plus ``<way>`` elements tagged as
-highways; consecutive node references inside a way become undirected edges
-whose length is the great-circle distance in meters (one simulation length
-unit is one meter).
+Both are UTF-8 text.  Point files are comma-separated ``x,y[,key=value...]``
+lines.  Road maps are OSM XML restricted to ``<node id lat lon>`` plus
+``<way>`` elements tagged as highways; consecutive node references inside a
+way become undirected edges whose length is the great-circle distance in
+meters (one simulation length unit is one meter).
 """
 
 from __future__ import annotations
@@ -54,13 +54,25 @@ class Graph:
         return self.edges[edge_key(a, b)]
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path`` with universal newlines, or a FileFormatError
+    naming the path (and, for bytes that are not UTF-8, the first one's line)."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except FileNotFoundError:
+        raise FileFormatError(f"{path}: file not found") from None
+    except OSError as err:
+        raise FileFormatError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise FileFormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def load_gis_points(path: str | Path) -> list[GisPoint]:
     """Parse a point file, preserving line order; blank lines are skipped."""
-    path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"{path}: file not found")
     points: list[GisPoint] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -100,11 +112,8 @@ def load_osm_graph(path: str | Path) -> Graph:
     an error naming its id, or its 1-based position among the node elements
     when it has none.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"{path}: file not found")
     try:
-        root = ET.parse(path).getroot()
+        root = ET.fromstring(read_text(path))
     except ET.ParseError as err:
         raise FileFormatError(f"{path}: malformed XML: {err}") from None
     latlon: dict[str, tuple[float, float]] = {}

@@ -107,21 +107,6 @@ class MachineInstance:
         return MachineInstance(self.spec, self.current, self.dwell, self.terminated)
 
 
-@dataclass(frozen=True)
-class Moved:
-    source: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Aborted:
-    source: str
-    abort_to: str
-
-
-TransitionEvent = Union[None, Moved, Aborted]
-
-
 class MachineError(AbmsError):
     pass
 
@@ -131,8 +116,9 @@ def instantiate(spec: StateMachineSpec) -> MachineInstance:
     return MachineInstance(spec=spec, current=spec.initial, dwell=0, terminated=False)
 
 
-def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> TransitionEvent:
-    """Advance one tick.  Returns the transition event taken, if any.
+def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> bool:
+    """Advance one tick.  Returns whether a transition was taken (an aborted
+    one included); ``instance.current`` tells where it led.
 
     The dwell counter counts steps spent in the current state including the
     current one, so a deterministic trigger of d ticks fires on the d-th step.
@@ -144,19 +130,18 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> Tran
         if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
             continue
         if trigger_fires(tr.trigger, instance.dwell, ctx, rng):
-            return _take(instance, tr, ctx, rng)
-    return None
+            _take(instance, tr, ctx, rng)
+            return True
+    return False
 
 
-def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: random.Random) -> TransitionEvent:
-    source = instance.current
+def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: random.Random) -> None:
     if tr.abortion is not None:
         p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
         if rng.random() < p:
             force_state(instance, tr.abortion.abort_to)
-            return Aborted(source, tr.abortion.abort_to)
+            return
     force_state(instance, tr.target)
-    return Moved(source, tr.target)
 
 
 def force_state(instance: MachineInstance, state: str) -> None:

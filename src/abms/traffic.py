@@ -100,13 +100,12 @@ def discretize_state(queues: Sequence[int], bins: Sequence[int]) -> tuple[int, .
     return tuple(bisect_left(bins, q) for q in queues)
 
 
-def q_update(table: QTable, s: tuple, a: str, r: float, s_next: tuple, spec: QLearningSpec) -> QTable:
+def q_update(table: QTable, s: tuple, a: str, r: float, s_next: tuple, spec: QLearningSpec) -> None:
     """One temporal-difference backup:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
     best_next = max(table.get(s_next, action) for action in spec.plans)
     old = table.get(s, a)
     table.set(s, a, old + spec.alpha * (r + spec.gamma * best_next - old))
-    return table
 
 
 def select_action(

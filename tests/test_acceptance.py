@@ -19,6 +19,7 @@ from abms import statemachine as sm
 from abms import traffic as tf
 from abms.dsl import format_model, parse, parse_model
 
+from contexts import MapContext
 from randmodels import random_disease_model, random_text_model
 from test_traffic import learn_policy, value_iteration
 
@@ -169,7 +170,7 @@ def test_criterion_4_duration_statistics():
         steps = 0
         while True:
             steps += 1
-            if sm.step(inst, ex.MapContext(), rng) is not None:
+            if sm.step(inst, MapContext(), rng):
                 return steps
 
     rng = random.Random(4242)
@@ -280,7 +281,7 @@ model m {{
         assert world.ever_infected.get("d", 0) == expected
 
     # Probabilistic quantity: total over 1000 trials inside the binomial 99% CI.
-    pool = [(i, ex.MapContext()) for i in range(200)]
+    pool = [(i, MapContext()) for i in range(200)]
     spec = dz.DiseaseIntroductionSpec(
         disease="d", quantity_kind="probabilistic", probability=0.3
     )

@@ -79,6 +79,11 @@ class TestRun:
     def test_bad_seed_is_usage_error(self, workdir, capsys):
         assert main(["run", str(workdir / "measles.abms"), "--seed", "banana"]) == 2
 
+    @pytest.mark.parametrize("ticks", ["0", "-3"])
+    def test_ticks_below_one_is_usage_error(self, workdir, capsys, ticks):
+        assert main(["run", str(workdir / "measles.abms"), "--ticks", ticks]) == 2
+        assert f"argument --ticks: must be at least 1, got {ticks}" in capsys.readouterr().err
+
     def test_invalid_model_exit_one(self, workdir, capsys):
         text = (workdir / "measles.abms").read_text().replace("duration I probabilistic rate 0.08\n", "")
         (workdir / "bad.abms").write_text(text)
@@ -128,6 +133,34 @@ class TestFmt:
         (workdir / "messy.abms").write_text(messy)
         assert main(["fmt", str(workdir / "messy.abms")]) == 0
         assert main(["fmt", "--check", str(workdir / "messy.abms")]) == 0
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read or decoded is one error line and exit 1."""
+
+    @pytest.mark.parametrize("command", ["validate", "run", "gen", "fmt"])
+    def test_model_that_is_not_utf8(self, workdir, capsys, command):
+        model = workdir / "latin.abms"
+        text = (workdir / "measles.abms").read_bytes()
+        model.write_bytes(text.replace(b"model ", b"model \xe9", 1))
+        assert main([command, str(model)]) == 1
+        line = text[: text.index(b"model ")].count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {model}: line {line}: not UTF-8 text\n"
+
+    def test_point_file_that_is_not_utf8(self, workdir, capsys):
+        points = workdir / "natives.points"
+        points.write_bytes(points.read_bytes() + b"1,1,name=caf\xe9\n")
+        line = points.read_bytes().count(b"\n")
+        assert main(["run", str(workdir / "measles.abms"), "--ticks", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {points}: line {line}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("model, name", [("measles.abms", "natives.points"), ("traffic.abms", "network.osm")])
+    def test_input_path_that_is_a_directory(self, workdir, capsys, model, name):
+        (workdir / name).unlink()
+        (workdir / name).mkdir()
+        assert main(["run", str(workdir / model), "--ticks", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / name}: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,6 +7,8 @@ from abms import expr as ex
 from abms import statemachine as sm
 from abms.errors import EvalError
 
+from contexts import MapContext
+
 # Compartment graph edge sets for the three standard layouts.
 SIR_EDGES = {("S", "I"), ("I", "R")}
 SEIR_EDGES = {("S", "E"), ("E", "I"), ("I", "R")}
@@ -88,8 +90,8 @@ class TestBuildMachine:
 
 def cand(i, state, attrs=None, entity_type=None):
     if entity_type is not None:
-        return dz.Candidate(i, True, entity_type, ex.MapContext(attrs or {}), None)
-    return dz.Candidate(i, False, "Agt", ex.MapContext(attrs or {}), state)
+        return dz.Candidate(i, True, entity_type, MapContext(attrs or {}), None)
+    return dz.Candidate(i, False, "Agt", MapContext(attrs or {}), state)
 
 
 class TestAttemptTransmission:
@@ -100,62 +102,62 @@ class TestAttemptTransmission:
 
     def test_zero_probability_never_infects(self):
         candidates = [cand(1, "I"), cand(2, "I")]
-        assert not dz.attempt_transmission(ex.MapContext(), candidates, self.spec(0.0), ["I"], random.Random(0))
+        assert not dz.attempt_transmission(MapContext(), candidates, self.spec(0.0), ["I"], random.Random(0))
 
     def test_zero_probability_draws_nothing(self):
         rng = random.Random(3)
-        dz.attempt_transmission(ex.MapContext(), [cand(1, "I")], self.spec(0.0), ["I"], rng)
+        dz.attempt_transmission(MapContext(), [cand(1, "I")], self.spec(0.0), ["I"], rng)
         assert rng.random() == random.Random(3).random()
 
     @pytest.mark.parametrize("probability", [1.5, -0.1, float("nan")])
     def test_out_of_range_probability_is_rejected(self, probability):
         with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
-            dz.attempt_transmission(ex.MapContext(), [], self.spec(probability), ["I"], random.Random(0))
+            dz.attempt_transmission(MapContext(), [], self.spec(probability), ["I"], random.Random(0))
 
     def test_certain_probability_with_infectious_neighbor(self):
-        assert dz.attempt_transmission(ex.MapContext(), [cand(1, "I")], self.spec(1.0), ["I"], random.Random(0))
+        assert dz.attempt_transmission(MapContext(), [cand(1, "I")], self.spec(1.0), ["I"], random.Random(0))
 
     def test_non_infectious_neighbors_ignored(self):
         candidates = [cand(1, "R"), cand(2, "S"), cand(3, "E")]
-        assert not dz.attempt_transmission(ex.MapContext(), candidates, self.spec(1.0), ["I"], random.Random(0))
+        assert not dz.attempt_transmission(MapContext(), candidates, self.spec(1.0), ["I"], random.Random(0))
 
     def test_infectious_state_set_is_respected(self):
         candidates = [cand(1, "E")]
-        assert dz.attempt_transmission(ex.MapContext(), candidates, self.spec(1.0), ["E", "I"], random.Random(0))
+        assert dz.attempt_transmission(MapContext(), candidates, self.spec(1.0), ["E", "I"], random.Random(0))
 
     def test_entity_sources_with_condition(self):
         spec = self.spec(1.0, condition=ex.Binary(">", ex.AttrRef(None, "level"), ex.lit(1.0)), sources=["Well"])
         dirty = [cand(1, None, {"level": 2.0}, entity_type="Well")]
         clean = [cand(1, None, {"level": 0.5}, entity_type="Well")]
         other = [cand(1, None, {"level": 9.9}, entity_type="Fountain")]
-        assert dz.attempt_transmission(ex.MapContext(), dirty, spec, ["I"], random.Random(0))
-        assert not dz.attempt_transmission(ex.MapContext(), clean, spec, ["I"], random.Random(0))
-        assert not dz.attempt_transmission(ex.MapContext(), other, spec, ["I"], random.Random(0))
+        assert dz.attempt_transmission(MapContext(), dirty, spec, ["I"], random.Random(0))
+        assert not dz.attempt_transmission(MapContext(), clean, spec, ["I"], random.Random(0))
+        assert not dz.attempt_transmission(MapContext(), other, spec, ["I"], random.Random(0))
 
     def test_condition_applies_to_agent_sources_too(self):
         spec = self.spec(1.0, condition=ex.AttrRef(None, "shedding"))
         hot = [cand(1, "I", {"shedding": True})]
         cold = [cand(1, "I", {"shedding": False})]
-        assert dz.attempt_transmission(ex.MapContext(), hot, spec, ["I"], random.Random(0))
-        assert not dz.attempt_transmission(ex.MapContext(), cold, spec, ["I"], random.Random(0))
+        assert dz.attempt_transmission(MapContext(), hot, spec, ["I"], random.Random(0))
+        assert not dz.attempt_transmission(MapContext(), cold, spec, ["I"], random.Random(0))
 
     def test_candidates_tried_in_the_order_given(self):
         tried = []
 
-        class Recording(ex.MapContext):
+        class Recording(MapContext):
             def attribute(self, owner, name):
                 tried.append(self._attrs["id"])
                 return super().attribute(owner, name)
 
         spec = self.spec(1.0, condition=ex.Binary(">", ex.AttrRef(None, "id"), ex.lit(5)))
         candidates = [dz.Candidate(i, False, "Agt", Recording({"id": i}), "I") for i in (1, 9, 4)]
-        assert dz.attempt_transmission(ex.MapContext(), candidates, spec, ["I"], random.Random(0))
+        assert dz.attempt_transmission(MapContext(), candidates, spec, ["I"], random.Random(0))
         assert tried == [1, 9]  # id 1 fails the condition, id 9 infects, id 4 is never tried
 
 
 class TestIntroduce:
     def pool(self, n):
-        return [(i, ex.MapContext({"age": i})) for i in range(n)]
+        return [(i, MapContext({"age": i})) for i in range(n)]
 
     def spec(self, **kw):
         base = dict(disease="d", quantity_kind="deterministic", count=5)
@@ -200,13 +202,13 @@ class TestEvaluateMortality:
     def test_out_of_range_rate_is_rejected(self, rate):
         rules = [dz.MortalitySpec("I", ex.lit(rate), dz.EVERY_TIMEUNIT)]
         with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
-            dz.evaluate_mortality(rules, ex.MapContext(), 1, random.Random(0))
+            dz.evaluate_mortality(rules, MapContext(), 1, random.Random(0))
 
     def test_zero_rate_never_dies(self):
         rules = [dz.MortalitySpec("I", ex.lit(0.0), dz.EVERY_TIMEUNIT)]
         rng = random.Random(0)
         assert not any(
-            dz.evaluate_mortality(rules, ex.MapContext(), t, rng) for t in range(200)
+            dz.evaluate_mortality(rules, MapContext(), t, rng) for t in range(200)
         )
 
     def test_guard_not_met_blocks_death(self):
@@ -218,15 +220,15 @@ class TestEvaluateMortality:
                 condition=ex.Binary("<=", ex.AttrRef(None, "energy"), ex.lit(0)),
             )
         ]
-        alive = ex.MapContext({"energy": 5})
-        exhausted = ex.MapContext({"energy": 0})
+        alive = MapContext({"energy": 5})
+        exhausted = MapContext({"energy": 0})
         assert not dz.evaluate_mortality(rules, alive, 1, random.Random(0))
         assert dz.evaluate_mortality(rules, exhausted, 1, random.Random(0))
 
     def test_specific_timeunit_only_that_tick(self):
         rules = [dz.MortalitySpec("I", ex.lit(1.0), dz.SPECIFIC_TIMEUNIT, at_tick=7)]
         rng = random.Random(0)
-        hits = [dz.evaluate_mortality(rules, ex.MapContext(), t, rng) for t in range(10)]
+        hits = [dz.evaluate_mortality(rules, MapContext(), t, rng) for t in range(10)]
         assert hits == [t == 7 for t in range(10)]
 
 

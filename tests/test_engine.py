@@ -11,6 +11,7 @@ from abms import engine
 from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
+from abms import traffic as tf
 from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
@@ -283,6 +284,17 @@ class TestLoaders:
         (tmp_path / "p.points").write_text(text)
         with pytest.raises(FileFormatError, match=f"p.points: {expected}$"):
             load_gis_points(tmp_path / "p.points")
+
+    def test_point_file_that_is_not_utf8_names_the_line(self, tmp_path):
+        (tmp_path / "p.points").write_bytes(b"1.0,2.0\n3.0,4.0,name=caf\xe9\n")
+        with pytest.raises(FileFormatError, match="p.points: line 2: not UTF-8 text$"):
+            load_gis_points(tmp_path / "p.points")
+
+    @pytest.mark.parametrize("load, name", [(load_gis_points, "p.points"), (load_osm_graph, "m.osm")])
+    def test_input_path_that_is_a_directory(self, tmp_path, load, name):
+        (tmp_path / name).mkdir()
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(tmp_path / name))}: "):
+            load(tmp_path / name)
 
     def test_osm_three_nodes_one_way(self, tmp_path):
         (tmp_path / "m.osm").write_text(MINI_OSM)
@@ -969,10 +981,25 @@ class TestVehicles:
             )
             assert engine.controller_stopped(world, ctrl) == expected
 
-    def test_learner_updates_accumulate(self, tmp_path):
+    def test_learner_updates_accumulate(self, tmp_path, monkeypatch):
         world = self.traffic_world(tmp_path)
+        updates: dict[int, int] = {}
+
+        def counting(table, *args, _original=tf.q_update):
+            updates[id(table)] = updates.get(id(table), 0) + 1
+            return _original(table, *args)
+
+        monkeypatch.setattr(tf, "q_update", counting)
         cycle = world.model.plan("MainGreen").cycle_length()
         for _ in range(cycle * 3 + 1):
             engine.tick(world)
         learners = [a.controller.learner for a in world.agents.values() if a.controller]
-        assert learners and all(l.updates >= 3 for l in learners)
+        assert learners and all(updates.get(id(l.table), 0) >= 3 for l in learners)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_each_edge_position_has_one_holder(self, tmp_path, seed):
+        world = self.traffic_world(tmp_path, seed=seed)
+        for _ in range(120):
+            engine.tick(world)
+            on_edges = [a.position for a in world.agents.values() if isinstance(a.position, engine.EdgePos)]
+            assert on_edges and len({id(pos) for pos in on_edges}) == len(on_edges)

@@ -332,11 +332,18 @@ model m {
         cars = [a for a in world.agents.values() if a.type_name == "Car"][:3]
         for car in cars:
             car.position = engine.EdgePos("a", "b", 1, 2)
-        engine._vehicle_phase(world)
-        queue = world.queues.get(("b", "a"), [])
-        assert len(queue) == 1  # capacity 1: exactly one admitted
-        blocked = [c for c in cars if isinstance(c.position, engine.EdgePos) and c.position.remaining == 0]
-        assert len(blocked) == 2
+        for car in world.agents.values():
+            if car.type_name == "Car" and car not in cars:
+                car.position = engine.NodePos("c")  # parked: phase 4 moves no car on a node
+        arrivals = world.arrivals
+        for _ in range(3):  # the blocked cars retry every phase and stay blocked
+            engine._vehicle_phase(world)
+            queue = world.queues.get(("b", "a"), [])
+            assert len(queue) == 1  # capacity 1: exactly one admitted
+            blocked = [c for c in cars if isinstance(c.position, engine.EdgePos)]
+            assert len(blocked) == 2
+            assert all(c.position.remaining == 0 and c.position.total == 2 for c in blocked)
+            assert world.arrivals == arrivals + 1
 
 
 class TestResolvedOncePerRun:

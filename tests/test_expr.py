@@ -3,9 +3,11 @@ import pytest
 from abms import expr as ex
 from abms.errors import EvalError, ExprTypeError
 
+from contexts import MapContext
+
 
 def ctx(**attrs):
-    return ex.MapContext(attrs=attrs)
+    return MapContext(attrs=attrs)
 
 
 class TestEvaluate:
@@ -43,13 +45,13 @@ class TestEvaluate:
             ex.evaluate(ex.AttrRef(None, "missing"), ctx())
 
     def test_state_test(self):
-        c = ex.MapContext(states={"measles": "I"})
+        c = MapContext(states={"measles": "I"})
         assert ex.evaluate(ex.StateTest("measles", "I"), c) is True
         assert ex.evaluate(ex.StateTest("measles", "R"), c) is False
 
     def test_aggregates(self):
         members = [ctx(age=2), ctx(age=5), ctx(age=9)]
-        world = ex.MapContext(populations={"Native": members})
+        world = MapContext(populations={"Native": members})
         count = ex.Aggregate("count", "Native", ex.Binary(">", ex.AttrRef(None, "age"), ex.lit(3)), None)
         assert ex.evaluate(count, world) == 2
         total = ex.Aggregate("sum", "Native", None, ex.AttrRef(None, "age"))

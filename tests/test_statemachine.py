@@ -6,6 +6,8 @@ from abms import disease as dz
 from abms import expr as ex
 from abms import statemachine as sm
 
+from contexts import MapContext
+
 
 def two_state(trigger, guard=None, abortion=None):
     return sm.StateMachineSpec(
@@ -47,12 +49,14 @@ class TestStep:
     def test_deterministic_fires_on_exact_dwell(self):
         inst = sm.instantiate(two_state(sm.DeterministicTrigger(ex.lit(3))))
         rng = random.Random(0)
-        events = [sm.step(inst, ex.MapContext(), rng) for _ in range(3)]
-        assert events == [None, None, sm.Moved("a", "b")]
+        events = [sm.step(inst, MapContext(), rng) for _ in range(3)]
+        assert events == [False, False, True]
+        assert inst.current == "b"
 
     def test_probabilistic_certainty_fires_first_step(self):
         inst = sm.instantiate(two_state(sm.ProbabilisticTrigger(ex.lit(1.0))))
-        assert sm.step(inst, ex.MapContext(), random.Random(1)) == sm.Moved("a", "b")
+        assert sm.step(inst, MapContext(), random.Random(1)) is True
+        assert inst.current == "b"
 
     def test_abortion_certain(self):
         spec = sm.StateMachineSpec(
@@ -69,9 +73,9 @@ class TestStep:
         )
         inst = sm.instantiate(spec)
         rng = random.Random(2)
-        assert sm.step(inst, ex.MapContext(), rng) is None
-        event = sm.step(inst, ex.MapContext(), rng)
-        assert event == sm.Aborted("I", sm.DEAD_STATE)
+        assert sm.step(inst, MapContext(), rng) is False
+        assert sm.step(inst, MapContext(), rng) is True
+        assert inst.current == sm.DEAD_STATE
         assert inst.terminated
 
     def test_dead_is_absorbing(self):
@@ -79,23 +83,25 @@ class TestStep:
         spec.states.append(sm.DEAD_STATE)
         spec.transitions[0].target = sm.DEAD_STATE
         inst = sm.instantiate(spec)
-        sm.step(inst, ex.MapContext(), random.Random(0))
+        sm.step(inst, MapContext(), random.Random(0))
         assert inst.terminated
         with pytest.raises(sm.MachineError):
-            sm.step(inst, ex.MapContext(), random.Random(0))
+            sm.step(inst, MapContext(), random.Random(0))
 
     def test_conditional_trigger(self):
         trigger = sm.ConditionalTrigger(ex.Binary(">", ex.AttrRef(None, "energy"), ex.lit(4)))
         inst = sm.instantiate(two_state(trigger))
         rng = random.Random(0)
-        assert sm.step(inst, ex.MapContext({"energy": 3}), rng) is None
-        assert sm.step(inst, ex.MapContext({"energy": 5}), rng) == sm.Moved("a", "b")
+        assert sm.step(inst, MapContext({"energy": 3}), rng) is False
+        assert inst.current == "a"
+        assert sm.step(inst, MapContext({"energy": 5}), rng) is True
+        assert inst.current == "b"
 
     def test_guard_blocks_transition(self):
         spec = two_state(sm.DeterministicTrigger(ex.lit(1)), guard=ex.lit(False))
         inst = sm.instantiate(spec)
         for _ in range(5):
-            assert sm.step(inst, ex.MapContext(), random.Random(0)) is None
+            assert sm.step(inst, MapContext(), random.Random(0)) is False
         assert inst.current == "a" and inst.dwell == 5
 
     def test_composite_all_of_waits_for_both(self):
@@ -108,9 +114,11 @@ class TestStep:
         )
         inst = sm.instantiate(two_state(trigger))
         rng = random.Random(0)
-        assert sm.step(inst, ex.MapContext({"go": True}), rng) is None  # dwell 1 < 2
-        assert sm.step(inst, ex.MapContext({"go": False}), rng) is None
-        assert sm.step(inst, ex.MapContext({"go": True}), rng) == sm.Moved("a", "b")
+        assert sm.step(inst, MapContext({"go": True}), rng) is False  # dwell 1 < 2
+        assert sm.step(inst, MapContext({"go": False}), rng) is False
+        assert inst.current == "a"
+        assert sm.step(inst, MapContext({"go": True}), rng) is True
+        assert inst.current == "b"
 
     def test_composite_any_of(self):
         trigger = sm.CompositeTrigger(
@@ -118,7 +126,8 @@ class TestStep:
             [sm.DeterministicTrigger(ex.lit(99)), sm.ConditionalTrigger(ex.AttrRef(None, "go"))],
         )
         inst = sm.instantiate(two_state(trigger))
-        assert sm.step(inst, ex.MapContext({"go": True}), random.Random(0)) == sm.Moved("a", "b")
+        assert sm.step(inst, MapContext({"go": True}), random.Random(0)) is True
+        assert inst.current == "b"
 
     def test_declaration_order_priority(self):
         spec = sm.StateMachineSpec(
@@ -131,7 +140,8 @@ class TestStep:
             ],
         )
         inst = sm.instantiate(spec)
-        assert sm.step(inst, ex.MapContext(), random.Random(0)) == sm.Moved("a", "b")
+        assert sm.step(inst, MapContext(), random.Random(0)) is True
+        assert inst.current == "b"
 
     def test_determinism_same_seed_same_events(self):
         def run(seed):
@@ -139,8 +149,8 @@ class TestStep:
             inst = sm.instantiate(spec)
             rng = random.Random(seed)
             out = []
-            while not out or out[-1] is None:
-                out.append(sm.step(inst, ex.MapContext(), rng))
+            while not out or not out[-1]:
+                out.append(sm.step(inst, MapContext(), rng))
             return out
 
         assert run(7) == run(7)
@@ -160,14 +170,14 @@ class TestStep:
         inst = sm.instantiate(spec)
         rng = random.Random(11)
         for _ in range(500):
-            sm.step(inst, ex.MapContext(), rng)
+            sm.step(inst, MapContext(), rng)
             assert inst.current in spec.states
             assert sum(inst.current == s for s in spec.states) == 1
 
 
 def episode_length(trigger, rng) -> int:
     steps = 1
-    while not sm.trigger_fires(trigger, steps, ex.MapContext(), rng):
+    while not sm.trigger_fires(trigger, steps, MapContext(), rng):
         steps += 1
     return steps
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from abms import expr as ex
 from abms import statemachine as sm
 from abms import traffic as tf
+
+from contexts import MapContext
 
 
 def plan(*durations):
@@ -31,7 +32,7 @@ class TestPlanToMachine:
         history = []
         for _ in range(10):
             history.append(inst.current)
-            sm.step(inst, ex.MapContext(), rng)
+            sm.step(inst, MapContext(), rng)
         assert history == ["p0", "p0", "p1", "p1", "p1", "p0", "p0", "p1", "p1", "p1"]
 
     def test_zero_duration_rejected_by_validation(self):
