@@ -31,6 +31,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_value(text: str) -> int | str:
+    """The argparse type of ``--seed``: an integer, or ``'random'`` for entropy."""
+    if text == "random":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer or 'random', got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abms", description="Model toolchain: validate, simulate, generate NetLogo code, format.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate a model and write output CSVs")
     add_common(run_p)
-    run_p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer seed, or 'random' for entropy")
+    run_p.add_argument("--seed", type=seed_value, default=DEFAULT_SEED, help="integer seed, or 'random' for entropy")
     run_p.add_argument("--ticks", type=positive_int, default=DEFAULT_TICKS)
     run_p.add_argument("--out-dir", default=None, help="output directory (default: $ABMS_OUT_DIR or '.')")
 
@@ -116,14 +126,7 @@ def _cmd_run(args) -> int:
     model = _load_valid(args.model)
     if model is None:
         return 1
-    if args.seed == "random":
-        seed = int.from_bytes(os.urandom(8), "big") % (2**63)
-    else:
-        try:
-            seed = int(args.seed)
-        except ValueError:
-            print(f"error: --seed must be an integer or 'random', got {args.seed!r}", file=sys.stderr)
-            return 2
+    seed = int.from_bytes(os.urandom(8), "big") % (2**63) if args.seed == "random" else args.seed
     config = engine.RunConfig(
         seed=seed,
         max_ticks=args.ticks,

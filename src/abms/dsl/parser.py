@@ -25,9 +25,6 @@ from ..errors import AbmsError
 from ..source import SourceSpan
 from .lexer import Token, tokenize
 
-_ITEM_KEYWORDS = frozenset(
-    ["environment", "agent", "entity", "disease", "machine", "plan", "introduce", "output", "concern"]
-)
 _AGENT_BODY = frozenset(["create", "capability", "attr"])
 _DISEASE_BODY = frozenset(
     ["transmission", "duration", "passive", "immunity", "mortality", "states", "initial", "transition"]
@@ -105,6 +102,15 @@ class _Parser:
         if self.at(type_, value):
             return self.next()
         return None
+
+    def choose(self, *keywords: str) -> str:
+        """Consume and return whichever of ``keywords`` comes next, or fail
+        expecting them in the order given."""
+        tok = self.peek()
+        if tok.type == "kw" and tok.value in keywords:
+            self.next()
+            return str(tok.value)
+        raise self.fail(*(f"'{k}'" for k in keywords))
 
     def fail(self, *expected: str, message: str | None = None) -> _Syntax:
         tok = self.peek()
@@ -228,36 +234,13 @@ class _Parser:
                 )
             else:
                 model.environment = env
-        elif self.at_kw("agent"):
-            spec = self.parse_agent()
-            if self.unique(self._names["types"], spec._name_token, "type name"):
-                model.agent_types.append(spec.value)
-        elif self.at_kw("entity"):
-            spec = self.parse_entity()
-            if self.unique(self._names["types"], spec._name_token, "type name"):
-                model.entity_types.append(spec.value)
-        elif self.at_kw("disease"):
-            spec = self.parse_disease()
-            if self.unique(self._names["diseases"], spec._name_token, "disease name"):
-                model.diseases.append(spec.value)
-        elif self.at_kw("machine"):
-            spec = self.parse_machine()
-            if self.unique(self._names["machines"], spec._name_token, "machine name"):
-                model.machines.append(spec.value)
-        elif self.at_kw("plan"):
-            spec = self.parse_plan()
-            if self.unique(self._names["machines"], spec._name_token, "plan name"):
-                model.plans.append(spec.value)
         elif self.at_kw("introduce"):
             model.introductions.append(self.parse_introduce())
-        elif self.at_kw("output"):
-            spec = self.parse_output()
-            if self.unique(self._names["outputs"], spec._name_token, "output name"):
-                model.outputs.append(spec.value)
-        elif self.at_kw("concern"):
-            spec = self.parse_concern()
-            if self.unique(self._names["concerns"], spec._name_token, "concern name"):
-                model.concerns.append(spec.value)
+        elif self.at_kw(*_DECLARATIONS):
+            parse, group, what, into = _DECLARATIONS[str(self.peek().value)]
+            spec, name_tok = parse(self)
+            if self.unique(self._names[group], name_tok, what):
+                getattr(model, into).append(spec)
         else:
             raise self.fail(*(f"'{k}'" for k in sorted(_ITEM_KEYWORDS)))
 
@@ -265,23 +248,22 @@ class _Parser:
 
     def parse_environment(self) -> mm.EnvironmentSpec:
         start = self.expect_kw("environment")
-        if self.accept("kw", "grid"):
+        kind = self.choose("grid", "cartesian", "graph")
+        if kind == "grid":
             self.expect_kw("width")
             width = self.expect_int("grid width")
             self.expect_kw("height")
             height = self.expect_int("grid height")
             wrap = self.accept("kw", "wrap") is not None
             topo: object = mm.GridTopology(width, height, wrap, span=self.span_from(start))
-        elif self.accept("kw", "cartesian"):
+        elif kind == "cartesian":
             x_min, x_max = self.parse_range()
             y_min, y_max = self.parse_range()
             topo = mm.CartesianTopology(x_min, x_max, y_min, y_max, span=self.span_from(start))
-        elif self.accept("kw", "graph"):
+        else:
             self.expect_kw("from")
             source = self.parse_strategy()
             topo = mm.GraphTopology(source, span=self.span_from(start))
-        else:
-            raise self.fail("'grid'", "'cartesian'", "'graph'")
         return mm.EnvironmentSpec(topology=topo, span=self.span_from(start))  # type: ignore[arg-type]
 
     def parse_range(self) -> tuple[float, float]:
@@ -294,29 +276,28 @@ class _Parser:
 
     def parse_strategy(self) -> mm.CreationalStrategy:
         start = self.peek()
-        if self.accept("kw", "fixed"):
-            count = self.expect_int("count")
-            if self.accept("kw", "random"):
-                return mm.FixedCountStrategy(count, None, span=self.span_from(start))
-            self.expect_kw("at")
-            positions: list[tuple[ex.Expr, ex.Expr]] = []
-            while self.at("punct", "("):
-                self.next()
-                x = self.parse_expr()
-                self.expect("punct", ",")
-                y = self.parse_expr()
-                self.expect("punct", ")")
-                positions.append((x, y))
-            if not positions:
-                raise self.fail("'('", message="expected at least one (x, y) position")
-            return mm.FixedCountStrategy(count, positions, span=self.span_from(start))
-        if self.accept("kw", "gis"):
+        kind = self.choose("fixed", "gis", "osm", "edges")
+        if kind == "gis":
             return mm.GisPointsStrategy(self.expect_string("point file path"), span=self.span_from(start))
-        if self.accept("kw", "osm"):
+        if kind == "osm":
             return mm.OsmGraphStrategy(self.expect_string("OSM file path"), span=self.span_from(start))
-        if self.accept("kw", "edges"):
+        if kind == "edges":
             return self.parse_inline_edges(start)
-        raise self.fail("'fixed'", "'gis'", "'osm'", "'edges'")
+        count = self.expect_int("count")
+        if self.accept("kw", "random"):
+            return mm.FixedCountStrategy(count, None, span=self.span_from(start))
+        self.expect_kw("at")
+        positions: list[tuple[ex.Expr, ex.Expr]] = []
+        while self.at("punct", "("):
+            self.next()
+            x = self.parse_expr()
+            self.expect("punct", ",")
+            y = self.parse_expr()
+            self.expect("punct", ")")
+            positions.append((x, y))
+        if not positions:
+            raise self.fail("'('", message="expected at least one (x, y) position")
+        return mm.FixedCountStrategy(count, positions, span=self.span_from(start))
 
     def parse_inline_edges(self, start: Token) -> mm.InlineEdgeListStrategy:
         self.expect("punct", "{")
@@ -342,95 +323,67 @@ class _Parser:
 
     # -- agents and entities -------------------------------------------------
 
-    @dataclass
-    class _Named:
-        value: object
-        _name_token: Token
-
-    def parse_agent(self) -> "_Parser._Named":
-        start = self.expect_kw("agent")
-        name_tok = self.expect_ident("agent name")
-        spec = mm.AgentTypeSpec(name=str(name_tok.value), creation=mm.FixedCountStrategy(0))
+    def parse_type(self) -> tuple[mm.AgentTypeSpec | mm.EntityTypeSpec, Token]:
+        """An agent or an entity type, whichever keyword :meth:`parse_item` saw.
+        Only an agent takes capabilities."""
+        start = self.next()
+        agent = start.value == "agent"
+        name_tok = self.expect_ident(f"{start.value} name")
+        spec = (mm.AgentTypeSpec if agent else mm.EntityTypeSpec)(
+            name=str(name_tok.value), creation=mm.FixedCountStrategy(0)
+        )
         self.expect("punct", "{")
         self.expect_kw("create")
         spec.creation = self.parse_strategy()
         attr_names: set[str] = set()
 
         def item() -> None:
-            if self.at_kw("capability"):
-                spec.capabilities.append(self.parse_capability())
+            if agent and self.at_kw("capability"):
+                spec.capabilities.append(self.parse_capability())  # type: ignore[union-attr]
             elif self.at_kw("attr"):
                 self.parse_attr(spec.attributes, attr_names)
-            else:
+            elif agent:
                 raise self.fail("'capability'", "'attr'", "'}'")
-
-        self.block(_AGENT_BODY, item)
-        self.expect("punct", "}")
-        spec.span = self.span_from(start)
-        return self._Named(spec, name_tok)
-
-    def parse_entity(self) -> "_Parser._Named":
-        start = self.expect_kw("entity")
-        name_tok = self.expect_ident("entity name")
-        spec = mm.EntityTypeSpec(name=str(name_tok.value), creation=mm.FixedCountStrategy(0))
-        self.expect("punct", "{")
-        self.expect_kw("create")
-        spec.creation = self.parse_strategy()
-        attr_names: set[str] = set()
-
-        def item() -> None:
-            if not self.at_kw("attr"):
+            else:
                 raise self.fail("'attr'", "'}'")
-            self.parse_attr(spec.attributes, attr_names)
 
-        self.block(frozenset(["attr"]), item)
+        self.block(_AGENT_BODY if agent else frozenset(["attr"]), item)
         self.expect("punct", "}")
         spec.span = self.span_from(start)
-        return self._Named(spec, name_tok)
+        return spec, name_tok
 
     def parse_attr(self, into: list[mm.AttributeSpec], seen: set[str]) -> None:
         start = self.expect_kw("attr")
         name_tok = self.expect_ident("attribute name")
-        kind_tok = self.peek()
-        if not self.at_kw("integer", "real", "boolean", "identifier", "text"):
-            raise self.fail("'integer'", "'real'", "'boolean'", "'identifier'", "'text'")
-        self.next()
+        kind = self.choose("integer", "real", "boolean", "identifier", "text")
         default = None
         if self.accept("punct", "="):
             default = self.parse_expr()
         if not self.unique(seen, name_tok, "attribute name"):
             return
-        into.append(
-            mm.AttributeSpec(str(name_tok.value), str(kind_tok.value), default, span=self.span_from(start))
-        )
+        into.append(mm.AttributeSpec(str(name_tok.value), kind, default, span=self.span_from(start)))
 
     def parse_capability(self) -> mm.CapabilityRef:
         start = self.expect_kw("capability")
-        if self.accept("kw", "mobility"):
+        if self.accept("kw", "adaptation"):
+            # Reserved vocabulary: parsed so validation can reject it clearly,
+            # but never offered as an expected keyword.
+            return mm.CapabilityRef("adaptation", span=self.span_from(start))
+        kind = self.choose("mobility", "disease", "state_machine", "flow_control", "qlearning", "external")
+        if kind == "mobility":
             self.expect_kw("random_walk")
             self.expect_kw("step")
-            step = self.parse_expr()
-            return mm.CapabilityRef("mobility", step=step, span=self.span_from(start))
-        if self.accept("kw", "disease"):
-            target = str(self.expect_ident("disease name").value)
-            return mm.CapabilityRef("disease", target=target, span=self.span_from(start))
-        if self.accept("kw", "state_machine"):
-            target = str(self.expect_ident("machine or plan name").value)
-            return mm.CapabilityRef("state_machine", target=target, span=self.span_from(start))
-        if self.accept("kw", "flow_control"):
+            return mm.CapabilityRef("mobility", step=self.parse_expr(), span=self.span_from(start))
+        if kind in ("disease", "state_machine"):
+            target = self.expect_ident("disease name" if kind == "disease" else "machine or plan name")
+            return mm.CapabilityRef(kind, target=str(target.value), span=self.span_from(start))
+        if kind == "flow_control":
             return self.parse_flow_control(start)
-        if self.accept("kw", "qlearning"):
+        if kind == "qlearning":
             return self.parse_qlearning(start)
-        if self.accept("kw", "external"):
-            library = self.expect_string("library path")
-            entry = str(self.expect_ident("entry point").value)
-            return mm.CapabilityRef("external", target=entry, library=library, span=self.span_from(start))
-        if self.accept("kw", "adaptation"):
-            # Reserved vocabulary: parsed so validation can reject it clearly.
-            return mm.CapabilityRef("adaptation", span=self.span_from(start))
-        raise self.fail(
-            "'mobility'", "'disease'", "'state_machine'", "'flow_control'", "'qlearning'", "'external'"
-        )
+        library = self.expect_string("library path")
+        entry = str(self.expect_ident("entry point").value)
+        return mm.CapabilityRef("external", target=entry, library=library, span=self.span_from(start))
 
     def parse_flow_control(self, start: Token) -> mm.CapabilityRef:
         if self.accept("kw", "streams"):
@@ -452,45 +405,24 @@ class _Parser:
         return mm.CapabilityRef("flow_control", streams=streams, span=self.span_from(start))
 
     def parse_qlearning(self, start: Token) -> mm.CapabilityRef:
-        alpha = gamma = epsilon = None
-        plans: list[str] | None = None
-        bins: list[int] = []
-        reward: ex.Expr | None = None
+        """Options in any order; a repeated one replaces the earlier one."""
+        given: dict = {"bins": []}
         while self.at_kw("alpha", "gamma", "epsilon", "plans", "bins", "reward"):
             key = str(self.next().value)
-            if key == "alpha":
-                alpha = self.expect_number("alpha")
-            elif key == "gamma":
-                gamma = self.expect_number("gamma")
-            elif key == "epsilon":
-                epsilon = self.expect_number("epsilon")
-            elif key == "plans":
-                plans = self.parse_ident_list("plan name")
+            if key == "plans":
+                given[key] = self.parse_ident_list("plan name")
             elif key == "bins":
-                bins = []
+                given[key] = []
                 while self.at("int"):
-                    bins.append(self.expect_int())
+                    given[key].append(self.expect_int())
+            elif key == "reward":
+                given[key] = self.parse_expr()
             else:
-                reward = self.parse_expr()
-        missing = [
-            label
-            for label, value in (("alpha", alpha), ("gamma", gamma), ("epsilon", epsilon), ("plans", plans))
-            if value is None
-        ]
+                given[key] = self.expect_number(key)
+        missing = tuple(key for key in ("alpha", "gamma", "epsilon", "plans") if key not in given)
         if missing:
-            raise self.fail(
-                *(f"'{m}'" for m in missing),
-                message=f"qlearning is missing {_join(tuple(missing))}",
-            )
-        spec = tf.QLearningSpec(
-            alpha=float(alpha),  # type: ignore[arg-type]
-            gamma=float(gamma),  # type: ignore[arg-type]
-            epsilon=float(epsilon),  # type: ignore[arg-type]
-            plans=list(plans or []),
-            bins=bins,
-            reward=reward,
-            span=self.span_from(start),
-        )
+            raise self.fail(*(f"'{m}'" for m in missing), message=f"qlearning is missing {_join(missing)}")
+        spec = tf.QLearningSpec(**given, span=self.span_from(start))
         return mm.CapabilityRef("reinforcement_learning", qlearning=spec, span=self.span_from(start))
 
     def parse_ident_list(self, label: str) -> list[str]:
@@ -501,7 +433,7 @@ class _Parser:
 
     # -- diseases ------------------------------------------------------------
 
-    def parse_disease(self) -> "_Parser._Named":
+    def parse_disease(self) -> tuple[dz.DiseaseModelSpec, Token]:
         start = self.expect_kw("disease")
         name_tok = self.expect_ident("disease name")
         self.expect_kw("model")
@@ -517,7 +449,7 @@ class _Parser:
         self.block(_DISEASE_BODY, lambda: self.parse_disease_clause(spec, duration_seen))
         self.expect("punct", "}")
         spec.span = self.span_from(start)
-        return self._Named(spec, name_tok)
+        return spec, name_tok
 
     def parse_disease_clause(self, spec: dz.DiseaseModelSpec, duration_seen: set[str]) -> None:
         if self.at_kw("transmission"):
@@ -551,21 +483,11 @@ class _Parser:
             comp = str(self.expect_ident("compartment").value)
             self.expect_kw("rate")
             rate = self.parse_expr()
-            rule = dz.MortalitySpec(comp, rate, dz.EVERY_TIMEUNIT)
-            if self.accept("kw", "every_timeunit"):
-                rule.evaluation = dz.EVERY_TIMEUNIT
-            elif self.accept("kw", "specific_timeunit"):
-                rule.evaluation = dz.SPECIFIC_TIMEUNIT
+            rule = dz.MortalitySpec(comp, rate, self.choose(*dz.MORTALITY_EVALUATIONS))
+            if rule.evaluation == dz.SPECIFIC_TIMEUNIT:
                 rule.at_tick = self.expect_int("tick")
-            elif self.accept("kw", "when_condition"):
-                rule.evaluation = dz.WHEN_CONDITION
+            elif rule.evaluation == dz.WHEN_CONDITION:
                 rule.condition = self.parse_expr()
-            elif self.accept("kw", "leaving_compartment"):
-                rule.evaluation = dz.LEAVING_COMPARTMENT
-            else:
-                raise self.fail(
-                    "'every_timeunit'", "'specific_timeunit'", "'when_condition'", "'leaving_compartment'"
-                )
             rule.span = self.span_from(mstart)
             spec.mortality.append(rule)
         elif self.at_kw("states"):
@@ -584,14 +506,9 @@ class _Parser:
             raise self.fail(*(f"'{k}'" for k in sorted(_DISEASE_BODY)), "'}'")
 
     def parse_transmission(self, start: Token) -> dz.TransmissionSpec:
-        if self.accept("kw", "proximity"):
-            interaction = dz.PROXIMITY
-            distance: ex.Expr | None = self.parse_expr()
-        elif self.accept("kw", "contact"):
-            interaction = dz.CONTACT
-            distance = None
-        else:
-            raise self.fail("'proximity'", "'contact'")
+        """Options in any order; a repeated one replaces the earlier one."""
+        interaction = self.choose(dz.PROXIMITY, dz.CONTACT)
+        distance = self.parse_expr() if interaction == dz.PROXIMITY else None
         self.expect_kw("probability")
         probability = self.parse_expr()
         spec = dz.TransmissionSpec(interaction, distance, probability)
@@ -612,31 +529,25 @@ class _Parser:
 
     def parse_trigger(self) -> sm.Trigger:
         start = self.peek()
-        if self.accept("kw", "probabilistic"):
+        kind = self.choose("probabilistic", "deterministic", "conditional", "custom")
+        if kind == "probabilistic":
             self.expect_kw("rate")
             return sm.ProbabilisticTrigger(self.parse_expr(), span=self.span_from(start))
-        if self.accept("kw", "deterministic"):
+        if kind == "deterministic":
             return sm.DeterministicTrigger(self.parse_expr(), span=self.span_from(start))
-        if self.accept("kw", "conditional"):
+        if kind == "conditional":
             return sm.ConditionalTrigger(self.parse_expr(), span=self.span_from(start))
-        if self.accept("kw", "custom"):
-            if self.accept("kw", "all_of"):
-                mode = "all_of"
-            elif self.accept("kw", "any_of"):
-                mode = "any_of"
-            else:
-                raise self.fail("'all_of'", "'any_of'")
-            self.expect("punct", "(")
-            parts = [self.parse_trigger()]
-            while self.accept("punct", ","):
-                parts.append(self.parse_trigger())
-            self.expect("punct", ")")
-            return sm.CompositeTrigger(mode, parts, span=self.span_from(start))
-        raise self.fail("'probabilistic'", "'deterministic'", "'conditional'", "'custom'")
+        mode = self.choose("all_of", "any_of")
+        self.expect("punct", "(")
+        parts = [self.parse_trigger()]
+        while self.accept("punct", ","):
+            parts.append(self.parse_trigger())
+        self.expect("punct", ")")
+        return sm.CompositeTrigger(mode, parts, span=self.span_from(start))
 
     # -- machines and plans ----------------------------------------------------
 
-    def parse_machine(self) -> "_Parser._Named":
+    def parse_machine(self) -> tuple[sm.StateMachineSpec, Token]:
         start = self.expect_kw("machine")
         name_tok = self.expect_ident("machine name")
         self.expect("punct", "{")
@@ -672,9 +583,9 @@ class _Parser:
         self.block(_MACHINE_BODY, item)
         self.expect("punct", "}")
         spec = sm.StateMachineSpec(str(name_tok.value), states, initial, transitions, span=self.span_from(start))
-        return self._Named(spec, name_tok)
+        return spec, name_tok
 
-    def parse_plan(self) -> "_Parser._Named":
+    def parse_plan(self) -> tuple[tf.PlanSpec, Token]:
         start = self.expect_kw("plan")
         name_tok = self.expect_ident("plan name")
         self.expect("punct", "{")
@@ -693,41 +604,28 @@ class _Parser:
 
         self.block(frozenset(["phase"]), item)
         self.expect("punct", "}")
-        spec = tf.PlanSpec(str(name_tok.value), phases, span=self.span_from(start))
-        return self._Named(spec, name_tok)
+        return tf.PlanSpec(str(name_tok.value), phases, span=self.span_from(start)), name_tok
 
     # -- introductions, outputs, concerns ---------------------------------------
 
     def parse_introduce(self) -> dz.DiseaseIntroductionSpec:
         start = self.expect_kw("introduce")
         disease = str(self.expect_ident("disease name").value)
-        spec = dz.DiseaseIntroductionSpec(disease=disease, quantity_kind="deterministic")
-        if self.accept("kw", "deterministic"):
-            spec.quantity_kind = "deterministic"
+        spec = dz.DiseaseIntroductionSpec(disease, quantity_kind=self.choose("deterministic", "probabilistic"))
+        if spec.quantity_kind == "deterministic":
             spec.count = self.expect_int("count")
-        elif self.accept("kw", "probabilistic"):
-            spec.quantity_kind = "probabilistic"
+        else:
             spec.probability = self.expect_number("probability")
-        else:
-            raise self.fail("'deterministic'", "'probabilistic'")
-        if self.accept("kw", "arbitrary"):
-            spec.selection = "arbitrary"
-        elif self.accept("kw", "eligible"):
-            spec.selection = "eligible"
+        spec.selection = self.choose("arbitrary", "eligible")
+        if spec.selection == "eligible":
             spec.eligibility = self.parse_expr()
-        else:
-            raise self.fail("'arbitrary'", "'eligible'")
-        if self.accept("kw", "aperiodic"):
-            spec.periodicity = "aperiodic"
-        elif self.accept("kw", "periodic"):
-            spec.periodicity = "periodic"
+        spec.periodicity = self.choose("aperiodic", "periodic")
+        if spec.periodicity == "periodic":
             spec.interval = self.expect_int("interval")
-        else:
-            raise self.fail("'aperiodic'", "'periodic'")
         spec.span = self.span_from(start)
         return spec
 
-    def parse_output(self) -> "_Parser._Named":
+    def parse_output(self) -> tuple[mm.OutputDatasetSpec, Token]:
         start = self.expect_kw("output")
         name_tok = self.expect_ident("output name")
         self.expect_kw("every")
@@ -748,9 +646,9 @@ class _Parser:
         self.block(frozenset(["series"]), item)
         self.expect("punct", "}")
         spec = mm.OutputDatasetSpec(str(name_tok.value), interval, path, series, span=self.span_from(start))
-        return self._Named(spec, name_tok)
+        return spec, name_tok
 
-    def parse_concern(self) -> "_Parser._Named":
+    def parse_concern(self) -> tuple[mm.ConcernSpec, Token]:
         start = self.expect_kw("concern")
         name_tok = self.expect_ident("concern name")
         self.expect("punct", "{")
@@ -758,8 +656,7 @@ class _Parser:
         if self.accept("kw", "members"):
             members = self.parse_ident_list("member name")
         self.expect("punct", "}")
-        spec = mm.ConcernSpec(str(name_tok.value), members, span=self.span_from(start))
-        return self._Named(spec, name_tok)
+        return mm.ConcernSpec(str(name_tok.value), members, span=self.span_from(start)), name_tok
 
     # -- expressions -------------------------------------------------------------
 
@@ -847,6 +744,21 @@ class _Parser:
             value = self.parse_expr()
         self.expect("punct", ")")
         return ex.Aggregate(func, population, predicate, value, span=tok.span(self.file))
+
+
+# The model items parsed by :meth:`_Parser.parse_item` through one branch: the
+# keyword, its parser (returning the spec and its name token), the group whose
+# names must be unique, what a duplicate is called, and the Model list.
+_DECLARATIONS: dict[str, tuple[Callable, str, str, str]] = {
+    "agent": (_Parser.parse_type, "types", "type name", "agent_types"),
+    "entity": (_Parser.parse_type, "types", "type name", "entity_types"),
+    "disease": (_Parser.parse_disease, "diseases", "disease name", "diseases"),
+    "machine": (_Parser.parse_machine, "machines", "machine name", "machines"),
+    "plan": (_Parser.parse_plan, "machines", "plan name", "plans"),
+    "output": (_Parser.parse_output, "outputs", "output name", "outputs"),
+    "concern": (_Parser.parse_concern, "concerns", "concern name", "concerns"),
+}
+_ITEM_KEYWORDS = frozenset(["environment", "introduce", *_DECLARATIONS])
 
 
 def _join(expected: tuple[str, ...]) -> str:

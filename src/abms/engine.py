@@ -475,19 +475,24 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"agent:{spec.name}")
-    model = world.model
+    machines = {
+        cap.target: world.model.machine(cap.target)
+        for cap in spec.capabilities
+        if cap.kind == "state_machine" and cap.target
+    }
+    mobility = spec.capability("mobility")
+    flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
         for cap in spec.capabilities:
             if cap.kind == "disease" and cap.target:
                 agent.diseases[cap.target] = sm.instantiate(world.diseases[cap.target].machine)
-            elif cap.kind == "state_machine" and cap.target and model.machine(cap.target) is not None:
-                agent.machines[cap.target] = sm.instantiate(model.machine(cap.target))
+            elif cap.kind == "state_machine" and machines.get(cap.target) is not None:
+                agent.machines[cap.target] = sm.instantiate(machines[cap.target])
         point = points[i] if points is not None else None
         _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
-        mobility = spec.capability("mobility")
         if mobility is not None and world.graph is not None:
             agent.speed = _checked(
                 world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
@@ -496,7 +501,6 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
             if agent.speed <= 0:
                 raise EngineError(f"tick {world.tick}: agent:{spec.name}: vehicle speed must be positive on graphs")
             _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
-        flow = spec.capability("flow_control")
         if flow is not None:
             _init_controller(world, agent, spec, flow)
 

@@ -79,6 +79,14 @@ class TestRun:
     def test_bad_seed_is_usage_error(self, workdir, capsys):
         assert main(["run", str(workdir / "measles.abms"), "--seed", "banana"]) == 2
 
+    def test_bad_seed_is_usage_error_before_the_model_is_read(self, workdir, capsys):
+        text = (workdir / "measles.abms").read_text().replace("duration I probabilistic rate 0.08\n", "")
+        (workdir / "bad.abms").write_text(text)
+        assert main(["run", str(workdir / "bad.abms"), "--seed", "banana"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer or 'random', got 'banana'" in err
+        assert "missing duration" not in err
+
     @pytest.mark.parametrize("ticks", ["0", "-3"])
     def test_ticks_below_one_is_usage_error(self, workdir, capsys, ticks):
         assert main(["run", str(workdir / "measles.abms"), "--ticks", ticks]) == 2

@@ -128,6 +128,83 @@ model m {
         assert (topo.x_min, topo.x_max, topo.y_min, topo.y_max) == (0.0, 10.0, -5.0, 5.0)
 
 
+_CHOICE_BASE = """model m {
+  environment grid width 3 height 3
+  agent A {
+    create fixed 1 random
+    capability disease d
+  }
+  disease d model SIR {
+    transmission contact probability 0.5
+    duration I deterministic 3
+  }
+}
+"""
+
+
+class TestKeywordChoices:
+    """Full error lists at keyword choices the mutation corpus never reaches."""
+
+    @pytest.mark.parametrize(
+        "text,errors",
+        [
+            (
+                "model m {\n  environment torus width 3 height 3\n}\n",
+                [
+                    [
+                        [2, 15, 2, 20],
+                        ["'grid'", "'cartesian'", "'graph'"],
+                        "identifier 'torus'",
+                        "expected 'grid', 'cartesian' or 'graph', found identifier 'torus'",
+                    ],
+                    [[1, 1, 3, 2], ["'environment'"], "end of model", "model declares no environment"],
+                ],
+            ),
+            (
+                _CHOICE_BASE.replace("transmission contact", "transmission nearby"),
+                [
+                    [
+                        [8, 18, 8, 24],
+                        ["'proximity'", "'contact'"],
+                        "identifier 'nearby'",
+                        "expected 'proximity' or 'contact', found identifier 'nearby'",
+                    ]
+                ],
+            ),
+            (
+                _CHOICE_BASE.replace("deterministic 3", "custom some_of (deterministic 3)"),
+                [
+                    [
+                        [9, 23, 9, 30],
+                        ["'all_of'", "'any_of'"],
+                        "identifier 'some_of'",
+                        "expected 'all_of' or 'any_of', found identifier 'some_of'",
+                    ]
+                ],
+            ),
+            (
+                _CHOICE_BASE.replace("capability disease d", "capability flow_control auto"),
+                [[[5, 29, 5, 33], ["'streams'", "'stream'"], "'auto'", "expected 'streams' or 'stream', found 'auto'"]],
+            ),
+            (
+                _CHOICE_BASE.replace("capability disease d", "capability qlearning alpha 0.1 plans p"),
+                [[[6, 3, 6, 4], ["'gamma'", "'epsilon'"], "'}'", "qlearning is missing gamma or epsilon"]],
+            ),
+        ],
+        ids=["environment kind", "transmission interaction", "composite mode", "flow_control", "qlearning"],
+    )
+    def test_wrong_token(self, text, errors):
+        assert error_list(text) == errors
+
+    def test_adaptation_parses_and_fails_validation(self):
+        text = _CHOICE_BASE.replace("capability disease d", "capability adaptation\n    capability disease d")
+        model = parse_model(text)
+        assert [cap.kind for cap in model.agent_types[0].capabilities] == ["adaptation", "disease"]
+        assert [str(d) for d in mm.validate(model).errors()] == [
+            "error: agent:A.capability[0]: the adaptation capability is reserved and not supported"
+        ]
+
+
 class TestFormat:
     def test_fixed_point_on_fixtures(self):
         for name in ("measles.abms", "traffic.abms"):
