@@ -379,6 +379,8 @@ def _validate_custom(spec: DiseaseModelSpec, add, path: str, comps: list[str]) -
         return
     if len(set(comps)) != len(comps):
         add("error", path, "duplicate compartment names")
+    if sm.DEAD_STATE in comps:
+        add("error", path, f"'{sm.DEAD_STATE}' is the reserved death state, not a compartment")
     if spec.custom_initial is not None and spec.custom_initial not in comps:
         add("error", path, f"initial compartment '{spec.custom_initial}' is not declared")
     if spec.transmission is not None and spec.transmission.target is None:

@@ -405,10 +405,13 @@ class _Parser:
         return mm.CapabilityRef("flow_control", streams=streams, span=self.span_from(start))
 
     def parse_qlearning(self, start: Token) -> mm.CapabilityRef:
-        """Options in any order; a repeated one replaces the earlier one."""
+        """Options in any order; a repeated one is reported and parsed on."""
         given: dict = {"bins": []}
+        seen: set[str] = set()
         while self.at_kw("alpha", "gamma", "epsilon", "plans", "bins", "reward"):
-            key = str(self.next().value)
+            tok = self.next()
+            self.unique(seen, tok, "qlearning option")
+            key = str(tok.value)
             if key == "plans":
                 given[key] = self.parse_ident_list("plan name")
             elif key == "bins":
@@ -506,14 +509,17 @@ class _Parser:
             raise self.fail(*(f"'{k}'" for k in sorted(_DISEASE_BODY)), "'}'")
 
     def parse_transmission(self, start: Token) -> dz.TransmissionSpec:
-        """Options in any order; a repeated one replaces the earlier one."""
+        """Options in any order; a repeated one is reported and parsed on."""
         interaction = self.choose(dz.PROXIMITY, dz.CONTACT)
         distance = self.parse_expr() if interaction == dz.PROXIMITY else None
         self.expect_kw("probability")
         probability = self.parse_expr()
         spec = dz.TransmissionSpec(interaction, distance, probability)
+        seen: set[str] = set()
         while self.at_kw("to", "infectious", "condition", "sources"):
-            key = str(self.next().value)
+            tok = self.next()
+            self.unique(seen, tok, "transmission option")
+            key = str(tok.value)
             if key == "to":
                 spec.target = str(self.expect_ident("compartment").value)
             elif key == "infectious":

@@ -6,10 +6,10 @@ runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
   2. ``_agent_phase``: each disease's infection sources indexed; then per
-     agent in ascending id, mobility, signal plan machines, generic state
-     machines, then the disease step (transmission attempt when susceptible,
-     otherwise mortality and progression) with disease changes buffered
-  3. ``_disease_phase``: buffered disease changes applied; dead agents removed
+     agent in ascending id, mobility, signal plan and generic state machines
+     (entering their new state at once), then the disease step (transmission
+     when susceptible, else mortality and progression), buffering a move
+  3. ``_disease_phase``: buffered disease moves entered; dead agents removed
   4. ``_vehicle_phase``: vehicle movement and queue service on graphs
   5. ``_learning_phase``: learning updates for completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval
@@ -547,7 +547,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     if learning is not None and learning.qlearning is not None:
         qspec = learning.qlearning
         state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
-        table = tf.QTable()
+        table: tf.QTable = {}
         action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
         ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action)
         _controller_set_plan(world, ctrl, action)
@@ -712,8 +712,7 @@ def _introduction_phase(world: World) -> set[tuple[int, str]]:
 class DiseaseChanges:
     """Disease outcomes buffered in phase 2 and applied in phase 3."""
 
-    infections: list[tuple[AgentInstance, str, str]] = field(default_factory=list)  # (agent, disease, target)
-    updates: list[tuple[AgentInstance, str, sm.MachineInstance]] = field(default_factory=list)  # stepped snapshots
+    moves: list[tuple[AgentInstance, str, str]] = field(default_factory=list)  # (agent, disease, state to enter)
     dying: list[tuple[AgentInstance, str]] = field(default_factory=list)  # (agent, disease)
 
 
@@ -733,13 +732,14 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
                         index.cells.setdefault(new_cell, []).append(agent)
         ctrl = agent.controller
         if ctrl is not None and ctrl.machine is not None:
-            moved = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
+            state = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
             ctrl.ticks_in_cycle += 1
-            if moved:
+            if state is not None:
+                sm.force_state(ctrl.machine, state)
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
-            if not inst.terminated:
-                _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)
+            if not inst.terminated and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
+                sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():
             if not inst.terminated and (aid, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
@@ -772,21 +772,20 @@ def _disease_step(
         if _checked(
             world, disease.transmission_path, dz.attempt_transmission, agent, candidates, t, disease.infectious, world.rng
         ):
-            changes.infections.append((agent, disease_name, disease.target))
+            changes.moves.append((agent, disease_name, disease.target))
+            world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
         return
-    snapshot = inst.clone()
-    _checked(world, disease.path, sm.step, snapshot, agent, world.rng)
-    changes.updates.append((agent, disease_name, snapshot))
+    # The dwell counts in place; the new state waits for phase 3.
+    state = _checked(world, disease.path, sm.step, inst, agent, world.rng)
+    if state is not None:
+        changes.moves.append((agent, disease_name, state))
 
 
 def _disease_phase(world: World, changes: DiseaseChanges) -> None:
-    """Phase 3: apply the buffered disease changes, then remove the dead."""
-    for agent, disease_name, target in changes.infections:
-        sm.force_state(agent.diseases[disease_name], target)
-        world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
-    for agent, disease_name, snapshot in changes.updates:
-        agent.diseases[disease_name] = snapshot
-        if snapshot.terminated:
+    """Phase 3: enter the buffered disease states, then remove the dead."""
+    for agent, disease_name, state in changes.moves:
+        sm.force_state(agent.diseases[disease_name], state)
+        if state == sm.DEAD_STATE:  # after the per-tick deaths of phase 2
             changes.dying.append((agent, disease_name))
     for agent, disease_name in changes.dying:
         if agent.id in world.agents:  # the first death recorded for an agent counts

@@ -1,10 +1,11 @@
 """Triggered state machines: the shared substrate for signal plans and diseases.
 
-Semantics are tick-synchronous.  Each step examines the outgoing transitions
-of the current state in declaration order and takes the first one whose guard
-holds and whose trigger fires; at most one transition happens per step.  A
-fired transition with an abortion clause is redirected to the abort state with
-the configured probability (this is how death-on-leaving-a-compartment works).
+Stepping decides and ``force_state`` enters.  Each step counts the dwell and
+returns the target of the first outgoing transition, in declaration order,
+whose guard holds and whose trigger fires, or its abort state with the
+abortion's probability (this is how death-on-leaving-a-compartment works).
+Plans and generic machines enter the returned state at once; diseases buffer it
+until the end of the agent phase, so they stay tick-synchronous.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class MachineInstance:
     dwell: int = 0
     terminated: bool = False
 
-    def clone(self) -> "MachineInstance":
-        return MachineInstance(self.spec, self.current, self.dwell, self.terminated)
-
 
 class MachineError(AbmsError):
     pass
@@ -116,9 +114,10 @@ def instantiate(spec: StateMachineSpec) -> MachineInstance:
     return MachineInstance(spec=spec, current=spec.initial, dwell=0, terminated=False)
 
 
-def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> bool:
-    """Advance one tick.  Returns whether a transition was taken (an aborted
-    one included); ``instance.current`` tells where it led.
+def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str | None:
+    """Advance one tick and return the state the fired transition leads to
+    (its abort state when the abortion draw hits), or None.  Enters nothing:
+    the caller does, through ``force_state``.
 
     The dwell counter counts steps spent in the current state including the
     current one, so a deterministic trigger of d ticks fires on the d-th step.
@@ -130,24 +129,18 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> bool
         if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
             continue
         if trigger_fires(tr.trigger, instance.dwell, ctx, rng):
-            _take(instance, tr, ctx, rng)
-            return True
-    return False
-
-
-def _take(instance: MachineInstance, tr: Transition, ctx: ex.Context, rng: random.Random) -> None:
-    if tr.abortion is not None:
-        p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
-        if rng.random() < p:
-            force_state(instance, tr.abortion.abort_to)
-            return
-    force_state(instance, tr.target)
+            if tr.abortion is not None:
+                p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
+                if rng.random() < p:
+                    return tr.abortion.abort_to
+            return tr.target
+    return None
 
 
 def force_state(instance: MachineInstance, state: str) -> None:
-    """Place the instance in ``state``: taken transitions and the engine
-    (infection, introduction) enter states here.  Resets dwell; entering Dead
-    terminates."""
+    """Place the instance in ``state``: every state is entered here, the
+    targets ``step`` returns and the engine's infections and introductions
+    alike.  Resets dwell; entering Dead terminates."""
     instance.current = state
     instance.dwell = 0
     if state == DEAD_STATE:

@@ -62,20 +62,8 @@ class QLearningSpec:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-class QTable:
-    """Action values keyed by (discretized state, action name); missing = 0."""
-
-    def __init__(self) -> None:
-        self._values: dict[tuple[tuple, str], float] = {}
-
-    def get(self, state: tuple, action: str) -> float:
-        return self._values.get((state, action), 0.0)
-
-    def set(self, state: tuple, action: str, value: float) -> None:
-        self._values[(state, action)] = value
-
-    def items(self):
-        return self._values.items()
+# Action values keyed by (discretized state, action name); missing = 0.
+QTable = dict[tuple[tuple, str], float]
 
 
 def plan_to_machine(plan: PlanSpec) -> sm.StateMachineSpec:
@@ -103,9 +91,9 @@ def discretize_state(queues: Sequence[int], bins: Sequence[int]) -> tuple[int, .
 def q_update(table: QTable, s: tuple, a: str, r: float, s_next: tuple, spec: QLearningSpec) -> None:
     """One temporal-difference backup:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
-    best_next = max(table.get(s_next, action) for action in spec.plans)
-    old = table.get(s, a)
-    table.set(s, a, old + spec.alpha * (r + spec.gamma * best_next - old))
+    best_next = max(table.get((s_next, action), 0.0) for action in spec.plans)
+    old = table.get((s, a), 0.0)
+    table[s, a] = old + spec.alpha * (r + spec.gamma * best_next - old)
 
 
 def select_action(
@@ -122,9 +110,9 @@ def select_action(
     if rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
     best = actions[0]
-    best_value = table.get(s, best)
+    best_value = table.get((s, best), 0.0)
     for action in actions[1:]:
-        value = table.get(s, action)
+        value = table.get((s, action), 0.0)
         if value > best_value:
             best, best_value = action, value
     return best

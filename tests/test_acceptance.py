@@ -359,14 +359,14 @@ def test_criterion_7_qlearning_oracle():
     optimal = value_iteration(0.9)
     for seed in (1, 2, 3):
         assert learn_policy(seed, updates=10_000) == optimal, f"seed {seed}"
-    table = tf.QTable()
+    table: tf.QTable = {}
     spec = tf.QLearningSpec(0.5, 0.9, 0.0, ["a", "b"], [])
     tf.q_update(table, (0,), "a", 1.0, (1,), spec)
-    assert abs(table.get((0,), "a") - 0.5) < 1e-12
-    table.set((1,), "b", 2.0)
+    assert abs(table[(0,), "a"] - 0.5) < 1e-12
+    table[(1,), "b"] = 2.0
     tf.q_update(table, (0,), "a", 0.0, (1,), spec)
     # 0.5 + 0.5 * (0 + 0.9 * 2.0 - 0.5) = 1.15
-    assert abs(table.get((0,), "a") - 1.15) < 1e-12
+    assert abs(table[(0,), "a"] - 1.15) < 1e-12
 
 
 @criterion(8, "parse-format-parse is identity on fixtures and 1000 generated models; parser total on noise")

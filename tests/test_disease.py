@@ -282,6 +282,18 @@ class TestValidateDisease:
         )
         assert any("leave the susceptible compartment" in msg for _, _, msg in self.collect(spec))
 
+    def test_custom_dead_is_reserved(self):
+        spec = dz.DiseaseModelSpec(
+            name="d",
+            kind=dz.CUSTOM,
+            transmission=dz.TransmissionSpec(dz.CONTACT, None, ex.lit(1.0), target=sm.DEAD_STATE),
+            custom_states=["S", sm.DEAD_STATE],
+            custom_initial="S",
+        )
+        assert self.collect(spec) == [
+            ("error", "disease:d", "'Dead' is the reserved death state, not a compartment")
+        ]
+
     def test_duplicate_leaving_rule(self):
         spec = make_spec(mortality=[
             dz.MortalitySpec("I", ex.lit(0.1), dz.LEAVING_COMPARTMENT),

@@ -205,6 +205,23 @@ class TestKeywordChoices:
         ]
 
 
+class TestRepeatedOptions:
+    """A repeated transmission or qlearning option is reported where it
+    repeats, and parsing goes on to the end of the options."""
+
+    def test_transmission_option(self):
+        text = _CHOICE_BASE.replace("probability 0.5", "probability 0.5 infectious I to I infectious R sources W")
+        assert error_list(text) == [
+            [[8, 60, 8, 70], [], "'infectious'", "duplicate transmission option 'infectious'"]
+        ]
+
+    def test_qlearning_option(self):
+        text = _CHOICE_BASE.replace(
+            "capability disease d", "capability qlearning alpha 0.1 gamma 0.9 epsilon 0.1 plans p alpha 0.2 bins 1"
+        )
+        assert error_list(text) == [[[5, 66, 5, 71], [], "'alpha'", "duplicate qlearning option 'alpha'"]]
+
+
 class TestFormat:
     def test_fixed_point_on_fixtures(self):
         for name in ("measles.abms", "traffic.abms"):

@@ -579,6 +579,64 @@ class TestSourceIndex:
         assert world.sources["e"].items == [b] and world.sources["e"].cells == {(2, 2): [b]}
 
 
+class TestDiseaseMoves:
+    """A disease step decides in phase 2 and its new state is entered in
+    phase 3, so every agent reads the compartments the tick started with."""
+
+    def test_a_source_that_recovers_still_infects_a_higher_id_agent(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 2 at (3, 3)\n    capability disease d\n  }\n"
+            "  disease d model SIR {\n    transmission contact probability 1\n    duration I deterministic 1\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        source, host = world.agents.values()
+        sm.force_state(source.diseases["d"], "I")
+        engine.tick(world)
+        assert source.id < host.id
+        assert (source.diseases["d"].current, host.diseases["d"].current) == ("R", "I")
+        assert world.ever_infected["d"] == 1
+
+    def test_an_aggregate_in_a_condition_reads_the_start_of_the_tick(self, tmp_path):
+        # The lowest-id agent recovers this tick; the condition, read later in
+        # the tick by the scan of the highest-id agent, still counts no R.
+        model = grid_model(
+            "  agent A {\n    create fixed 3 at (1, 1) (5, 5) (5, 5)\n    capability disease d\n"
+            "    attr r real = 0\n  }\n"
+            "  disease d model SIR {\n    transmission contact probability 1 condition count(A where d is R) == 0\n"
+            "    duration I probabilistic rate r\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        recovering, source, host = world.agents.values()
+        recovering.attrs["r"] = 1.0
+        sm.force_state(recovering.diseases["d"], "I")
+        sm.force_state(source.diseases["d"], "I")
+        engine.tick(world)
+        assert [a.diseases["d"].current for a in (recovering, source, host)] == ["R", "I", "I"]
+
+    def test_a_per_tick_death_counts_before_an_abort_to_dead(self, tmp_path):
+        # Disease e is attached first, so its abort is decided first; the
+        # per-tick death of d is still the one recorded for the agent.
+        model = grid_model(
+            "  agent A {\n    create fixed 1 at (3, 3)\n    capability disease e\n    capability disease d\n  }\n"
+            "  disease e model SIR {\n    transmission contact probability 0\n    duration I deterministic 1\n"
+            "    mortality I rate 1 leaving_compartment\n  }\n"
+            "  disease d model SIR {\n    transmission contact probability 0\n    duration I deterministic 50\n"
+            "    mortality I rate 1 every_timeunit\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        (agent,) = world.agents.values()
+        assert list(agent.diseases) == ["e", "d"]
+        sm.force_state(agent.diseases["e"], "I")
+        sm.force_state(agent.diseases["d"], "I")
+        engine.tick(world)
+        assert not world.agents and world.dead == {"A": 1}
+        assert world.deaths_by_disease == {"d": 1}
+        assert agent.diseases["e"].current == sm.DEAD_STATE
+
+
 class TestMobility:
     def test_step_zero_stays(self, tmp_path):
         model = grid_model("  agent A {\n    create fixed 1 at (4, 4)\n    capability mobility random_walk step 0\n  }")

@@ -50,13 +50,12 @@ class TestStep:
         inst = sm.instantiate(two_state(sm.DeterministicTrigger(ex.lit(3))))
         rng = random.Random(0)
         events = [sm.step(inst, MapContext(), rng) for _ in range(3)]
-        assert events == [False, False, True]
-        assert inst.current == "b"
+        assert events == [None, None, "b"]
+        assert inst.current == "a" and inst.dwell == 3  # step enters nothing
 
     def test_probabilistic_certainty_fires_first_step(self):
         inst = sm.instantiate(two_state(sm.ProbabilisticTrigger(ex.lit(1.0))))
-        assert sm.step(inst, MapContext(), random.Random(1)) is True
-        assert inst.current == "b"
+        assert sm.step(inst, MapContext(), random.Random(1)) == "b"
 
     def test_abortion_certain(self):
         spec = sm.StateMachineSpec(
@@ -73,17 +72,18 @@ class TestStep:
         )
         inst = sm.instantiate(spec)
         rng = random.Random(2)
-        assert sm.step(inst, MapContext(), rng) is False
-        assert sm.step(inst, MapContext(), rng) is True
-        assert inst.current == sm.DEAD_STATE
-        assert inst.terminated
+        assert sm.step(inst, MapContext(), rng) is None
+        assert sm.step(inst, MapContext(), rng) == sm.DEAD_STATE
+        assert not inst.terminated
+        sm.force_state(inst, sm.DEAD_STATE)
+        assert inst.terminated and inst.dwell == 0
 
     def test_dead_is_absorbing(self):
         spec = two_state(sm.DeterministicTrigger(ex.lit(1)))
         spec.states.append(sm.DEAD_STATE)
         spec.transitions[0].target = sm.DEAD_STATE
         inst = sm.instantiate(spec)
-        sm.step(inst, MapContext(), random.Random(0))
+        sm.force_state(inst, sm.step(inst, MapContext(), random.Random(0)))
         assert inst.terminated
         with pytest.raises(sm.MachineError):
             sm.step(inst, MapContext(), random.Random(0))
@@ -92,16 +92,14 @@ class TestStep:
         trigger = sm.ConditionalTrigger(ex.Binary(">", ex.AttrRef(None, "energy"), ex.lit(4)))
         inst = sm.instantiate(two_state(trigger))
         rng = random.Random(0)
-        assert sm.step(inst, MapContext({"energy": 3}), rng) is False
-        assert inst.current == "a"
-        assert sm.step(inst, MapContext({"energy": 5}), rng) is True
-        assert inst.current == "b"
+        assert sm.step(inst, MapContext({"energy": 3}), rng) is None
+        assert sm.step(inst, MapContext({"energy": 5}), rng) == "b"
 
     def test_guard_blocks_transition(self):
         spec = two_state(sm.DeterministicTrigger(ex.lit(1)), guard=ex.lit(False))
         inst = sm.instantiate(spec)
         for _ in range(5):
-            assert sm.step(inst, MapContext(), random.Random(0)) is False
+            assert sm.step(inst, MapContext(), random.Random(0)) is None
         assert inst.current == "a" and inst.dwell == 5
 
     def test_composite_all_of_waits_for_both(self):
@@ -114,11 +112,9 @@ class TestStep:
         )
         inst = sm.instantiate(two_state(trigger))
         rng = random.Random(0)
-        assert sm.step(inst, MapContext({"go": True}), rng) is False  # dwell 1 < 2
-        assert sm.step(inst, MapContext({"go": False}), rng) is False
-        assert inst.current == "a"
-        assert sm.step(inst, MapContext({"go": True}), rng) is True
-        assert inst.current == "b"
+        assert sm.step(inst, MapContext({"go": True}), rng) is None  # dwell 1 < 2
+        assert sm.step(inst, MapContext({"go": False}), rng) is None
+        assert sm.step(inst, MapContext({"go": True}), rng) == "b"
 
     def test_composite_any_of(self):
         trigger = sm.CompositeTrigger(
@@ -126,8 +122,7 @@ class TestStep:
             [sm.DeterministicTrigger(ex.lit(99)), sm.ConditionalTrigger(ex.AttrRef(None, "go"))],
         )
         inst = sm.instantiate(two_state(trigger))
-        assert sm.step(inst, MapContext({"go": True}), random.Random(0)) is True
-        assert inst.current == "b"
+        assert sm.step(inst, MapContext({"go": True}), random.Random(0)) == "b"
 
     def test_declaration_order_priority(self):
         spec = sm.StateMachineSpec(
@@ -140,8 +135,7 @@ class TestStep:
             ],
         )
         inst = sm.instantiate(spec)
-        assert sm.step(inst, MapContext(), random.Random(0)) is True
-        assert inst.current == "b"
+        assert sm.step(inst, MapContext(), random.Random(0)) == "b"
 
     def test_determinism_same_seed_same_events(self):
         def run(seed):
@@ -170,7 +164,8 @@ class TestStep:
         inst = sm.instantiate(spec)
         rng = random.Random(11)
         for _ in range(500):
-            sm.step(inst, MapContext(), rng)
+            if (state := sm.step(inst, MapContext(), rng)) is not None:
+                sm.force_state(inst, state)
             assert inst.current in spec.states
             assert sum(inst.current == s for s in spec.states) == 1
 
