@@ -196,15 +196,16 @@ class World(ex.Context):
         # The model resolved once per run: the tick reads these, never a lookup by name.
         self.topology = topo = model.environment.topology
         self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
-        # Per axis, the first and last cell a position can fall in (None on graphs).
-        if isinstance(topo, mm.GridTopology):
-            self.cell_bounds = ((0, topo.width - 1), (0, topo.height - 1))
+        self.on_grid = isinstance(topo, mm.GridTopology)
+        # Per axis, the widest cell offset between two positions (None on graphs).
+        self.cell_span = None
+        if self.on_grid:
+            self.cell_span = (topo.width // 2, topo.height // 2) if topo.wrap else (topo.width - 1, topo.height - 1)
         elif isinstance(topo, mm.CartesianTopology):
-            self.cell_bounds = (
-                (math.floor(topo.x_min), math.floor(topo.x_max)), (math.floor(topo.y_min), math.floor(topo.y_max))
-            )
-        else:
-            self.cell_bounds = None
+            self.cell_span = (math.floor(topo.x_max) - math.floor(topo.x_min), math.floor(topo.y_max) - math.floor(topo.y_min))
+        if self.cell_span is not None:  # planar positions are points; graphs keep the ``distance`` method
+            self.distance = _torus_distance(*self.wrap) if self.wrap is not None else math.dist
+        self.stencils: dict[float, list[tuple[int, int]]] = {}  # per radius, built by ``_stencil``
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
@@ -253,8 +254,7 @@ class World(ex.Context):
     # -- geometry ---------------------------------------------------------------
 
     def coords(self, position) -> tuple[float, float]:
-        if isinstance(position, tuple):
-            return position
+        """The point of a graph position."""
         assert self.graph is not None
         if isinstance(position, (NodePos, QueuePos)):
             return self.graph.nodes[position.node]
@@ -265,14 +265,7 @@ class World(ex.Context):
         return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
 
     def distance(self, a, b) -> float:
-        ax, ay = self.coords(a)
-        bx, by = self.coords(b)
-        dx, dy = abs(ax - bx), abs(ay - by)
-        if self.wrap is not None:
-            width, height = self.wrap
-            dx = min(dx, width - dx)
-            dy = min(dy, height - dy)
-        return math.hypot(dx, dy)
+        return math.dist(self.coords(a), self.coords(b))
 
     # -- digests ------------------------------------------------------------------
 
@@ -318,6 +311,13 @@ class World(ex.Context):
                 put(f"{label}:{key}={counter[key]}")
         put(f"arrivals={self.arrivals}")
         return h.hexdigest()
+
+
+def _torus_distance(width: int, height: int):
+    def distance(a: tuple, b: tuple) -> float:
+        dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+        return math.hypot(min(dx, width - dx), min(dy, height - dy))
+    return distance
 
 
 def _cell_of(position: tuple) -> tuple[int, int]:
@@ -629,7 +629,8 @@ _BY_ID = operator.attrgetter("id")
 
 class SourceIndex:
     """One disease's infection sources during phase 2, in ascending id order,
-    and on a grid or cartesian space also by cell (``cells`` is None on graphs)."""
+    and on a grid or cartesian space also by cell (``cells`` is None on graphs),
+    which ``_near`` reads through the stencil of the radius."""
 
     def __init__(self, items: list[_Instance], by_cell: bool):
         self.items = items
@@ -651,35 +652,52 @@ def _index_sources(world: World) -> None:
             items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
             items += [e for e in world.entities.values() if e.type_name in t.sources]
             items.sort(key=_BY_ID)
-            world.sources[name] = SourceIndex(items, world.cell_bounds is not None)
+            world.sources[name] = SourceIndex(items, world.cell_span is not None)
 
 
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
     """The sources within Euclidean distance ``radius`` of ``position``
     (toroidal on wrapped grids), in ascending id order, without ``exclude``.
-    On a grid or cartesian space the cells within reach are read, each once,
-    unless there are fewer sources than cells: then, as on graphs, the source
-    list itself is measured.  Both paths give the same sources in that order."""
-    items = sources.items
-    if sources.cells is not None:
-        reach = math.floor(radius) + 1
-        (x_low, x_high), (y_low, y_high) = world.cell_bounds
-        wrap_x, wrap_y = world.wrap or (None, None)
+    On a grid or cartesian space the cells of the radius's stencil are read,
+    unless there is none or there are fewer sources than its cells: then, as
+    on graphs, the source list is measured.  Only a grid's read measures nothing."""
+    items, cells, distance = sources.items, sources.cells, world.distance
+    if cells is not None and (stencil := _stencil(world, radius)) is not None and len(stencil) <= len(items):
         cx, cy = _cell_of(position)
-        xs, ys = _axis_reach(cx, reach, x_low, x_high, wrap_x), _axis_reach(cy, reach, y_low, y_high, wrap_y)
-        if len(xs) * len(ys) <= len(items):
-            items = sorted((item for gx in xs for gy in ys for item in sources.cells.get((gx, gy), ())), key=_BY_ID)
-    return [item for item in items if item is not exclude and world.distance(position, item.position) <= radius]
+        if world.wrap is None:
+            found = [item for dx, dy in stencil for item in cells.get((cx + dx, cy + dy), ())]
+        else:
+            width, height = world.wrap
+            found = [item for dx, dy in stencil for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
+        found.sort(key=_BY_ID)
+        if world.on_grid:
+            return [item for item in found if item is not exclude]
+        items = found
+    return [item for item in items if item is not exclude and distance(position, item.position) <= radius]
 
 
-def _axis_reach(centre: int, reach: int, low: int, high: int, wrap: int | None):
-    """The cells within ``reach`` of ``centre`` on one axis, each once: on a
-    wrapped axis of ``wrap`` cells modulo ``wrap``, otherwise inside [low, high]."""
-    if wrap is None:
-        return range(max(centre - reach, low), min(centre + reach, high) + 1)
-    if 2 * reach + 1 >= wrap:
-        return range(wrap)
-    return [cell % wrap for cell in range(centre - reach, centre + reach + 1)]
+STENCIL_CACHE_SIZE = 16  # radii with a stencil per world; a scan at any other radius measures the list
+_STENCIL_MAX_SQUARE = 1 << 14  # offsets a stencil is picked from; a wider reach measures the list
+
+
+def _stencil(world: World, radius: float) -> list[tuple[int, int]] | None:
+    """The cell offsets ``_near`` reads at ``radius``, built once per radius:
+    on a grid those within ``radius`` (each once modulo a wrapped grid), in a
+    cartesian space those whose cells can hold a point within ``radius`` of
+    one in the centre cell.  None when the cache is full or the reach too wide."""
+    if (stencil := world.stencils.get(radius)) is not None or len(world.stencils) >= STENCIL_CACHE_SIZE:
+        return stencil
+    gap = 0 if world.on_grid else 1  # cartesian points in cells d apart on an axis can be |d| - 1 apart
+    sx, sy = (min(math.floor(radius) + gap, span) for span in world.cell_span)
+    if (2 * sx + 1) * (2 * sy + 1) > _STENCIL_MAX_SQUARE:
+        return None
+    square = [(dx, dy) for dx in range(-sx, sx + 1) for dy in range(-sy, sy + 1)]
+    if world.wrap is not None:
+        square = dict.fromkeys((dx % world.wrap[0], dy % world.wrap[1]) for dx, dy in square)  # each offset once
+    world.stencils[radius] = stencil = [
+        (dx, dy) for dx, dy in square if world.distance((0, 0), (max(abs(dx) - gap, 0), max(abs(dy) - gap, 0))) <= radius
+    ]
+    return stencil
 
 
 # ---------------------------------------------------------------------------

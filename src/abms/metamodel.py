@@ -682,6 +682,8 @@ def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Colle
         for end in (tr.source, tr.target):
             if end not in states:
                 add("error", tpath, f"state '{end}' is not declared")
+        if tr.source == sm.DEAD_STATE:
+            add("error", tpath, f"'{sm.DEAD_STATE}' is absorbing: no transition leaves it")
         if tr.abortion is not None and tr.abortion.abort_to not in states:
             add("error", tpath, f"abort state '{tr.abortion.abort_to}' is not declared")
         if tr.trigger is None:

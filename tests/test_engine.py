@@ -417,6 +417,95 @@ class TestNeighbors:
             found += len(expected)
         assert found > 0
 
+    # Each radius on the lattice distance of an offset, and the float just below it.
+    LATTICE_RADII = [r for on in (1.0, 1.4142135623730951, 2.0, 2.23606797749979) for r in (on, math.nextafter(on, 0))]
+
+    @staticmethod
+    def stencil_world(tmp_path, environment, count):
+        model = parse_model(f"model t {{\n  environment {environment}\n  agent A {{ create fixed {count} random }}\n}}\n")
+        world = engine.build_world(model, cfg(tmp_path))
+        return world, list(world.agents.values())
+
+    @staticmethod
+    def assert_stencil_scan_exact(world, items, positions, radius):
+        """``_near`` reads the stencil at ``radius`` and finds exactly what
+        measuring every source with ``World.distance`` finds."""
+        by_cell = engine.SourceIndex(items, True)
+        assert len(engine._stencil(world, radius)) <= len(items)  # the by-stencil path is taken
+        found = 0
+        for position in positions:
+            for exclude in (None, items[0]):
+                expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
+                assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
+                found += len(expected)
+        assert found > 0
+
+    @pytest.mark.parametrize("radius", [3, *LATTICE_RADII])
+    def test_non_square_wrapped_grid_where_one_axis_wraps_whole(self, tmp_path, radius):
+        # At radius 3 the stencil spans the whole 5-cell axis and 7 of the 12 cells of the other.
+        world, items = self.stencil_world(tmp_path, "grid width 5 height 12 wrap", 200)
+        self.assert_stencil_scan_exact(world, items, [(x, y) for x in range(5) for y in range(12)], radius)
+
+    @pytest.mark.parametrize("radius", LATTICE_RADII)
+    @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9", "cartesian -3..9 0..9"])
+    def test_radius_on_and_just_below_a_lattice_distance(self, tmp_path, environment, radius):
+        world, items = self.stencil_world(tmp_path, environment, 300)
+        rng = random.Random(7)
+        if environment.startswith("cartesian"):
+            positions = [(rng.uniform(-3, 9), rng.uniform(0, 9)) for _ in range(60)] + [item.position for item in items[:20]]
+        else:
+            positions = [(x, y) for x in range(12) for y in range(9)]
+        self.assert_stencil_scan_exact(world, items, positions, radius)
+
+    @pytest.mark.parametrize("radius", [1, 2.5])
+    def test_corners_and_edges_of_a_bounded_grid(self, tmp_path, radius):
+        world, items = self.stencil_world(tmp_path, "grid width 12 height 9", 300)
+        border = {(x, y) for x in range(12) for y in (0, 8)} | {(x, y) for x in (0, 11) for y in range(9)}
+        self.assert_stencil_scan_exact(world, items, sorted(border), radius)
+
+    @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
+    def test_radius_larger_than_the_grid(self, tmp_path, environment):
+        world, items = self.stencil_world(tmp_path, environment, 500)
+        self.assert_stencil_scan_exact(world, items, [(0, 0), (11, 8), (5, 4)], 40.5)
+        # The stencil is the whole grid, each cell once: 108 cells wrapped, 23 x 17 offsets bounded.
+        assert len(engine._stencil(world, 40.5)) == (108 if "wrap" in environment else 23 * 17)
+
+    def test_reach_too_wide_for_a_stencil_measures_the_list(self, tmp_path):
+        world, items = self.stencil_world(tmp_path, "grid width 300 height 300 wrap", 50)
+        assert engine._stencil(world, 100) is None
+        by_cell = engine.SourceIndex(items, True)
+        expected = [a.id for a in items if world.distance((7, 7), a.position) <= 100]
+        assert [a.id for a in engine._near(world, by_cell, (7, 7), 100, None)] == expected
+
+    def test_more_radii_than_the_cache_holds(self, tmp_path):
+        world, items = self.stencil_world(tmp_path, "grid width 12 height 9 wrap", 300)
+        by_cell = engine.SourceIndex(items, True)
+        radii = [0.5 + 0.25 * i for i in range(engine.STENCIL_CACHE_SIZE + 4)]
+        for radius in radii:
+            for position in [(0, 0), (6, 4), (11, 8)]:
+                expected = [a.id for a in items if world.distance(position, a.position) <= radius]
+                assert [a.id for a in engine._near(world, by_cell, position, radius, None)] == expected
+        assert list(world.stencils) == radii[: engine.STENCIL_CACHE_SIZE]
+        assert engine._stencil(world, radii[-1]) is None
+
+    @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
+    def test_stencil_scan_on_a_grid_measures_nothing(self, tmp_path, environment):
+        world, items = self.stencil_world(tmp_path, environment, 300)
+        by_cell = engine.SourceIndex(items, True)
+        engine._stencil(world, 2)  # built once per radius, by measuring offsets
+        measure = world.distance
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return measure(a, b)
+
+        world.distance = counting
+        found = sum(len(engine._near(world, by_cell, (x, y), 2, None)) for x in range(12) for y in range(9))
+        assert found > 0
+        assert calls == 0
+
 
 class TestSourceIndex:
     """During phase 2 each transmitting disease's index holds exactly its
@@ -437,7 +526,7 @@ class TestSourceIndex:
             expected = cls.sources(world, name)
             assert len(index.items) == len(expected)
             assert all(got is item for got, item in zip(index.items, expected))
-            if world.cell_bounds is None:
+            if world.cell_span is None:
                 assert index.cells is None
                 continue
             for item in expected:

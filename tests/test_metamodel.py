@@ -147,6 +147,18 @@ class TestValidate:
         )
         assert [d.message for d in mm.validate(model).errors()] == [message]
 
+    def test_no_transition_leaves_dead(self):
+        # Dead is absorbing in every machine, also in one that starts there.
+        model = model_from(
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 1 random\n    capability state_machine k\n  }\n"
+            "  machine k {\n    initial Dead\n    state Dead\n    state a\n"
+            "    transition Dead a deterministic 1\n  }\n}\n"
+        )
+        assert [(d.path, d.message) for d in mm.validate(model).errors()] == [
+            ("machine:k.transition[0]", "'Dead' is absorbing: no transition leaves it")
+        ]
+
     def test_duplicate_node_reported_once(self):
         model = model_from(
             "model g {\n  environment graph from edges {\n    node a 0 0\n    node a 5 0\n    node b 10 0\n"
