@@ -22,6 +22,7 @@ evaluated in (they implement the ``expr.Context`` hooks).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import operator
@@ -197,15 +198,22 @@ class World(ex.Context):
         self.topology = topo = model.environment.topology
         self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
         self.on_grid = isinstance(topo, mm.GridTopology)
-        # Per axis, the widest cell offset between two positions (None on graphs).
-        self.cell_span = None
-        if self.on_grid:
-            self.cell_span = (topo.width // 2, topo.height // 2) if topo.wrap else (topo.width - 1, topo.height - 1)
-        elif isinstance(topo, mm.CartesianTopology):
+        self.graph: Graph | None = None
+        # Per axis, the widest cell offset between two positions (None on graphs), and their distance.
+        if isinstance(topo, mm.GraphTopology):
+            if isinstance(topo.source, mm.OsmGraphStrategy):
+                self.graph = graph = load_osm_graph(_resolve(topo.source.path, config))
+            else:
+                self.graph = graph = graph_from_inline(topo.source.nodes, topo.source.edges)
+            self.cell_span, self.distance = None, lambda a, b: math.dist(_graph_point(graph, a), _graph_point(graph, b))
+        elif self.wrap is not None:
+            self.cell_span, self.distance = (topo.width // 2, topo.height // 2), _torus_distance(*self.wrap)
+        elif self.on_grid:
+            self.cell_span, self.distance = (topo.width - 1, topo.height - 1), math.dist  # positions are points
+        else:  # a cartesian space
             self.cell_span = (math.floor(topo.x_max) - math.floor(topo.x_min), math.floor(topo.y_max) - math.floor(topo.y_min))
-        if self.cell_span is not None:  # planar positions are points; graphs keep the ``distance`` method
-            self.distance = _torus_distance(*self.wrap) if self.wrap is not None else math.dist
-        self.stencils: dict[float, list[tuple[int, int]]] = {}  # per radius, built by ``_stencil``
+            self.distance = math.dist
+        self.stencil = None  # (offsets, reaches, bound), built and grown by ``_stencil`` as scans need
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
@@ -216,7 +224,6 @@ class World(ex.Context):
         self.rng = random.Random(config.seed)
         self.agents: dict[int, AgentInstance] = {}
         self.entities: dict[int, EntityInstance] = {}
-        self.graph: Graph | None = None
         self.queues: dict[tuple[str, str], list[int]] = {}
         self.controllers_by_node: dict[str, ControllerState] = {}
         self.created: dict[str, int] = {}
@@ -250,22 +257,6 @@ class World(ex.Context):
         iterate in ascending id order without sorting."""
         self._next_id += 1
         return self._next_id - 1
-
-    # -- geometry ---------------------------------------------------------------
-
-    def coords(self, position) -> tuple[float, float]:
-        """The point of a graph position."""
-        assert self.graph is not None
-        if isinstance(position, (NodePos, QueuePos)):
-            return self.graph.nodes[position.node]
-        # Every other position is an EdgePos.
-        sx, sy = self.graph.nodes[position.source]
-        txx, tyy = self.graph.nodes[position.target]
-        frac = 1.0 - position.remaining / position.total
-        return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
-
-    def distance(self, a, b) -> float:
-        return math.dist(self.coords(a), self.coords(b))
 
     # -- digests ------------------------------------------------------------------
 
@@ -318,6 +309,16 @@ def _torus_distance(width: int, height: int):
         dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
         return math.hypot(min(dx, width - dx), min(dy, height - dy))
     return distance
+
+
+def _graph_point(graph: Graph, position) -> tuple[float, float]:
+    if isinstance(position, (NodePos, QueuePos)):
+        return graph.nodes[position.node]
+    # Every other position is an EdgePos.
+    sx, sy = graph.nodes[position.source]
+    txx, tyy = graph.nodes[position.target]
+    frac = 1.0 - position.remaining / position.total
+    return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
 
 
 def _cell_of(position: tuple) -> tuple[int, int]:
@@ -379,13 +380,6 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
         first = "; ".join(str(d) for d in report.errors()[:3])
         raise EngineError(f"model failed validation: {first}")
     world = World(model, config)
-    topo = world.topology
-    if isinstance(topo, mm.GraphTopology):
-        if isinstance(topo.source, mm.OsmGraphStrategy):
-            world.graph = load_osm_graph(_resolve(topo.source.path, config))
-        else:
-            assert isinstance(topo.source, mm.InlineEdgeListStrategy)
-            world.graph = graph_from_inline(topo.source.nodes, topo.source.edges)
     for agent_type in model.agent_types:
         for cap in agent_type.capabilities:
             if cap.kind == "external":
@@ -630,7 +624,7 @@ _BY_ID = operator.attrgetter("id")
 class SourceIndex:
     """One disease's infection sources during phase 2, in ascending id order,
     and on a grid or cartesian space also by cell (``cells`` is None on graphs),
-    which ``_near`` reads through the stencil of the radius."""
+    which ``_near`` reads through the world's stencil."""
 
     def __init__(self, items: list[_Instance], by_cell: bool):
         self.items = items
@@ -658,46 +652,48 @@ def _index_sources(world: World) -> None:
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
     """The sources within Euclidean distance ``radius`` of ``position``
     (toroidal on wrapped grids), in ascending id order, without ``exclude``.
-    On a grid or cartesian space the cells of the radius's stencil are read,
-    unless there is none or there are fewer sources than its cells: then, as
-    on graphs, the source list is measured.  Only a grid's read measures nothing."""
+    On a grid or cartesian space the stencil's cells within ``radius`` are
+    read (on a grid, measuring nothing) unless the stencil stops short of it
+    or there are fewer sources than those cells: then the list is measured."""
     items, cells, distance = sources.items, sources.cells, world.distance
-    if cells is not None and (stencil := _stencil(world, radius)) is not None and len(stencil) <= len(items):
-        cx, cy = _cell_of(position)
-        if world.wrap is None:
-            found = [item for dx, dy in stencil for item in cells.get((cx + dx, cy + dy), ())]
-        else:
-            width, height = world.wrap
-            found = [item for dx, dy in stencil for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
-        found.sort(key=_BY_ID)
-        if world.on_grid:
-            return [item for item in found if item is not exclude]
-        items = found
+    if cells is not None:
+        if world.stencil is None or radius >= world.stencil[2]:
+            _stencil(world, radius)
+        offsets, reaches, bound = world.stencil
+        if radius < bound and (n := bisect.bisect_right(reaches, radius)) <= len(items):
+            cx, cy = _cell_of(position)
+            if world.wrap is None:
+                found = [item for dx, dy in offsets[:n] for item in cells.get((cx + dx, cy + dy), ())]
+            else:
+                width, height = world.wrap
+                found = [item for dx, dy in offsets[:n] for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
+            found.sort(key=_BY_ID)
+            if world.on_grid:
+                return [item for item in found if item is not exclude]
+            items = found
     return [item for item in items if item is not exclude and distance(position, item.position) <= radius]
 
 
-STENCIL_CACHE_SIZE = 16  # radii with a stencil per world; a scan at any other radius measures the list
-_STENCIL_MAX_SQUARE = 1 << 14  # offsets a stencil is picked from; a wider reach measures the list
+STENCIL_MAX_REACH = 63  # cells each way a stencil grows to; a radius beyond its bound measures the list
 
 
-def _stencil(world: World, radius: float) -> list[tuple[int, int]] | None:
-    """The cell offsets ``_near`` reads at ``radius``, built once per radius:
-    on a grid those within ``radius`` (each once modulo a wrapped grid), in a
-    cartesian space those whose cells can hold a point within ``radius`` of
-    one in the centre cell.  None when the cache is full or the reach too wide."""
-    if (stencil := world.stencils.get(radius)) is not None or len(world.stencils) >= STENCIL_CACHE_SIZE:
-        return stencil
+def _stencil(world: World, radius: float) -> None:
+    """Build ``world.stencil`` out to ``radius``, at least doubling its reach,
+    up to STENCIL_MAX_REACH: cell offsets (each once modulo a wrapped grid)
+    sorted by reach, the least distance of two points in cells that far apart;
+    the reaches; and the bound below which a radius reads a prefix of them."""
     gap = 0 if world.on_grid else 1  # cartesian points in cells d apart on an axis can be |d| - 1 apart
-    sx, sy = (min(math.floor(radius) + gap, span) for span in world.cell_span)
-    if (2 * sx + 1) * (2 * sy + 1) > _STENCIL_MAX_SQUARE:
-        return None
+    built = world.stencil[2] - 1 + gap if world.stencil is not None else 0  # a finite bound is reach + 1 - gap
+    if built >= STENCIL_MAX_REACH:
+        return
+    reach = min(max(math.floor(radius) + gap, 2 * built), STENCIL_MAX_REACH)
+    sx, sy = square_span = tuple(min(span, reach) for span in world.cell_span)
     square = [(dx, dy) for dx in range(-sx, sx + 1) for dy in range(-sy, sy + 1)]
     if world.wrap is not None:
         square = dict.fromkeys((dx % world.wrap[0], dy % world.wrap[1]) for dx, dy in square)  # each offset once
-    world.stencils[radius] = stencil = [
-        (dx, dy) for dx, dy in square if world.distance((0, 0), (max(abs(dx) - gap, 0), max(abs(dy) - gap, 0))) <= radius
-    ]
-    return stencil
+    ranked = sorted((world.distance((0, 0), (max(abs(dx) - gap, 0), max(abs(dy) - gap, 0))), dx, dy) for dx, dy in square)
+    bound = math.inf if square_span == world.cell_span else reach + 1 - gap
+    world.stencil = ([(dx, dy) for _, dx, dy in ranked], [r for r, _, _ in ranked], bound)
 
 
 # ---------------------------------------------------------------------------

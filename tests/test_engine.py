@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import re
@@ -393,7 +394,10 @@ class TestNeighbors:
         "wrapped grid": "grid width 12 height 9 wrap",
         "bounded grid": "grid width 12 height 9",
         "cartesian": "cartesian -3..9 0..9",
+        "5 x 12 wrapped grid": "grid width 5 height 12 wrap",  # at radius 3 one axis wraps whole
     }
+    # Each radius on the lattice distance of a cell offset and the float just below it, and two wider ones.
+    EDGE_RADII = [r for on in (1.0, 1.4142135623730951, 2.0, 2.23606797749979) for r in (on, math.nextafter(on, 0))] + [3, 40.5]
 
     @pytest.mark.parametrize("space", list(SPACES))
     @pytest.mark.parametrize("count", [4, 300], ids=["fewer sources than cells", "more sources than cells"])
@@ -403,22 +407,26 @@ class TestNeighbors:
         items = list(world.agents.values())
         by_cell, listed = engine.SourceIndex(items, True), engine.SourceIndex(items, False)
         rng = random.Random(count)
-        found = 0
+        cases = []
         for _ in range(300):
             if space == "cartesian":
                 position = (rng.uniform(-3, 9), rng.uniform(0, 9))
             else:
-                position = (rng.randrange(12), rng.randrange(9))
-            radius = rng.choice([0, 0.5, 1, 1.5, 2, 2.5, 4, 7])
-            exclude = rng.choice(items)
+                position = (rng.randrange(world.topology.width), rng.randrange(world.topology.height))
+            cases.append((position, rng.choice([0, 0.5, 1, 1.5, 2, 2.5, 4, 7]), rng.choice(items)))
+        # Every cell of a grid, corners and edges included, or every source's point in a cartesian space.
+        if space == "cartesian":
+            spots = [item.position for item in items]
+        else:
+            spots = [(x, y) for x in range(world.topology.width) for y in range(world.topology.height)]
+        cases += [(spot, radius, rng.choice(items)) for spot in spots for radius in self.EDGE_RADII]
+        found = 0
+        for position, radius, exclude in cases:
             expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
             assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
             assert [a.id for a in engine._near(world, listed, position, radius, exclude)] == expected
             found += len(expected)
         assert found > 0
-
-    # Each radius on the lattice distance of an offset, and the float just below it.
-    LATTICE_RADII = [r for on in (1.0, 1.4142135623730951, 2.0, 2.23606797749979) for r in (on, math.nextafter(on, 0))]
 
     @staticmethod
     def stencil_world(tmp_path, environment, count):
@@ -426,73 +434,47 @@ class TestNeighbors:
         world = engine.build_world(model, cfg(tmp_path))
         return world, list(world.agents.values())
 
-    @staticmethod
-    def assert_stencil_scan_exact(world, items, positions, radius):
-        """``_near`` reads the stencil at ``radius`` and finds exactly what
-        measuring every source with ``World.distance`` finds."""
+    @pytest.mark.parametrize(
+        "environment, size",
+        [("grid width 12 height 9 wrap", 12 * 9), ("grid width 12 height 9", 23 * 17), ("cartesian -3..9 0..9", 25 * 19)],
+    )
+    def test_stencil_grows_to_cover_the_space_sorted_by_reach(self, tmp_path, environment, size):
+        world, _ = self.stencil_world(tmp_path, environment, 1)
+        engine._stencil(world, 2)
+        offsets, reaches, bound = world.stencil
+        if world.on_grid:  # the 5 x 5 square, 13 of its cells within radius 2
+            assert (len(offsets), bound, bisect.bisect_right(reaches, 2)) == (25, 3, 13)
+        else:  # the 7 x 7 square, 37 of its cells can hold a point within 2 of one in the centre cell, 9 touch it
+            assert (len(offsets), bound, bisect.bisect_right(reaches, 2), bisect.bisect_right(reaches, 0)) == (49, 3, 37, 9)
+        engine._stencil(world, bound)  # at least doubles the reach
+        assert (len(world.stencil[0]), world.stencil[2]) == ((9 * 9, 5) if world.on_grid else (13 * 13, 6))
+        engine._stencil(world, 40.5)  # the whole space
+        offsets, reaches, bound = world.stencil
+        assert len(set(offsets)) == len(offsets) == len(reaches) == size and bound == math.inf
+        assert reaches == sorted(reaches) and reaches[0] == 0
+
+    @pytest.mark.parametrize("environment", ["grid width 300 height 300 wrap", "cartesian 0..300 0..300"])
+    def test_reach_limit_bounds_the_stencil(self, tmp_path, environment):
+        world, items = self.stencil_world(tmp_path, environment, 50)
+        engine._stencil(world, 1000)
+        stencil = offsets, reaches, bound = world.stencil
+        reach = engine.STENCIL_MAX_REACH
+        assert len(offsets) == (2 * reach + 1) ** 2 and bound == (reach + 1 if world.on_grid else reach)
+        if world.on_grid:  # below the bound the stencil holds every offset of the torus that near
+            span = range(-reach - 20, reach + 21)
+            near = {(dx % 300, dy % 300) for dx in span for dy in span if world.distance((0, 0), (dx, dy)) < bound}
+            assert {offset for offset, r in zip(offsets, reaches) if r < bound} == near
         by_cell = engine.SourceIndex(items, True)
-        assert len(engine._stencil(world, radius)) <= len(items)  # the by-stencil path is taken
-        found = 0
-        for position in positions:
-            for exclude in (None, items[0]):
-                expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
-                assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
-                found += len(expected)
-        assert found > 0
-
-    @pytest.mark.parametrize("radius", [3, *LATTICE_RADII])
-    def test_non_square_wrapped_grid_where_one_axis_wraps_whole(self, tmp_path, radius):
-        # At radius 3 the stencil spans the whole 5-cell axis and 7 of the 12 cells of the other.
-        world, items = self.stencil_world(tmp_path, "grid width 5 height 12 wrap", 200)
-        self.assert_stencil_scan_exact(world, items, [(x, y) for x in range(5) for y in range(12)], radius)
-
-    @pytest.mark.parametrize("radius", LATTICE_RADII)
-    @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9", "cartesian -3..9 0..9"])
-    def test_radius_on_and_just_below_a_lattice_distance(self, tmp_path, environment, radius):
-        world, items = self.stencil_world(tmp_path, environment, 300)
-        rng = random.Random(7)
-        if environment.startswith("cartesian"):
-            positions = [(rng.uniform(-3, 9), rng.uniform(0, 9)) for _ in range(60)] + [item.position for item in items[:20]]
-        else:
-            positions = [(x, y) for x in range(12) for y in range(9)]
-        self.assert_stencil_scan_exact(world, items, positions, radius)
-
-    @pytest.mark.parametrize("radius", [1, 2.5])
-    def test_corners_and_edges_of_a_bounded_grid(self, tmp_path, radius):
-        world, items = self.stencil_world(tmp_path, "grid width 12 height 9", 300)
-        border = {(x, y) for x in range(12) for y in (0, 8)} | {(x, y) for x in (0, 11) for y in range(9)}
-        self.assert_stencil_scan_exact(world, items, sorted(border), radius)
-
-    @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
-    def test_radius_larger_than_the_grid(self, tmp_path, environment):
-        world, items = self.stencil_world(tmp_path, environment, 500)
-        self.assert_stencil_scan_exact(world, items, [(0, 0), (11, 8), (5, 4)], 40.5)
-        # The stencil is the whole grid, each cell once: 108 cells wrapped, 23 x 17 offsets bounded.
-        assert len(engine._stencil(world, 40.5)) == (108 if "wrap" in environment else 23 * 17)
-
-    def test_reach_too_wide_for_a_stencil_measures_the_list(self, tmp_path):
-        world, items = self.stencil_world(tmp_path, "grid width 300 height 300 wrap", 50)
-        assert engine._stencil(world, 100) is None
-        by_cell = engine.SourceIndex(items, True)
-        expected = [a.id for a in items if world.distance((7, 7), a.position) <= 100]
-        assert [a.id for a in engine._near(world, by_cell, (7, 7), 100, None)] == expected
-
-    def test_more_radii_than_the_cache_holds(self, tmp_path):
-        world, items = self.stencil_world(tmp_path, "grid width 12 height 9 wrap", 300)
-        by_cell = engine.SourceIndex(items, True)
-        radii = [0.5 + 0.25 * i for i in range(engine.STENCIL_CACHE_SIZE + 4)]
-        for radius in radii:
-            for position in [(0, 0), (6, 4), (11, 8)]:
-                expected = [a.id for a in items if world.distance(position, a.position) <= radius]
-                assert [a.id for a in engine._near(world, by_cell, position, radius, None)] == expected
-        assert list(world.stencils) == radii[: engine.STENCIL_CACHE_SIZE]
-        assert engine._stencil(world, radii[-1]) is None
+        for radius in (bound, 100):  # beyond the stencil: the list is measured, and the stencil is kept
+            expected = [a.id for a in items if world.distance((7, 7), a.position) <= radius]
+            assert [a.id for a in engine._near(world, by_cell, (7, 7), radius, None)] == expected
+            assert world.stencil is stencil
 
     @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
     def test_stencil_scan_on_a_grid_measures_nothing(self, tmp_path, environment):
         world, items = self.stencil_world(tmp_path, environment, 300)
         by_cell = engine.SourceIndex(items, True)
-        engine._stencil(world, 2)  # built once per radius, by measuring offsets
+        engine._stencil(world, 2.5)  # built by measuring offsets
         measure = world.distance
         calls = 0
 
@@ -502,7 +484,7 @@ class TestNeighbors:
             return measure(a, b)
 
         world.distance = counting
-        found = sum(len(engine._near(world, by_cell, (x, y), 2, None)) for x in range(12) for y in range(9))
+        found = sum(len(engine._near(world, by_cell, (x, y), r, None)) for x in range(12) for y in range(9) for r in (1, 2, 2.5))
         assert found > 0
         assert calls == 0
 
