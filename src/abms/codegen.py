@@ -385,29 +385,28 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
         f"ask {carrier_set} [ recolor-{name} ]",
     ]
     e.proc(f"disease-phase-{name}", phase_body, procs)
-    if t is not None:
-        radius = _nl_expr(t.distance) if t.interaction == dz.PROXIMITY and t.distance is not None else "0"
-        infectious = dz.infectious_states(spec)
-        states_list = " ".join(f'"{s}"' for s in infectious)
-        target = dz.infection_target(spec)
-        body = [
-            f"let sources (other turtles in-radius {radius}) with [",
-            f"  member? {name}-state (list {states_list})",
-            "]",
-            "ask sources [",
-            f"  if [{name}-state] of myself = \"{susceptible}\" and random-float 1.0 < {_nl_expr(t.probability)} [",
-            f"    ask myself [ become-{name}-infected ]",
-            "  ]",
-            "]",
-        ]
-        e.proc(f"attempt-{name}-infection", body, procs)
-        e.proc(
-            f"become-{name}-infected",
-            [f'set {name}-state "{target}"',
-             f"set {name}-dwell 0",
-             f"set {name}-ever-infected {name}-ever-infected + 1"],
-            procs,
-        )
+    radius = _nl_expr(t.distance) if t.interaction == dz.PROXIMITY else "0"
+    infectious = dz.infectious_states(spec)
+    states_list = " ".join(f'"{s}"' for s in infectious)
+    target = dz.infection_target(spec)
+    body = [
+        f"let sources (other turtles in-radius {radius}) with [",
+        f"  member? {name}-state (list {states_list})",
+        "]",
+        "ask sources [",
+        f"  if [{name}-state] of myself = \"{susceptible}\" and random-float 1.0 < {_nl_expr(t.probability)} [",
+        f"    ask myself [ become-{name}-infected ]",
+        "  ]",
+        "]",
+    ]
+    e.proc(f"attempt-{name}-infection", body, procs)
+    e.proc(
+        f"become-{name}-infected",
+        [f'set {name}-state "{target}"',
+         f"set {name}-dwell 0",
+         f"set {name}-ever-infected {name}-ever-infected + 1"],
+        procs,
+    )
     progress_body = _step_body(name, dz.build_machine(spec))
     for rule in spec.mortality:
         if rule.evaluation == dz.LEAVING_COMPARTMENT:

@@ -6,8 +6,8 @@ runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
   2. ``_agent_phase``: each disease's infection sources indexed; then per
-     agent in ascending id, mobility, signal plan and generic state machines
-     (entering their new state at once), then the disease step (transmission
+     agent in ascending id, mobility, signal plan and generic machines not in
+     Dead (entering a new state at once), then the disease step (transmission
      when susceptible, else mortality and progression), buffering a move
   3. ``_disease_phase``: buffered disease moves entered; dead agents removed
   4. ``_vehicle_phase``: vehicle movement and queue service on graphs
@@ -145,7 +145,7 @@ class AgentInstance(_Instance):
         if name in self.machines:
             return self.machines[name].current
         ctrl = self.controller
-        if ctrl is not None and ctrl.plan is not None and ctrl.plan.name == name and ctrl.machine is not None:
+        if ctrl is not None and ctrl.plan is not None and ctrl.plan.name == name:
             return ctrl.machine.current
         raise EvalError(f"no state machine or disease named '{name}' on this agent")
 
@@ -538,7 +538,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     if machine_cap is not None and machine_cap.target in world.plans:
         _controller_set_plan(world, ctrl, machine_cap.target)
     learning = spec.capability("reinforcement_learning")
-    if learning is not None and learning.qlearning is not None:
+    if learning is not None:
         qspec = learning.qlearning
         state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
         table: tf.QTable = {}
@@ -636,17 +636,16 @@ class SourceIndex:
 
 
 def _index_sources(world: World) -> None:
-    """Index, per disease with a transmission, the agents in an infectious
-    state and the entities of a declared source type.  States change only in
-    phases 1 and 3, deaths come in phase 3 and entities never move, so the
-    index stays exact through phase 2 while walking sources are moved in it."""
+    """Index, per disease, the agents in an infectious state and the entities
+    of a declared source type.  States change only in phases 1 and 3, deaths
+    come in phase 3 and entities never move, so the index stays exact through
+    phase 2 while walking sources are moved in it."""
     world.sources = {}
     for name, disease in world.diseases.items():
-        if (t := disease.spec.transmission) is not None:
-            items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
-            items += [e for e in world.entities.values() if e.type_name in t.sources]
-            items.sort(key=_BY_ID)
-            world.sources[name] = SourceIndex(items, world.cell_span is not None)
+        items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
+        items += [e for e in world.entities.values() if e.type_name in disease.spec.transmission.sources]
+        items.sort(key=_BY_ID)
+        world.sources[name] = SourceIndex(items, world.cell_span is not None)
 
 
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
@@ -713,12 +712,11 @@ def tick(world: World) -> World:
 
 
 def _introduction_phase(world: World) -> set[tuple[int, str]]:
-    """Phase 1: periodic introductions; returns the (agent id, disease) pairs
-    infected, which skip their disease step this tick."""
+    """Phase 1: due (so periodic) introductions; returns the (agent id, disease)
+    pairs infected, which skip their disease step this tick."""
     infected_now: set[tuple[int, str]] = set()
     for intro in world.model.introductions:
-        if intro.periodicity == "periodic":
-            _apply_introduction(world, intro, infected_now)
+        _apply_introduction(world, intro, infected_now)
     return infected_now
 
 
@@ -752,10 +750,10 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
                 sm.force_state(ctrl.machine, state)
                 _controller_apply_phase(ctrl)
         for name, inst in agent.machines.items():
-            if not inst.terminated and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
+            if inst.current != sm.DEAD_STATE and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
                 sm.force_state(inst, state)
-        for disease_name, inst in agent.diseases.items():
-            if not inst.terminated and (aid, disease_name) not in infected_now:
+        for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
+            if (aid, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
     return changes
 
@@ -772,9 +770,9 @@ def _disease_step(
             changes.dying.append((agent, disease_name))
             return
     t = disease.spec.transmission
-    if inst.current == disease.susceptible and t is not None:
+    if inst.current == disease.susceptible:
         radius = 0.0
-        if t.interaction == dz.PROXIMITY and t.distance is not None:
+        if t.interaction == dz.PROXIMITY:
             radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, agent)
             if radius <= 0:
                 raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")

@@ -14,6 +14,7 @@ the concrete syntax); integers promote to reals where needed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -29,9 +30,12 @@ IDENTIFIER = "identifier"
 KINDS = (INTEGER, REAL, BOOLEAN, TEXT, IDENTIFIER)
 NUMERIC = (INTEGER, REAL)
 
-ARITH_OPS = ("+", "-", "*", "/")
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("and", "or")
+_OPERATORS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
 
 # Binding strength in the concrete syntax, loosest first; the parser and the
 # formatter both read these.  ``not`` and unary minus are prefix operators at
@@ -194,27 +198,17 @@ def _evaluate_binary(expr: Binary, ctx: Context):
         for operand in (left, right):
             if isinstance(operand, (int, float)) and not _finite(operand):
                 raise EvalError(f"'{op}' operand {operand} is not finite", expr.span)
-    if op in ("==", "!="):
-        eq = left == right
-        return eq if op == "==" else not eq
-    if op in ("<", "<=", ">", ">="):
-        ln, rn = _as_number(left, expr), _as_number(right, expr)
-        return {"<": ln < rn, "<=": ln <= rn, ">": ln > rn, ">=": ln >= rn}[op]
+        if op in ("==", "!="):  # any two values compare for equality
+            return _OPERATORS[op](left, right)
     ln, rn = _as_number(left, expr), _as_number(right, expr)
+    if op not in _OPERATORS:
+        raise EvalError(f"unknown operator '{op}'", expr.span)
+    if op == "/" and rn == 0:
+        raise EvalError("division by zero", expr.span)
     try:  # an integer beyond the float range meets a float, or is divided
-        if op == "+":
-            return ln + rn
-        if op == "-":
-            return ln - rn
-        if op == "*":
-            return ln * rn
-        if op == "/":
-            if rn == 0:
-                raise EvalError("division by zero", expr.span)
-            return ln / rn
+        return _OPERATORS[op](ln, rn)
     except OverflowError as err:
         raise EvalError(f"'{op}' overflows: {err}", expr.span) from None
-    raise EvalError(f"unknown operator '{op}'", expr.span)
 
 
 def _as_number(v, node) -> float | int:

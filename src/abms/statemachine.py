@@ -3,9 +3,9 @@
 Stepping decides and ``force_state`` enters.  Each step counts the dwell and
 returns the target of the first outgoing transition, in declaration order,
 whose guard holds and whose trigger fires, or its abort state with the
-abortion's probability (this is how death-on-leaving-a-compartment works).
-Plans and generic machines enter the returned state at once; diseases buffer it
-until the end of the agent phase, so they stay tick-synchronous.
+abortion's probability (how death on leaving a compartment works).  No state
+is special here, ``Dead`` included: the engine skips declared machines in Dead,
+enters plan and machine states at once and disease states after the agent phase.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class MachineInstance:
     spec: StateMachineSpec
     current: str
     dwell: int = 0
-    terminated: bool = False
 
 
 class MachineError(AbmsError):
@@ -111,7 +110,7 @@ class MachineError(AbmsError):
 
 def instantiate(spec: StateMachineSpec) -> MachineInstance:
     """Fresh instance sitting in the initial state with zero dwell."""
-    return MachineInstance(spec=spec, current=spec.initial, dwell=0, terminated=False)
+    return MachineInstance(spec=spec, current=spec.initial)
 
 
 def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str | None:
@@ -122,8 +121,6 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str 
     The dwell counter counts steps spent in the current state including the
     current one, so a deterministic trigger of d ticks fires on the d-th step.
     """
-    if instance.terminated:
-        raise MachineError(f"step() on terminated machine '{instance.spec.name}'")
     instance.dwell += 1
     for tr in instance.spec.transitions_from(instance.current):
         if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
@@ -140,11 +137,9 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str 
 def force_state(instance: MachineInstance, state: str) -> None:
     """Place the instance in ``state``: every state is entered here, the
     targets ``step`` returns and the engine's infections and introductions
-    alike.  Resets dwell; entering Dead terminates."""
+    alike, ``Dead`` included.  Resets dwell."""
     instance.current = state
     instance.dwell = 0
-    if state == DEAD_STATE:
-        instance.terminated = True
 
 
 def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Random) -> bool:

@@ -222,6 +222,59 @@ model inline_points {
 """
 
 
+# Dead as a machine state: cars' machines abort into it and stay there while
+# the cars drive on, stones' machines start there, and a plan phase named
+# Dead is an ordinary phase of the signal cycle.
+INLINE_DEAD_MACHINES = """
+model inline_dead_machines {
+  environment graph from edges {
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 100 100
+    edge a b 100
+    edge b c 100
+    edge b d 100
+    edge c d 140
+  }
+  agent Car {
+    create fixed 12 random
+    capability mobility random_walk step 30
+    capability state_machine life
+  }
+  agent Stone {
+    create fixed 3 random
+    capability state_machine inert
+  }
+  agent Light {
+    create fixed 2 random
+    capability flow_control streams auto
+    capability state_machine Blink
+  }
+  machine life {
+    initial young
+    state young
+    state old
+    state Dead
+    transition young old probabilistic rate 0.3 abort 0.2 to Dead
+    transition old young deterministic 3
+  }
+  machine inert {
+    initial Dead
+    state Dead
+    state awake
+  }
+  plan Blink {
+    phase go green s0 duration 2
+    phase Dead green s1 duration 3
+  }
+  output o every 1 to "o.csv" {
+    series dead count(Car where life is Dead)
+    series red count(Light where Blink is Dead)
+  }
+}
+"""
+
 def corpus() -> list[tuple[str, object, Path]]:
     """(name, model, base directory) for every pinned stream."""
     models = [
@@ -229,7 +282,9 @@ def corpus() -> list[tuple[str, object, Path]]:
         ("fixture_traffic", parse_model((FIXTURES / "traffic.abms").read_text(encoding="utf-8")), FIXTURES),
     ]
     models += [(f"generated_{seed}", random_text_model(seed), FIXTURES) for seed in GENERATED_SEEDS]
-    for text in (INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS):
+    for text in (
+        INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS, INLINE_DEAD_MACHINES
+    ):
         model = parse_model(text)
         models.append((model.name, model, FIXTURES))
     return models

@@ -13,6 +13,7 @@ from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
 from abms import traffic as tf
+from abms.cli import main
 from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
@@ -706,6 +707,70 @@ class TestDiseaseMoves:
         assert not world.agents and world.dead == {"A": 1}
         assert world.deaths_by_disease == {"d": 1}
         assert agent.diseases["e"].current == sm.DEAD_STATE
+
+
+class TestDeadMachines:
+    """``Dead`` means something only for declared machines, which are not
+    stepped while in it, and for diseases, whose carrier it removes."""
+
+    def test_a_plan_phase_named_dead_is_an_ordinary_phase(self, tmp_path, capsys):
+        (tmp_path / "m.abms").write_text(
+            "model dead_phase {\n"
+            "  environment graph from edges {\n"
+            "    node a 0 0\n    node b 100 0\n    node c 200 0\n    node d 100 100\n"
+            "    edge a b 100\n    edge b c 100\n    edge b d 100\n  }\n"
+            "  agent Light {\n    create fixed 1 random\n"
+            "    capability flow_control streams auto\n    capability state_machine p\n  }\n"
+            "  plan p {\n    phase x green s0 duration 1\n    phase Dead green s1 duration 1\n  }\n"
+            "}\n"
+        )
+        assert main(["run", str(tmp_path / "m.abms"), "--ticks", "5", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("dead_phase: 5 ticks")
+
+    def test_a_plan_cycles_through_its_dead_phase(self, tmp_path):
+        model = parse_model(
+            "model t {\n  environment graph from edges {\n    node a 0 0\n    node b 1 0\n    node c 2 0\n"
+            "    node d 1 1\n    edge a b 1\n    edge b c 1\n    edge b d 1\n  }\n"
+            "  agent L {\n    create fixed 1 random\n    capability flow_control streams auto\n"
+            "    capability state_machine p\n  }\n"
+            "  plan p {\n    phase x green s0 duration 1\n    phase Dead green s1 duration 2\n  }\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        (light,) = world.agents.values()
+        phases = []
+        for _ in range(6):
+            engine.tick(world)
+            phases.append(light.machine_state("p"))
+        assert phases == ["Dead", "Dead", "x", "Dead", "Dead", "x"]
+
+    def test_a_machine_that_starts_in_dead_is_never_stepped(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 1 random\n    capability state_machine m\n  }\n"
+            "  machine m {\n    initial Dead\n    state Dead\n    state b\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        (agent,) = world.agents.values()
+        for _ in range(5):
+            engine.tick(world)
+        assert (agent.machines["m"].current, agent.machines["m"].dwell) == (sm.DEAD_STATE, 0)
+
+    def test_a_machine_that_aborts_into_dead_stops_counting(self, tmp_path):
+        model = grid_model(
+            "  agent A {\n    create fixed 1 random\n    capability state_machine m\n  }\n"
+            "  machine m {\n    initial a\n    state a\n    state b\n    state Dead\n"
+            "    transition a b deterministic 2 abort 1 to Dead\n  }"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        (agent,) = world.agents.values()
+        inst = agent.machines["m"]
+        seen = []
+        for _ in range(5):
+            engine.tick(world)
+            seen.append((inst.current, inst.dwell))
+        assert seen == [("a", 1), (sm.DEAD_STATE, 0), (sm.DEAD_STATE, 0), (sm.DEAD_STATE, 0), (sm.DEAD_STATE, 0)]
+        assert agent.id in world.agents  # a declared machine in Dead leaves its agent alive
 
 
 class TestMobility:

@@ -2,6 +2,7 @@ import pytest
 
 from abms import expr as ex
 from abms.errors import EvalError, ExprTypeError
+from abms.source import SourceSpan
 
 from contexts import MapContext
 
@@ -26,6 +27,35 @@ class TestEvaluate:
     def test_division_by_zero(self):
         with pytest.raises(EvalError):
             ex.evaluate(ex.Binary("/", ex.lit(1), ex.lit(0)), ctx())
+
+    @pytest.mark.parametrize(
+        "op, left, right, expected",
+        [
+            ("==", 2, 2.0, True), ("!=", "a", "a", False), ("==", True, "x", False),
+            ("<", 1, 2, True), ("<=", 2, 2, True), (">", 1, 2.5, False), (">=", 3, 2, True),
+            ("+", 2, 3, 5), ("-", 2, 3.5, -1.5), ("*", 4, 3, 12), ("/", 7, 2, 3.5),
+        ],
+    )
+    def test_each_binary_operator(self, op, left, right, expected):
+        got = ex.evaluate(ex.Binary(op, ex.lit(left), ex.lit(right)), ctx())
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "op, left, right, message",
+        [
+            ("/", 1, 0.0, "division by zero"),
+            ("%", 1, 2, "unknown operator '%'"),
+            ("%", "a", 2, "expected a number, got str"),  # operands are checked before the operator
+            ("<", True, 2, "expected a number, got bool"),
+            ("==", 10**400, 1, f"'==' operand {10**400} is not finite"),
+            ("*", 10**400, 1.5, "'*' overflows: int too large to convert to float"),
+        ],
+    )
+    def test_binary_errors_carry_the_span(self, op, left, right, message):
+        span = SourceSpan("m.abms", 3, 5, 3, 12)
+        with pytest.raises(EvalError) as err:
+            ex.evaluate(ex.Binary(op, ex.lit(left), ex.lit(right), span), ctx())
+        assert (err.value.message, err.value.span) == (message, span)
 
     def test_comparisons_and_bool(self):
         assert ex.evaluate(ex.Binary("<", ex.lit(1), ex.lit(2)), ctx()) is True
