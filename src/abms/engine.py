@@ -5,14 +5,18 @@ One run consumes a single seeded PRNG stream in a fixed schedule, so identical
 runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
-  2. ``_agent_phase``: each disease's infection sources indexed; then per
-     agent in ascending id, mobility, signal plan and generic machines not in
-     Dead (entering a new state at once), then the disease step (transmission
+  2. ``_agent_phase``: each disease's sources indexed; then per agent of
+     ``World.actors``, mobility, signal plan and generic machines not in Dead
+     (entering a new state at once), then the disease step (transmission
      when susceptible, else mortality and progression), buffering a move
-  3. ``_disease_phase``: buffered disease moves entered; dead agents removed
-  4. ``_vehicle_phase``: vehicle movement and queue service on graphs
-  5. ``_learning_phase``: learning updates for completed plan cycles
+  3. ``_disease_phase``: buffered disease moves entered; the dead removed
+  4. ``_vehicle_phase``: movement of ``World.vehicles``, queue service on graphs
+  5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval
+
+Phases 2, 4 and 5 visit only their roster, in ascending id order, and a
+population is its type's roster in ``World.by_type``; phase 3 prunes the dead
+from them all.
 
 Reordering these phases is a breaking change for reproducibility.
 
@@ -234,6 +238,11 @@ class World(ex.Context):
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
         self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
+        # Rosters in ascending id order, filled only by ``build_world``; phase 3 prunes the dead from them.
+        self.by_type: dict[str, list[_Instance]] = {name: [] for name in self.entity_type_names | self.agent_type_names}
+        self.actors: list[AgentInstance] = []  # phase 2: a walk step, a plan machine, a declared machine or a disease
+        self.vehicles: list[AgentInstance] = []  # phase 4: speed > 0
+        self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
 
     # -- evaluation context -----------------------------------------------------
 
@@ -243,11 +252,10 @@ class World(ex.Context):
         raise EvalError(f"unknown attribute '{name}'")
 
     def population(self, type_name: str):
-        if type_name in self.agent_type_names:
-            return [agent for agent in self.agents.values() if agent.type_name == type_name]
-        if type_name in self.entity_type_names:
-            return [entity for entity in self.entities.values() if entity.type_name == type_name]
-        raise EvalError(f"unknown population '{type_name}'")
+        """The type's roster itself: callers only iterate it."""
+        if (roster := self.by_type.get(type_name)) is None:
+            raise EvalError(f"unknown population '{type_name}'")
+        return roster
 
     # -- ids --------------------------------------------------------------------
 
@@ -394,6 +402,11 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
             _create_entities(world, spec)
         else:
             _create_agents(world, spec)
+    agents = world.agents.values()
+    world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
+                    or (a.controller is not None and a.controller.machine is not None)]
+    world.vehicles = [a for a in agents if a.speed > 0]
+    world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
     for intro in model.introductions:
         _apply_introduction(world, intro, set())
     return world
@@ -465,6 +478,7 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
+        world.by_type[spec.name].append(entity)
 
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
@@ -486,6 +500,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         point = points[i] if points is not None else None
         _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
+        world.by_type[spec.name].append(agent)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
         if mobility is not None and world.graph is not None:
             agent.speed = _checked(
@@ -626,13 +641,13 @@ class SourceIndex:
     and on a grid or cartesian space also by cell (``cells`` is None on graphs),
     which ``_near`` reads through the world's stencil."""
 
-    def __init__(self, items: list[_Instance], by_cell: bool):
+    def __init__(self, items: list[_Instance], by_cell: bool, on_grid: bool = False):
         self.items = items
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
-        if by_cell:
+        if by_cell:  # on a grid a position is its cell
             self.cells = {}
             for item in items:
-                self.cells.setdefault(_cell_of(item.position), []).append(item)
+                self.cells.setdefault(item.position if on_grid else _cell_of(item.position), []).append(item)
 
 
 def _index_sources(world: World) -> None:
@@ -645,7 +660,7 @@ def _index_sources(world: World) -> None:
         items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
         items += [e for e in world.entities.values() if e.type_name in disease.spec.transmission.sources]
         items.sort(key=_BY_ID)
-        world.sources[name] = SourceIndex(items, world.cell_span is not None)
+        world.sources[name] = SourceIndex(items, world.cell_span is not None, world.on_grid)
 
 
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
@@ -660,7 +675,7 @@ def _near(world: World, sources: SourceIndex, position, radius: float, exclude: 
             _stencil(world, radius)
         offsets, reaches, bound = world.stencil
         if radius < bound and (n := bisect.bisect_right(reaches, radius)) <= len(items):
-            cx, cy = _cell_of(position)
+            cx, cy = position if world.on_grid else _cell_of(position)
             if world.wrap is None:
                 found = [item for dx, dy in offsets[:n] for item in cells.get((cx + dx, cy + dy), ())]
             else:
@@ -732,12 +747,14 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     """Phase 2: per-agent behaviour, with disease changes buffered."""
     _index_sources(world)
     changes = DiseaseChanges()
-    for aid, agent in world.agents.items():
+    for agent in world.actors:
         step_expr = world.walk_steps.get(agent.type_name)
         if step_expr is not None:
-            old_cell = _cell_of(agent.position)
-            agent.position = mobility_step(world, agent, step_expr, world.rng)
-            if (new_cell := _cell_of(agent.position)) != old_cell:
+            old_cell = agent.position
+            agent.position = new_cell = mobility_step(world, agent, step_expr, world.rng)
+            if not world.on_grid:  # on a grid a position is its cell
+                old_cell, new_cell = _cell_of(old_cell), _cell_of(new_cell)
+            if new_cell != old_cell:
                 for index in world.sources.values():  # a walking source changes cell
                     if agent in (bucket := index.cells.get(old_cell, ())):
                         bucket.remove(agent)
@@ -753,7 +770,7 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
             if inst.current != sm.DEAD_STATE and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
                 sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
-            if (aid, disease_name) not in infected_now:
+            if (agent.id, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
     return changes
 
@@ -799,10 +816,19 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
         sm.force_state(agent.diseases[disease_name], state)
         if state == sm.DEAD_STATE:  # after the per-tick deaths of phase 2
             changes.dying.append((agent, disease_name))
+    dead_types = set()
     for agent, disease_name in changes.dying:
         if agent.id in world.agents:  # the first death recorded for an agent counts
             world.deaths_by_disease[disease_name] = world.deaths_by_disease.get(disease_name, 0) + 1
             _remove_agent(world, agent)
+            dead_types.add(agent.type_name)
+    if dead_types:  # prune each roster the dead were in
+        alive = world.agents
+        world.actors = [a for a in world.actors if a.id in alive]
+        world.vehicles = [a for a in world.vehicles if a.id in alive]
+        world.learners = [a for a in world.learners if a.id in alive]
+        for name in dead_types:
+            world.by_type[name] = [a for a in world.by_type[name] if a.id in alive]
 
 
 def _remove_agent(world: World, agent: AgentInstance) -> None:
@@ -821,7 +847,7 @@ def _vehicle_phase(world: World) -> None:
     if graph is None:
         return
     # Movement: progress along edges; completed traversals join the queue.
-    for aid, agent in world.agents.items():
+    for agent in world.vehicles:
         pos = agent.position
         if not isinstance(pos, EdgePos):
             continue
@@ -835,7 +861,7 @@ def _vehicle_phase(world: World) -> None:
         if capacity is not None and len(queue) >= capacity:
             pos.remaining = 0  # blocked; retry next tick
             continue
-        queue.append(aid)
+        queue.append(agent.id)
         agent.position = QueuePos(pos.target, pos.source)
         world.arrivals += 1
     # Service: one vehicle per stream per tick, green or uncontrolled only.
@@ -854,9 +880,8 @@ def _vehicle_phase(world: World) -> None:
 def _learning_phase(world: World) -> None:
     """Phase 5: rewards accumulate, and controllers whose plan cycle completed
     update their Q-table and pick the next plan."""
-    for agent in world.agents.values():
-        if agent.controller is not None and agent.controller.learner is not None:
-            _learn(world, agent, agent.controller)
+    for agent in world.learners:
+        _learn(world, agent, agent.controller)
 
 
 def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:

@@ -1197,3 +1197,73 @@ class TestVehicles:
             engine.tick(world)
             on_edges = [a.position for a in world.agents.values() if isinstance(a.position, engine.EdgePos)]
             assert on_edges and len({id(pos) for pos in on_edges}) == len(on_edges)
+
+
+class TestRosters:
+    """Each phase visits its roster: exactly the agents it has work for, in
+    ascending id order, and a population is its type's roster.  Agents only
+    die, so the rosters only shrink, and a dead agent is in none of them."""
+
+    MODELS = {
+        "graph disease": INLINE_GRAPH_DISEASE,
+        # Lights that learn, with a blight that kills them on any tick.
+        "graph disease with learners": INLINE_GRAPH_DISEASE.replace(
+            "capability state_machine Cycle", "capability qlearning alpha 0.1 gamma 0.9 epsilon 0.1 plans Cycle bins 2 5"
+        ).replace("when_condition Cycle is p2", "every_timeunit").replace("    series red count(Light where Cycle is p1)\n", ""),
+        "wrapped grid SIR": (
+            "model t {\n  environment grid width 9 height 7 wrap\n"
+            "  agent A {\n    create fixed 60 random\n    capability mobility random_walk step 1\n"
+            "    capability disease d\n  }\n"
+            "  agent Rock {\n    create fixed 5 random\n  }\n"
+            "  entity W {\n    create fixed 3 at (0, 0) (6, 4) (4, 3)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 1.5 probability 0.4 sources W\n"
+            "    duration I deterministic 6\n    mortality I rate 0.2 every_timeunit\n  }\n"
+            "  introduce d deterministic 5 arbitrary periodic 4\n"
+            '  output o every 1 to "o.csv" {\n    series i count(A where d is I)\n    series w count(W)\n  }\n}\n'
+        ),
+    }
+
+    @staticmethod
+    def assert_rosters(world, created: set[int]) -> None:
+        agents = list(world.agents.values())
+        expected = {  # the scans over every agent that the rosters replace
+            "actors": [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
+                       or (a.controller is not None and a.controller.machine is not None)],
+            "vehicles": [a for a in agents if a.speed > 0],
+            "learners": [a for a in agents if a.controller is not None and a.controller.learner is not None],
+        }
+        for name, roster in expected.items():
+            assert getattr(world, name) == roster, name
+        populations = {name: world.population(name) for name in world.agent_type_names | world.entity_type_names}
+        for name in world.agent_type_names:
+            assert populations[name] == [a for a in agents if a.type_name == name], name
+        for name in world.entity_type_names:
+            assert populations[name] == [e for e in world.entities.values() if e.type_name == name], name
+        assert all(world.population(name) is roster for name, roster in populations.items())  # no copy
+        dead = created - set(world.agents)
+        for roster in (*expected.values(), *populations.values()):
+            ids = [item.id for item in roster]
+            assert ids == sorted(set(ids)) and not dead.intersection(ids)
+        assert not dead.intersection(aid for queue in world.queues.values() for aid in queue)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rosters_match_the_scans_they_replace_every_tick(self, tmp_path, name):
+        world = engine.build_world(parse_model(self.MODELS[name]), cfg(tmp_path, base_dir=FIXTURES))
+        created = set(world.agents)
+        learners = len(world.learners)
+        self.assert_rosters(world, created)
+        for _ in range(60):
+            engine.tick(world)
+            self.assert_rosters(world, created)
+        assert sum(world.dead.values()) > 0  # pruning ran
+        if learners:
+            assert 0 < len(world.learners) < learners
+
+    def test_idle_agents_are_in_no_phase_roster(self, tmp_path):
+        model = parse_model((FIXTURES / "traffic.abms").read_text())
+        world = engine.build_world(model, cfg(tmp_path, base_dir=FIXTURES))
+        controllers = [a for a in world.agents.values() if a.type_name == "Controller"]
+        vehicles = [a for a in world.agents.values() if a.type_name == "Vehicle"]
+        assert controllers and vehicles
+        assert world.actors == controllers and world.learners == controllers  # no vehicle has phase-2 or phase-5 work
+        assert world.vehicles == vehicles
