@@ -227,9 +227,8 @@ def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
             body.append(f"ask {plural} [ move-{_nl_name(agent.name)} ]")
         if agent.capability("flow_control") is not None:
             body.append(f"ask {plural} [ advance-plan-{_nl_name(agent.name)} ]")
-        for cap in agent.capabilities:
-            if cap.kind == "state_machine" and model.machine(cap.target) is not None:
-                body.append(f"ask {plural} [ step-machine-{_nl_name(cap.target)} ]")
+        for machine in model.machines_of(agent):
+            body.append(f"ask {plural} [ step-machine-{_nl_name(machine.name)} ]")
     for spec in model.diseases:
         body.append(f"disease-phase-{_nl_name(spec.name)}")
     if vehicles:
@@ -261,14 +260,9 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
     for attr in agent.attributes:
         if attr.default is not None:
             init.append(f"set {_nl_name(attr.name)} {_nl_expr(attr.default)}")
-    for cap in agent.capabilities:
-        if cap.kind == "disease":
-            initial = dz.entry_compartment(model.disease(cap.target))
-        elif cap.kind == "state_machine" and (machine := model.machine(cap.target)) is not None:
-            initial = machine.initial
-        else:
-            continue
-        init += [f'set {_nl_name(cap.target)}-state "{initial}"', f"set {_nl_name(cap.target)}-dwell 0"]
+    starts = [(d, dz.entry_compartment(model.disease(d))) for d in agent.disease_names()]
+    for target, initial in starts + [(m.name, m.initial) for m in model.machines_of(agent)]:
+        init += [f'set {_nl_name(target)}-state "{initial}"', f"set {_nl_name(target)}-dwell 0"]
     body: list[str] = []
     if isinstance(creation, mm.FixedCountStrategy):
         body.append(f"create-{plural} {creation.count} [")
@@ -320,10 +314,8 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         e.proc(f"move-{name}", move, procs)
     learning = agent.capability("reinforcement_learning")
     if agent.capability("flow_control") is not None:
-        plan_cap = agent.capability("state_machine")
-        active = "q-prev-action" if learning is not None else (
-            f'"{plan_cap.target}"' if plan_cap is not None and model.plan(plan_cap.target) else '""'
-        )
+        plan = model.plan_of(agent)
+        active = "q-prev-action" if learning is not None else f'"{plan.name if plan is not None else ""}"'
         e.proc(
             f"advance-plan-{name}",
             [f"let active-plan {active}",

@@ -754,11 +754,13 @@ class _Parser:
 
 # The model items parsed by :meth:`_Parser.parse_item` through one branch: the
 # keyword, its parser (returning the spec and its name token), the group whose
-# names must be unique, what a duplicate is called, and the Model list.
+# names must be unique, what a duplicate is called, and the Model list.  The
+# groups are those of ``metamodel._check_names``: diseases, machines and plans
+# share one, as ``X is s`` names any of them.
 _DECLARATIONS: dict[str, tuple[Callable, str, str, str]] = {
     "agent": (_Parser.parse_type, "types", "type name", "agent_types"),
     "entity": (_Parser.parse_type, "types", "type name", "entity_types"),
-    "disease": (_Parser.parse_disease, "diseases", "disease name", "diseases"),
+    "disease": (_Parser.parse_disease, "machines", "disease name", "diseases"),
     "machine": (_Parser.parse_machine, "machines", "machine name", "machines"),
     "plan": (_Parser.parse_plan, "machines", "plan name", "plans"),
     "output": (_Parser.parse_output, "outputs", "output name", "outputs"),

@@ -483,20 +483,14 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
 
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"agent:{spec.name}")
-    machines = {
-        cap.target: world.model.machine(cap.target)
-        for cap in spec.capabilities
-        if cap.kind == "state_machine" and cap.target
-    }
+    diseases = {name: world.diseases[name].machine for name in spec.disease_names()}
+    machines = {m.name: m for m in world.model.machines_of(spec)}
     mobility = spec.capability("mobility")
     flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
-        for cap in spec.capabilities:
-            if cap.kind == "disease" and cap.target:
-                agent.diseases[cap.target] = sm.instantiate(world.diseases[cap.target].machine)
-            elif cap.kind == "state_machine" and machines.get(cap.target) is not None:
-                agent.machines[cap.target] = sm.instantiate(machines[cap.target])
+        agent.diseases = {name: sm.instantiate(m) for name, m in diseases.items()}
+        agent.machines = {name: sm.instantiate(m) for name, m in machines.items()}
         point = points[i] if points is not None else None
         _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
@@ -549,9 +543,8 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     ctrl = ControllerState(node=node, streams=froms, stream_ids=ids, capacities=capacities)
     agent.controller = ctrl
     world.controllers_by_node.setdefault(node, ctrl)
-    machine_cap = spec.capability("state_machine")
-    if machine_cap is not None and machine_cap.target in world.plans:
-        _controller_set_plan(world, ctrl, machine_cap.target)
+    if (plan := world.model.plan_of(spec)) is not None:
+        _controller_set_plan(world, ctrl, plan.name)
     learning = spec.capability("reinforcement_learning")
     if learning is not None:
         qspec = learning.qlearning

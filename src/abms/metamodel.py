@@ -231,6 +231,19 @@ class Model:
         """Agent types that attach the named disease."""
         return [a for a in self.agent_types if disease_name in a.disease_names()]
 
+    # What a ``state_machine`` capability runs, for the validator, the engine
+    # and the emitter alike: each declared machine it names, once, and at
+    # most one plan (validation rejects a repeat and a second plan).
+    def machines_of(self, agent: AgentTypeSpec) -> list[sm.StateMachineSpec]:
+        """Declared machines the agent type runs, in the order it names them."""
+        names = dict.fromkeys(c.target for c in agent.capabilities if c.kind == "state_machine")
+        return [m for name in names if (m := self.machine(name)) is not None]
+
+    def plan_of(self, agent: AgentTypeSpec) -> tf.PlanSpec | None:
+        """The signal plan the agent type runs: the first plan it names."""
+        plans = (self.plan(c.target) for c in agent.capabilities if c.kind == "state_machine")
+        return next((p for p in plans if p is not None), None)
+
     def graph_topology(self) -> GraphTopology | None:
         if self.environment is not None and isinstance(self.environment.topology, GraphTopology):
             return self.environment.topology
@@ -306,22 +319,16 @@ class _Collector:
 
 
 def _machine_scope(model: Model, agent: AgentTypeSpec) -> dict[str, frozenset]:
-    """State-test targets visible on an agent type: its diseases and machines."""
-    scope: dict[str, frozenset] = {}
-    for cap in agent.capabilities:
-        if cap.kind == "disease" and cap.target:
-            spec = model.disease(cap.target)
-            if spec is not None:
-                states = set(dz.compartments_of(spec)) | {sm.DEAD_STATE}
-                scope[cap.target] = frozenset(states)
-        elif cap.kind == "state_machine" and cap.target:
-            mspec = model.machine(cap.target)
-            if mspec is not None:
-                scope[cap.target] = frozenset(mspec.states)
-            else:
-                pspec = model.plan(cap.target)
-                if pspec is not None:
-                    scope[cap.target] = frozenset(ph.name for ph in pspec.phases)
+    """State-test targets visible on an agent type: its diseases, machines and
+    plan.  They share one name space; where an invalid model reuses a name,
+    diseases win over machines and machines over the plan, the order
+    ``AgentInstance.machine_state`` reads them in."""
+    plan = model.plan_of(agent)
+    scope = {plan.name: frozenset(ph.name for ph in plan.phases)} if plan is not None else {}
+    scope.update((m.name, frozenset(m.states)) for m in model.machines_of(agent))
+    for name in agent.disease_names():
+        if (spec := model.disease(name)) is not None:
+            scope[name] = frozenset(dz.compartments_of(spec)) | {sm.DEAD_STATE}
     return scope
 
 
@@ -374,10 +381,13 @@ def validate(model: Model) -> ValidationReport:
     envs = type_environments(model)
     for entity in model.entity_types:
         _check_entity(model, entity, envs, add)
+    users: dict[str, list[str]] = {}  # machine name -> the agent types that run it
     for agent in model.agent_types:
         _check_agent(model, agent, envs, add)
+        for machine in model.machines_of(agent):
+            users.setdefault(machine.name, []).append(agent.name)
     for machine in model.machines:
-        _check_machine(model, machine, envs, add)
+        _check_machine(machine, users.get(machine.name, []), envs, add)
     for plan in model.plans:
         tf.validate_plan(plan, add, f"plan:{plan.name}")
     for spec in model.diseases:
@@ -393,26 +403,23 @@ def validate(model: Model) -> ValidationReport:
 
 def _check_names(model: Model, add: _Collector) -> None:
     # Ignoring case: the NetLogo emitter lower-cases every name.
-    def unique(pairs: list[tuple[str, str]], what: str) -> None:
+    # Diseases, machines and plans share one group: ``X is s`` and NetLogo's
+    # ``<x>-state`` name any of them.  A duplicate is called by its own kind.
+    def unique(group: list[tuple[str, str]], what: str | None = None) -> None:
         seen: set[str] = set()
-        for name, path in pairs:
+        for kind, name in group:
             if name.lower() in seen:
-                add("error", path, f"duplicate {what} name '{name}'")
+                add("error", f"{kind}:{name}", f"duplicate {what or kind} name '{name}'")
             seen.add(name.lower())
 
+    unique([("agent", a.name) for a in model.agent_types] + [("entity", e.name) for e in model.entity_types], "type")
     unique(
-        [(a.name, f"agent:{a.name}") for a in model.agent_types]
-        + [(e.name, f"entity:{e.name}") for e in model.entity_types],
-        "type",
+        [("disease", d.name) for d in model.diseases]
+        + [("machine", m.name) for m in model.machines]
+        + [("plan", p.name) for p in model.plans]
     )
-    unique([(d.name, f"disease:{d.name}") for d in model.diseases], "disease")
-    unique(
-        [(m.name, f"machine:{m.name}") for m in model.machines]
-        + [(p.name, f"plan:{p.name}") for p in model.plans],
-        "machine",
-    )
-    unique([(o.name, f"output:{o.name}") for o in model.outputs], "output")
-    unique([(c.name, f"concern:{c.name}") for c in model.concerns], "concern")
+    unique([("output", o.name) for o in model.outputs])
+    unique([("concern", c.name) for c in model.concerns])
 
 
 def _check_environment(model: Model, add: _Collector) -> None:
@@ -550,7 +557,7 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
     _check_attributes(path, agent.name, agent.attributes, machines, add)
     _check_creation(model, agent.creation, envs, add, path, agent=True)
     counts: dict[str, int] = {}
-    disease_targets: set[str] = set()
+    attached: set[tuple[str, str]] = set()
     stream_ids: list[str] | None = None
     has_graph = model.graph_topology() is not None
     for i, cap in enumerate(agent.capabilities):
@@ -576,17 +583,19 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
         elif cap.kind == "disease":
             if not cap.target or model.disease(cap.target) is None:
                 add("error", cpath, f"unknown disease '{cap.target}'")
-            elif cap.target in disease_targets:
+            elif (cap.kind, cap.target) in attached:
                 add("error", cpath, f"disease '{cap.target}' attached more than once")
-            else:
-                disease_targets.add(cap.target)
+            attached.add((cap.kind, cap.target))
         elif cap.kind == "state_machine":
             if not cap.target:
                 add("error", cpath, "state_machine requires a target")
             elif model.machine(cap.target) is None and model.plan(cap.target) is None:
                 add("error", cpath, f"unknown state machine or plan '{cap.target}'")
+            elif (cap.kind, cap.target) in attached:
+                add("error", cpath, f"state machine '{cap.target}' attached more than once")
             elif model.plan(cap.target) is not None and agent.capability("flow_control") is None:
                 add("error", cpath, "running a signal plan requires the flow_control capability")
+            attached.add((cap.kind, cap.target))
         elif cap.kind == "flow_control":
             if not has_graph:
                 add("error", cpath, "flow control requires graph topology")
@@ -616,11 +625,9 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
         add("error", path, "a flow-control agent must stay on its graph node, so it cannot have mobility")
     if counts.get("reinforcement_learning", 0) > 1:
         add("error", path, "at most one learning capability per agent type")
-    fixed_plan = next(
-        (c for c in agent.capabilities if c.kind == "state_machine" and c.target and model.plan(c.target)),
-        None,
-    )
-    if fixed_plan is not None and counts.get("reinforcement_learning", 0) > 0:
+    if len({name for kind, name in attached if kind == "state_machine" and model.plan(name)}) > 1:
+        add("error", path, "at most one plan per agent type")
+    if model.plan_of(agent) is not None and counts.get("reinforcement_learning", 0) > 0:
         add("error", path, "an agent type cannot both run a fixed plan and learn plan selection")
     _check_plan_stream_refs(model, agent, stream_ids, add, path)
 
@@ -645,37 +652,29 @@ def _check_streams(model: Model, cap: CapabilityRef, add: _Collector, path: str)
 
 
 def _check_plan_stream_refs(model: Model, agent: AgentTypeSpec, stream_ids: list[str] | None, add: _Collector, path: str) -> None:
-    flow = agent.capability("flow_control")
-    if flow is None:
+    if agent.capability("flow_control") is None:
         return
-    used: list[str] = []
-    machine_cap = agent.capability("state_machine")
-    if machine_cap is not None and machine_cap.target and model.plan(machine_cap.target):
-        used.append(machine_cap.target)
     learning = agent.capability("reinforcement_learning")
-    if learning is not None and learning.qlearning is not None:
-        used.extend(learning.qlearning.plans)
-    for plan_name in used:
-        plan = model.plan(plan_name)
+    learned = learning.qlearning.plans if learning is not None and learning.qlearning is not None else []
+    for plan in [model.plan_of(agent), *map(model.plan, learned)]:
         if plan is None:
             continue
         for phase in plan.phases:
             for ref in phase.green:
                 if stream_ids is not None:
                     if ref not in stream_ids:
-                        add("error", f"{path}", f"plan '{plan_name}' greens unknown stream '{ref}'")
+                        add("error", f"{path}", f"plan '{plan.name}' greens unknown stream '{ref}'")
                 elif not (len(ref) > 1 and ref[0] == "s" and ref[1:].isdigit()):
-                    add("error", f"{path}", f"plan '{plan_name}' greens '{ref}' but auto streams are named s0, s1, ...")
+                    add("error", f"{path}", f"plan '{plan.name}' greens '{ref}' but auto streams are named s0, s1, ...")
 
 
-def _check_machine(model: Model, machine: sm.StateMachineSpec, envs, add: _Collector) -> None:
+def _check_machine(machine: sm.StateMachineSpec, users: list[str], envs, add: _Collector) -> None:
     path = f"machine:{machine.name}"
     states = set(machine.states)
     if len(states) != len(machine.states):
         add("error", path, "duplicate state names")
     if machine.initial not in states:
         add("error", path, f"initial state '{machine.initial}' is not declared")
-    users = [a.name for a in model.agent_types if any(c.kind == "state_machine" and c.target == machine.name for c in a.capabilities)]
     deterministic_at: dict[str, set[float]] = {}
     for i, tr in enumerate(machine.transitions):
         tpath = f"{path}.transition[{i}]"

@@ -275,6 +275,49 @@ model inline_dead_machines {
 }
 """
 
+# A signal controller that names a declared machine before its plan runs
+# both: the machine steps once a tick and the plan cycles its phases, and
+# the cars queue at the light while it is red.
+INLINE_MACHINE_THEN_PLAN = """
+model inline_machine_then_plan {
+  environment graph from edges {
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 100 100
+    edge a b 100
+    edge b c 100
+    edge b d 100
+  }
+  agent Car {
+    create fixed 10 random
+    capability mobility random_walk step 40
+  }
+  agent Light {
+    create fixed 1 random
+    capability flow_control streams auto
+    capability state_machine M
+    capability state_machine P
+  }
+  machine M {
+    initial m1
+    state m1
+    state m2
+    transition m1 m2 deterministic 2
+    transition m2 m1 deterministic 2
+  }
+  plan P {
+    phase p1 green s0 duration 2
+    phase p2 green s1 duration 3
+  }
+  output o every 1 to "o.csv" {
+    series p1 count(Light where P is p1)
+    series m1 count(Light where M is m1)
+  }
+}
+"""
+
+
 def corpus() -> list[tuple[str, object, Path]]:
     """(name, model, base directory) for every pinned stream."""
     models = [
@@ -283,7 +326,8 @@ def corpus() -> list[tuple[str, object, Path]]:
     ]
     models += [(f"generated_{seed}", random_text_model(seed), FIXTURES) for seed in GENERATED_SEEDS]
     for text in (
-        INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS, INLINE_DEAD_MACHINES
+        INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS, INLINE_DEAD_MACHINES,
+        INLINE_MACHINE_THEN_PLAN,
     ):
         model = parse_model(text)
         models.append((model.name, model, FIXTURES))

@@ -5,6 +5,7 @@ from abms import codegen
 from abms import metamodel as mm
 from abms.dsl import parse_model
 
+from digest_corpus import INLINE_MACHINE_THEN_PLAN
 from randmodels import random_text_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -57,6 +58,12 @@ class TestGenerate:
         source, report = codegen.generate(model)
         assert "; external capability: warmup (include manually from lib.nls)" in source
         assert any("warmup" in note for _, note in report.unsupported)
+
+    def test_a_machine_named_before_the_plan(self):
+        source, report = codegen.generate(parse_model(INLINE_MACHINE_THEN_PLAN))
+        assert 'let active-plan "P"' in source
+        assert [line.strip() for line in source.splitlines() if "[ step-machine-m ]" in line] == ["ask lights [ step-machine-m ]"]
+        assert codegen.check_structure(source, report)
 
     def test_disease_procedures_present(self):
         source, report = codegen.generate(fixture_model("measles.abms"))

@@ -75,11 +75,21 @@ model m {
   environment grid width 3 height 3
   agent A { create fixed 1 random }
   agent A { create fixed 2 random }
+  disease flu model SIR {
+    transmission contact probability 0.5
+    duration I deterministic 3
+  }
+  machine flu {
+    initial a
+    state a
+  }
 }
 """
         )
         assert result.model is None
         assert any("duplicate type name 'A'" in e.message for e in result.errors)
+        # Diseases, machines and plans share one name space.
+        assert any("duplicate machine name 'flu'" in e.message for e in result.errors)
 
     def test_every_element_carries_span(self):
         text = (FIXTURES / "measles.abms").read_text()

@@ -18,7 +18,7 @@ from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
 from abms.ingest import load_gis_points, load_osm_graph
 
-from digest_corpus import INLINE_GRAPH_DISEASE
+from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -939,6 +939,14 @@ class TestRun:
                 alive[agent.type_name] = alive.get(agent.type_name, 0) + 1
             for type_name, n in created.items():
                 assert alive.get(type_name, 0) + world.dead.get(type_name, 0) == n
+
+    def test_a_machine_named_before_the_plan_leaves_the_plan_running(self, tmp_path):
+        (tmp_path / "m.abms").write_text(INLINE_MACHINE_THEN_PLAN)
+        assert main(["run", str(tmp_path / "m.abms"), "--ticks", "10", "--out-dir", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in (tmp_path / "o.csv").read_text().splitlines()[1:]]
+        # P holds p1 for 2 ticks and p2 for 3; M flips every 2 ticks.
+        assert "".join(row[1] for row in rows) == "11000110001"
+        assert "".join(row[2] for row in rows) == "11001100110"
 
     def test_run_rejects_invalid_model(self, tmp_path):
         model = grid_model("  agent A { create fixed 1 random\n    capability disease ghost\n  }")

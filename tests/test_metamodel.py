@@ -547,6 +547,27 @@ def _disease(kind: str, clauses: str, extra: str = "") -> str:
             [("output:o", "output path must not be empty")],
         ),
         (_model(GRAPH, "  plan p { }\n"), [("plan:p", "plan declares no phases")]),
+        (
+            _model(
+                GRID,
+                "  agent A {\n    create fixed 1 random\n    capability state_machine m\n    capability state_machine m\n  }\n"
+                "  machine m {\n    initial a\n    state a\n  }\n",
+            ),
+            [("agent:A.capability[1]", "state machine 'm' attached more than once")],
+        ),
+        (
+            _model(
+                GRAPH,
+                "  agent S {\n    create fixed 1 random\n    capability flow_control streams auto\n"
+                "    capability state_machine p\n    capability state_machine q\n  }\n"
+                f"{SIGNAL_PLAN}  plan q {{ phase y green s0 duration 2 }}\n",
+            ),
+            [("agent:S", "at most one plan per agent type")],
+        ),
+        (
+            _disease("SIR", SIR_CLAUSES, "  machine D {\n    initial a\n    state a\n  }\n"),
+            [("machine:D", "duplicate machine name 'D'")],
+        ),
     ],
     ids=[
         "gis with an empty path", "osm on an entity", "osm in a grid", "osm with another file",
@@ -554,7 +575,7 @@ def _disease(kind: str, clauses: str, extra: str = "") -> str:
         "two qlearning", "fixed plan plus learning", "duplicate stream id", "capacity 0", "plans p p",
         "unknown sources type", "passive in SIR", "states in SIR", "duplicate custom compartments",
         "undeclared initial", "custom without target", "custom with duration", "SIR to E", "periodic 0",
-        "empty output path", "plan without phases",
+        "empty output path", "plan without phases", "machine twice", "two plans", "disease and machine one name",
     ],
 )
 def test_text_reachable_diagnostic(text, expected):
