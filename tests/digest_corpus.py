@@ -317,6 +317,71 @@ model inline_machine_then_plan {
 }
 """
 
+# The edges of a signal cycle: a fixed plan of one phase, which cycles back
+# into itself; a plan whose every phase lasts one tick, so the phase changes
+# on each tick; and learners choosing among plans whose cycles last 1, 3 and
+# 6 ticks, so they pick a new plan at different ticks.
+INLINE_PLAN_EDGES = """
+model inline_plan_edges {
+  environment graph from edges {
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 100 100
+    node e 200 100
+    edge a b 100
+    edge b c 100
+    edge b d 100
+    edge c e 100
+    edge d e 100
+  }
+  agent Car {
+    create fixed 14 random
+    capability mobility random_walk step 35
+  }
+  agent Solo {
+    create fixed 1 random
+    capability flow_control streams auto
+    capability state_machine One
+  }
+  agent Flicker {
+    create fixed 2 random
+    capability flow_control streams auto
+    capability state_machine Flick
+  }
+  agent Chooser {
+    create fixed 3 random
+    capability flow_control streams auto
+    capability qlearning alpha 0.3 gamma 0.7 epsilon 0.4 plans Short Mid Long bins 1 2
+  }
+  plan One {
+    phase only green s0 duration 3
+  }
+  plan Flick {
+    phase a green s0 duration 1
+    phase b green s1 duration 1
+    phase c green s0 s1 duration 1
+  }
+  plan Short {
+    phase all green s0 s1 s2 duration 1
+  }
+  plan Mid {
+    phase p1 green s0 duration 1
+    phase p2 green s1 s2 duration 2
+  }
+  plan Long {
+    phase p1 green s0 duration 2
+    phase p2 green s1 duration 2
+    phase p3 green s2 duration 2
+  }
+  output o every 1 to "o.csv" {
+    series only count(Solo where One is only)
+    series flick_b count(Flicker where Flick is b)
+    series stopped sum(Chooser, stopped)
+  }
+}
+"""
+
 
 def corpus() -> list[tuple[str, object, Path]]:
     """(name, model, base directory) for every pinned stream."""
@@ -327,7 +392,7 @@ def corpus() -> list[tuple[str, object, Path]]:
     models += [(f"generated_{seed}", random_text_model(seed), FIXTURES) for seed in GENERATED_SEEDS]
     for text in (
         INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS, INLINE_DEAD_MACHINES,
-        INLINE_MACHINE_THEN_PLAN,
+        INLINE_MACHINE_THEN_PLAN, INLINE_PLAN_EDGES,
     ):
         model = parse_model(text)
         models.append((model.name, model, FIXTURES))
