@@ -6,9 +6,9 @@ runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
   2. ``_agent_phase``: each disease's sources indexed; then per agent of
-     ``World.actors``, mobility, signal plan and generic machines not in Dead
-     (entering a new state at once), then the disease step (transmission
-     when susceptible, else mortality and progression), buffering a move
+     ``World.actors``, mobility, the signal plan's phase count and generic
+     machines not in Dead (entering a new state at once), then the disease
+     step (transmission when susceptible, else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``: movement of ``World.vehicles``, queue service on graphs
   5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
@@ -92,7 +92,8 @@ class ControllerState:
     stream_ids: list[str]  # declared or auto ids, aligned with streams
     capacities: dict[str, int]  # from-node -> queue bound
     plan: tf.PlanSpec | None = None
-    machine: sm.MachineInstance | None = None
+    phase: int = 0  # index of the active phase in plan.phases
+    dwell: int = 0  # ticks spent in that phase
     green: set[int] = field(default_factory=set)
     ticks_in_cycle: int = 0
     learner: "LearnerState | None" = None
@@ -150,7 +151,7 @@ class AgentInstance(_Instance):
             return self.machines[name].current
         ctrl = self.controller
         if ctrl is not None and ctrl.plan is not None and ctrl.plan.name == name:
-            return ctrl.machine.current
+            return ctrl.plan.phases[ctrl.phase].name
         raise EvalError(f"no state machine or disease named '{name}' on this agent")
 
 
@@ -223,7 +224,7 @@ class World(ex.Context):
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
         self.walk_steps = {a.name: cap.step for a in walkers if (cap := a.capability("mobility"))}
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
-        self.plans = {p.name: (p, tf.plan_to_machine(p)) for p in model.plans}
+        self.plans = {p.name: p for p in model.plans}
         self.tick = 0
         self.rng = random.Random(config.seed)
         self.agents: dict[int, AgentInstance] = {}
@@ -240,7 +241,7 @@ class World(ex.Context):
         self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
         # Rosters in ascending id order, filled only by ``build_world``; phase 3 prunes the dead from them.
         self.by_type: dict[str, list[_Instance]] = {name: [] for name in self.entity_type_names | self.agent_type_names}
-        self.actors: list[AgentInstance] = []  # phase 2: a walk step, a plan machine, a declared machine or a disease
+        self.actors: list[AgentInstance] = []  # phase 2: a walk step, a signal plan, a declared machine or a disease
         self.vehicles: list[AgentInstance] = []  # phase 4: speed > 0
         self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
 
@@ -290,7 +291,7 @@ class World(ex.Context):
             ctrl = agent.controller
             if ctrl is not None:
                 put(f"c:{ctrl.node}:{ctrl.plan.name if ctrl.plan else '-'}:"
-                    f"{ctrl.machine.current if ctrl.machine else '-'}:{sorted(ctrl.green)}:{ctrl.ticks_in_cycle}")
+                    f"{ctrl.plan.phases[ctrl.phase].name if ctrl.plan else '-'}:{sorted(ctrl.green)}:{ctrl.ticks_in_cycle}")
                 if ctrl.learner is not None:
                     put(f"q:{ctrl.learner.prev_action}:{ctrl.learner.accumulated!r}")
                     for key, value in sorted(ctrl.learner.table.items()):
@@ -404,7 +405,7 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
             _create_agents(world, spec)
     agents = world.agents.values()
     world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
-                    or (a.controller is not None and a.controller.machine is not None)]
+                    or (a.controller is not None and a.controller.plan is not None)]
     world.vehicles = [a for a in agents if a.speed > 0]
     world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
     for intro in model.introductions:
@@ -556,16 +557,14 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
 
 
 def _controller_set_plan(world: World, ctrl: ControllerState, plan_name: str) -> None:
-    ctrl.plan, machine = world.plans[plan_name]
-    ctrl.machine = sm.instantiate(machine)
+    ctrl.plan = world.plans[plan_name]
     ctrl.ticks_in_cycle = 0
-    _controller_apply_phase(ctrl)
+    _controller_enter_phase(ctrl, 0)
 
 
-def _controller_apply_phase(ctrl: ControllerState) -> None:
-    phase = next(p for p in ctrl.plan.phases if p.name == ctrl.machine.current)
-    green_ids = set(phase.green)
-    ctrl.green = {i for i, sid in enumerate(ctrl.stream_ids) if sid in green_ids}
+def _controller_enter_phase(ctrl: ControllerState, index: int) -> None:
+    ctrl.phase, ctrl.dwell = index, 0
+    ctrl.green = {i for i, sid in enumerate(ctrl.stream_ids) if sid in ctrl.plan.phases[index].green}
 
 
 def _queue_lengths(world: World, ctrl: ControllerState) -> list[int]:
@@ -753,12 +752,11 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
                         bucket.remove(agent)
                         index.cells.setdefault(new_cell, []).append(agent)
         ctrl = agent.controller
-        if ctrl is not None and ctrl.machine is not None:
-            state = _checked(world, f"agent:{agent.type_name}: plan", sm.step, ctrl.machine, agent, world.rng)
+        if ctrl is not None and ctrl.plan is not None:
             ctrl.ticks_in_cycle += 1
-            if state is not None:
-                sm.force_state(ctrl.machine, state)
-                _controller_apply_phase(ctrl)
+            ctrl.dwell += 1
+            if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
+                _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
         for name, inst in agent.machines.items():
             if inst.current != sm.DEAD_STATE and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
                 sm.force_state(inst, state)

@@ -636,6 +636,7 @@ def _check_streams(model: Model, cap: CapabilityRef, add: _Collector, path: str)
     if cap.streams is None:
         return None  # auto streams: one per incoming edge, ids s0, s1, ...
     ids: list[str] = []
+    edges: dict[frozenset[str], str] = {}  # an unordered edge -> the first stream on it
     graph = model.graph_topology()
     inline = graph.source if graph is not None and isinstance(graph.source, InlineEdgeListStrategy) else None
     for stream in cap.streams:
@@ -644,9 +645,12 @@ def _check_streams(model: Model, cap: CapabilityRef, add: _Collector, path: str)
         ids.append(stream.stream_id)
         if stream.capacity is not None and stream.capacity < 1:
             add("error", path, f"stream '{stream.stream_id}' capacity must be positive")
-        if stream.edge is not None and inline is not None:
+        if stream.edge is not None:  # a queue is served by the first stream on its edge
             pair = frozenset(stream.edge)
-            if not any(frozenset((e.source, e.target)) == pair for e in inline.edges):
+            if pair in edges:
+                add("error", path, f"stream '{stream.stream_id}' repeats the edge of stream '{edges[pair]}'")
+            edges.setdefault(pair, stream.stream_id)
+            if inline is not None and not any(frozenset((e.source, e.target)) == pair for e in inline.edges):
                 add("error", path, f"stream '{stream.stream_id}' references an edge not in the environment graph")
     return ids
 

@@ -1,11 +1,11 @@
-"""Triggered state machines: the shared substrate for signal plans and diseases.
+"""Triggered state machines: the substrate of declared machines and diseases.
 
 Stepping decides and ``force_state`` enters.  Each step counts the dwell and
 returns the target of the first outgoing transition, in declaration order,
 whose guard holds and whose trigger fires, or its abort state with the
 abortion's probability (how death on leaving a compartment works).  No state
 is special here, ``Dead`` included: the engine skips declared machines in Dead,
-enters plan and machine states at once and disease states after the agent phase.
+enters machine states at once and disease states after the agent phase.
 """
 
 from __future__ import annotations

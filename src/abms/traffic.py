@@ -1,7 +1,7 @@
 """Adaptive signal control: streams, phases, plans, and tabular Q-learning.
 
-A plan is an ordered cycle of phases; it is realized as a state machine with
-one state per phase and deterministic triggers equal to the phase durations.
+A plan is an ordered cycle of phases of whole-tick durations, which each engine
+controller counts through; ``plan_to_machine`` writes it as a state machine.
 Learning controllers pick a plan per cycle with an epsilon-greedy policy over
 a table of action values keyed by discretized queue lengths.
 """

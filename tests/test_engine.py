@@ -1166,7 +1166,8 @@ class TestVehicles:
                 if ctrl is None:
                     continue
                 assert ctrl.plan.name in plan_names
-                phase = next(p for p in ctrl.plan.phases if p.name == ctrl.machine.current)
+                [phase] = [p for p in ctrl.plan.phases if p.name == agent.machine_state(ctrl.plan.name)]
+                assert 0 <= ctrl.dwell < phase.duration
                 expected = {i for i, sid in enumerate(ctrl.stream_ids) if sid in set(phase.green)}
                 assert ctrl.green == expected
 
@@ -1207,6 +1208,56 @@ class TestVehicles:
             assert on_edges and len({id(pos) for pos in on_edges}) == len(on_edges)
 
 
+class TestSignalPlans:
+    """A controller counts its own phase; each tick it reads what the plan's
+    state machine (``tf.plan_to_machine``) would be in."""
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            "phase p0 green s0 duration 1",
+            "phase p0 green s0 duration 2 phase p1 green s1 duration 3",
+            "phase p0 green s0 duration 1 phase p1 green s1 duration 1 phase p2 green s0 s1 duration 1",
+            "phase go green s0 duration 2 phase Dead green s1 duration 1",
+        ],
+        ids=["(1)", "(2, 3)", "(1, 1, 1)", "Dead phase"],
+    )
+    def test_phase_follows_the_plan_machine(self, tmp_path, phases):
+        text = (
+            "model t {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    node c 20 0\n"
+            "    edge a b 10\n    edge b c 10\n  }\n"
+            "  agent Light {\n    create fixed 1 random\n    capability flow_control streams auto\n"
+            f"    capability state_machine P\n  }}\n  plan P {{ {phases} }}\n}}\n"
+        )
+        model = parse_model(text)
+        world = engine.build_world(model, cfg(tmp_path))
+        [light] = world.agents.values()
+        ctrl, plan = light.controller, model.plan("P")
+        reference = sm.instantiate(tf.plan_to_machine(plan))
+        rng = random.Random(0)
+        for _ in range(3 * plan.cycle_length() + 1):
+            engine.tick(world)
+            if (state := sm.step(reference, light, rng)) is not None:
+                sm.force_state(reference, state)
+            assert (light.machine_state("P"), ctrl.dwell) == (reference.current, reference.dwell)
+            phase = next(p for p in plan.phases if p.name == reference.current)
+            assert ctrl.green == {i for i, sid in enumerate(ctrl.stream_ids) if sid in phase.green}
+
+    def test_a_duration_beyond_the_float_range_holds_its_phase(self, tmp_path):
+        """Durations are whole numbers of ticks, counted exactly."""
+        text = (
+            "model t {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
+            "  agent Light {\n    create fixed 1 random\n    capability flow_control streams auto\n"
+            "    capability state_machine P\n  }\n"
+            f"  plan P {{ phase x green s0 duration 2 phase y green s0 duration {'9' * 400} }}\n}}\n"
+        )
+        world = engine.build_world(parse_model(text), cfg(tmp_path))
+        [light] = world.agents.values()
+        for _ in range(20):
+            engine.tick(world)
+        assert light.machine_state("P") == "y" and light.controller.dwell == 18
+
+
 class TestRosters:
     """Each phase visits its roster: exactly the agents it has work for, in
     ascending id order, and a population is its type's roster.  Agents only
@@ -1236,7 +1287,7 @@ class TestRosters:
         agents = list(world.agents.values())
         expected = {  # the scans over every agent that the rosters replace
             "actors": [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
-                       or (a.controller is not None and a.controller.machine is not None)],
+                       or (a.controller is not None and a.controller.plan is not None)],
             "vehicles": [a for a in agents if a.speed > 0],
             "learners": [a for a in agents if a.controller is not None and a.controller.learner is not None],
         }

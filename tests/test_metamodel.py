@@ -487,7 +487,14 @@ def _disease(kind: str, clauses: str, extra: str = "") -> str:
         ),
         (
             _signal("    capability flow_control stream s0 edge a b stream s0 edge b a", "    capability state_machine p"),
-            [("agent:S.capability[0]", "duplicate stream id 's0'")],
+            [
+                ("agent:S.capability[0]", "duplicate stream id 's0'"),
+                ("agent:S.capability[0]", "stream 's0' repeats the edge of stream 's0'"),
+            ],
+        ),
+        (
+            _signal("    capability flow_control stream s0 edge a b stream s1 edge b a", "    capability state_machine p"),
+            [("agent:S.capability[0]", "stream 's1' repeats the edge of stream 's0'")],
         ),
         (
             _signal("    capability flow_control stream s0 edge a b capacity 0", "    capability state_machine p"),
@@ -572,7 +579,7 @@ def _disease(kind: str, clauses: str, extra: str = "") -> str:
     ids=[
         "gis with an empty path", "osm on an entity", "osm in a grid", "osm with another file",
         "edges on an entity", "non-numeric position", "empty external library", "two flow_control",
-        "two qlearning", "fixed plan plus learning", "duplicate stream id", "capacity 0", "plans p p",
+        "two qlearning", "fixed plan plus learning", "duplicate stream id", "two streams on one edge", "capacity 0", "plans p p",
         "unknown sources type", "passive in SIR", "states in SIR", "duplicate custom compartments",
         "undeclared initial", "custom without target", "custom with duration", "SIR to E", "periodic 0",
         "empty output path", "plan without phases", "machine twice", "two plans", "disease and machine one name",
