@@ -88,13 +88,12 @@ class QueuePos:
 @dataclass
 class ControllerState:
     node: str
-    streams: list[str]  # from-node per stream index
-    stream_ids: list[str]  # declared or auto ids, aligned with streams
+    streams: dict[str, str]  # from-node -> declared or auto stream id, in stream order
     capacities: dict[str, int]  # from-node -> queue bound
+    red: set[str]  # from-nodes whose stream the active phase holds red; every one without a plan
     plan: tf.PlanSpec | None = None
     phase: int = 0  # index of the active phase in plan.phases
     dwell: int = 0  # ticks spent in that phase
-    green: set[int] = field(default_factory=set)
     ticks_in_cycle: int = 0
     learner: "LearnerState | None" = None
 
@@ -290,8 +289,9 @@ class World(ex.Context):
                 put(f"d:{name}:{inst.current}:{inst.dwell}")
             ctrl = agent.controller
             if ctrl is not None:
+                green = [i for i, frm in enumerate(ctrl.streams) if frm not in ctrl.red]
                 put(f"c:{ctrl.node}:{ctrl.plan.name if ctrl.plan else '-'}:"
-                    f"{ctrl.plan.phases[ctrl.phase].name if ctrl.plan else '-'}:{sorted(ctrl.green)}:{ctrl.ticks_in_cycle}")
+                    f"{ctrl.plan.phases[ctrl.phase].name if ctrl.plan else '-'}:{green}:{ctrl.ticks_in_cycle}")
                 if ctrl.learner is not None:
                     put(f"q:{ctrl.learner.prev_action}:{ctrl.learner.accumulated!r}")
                     for key, value in sorted(ctrl.learner.table.items()):
@@ -525,10 +525,9 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     node = agent.position.node
     capacities: dict[str, int] = {}
     if flow.streams is None:
-        froms = world.graph.adjacency[node]
-        ids = [f"s{i}" for i in range(len(froms))]
-    else:
-        froms, ids = [], []
+        streams = {frm: f"s{i}" for i, frm in enumerate(world.graph.adjacency[node])}
+    else:  # validation allows one stream per edge, so each from-node has at most one
+        streams = {}
         for stream in flow.streams:
             a, b = stream.edge  # type: ignore[misc]
             if node == a:
@@ -537,11 +536,10 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
                 frm = a
             else:
                 continue  # stream's edge does not touch this intersection
-            froms.append(frm)
-            ids.append(stream.stream_id)
+            streams[frm] = stream.stream_id
             if stream.capacity is not None:
                 capacities[frm] = stream.capacity
-    ctrl = ControllerState(node=node, streams=froms, stream_ids=ids, capacities=capacities)
+    ctrl = ControllerState(node=node, streams=streams, capacities=capacities, red=set(streams))
     agent.controller = ctrl
     world.controllers_by_node.setdefault(node, ctrl)
     if (plan := world.model.plan_of(spec)) is not None:
@@ -564,7 +562,8 @@ def _controller_set_plan(world: World, ctrl: ControllerState, plan_name: str) ->
 
 def _controller_enter_phase(ctrl: ControllerState, index: int) -> None:
     ctrl.phase, ctrl.dwell = index, 0
-    ctrl.green = {i for i, sid in enumerate(ctrl.stream_ids) if sid in ctrl.plan.phases[index].green}
+    green = ctrl.plan.phases[index].green
+    ctrl.red = {frm for frm, sid in ctrl.streams.items() if sid not in green}
 
 
 def _queue_lengths(world: World, ctrl: ControllerState) -> list[int]:
@@ -572,7 +571,7 @@ def _queue_lengths(world: World, ctrl: ControllerState) -> list[int]:
 
 
 def controller_stopped(world: World, ctrl: ControllerState) -> int:
-    return tf.stopped_vehicles(_queue_lengths(world, ctrl), ctrl.green)
+    return sum(len(world.queues.get((ctrl.node, frm), ())) for frm in ctrl.red)
 
 
 # ---------------------------------------------------------------------------
@@ -855,16 +854,14 @@ def _vehicle_phase(world: World) -> None:
         queue.append(agent.id)
         agent.position = QueuePos(pos.target, pos.source)
         world.arrivals += 1
-    # Service: one vehicle per stream per tick, green or uncontrolled only.
+    # Service: one vehicle per queue per tick, unless its stream is red.
     for node in graph.sorted_nodes:
         ctrl = world.controllers_by_node.get(node)
+        red = ctrl.red if ctrl is not None else ()
         for from_node in graph.adjacency[node]:
             queue = world.queues.get((node, from_node))
-            if not queue:
+            if not queue or from_node in red:
                 continue
-            if ctrl is not None and from_node in ctrl.streams:
-                if ctrl.streams.index(from_node) not in ctrl.green:
-                    continue
             _enter_random_edge(world, world.agents[queue.pop(0)], node)
 
 
@@ -883,7 +880,7 @@ def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     else:
         reward = -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
-    if ctrl.ticks_in_cycle < ctrl.plan.cycle_length():
+    if (ctrl.phase, ctrl.dwell) != (0, 0):  # a cycle completes on re-entering its first phase
         return
     state = tf.discretize_state(_queue_lengths(world, ctrl), learner.spec.bins)
     tf.q_update(learner.table, learner.prev_state, learner.prev_action, learner.accumulated, state, learner.spec)

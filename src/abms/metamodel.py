@@ -645,7 +645,7 @@ def _check_streams(model: Model, cap: CapabilityRef, add: _Collector, path: str)
         ids.append(stream.stream_id)
         if stream.capacity is not None and stream.capacity < 1:
             add("error", path, f"stream '{stream.stream_id}' capacity must be positive")
-        if stream.edge is not None:  # a queue is served by the first stream on its edge
+        if stream.edge is not None:  # one stream per edge: the engine keys streams by from-node
             pair = frozenset(stream.edge)
             if pair in edges:
                 add("error", path, f"stream '{stream.stream_id}' repeats the edge of stream '{edges[pair]}'")

@@ -118,13 +118,6 @@ def select_action(
     return best
 
 
-def stopped_vehicles(queue_lengths: Sequence[int], green: Sequence[int]) -> int:
-    """Vehicles waiting on red streams: queue lengths summed over every stream
-    index not currently green."""
-    green_set = set(green)
-    return sum(q for i, q in enumerate(queue_lengths) if i not in green_set)
-
-
 def validate_plan(plan: PlanSpec, add: Callable[[str, str, str], None], path: str) -> None:
     if not plan.phases:
         add("error", path, "plan declares no phases")

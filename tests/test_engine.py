@@ -22,6 +22,13 @@ from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+
+def auto_red(world, node, phase):
+    """The from-nodes a phase holds red at a node with auto streams: stream
+    ``s<i>`` is the node's i-th neighbour in id order."""
+    return {frm for i, frm in enumerate(world.graph.adjacency[node]) if f"s{i}" not in phase.green}
+
+
 MINI_OSM = """<?xml version="1.0"?>
 <osm>
   <node id="1" lat="0.0" lon="0.0"/>
@@ -136,7 +143,7 @@ class TestBuildWorld:
         controller = next(iter(world.agents.values()))
         assert controller.controller is not None
         assert controller.controller.node == "4"
-        assert controller.controller.streams == ["1", "2", "3"]
+        assert controller.controller.streams == {"1": "s0", "2": "s1", "3": "s2"}
 
     def test_gis_point_outside_bounds_is_an_error(self, tmp_path):
         (tmp_path / "far.points").write_text("99.0,99.0\n")
@@ -1168,21 +1175,24 @@ class TestVehicles:
                 assert ctrl.plan.name in plan_names
                 [phase] = [p for p in ctrl.plan.phases if p.name == agent.machine_state(ctrl.plan.name)]
                 assert 0 <= ctrl.dwell < phase.duration
-                expected = {i for i, sid in enumerate(ctrl.stream_ids) if sid in set(phase.green)}
-                assert ctrl.green == expected
+                assert ctrl.red == auto_red(world, ctrl.node, phase)
 
     def test_stopped_vehicles_counts_red_queues_only(self, tmp_path):
         world = self.traffic_world(tmp_path, ticks=40)
+        stopped = []
         for agent in world.agents.values():
             ctrl = agent.controller
             if ctrl is None:
                 continue
+            [phase] = [p for p in ctrl.plan.phases if p.name == agent.machine_state(ctrl.plan.name)]
             expected = sum(
                 len(world.queues.get((ctrl.node, frm), []))
-                for i, frm in enumerate(ctrl.streams)
-                if i not in ctrl.green
+                for frm, sid in ctrl.streams.items()
+                if sid not in phase.green
             )
             assert engine.controller_stopped(world, ctrl) == expected
+            stopped.append(expected)
+        assert any(stopped)  # some red queue holds vehicles
 
     def test_learner_updates_accumulate(self, tmp_path, monkeypatch):
         world = self.traffic_world(tmp_path)
@@ -1198,6 +1208,41 @@ class TestVehicles:
             engine.tick(world)
         learners = [a.controller.learner for a in world.agents.values() if a.controller]
         assert learners and all(updates.get(id(l.table), 0) >= 3 for l in learners)
+
+    def test_learners_update_on_the_tick_that_completes_the_chosen_cycle(self, tmp_path, monkeypatch):
+        """Plans of 1, 3 and 6 ticks; a first phase longer than one tick shows
+        a cycle ends on re-entering that phase, not on merely being in it."""
+        text = (
+            "model t {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    node c 20 0\n"
+            "    edge a b 10\n    edge b c 10\n  }\n"
+            "  agent Light {\n    create fixed 4 random\n    capability flow_control streams auto\n"
+            "    capability qlearning alpha 0.5 gamma 0.9 epsilon 1.0 plans One Three Six bins 1\n  }\n"
+            "  plan One { phase p green s0 duration 1 }\n"
+            "  plan Three { phase p green s0 duration 2 phase q green s0 duration 1 }\n"
+            "  plan Six { phase p green s0 duration 3 phase q green s0 duration 2 phase r green s0 duration 1 }\n}\n"
+        )
+        model = parse_model(text)
+        world = engine.build_world(model, cfg(tmp_path, seed=5))
+        updated: list[int] = []
+
+        def counting(table, *args, _original=tf.q_update):
+            updated.append(id(table))
+            return _original(table, *args)
+
+        monkeypatch.setattr(tf, "q_update", counting)
+        learners = [a.controller.learner for a in world.agents.values()]
+        assert [model.plan(p).cycle_length() for p in learners[0].spec.plans] == [1, 3, 6]
+        due = {id(l.table): model.plan(l.prev_action).cycle_length() for l in learners}
+        chosen = {l.prev_action for l in learners}
+        for _ in range(40):
+            updated.clear()
+            engine.tick(world)
+            assert sorted(updated) == sorted(key for key, at in due.items() if at == world.tick)
+            for learner in learners:
+                if id(learner.table) in updated:
+                    due[id(learner.table)] = world.tick + model.plan(learner.prev_action).cycle_length()
+                    chosen.add(learner.prev_action)
+        assert chosen == {"One", "Three", "Six"}
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_each_edge_position_has_one_holder(self, tmp_path, seed):
@@ -1241,7 +1286,7 @@ class TestSignalPlans:
                 sm.force_state(reference, state)
             assert (light.machine_state("P"), ctrl.dwell) == (reference.current, reference.dwell)
             phase = next(p for p in plan.phases if p.name == reference.current)
-            assert ctrl.green == {i for i, sid in enumerate(ctrl.stream_ids) if sid in phase.green}
+            assert ctrl.red == auto_red(world, ctrl.node, phase)
 
     def test_a_duration_beyond_the_float_range_holds_its_phase(self, tmp_path):
         """Durations are whole numbers of ticks, counted exactly."""

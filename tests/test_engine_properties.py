@@ -315,20 +315,23 @@ model m {
             for car in cars:
                 assert isinstance(car.position, (engine.EdgePos, engine.QueuePos, engine.NodePos))
 
+    @staticmethod
+    def light_on(world, node):
+        """Move the world's one light onto ``node`` and build its controller there."""
+        light = next(a for a in world.agents.values() if a.type_name == "Light")
+        light.position = engine.NodePos(node)
+        world.controllers_by_node.clear()
+        spec = next(t for t in world.model.agent_types if t.name == "Light")
+        engine._init_controller(world, light, spec, spec.capability("flow_control"))
+        return light.controller
+
     def test_queue_capacity_blocks_arrivals(self, tmp_path):
         model = parse_model(self.MODEL.replace("create fixed 0 random", "create fixed 1 at (100, 0)"))
         # force the controller onto node b by constructing it directly
         model.agent_types[1].creation = mm.FixedCountStrategy(1, None)
         world = engine.build_world(model, cfg(tmp_path, seed=8))
-        light = next(a for a in world.agents.values() if a.type_name == "Light")
-        light.position = engine.NodePos("b")
-        ctrl_state = engine._init_controller  # re-home the controller deterministically
-        light.controller = None
-        world.controllers_by_node.clear()
-        spec = world.model.agent_type("Light")
-        ctrl_state(world, light, spec, spec.capability("flow_control"))
-        ctrl = light.controller
-        ctrl.green = set()  # force red so the queue cannot drain
+        ctrl = self.light_on(world, "b")
+        ctrl.red = set(ctrl.streams)  # every stream red, so the queue cannot drain
         cars = [a for a in world.agents.values() if a.type_name == "Car"][:3]
         for car in cars:
             car.position = engine.EdgePos("a", "b", 1, 2)
@@ -344,6 +347,52 @@ model m {
             assert len(blocked) == 2
             assert all(c.position.remaining == 0 and c.position.total == 2 for c in blocked)
             assert world.arrivals == arrivals + 1
+
+    @pytest.mark.parametrize("plan", ["    capability state_machine Far\n", ""], ids=["far plan", "no plan"])
+    def test_red_declared_streams_gate_only_their_own_queues(self, tmp_path, plan):
+        """A light on b declares a stream from a and one on c-d.  Its plan's only
+        phase greens the c-d stream, which does not touch b, and without a plan
+        every stream is red; either way the queue from a waits, while the queue
+        from c, which has no stream, is served every tick."""
+        text = f"""
+model m {{
+  environment graph from edges {{
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 300 0
+    edge a b 100
+    edge b c 100
+    edge c d 100
+  }}
+  agent Car {{
+    create fixed 6 random
+    capability mobility random_walk step 1
+  }}
+  agent Light {{
+    create fixed 1 random
+    capability flow_control stream west edge a b stream far edge c d
+{plan}  }}
+  plan Far {{
+    phase only green far duration 1
+  }}
+}}
+"""
+        model = parse_model(text)
+        assert mm.validate(model).ok(), [str(d) for d in mm.validate(model)]
+        world = engine.build_world(model, cfg(tmp_path, seed=1))
+        ctrl = self.light_on(world, "b")
+        assert ctrl.streams == {"a": "west"} and ctrl.red == {"a"}
+        cars = [a for a in world.agents.values() if a.type_name == "Car"]
+        world.queues.clear()
+        for car, frm in zip(cars, "aaaccc"):
+            car.position = engine.QueuePos("b", frm)
+            world.queues.setdefault(("b", frm), []).append(car.id)
+        for served in range(1, 4):
+            engine.tick(world)
+            assert len(world.queues[("b", "c")]) == 3 - served
+            assert len(world.queues[("b", "a")]) == 3
+            assert engine.controller_stopped(world, ctrl) == 3
 
 
 class TestResolvedOncePerRun:

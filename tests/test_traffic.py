@@ -133,17 +133,6 @@ class TestSelectAction:
             tf.select_action({}, ("s",), [], 0.0, random.Random(0))
 
 
-class TestStoppedVehicles:
-    def test_all_green_counts_zero(self):
-        assert tf.stopped_vehicles([4, 2, 7], [0, 1, 2]) == 0
-
-    def test_red_queues_counted(self):
-        assert tf.stopped_vehicles([3, 2], [1]) == 3
-
-    def test_empty(self):
-        assert tf.stopped_vehicles([], []) == 0
-
-
 # ---------------------------------------------------------------------------
 # Convergence on a two-state deterministic toy MDP, checked against value
 # iteration (the independent oracle).
