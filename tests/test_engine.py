@@ -981,6 +981,22 @@ def walker(env, step, attr="", how="contact"):
     )
 
 
+def machine_model(transition):
+    """Five agents running machine ``m``, whose one transition goes a -> b."""
+    return (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 5 random\n    capability state_machine m\n  }}\n"
+        f"  machine m {{\n    initial a\n    state a\n    state b\n    state c\n    transition a b {transition}\n  }}\n}}\n"
+    )
+
+
+def disease_model(clauses, entity="", intro="introduce d deterministic 5 arbitrary aperiodic"):
+    """Twenty carriers of the SIR disease ``d`` with the given clauses."""
+    return (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 20 random\n    capability disease d\n  }}\n{entity}"
+        f"  disease d model SIR {{\n    {clauses}\n  }}\n  {intro}\n}}\n"
+    )
+
+
 NON_FINITE_CASES = {
     "inf step on a grid": (walker(GRID, BIG), r"tick 1: agent:A: mobility step: "),
     "nan step on a cartesian space": (walker(CART, NAN), r"tick 1: agent:A: mobility step: "),
@@ -1024,6 +1040,38 @@ NON_FINITE_CASES = {
     "integer beyond the float range divided": (
         f'model t {{\n  {GRID}\n  output o every 1 to "o.csv" {{\n    series x {HUGE} / 3\n  }}\n}}\n',
         r"tick 0: output:o\.series:x: '/' overflows: integer division result too large for a float",
+    ),
+    "nan in a guard": (
+        machine_model(f"deterministic 1 guard ({NAN}) > 0.5"), r"^tick 1: machine:m: '>' operand nan is not finite$"
+    ),
+    "nan abort probability": (
+        machine_model(f"deterministic 1 abort {NAN} to c"), r"^tick 1: machine:m: rate nan outside \[0, 1\]$"
+    ),
+    "nan in a contamination condition": (
+        disease_model(
+            f"transmission proximity 20.0 probability 0.5 sources W condition ({NAN}) > 0.5\n"
+            "    duration I deterministic 5",
+            entity="  entity W { create fixed 1 random }\n",
+        ),
+        r"^tick 1: disease:d\.transmission: '>' operand nan is not finite$",
+    ),
+    "nan in an introduction eligibility": (
+        disease_model(
+            "transmission contact probability 0.5\n    duration I deterministic 5",
+            intro=f"introduce d deterministic 5 eligible ({NAN}) > 0.5 aperiodic",
+        ),
+        r"^tick 0: introduce d: '>' operand nan is not finite$",
+    ),
+    "nan probabilistic trigger rate": (
+        disease_model(f"transmission contact probability 0.5\n    duration I probabilistic rate {NAN}"),
+        r"^tick 1: disease:d: rate nan outside \[0, 1\]$",
+    ),
+    "nan in a when_condition mortality rule": (
+        disease_model(
+            "transmission contact probability 0.5\n    duration I deterministic 5\n"
+            f"    mortality I rate 0.1 when_condition ({NAN}) > 0.5"
+        ),
+        r"^tick 1: disease:d\.mortality: '>' operand nan is not finite$",
     ),
 }
 
