@@ -621,6 +621,8 @@ def _check_agent(model: Model, agent: AgentTypeSpec, envs, add: _Collector) -> N
         add("error", path, "at most one mobility capability per agent type")
     if counts.get("flow_control", 0) > 1:
         add("error", path, "at most one flow_control capability per agent type")
+    if counts.get("flow_control") and model.plan_of(agent) is None and not counts.get("reinforcement_learning"):
+        add("warning", path, "flow control without a plan or qlearning holds every stream red for the whole run")
     if has_graph and counts.get("flow_control") and counts.get("mobility"):
         add("error", path, "a flow-control agent must stay on its graph node, so it cannot have mobility")
     if counts.get("reinforcement_learning", 0) > 1:

@@ -339,6 +339,27 @@ model t {
         paths = [d.path for d in first]
         assert paths == sorted(paths)
 
+    @pytest.mark.parametrize(
+        "runs, warned",
+        [
+            ("", True),
+            ("    capability state_machine p\n", False),
+            ("    capability qlearning alpha 0.1 gamma 0.9 epsilon 0.1 plans p q bins 2\n", False),
+        ],
+        ids=["neither", "a plan", "qlearning"],
+    )
+    def test_flow_control_without_plan_or_learning_warns(self, runs, warned):
+        text = (
+            "model t {\n  environment graph from edges {\n    node a 0 0\n    node b 100 0\n    edge a b 100\n  }\n"
+            f"  agent Light {{\n    create fixed 1 random\n    capability flow_control streams auto\n{runs}  }}\n"
+            "  plan p {\n    phase x green s0 duration 5\n  }\n  plan q {\n    phase y green s0 duration 9\n  }\n}\n"
+        )
+        report = mm.validate(model_from(text))
+        assert report.ok()
+        red = [(d.severity, d.path, d.message) for d in report if "holds every stream red" in d.message]
+        expected = ("warning", "agent:Light", "flow control without a plan or qlearning holds every stream red for the whole run")
+        assert red == ([expected] if warned else [])
+
     def test_disease_without_carrier_warns(self):
         model = model_from(SIR_MODEL)
         model.agent_types[0].capabilities = model.agent_types[0].capabilities[:1]
