@@ -239,10 +239,24 @@ class Candidate:
     disease_state: str | None  # agents: current compartment for this disease
 
 
+@dataclass(frozen=True)
+class Transmission:
+    """A transmission compiled for one run by :func:`compile_transmission`."""
+
+    sources: frozenset[str]  # entity types that can infect
+    probability: Callable[[ex.Context], float | int]  # on the susceptible side
+    condition: Callable[[ex.Context], bool] | None  # on the source
+
+
+def compile_transmission(spec: TransmissionSpec) -> Transmission:
+    condition = None if spec.condition is None else ex.compile_condition(spec.condition)
+    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, 0, 1, "rate"), condition)
+
+
 def attempt_transmission(
     susceptible_ctx: ex.Context,
     candidates: Sequence[Candidate],
-    spec: TransmissionSpec,
+    spec: Transmission,
     infectious: Collection[str],
     rng: random.Random,
 ) -> bool:
@@ -255,17 +269,16 @@ def attempt_transmission(
     condition, when present, is checked against the source's own context.
     The probability must lie in [0, 1]; probability 0 draws nothing.
     """
-    probability = ex.evaluate_number(spec.probability, susceptible_ctx, 0, 1, "rate")
+    probability = spec.probability(susceptible_ctx)
     if probability == 0:
         return False
-    source_types = set(spec.sources)
     for cand in candidates:
         if cand.is_entity:
-            if cand.type_name not in source_types:
+            if cand.type_name not in spec.sources:
                 continue
         elif cand.disease_state not in infectious:
             continue
-        if spec.condition is not None and not ex.evaluate_condition(spec.condition, cand.source):
+        if spec.condition is not None and not spec.condition(cand.source):
             continue
         if rng.random() < probability:
             return True
@@ -281,52 +294,50 @@ def introduction_due(spec: DiseaseIntroductionSpec, tick: int) -> bool:
 def introduce(
     pool: Sequence[tuple[int, ex.Context]],
     spec: DiseaseIntroductionSpec,
+    eligible: Callable[[ex.Context], bool] | None,
     tick: int,
     rng: random.Random,
 ) -> list[int]:
     """Agent ids selected for infection at ``tick``.
 
-    The pool must contain only susceptible agents, ascending by id.  Eligible
-    selection filters the pool by the criterion first; a deterministic
-    quantity samples without replacement (clamped to the pool size) and a
-    probabilistic quantity draws one Bernoulli per pool member.
+    The pool must contain only susceptible agents, ascending by id.  The
+    compiled eligibility criterion, if any, filters the pool first; a
+    deterministic quantity samples without replacement (clamped to the pool
+    size) and a probabilistic quantity draws one Bernoulli per pool member.
     """
     if not introduction_due(spec, tick):
         return []
-    eligible: list[int] = []
-    for agent_id, ctx in pool:
-        if spec.selection == "eligible" and spec.eligibility is not None:
-            if not ex.evaluate_condition(spec.eligibility, ctx):
-                continue
-        eligible.append(agent_id)
+    chosen = [agent_id for agent_id, ctx in pool if eligible is None or eligible(ctx)]
     if spec.quantity_kind == "deterministic":
-        n = min(int(spec.count or 0), len(eligible))
-        return sorted(rng.sample(eligible, n))
+        n = min(int(spec.count or 0), len(chosen))
+        return sorted(rng.sample(chosen, n))
     p = float(spec.probability or 0.0)
-    return [agent_id for agent_id in eligible if rng.random() < p]
+    return [agent_id for agent_id in chosen if rng.random() < p]
 
 
-def evaluate_mortality(
-    specs: Iterable[MortalitySpec],
-    ctx: ex.Context,
-    tick: int,
-    rng: random.Random,
-) -> bool:
+def compile_mortality(rule: MortalitySpec) -> Callable[[ex.Context, int, random.Random], bool]:
+    """Compile a per-tick rule into ``dies(ctx, tick, rng)``: whether it kills
+    this tick, drawing once when it applies."""
+    rate = ex.compile_number(rule.rate, 0, 1, "rate")
+    condition = ex.compile_condition(rule.condition) if rule.evaluation == WHEN_CONDITION else None
+
+    def dies(ctx: ex.Context, tick: int, rng: random.Random) -> bool:
+        if (rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick) or (condition and not condition(ctx)):
+            return False
+        p = rate(ctx)
+        return rng.random() < p
+    return dies
+
+
+def evaluate_mortality(rules: Iterable[Callable], ctx: ex.Context, tick: int, rng: random.Random) -> bool:
     """Whether the agent dies this tick under the given per-tick rules
-    (every_timeunit, specific_timeunit, when_condition).  Leaving-compartment
-    rules are not evaluated here: :func:`build_machine` turns them into
-    transition abortions.  Rules are checked in declaration order, each
-    applicable rule draws once, and the first death wins.
+    (every_timeunit, specific_timeunit, when_condition), each compiled by
+    :func:`compile_mortality`.  Leaving-compartment rules are not evaluated
+    here: :func:`build_machine` turns them into transition abortions.  Rules
+    are checked in declaration order, each applicable rule draws once, and
+    the first death wins.
     """
-    for rule in specs:
-        if rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick:
-            continue
-        if rule.evaluation == WHEN_CONDITION and not ex.evaluate_condition(rule.condition, ctx):
-            continue
-        rate = ex.evaluate_number(rule.rate, ctx, 0, 1, "rate")
-        if rng.random() < rate:
-            return True
-    return False
+    return any(dies(ctx, tick, rng) for dies in rules)
 
 
 # ---------------------------------------------------------------------------

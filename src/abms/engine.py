@@ -35,6 +35,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import disease as dz
 from . import expr as ex
@@ -104,6 +105,7 @@ class LearnerState:
     table: tf.QTable
     prev_state: tuple
     prev_action: str
+    reward: "Callable[[ex.Context], float | int] | None"  # the spec's reward, compiled
     accumulated: float = 0.0
 
 
@@ -165,28 +167,31 @@ AgentContext, EntityContext = AgentInstance, EntityInstance
 
 @dataclass(frozen=True)
 class ResolvedDisease:
-    """What the tick needs of one disease model, resolved once per run."""
+    """What the tick needs of one disease model, resolved and compiled once per run."""
 
     spec: dz.DiseaseModelSpec
     path: str  # model paths for run-time errors
     transmission_path: str
     mortality_path: str
-    machine: sm.StateMachineSpec
+    machine: sm.Machine
     susceptible: str
     target: str  # compartment entered on infection
     infectious: frozenset[str]
-    tick_rules: dict[str, list[dz.MortalitySpec]]  # per-tick mortality by compartment
+    tick_rules: dict[str, list]  # per-tick mortality by compartment, each rule compiled by dz.compile_mortality
+    transmission: dz.Transmission
+    distance: Callable[[ex.Context], float | int] | None  # proximity only
 
 
 def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
-    tick_rules: dict[str, list[dz.MortalitySpec]] = {}
+    tick_rules: dict[str, list] = {}
     for rule in spec.mortality:
         if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
-            tick_rules.setdefault(rule.compartment, []).append(rule)
-    path = f"disease:{spec.name}"
+            tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule))
+    path, t = f"disease:{spec.name}", spec.transmission  # validation requires a transmission
     return ResolvedDisease(
-        spec, path, f"{path}.transmission", f"{path}.mortality", dz.build_machine(spec),
+        spec, path, f"{path}.transmission", f"{path}.mortality", sm.compile_machine(dz.build_machine(spec)),
         dz.susceptible_compartment(spec), dz.infection_target(spec), frozenset(dz.infectious_states(spec)), tick_rules,
+        dz.compile_transmission(t), ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None,
     )
 
 
@@ -221,8 +226,20 @@ class World(ex.Context):
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
-        self.walk_steps = {a.name: cap.step for a in walkers if (cap := a.capability("mobility"))}
+        # Every expression the tick evaluates is compiled here, once per run.
+        self.walk_steps = {a.name: ex.compile_number(cap.step, 0, None, "step") for a in walkers if (cap := a.capability("mobility"))}
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
+        self.machines = {m.name: sm.compile_machine(m) for m in model.machines}
+        self.introductions = [  # each with its eligibility criterion, if any
+            (i, ex.compile_condition(i.eligibility) if i.selection == "eligible" and i.eligibility is not None else None)
+            for i in model.introductions
+        ]
+        self.series = {o.name: [(f"output:{o.name}.series:{s.label}", ex.compile_number(s.value)) for s in o.series]
+                       for o in model.outputs}
+        self.defaults = {  # per type, each attribute with its default compiled (None without one)
+            t.name: [(a, a.default and (ex.compile_number if a.kind in ex.NUMERIC else ex.compile)(a.default)) for a in t.attributes]
+            for t in [*model.agent_types, *model.entity_types]
+        }
         self.plans = {p.name: p for p in model.plans}
         self.tick = 0
         self.rng = random.Random(config.seed)
@@ -408,8 +425,8 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
                     or (a.controller is not None and a.controller.plan is not None)]
     world.vehicles = [a for a in agents if a.speed > 0]
     world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
-    for intro in model.introductions:
-        _apply_introduction(world, intro, set())
+    for intro, eligible in world.introductions:
+        _apply_introduction(world, intro, eligible, set())
     return world
 
 
@@ -453,22 +470,22 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
     return out, None
 
 
-def _init_attrs(world: World, instance, attributes: list[mm.AttributeSpec], point: GisPoint | None, where: str) -> None:
+def _init_attrs(world: World, instance, point: GisPoint | None, where: str) -> None:
     overrides = point.attrs if point is not None else {}
     at = f"tick {world.tick}: {where} (point file line {point.line})" if overrides else ""
-    for attr in attributes:
+    defaults = world.defaults[instance.type_name]
+    for attr, default in defaults:
         if attr.name in overrides:
             instance.attrs[attr.name] = _convert_raw(overrides[attr.name], attr.kind, at)
-        elif attr.default is not None:
-            evaluate = ex.evaluate_number if attr.kind in ex.NUMERIC else ex.evaluate
-            value = _checked(world, f"{where}.attr:{attr.name}", evaluate, attr.default, instance)
+        elif default is not None:
+            value = _checked(world, f"{where}.attr:{attr.name}", default, instance)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
         else:
             instance.attrs[attr.name] = _ZERO_VALUES[attr.kind]
     for key in overrides:
-        if key not in {a.name for a in attributes}:
+        if key not in {a.name for a, _ in defaults}:
             raise EngineError(f"{at}: point file sets unknown attribute '{key}'")
 
 
@@ -477,7 +494,7 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
     for i, position in enumerate(positions):
         entity = EntityInstance(weakref.proxy(world), world.new_id(), spec.name, position)
         point = points[i] if points is not None else None
-        _init_attrs(world, entity, spec.attributes, point, f"entity:{spec.name}")
+        _init_attrs(world, entity, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
         world.by_type[spec.name].append(entity)
 
@@ -485,23 +502,21 @@ def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
 def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"agent:{spec.name}")
     diseases = {name: world.diseases[name].machine for name in spec.disease_names()}
-    machines = {m.name: m for m in world.model.machines_of(spec)}
+    machines = {m.name: world.machines[m.name] for m in world.model.machines_of(spec)}
     mobility = spec.capability("mobility")
+    speed = ex.compile_number(mobility.step) if mobility is not None and world.graph is not None else None
     flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
         agent.diseases = {name: sm.instantiate(m) for name, m in diseases.items()}
         agent.machines = {name: sm.instantiate(m) for name, m in machines.items()}
         point = points[i] if points is not None else None
-        _init_attrs(world, agent, spec.attributes, point, f"agent:{spec.name}")
+        _init_attrs(world, agent, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
         world.by_type[spec.name].append(agent)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
-        if mobility is not None and world.graph is not None:
-            agent.speed = _checked(
-                world, f"agent:{spec.name}: mobility step", ex.evaluate_number,
-                mobility.step, agent,
-            )
+        if speed is not None:
+            agent.speed = _checked(world, f"agent:{spec.name}: mobility step", speed, agent)
             if agent.speed <= 0:
                 raise EngineError(f"tick {world.tick}: agent:{spec.name}: vehicle speed must be positive on graphs")
             _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
@@ -550,7 +565,8 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
         state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
         table: tf.QTable = {}
         action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
-        ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action)
+        reward = None if qspec.reward is None else ex.compile_number(qspec.reward)
+        ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action, reward=reward)
         _controller_set_plan(world, ctrl, action)
 
 
@@ -578,7 +594,7 @@ def controller_stopped(world: World, ctrl: ControllerState) -> int:
 # Introductions
 
 
-def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infected_now: set) -> None:
+def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligible, infected_now: set) -> None:
     if not dz.introduction_due(intro, world.tick):
         return
     disease = world.diseases[intro.disease]
@@ -587,7 +603,7 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
         for aid, agent in world.agents.items()
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
-    for aid in _checked(world, f"introduce {intro.disease}", dz.introduce, pool, intro, world.tick, world.rng):
+    for aid in _checked(world, f"introduce {intro.disease}", dz.introduce, pool, intro, eligible, world.tick, world.rng):
         sm.force_state(world.agents[aid].diseases[intro.disease], disease.target)
         world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
         infected_now.add((aid, intro.disease))
@@ -597,11 +613,14 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, infecte
 # Mobility
 
 
-def mobility_step(world: World, agent: AgentInstance, step_expr: ex.Expr, rng: random.Random):
-    """New position for one random-walk step (graph agents move in phase 4)."""
+def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Random):
+    """New position for one random-walk step of the compiled length
+    ``step_of`` (graph agents move in phase 4)."""
     topo = world.topology
-    path = f"agent:{agent.type_name}: mobility step"
-    step = _checked(world, path, ex.evaluate_number, step_expr, agent, 0, None, "step")
+    try:
+        step = step_of(agent)
+    except EvalError as err:
+        raise EngineError(f"tick {world.tick}: agent:{agent.type_name}: mobility step: {err.message}") from None
     if isinstance(topo, mm.GridTopology):
         # 8-neighborhood plus "stay", all nine outcomes equally likely.
         pick = rng.randrange(9)
@@ -649,7 +668,7 @@ def _index_sources(world: World) -> None:
     world.sources = {}
     for name, disease in world.diseases.items():
         items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
-        items += [e for e in world.entities.values() if e.type_name in disease.spec.transmission.sources]
+        items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
         items.sort(key=_BY_ID)
         world.sources[name] = SourceIndex(items, world.cell_span is not None, world.on_grid)
 
@@ -721,8 +740,8 @@ def _introduction_phase(world: World) -> set[tuple[int, str]]:
     """Phase 1: due (so periodic) introductions; returns the (agent id, disease)
     pairs infected, which skip their disease step this tick."""
     infected_now: set[tuple[int, str]] = set()
-    for intro in world.model.introductions:
-        _apply_introduction(world, intro, infected_now)
+    for intro, eligible in world.introductions:
+        _apply_introduction(world, intro, eligible, infected_now)
     return infected_now
 
 
@@ -739,10 +758,10 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     _index_sources(world)
     changes = DiseaseChanges()
     for agent in world.actors:
-        step_expr = world.walk_steps.get(agent.type_name)
-        if step_expr is not None:
+        step_of = world.walk_steps.get(agent.type_name)
+        if step_of is not None:
             old_cell = agent.position
-            agent.position = new_cell = mobility_step(world, agent, step_expr, world.rng)
+            agent.position = new_cell = mobility_step(world, agent, step_of, world.rng)
             if not world.on_grid:  # on a grid a position is its cell
                 old_cell, new_cell = _cell_of(old_cell), _cell_of(new_cell)
             if new_cell != old_cell:
@@ -757,8 +776,13 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
             if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
                 _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
         for name, inst in agent.machines.items():
-            if inst.current != sm.DEAD_STATE and (state := _checked(world, f"machine:{name}", sm.step, inst, agent, world.rng)):
-                sm.force_state(inst, state)
+            if inst.current != sm.DEAD_STATE:
+                try:
+                    state = sm.step(inst, agent, world.rng)
+                except EvalError as err:
+                    raise EngineError(f"tick {world.tick}: machine:{name}: {err.message}") from None
+                if state is not None:
+                    sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
             if (agent.id, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
@@ -769,33 +793,31 @@ def _disease_step(
     world: World, agent: AgentInstance, inst: sm.MachineInstance, disease: ResolvedDisease, changes: DiseaseChanges
 ) -> None:
     disease_name = disease.spec.name
-    # Per-tick death rates apply in any compartment, before transmission or
-    # progression can move the agent on.
-    tick_rules = disease.tick_rules.get(inst.current)
-    if tick_rules:
-        if _checked(world, disease.mortality_path, dz.evaluate_mortality, tick_rules, agent, world.tick, world.rng):
+    path = disease.mortality_path  # what an expression failure names
+    try:
+        # Per-tick death rates apply in any compartment, before transmission or
+        # progression can move the agent on.
+        tick_rules = disease.tick_rules.get(inst.current)
+        if tick_rules and dz.evaluate_mortality(tick_rules, agent, world.tick, world.rng):
             changes.dying.append((agent, disease_name))
             return
-    t = disease.spec.transmission
-    if inst.current == disease.susceptible:
-        radius = 0.0
-        if t.interaction == dz.PROXIMITY:
-            radius = _checked(world, disease.transmission_path, ex.evaluate_number, t.distance, agent)
-            if radius <= 0:
-                raise EngineError(f"tick {world.tick}: {disease.transmission_path}: distance {radius} outside (0, inf)")
-        candidates = [
-            dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
-            else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
-            for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
-        ]
-        if _checked(
-            world, disease.transmission_path, dz.attempt_transmission, agent, candidates, t, disease.infectious, world.rng
-        ):
-            changes.moves.append((agent, disease_name, disease.target))
-            world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
-        return
-    # The dwell counts in place; the new state waits for phase 3.
-    state = _checked(world, disease.path, sm.step, inst, agent, world.rng)
+        if inst.current == disease.susceptible:
+            path, radius = disease.transmission_path, 0.0
+            if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
+                raise EngineError(f"tick {world.tick}: {path}: distance {radius} outside (0, inf)")
+            candidates = [
+                dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
+                else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
+                for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
+            ]
+            if dz.attempt_transmission(agent, candidates, disease.transmission, disease.infectious, world.rng):
+                changes.moves.append((agent, disease_name, disease.target))
+                world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
+            return
+        path = disease.path
+        state = sm.step(inst, agent, world.rng)  # the dwell counts in place; the new state waits for phase 3
+    except EvalError as err:
+        raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
     if state is not None:
         changes.moves.append((agent, disease_name, state))
 
@@ -875,8 +897,11 @@ def _learning_phase(world: World) -> None:
 def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
-    if learner.spec.reward is not None:
-        reward = _checked(world, f"agent:{agent.type_name}: reward", ex.evaluate_number, learner.spec.reward, agent)
+    if learner.reward is not None:
+        try:
+            reward = learner.reward(agent)
+        except EvalError as err:
+            raise EngineError(f"tick {world.tick}: agent:{agent.type_name}: reward: {err.message}") from None
     else:
         reward = -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
@@ -909,9 +934,11 @@ def format_value(value: float | int) -> str:
 
 def sample_output(world: World, output: mm.OutputDatasetSpec) -> None:
     row: list = [world.tick]
-    for series in output.series:
-        path = f"output:{output.name}.series:{series.label}"
-        row.append(_checked(world, path, ex.evaluate_number, series.value, world))
+    for path, value in world.series[output.name]:
+        try:
+            row.append(value(world))
+        except EvalError as err:
+            raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
     world.output_rows[output.name].append(row)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import EvalError, ExprTypeError
 from .source import SourceSpan
@@ -126,94 +126,106 @@ def lit(value: object) -> Literal:
 
 
 class Context:
-    """Resolution hooks for evaluation.
-
-    Worlds, agents and entities implement these hooks in the engine.  Each
-    hook raises :class:`EvalError` for a name it does not know.
-    """
-
-    def attribute(self, owner: str | None, name: str):
-        raise EvalError(f"unknown attribute '{_dotted(owner, name)}'")
+    """Resolution hooks for evaluation: ``attribute(owner, name)``,
+    ``machine_state(name)`` and ``population(type_name)``, an iterable of
+    member contexts.  Worlds, agents and entities implement them in the
+    engine.  Each hook raises :class:`EvalError` for a name it does not know;
+    a context without machines may keep this one."""
 
     def machine_state(self, name: str) -> str:
         raise EvalError(f"no state machine or disease named '{name}' in this context")
 
-    def population(self, type_name: str) -> Iterable["Context"]:
-        raise EvalError(f"unknown population '{type_name}'")
 
-
-def _dotted(owner: str | None, name: str) -> str:
-    return name if owner is None else f"{owner}.{name}"
-
-
-def evaluate(expr: Expr, ctx: Context):
-    """Evaluate ``expr`` against ``ctx``; raises EvalError on any failure."""
+def compile(expr: Expr):
+    """Compile ``expr`` into ``fn(ctx)``, which evaluates it against ``ctx``
+    and raises EvalError on any failure.  Compiling evaluates nothing."""
     if isinstance(expr, Literal):
-        return expr.value
+        return lambda ctx, value=expr.value: value
     if isinstance(expr, AttrRef):
-        try:
-            return ctx.attribute(expr.owner, expr.name)
-        except EvalError as e:
-            raise EvalError(e.message, e.span or expr.span) from None
+        owner, name, span = expr.owner, expr.name, expr.span
+
+        def attribute(ctx):
+            try:
+                return ctx.attribute(owner, name)
+            except EvalError as e:
+                raise EvalError(e.message, e.span or span) from None
+        return attribute
     if isinstance(expr, StateTest):
-        try:
-            return ctx.machine_state(expr.machine) == expr.state
-        except EvalError as e:
-            raise EvalError(e.message, e.span or expr.span) from None
+        machine, state, span = expr.machine, expr.state, expr.span
+
+        def state_test(ctx):
+            try:
+                return ctx.machine_state(machine) == state
+            except EvalError as e:
+                raise EvalError(e.message, e.span or span) from None
+        return state_test
     if isinstance(expr, Aggregate):
-        return _evaluate_aggregate(expr, ctx)
+        return _compile_aggregate(expr)
     if isinstance(expr, Unary):
-        v = evaluate(expr.operand, ctx)
+        operand, span = compile(expr.operand), expr.span
         if expr.op == "-":
-            return -_as_number(v, expr)
-        return not _as_bool(v, expr)
+            return lambda ctx: -_as_number(operand(ctx), span)
+        return lambda ctx: not _as_bool(operand(ctx), span)
     if isinstance(expr, Binary):
-        return _evaluate_binary(expr, ctx)
+        return _compile_binary(expr)
     raise EvalError(f"unknown expression node {type(expr).__name__}")
 
 
-def _evaluate_aggregate(expr: Aggregate, ctx: Context):
-    total: float | int = 0
-    count = 0
-    for member in ctx.population(expr.population):
-        if expr.predicate is not None and not _as_bool(evaluate(expr.predicate, member), expr):
-            continue
-        if expr.func == "count":
-            count += 1
-        else:
-            total += _as_number(evaluate(expr.value, member), expr)
-    return count if expr.func == "count" else total
+def _compile_aggregate(expr: Aggregate):
+    population, span, test = expr.population, expr.span, expr.predicate
+    if expr.func == "count" and isinstance(test, StateTest):  # one loop over the roster, no per-member dispatch
+        def count_in_state(ctx):
+            members = ctx.population(population)
+            try:
+                return [member.machine_state(test.machine) for member in members].count(test.state)
+            except EvalError as e:
+                raise EvalError(e.message, e.span or test.span) from None
+        return count_in_state
+    predicate = None if test is None else compile(test)
+    if expr.func == "count":
+        return lambda ctx: sum(1 for m in ctx.population(population) if predicate is None or _as_bool(predicate(m), span))
+    value = compile(expr.value)
+
+    def total(ctx):
+        result: float | int = 0
+        for member in ctx.population(population):
+            if predicate is None or _as_bool(predicate(member), span):
+                result += _as_number(value(member), span)
+        return result
+    return total
 
 
-def _evaluate_binary(expr: Binary, ctx: Context):
-    op = expr.op
+def _compile_binary(expr: Binary):
+    op, span, fn = expr.op, expr.span, _OPERATORS.get(expr.op)
+    left, right = compile(expr.left), compile(expr.right)
     if op in BOOL_OPS:
-        left = _as_bool(evaluate(expr.left, ctx), expr)
         if op == "and":
-            return left and _as_bool(evaluate(expr.right, ctx), expr)
-        return left or _as_bool(evaluate(expr.right, ctx), expr)
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if op in COMPARE_OPS:
-        for operand in (left, right):
-            if isinstance(operand, (int, float)) and not _finite(operand):
-                raise EvalError(f"'{op}' operand {operand} is not finite", expr.span)
-        if op in ("==", "!="):  # any two values compare for equality
-            return _OPERATORS[op](left, right)
-    ln, rn = _as_number(left, expr), _as_number(right, expr)
-    if op not in _OPERATORS:
-        raise EvalError(f"unknown operator '{op}'", expr.span)
-    if op == "/" and rn == 0:
-        raise EvalError("division by zero", expr.span)
-    try:  # an integer beyond the float range meets a float, or is divided
-        return _OPERATORS[op](ln, rn)
-    except OverflowError as err:
-        raise EvalError(f"'{op}' overflows: {err}", expr.span) from None
+            return lambda ctx: _as_bool(left(ctx), span) and _as_bool(right(ctx), span)
+        return lambda ctx: _as_bool(left(ctx), span) or _as_bool(right(ctx), span)
+
+    def binary(ctx):
+        a, b = left(ctx), right(ctx)
+        if op in COMPARE_OPS:
+            for operand in (a, b):
+                if isinstance(operand, (int, float)) and not _finite(operand):
+                    raise EvalError(f"'{op}' operand {operand} is not finite", span)
+            if op in ("==", "!="):  # any two values compare for equality
+                return fn(a, b)
+        a, b = _as_number(a, span), _as_number(b, span)
+        if fn is None:
+            raise EvalError(f"unknown operator '{op}'", span)
+        if op == "/" and b == 0:
+            raise EvalError("division by zero", span)
+        try:  # an integer beyond the float range meets a float, or is divided
+            return fn(a, b)
+        except OverflowError as err:
+            raise EvalError(f"'{op}' overflows: {err}", span) from None
+    return binary
 
 
-def _as_number(v, node) -> float | int:
+def _as_number(v, span) -> float | int:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise EvalError(f"expected a number, got {type(v).__name__}", getattr(node, "span", None))
+        raise EvalError(f"expected a number, got {type(v).__name__}", span)
     return v
 
 
@@ -224,33 +236,58 @@ def _finite(value: float | int) -> bool:
         return False
 
 
-def _as_bool(v, node) -> bool:
+def _as_bool(v, span) -> bool:
     if not isinstance(v, bool):
-        raise EvalError(f"expected a boolean, got {type(v).__name__}", getattr(node, "span", None))
+        raise EvalError(f"expected a boolean, got {type(v).__name__}", span)
     return v
 
 
-def evaluate_number(
-    expr: Expr, ctx: Context, low: float | None = None, high: float | None = None, name: str = "value"
-) -> float | int:
-    """Evaluate ``expr`` to a finite number, within [low, high] when bounds
-    are given; anything else (bool, text, NaN, inf) raises EvalError.  An
-    integer comes back as an integer."""
-    value = _as_number(evaluate(expr, ctx), expr)
+def _number(value, low: float | None, high: float | None, name: str, span) -> float | int:
+    value = _as_number(value, span)
     if _finite(value) and (low is None or low <= value) and (high is None or value <= high):
         return value
     if low is None and high is None:
-        message = f"{name} {value} is not finite"
-    else:
-        lower = "(-inf" if low is None else f"[{low}"
-        upper = "inf)" if high is None else f"{high}]"
-        message = f"{name} {value} outside {lower}, {upper}"
-    raise EvalError(message, getattr(expr, "span", None))
+        raise EvalError(f"{name} {value} is not finite", span)
+    lower = "(-inf" if low is None else f"[{low}"
+    upper = "inf)" if high is None else f"{high}]"
+    raise EvalError(f"{name} {value} outside {lower}, {upper}", span)
+
+
+def compile_number(expr: Expr, low: float | None = None, high: float | None = None, name: str = "value"):
+    """Compile ``expr`` into ``fn(ctx)``, which yields a finite number, within
+    [low, high] when bounds are given; anything else (bool, text, NaN, inf)
+    raises EvalError.  An integer comes back as an integer.  A literal that
+    passes is checked here, once, and becomes a constant."""
+    span = getattr(expr, "span", None)
+    if isinstance(expr, Literal):
+        try:
+            return lambda ctx, value=_number(expr.value, low, high, name, span): value
+        except EvalError:
+            pass  # it fails on each use, as any other value would
+    fn = compile(expr)
+    return lambda ctx: _number(fn(ctx), low, high, name, span)
+
+
+def compile_condition(expr: Expr):
+    """Compile ``expr`` into ``fn(ctx)``, which yields a boolean; anything
+    else raises EvalError."""
+    fn, span = compile(expr), getattr(expr, "span", None)
+    return lambda ctx: _as_bool(fn(ctx), span)
+
+
+def evaluate(expr: Expr, ctx: Context):
+    """Compile ``expr`` and evaluate it once."""
+    return compile(expr)(ctx)
+
+
+def evaluate_number(expr: Expr, ctx: Context, low: float | None = None, high: float | None = None, name: str = "value"):
+    """Compile ``expr`` as a number and evaluate it once."""
+    return compile_number(expr, low, high, name)(ctx)
 
 
 def evaluate_condition(expr: Expr, ctx: Context) -> bool:
-    """Evaluate ``expr`` to a boolean; anything else raises EvalError."""
-    return _as_bool(evaluate(expr, ctx), expr)
+    """Compile ``expr`` as a condition and evaluate it once."""
+    return compile_condition(expr)(ctx)
 
 
 # ---------------------------------------------------------------------------

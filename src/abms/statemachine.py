@@ -5,7 +5,8 @@ returns the target of the first outgoing transition, in declaration order,
 whose guard holds and whose trigger fires, or its abort state with the
 abortion's probability (how death on leaving a compartment works).  No state
 is special here, ``Dead`` included: the engine skips declared machines in Dead,
-enters machine states at once and disease states after the agent phase.
+enters machine states at once and disease states after the agent phase.  A
+run steps each spec as a :class:`Machine`, its expressions compiled once.
 """
 
 from __future__ import annotations
@@ -82,24 +83,21 @@ class StateMachineSpec:
     initial: str
     transitions: list[Transition]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
-    _by_state: dict[str, tuple[Transition, ...]] | None = field(default=None, init=False, compare=False, repr=False)
 
-    def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        """Outgoing transitions of ``state`` in declaration order.  They are
-        keyed by state on first use, so the spec must not change after that."""
-        if self._by_state is None:
-            by_state: dict[str, list[Transition]] = {}
-            for t in self.transitions:
-                by_state.setdefault(t.source, []).append(t)
-            self._by_state = {source: tuple(ts) for source, ts in by_state.items()}
-        return self._by_state.get(state, ())
+
+@dataclass(frozen=True)
+class Machine:
+    """A machine compiled for one run by :func:`compile_machine`."""
+
+    spec: StateMachineSpec
+    transitions: dict[str, list[tuple]]  # state -> (guard, fires, abort, abort_to, target) in declaration order
 
 
 @dataclass
 class MachineInstance:
     """Per-agent runtime state of one machine."""
 
-    spec: StateMachineSpec
+    machine: Machine
     current: str
     dwell: int = 0
 
@@ -108,9 +106,20 @@ class MachineError(AbmsError):
     pass
 
 
-def instantiate(spec: StateMachineSpec) -> MachineInstance:
+def compile_machine(spec: StateMachineSpec) -> Machine:
+    """Compile every guard, trigger and abort probability of ``spec`` once."""
+    transitions: dict[str, list[tuple]] = {}
+    for tr in spec.transitions:
+        guard = None if tr.guard is None else ex.compile_condition(tr.guard)
+        abort, abort_to = (None, None) if tr.abortion is None else (
+            ex.compile_number(tr.abortion.probability, 0, 1, "rate"), tr.abortion.abort_to)
+        transitions.setdefault(tr.source, []).append((guard, compile_trigger(tr.trigger), abort, abort_to, tr.target))
+    return Machine(spec, transitions)
+
+
+def instantiate(machine: Machine) -> MachineInstance:
     """Fresh instance sitting in the initial state with zero dwell."""
-    return MachineInstance(spec=spec, current=spec.initial)
+    return MachineInstance(machine=machine, current=machine.spec.initial)
 
 
 def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str | None:
@@ -122,15 +131,15 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str 
     current one, so a deterministic trigger of d ticks fires on the d-th step.
     """
     instance.dwell += 1
-    for tr in instance.spec.transitions_from(instance.current):
-        if tr.guard is not None and ex.evaluate_condition(tr.guard, ctx) is False:
+    for guard, fires, abort, abort_to, target in instance.machine.transitions.get(instance.current, ()):
+        if guard is not None and not guard(ctx):
             continue
-        if trigger_fires(tr.trigger, instance.dwell, ctx, rng):
-            if tr.abortion is not None:
-                p = ex.evaluate_number(tr.abortion.probability, ctx, 0, 1, "rate")
+        if fires(instance.dwell, ctx, rng):
+            if abort is not None:
+                p = abort(ctx)
                 if rng.random() < p:
-                    return tr.abortion.abort_to
-            return tr.target
+                    return abort_to
+            return target
     return None
 
 
@@ -142,15 +151,19 @@ def force_state(instance: MachineInstance, state: str) -> None:
     instance.dwell = 0
 
 
-def trigger_fires(trigger: Trigger, dwell: int, ctx: ex.Context, rng: random.Random) -> bool:
+def compile_trigger(trigger: Trigger):
+    """Compile ``trigger`` into ``fires(dwell, ctx, rng) -> bool``."""
     if isinstance(trigger, ProbabilisticTrigger):
-        return rng.random() < ex.evaluate_number(trigger.rate, ctx, 0, 1, "rate")
+        rate = ex.compile_number(trigger.rate, 0, 1, "rate")
+        return lambda dwell, ctx, rng: rng.random() < rate(ctx)
     if isinstance(trigger, DeterministicTrigger):
-        return dwell >= ex.evaluate_number(trigger.ticks, ctx, 0, None, "duration")
+        ticks = ex.compile_number(trigger.ticks, 0, None, "duration")
+        return lambda dwell, ctx, rng: dwell >= ticks(ctx)
     if isinstance(trigger, ConditionalTrigger):
-        return ex.evaluate_condition(trigger.condition, ctx)
+        condition = ex.compile_condition(trigger.condition)
+        return lambda dwell, ctx, rng: condition(ctx)
     if isinstance(trigger, CompositeTrigger):
         # Every part is evaluated (draws included) so composition is order-free.
-        results = [trigger_fires(p, dwell, ctx, rng) for p in trigger.parts]
-        return all(results) if trigger.mode == "all_of" else any(results)
+        parts, combine = [compile_trigger(p) for p in trigger.parts], all if trigger.mode == "all_of" else any
+        return lambda dwell, ctx, rng: combine([fires(dwell, ctx, rng) for fires in parts])
     raise MachineError(f"unknown trigger {type(trigger).__name__}")

@@ -166,7 +166,7 @@ def test_criterion_4_duration_statistics():
         )
 
     def episode(spec, rng):
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         steps = 0
         while True:
             steps += 1
@@ -287,7 +287,7 @@ model m {{
     )
     rng = random.Random(77)
     trials = 1000
-    total = sum(len(dz.introduce(pool, spec, 0, rng)) for _ in range(trials))
+    total = sum(len(dz.introduce(pool, spec, None, 0, rng)) for _ in range(trials))
     n_draws = trials * len(pool)
     mean = n_draws * 0.3
     half_width = 2.576 * (n_draws * 0.3 * 0.7) ** 0.5

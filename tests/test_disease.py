@@ -70,7 +70,7 @@ class TestBuildMachine:
         spec = make_spec(dz.SEIR)
         assert dz.infection_target(spec) == "E"
         machine = dz.build_machine(spec)
-        assert machine.transitions_from("S") == ()  # the engine applies infections directly
+        assert not [t for t in machine.transitions if t.source == "S"]  # the engine applies infections directly
 
     def test_leaving_mortality_becomes_abortion(self):
         spec = make_spec(
@@ -96,9 +96,9 @@ def cand(i, state, attrs=None, entity_type=None):
 
 class TestAttemptTransmission:
     def spec(self, probability=1.0, condition=None, sources=()):
-        return dz.TransmissionSpec(
+        return dz.compile_transmission(dz.TransmissionSpec(
             dz.PROXIMITY, ex.lit(2.0), ex.lit(probability), condition=condition, sources=list(sources)
-        )
+        ))
 
     def test_zero_probability_never_infects(self):
         candidates = [cand(1, "I"), cand(2, "I")]
@@ -165,26 +165,26 @@ class TestIntroduce:
         return dz.DiseaseIntroductionSpec(**base)
 
     def test_deterministic_exact_count(self):
-        chosen = dz.introduce(self.pool(100), self.spec(), 0, random.Random(1))
+        chosen = dz.introduce(self.pool(100), self.spec(), None, 0, random.Random(1))
         assert len(chosen) == 5
         assert len(set(chosen)) == 5
 
     def test_deterministic_clamps_to_pool(self):
-        chosen = dz.introduce(self.pool(3), self.spec(), 0, random.Random(1))
+        chosen = dz.introduce(self.pool(3), self.spec(), None, 0, random.Random(1))
         assert sorted(chosen) == [0, 1, 2]
 
     def test_probabilistic_certainty_takes_all(self):
         spec = self.spec(quantity_kind="probabilistic", probability=1.0, count=None)
-        assert dz.introduce(self.pool(40), spec, 0, random.Random(1)) == list(range(40))
+        assert dz.introduce(self.pool(40), spec, None, 0, random.Random(1)) == list(range(40))
 
     def test_aperiodic_fires_only_at_zero(self):
-        assert dz.introduce(self.pool(10), self.spec(), 1, random.Random(1)) == []
-        assert dz.introduce(self.pool(10), self.spec(), 0, random.Random(1)) != []
+        assert dz.introduce(self.pool(10), self.spec(), None, 1, random.Random(1)) == []
+        assert dz.introduce(self.pool(10), self.spec(), None, 0, random.Random(1)) != []
 
     def test_periodic_fires_on_multiples(self):
         spec = self.spec(periodicity="periodic", interval=4)
         for tick in range(12):
-            fired = dz.introduce(self.pool(10), spec, tick, random.Random(1)) != []
+            fired = dz.introduce(self.pool(10), spec, None, tick, random.Random(1)) != []
             assert fired == (tick % 4 == 0)
 
     def test_eligible_filters_pool(self):
@@ -193,8 +193,12 @@ class TestIntroduce:
             selection="eligible",
             eligibility=ex.Binary(">=", ex.AttrRef(None, "age"), ex.lit(7)),
         )
-        chosen = dz.introduce(self.pool(10), spec, 0, random.Random(1))
+        chosen = dz.introduce(self.pool(10), spec, ex.compile_condition(spec.eligibility), 0, random.Random(1))
         assert sorted(chosen) == [7, 8, 9]
+
+
+def compiled(rules):
+    return [dz.compile_mortality(rule) for rule in rules]
 
 
 class TestEvaluateMortality:
@@ -202,13 +206,13 @@ class TestEvaluateMortality:
     def test_out_of_range_rate_is_rejected(self, rate):
         rules = [dz.MortalitySpec("I", ex.lit(rate), dz.EVERY_TIMEUNIT)]
         with pytest.raises(EvalError, match=r"outside \[0, 1\]"):
-            dz.evaluate_mortality(rules, MapContext(), 1, random.Random(0))
+            dz.evaluate_mortality(compiled(rules), MapContext(), 1, random.Random(0))
 
     def test_zero_rate_never_dies(self):
         rules = [dz.MortalitySpec("I", ex.lit(0.0), dz.EVERY_TIMEUNIT)]
         rng = random.Random(0)
         assert not any(
-            dz.evaluate_mortality(rules, MapContext(), t, rng) for t in range(200)
+            dz.evaluate_mortality(compiled(rules), MapContext(), t, rng) for t in range(200)
         )
 
     def test_guard_not_met_blocks_death(self):
@@ -222,13 +226,13 @@ class TestEvaluateMortality:
         ]
         alive = MapContext({"energy": 5})
         exhausted = MapContext({"energy": 0})
-        assert not dz.evaluate_mortality(rules, alive, 1, random.Random(0))
-        assert dz.evaluate_mortality(rules, exhausted, 1, random.Random(0))
+        assert not dz.evaluate_mortality(compiled(rules), alive, 1, random.Random(0))
+        assert dz.evaluate_mortality(compiled(rules), exhausted, 1, random.Random(0))
 
     def test_specific_timeunit_only_that_tick(self):
         rules = [dz.MortalitySpec("I", ex.lit(1.0), dz.SPECIFIC_TIMEUNIT, at_tick=7)]
         rng = random.Random(0)
-        hits = [dz.evaluate_mortality(rules, MapContext(), t, rng) for t in range(10)]
+        hits = [dz.evaluate_mortality(compiled(rules), MapContext(), t, rng) for t in range(10)]
         assert hits == [t == 7 for t in range(10)]
 
 

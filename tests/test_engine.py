@@ -796,7 +796,7 @@ class TestMobility:
         seen = set()
         for _ in range(1000):
             agent.position = (4, 4)
-            new_pos = engine.mobility_step(world, agent, ex.lit(1), world.rng)
+            new_pos = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
             assert new_pos in allowed
             seen.add(new_pos)
         assert seen == allowed
@@ -814,7 +814,7 @@ class TestMobility:
         rng.setstate(world.rng.getstate())
         signs = set()
         for _ in range(20):
-            expected = engine.mobility_step(world, agent, ex.lit(0), rng)
+            expected = engine.mobility_step(world, agent, world.walk_steps["A"], rng)
             engine.tick(world)
             assert repr(agent.position) == repr(expected)
             signs.add(math.copysign(1.0, agent.position[0]))
@@ -828,7 +828,7 @@ class TestMobility:
         world = engine.build_world(model, cfg(tmp_path))
         agent = next(iter(world.agents.values()))
         for _ in range(50):
-            x, y = engine.mobility_step(world, agent, ex.lit(1), world.rng)
+            x, y = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
             assert 0 <= x <= 10 and 0 <= y <= 10
             agent.position = (x, y)
 
@@ -1326,7 +1326,7 @@ class TestSignalPlans:
         world = engine.build_world(model, cfg(tmp_path))
         [light] = world.agents.values()
         ctrl, plan = light.controller, model.plan("P")
-        reference = sm.instantiate(tf.plan_to_machine(plan))
+        reference = sm.instantiate(sm.compile_machine(tf.plan_to_machine(plan)))
         rng = random.Random(0)
         for _ in range(3 * plan.cycle_length() + 1):
             engine.tick(world)

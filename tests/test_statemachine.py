@@ -28,31 +28,31 @@ def sir_spec(**kw):
 
 class TestInstantiate:
     def test_sir_starts_susceptible(self):
-        inst = sm.instantiate(dz.build_machine(sir_spec()))
+        inst = sm.instantiate(sm.compile_machine(dz.build_machine(sir_spec())))
         assert inst.current == "S"
         assert inst.dwell == 0
 
     def test_plan_machine_starts_at_first_phase(self):
         spec = two_state(sm.DeterministicTrigger(ex.lit(5)))
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         assert inst.current == "a"
 
     def test_psir_starts_passive(self):
         spec = sir_spec(kind=dz.PSIR, passive_immunity=sm.DeterministicTrigger(ex.lit(3)))
-        inst = sm.instantiate(dz.build_machine(spec))
+        inst = sm.instantiate(sm.compile_machine(dz.build_machine(spec)))
         assert inst.current == "P"
 
 
 class TestStep:
     def test_deterministic_fires_on_exact_dwell(self):
-        inst = sm.instantiate(two_state(sm.DeterministicTrigger(ex.lit(3))))
+        inst = sm.instantiate(sm.compile_machine(two_state(sm.DeterministicTrigger(ex.lit(3)))))
         rng = random.Random(0)
         events = [sm.step(inst, MapContext(), rng) for _ in range(3)]
         assert events == [None, None, "b"]
         assert inst.current == "a" and inst.dwell == 3  # step enters nothing
 
     def test_probabilistic_certainty_fires_first_step(self):
-        inst = sm.instantiate(two_state(sm.ProbabilisticTrigger(ex.lit(1.0))))
+        inst = sm.instantiate(sm.compile_machine(two_state(sm.ProbabilisticTrigger(ex.lit(1.0)))))
         assert sm.step(inst, MapContext(), random.Random(1)) == "b"
 
     def test_abortion_certain(self):
@@ -68,7 +68,7 @@ class TestStep:
                 )
             ],
         )
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         rng = random.Random(2)
         assert sm.step(inst, MapContext(), rng) is None
         assert sm.step(inst, MapContext(), rng) == sm.DEAD_STATE
@@ -83,7 +83,7 @@ class TestStep:
         spec = two_state(sm.DeterministicTrigger(ex.lit(1)))
         spec.states.append(sm.DEAD_STATE)
         spec.transitions[0].target = sm.DEAD_STATE
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         sm.force_state(inst, sm.step(inst, MapContext(), random.Random(0)))
         assert inst.current == sm.DEAD_STATE and inst.dwell == 0
         assert sm.step(inst, MapContext(), random.Random(0)) is None
@@ -91,14 +91,14 @@ class TestStep:
 
     def test_conditional_trigger(self):
         trigger = sm.ConditionalTrigger(ex.Binary(">", ex.AttrRef(None, "energy"), ex.lit(4)))
-        inst = sm.instantiate(two_state(trigger))
+        inst = sm.instantiate(sm.compile_machine(two_state(trigger)))
         rng = random.Random(0)
         assert sm.step(inst, MapContext({"energy": 3}), rng) is None
         assert sm.step(inst, MapContext({"energy": 5}), rng) == "b"
 
     def test_guard_blocks_transition(self):
         spec = two_state(sm.DeterministicTrigger(ex.lit(1)), guard=ex.lit(False))
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         for _ in range(5):
             assert sm.step(inst, MapContext(), random.Random(0)) is None
         assert inst.current == "a" and inst.dwell == 5
@@ -111,7 +111,7 @@ class TestStep:
                 sm.ConditionalTrigger(ex.AttrRef(None, "go")),
             ],
         )
-        inst = sm.instantiate(two_state(trigger))
+        inst = sm.instantiate(sm.compile_machine(two_state(trigger)))
         rng = random.Random(0)
         assert sm.step(inst, MapContext({"go": True}), rng) is None  # dwell 1 < 2
         assert sm.step(inst, MapContext({"go": False}), rng) is None
@@ -122,7 +122,7 @@ class TestStep:
             "any_of",
             [sm.DeterministicTrigger(ex.lit(99)), sm.ConditionalTrigger(ex.AttrRef(None, "go"))],
         )
-        inst = sm.instantiate(two_state(trigger))
+        inst = sm.instantiate(sm.compile_machine(two_state(trigger)))
         assert sm.step(inst, MapContext({"go": True}), random.Random(0)) == "b"
 
     def test_declaration_order_priority(self):
@@ -135,13 +135,13 @@ class TestStep:
                 sm.Transition("a", "c", sm.DeterministicTrigger(ex.lit(1))),
             ],
         )
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         assert sm.step(inst, MapContext(), random.Random(0)) == "b"
 
     def test_determinism_same_seed_same_events(self):
         def run(seed):
             spec = two_state(sm.ProbabilisticTrigger(ex.lit(0.3)))
-            inst = sm.instantiate(spec)
+            inst = sm.instantiate(sm.compile_machine(spec))
             rng = random.Random(seed)
             out = []
             while not out or not out[-1]:
@@ -162,7 +162,7 @@ class TestStep:
                 sm.Transition("c", "a", sm.DeterministicTrigger(ex.lit(2))),
             ],
         )
-        inst = sm.instantiate(spec)
+        inst = sm.instantiate(sm.compile_machine(spec))
         rng = random.Random(11)
         for _ in range(500):
             if (state := sm.step(inst, MapContext(), rng)) is not None:
@@ -172,8 +172,8 @@ class TestStep:
 
 
 def episode_length(trigger, rng) -> int:
-    steps = 1
-    while not sm.trigger_fires(trigger, steps, MapContext(), rng):
+    steps, fires = 1, sm.compile_trigger(trigger)
+    while not fires(steps, MapContext(), rng):
         steps += 1
     return steps
 

@@ -27,7 +27,7 @@ class TestPlanToMachine:
 
     def test_phase_durations_drive_the_cycle(self):
         machine = tf.plan_to_machine(plan(2, 3))
-        inst = sm.instantiate(machine)
+        inst = sm.instantiate(sm.compile_machine(machine))
         rng = random.Random(0)
         history = []
         for _ in range(10):
