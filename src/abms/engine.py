@@ -21,7 +21,8 @@ from them all.
 Reordering these phases is a breaking change for reproducibility.
 
 Agents, entities and the world are themselves the contexts expressions are
-evaluated in (they implement the ``expr.Context`` hooks).
+evaluated in (they implement the ``expr.Context`` hooks).  Every expression is
+compiled once, when the world is built; a tick only calls the closures.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class LearnerState:
     table: tf.QTable
     prev_state: tuple
     prev_action: str
-    reward: "Callable[[ex.Context], float | int] | None"  # the spec's reward, compiled
+    reward: Callable[[ex.Context], float | int] | None  # the spec's reward, compiled
     accumulated: float = 0.0
 
 
