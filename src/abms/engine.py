@@ -228,7 +228,9 @@ class World(ex.Context):
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
         # Every expression the tick evaluates is compiled here, once per run.
-        self.walk_steps = {a.name: ex.compile_number(cap.step, 0, None, "step") for a in walkers if (cap := a.capability("mobility"))}
+        self.walk_steps = {
+            a.name: ex.compile_number(cap.step, 0, None, "step") for a in walkers if (cap := a.capability("mobility"))
+        }
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
         self.machines = {m.name: sm.compile_machine(m) for m in model.machines}
         self.introductions = [  # each with its eligibility criterion, if any
@@ -238,7 +240,8 @@ class World(ex.Context):
         self.series = {o.name: [(f"output:{o.name}.series:{s.label}", ex.compile_number(s.value)) for s in o.series]
                        for o in model.outputs}
         self.defaults = {  # per type, each attribute with its default compiled (None without one)
-            t.name: [(a, a.default and (ex.compile_number if a.kind in ex.NUMERIC else ex.compile)(a.default)) for a in t.attributes]
+            t.name: [(a, None if a.default is None else (ex.compile_number if a.kind in ex.NUMERIC else ex.compile)(a.default))
+                     for a in t.attributes]
             for t in [*model.agent_types, *model.entity_types]
         }
         self.plans = {p.name: p for p in model.plans}
