@@ -102,8 +102,30 @@ def nodes(tree):
             yield from nodes(child)
 
 
+# Mostly well-typed trees, so that values, not only type errors, are compared.
+numbers = st.one_of(
+    literals.filter(lambda lit: lit.kind in ex.NUMERIC),
+    st.builds(ex.AttrRef, st.none(), st.sampled_from(["a", "b", "f", "h"])),
+)
+
+
+def numeric_branches(children):
+    test = st.one_of(
+        st.builds(ex.StateTest, st.just("m"), st.sampled_from(["S", "I"])),
+        st.builds(ex.Binary, st.sampled_from(ex.COMPARE_OPS), children, children),
+    )
+    return st.one_of(
+        st.builds(ex.Unary, st.just("-"), children),
+        st.builds(ex.Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(ex.Aggregate, st.sampled_from(["count", "sum"]), st.just("P"), st.none() | test, children),
+    )
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.recursive(leaves, branches, max_leaves=10).map(with_spans))
+@given(
+    st.one_of(st.recursive(leaves, branches, max_leaves=10), st.recursive(numbers, numeric_branches, max_leaves=8))
+    .map(with_spans)
+)
 def test_compiled_tree_agrees_with_the_walk(tree):
     for ctx in CONTEXTS:
         assert_agrees(tree, ctx)
