@@ -322,7 +322,7 @@ def compile_mortality(rule: MortalitySpec) -> Callable[[ex.Context, int, random.
     condition = ex.compile_condition(rule.condition) if rule.evaluation == WHEN_CONDITION else None
 
     def dies(ctx: ex.Context, tick: int, rng: random.Random) -> bool:
-        if (rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick) or (condition and not condition(ctx)):
+        if (rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick) or (condition is not None and not condition(ctx)):
             return False
         p = rate(ctx)
         return rng.random() < p

@@ -164,6 +164,7 @@ def compile_trigger(trigger: Trigger):
         return lambda dwell, ctx, rng: condition(ctx)
     if isinstance(trigger, CompositeTrigger):
         # Every part is evaluated (draws included) so composition is order-free.
-        parts, combine = [compile_trigger(p) for p in trigger.parts], all if trigger.mode == "all_of" else any
+        parts = [compile_trigger(p) for p in trigger.parts]
+        combine = all if trigger.mode == "all_of" else any
         return lambda dwell, ctx, rng: combine([fires(dwell, ctx, rng) for fires in parts])
     raise MachineError(f"unknown trigger {type(trigger).__name__}")
