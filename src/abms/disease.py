@@ -266,7 +266,8 @@ def attempt_transmission(
 
     Agents qualify when their disease instance is in an infectious state;
     entities when their type is a declared source.  The contamination
-    condition, when present, is checked against the source's own context.
+    condition, when present, is checked against the source's own context:
+    on the entity sources when ``sources`` are declared, else on the agents.
     The probability must lie in [0, 1]; probability 0 draws nothing.
     """
     probability = spec.probability(susceptible_ctx)
@@ -278,7 +279,7 @@ def attempt_transmission(
                 continue
         elif cand.disease_state not in infectious:
             continue
-        if spec.condition is not None and not spec.condition(cand.source):
+        if spec.condition is not None and (cand.is_entity or not spec.sources) and not spec.condition(cand.source):
             continue
         if rng.random() < probability:
             return True

@@ -108,6 +108,24 @@ class TestRun:
         assert err.count("\n") == 1
         assert not (workdir / "out").exists()
 
+    def test_a_condition_on_declared_sources_is_not_read_on_agents(self, workdir, capsys):
+        """The validator reads the condition on the entity sources only, so the
+        run must not read it on the infectious agents, which have no ``w``."""
+        (workdir / "well.abms").write_text(
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 6 random\n    capability disease d\n  }\n"
+            "  entity W {\n    create fixed 1 random\n    attr w real = 1.0\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 20.0 probability 0.5 sources W condition w > 0.5\n"
+            "    duration I deterministic 3\n  }\n"
+            "  introduce d deterministic 2 arbitrary aperiodic\n"
+            '  output o every 1 to "o.csv" {\n    series i count(A where d is I)\n  }\n}\n'
+        )
+        assert main(["validate", str(workdir / "well.abms")]) == 0
+        assert main(["run", str(workdir / "well.abms"), "--ticks", "5", "--out-dir", str(workdir / "out")]) == 0, (
+            capsys.readouterr().err
+        )
+        assert len((workdir / "out" / "o.csv").read_text().splitlines()) == 7
+
 
 class TestGen:
     def test_writes_source_and_report(self, workdir, capsys):

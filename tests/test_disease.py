@@ -134,6 +134,14 @@ class TestAttemptTransmission:
         assert not dz.attempt_transmission(MapContext(), clean, spec, ["I"], random.Random(0))
         assert not dz.attempt_transmission(MapContext(), other, spec, ["I"], random.Random(0))
 
+    def test_declared_sources_keep_the_condition_to_themselves(self):
+        """With ``sources``, the condition is read on those entities only: an
+        infectious agent, which has no ``level``, infects without it."""
+        spec = self.spec(1.0, condition=ex.Binary(">", ex.AttrRef(None, "level"), ex.lit(1.0)), sources=["Well"])
+        assert dz.attempt_transmission(MapContext(), [cand(1, "I")], spec, ["I"], random.Random(0))
+        clean = [cand(1, None, {"level": 0.5}, entity_type="Well"), cand(2, "R")]
+        assert not dz.attempt_transmission(MapContext(), clean, spec, ["I"], random.Random(0))
+
     def test_condition_applies_to_agent_sources_too(self):
         spec = self.spec(1.0, condition=ex.AttrRef(None, "shedding"))
         hot = [cand(1, "I", {"shedding": True})]
