@@ -127,7 +127,7 @@ def lit(value: object) -> Literal:
 
 class Context:
     """Resolution hooks for evaluation: ``attribute(owner, name)``,
-    ``machine_state(name)`` and ``population(type_name)``, an iterable of
+    ``machine_state(name)`` and ``population(type_name)``, a list of
     member contexts.  Worlds, agents and entities implement them in the
     engine.  Each hook raises :class:`EvalError` for a name it does not know;
     a context without machines may keep this one."""
@@ -181,9 +181,11 @@ def _compile_aggregate(expr: Aggregate):
             except EvalError as e:
                 raise EvalError(e.message, e.span or test.span) from None
         return count_in_state
+    if expr.func == "count" and test is None:
+        return lambda ctx: len(ctx.population(population))
     predicate = None if test is None else compile(test)
     if expr.func == "count":
-        return lambda ctx: sum(1 for m in ctx.population(population) if predicate is None or _as_bool(predicate(m), span))
+        return lambda ctx: sum(1 for m in ctx.population(population) if _as_bool(predicate(m), span))
     value = compile(expr.value)
 
     def total(ctx):

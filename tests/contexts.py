@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from abms import expr as ex
 from abms.errors import EvalError
@@ -35,7 +35,7 @@ class MapContext(ex.Context):
             return self._states[name]
         raise EvalError(f"no state machine or disease named '{name}' in this context")
 
-    def population(self, type_name: str) -> Iterable[ex.Context]:
+    def population(self, type_name: str) -> list[ex.Context]:
         if type_name in self._pops:
             return self._pops[type_name]
         raise EvalError(f"unknown population '{type_name}'")

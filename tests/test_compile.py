@@ -136,6 +136,8 @@ def test_compiled_tree_agrees_with_the_walk(tree):
     [
         ex.Aggregate("count", "Q", ex.StateTest("m", "S"), None),  # the fused count meets a member without m
         ex.Aggregate("count", "Z", ex.StateTest("m", "S"), None),  # an unknown population keeps no span
+        ex.Aggregate("count", "Q", None, None),  # the roster's length, members unread
+        ex.Aggregate("count", "Z", None, None),
         ex.Aggregate("sum", "P", None, ex.AttrRef(None, "b")),  # an integer start, then floats
         ex.Aggregate("sum", "P", None, ex.Binary("*", ex.lit(HUGE), ex.AttrRef(None, "b"))),
         ex.Binary("/", ex.lit(HUGE), ex.lit(3)),
@@ -147,6 +149,15 @@ def test_compiled_tree_agrees_with_the_walk(tree):
 def test_edge_trees_agree_with_the_walk(tree):
     for ctx in CONTEXTS:
         assert_agrees(with_spans(tree), ctx)
+
+
+def test_count_without_a_predicate_reads_the_length():
+    class Unwalkable(list):
+        def __iter__(self):
+            raise AssertionError("count(T) walked its population")
+
+    count = ex.compile(ex.Aggregate("count", "P", None, None))
+    assert count(MapContext(populations={"P": Unwalkable([member(0), member(1)])})) == 2
 
 
 def test_a_literal_in_range_is_checked_once():
