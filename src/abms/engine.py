@@ -10,13 +10,15 @@ runs six phase functions:
      machines not in Dead (entering a new state at once), then the disease
      step (transmission when susceptible, else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
-  4. ``_vehicle_phase``: movement of ``World.vehicles``, queue service on graphs
+  4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
+     vehicles on an edge, whose arrivals join their queue in ascending id
+     order; then queue service
   5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval
 
-Phases 2, 4 and 5 visit only their roster, in ascending id order, and a
-population is its type's roster in ``World.by_type``; phase 3 prunes the dead
-from them all.
+Phases 2, 4 and 5 visit only their roster, and a population is its type's
+roster in ``World.by_type``; phase 3 prunes the dead from them all.  Every
+roster is in ascending id order but phase 4's, whose arrivals are sorted.
 
 Reordering these phases is a breaking change for reproducibility.
 
@@ -75,6 +77,7 @@ class EdgePos:
     target: str
     remaining: int
     total: int
+    queue: list[int] = field(repr=False, compare=False)  # the edge's queue at ``target``
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,9 @@ class QueuePos:
 class ControllerState:
     node: str
     streams: dict[str, str]  # from-node -> declared or auto stream id, in stream order
+    queues: dict[str, list[int]]  # from-node -> its stream's queue at ``node``, in stream order
     capacities: dict[str, int]  # from-node -> queue bound
-    red: set[str]  # from-nodes whose stream the active phase holds red; every one without a plan
+    red: dict[str, list[int]]  # the queues whose stream the active phase holds red; every one without a plan
     plan: tf.PlanSpec | None = None
     phase: int = 0  # index of the active phase in plan.phases
     dwell: int = 0  # ticks spent in that phase
@@ -216,6 +220,12 @@ class World(ex.Context):
             else:
                 self.graph = graph = graph_from_inline(topo.source.nodes, topo.source.edges)
             self.cell_span, self.distance = None, lambda a, b: math.dist(_graph_point(graph, a), _graph_point(graph, b))
+            # Phase 4 reads these, resolved once: each directed edge's queue at its target, by (target,
+            # source); each node's roads out as (target, length, queue); the queues in service order.
+            adjacency = graph.adjacency
+            self.edge_queues = {(n, frm): [] for n, nbrs in adjacency.items() for frm in nbrs}
+            self.roads = {n: [(to, graph.edge_length(n, to), self.edge_queues[to, n]) for to in nbrs] for n, nbrs in adjacency.items()}
+            self.service = [(n, frm, self.edge_queues[n, frm]) for n in graph.sorted_nodes for frm in adjacency[n]]
         elif self.wrap is not None:
             self.cell_span, self.distance = (topo.width // 2, topo.height // 2), _torus_distance(*self.wrap)
         elif self.on_grid:
@@ -249,7 +259,8 @@ class World(ex.Context):
         self.rng = random.Random(config.seed)
         self.agents: dict[int, AgentInstance] = {}
         self.entities: dict[int, EntityInstance] = {}
-        self.queues: dict[tuple[str, str], list[int]] = {}
+        self.queues: dict[tuple[str, str], list[int]] = {}  # the queues a vehicle has reached, for the digest
+        self.exits: dict[tuple[str, float], list] = {}  # (node, speed) -> its roads' (target, ticks, queue), filled lazily
         self.controllers_by_node: dict[str, ControllerState] = {}
         self.created: dict[str, int] = {}
         self.dead: dict[str, int] = {}
@@ -259,10 +270,11 @@ class World(ex.Context):
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
         self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
-        # Rosters in ascending id order, filled only by ``build_world``; phase 3 prunes the dead from them.
+        # Rosters, which phase 3 prunes the dead from; all but ``vehicles`` are in ascending id order
+        # and filled only by ``build_world``.
         self.by_type: dict[str, list[_Instance]] = {name: [] for name in self.entity_type_names | self.agent_type_names}
         self.actors: list[AgentInstance] = []  # phase 2: a walk step, a signal plan, a declared machine or a disease
-        self.vehicles: list[AgentInstance] = []  # phase 4: speed > 0
+        self.vehicles: list[AgentInstance] = []  # phase 4: the vehicles on an edge, in no order; ``_enter_random_edge`` adds
         self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
 
     # -- evaluation context -----------------------------------------------------
@@ -273,7 +285,7 @@ class World(ex.Context):
         raise EvalError(f"unknown attribute '{name}'")
 
     def population(self, type_name: str):
-        """The type's roster itself: callers only iterate it."""
+        """The type's roster itself: callers only iterate it or take its length."""
         if (roster := self.by_type.get(type_name)) is None:
             raise EvalError(f"unknown population '{type_name}'")
         return roster
@@ -427,7 +439,6 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
     agents = world.agents.values()
     world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
                     or (a.controller is not None and a.controller.plan is not None)]
-    world.vehicles = [a for a in agents if a.speed > 0]
     world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
     for intro, eligible in world.introductions:
         _apply_introduction(world, intro, eligible, set())
@@ -529,13 +540,15 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
 
 
 def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
-    """Start the vehicle on a uniformly random edge out of ``node``, if any."""
-    assert world.graph is not None
-    nbrs = world.graph.adjacency[node]
-    if nbrs:
-        target = nbrs[world.rng.randrange(len(nbrs))]
-        ticks = max(1, math.ceil(world.graph.edge_length(node, target) / vehicle.speed))
-        vehicle.position = EdgePos(node, target, ticks, ticks)
+    """Start the vehicle on a uniformly random edge out of ``node``, if any,
+    and add it to the transit roster."""
+    speed = vehicle.speed
+    if (exits := world.exits.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
+        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), q) for to, length, q in world.roads[node]]
+    if exits:
+        target, ticks, queue = exits[world.rng.randrange(len(exits))]
+        vehicle.position = EdgePos(node, target, ticks, ticks, queue)
+        world.vehicles.append(vehicle)
 
 
 def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec, flow: mm.CapabilityRef) -> None:
@@ -558,7 +571,8 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
             streams[frm] = stream.stream_id
             if stream.capacity is not None:
                 capacities[frm] = stream.capacity
-    ctrl = ControllerState(node=node, streams=streams, capacities=capacities, red=set(streams))
+    queues = {frm: world.edge_queues.get((node, frm), []) for frm in streams}  # an OSM stream may name no edge
+    ctrl = ControllerState(node=node, streams=streams, queues=queues, capacities=capacities, red=dict(queues))
     agent.controller = ctrl
     world.controllers_by_node.setdefault(node, ctrl)
     if (plan := world.model.plan_of(spec)) is not None:
@@ -566,7 +580,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     learning = spec.capability("reinforcement_learning")
     if learning is not None:
         qspec = learning.qlearning
-        state = tf.discretize_state(_queue_lengths(world, ctrl), qspec.bins)
+        state = tf.discretize_state(_queue_lengths(ctrl), qspec.bins)
         table: tf.QTable = {}
         action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
         reward = None if qspec.reward is None else ex.compile_number(qspec.reward)
@@ -583,15 +597,15 @@ def _controller_set_plan(world: World, ctrl: ControllerState, plan_name: str) ->
 def _controller_enter_phase(ctrl: ControllerState, index: int) -> None:
     ctrl.phase, ctrl.dwell = index, 0
     green = ctrl.plan.phases[index].green
-    ctrl.red = {frm for frm, sid in ctrl.streams.items() if sid not in green}
+    ctrl.red = {frm: ctrl.queues[frm] for frm, sid in ctrl.streams.items() if sid not in green}
 
 
-def _queue_lengths(world: World, ctrl: ControllerState) -> list[int]:
-    return [len(world.queues.get((ctrl.node, frm), [])) for frm in ctrl.streams]
+def _queue_lengths(ctrl: ControllerState) -> list[int]:
+    return list(map(len, ctrl.queues.values()))
 
 
 def controller_stopped(world: World, ctrl: ControllerState) -> int:
-    return sum(len(world.queues.get((ctrl.node, frm), ())) for frm in ctrl.red)
+    return sum(map(len, ctrl.red.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -859,35 +873,35 @@ def _remove_agent(world: World, agent: AgentInstance) -> None:
 
 def _vehicle_phase(world: World) -> None:
     """Phase 4, on graphs only: vehicle movement, then queue service."""
-    graph = world.graph
-    if graph is None:
+    if world.graph is None:
         return
-    # Movement: progress along edges; completed traversals join the queue.
+    # Movement: progress along edges; completed traversals join the queue, in id order.
+    transit, arrived = [], []
     for agent in world.vehicles:
         pos = agent.position
-        if not isinstance(pos, EdgePos):
-            continue
         if pos.remaining > 1:
             pos.remaining -= 1
-            continue
-        queue_key = (pos.target, pos.source)
+            transit.append(agent)
+        else:
+            arrived.append(agent)
+    arrived.sort(key=_BY_ID)
+    for agent in arrived:
+        pos = agent.position
+        if not (queue := pos.queue):  # the digest lists each queue a vehicle has reached
+            world.queues[pos.target, pos.source] = queue
         ctrl = world.controllers_by_node.get(pos.target)
         capacity = ctrl.capacities.get(pos.source) if ctrl is not None else None
-        queue = world.queues.setdefault(queue_key, [])
         if capacity is not None and len(queue) >= capacity:
             pos.remaining = 0  # blocked; retry next tick
+            transit.append(agent)
             continue
         queue.append(agent.id)
         agent.position = QueuePos(pos.target, pos.source)
         world.arrivals += 1
-    # Service: one vehicle per queue per tick, unless its stream is red.
-    for node in graph.sorted_nodes:
-        ctrl = world.controllers_by_node.get(node)
-        red = ctrl.red if ctrl is not None else ()
-        for from_node in graph.adjacency[node]:
-            queue = world.queues.get((node, from_node))
-            if not queue or from_node in red:
-                continue
+    world.vehicles = transit
+    # Service: one vehicle per queue per tick, unless its stream is red; a served vehicle rejoins the roster.
+    for node, from_node, queue in world.service:
+        if queue and ((ctrl := world.controllers_by_node.get(node)) is None or from_node not in ctrl.red):
             _enter_random_edge(world, world.agents[queue.pop(0)], node)
 
 
@@ -911,7 +925,7 @@ def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner.accumulated += reward
     if (ctrl.phase, ctrl.dwell) != (0, 0):  # a cycle completes on re-entering its first phase
         return
-    state = tf.discretize_state(_queue_lengths(world, ctrl), learner.spec.bins)
+    state = tf.discretize_state(_queue_lengths(ctrl), learner.spec.bins)
     tf.q_update(learner.table, learner.prev_state, learner.prev_action, learner.accumulated, state, learner.spec)
     action = tf.select_action(learner.table, state, learner.spec.plans, learner.spec.epsilon, world.rng)
     learner.prev_state = state

@@ -1,5 +1,7 @@
 import bisect
+import json
 import math
+import operator
 import random
 import re
 import signal
@@ -16,9 +18,10 @@ from abms import traffic as tf
 from abms.cli import main
 from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
-from abms.ingest import load_gis_points, load_osm_graph
+from abms.ingest import Graph, load_gis_points, load_osm_graph
 
-from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN
+from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
+from digest_corpus import SEED as CORPUS_SEED
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,6 +30,12 @@ def auto_red(world, node, phase):
     """The from-nodes a phase holds red at a node with auto streams: stream
     ``s<i>`` is the node's i-th neighbour in id order."""
     return {frm for i, frm in enumerate(world.graph.adjacency[node]) if f"s{i}" not in phase.green}
+
+
+def red_of(world, ctrl) -> set[str]:
+    """The from-nodes ``ctrl`` holds red, each mapped to the queue at its node from there."""
+    assert all(queue is world.edge_queues[ctrl.node, frm] for frm, queue in ctrl.red.items())
+    return set(ctrl.red)
 
 
 MINI_OSM = """<?xml version="1.0"?>
@@ -55,6 +64,10 @@ def grid_model(body: str, width=10, height=10, wrap=True) -> mm.Model:
     return parse_model(
         f"model t {{\n  environment grid width {width} height {height}{wrap_kw}\n{body}\n}}\n"
     )
+
+
+_BY_ID = operator.attrgetter("id")
+GRAPH_CORPUS = [case for case in corpus() if isinstance(case[1].environment.topology, mm.GraphTopology)]
 
 
 def cfg(tmp_path, **kw):
@@ -1223,7 +1236,7 @@ class TestVehicles:
                 assert ctrl.plan.name in plan_names
                 [phase] = [p for p in ctrl.plan.phases if p.name == agent.machine_state(ctrl.plan.name)]
                 assert 0 <= ctrl.dwell < phase.duration
-                assert ctrl.red == auto_red(world, ctrl.node, phase)
+                assert red_of(world, ctrl) == auto_red(world, ctrl.node, phase)
 
     def test_stopped_vehicles_counts_red_queues_only(self, tmp_path):
         world = self.traffic_world(tmp_path, ticks=40)
@@ -1301,6 +1314,104 @@ class TestVehicles:
             assert on_edges and len({id(pos) for pos in on_edges}) == len(on_edges)
 
 
+class TestTransit:
+    """Phase 4 reads what the world resolved when it was built: the vehicles
+    on an edge, each edge's travel ticks per speed and its queue, and each
+    controller's red queues.  After every tick these equal the scans and
+    sums they replace."""
+
+    CAPACITIES = """
+model transit {
+  environment graph from edges {
+    node a 0 0
+    node b 100 0
+    node c 200 0
+    node d 100 100
+    edge a b 100
+    edge b c 100
+    edge b d 130
+    edge c d 141
+  }
+  agent Car {
+    create fixed 14 random
+    capability mobility random_walk step 45
+  }
+  agent Truck {
+    create fixed 6 random
+    capability mobility random_walk step 20
+  }
+  agent Light {
+    create fixed 2 random
+    capability flow_control stream main edge a b capacity 1 stream side edge b c capacity 2 stream back edge b d capacity 1
+    capability state_machine Slow
+  }
+  plan Slow {
+    phase p1 green main duration 6
+    phase p2 green side back duration 4
+  }
+}
+"""
+    MODELS = {
+        "traffic fixture": (FIXTURES / "traffic.abms").read_text(),
+        "stream capacities": CAPACITIES,  # two speeds, blocked arrivals
+        "graph disease": INLINE_GRAPH_DISEASE,  # vehicles die, in transit and in queues
+    }
+
+    @staticmethod
+    def assert_resolved(world, reached: set) -> None:
+        agents = list(world.agents.values())
+        on_edges = [a for a in agents if isinstance(a.position, engine.EdgePos)]
+        assert sorted(world.vehicles, key=_BY_ID) == on_edges
+        for vehicle in on_edges:
+            pos = vehicle.position
+            assert pos.total == max(1, math.ceil(world.graph.edge_length(pos.source, pos.target) / vehicle.speed))
+            assert pos.queue is world.edge_queues[pos.target, pos.source]
+        queued = [a for a in agents if isinstance(a.position, engine.QueuePos)]
+        assert all(a.id in world.edge_queues[a.position.node, a.position.from_node] for a in queued)
+        assert sum(map(len, world.edge_queues.values())) == len(queued)
+        # The digest lists exactly the queues a vehicle has reached, each the edge's own.
+        assert world.queues.keys() == reached
+        assert all(queue is world.edge_queues[key] for key, queue in world.queues.items())
+        for ctrl in (a.controller for a in agents if a.controller is not None):
+            assert all(ctrl.queues[frm] is world.edge_queues[ctrl.node, frm] for frm in ctrl.streams)
+            green = ctrl.plan.phases[ctrl.phase].green if ctrl.plan is not None else ()
+            assert red_of(world, ctrl) == {frm for frm, sid in ctrl.streams.items() if sid not in green}
+            assert engine.controller_stopped(world, ctrl) == sum(len(ctrl.queues[frm]) for frm in ctrl.red)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_resolved_references_match_the_scans_every_tick(self, tmp_path, name):
+        world = engine.build_world(parse_model(self.MODELS[name]), cfg(tmp_path, seed=5, base_dir=FIXTURES))
+        reached: set = set()
+        blocked = 0
+        self.assert_resolved(world, reached)
+        for _ in range(80):
+            # A vehicle alive after the tick that was due at its edge's end reached its queue in phase 4.
+            due = [(a.id, (a.position.target, a.position.source)) for a in world.vehicles if a.position.remaining <= 1]
+            engine.tick(world)
+            reached.update(key for aid, key in due if aid in world.agents)
+            self.assert_resolved(world, reached)
+            blocked += sum(1 for a in world.vehicles if a.position.remaining == 0)
+        speeds = {a.speed for a in world.agents.values() if a.speed}
+        assert {"traffic fixture": len(speeds) == 1, "stream capacities": speeds == {45, 20} and blocked > 0,
+                "graph disease": world.dead.get("Car", 0) > 0}[name]
+
+    @pytest.mark.parametrize(
+        "name,model,base_dir", GRAPH_CORPUS, ids=[name for name, _, _ in GRAPH_CORPUS]
+    )
+    def test_ticks_measure_no_edge(self, monkeypatch, name, model, base_dir):
+        """Once the world is built, no tick reads an edge's length: with the
+        graph refusing, the ticks still reach the pinned digest."""
+        world = engine.build_world(model, engine.RunConfig(seed=CORPUS_SEED, max_ticks=60, base_dir=base_dir))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edge length was read during a tick")
+
+        monkeypatch.setattr(Graph, "edge_length", refuse)
+        for _ in range(60):
+            engine.tick(world)
+        assert world.digest() == json.loads(PINNED.read_text(encoding="utf-8"))[name][60]
+
+
 class TestSignalPlans:
     """A controller counts its own phase; each tick it reads what the plan's
     state machine (``tf.plan_to_machine``) would be in."""
@@ -1334,7 +1445,7 @@ class TestSignalPlans:
                 sm.force_state(reference, state)
             assert (light.machine_state("P"), ctrl.dwell) == (reference.current, reference.dwell)
             phase = next(p for p in plan.phases if p.name == reference.current)
-            assert ctrl.red == auto_red(world, ctrl.node, phase)
+            assert red_of(world, ctrl) == auto_red(world, ctrl.node, phase)
 
     def test_a_duration_beyond_the_float_range_holds_its_phase(self, tmp_path):
         """Durations are whole numbers of ticks, counted exactly."""
@@ -1353,8 +1464,8 @@ class TestSignalPlans:
 
 class TestRosters:
     """Each phase visits its roster: exactly the agents it has work for, in
-    ascending id order, and a population is its type's roster.  Agents only
-    die, so the rosters only shrink, and a dead agent is in none of them."""
+    ascending id order but for phase 4's transit roster, and a population is
+    its type's roster.  A dead agent is in none of them."""
 
     MODELS = {
         "graph disease": INLINE_GRAPH_DISEASE,
@@ -1381,11 +1492,12 @@ class TestRosters:
         expected = {  # the scans over every agent that the rosters replace
             "actors": [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
                        or (a.controller is not None and a.controller.plan is not None)],
-            "vehicles": [a for a in agents if a.speed > 0],
+            "vehicles": [a for a in agents if isinstance(a.position, engine.EdgePos)],
             "learners": [a for a in agents if a.controller is not None and a.controller.learner is not None],
         }
         for name, roster in expected.items():
-            assert getattr(world, name) == roster, name
+            assert sorted(getattr(world, name), key=_BY_ID) == roster, name
+        assert world.actors == expected["actors"] and world.learners == expected["learners"]
         populations = {name: world.population(name) for name in world.agent_type_names | world.entity_type_names}
         for name in world.agent_type_names:
             assert populations[name] == [a for a in agents if a.type_name == name], name
@@ -1418,4 +1530,4 @@ class TestRosters:
         vehicles = [a for a in world.agents.values() if a.type_name == "Vehicle"]
         assert controllers and vehicles
         assert world.actors == controllers and world.learners == controllers  # no vehicle has phase-2 or phase-5 work
-        assert world.vehicles == vehicles
+        assert world.vehicles == vehicles  # each created vehicle entered an edge, in creation order

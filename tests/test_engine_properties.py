@@ -315,45 +315,35 @@ model m {
             for car in cars:
                 assert isinstance(car.position, (engine.EdgePos, engine.QueuePos, engine.NodePos))
 
-    @staticmethod
-    def light_on(world, node):
-        """Move the world's one light onto ``node`` and build its controller there."""
-        light = next(a for a in world.agents.values() if a.type_name == "Light")
-        light.position = engine.NodePos(node)
-        world.controllers_by_node.clear()
-        spec = next(t for t in world.model.agent_types if t.name == "Light")
-        engine._init_controller(world, light, spec, spec.capability("flow_control"))
-        return light.controller
-
     def test_queue_capacity_blocks_arrivals(self, tmp_path):
-        model = parse_model(self.MODEL.replace("create fixed 0 random", "create fixed 1 at (100, 0)"))
-        # force the controller onto node b by constructing it directly
-        model.agent_types[1].creation = mm.FixedCountStrategy(1, None)
-        world = engine.build_world(model, cfg(tmp_path, seed=8))
-        ctrl = self.light_on(world, "b")
-        ctrl.red = set(ctrl.streams)  # every stream red, so the queue cannot drain
-        cars = [a for a in world.agents.values() if a.type_name == "Car"][:3]
-        for car in cars:
-            car.position = engine.EdgePos("a", "b", 1, 2)
-        for car in world.agents.values():
-            if car.type_name == "Car" and car not in cars:
-                car.position = engine.NodePos("c")  # parked: phase 4 moves no car on a node
+        """A light with no plan holds its one stream, from a, red at b.  The
+        queue there admits one car, and each car that reaches b from a later
+        waits at the end of its edge, still in transit, retrying every tick."""
+        text = self.MODEL.replace("create fixed 0 random", "create fixed 1 random")
+        world = engine.build_world(parse_model(text.replace("    capability state_machine Only\n", "")), cfg(tmp_path, seed=3))
+        [light] = [a for a in world.agents.values() if a.type_name == "Light"]
+        assert light.position == engine.NodePos("b") and light.controller.plan is None
+        cars = [a for a in world.agents.values() if a.type_name == "Car"]
+        queue = world.edge_queues["b", "a"]
+        for _ in range(200):  # every car ends up at b from a: b's other neighbours lead back to b
+            engine.tick(world)
+            if len(blocked := [c for c in cars if isinstance(c.position, engine.EdgePos) and c.position.remaining == 0]) == 5:
+                break
+        assert len(queue) == 1 and len(blocked) == 5
         arrivals = world.arrivals
-        for _ in range(3):  # the blocked cars retry every phase and stay blocked
-            engine._vehicle_phase(world)
-            queue = world.queues.get(("b", "a"), [])
-            assert len(queue) == 1  # capacity 1: exactly one admitted
-            blocked = [c for c in cars if isinstance(c.position, engine.EdgePos)]
-            assert len(blocked) == 2
-            assert all(c.position.remaining == 0 and c.position.total == 2 for c in blocked)
-            assert world.arrivals == arrivals + 1
+        for _ in range(3):
+            engine.tick(world)
+            assert len(queue) == 1 and world.queues["b", "a"] is queue
+            assert all((c.position.source, c.position.remaining, c.position.total) == ("a", 0, 2) for c in blocked)
+            assert sorted(world.vehicles, key=lambda v: v.id) == blocked
+            assert world.arrivals == arrivals
 
     @pytest.mark.parametrize("plan", ["    capability state_machine Far\n", ""], ids=["far plan", "no plan"])
     def test_red_declared_streams_gate_only_their_own_queues(self, tmp_path, plan):
         """A light on b declares a stream from a and one on c-d.  Its plan's only
         phase greens the c-d stream, which does not touch b, and without a plan
-        every stream is red; either way the queue from a waits, while the queue
-        from c, which has no stream, is served every tick."""
+        every stream is red; either way the queue from a is never served, while
+        the queue from c, which has no stream, serves one car every tick."""
         text = f"""
 model m {{
   environment graph from edges {{
@@ -367,7 +357,7 @@ model m {{
   }}
   agent Car {{
     create fixed 6 random
-    capability mobility random_walk step 1
+    capability mobility random_walk step 100
   }}
   agent Light {{
     create fixed 1 random
@@ -380,19 +370,19 @@ model m {{
 """
         model = parse_model(text)
         assert mm.validate(model).ok(), [str(d) for d in mm.validate(model)]
-        world = engine.build_world(model, cfg(tmp_path, seed=1))
-        ctrl = self.light_on(world, "b")
-        assert ctrl.streams == {"a": "west"} and ctrl.red == {"a"}
-        cars = [a for a in world.agents.values() if a.type_name == "Car"]
-        world.queues.clear()
-        for car, frm in zip(cars, "aaaccc"):
-            car.position = engine.QueuePos("b", frm)
-            world.queues.setdefault(("b", frm), []).append(car.id)
-        for served in range(1, 4):
+        world = engine.build_world(model, cfg(tmp_path, seed=4))
+        [light] = [a for a in world.agents.values() if a.type_name == "Light"]
+        assert light.position == engine.NodePos("b")
+        ctrl, west, east = light.controller, world.edge_queues["b", "a"], world.edge_queues["b", "c"]
+        assert ctrl.streams == {"a": "west"} and ctrl.red == {"a": west} and ctrl.red["a"] is west
+        for _ in range(60):  # an edge takes one tick, so a car is due at b when it is on an edge to b
+            due = {frm: sum(1 for v in world.vehicles if (v.position.source, v.position.target) == (frm, "b")) for frm in "ac"}
+            before = len(west), len(east)
             engine.tick(world)
-            assert len(world.queues[("b", "c")]) == 3 - served
-            assert len(world.queues[("b", "a")]) == 3
-            assert engine.controller_stopped(world, ctrl) == 3
+            assert len(west) == before[0] + due["a"]
+            assert len(east) == max(before[1] + due["c"] - 1, 0)
+            assert engine.controller_stopped(world, ctrl) == len(west)
+        assert len(west) == 6 and ("b", "c") in world.queues  # the queue from c served cars, and b keeps them all
 
 
 class TestResolvedOncePerRun:
