@@ -224,7 +224,8 @@ class World(ex.Context):
             # source); each node's roads out as (target, length, queue); the queues in service order.
             adjacency = graph.adjacency
             self.edge_queues = {(n, frm): [] for n, nbrs in adjacency.items() for frm in nbrs}
-            self.roads = {n: [(to, graph.edge_length(n, to), self.edge_queues[to, n]) for to in nbrs] for n, nbrs in adjacency.items()}
+            self.roads = {n: [(to, graph.edge_length(n, to), self.edge_queues[to, n]) for to in nbrs]
+                          for n, nbrs in adjacency.items()}
             self.service = [(n, frm, self.edge_queues[n, frm]) for n in graph.sorted_nodes for frm in adjacency[n]]
         elif self.wrap is not None:
             self.cell_span, self.distance = (topo.width // 2, topo.height // 2), _torus_distance(*self.wrap)
@@ -544,7 +545,8 @@ def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
     and add it to the transit roster."""
     speed = vehicle.speed
     if (exits := world.exits.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
-        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), q) for to, length, q in world.roads[node]]
+        roads = world.roads[node]
+        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), q) for to, length, q in roads]
     if exits:
         target, ticks, queue = exits[world.rng.randrange(len(exits))]
         vehicle.position = EdgePos(node, target, ticks, ticks, queue)

@@ -1386,14 +1386,16 @@ model transit {
         self.assert_resolved(world, reached)
         for _ in range(80):
             # A vehicle alive after the tick that was due at its edge's end reached its queue in phase 4.
-            due = [(a.id, (a.position.target, a.position.source)) for a in world.vehicles if a.position.remaining <= 1]
+            due = [(a.id, (a.position.target, a.position.source)) for a in world.agents.values()
+                   if isinstance(a.position, engine.EdgePos) and a.position.remaining <= 1]
             engine.tick(world)
             reached.update(key for aid, key in due if aid in world.agents)
             self.assert_resolved(world, reached)
             blocked += sum(1 for a in world.vehicles if a.position.remaining == 0)
-        speeds = {a.speed for a in world.agents.values() if a.speed}
-        assert {"traffic fixture": len(speeds) == 1, "stream capacities": speeds == {45, 20} and blocked > 0,
-                "graph disease": world.dead.get("Car", 0) > 0}[name]
+        if name == "stream capacities":
+            assert {a.speed for a in world.agents.values() if a.speed} == {45, 20} and blocked > 0
+        if name == "graph disease":
+            assert world.dead["Car"] > 0
 
     @pytest.mark.parametrize(
         "name,model,base_dir", GRAPH_CORPUS, ids=[name for name, _, _ in GRAPH_CORPUS]

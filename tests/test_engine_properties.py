@@ -319,15 +319,16 @@ model m {
         """A light with no plan holds its one stream, from a, red at b.  The
         queue there admits one car, and each car that reaches b from a later
         waits at the end of its edge, still in transit, retrying every tick."""
-        text = self.MODEL.replace("create fixed 0 random", "create fixed 1 random")
-        world = engine.build_world(parse_model(text.replace("    capability state_machine Only\n", "")), cfg(tmp_path, seed=3))
+        text = self.MODEL.replace("create fixed 0 random", "create fixed 1 random").replace("    capability state_machine Only\n", "")
+        world = engine.build_world(parse_model(text), cfg(tmp_path, seed=3))
         [light] = [a for a in world.agents.values() if a.type_name == "Light"]
         assert light.position == engine.NodePos("b") and light.controller.plan is None
         cars = [a for a in world.agents.values() if a.type_name == "Car"]
         queue = world.edge_queues["b", "a"]
         for _ in range(200):  # every car ends up at b from a: b's other neighbours lead back to b
             engine.tick(world)
-            if len(blocked := [c for c in cars if isinstance(c.position, engine.EdgePos) and c.position.remaining == 0]) == 5:
+            blocked = [c for c in cars if isinstance(c.position, engine.EdgePos) and c.position.remaining == 0]
+            if len(blocked) == 5:
                 break
         assert len(queue) == 1 and len(blocked) == 5
         arrivals = world.arrivals
@@ -376,7 +377,8 @@ model m {{
         ctrl, west, east = light.controller, world.edge_queues["b", "a"], world.edge_queues["b", "c"]
         assert ctrl.streams == {"a": "west"} and ctrl.red == {"a": west} and ctrl.red["a"] is west
         for _ in range(60):  # an edge takes one tick, so a car is due at b when it is on an edge to b
-            due = {frm: sum(1 for v in world.vehicles if (v.position.source, v.position.target) == (frm, "b")) for frm in "ac"}
+            due = {frm: sum(1 for v in world.vehicles if (v.position.source, v.position.target) == (frm, "b"))
+                   for frm in "ac"}
             before = len(west), len(east)
             engine.tick(world)
             assert len(west) == before[0] + due["a"]
