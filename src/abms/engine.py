@@ -96,7 +96,7 @@ class ControllerState:
     streams: dict[str, str]  # from-node -> declared or auto stream id, in stream order
     queues: dict[str, list[int]]  # from-node -> its stream's queue at ``node``, in stream order
     capacities: dict[str, int]  # from-node -> queue bound
-    red: dict[str, list[int]]  # the queues whose stream the active phase holds red; every one without a plan
+    red: dict[str, list[int]]  # from-node -> queue, for the streams the active phase holds red; all without a plan
     plan: tf.PlanSpec | None = None
     phase: int = 0  # index of the active phase in plan.phases
     dwell: int = 0  # ticks spent in that phase
