@@ -383,6 +383,84 @@ model inline_plan_edges {
 """
 
 
+# A transmission radius computed per susceptible agent in a cartesian space:
+# walkers scan within 2, elders, who stay put, within 3.5.
+INLINE_CARTESIAN_COMPUTED = """
+model inline_cartesian_computed {
+  environment cartesian 0..24 0..24
+  agent Walker {
+    create fixed 90 random
+    attr frailty real = 0.1
+    capability mobility random_walk step 1
+    capability disease flu
+  }
+  agent Elder {
+    create fixed 20 random
+    attr frailty real = 0.25
+    capability disease flu
+  }
+  disease flu model SIR {
+    transmission proximity 1 + frailty * 10 probability 0.2
+    duration I deterministic 4
+    immunity duration deterministic 8
+  }
+  introduce flu deterministic 3 arbitrary periodic 20
+  output o every 1 to "o.csv" {
+    series infected count(Walker where flu is I) + count(Elder where flu is I)
+  }
+}
+"""
+
+# A literal radius on a 5 x 5 wrapped grid: the 13 cells within 2 of a cell
+# reach across both seams, and offsets 2 and -2 land on neighbouring cells.
+INLINE_WRAPPED_SEAM = """
+model inline_wrapped_seam {
+  environment grid width 5 height 5 wrap
+  agent Host {
+    create fixed 30 random
+    capability mobility random_walk step 1
+    capability disease cold
+  }
+  disease cold model SIR {
+    transmission proximity 2 probability 0.05
+    duration I deterministic 3
+    immunity duration deterministic 6
+  }
+  introduce cold deterministic 1 arbitrary periodic 12
+  output o every 1 to "o.csv" {
+    series infected count(Host where cold is I)
+  }
+}
+"""
+
+# Contact on a bounded grid: a rat is reached only from its own cell, by an
+# infectious rat or by one of two nests.
+INLINE_CONTACT = """
+model inline_contact {
+  environment grid width 8 height 8
+  agent Rat {
+    create fixed 50 random
+    capability mobility random_walk step 1
+    capability disease plague
+  }
+  entity Nest {
+    create fixed 2 at (0, 0) (7, 3)
+  }
+  disease plague model SEIR {
+    transmission contact probability 0.4 sources Nest
+    duration E deterministic 2
+    duration I probabilistic rate 0.25
+    immunity duration deterministic 9
+    mortality I rate 0.05 every_timeunit
+  }
+  introduce plague deterministic 2 arbitrary periodic 25
+  output o every 1 to "o.csv" {
+    series infected count(Rat where plague is I)
+  }
+}
+"""
+
+
 def corpus() -> list[tuple[str, object, Path]]:
     """(name, model, base directory) for every pinned stream."""
     models = [
@@ -392,7 +470,7 @@ def corpus() -> list[tuple[str, object, Path]]:
     models += [(f"generated_{seed}", random_text_model(seed), FIXTURES) for seed in GENERATED_SEEDS]
     for text in (
         INLINE_CARTESIAN, INLINE_GRAPH, INLINE_GRID_CUSTOM, INLINE_GRAPH_DISEASE, INLINE_POINTS, INLINE_DEAD_MACHINES,
-        INLINE_MACHINE_THEN_PLAN, INLINE_PLAN_EDGES,
+        INLINE_MACHINE_THEN_PLAN, INLINE_PLAN_EDGES, INLINE_CARTESIAN_COMPUTED, INLINE_WRAPPED_SEAM, INLINE_CONTACT,
     ):
         model = parse_model(text)
         models.append((model.name, model, FIXTURES))
