@@ -5,10 +5,14 @@ One run consumes a single seeded PRNG stream in a fixed schedule, so identical
 runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
-  2. ``_agent_phase``: each disease's sources indexed; then per agent of
-     ``World.actors``, mobility, the signal plan's phase count and generic
-     machines not in Dead (entering a new state at once), then the disease
-     step (transmission when susceptible, else mortality and progression)
+  2. ``_agent_phase``: each disease's sources indexed (on a grid or
+     cartesian space by exposure, each under every cell within reach, when
+     the model states the radius and no fewer agents are susceptible than
+     those cells; else by cell); then per agent of ``World.actors``,
+     mobility (a walking source refiled at once), the signal plan's phase
+     count and generic machines not in Dead (entering a new state at once),
+     then the disease step (transmission when susceptible, else mortality
+     and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals join their queue in ascending id
@@ -36,6 +40,7 @@ import operator
 import os
 import random
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -185,6 +190,7 @@ class ResolvedDisease:
     tick_rules: dict[str, list]  # per-tick mortality by compartment, each rule compiled by dz.compile_mortality
     transmission: dz.Transmission
     distance: Callable[[ex.Context], float | int] | None  # proximity only
+    radius: float | int | None  # what every scan reads when the model states it: 0 for contact, or a literal
 
 
 def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
@@ -193,10 +199,14 @@ def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
         if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
             tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule))
     path, t = f"disease:{spec.name}", spec.transmission  # validation requires a transmission
+    if t.interaction != dz.PROXIMITY:
+        radius = 0
+    else:  # a literal is a number (validation types it); one outside (0, inf) fails each scan instead
+        radius = t.distance.value if isinstance(t.distance, ex.Literal) and 0 < t.distance.value < math.inf else None
     return ResolvedDisease(
         spec, path, f"{path}.transmission", f"{path}.mortality", sm.compile_machine(dz.build_machine(spec)),
         dz.susceptible_compartment(spec), dz.infection_target(spec), frozenset(dz.infectious_states(spec)), tick_rules,
-        dz.compile_transmission(t), ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None,
+        dz.compile_transmission(t), ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None, radius,
     )
 
 
@@ -667,55 +677,127 @@ _BY_ID = operator.attrgetter("id")
 
 
 class SourceIndex:
-    """One disease's infection sources during phase 2, in ascending id order,
-    and on a grid or cartesian space also by cell (``cells`` is None on graphs),
-    which ``_near`` reads through the world's stencil."""
+    """One disease's infection sources during phase 2, in ascending id order
+    (``items``), which ``_near`` reads.  On a grid or cartesian space they
+    are also filed by cell, one way or the other:
 
-    def __init__(self, items: list[_Instance], by_cell: bool, on_grid: bool = False):
+    - ``exposure`` when ``reach`` (a prefix of the world's stencil offsets)
+      is given: each source under every cell those offsets take its own cell
+      to, modulo a wrapped grid, so a scan reads the one cell it stands in;
+    - ``cells`` otherwise: each source under its own cell, so a scan reads
+      the stencil's cells within its radius.
+
+    On a graph both are None."""
+
+    def __init__(self, items: list[_Instance], by_cell: bool, on_grid: bool = False,
+                 reach: list[tuple[int, int]] | None = None, wrap: tuple[int, int] | None = None):
         self.items = items
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
-        if by_cell:  # on a grid a position is its cell
+        self.exposure: dict[tuple[int, int], list[_Instance]] | None = None
+        self.reach, self.wrap = reach, wrap
+        if not by_cell:
+            return
+        if reach is not None:
+            self.exposure = exposure = defaultdict(list)
+            for item in items:
+                for cell in self._reached(item.position if on_grid else _cell_of(item.position)):
+                    exposure[cell].append(item)
+        else:  # on a grid a position is its cell
             self.cells = {}
             for item in items:
                 self.cells.setdefault(item.position if on_grid else _cell_of(item.position), []).append(item)
+
+    def _reached(self, cell: tuple[int, int]) -> list[tuple[int, int]]:
+        """The cells within ``reach`` of ``cell``, each once."""
+        cx, cy = cell
+        if self.wrap is None:
+            return [(cx + dx, cy + dy) for dx, dy in self.reach]
+        width, height = self.wrap
+        return [((cx + dx) % width, (cy + dy) % height) for dx, dy in self.reach]
+
+    def move(self, item: _Instance, old: tuple[int, int], new: tuple[int, int]) -> None:
+        """Refile ``item``, if it is a source here, from cell ``old`` to cell ``new``."""
+        if (exposure := self.exposure) is not None:
+            if item in exposure.get(old, ()):  # a source is within reach of its own cell
+                for cell in self._reached(old):
+                    exposure[cell].remove(item)
+                for cell in self._reached(new):
+                    exposure[cell].append(item)
+        elif item in (bucket := self.cells.get(old, ())):
+            bucket.remove(item)
+            self.cells.setdefault(new, []).append(item)
 
 
 def _index_sources(world: World) -> None:
     """Index, per disease, the agents in an infectious state and the entities
     of a declared source type.  States change only in phases 1 and 3, deaths
     come in phase 3 and entities never move, so the index stays exact through
-    phase 2 while walking sources are moved in it."""
+    phase 2 while walking sources are moved in it.
+
+    A disease whose radius the model states is indexed by exposure when the
+    stencil's prefix within it has at most as many cells as the disease has
+    susceptible agents, and the radius lies below the stencil's bound: filing
+    each source under those cells then costs no more than measuring every
+    source once per scan.  Otherwise it is indexed by cell."""
     world.sources = {}
+    by_cell = world.cell_span is not None
     for name, disease in world.diseases.items():
-        items = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
+        items, susceptible = [], 0
+        for agent in world.agents.values():
+            if (inst := agent.diseases.get(name)) is not None:
+                if inst.current in disease.infectious:
+                    items.append(agent)
+                if inst.current == disease.susceptible:
+                    susceptible += 1
         items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
         items.sort(key=_BY_ID)
-        world.sources[name] = SourceIndex(items, world.cell_span is not None, world.on_grid)
+        reach = None
+        if by_cell and disease.radius is not None and susceptible:
+            n = _prefix(world, disease.radius)
+            if n is not None and n <= susceptible:
+                reach = world.stencil[0][:n]
+        world.sources[name] = SourceIndex(items, by_cell, world.on_grid, reach, world.wrap)
 
 
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
     """The sources within Euclidean distance ``radius`` of ``position``
     (toroidal on wrapped grids), in ascending id order, without ``exclude``.
-    On a grid or cartesian space the stencil's cells within ``radius`` are
-    read (on a grid, measuring nothing) unless the stencil stops short of it
-    or there are fewer sources than those cells: then the list is measured."""
-    items, cells, distance = sources.items, sources.cells, world.distance
-    if cells is not None:
-        if world.stencil is None or radius >= world.stencil[2]:
-            _stencil(world, radius)
-        offsets, reaches, bound = world.stencil
-        if radius < bound and (n := bisect.bisect_right(reaches, radius)) <= len(items):
-            cx, cy = position if world.on_grid else _cell_of(position)
-            if world.wrap is None:
-                found = [item for dx, dy in offsets[:n] for item in cells.get((cx + dx, cy + dy), ())]
-            else:
-                width, height = world.wrap
-                found = [item for dx, dy in offsets[:n] for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
-            found.sort(key=_BY_ID)
-            if world.on_grid:
-                return [item for item in found if item is not exclude]
-            items = found
+    An index by exposure, built for this ``radius``, is read at the cell of
+    ``position`` alone; one by cell is read at the stencil's cells within
+    ``radius``, unless the stencil stops short of it or there are fewer
+    sources than those cells: then the list is measured.  On a grid a read
+    by cell measures nothing; in a cartesian space the sources found are
+    measured."""
+    items, distance = sources.items, world.distance
+    if (exposure := sources.exposure) is not None:
+        found = exposure.get(position if world.on_grid else _cell_of(position))
+        if not found:
+            return []
+        items = sorted(found, key=_BY_ID)
+        if world.on_grid:
+            return [item for item in items if item is not exclude]
+    elif (cells := sources.cells) is not None and (n := _prefix(world, radius)) is not None and n <= len(items):
+        cx, cy = position if world.on_grid else _cell_of(position)
+        offsets = world.stencil[0]
+        if world.wrap is None:
+            found = [item for dx, dy in offsets[:n] for item in cells.get((cx + dx, cy + dy), ())]
+        else:
+            width, height = world.wrap
+            found = [item for dx, dy in offsets[:n] for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
+        found.sort(key=_BY_ID)
+        if world.on_grid:
+            return [item for item in found if item is not exclude]
+        items = found
     return [item for item in items if item is not exclude and distance(position, item.position) <= radius]
+
+
+def _prefix(world: World, radius: float) -> int | None:
+    """How many of the stencil's offsets lie within ``radius``, growing the
+    stencil as it needs; None when the radius reaches its bound."""
+    if world.stencil is None or radius >= world.stencil[2]:
+        _stencil(world, radius)
+    _, reaches, bound = world.stencil
+    return bisect.bisect_right(reaches, radius) if radius < bound else None
 
 
 STENCIL_MAX_REACH = 63  # cells each way a stencil grows to; a radius beyond its bound measures the list
@@ -786,9 +868,7 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
                 old_cell, new_cell = _cell_of(old_cell), _cell_of(new_cell)
             if new_cell != old_cell:
                 for index in world.sources.values():  # a walking source changes cell
-                    if agent in (bucket := index.cells.get(old_cell, ())):
-                        bucket.remove(agent)
-                        index.cells.setdefault(new_cell, []).append(agent)
+                    index.move(agent, old_cell, new_cell)
         ctrl = agent.controller
         if ctrl is not None and ctrl.plan is not None:
             ctrl.ticks_in_cycle += 1

@@ -37,6 +37,10 @@ CAPABILITY_KINDS = (
 
 ATTRIBUTE_KINDS = ex.KINDS
 
+# The most instances one ``create fixed N`` may make: a larger N is rejected
+# by the validator rather than left to exhaust memory while the world is built.
+MAX_CREATION_COUNT = 1_000_000
+
 
 @dataclass
 class AttributeSpec:
@@ -459,8 +463,11 @@ def _check_environment(model: Model, add: _Collector) -> None:
 def _check_strategy_common(strategy: CreationalStrategy, add: _Collector, path: str) -> None:
     if isinstance(strategy, (GisPointsStrategy, OsmGraphStrategy)) and not strategy.path:
         add("error", path, "file path must not be empty")
-    if isinstance(strategy, FixedCountStrategy) and strategy.count < 0:
-        add("error", path, "creation count must be non-negative")
+    if isinstance(strategy, FixedCountStrategy):
+        if strategy.count < 0:
+            add("error", path, "creation count must be non-negative")
+        elif strategy.count > MAX_CREATION_COUNT:
+            add("error", path, f"creation count must be at most {MAX_CREATION_COUNT}")
 
 
 def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Collector, path: str, *, agent: bool) -> None:

@@ -416,6 +416,7 @@ class TestNeighbors:
         "bounded grid": "grid width 12 height 9",
         "cartesian": "cartesian -3..9 0..9",
         "5 x 12 wrapped grid": "grid width 5 height 12 wrap",  # at radius 3 one axis wraps whole
+        "3 x 3 wrapped grid": "grid width 3 height 3 wrap",  # at radius 2 each axis wraps whole
     }
     # Each radius on the lattice distance of a cell offset and the float just below it, and two wider ones.
     EDGE_RADII = [r for on in (1.0, 1.4142135623730951, 2.0, 2.23606797749979) for r in (on, math.nextafter(on, 0))] + [3, 40.5]
@@ -441,13 +442,18 @@ class TestNeighbors:
         else:
             spots = [(x, y) for x in range(world.topology.width) for y in range(world.topology.height)]
         cases += [(spot, radius, rng.choice(items)) for spot in spots for radius in self.EDGE_RADII]
+        exposed = {}  # per radius below the stencil's bound, the sources filed by exposure
         found = 0
         for position, radius, exclude in cases:
             expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
             assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
             assert [a.id for a in engine._near(world, listed, position, radius, exclude)] == expected
+            if radius not in exposed and (n := engine._prefix(world, radius)) is not None:
+                exposed[radius] = engine.SourceIndex(items, True, world.on_grid, world.stencil[0][:n], world.wrap)
+            if radius in exposed:
+                assert [a.id for a in engine._near(world, exposed[radius], position, radius, exclude)] == expected
             found += len(expected)
-        assert found > 0
+        assert found > 0 and len(exposed) > 5
 
     @staticmethod
     def stencil_world(tmp_path, environment, count):
@@ -512,8 +518,10 @@ class TestNeighbors:
 
 class TestSourceIndex:
     """During phase 2 each transmitting disease's index holds exactly its
-    sources, each once and in ascending id order, and on a grid or cartesian
-    space each in the cell of its current position; on a graph it is a list."""
+    sources, each once and in ascending id order.  On a grid or cartesian
+    space an index by cell files each in the cell of its current position,
+    and an index by exposure files each once in every cell within reach of
+    that cell and in no other; on a graph it is a list."""
 
     @staticmethod
     def sources(world, name):
@@ -521,6 +529,21 @@ class TestSourceIndex:
         agents = [a for a in world.agents.values() if name in a.diseases and a.diseases[name].current in disease.infectious]
         entities = [e for e in world.entities.values() if e.type_name in disease.spec.transmission.sources]
         return sorted(agents + entities, key=lambda item: item.id)
+
+    @staticmethod
+    def within_reach(world, position, radius):
+        """The cells that can hold a point within ``radius`` of a point in the
+        cell of ``position``: on a grid those at most ``radius`` from it
+        (toroidally, each once, on a wrapped grid); in a cartesian space those
+        whose nearest points are that close."""
+        cx, cy = engine._cell_of(position)
+        gap = 0 if world.on_grid else 1
+        span = range(-math.floor(radius) - gap, math.floor(radius) + gap + 1)
+        if world.wrap is not None:
+            width, height = world.wrap
+            cells = {((cx + dx) % width, (cy + dy) % height) for dx in span for dy in span}
+            return {cell for cell in cells if world.distance((cx, cy), cell) <= radius}
+        return {(cx + dx, cy + dy) for dx in span for dy in span if math.hypot(max(abs(dx) - gap, 0), max(abs(dy) - gap, 0)) <= radius}
 
     @classmethod
     def assert_indexed(cls, world):
@@ -530,7 +553,19 @@ class TestSourceIndex:
             assert len(index.items) == len(expected)
             assert all(got is item for got, item in zip(index.items, expected))
             if world.cell_span is None:
-                assert index.cells is None
+                assert index.cells is None and index.exposure is None
+                continue
+            if index.exposure is not None:
+                assert index.cells is None  # one filing per disease
+                filed = {}
+                for cell, bucket in index.exposure.items():
+                    for x in bucket:
+                        filed.setdefault(id(x), []).append(cell)
+                for item in expected:
+                    cells = filed.pop(id(item))
+                    assert len(cells) == len(set(cells))
+                    assert set(cells) == cls.within_reach(world, item.position, world.diseases[name].radius)
+                assert not filed
                 continue
             for item in expected:
                 assert [x for x in index.cells[engine._cell_of(item.position)] if x is item] == [item]
@@ -539,20 +574,21 @@ class TestSourceIndex:
     @classmethod
     def run_checked(cls, monkeypatch, world, ticks):
         """Tick ``world``, checking the index before every disease step;
-        returns the largest index seen."""
-        largest = 0
+        returns the largest index seen and the ways they were filed."""
+        largest, filings = 0, set()
         disease_step = engine._disease_step
 
         def checked_step(world, *args):
             nonlocal largest
             cls.assert_indexed(world)
             largest = max([largest, *(len(index.items) for index in world.sources.values())])
+            filings.update("exposure" if index.exposure is not None else "cells" for index in world.sources.values())
             return disease_step(world, *args)
 
         monkeypatch.setattr(engine, "_disease_step", checked_step)
         for _ in range(ticks):
             engine.tick(world)
-        return largest
+        return largest, filings
 
     def test_wrapped_grid(self, tmp_path, monkeypatch):
         model = grid_model(
@@ -565,7 +601,8 @@ class TestSourceIndex:
             width=7, height=5,
         )
         world = engine.build_world(model, cfg(tmp_path))
-        assert self.run_checked(monkeypatch, world, 8) > 25  # more sources than cells in reach
+        largest, filings = self.run_checked(monkeypatch, world, 8)
+        assert largest > 25 and filings == {"exposure", "cells"}  # more sources than cells in reach
 
     def test_cartesian_with_deaths(self, tmp_path, monkeypatch):
         model = parse_model(
@@ -578,47 +615,82 @@ class TestSourceIndex:
             "  introduce d deterministic 20 arbitrary aperiodic\n}\n"
         )
         world = engine.build_world(model, cfg(tmp_path))
-        assert self.run_checked(monkeypatch, world, 10) > 49  # more sources than cells in reach
+        largest, filings = self.run_checked(monkeypatch, world, 10)
+        assert largest > 49 and filings == {"exposure", "cells"}  # more sources than cells in reach
         assert world.dead["A"] > 0
 
     def test_graph_index_is_a_list(self, tmp_path, monkeypatch):
         world = engine.build_world(parse_model(INLINE_GRAPH_DISEASE), cfg(tmp_path))
-        assert self.run_checked(monkeypatch, world, 10) > 0
+        assert self.run_checked(monkeypatch, world, 10)[0] > 0
         assert world.dead
 
     # Per space: environment, interaction, the walking source's far and near
-    # positions, the susceptible agent's position, the stationary sources'
-    # position.  The far position lies outside the cells the susceptible
-    # agent's scan reads, and there are more sources than those cells, so the
-    # scan goes by cell and finds the walker only where it was moved to.
+    # positions, the susceptible hosts' position and number, the stationary
+    # sources' position, and how the index is filed.  The far position lies
+    # outside the cells within reach of the hosts.  Filed by cell, there are
+    # more sources than the cells a host's scan reads, so the scan goes by
+    # cell; filed by exposure, it reads the hosts' own cell.  Either way it
+    # finds the walker only where it was moved to.
     WALKS = {
-        "wrapped grid across the seam": ("grid width 10 height 10 wrap", "contact", (0, 2), (8, 2), (8, 2), (4, 7)),
-        "cartesian": ("cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), (8.5, 1.5)),
+        "wrapped grid across the seam": (
+            "grid width 10 height 10 wrap", "contact", (0, 2), (8, 2), (8, 2), 1, (4, 7), "exposure"),
+        "cartesian": ("cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 1, (8.5, 1.5), "cells"),
+        "wrapped grid by cell": ("grid width 10 height 10 wrap", "proximity 1", (0, 2), (9, 2), (8, 2), 1, (4, 7), "cells"),
+        "cartesian by exposure": (
+            "cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 9, (8.5, 1.5), "exposure"),
     }
 
     @pytest.mark.parametrize("space", list(WALKS))
     @pytest.mark.parametrize("into_reach", [True, False], ids=["into reach", "out of reach"])
     def test_source_walks_before_a_higher_id_scan(self, tmp_path, monkeypatch, space, into_reach):
-        env, interaction, far, near, at, rest = self.WALKS[space]
+        env, interaction, far, near, at, hosts, rest, filing = self.WALKS[space]
         start, end = (far, near) if into_reach else (near, far)
         model = parse_model(
             f"model t {{\n  environment {env}\n"
             f"  agent Walker {{\n    create fixed 1 at {start}\n    capability mobility random_walk step 1\n"
             "    capability disease d\n  }\n"
-            f"  agent Host {{\n    create fixed 1 at {at}\n    capability disease d\n  }}\n"
+            f"  agent Host {{\n    create fixed {hosts} at {at}\n    capability disease d\n  }}\n"
             f"  agent Still {{\n    create fixed 12 at {rest}\n    capability disease d\n  }}\n"
             f"  disease d model SIR {{\n    transmission {interaction} probability 1\n"
             "    duration I deterministic 100\n  }\n}\n"
         )
         world = engine.build_world(model, cfg(tmp_path))
-        walker, host, *still = world.agents.values()
+        (walker,), host, still = (world.by_type[name] for name in ("Walker", "Host", "Still"))
         for source in (walker, *still):
             sm.force_state(source.diseases["d"], "I")
         monkeypatch.setattr(engine, "mobility_step", lambda world, agent, step, rng: end)
         engine.tick(world)
-        assert walker.id < host.id and walker.position == end
-        assert len(world.sources["d"].items) > 9  # the scan reads 9 cells
-        assert host.diseases["d"].current == ("I" if into_reach else "S")
+        assert walker.id < host[0].id and walker.position == end
+        index = world.sources["d"]
+        assert len(index.items) > 9 and (index.cells is None) == (filing == "exposure")
+        assert [h.diseases["d"].current for h in host] == ["I" if into_reach else "S"] * hosts
+
+    # Per case: environment, transmission, agents (one of them a source, the
+    # rest susceptible), and whether the sources are filed by exposure.
+    SELECTION = {
+        # 13 cells lie within 2 of a grid cell: 13 susceptible agents are enough, 12 are not.
+        "literal radius": ("grid width 10 height 10 wrap", "proximity 2", 14, True),
+        "literal radius, prefix beyond the susceptibles": ("grid width 10 height 10 wrap", "proximity 2", 13, False),
+        "contact": ("grid width 10 height 10", "contact", 2, True),
+        "computed radius": ("grid width 10 height 10 wrap", "proximity 1 + r", 40, False),
+        # A grid wider than the stencil's 127 cells bounds it at 64.
+        "radius at the stencil's bound": ("grid width 300 height 300 wrap", "proximity 64", 40, False),
+    }
+
+    @pytest.mark.parametrize("case", list(SELECTION))
+    def test_exposure_is_chosen_from_the_model_and_its_susceptibles(self, tmp_path, case):
+        environment, transmission, count, exposure = self.SELECTION[case]
+        model = parse_model(
+            f"model t {{\n  environment {environment}\n"
+            f"  agent A {{\n    create fixed {count} random\n    attr r real = 1\n    capability disease d\n  }}\n"
+            f"  disease d model SIR {{\n    transmission {transmission} probability 0\n"
+            "    duration I deterministic 50\n  }\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        sm.force_state(next(iter(world.agents.values())).diseases["d"], "I")
+        engine.tick(world)
+        index = world.sources["d"]
+        assert (index.exposure is not None, index.cells is None) == (exposure, exposure)
 
     def test_a_source_that_dies_is_absent_from_the_next_index(self, tmp_path):
         model = grid_model(
@@ -636,7 +708,8 @@ class TestSourceIndex:
         engine.tick(world)
         index = world.sources["d"]
         assert [item.id for item in index.items] == sorted(world.entities)
-        assert not [x for bucket in index.cells.values() for x in bucket if any(x is item for item in dead)]
+        filed = index.cells if index.exposure is None else index.exposure
+        assert not [x for bucket in filed.values() for x in bucket if any(x is item for item in dead)]
 
     def test_a_susceptible_source_does_not_infect_itself(self, tmp_path):
         # The susceptible compartment may be declared infectious: the scanning
@@ -668,7 +741,8 @@ class TestSourceIndex:
         sm.force_state(c.diseases["e"], "E")  # infected, not infectious
         engine.tick(world)
         assert world.sources["d"].items == [a] and world.sources["d"].cells == {(1, 1): [a]}
-        assert world.sources["e"].items == [b] and world.sources["e"].cells == {(2, 2): [b]}
+        # e has 2 susceptible agents, and contact on a grid reaches 1 cell, so its sources are filed by exposure.
+        assert world.sources["e"].items == [b] and world.sources["e"].exposure == {(2, 2): [b]}
 
 
 class TestDiseaseMoves:

@@ -609,3 +609,17 @@ def _disease(kind: str, clauses: str, extra: str = "") -> str:
 def test_text_reachable_diagnostic(text, expected):
     """Mistakes a modeller can write in ``.abms`` text, each reported at its path."""
     assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
+
+
+@pytest.mark.parametrize("decl, path", [("agent A", "agent:A"), ("entity W", "entity:W")])
+def test_a_creation_count_above_the_bound_fails_validation(decl, path):
+    """A model that validates must build: ``create fixed N`` with N above
+    1,000,000 is rejected at its type, where it used to validate and then
+    exhaust memory while the world was built."""
+    for count, expected in (
+        (1_000_000, []),
+        (1_000_001, [(path, "creation count must be at most 1000000")]),
+        (100_000_000_000, [(path, "creation count must be at most 1000000")]),
+    ):
+        text = _model(GRID, f"  {decl} {{ create fixed {count} random }}\n")
+        assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
