@@ -543,7 +543,8 @@ class TestSourceIndex:
             width, height = world.wrap
             cells = {((cx + dx) % width, (cy + dy) % height) for dx in span for dy in span}
             return {cell for cell in cells if world.distance((cx, cy), cell) <= radius}
-        return {(cx + dx, cy + dy) for dx in span for dy in span if math.hypot(max(abs(dx) - gap, 0), max(abs(dy) - gap, 0)) <= radius}
+        nearest = {(dx, dy): math.hypot(max(abs(dx) - gap, 0), max(abs(dy) - gap, 0)) for dx in span for dy in span}
+        return {(cx + dx, cy + dy) for (dx, dy), reach in nearest.items() if reach <= radius}
 
     @classmethod
     def assert_indexed(cls, world):
