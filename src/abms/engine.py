@@ -7,8 +7,8 @@ runs six phase functions:
   1. ``_introduction_phase``: periodic disease introductions
   2. ``_agent_phase``: each disease's sources indexed (on a grid or
      cartesian space by exposure, each under every cell within reach, when
-     the model states the radius and no fewer agents are susceptible than
-     those cells; else by cell); then per agent of ``World.actors``,
+     the model states the radius and the filing costs no more than the
+     scans it spares; else by cell); then per agent of ``World.actors``,
      mobility (a walking source refiled at once), the signal plan's phase
      count and generic machines not in Dead (entering a new state at once),
      then the disease step (transmission when susceptible, else mortality
@@ -676,87 +676,85 @@ def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Rando
 _BY_ID = operator.attrgetter("id")
 
 
+BY_CELL = [(0, 0)]  # the reach of an index by cell: each source under its own cell
+
+
 class SourceIndex:
     """One disease's infection sources during phase 2, in ascending id order
-    (``items``), which ``_near`` reads.  On a grid or cartesian space they
-    are also filed by cell, one way or the other:
+    (``items``), which ``_near`` reads.  Unless ``reach`` is None (as on a
+    graph), ``cells`` also files each source under every cell the offsets of
+    ``reach`` take its own cell to, modulo a wrapped grid:
 
-    - ``exposure`` when ``reach`` (a prefix of the world's stencil offsets)
-      is given: each source under every cell those offsets take its own cell
-      to, modulo a wrapped grid, so a scan reads the one cell it stands in;
-    - ``cells`` otherwise: each source under its own cell, so a scan reads
-      the stencil's cells within its radius.
+    - by cell, when ``reach`` is ``BY_CELL``: each source under its own cell,
+      so a scan reads the stencil's cells within its radius;
+    - by exposure, when ``reach`` is the stencil's prefix within the radius
+      the model states: a scan reads the one cell it stands in."""
 
-    On a graph both are None."""
-
-    def __init__(self, items: list[_Instance], by_cell: bool, on_grid: bool = False,
-                 reach: list[tuple[int, int]] | None = None, wrap: tuple[int, int] | None = None):
-        self.items = items
+    def __init__(self, world: World, items: list[_Instance], reach: list[tuple[int, int]] | None):
+        self.items, self.reach, self.wrap = items, reach, world.wrap
+        self.exposed = reach is not None and reach is not BY_CELL
+        self.members = set(items)  # the instances ``move`` refiles
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
-        self.exposure: dict[tuple[int, int], list[_Instance]] | None = None
-        self.reach, self.wrap = reach, wrap
-        if not by_cell:
+        if reach is None:
             return
-        if reach is not None:
-            self.exposure = exposure = defaultdict(list)
-            for item in items:
-                for cell in self._reached(item.position if on_grid else _cell_of(item.position)):
-                    exposure[cell].append(item)
-        else:  # on a grid a position is its cell
-            self.cells = {}
-            for item in items:
-                self.cells.setdefault(item.position if on_grid else _cell_of(item.position), []).append(item)
+        self.cells = cells = defaultdict(list)
+        for item in items:  # on a grid a position is its cell
+            for cell in self.reached(item.position if world.on_grid else _cell_of(item.position), reach):
+                cells[cell].append(item)
 
-    def _reached(self, cell: tuple[int, int]) -> list[tuple[int, int]]:
-        """The cells within ``reach`` of ``cell``, each once."""
+    def reached(self, cell: tuple[int, int], offsets: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The cells ``offsets`` take ``cell`` to, each once."""
         cx, cy = cell
         if self.wrap is None:
-            return [(cx + dx, cy + dy) for dx, dy in self.reach]
+            return [(cx + dx, cy + dy) for dx, dy in offsets]
         width, height = self.wrap
-        return [((cx + dx) % width, (cy + dy) % height) for dx, dy in self.reach]
+        return [((cx + dx) % width, (cy + dy) % height) for dx, dy in offsets]
 
     def move(self, item: _Instance, old: tuple[int, int], new: tuple[int, int]) -> None:
         """Refile ``item``, if it is a source here, from cell ``old`` to cell ``new``."""
-        if (exposure := self.exposure) is not None:
-            if item in exposure.get(old, ()):  # a source is within reach of its own cell
-                for cell in self._reached(old):
-                    exposure[cell].remove(item)
-                for cell in self._reached(new):
-                    exposure[cell].append(item)
-        elif item in (bucket := self.cells.get(old, ())):
-            bucket.remove(item)
-            self.cells.setdefault(new, []).append(item)
+        if item in self.members:
+            cells = self.cells
+            for cell in self.reached(old, self.reach):
+                cells[cell].remove(item)
+            for cell in self.reached(new, self.reach):
+                cells[cell].append(item)
 
 
 def _index_sources(world: World) -> None:
     """Index, per disease, the agents in an infectious state and the entities
     of a declared source type.  States change only in phases 1 and 3, deaths
     come in phase 3 and entities never move, so the index stays exact through
-    phase 2 while walking sources are moved in it.
-
-    A disease whose radius the model states is indexed by exposure when the
-    stencil's prefix within it has at most as many cells as the disease has
-    susceptible agents, and the radius lies below the stencil's bound: filing
-    each source under those cells then costs no more than measuring every
-    source once per scan.  Otherwise it is indexed by cell."""
+    phase 2 while walking sources are moved in it."""
     world.sources = {}
-    by_cell = world.cell_span is not None
     for name, disease in world.diseases.items():
-        items, susceptible = [], 0
+        items, walking, susceptible = [], 0, 0
         for agent in world.agents.values():
             if (inst := agent.diseases.get(name)) is not None:
                 if inst.current in disease.infectious:
                     items.append(agent)
+                    walking += agent.type_name in world.walk_steps
                 if inst.current == disease.susceptible:
                     susceptible += 1
         items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
         items.sort(key=_BY_ID)
-        reach = None
-        if by_cell and disease.radius is not None and susceptible:
-            n = _prefix(world, disease.radius)
-            if n is not None and n <= susceptible:
-                reach = world.stencil[0][:n]
-        world.sources[name] = SourceIndex(items, by_cell, world.on_grid, reach, world.wrap)
+        world.sources[name] = SourceIndex(world, items, _reach(world, disease, len(items), walking, susceptible))
+
+
+def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, susceptible: int) -> list[tuple[int, int]] | None:
+    """The offsets a disease's sources are filed under this tick: None on a
+    graph; by exposure the stencil's prefix within the radius the model
+    states, when that radius lies below the stencil's bound and filing each
+    source under the prefix's n cells, and moving each walking source out of
+    n cells and into n more, makes no more list operations than the scans it
+    spares would: a cell read each (n <= sources) or a distance each
+    (n > sources) per susceptible agent; else ``BY_CELL``."""
+    if world.cell_span is None:
+        return None
+    if disease.radius is None or (n := _prefix(world, disease.radius)) is None:
+        return BY_CELL
+    if (sources + 2 * walking) * n > susceptible * min(n, sources):
+        return BY_CELL
+    return world.stencil[0][:n]
 
 
 def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
@@ -766,28 +764,21 @@ def _near(world: World, sources: SourceIndex, position, radius: float, exclude: 
     ``position`` alone; one by cell is read at the stencil's cells within
     ``radius``, unless the stencil stops short of it or there are fewer
     sources than those cells: then the list is measured.  On a grid a read
-    by cell measures nothing; in a cartesian space the sources found are
+    of cells measures nothing; in a cartesian space the sources found are
     measured."""
     items, distance = sources.items, world.distance
-    if (exposure := sources.exposure) is not None:
-        found = exposure.get(position if world.on_grid else _cell_of(position))
-        if not found:
-            return []
-        items = sorted(found, key=_BY_ID)
-        if world.on_grid:
-            return [item for item in items if item is not exclude]
-    elif (cells := sources.cells) is not None and (n := _prefix(world, radius)) is not None and n <= len(items):
-        cx, cy = position if world.on_grid else _cell_of(position)
-        offsets = world.stencil[0]
-        if world.wrap is None:
-            found = [item for dx, dy in offsets[:n] for item in cells.get((cx + dx, cy + dy), ())]
+    if (cells := sources.cells) is not None:
+        cell = position if world.on_grid else _cell_of(position)
+        if sources.exposed:
+            found = cells.get(cell, ())
+        elif (n := _prefix(world, radius)) is not None and n <= len(items):
+            found = [item for near in sources.reached(cell, world.stencil[0][:n]) for item in cells.get(near, ())]
         else:
-            width, height = world.wrap
-            found = [item for dx, dy in offsets[:n] for item in cells.get(((cx + dx) % width, (cy + dy) % height), ())]
-        found.sort(key=_BY_ID)
-        if world.on_grid:
-            return [item for item in found if item is not exclude]
-        items = found
+            found = None  # the list is measured
+        if found is not None:
+            items = sorted(found, key=_BY_ID)
+            if world.on_grid:
+                return [item for item in items if item is not exclude]
     return [item for item in items if item is not exclude and distance(position, item.position) <= radius]
 
 

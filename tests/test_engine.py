@@ -380,7 +380,7 @@ class TestNeighbors:
 
     @staticmethod
     def near(world, position, radius, exclude_id):
-        sources = engine.SourceIndex(list(world.agents.values()), True)
+        sources = engine.SourceIndex(world, list(world.agents.values()), engine.BY_CELL)
         return [item.id for item in engine._near(world, sources, position, radius, world.agents[exclude_id])]
 
     def test_torus_wraps_distance(self, tmp_path):
@@ -427,7 +427,7 @@ class TestNeighbors:
         model = parse_model(f"model t {{\n  environment {self.SPACES[space]}\n  agent A {{ create fixed {count} random }}\n}}\n")
         world = engine.build_world(model, cfg(tmp_path))
         items = list(world.agents.values())
-        by_cell, listed = engine.SourceIndex(items, True), engine.SourceIndex(items, False)
+        by_cell, listed = engine.SourceIndex(world, items, engine.BY_CELL), engine.SourceIndex(world, items, None)
         rng = random.Random(count)
         cases = []
         for _ in range(300):
@@ -449,7 +449,7 @@ class TestNeighbors:
             assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
             assert [a.id for a in engine._near(world, listed, position, radius, exclude)] == expected
             if radius not in exposed and (n := engine._prefix(world, radius)) is not None:
-                exposed[radius] = engine.SourceIndex(items, True, world.on_grid, world.stencil[0][:n], world.wrap)
+                exposed[radius] = engine.SourceIndex(world, items, world.stencil[0][:n])
             if radius in exposed:
                 assert [a.id for a in engine._near(world, exposed[radius], position, radius, exclude)] == expected
             found += len(expected)
@@ -491,7 +491,7 @@ class TestNeighbors:
             span = range(-reach - 20, reach + 21)
             near = {(dx % 300, dy % 300) for dx in span for dy in span if world.distance((0, 0), (dx, dy)) < bound}
             assert {offset for offset, r in zip(offsets, reaches) if r < bound} == near
-        by_cell = engine.SourceIndex(items, True)
+        by_cell = engine.SourceIndex(world, items, engine.BY_CELL)
         for radius in (bound, 100):  # beyond the stencil: the list is measured, and the stencil is kept
             expected = [a.id for a in items if world.distance((7, 7), a.position) <= radius]
             assert [a.id for a in engine._near(world, by_cell, (7, 7), radius, None)] == expected
@@ -500,7 +500,7 @@ class TestNeighbors:
     @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
     def test_stencil_scan_on_a_grid_measures_nothing(self, tmp_path, environment):
         world, items = self.stencil_world(tmp_path, environment, 300)
-        by_cell = engine.SourceIndex(items, True)
+        by_cell = engine.SourceIndex(world, items, engine.BY_CELL)
         engine._stencil(world, 2.5)  # built by measuring offsets
         measure = world.distance
         calls = 0
@@ -554,23 +554,20 @@ class TestSourceIndex:
             assert len(index.items) == len(expected)
             assert all(got is item for got, item in zip(index.items, expected))
             if world.cell_span is None:
-                assert index.cells is None and index.exposure is None
+                assert index.cells is None
                 continue
-            if index.exposure is not None:
-                assert index.cells is None  # one filing per disease
-                filed = {}
-                for cell, bucket in index.exposure.items():
-                    for x in bucket:
-                        filed.setdefault(id(x), []).append(cell)
-                for item in expected:
-                    cells = filed.pop(id(item))
+            filed = {}
+            for cell, bucket in index.cells.items():
+                for x in bucket:
+                    filed.setdefault(id(x), []).append(cell)
+            for item in expected:
+                cells = filed.pop(id(item))
+                if index.exposed:
                     assert len(cells) == len(set(cells))
                     assert set(cells) == cls.within_reach(world, item.position, world.diseases[name].radius)
-                assert not filed
-                continue
-            for item in expected:
-                assert [x for x in index.cells[engine._cell_of(item.position)] if x is item] == [item]
-            assert sum(len(bucket) for bucket in index.cells.values()) == len(expected)
+                else:
+                    assert cells == [engine._cell_of(item.position)]
+            assert not filed
 
     @classmethod
     def run_checked(cls, monkeypatch, world, ticks):
@@ -583,7 +580,7 @@ class TestSourceIndex:
             nonlocal largest
             cls.assert_indexed(world)
             largest = max([largest, *(len(index.items) for index in world.sources.values())])
-            filings.update("exposure" if index.exposure is not None else "cells" for index in world.sources.values())
+            filings.update("exposure" if index.exposed else "by cell" for index in world.sources.values())
             return disease_step(world, *args)
 
         monkeypatch.setattr(engine, "_disease_step", checked_step)
@@ -603,7 +600,7 @@ class TestSourceIndex:
         )
         world = engine.build_world(model, cfg(tmp_path))
         largest, filings = self.run_checked(monkeypatch, world, 8)
-        assert largest > 25 and filings == {"exposure", "cells"}  # more sources than cells in reach
+        assert largest > 25 and filings == {"exposure", "by cell"}  # more sources than cells in reach
 
     def test_cartesian_with_deaths(self, tmp_path, monkeypatch):
         model = parse_model(
@@ -613,11 +610,11 @@ class TestSourceIndex:
             "  entity W {\n    create fixed 2 at (0, -3) (11.5, 8.5)\n  }\n"
             "  disease d model SIR {\n    transmission proximity 2 probability 0.6 sources W\n"
             "    duration I deterministic 20\n    mortality I rate 0.3 every_timeunit\n  }\n"
-            "  introduce d deterministic 20 arbitrary aperiodic\n}\n"
+            "  introduce d deterministic 10 arbitrary aperiodic\n}\n"
         )
         world = engine.build_world(model, cfg(tmp_path))
         largest, filings = self.run_checked(monkeypatch, world, 10)
-        assert largest > 49 and filings == {"exposure", "cells"}  # more sources than cells in reach
+        assert largest > 49 and filings == {"exposure", "by cell"}  # more sources than cells in reach
         assert world.dead["A"] > 0
 
     def test_graph_index_is_a_list(self, tmp_path, monkeypatch):
@@ -630,15 +627,16 @@ class TestSourceIndex:
     # sources' position, and how the index is filed.  The far position lies
     # outside the cells within reach of the hosts.  Filed by cell, there are
     # more sources than the cells a host's scan reads, so the scan goes by
-    # cell; filed by exposure, it reads the hosts' own cell.  Either way it
+    # cell; filed by exposure, it reads the hosts' own cell, and the 15 hosts
+    # outweigh the 13 sources plus the walker's refile.  Either way the scan
     # finds the walker only where it was moved to.
     WALKS = {
         "wrapped grid across the seam": (
-            "grid width 10 height 10 wrap", "contact", (0, 2), (8, 2), (8, 2), 1, (4, 7), "exposure"),
-        "cartesian": ("cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 1, (8.5, 1.5), "cells"),
-        "wrapped grid by cell": ("grid width 10 height 10 wrap", "proximity 1", (0, 2), (9, 2), (8, 2), 1, (4, 7), "cells"),
+            "grid width 10 height 10 wrap", "contact", (0, 2), (8, 2), (8, 2), 15, (4, 7), "exposure"),
+        "cartesian": ("cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 1, (8.5, 1.5), "by cell"),
+        "wrapped grid by cell": ("grid width 10 height 10 wrap", "proximity 1", (0, 2), (9, 2), (8, 2), 1, (4, 7), "by cell"),
         "cartesian by exposure": (
-            "cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 9, (8.5, 1.5), "exposure"),
+            "cartesian 0..10 0..10", "proximity 0.5", (2.2, 5.5), (5.6, 5.5), (5.5, 5.5), 15, (8.5, 1.5), "exposure"),
     }
 
     @pytest.mark.parametrize("space", list(WALKS))
@@ -663,35 +661,46 @@ class TestSourceIndex:
         engine.tick(world)
         assert walker.id < host[0].id and walker.position == end
         index = world.sources["d"]
-        assert len(index.items) > 9 and (index.cells is None) == (filing == "exposure")
+        assert len(index.items) > 9 and index.exposed == (filing == "exposure")
         assert [h.diseases["d"].current for h in host] == ["I" if into_reach else "S"] * hosts
 
-    # Per case: environment, transmission, agents (one of them a source, the
-    # rest susceptible), and whether the sources are filed by exposure.
+    # Per case: environment, transmission, agents, how many of them are
+    # sources (the rest susceptible), whether they walk, and whether the
+    # sources are filed by exposure: when the radius is a literal below the
+    # stencil's bound and (sources + 2 * walking sources) * n is at most
+    # susceptible * min(n, sources), for the n cells within the radius.
     SELECTION = {
         # 13 cells lie within 2 of a grid cell: 13 susceptible agents are enough, 12 are not.
-        "literal radius": ("grid width 10 height 10 wrap", "proximity 2", 14, True),
-        "literal radius, prefix beyond the susceptibles": ("grid width 10 height 10 wrap", "proximity 2", 13, False),
-        "contact": ("grid width 10 height 10", "contact", 2, True),
-        "computed radius": ("grid width 10 height 10 wrap", "proximity 1 + r", 40, False),
+        "literal radius": ("grid width 10 height 10 wrap", "proximity 2", 14, 1, False, True),
+        "literal radius, prefix beyond the susceptibles": ("grid width 10 height 10 wrap", "proximity 2", 13, 1, False, False),
+        # 5 cells lie within 1: as many sources as susceptible agents are enough, one more is not.
+        "as many sources as susceptibles": ("grid width 10 height 10 wrap", "proximity 1", 40, 20, False, True),
+        "sources beyond the susceptibles": ("grid width 10 height 10 wrap", "proximity 1", 40, 21, False, False),
+        # 10 walking sources weigh 30: 30 susceptible agents are enough, 29 are not.
+        "walking sources": ("grid width 10 height 10 wrap", "proximity 1", 40, 10, True, True),
+        "walking sources beyond the susceptibles": ("grid width 10 height 10 wrap", "proximity 1", 39, 10, True, False),
+        "contact": ("grid width 10 height 10", "contact", 2, 1, False, True),
+        "computed radius": ("grid width 10 height 10 wrap", "proximity 1 + r", 40, 1, False, False),
         # A grid wider than the stencil's 127 cells bounds it at 64.
-        "radius at the stencil's bound": ("grid width 300 height 300 wrap", "proximity 64", 40, False),
+        "radius at the stencil's bound": ("grid width 300 height 300 wrap", "proximity 64", 40, 1, False, False),
     }
 
     @pytest.mark.parametrize("case", list(SELECTION))
-    def test_exposure_is_chosen_from_the_model_and_its_susceptibles(self, tmp_path, case):
-        environment, transmission, count, exposure = self.SELECTION[case]
+    def test_exposure_is_chosen_from_the_model_and_its_census(self, tmp_path, case):
+        environment, transmission, count, sources, walking, exposure = self.SELECTION[case]
+        walk = "    capability mobility random_walk step 1\n" if walking else ""
         model = parse_model(
             f"model t {{\n  environment {environment}\n"
-            f"  agent A {{\n    create fixed {count} random\n    attr r real = 1\n    capability disease d\n  }}\n"
+            f"  agent A {{\n    create fixed {count} random\n    attr r real = 1\n{walk}    capability disease d\n  }}\n"
             f"  disease d model SIR {{\n    transmission {transmission} probability 0\n"
             "    duration I deterministic 50\n  }\n}\n"
         )
         world = engine.build_world(model, cfg(tmp_path))
-        sm.force_state(next(iter(world.agents.values())).diseases["d"], "I")
+        for agent in list(world.agents.values())[:sources]:
+            sm.force_state(agent.diseases["d"], "I")
         engine.tick(world)
         index = world.sources["d"]
-        assert (index.exposure is not None, index.cells is None) == (exposure, exposure)
+        assert len(index.items) == sources and index.exposed == exposure
 
     def test_a_source_that_dies_is_absent_from_the_next_index(self, tmp_path):
         model = grid_model(
@@ -709,8 +718,7 @@ class TestSourceIndex:
         engine.tick(world)
         index = world.sources["d"]
         assert [item.id for item in index.items] == sorted(world.entities)
-        filed = index.cells if index.exposure is None else index.exposure
-        assert not [x for bucket in filed.values() for x in bucket if any(x is item for item in dead)]
+        assert not [x for bucket in index.cells.values() for x in bucket if any(x is item for item in dead)]
 
     def test_a_susceptible_source_does_not_infect_itself(self, tmp_path):
         # The susceptible compartment may be declared infectious: the scanning
@@ -741,9 +749,11 @@ class TestSourceIndex:
         sm.force_state(b.diseases["e"], "I")
         sm.force_state(c.diseases["e"], "E")  # infected, not infectious
         engine.tick(world)
-        assert world.sources["d"].items == [a] and world.sources["d"].cells == {(1, 1): [a]}
+        d, e = world.sources["d"], world.sources["e"]
+        # d has 1 source and 3 susceptible agents, fewer than the 13 cells within 2, so it is filed by cell.
+        assert d.items == [a] and not d.exposed and d.cells == {(1, 1): [a]}
         # e has 2 susceptible agents, and contact on a grid reaches 1 cell, so its sources are filed by exposure.
-        assert world.sources["e"].items == [b] and world.sources["e"].exposure == {(2, 2): [b]}
+        assert e.items == [b] and e.exposed and e.cells == {(2, 2): [b]}
 
 
 class TestDiseaseMoves:
