@@ -37,8 +37,9 @@ CAPABILITY_KINDS = (
 
 ATTRIBUTE_KINDS = ex.KINDS
 
-# The most instances one ``create fixed N`` may make: a larger N is rejected
-# by the validator rather than left to exhaust memory while the world is built.
+# The most instances a model's ``create fixed N`` strategies may make between
+# them: a larger total is rejected by the validator rather than left to
+# exhaust memory while the world is built.
 MAX_CREATION_COUNT = 1_000_000
 
 
@@ -390,6 +391,7 @@ def validate(model: Model) -> ValidationReport:
         _check_agent(model, agent, envs, add)
         for machine in model.machines_of(agent):
             users.setdefault(machine.name, []).append(agent.name)
+    _check_creation_total(model, add)
     for machine in model.machines:
         _check_machine(machine, users.get(machine.name, []), envs, add)
     for plan in model.plans:
@@ -466,8 +468,19 @@ def _check_strategy_common(strategy: CreationalStrategy, add: _Collector, path: 
     if isinstance(strategy, FixedCountStrategy):
         if strategy.count < 0:
             add("error", path, "creation count must be non-negative")
-        elif strategy.count > MAX_CREATION_COUNT:
-            add("error", path, f"creation count must be at most {MAX_CREATION_COUNT}")
+
+
+def _check_creation_total(model: Model, add: _Collector) -> None:
+    """Report the first type, in creation order, whose ``create fixed N``
+    takes the model's total past MAX_CREATION_COUNT."""
+    total = 0
+    for spec in creation_order(model):
+        if isinstance(spec.creation, FixedCountStrategy) and spec.creation.count > 0:
+            total += spec.creation.count
+            if total > MAX_CREATION_COUNT:
+                kind = "agent" if isinstance(spec, AgentTypeSpec) else "entity"
+                add("error", f"{kind}:{spec.name}", f"fixed creation counts must total at most {MAX_CREATION_COUNT}")
+                return
 
 
 def _check_creation(model: Model, strategy: CreationalStrategy, envs, add: _Collector, path: str, *, agent: bool) -> None:

@@ -618,8 +618,26 @@ def test_a_creation_count_above_the_bound_fails_validation(decl, path):
     exhaust memory while the world was built."""
     for count, expected in (
         (1_000_000, []),
-        (1_000_001, [(path, "creation count must be at most 1000000")]),
-        (100_000_000_000, [(path, "creation count must be at most 1000000")]),
+        (1_000_001, [(path, "fixed creation counts must total at most 1000000")]),
+        (100_000_000_000, [(path, "fixed creation counts must total at most 1000000")]),
     ):
         text = _model(GRID, f"  {decl} {{ create fixed {count} random }}\n")
         assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
+
+
+@pytest.mark.parametrize(
+    "counts, expected",
+    [
+        ((400_000, 400_000, 200_000), []),
+        ((400_000, 400_000, 200_001), [("agent:B", "fixed creation counts must total at most 1000000")]),
+        ((400_000, 400_000, 300_000, 5), [("agent:B", "fixed creation counts must total at most 1000000")]),
+    ],
+    ids=["at the bound", "past it", "reported once"],
+)
+def test_creation_counts_are_bounded_in_total(counts, expected):
+    """Types that each stay within the bound may not exceed it between them:
+    the first type, in creation order, whose count takes the total past it
+    is reported, and no later one."""
+    names = ("agent A", "entity W", "agent B", "agent C")
+    text = _model(GRID, "".join(f"  {name} {{ create fixed {count} random }}\n" for name, count in zip(names, counts)))
+    assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
