@@ -1171,6 +1171,30 @@ NON_FINITE_CASES = {
         ),
         r"^tick 1: disease:d\.mortality: '>' operand nan is not finite$",
     ),
+    "nan entity attribute default": (
+        f"model t {{\n  {GRID}\n  entity W {{\n    create fixed 1 random\n    attr w real = {NAN}\n  }}\n}}\n",
+        r"^tick 0: entity:W\.attr:w: value nan is not finite$",
+    ),
+    "nan in a boolean attribute default": (
+        f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 1 random\n    attr b boolean = ({NAN}) > 0.5\n  }}\n}}\n",
+        r"^tick 0: agent:A\.attr:b: '>' operand nan is not finite$",
+    ),
+    "nan computed vehicle step": (
+        "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
+        f"  agent Car {{\n    create fixed 2 random\n    capability mobility random_walk step {NAN}\n  }}\n}}\n",
+        r"^tick 0: agent:Car: mobility step: value nan is not finite$",
+    ),
+    "nan immunity rate": (
+        disease_model(
+            "transmission contact probability 0.5\n    duration I deterministic 1\n"
+            f"    immunity duration probabilistic rate {NAN}"
+        ),
+        r"^tick 2: disease:d: rate nan outside \[0, 1\]$",
+    ),
+    "nan rate in a composite trigger": (
+        machine_model(f"custom any_of(deterministic 5, probabilistic rate {NAN})"),
+        r"^tick 1: machine:m: rate nan outside \[0, 1\]$",
+    ),
 }
 
 
