@@ -28,7 +28,9 @@ Reordering these phases is a breaking change for reproducibility.
 
 Agents, entities and the world are themselves the contexts expressions are
 evaluated in (they implement the ``expr.Context`` hooks).  Every expression is
-compiled once, when the world is built; a tick only calls the closures.
+compiled once, when the world is built, with the model path of its site; a
+tick only calls the closures, and ``_reported`` turns a failure into
+``tick N: path: message``.
 """
 
 from __future__ import annotations
@@ -180,9 +182,6 @@ class ResolvedDisease:
     """What the tick needs of one disease model, resolved and compiled once per run."""
 
     spec: dz.DiseaseModelSpec
-    path: str  # model paths for run-time errors
-    transmission_path: str
-    mortality_path: str
     machine: sm.Machine
     susceptible: str
     target: str  # compartment entered on infection
@@ -194,19 +193,19 @@ class ResolvedDisease:
 
 
 def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
+    path, t = f"disease:{spec.name}", spec.transmission  # validation requires a transmission
     tick_rules: dict[str, list] = {}
     for rule in spec.mortality:
         if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
-            tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule))
-    path, t = f"disease:{spec.name}", spec.transmission  # validation requires a transmission
+            tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule, f"{path}.mortality"))
     if t.interaction != dz.PROXIMITY:
         radius = 0
     else:  # a literal is a number (validation types it); one outside (0, inf) fails each scan instead
         radius = t.distance.value if isinstance(t.distance, ex.Literal) and 0 < t.distance.value < math.inf else None
+    distance = ex.compile_number(t.distance, path=f"{path}.transmission") if t.interaction == dz.PROXIMITY else None
     return ResolvedDisease(
-        spec, path, f"{path}.transmission", f"{path}.mortality", sm.compile_machine(dz.build_machine(spec)),
-        dz.susceptible_compartment(spec), dz.infection_target(spec), frozenset(dz.infectious_states(spec)), tick_rules,
-        dz.compile_transmission(t), ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None, radius,
+        spec, sm.compile_machine(dz.build_machine(spec), path), dz.susceptible_compartment(spec), dz.infection_target(spec),
+        frozenset(dz.infectious_states(spec)), tick_rules, dz.compile_transmission(t, f"{path}.transmission"), distance, radius,
     )
 
 
@@ -248,22 +247,24 @@ class World(ex.Context):
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
-        # Every expression the tick evaluates is compiled here, once per run.
+        # Every expression the tick evaluates is compiled here, once per run, with the model path its
+        # failure names.
         self.walk_steps = {
-            a.name: ex.compile_number(cap.step, 0, None, "step") for a in walkers if (cap := a.capability("mobility"))
+            a.name: ex.compile_number(cap.step, 0, None, "step", f"agent:{a.name}: mobility step")
+            for a in walkers if (cap := a.capability("mobility"))
         }
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
-        self.machines = {m.name: sm.compile_machine(m) for m in model.machines}
+        self.machines = {m.name: sm.compile_machine(m, f"machine:{m.name}") for m in model.machines}
         self.introductions = [  # each with its eligibility criterion, if any
-            (i, ex.compile_condition(i.eligibility) if i.selection == "eligible" and i.eligibility is not None else None)
+            (i, ex.compile_condition(i.eligibility, f"introduce {i.disease}")
+             if i.selection == "eligible" and i.eligibility is not None else None)
             for i in model.introductions
         ]
-        self.series = {o.name: [(f"output:{o.name}.series:{s.label}", ex.compile_number(s.value)) for s in o.series]
+        self.series = {o.name: [ex.compile_number(s.value, path=f"output:{o.name}.series:{s.label}") for s in o.series]
                        for o in model.outputs}
         self.defaults = {  # per type, each attribute with its default compiled (None without one)
-            t.name: [(a, None if a.default is None else (ex.compile_number if a.kind in ex.NUMERIC else ex.compile)(a.default))
-                     for a in t.attributes]
-            for t in [*model.agent_types, *model.entity_types]
+            t.name: [(a, _compile_default(a, f"{kind}:{t.name}.attr:{a.name}")) for a in t.attributes]
+            for kind, types in (("agent", model.agent_types), ("entity", model.entity_types)) for t in types
         }
         self.plans = {p.name: p for p in model.plans}
         self.tick = 0
@@ -378,13 +379,14 @@ def _cell_of(position: tuple) -> tuple[int, int]:
     return (math.floor(position[0]), math.floor(position[1]))
 
 
-def _checked(world: World, path: str, fn, *args):
-    """``fn(*args)``, with an expression failure raised as an EngineError
-    that names the tick and the model path."""
+def _reported(world: World, fn, *args, path: str | None = None):
+    """``fn(*args)``, with a failure raised as an EngineError that names the
+    tick and the model path the failing site was compiled with (``path`` for
+    a site that carries none)."""
     try:
         return fn(*args)
     except EvalError as err:
-        raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
+        raise EngineError(f"tick {world.tick}: {err.path or path}: {err.message}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +422,24 @@ def _convert_raw(raw: str, kind: str, where: str):
         raise EngineError(f"{where}: cannot read '{raw}' as {kind}") from None
 
 
+def _compile_default(attr: mm.AttributeSpec, path: str):
+    """``attr``'s default compiled to fail with ``path``, or None without one."""
+    if attr.default is None:
+        return None
+    if attr.kind in ex.NUMERIC:
+        return ex.compile_number(attr.default, path=path)
+    if attr.kind == ex.BOOLEAN:
+        return ex.compile_condition(attr.default, path)
+    return ex.compile(attr.default)  # a text literal or an earlier text attribute: it cannot fail
+
+
 def _resolve(path: str, config: RunConfig) -> Path:
     p = Path(path)
     return p if p.is_absolute() else Path(config.base_dir) / p
 
 
 def build_world(model: mm.Model, config: RunConfig) -> World:
-    """Realize the environment, run every creational strategy in declaration
-    order, then apply introductions due at tick 0."""
+    """Realize the environment, then populate it (:func:`_populate`)."""
     report = mm.validate(model)
     if not report.ok():
         first = "; ".join(str(d) for d in report.errors()[:3])
@@ -442,7 +454,13 @@ def build_world(model: mm.Model, config: RunConfig) -> World:
                         f"tick {world.tick}: agent:{agent_type.name}: external capability library "
                         f"'{lib_path}' does not exist"
                     )
-    for spec in mm.creation_order(model):
+    return _reported(world, _populate, world)
+
+
+def _populate(world: World) -> World:
+    """Run every creational strategy in declaration order, then apply
+    introductions due at tick 0."""
+    for spec in mm.creation_order(world.model):
         if isinstance(spec, mm.EntityTypeSpec):
             _create_entities(world, spec)
         else:
@@ -481,14 +499,13 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
         else:  # validation rules out explicit positions and point files on graphs
             spots = []
             for x_expr, y_expr in strategy.placement:
-                x = _checked(world, f"{type_name}: position", ex.evaluate_number, x_expr, world)
-                y = _checked(world, f"{type_name}: position", ex.evaluate_number, y_expr, world)
-                spots.append(_checked(world, type_name, mm.place, topo, x, y))
+                x, y = (ex.compile_number(e, path=f"{type_name}: position")(world) for e in (x_expr, y_expr))
+                spots.append(_reported(world, mm.place, topo, x, y, path=type_name))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
     elif isinstance(strategy, mm.GisPointsStrategy):
         points = load_gis_points(_resolve(strategy.path, config))
-        places = [_checked(world, f"{type_name} (point file line {p.line})", mm.place, topo, p.x, p.y) for p in points]
+        places = [_reported(world, mm.place, topo, p.x, p.y, path=f"{type_name} (point file line {p.line})") for p in points]
         return places, points
     else:  # OSM: validation rules out inline edge lists for populations
         assert world.graph is not None
@@ -504,7 +521,7 @@ def _init_attrs(world: World, instance, point: GisPoint | None, where: str) -> N
         if attr.name in overrides:
             instance.attrs[attr.name] = _convert_raw(overrides[attr.name], attr.kind, at)
         elif default is not None:
-            value = _checked(world, f"{where}.attr:{attr.name}", default, instance)
+            value = default(instance)
             if attr.kind == ex.REAL and isinstance(value, int):
                 value = float(value)
             instance.attrs[attr.name] = value
@@ -530,7 +547,8 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     diseases = {name: world.diseases[name].machine for name in spec.disease_names()}
     machines = {m.name: world.machines[m.name] for m in world.model.machines_of(spec)}
     mobility = spec.capability("mobility")
-    speed = ex.compile_number(mobility.step) if mobility is not None and world.graph is not None else None
+    speed = None if mobility is None or world.graph is None else (
+        ex.compile_number(mobility.step, path=f"agent:{spec.name}: mobility step"))
     flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
@@ -542,9 +560,9 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         world.by_type[spec.name].append(agent)
         world.created[spec.name] = world.created.get(spec.name, 0) + 1
         if speed is not None:
-            agent.speed = _checked(world, f"agent:{spec.name}: mobility step", speed, agent)
+            agent.speed = speed(agent)
             if agent.speed <= 0:
-                raise EngineError(f"tick {world.tick}: agent:{spec.name}: vehicle speed must be positive on graphs")
+                raise EvalError("vehicle speed must be positive on graphs", f"agent:{spec.name}")
             _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
         if flow is not None:
             _init_controller(world, agent, spec, flow)
@@ -595,7 +613,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
         state = tf.discretize_state(_queue_lengths(ctrl), qspec.bins)
         table: tf.QTable = {}
         action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
-        reward = None if qspec.reward is None else ex.compile_number(qspec.reward)
+        reward = None if qspec.reward is None else ex.compile_number(qspec.reward, path=f"agent:{spec.name}: reward")
         ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action, reward=reward)
         _controller_set_plan(world, ctrl, action)
 
@@ -633,7 +651,7 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligibl
         for aid, agent in world.agents.items()
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
-    for aid in _checked(world, f"introduce {intro.disease}", dz.introduce, pool, intro, eligible, world.tick, world.rng):
+    for aid in dz.introduce(pool, intro, eligible, world.tick, world.rng):
         sm.force_state(world.agents[aid].diseases[intro.disease], disease.target)
         world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
         infected_now.add((aid, intro.disease))
@@ -647,10 +665,7 @@ def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Rando
     """New position for one random-walk step of the compiled length
     ``step_of`` (graph agents move in phase 4)."""
     topo = world.topology
-    try:
-        step = step_of(agent)
-    except EvalError as err:
-        raise EngineError(f"tick {world.tick}: agent:{agent.type_name}: mobility step: {err.message}") from None
+    step = step_of(agent)
     if isinstance(topo, mm.GridTopology):
         # 8-neighborhood plus "stay", all nine outcomes equally likely.
         pick = rng.randrange(9)
@@ -820,13 +835,17 @@ def _stencil(world: World, radius: float) -> None:
 def tick(world: World) -> World:
     """Advance the world by one tick in the fixed phase order."""
     world.tick += 1
+    _reported(world, _phases, world)
+    return world
+
+
+def _phases(world: World) -> None:
     infected_now = _introduction_phase(world)
     changes = _agent_phase(world, infected_now)
     _disease_phase(world, changes)
     _vehicle_phase(world)
     _learning_phase(world)
     _sampling_phase(world)
-    return world
 
 
 def _introduction_phase(world: World) -> set[tuple[int, str]]:
@@ -867,13 +886,8 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
             if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
                 _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
         for name, inst in agent.machines.items():
-            if inst.current != sm.DEAD_STATE:
-                try:
-                    state = sm.step(inst, agent, world.rng)
-                except EvalError as err:
-                    raise EngineError(f"tick {world.tick}: machine:{name}: {err.message}") from None
-                if state is not None:
-                    sm.force_state(inst, state)
+            if inst.current != sm.DEAD_STATE and (state := sm.step(inst, agent, world.rng)) is not None:
+                sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
             if (agent.id, disease_name) not in infected_now:
                 _disease_step(world, agent, inst, world.diseases[disease_name], changes)
@@ -884,31 +898,26 @@ def _disease_step(
     world: World, agent: AgentInstance, inst: sm.MachineInstance, disease: ResolvedDisease, changes: DiseaseChanges
 ) -> None:
     disease_name = disease.spec.name
-    path = disease.mortality_path  # what an expression failure names
-    try:
-        # Per-tick death rates apply in any compartment, before transmission or
-        # progression can move the agent on.
-        tick_rules = disease.tick_rules.get(inst.current)
-        if tick_rules and dz.evaluate_mortality(tick_rules, agent, world.tick, world.rng):
-            changes.dying.append((agent, disease_name))
-            return
-        if inst.current == disease.susceptible:
-            path, radius = disease.transmission_path, 0.0
-            if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
-                raise EngineError(f"tick {world.tick}: {path}: distance {radius} outside (0, inf)")
-            candidates = [
-                dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
-                else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
-                for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
-            ]
-            if dz.attempt_transmission(agent, candidates, disease.transmission, disease.infectious, world.rng):
-                changes.moves.append((agent, disease_name, disease.target))
-                world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
-            return
-        path = disease.path
-        state = sm.step(inst, agent, world.rng)  # the dwell counts in place; the new state waits for phase 3
-    except EvalError as err:
-        raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
+    # Per-tick death rates apply in any compartment, before transmission or
+    # progression can move the agent on.
+    tick_rules = disease.tick_rules.get(inst.current)
+    if tick_rules and dz.evaluate_mortality(tick_rules, agent, world.tick, world.rng):
+        changes.dying.append((agent, disease_name))
+        return
+    if inst.current == disease.susceptible:
+        radius = 0.0
+        if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
+            raise EvalError(f"distance {radius} outside (0, inf)", f"disease:{disease_name}.transmission")
+        candidates = [
+            dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
+            else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
+            for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
+        ]
+        if dz.attempt_transmission(agent, candidates, disease.transmission, disease.infectious, world.rng):
+            changes.moves.append((agent, disease_name, disease.target))
+            world.ever_infected[disease_name] = world.ever_infected.get(disease_name, 0) + 1
+        return
+    state = sm.step(inst, agent, world.rng)  # the dwell counts in place; the new state waits for phase 3
     if state is not None:
         changes.moves.append((agent, disease_name, state))
 
@@ -988,13 +997,7 @@ def _learning_phase(world: World) -> None:
 def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
-    if learner.reward is not None:
-        try:
-            reward = learner.reward(agent)
-        except EvalError as err:
-            raise EngineError(f"tick {world.tick}: agent:{agent.type_name}: reward: {err.message}") from None
-    else:
-        reward = -float(controller_stopped(world, ctrl))
+    reward = learner.reward(agent) if learner.reward is not None else -float(controller_stopped(world, ctrl))
     learner.accumulated += reward
     if (ctrl.phase, ctrl.dwell) != (0, 0):  # a cycle completes on re-entering its first phase
         return
@@ -1024,13 +1027,7 @@ def format_value(value: float | int) -> str:
 
 
 def sample_output(world: World, output: mm.OutputDatasetSpec) -> None:
-    row: list = [world.tick]
-    for path, value in world.series[output.name]:
-        try:
-            row.append(value(world))
-        except EvalError as err:
-            raise EngineError(f"tick {world.tick}: {path}: {err.message}") from None
-    world.output_rows[output.name].append(row)
+    world.output_rows[output.name].append([world.tick, *(value(world) for value in world.series[output.name])])
 
 
 @dataclass
@@ -1061,7 +1058,7 @@ def run(model: mm.Model, config: RunConfig) -> RunResult:
         raise EngineError("max_ticks must be at least 1")
     world = build_world(model, config)
     for output in model.outputs:
-        sample_output(world, output)  # tick 0 row
+        _reported(world, sample_output, world, output)  # tick 0 row
     for _ in range(config.max_ticks):
         tick(world)
     tables: dict[str, OutputTable] = {}

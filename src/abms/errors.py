@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-from .source import SourceSpan
-
 
 class AbmsError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class EvalError(AbmsError):
-    """An expression could not be evaluated (bad reference, bad operand, division by zero)."""
+    """An expression could not be evaluated (bad reference, bad operand,
+    division by zero).  ``path`` names the model element whose site failed,
+    once the compiled site has tagged it."""
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
+    def __init__(self, message: str, path: str | None = None):
         super().__init__(message)
         self.message = message
-        self.span = span
+        self.path = path
 
 
 class ExprTypeError(AbmsError):
     """An expression failed static type checking."""
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
+    def __init__(self, message: str):
         super().__init__(message)
         self.message = message
-        self.span = span
 
 
 class EngineError(AbmsError):

@@ -142,92 +142,73 @@ def compile(expr: Expr):
     if isinstance(expr, Literal):
         return lambda ctx, value=expr.value: value
     if isinstance(expr, AttrRef):
-        owner, name, span = expr.owner, expr.name, expr.span
-
-        def attribute(ctx):
-            try:
-                return ctx.attribute(owner, name)
-            except EvalError as e:
-                raise EvalError(e.message, e.span or span) from None
-        return attribute
+        return lambda ctx, owner=expr.owner, name=expr.name: ctx.attribute(owner, name)
     if isinstance(expr, StateTest):
-        machine, state, span = expr.machine, expr.state, expr.span
-
-        def state_test(ctx):
-            try:
-                return ctx.machine_state(machine) == state
-            except EvalError as e:
-                raise EvalError(e.message, e.span or span) from None
-        return state_test
+        return lambda ctx, machine=expr.machine, state=expr.state: ctx.machine_state(machine) == state
     if isinstance(expr, Aggregate):
         return _compile_aggregate(expr)
     if isinstance(expr, Unary):
-        operand, span = compile(expr.operand), expr.span
+        operand = compile(expr.operand)
         if expr.op == "-":
-            return lambda ctx: -_as_number(operand(ctx), span)
-        return lambda ctx: not _as_bool(operand(ctx), span)
+            return lambda ctx: -_as_number(operand(ctx))
+        return lambda ctx: not _as_bool(operand(ctx))
     if isinstance(expr, Binary):
         return _compile_binary(expr)
     raise EvalError(f"unknown expression node {type(expr).__name__}")
 
 
 def _compile_aggregate(expr: Aggregate):
-    population, span, test = expr.population, expr.span, expr.predicate
+    population, test = expr.population, expr.predicate
     if expr.func == "count" and isinstance(test, StateTest):  # one loop over the roster, no per-member dispatch
-        def count_in_state(ctx):
-            members = ctx.population(population)
-            try:
-                return [member.machine_state(test.machine) for member in members].count(test.state)
-            except EvalError as e:
-                raise EvalError(e.message, e.span or test.span) from None
-        return count_in_state
+        machine, state = test.machine, test.state
+        return lambda ctx: [member.machine_state(machine) for member in ctx.population(population)].count(state)
     if expr.func == "count" and test is None:
         return lambda ctx: len(ctx.population(population))
     predicate = None if test is None else compile(test)
     if expr.func == "count":
-        return lambda ctx: sum(1 for m in ctx.population(population) if _as_bool(predicate(m), span))
+        return lambda ctx: sum(1 for m in ctx.population(population) if _as_bool(predicate(m)))
     value = compile(expr.value)
 
     def total(ctx):
         result: float | int = 0
         for member in ctx.population(population):
-            if predicate is None or _as_bool(predicate(member), span):
-                result += _as_number(value(member), span)
+            if predicate is None or _as_bool(predicate(member)):
+                result += _as_number(value(member))
         return result
     return total
 
 
 def _compile_binary(expr: Binary):
-    op, span, fn = expr.op, expr.span, _OPERATORS.get(expr.op)
+    op, fn = expr.op, _OPERATORS.get(expr.op)
     left, right = compile(expr.left), compile(expr.right)
     if op in BOOL_OPS:
         if op == "and":
-            return lambda ctx: _as_bool(left(ctx), span) and _as_bool(right(ctx), span)
-        return lambda ctx: _as_bool(left(ctx), span) or _as_bool(right(ctx), span)
+            return lambda ctx: _as_bool(left(ctx)) and _as_bool(right(ctx))
+        return lambda ctx: _as_bool(left(ctx)) or _as_bool(right(ctx))
 
     def binary(ctx):
         a, b = left(ctx), right(ctx)
         if op in COMPARE_OPS:
             for operand in (a, b):
                 if isinstance(operand, (int, float)) and not _finite(operand):
-                    raise EvalError(f"'{op}' operand {operand} is not finite", span)
+                    raise EvalError(f"'{op}' operand {operand} is not finite")
             if op in ("==", "!="):  # any two values compare for equality
                 return fn(a, b)
-        a, b = _as_number(a, span), _as_number(b, span)
+        a, b = _as_number(a), _as_number(b)
         if fn is None:
-            raise EvalError(f"unknown operator '{op}'", span)
+            raise EvalError(f"unknown operator '{op}'")
         if op == "/" and b == 0:
-            raise EvalError("division by zero", span)
+            raise EvalError("division by zero")
         try:  # an integer beyond the float range meets a float, or is divided
             return fn(a, b)
         except OverflowError as err:
-            raise EvalError(f"'{op}' overflows: {err}", span) from None
+            raise EvalError(f"'{op}' overflows: {err}") from None
     return binary
 
 
-def _as_number(v, span) -> float | int:
+def _as_number(v) -> float | int:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise EvalError(f"expected a number, got {type(v).__name__}", span)
+        raise EvalError(f"expected a number, got {type(v).__name__}")
     return v
 
 
@@ -238,58 +219,62 @@ def _finite(value: float | int) -> bool:
         return False
 
 
-def _as_bool(v, span) -> bool:
+def _as_bool(v) -> bool:
     if not isinstance(v, bool):
-        raise EvalError(f"expected a boolean, got {type(v).__name__}", span)
+        raise EvalError(f"expected a boolean, got {type(v).__name__}")
     return v
 
 
-def _number(value, low: float | None, high: float | None, name: str, span) -> float | int:
-    value = _as_number(value, span)
+def _number(value, low: float | None, high: float | None, name: str) -> float | int:
+    value = _as_number(value)
     if _finite(value) and (low is None or low <= value) and (high is None or value <= high):
         return value
     if low is None and high is None:
-        raise EvalError(f"{name} {value} is not finite", span)
+        raise EvalError(f"{name} {value} is not finite")
     lower = "(-inf" if low is None else f"[{low}"
     upper = "inf)" if high is None else f"{high}]"
-    raise EvalError(f"{name} {value} outside {lower}, {upper}", span)
+    raise EvalError(f"{name} {value} outside {lower}, {upper}")
 
 
-def compile_number(expr: Expr, low: float | None = None, high: float | None = None, name: str = "value"):
+def compile_number(
+    expr: Expr, low: float | None = None, high: float | None = None, name: str = "value", path: str | None = None
+):
     """Compile ``expr`` into ``fn(ctx)``, which yields a finite number, within
     [low, high] when bounds are given; anything else (bool, text, NaN, inf)
-    raises EvalError.  An integer comes back as an integer.  A literal that
-    passes is checked here, once, and becomes a constant."""
-    span = getattr(expr, "span", None)
+    raises EvalError, tagged with ``path``, the model path of the site.  An
+    integer comes back as an integer.  A literal that passes is checked here,
+    once, and becomes a constant."""
     if isinstance(expr, Literal):
         try:
-            return lambda ctx, value=_number(expr.value, low, high, name, span): value
+            return lambda ctx, value=_number(expr.value, low, high, name): value
         except EvalError:
             pass  # it fails on each use, as any other value would
     fn = compile(expr)
-    return lambda ctx: _number(fn(ctx), low, high, name, span)
+
+    def number(ctx):
+        try:
+            return _number(fn(ctx), low, high, name)
+        except EvalError as err:
+            raise EvalError(err.message, path) from None
+    return number
 
 
-def compile_condition(expr: Expr):
+def compile_condition(expr: Expr, path: str | None = None):
     """Compile ``expr`` into ``fn(ctx)``, which yields a boolean; anything
-    else raises EvalError."""
-    fn, span = compile(expr), getattr(expr, "span", None)
-    return lambda ctx: _as_bool(fn(ctx), span)
+    else raises EvalError, tagged with ``path``, the model path of the site."""
+    fn = compile(expr)
+
+    def condition(ctx):
+        try:
+            return _as_bool(fn(ctx))
+        except EvalError as err:
+            raise EvalError(err.message, path) from None
+    return condition
 
 
 def evaluate(expr: Expr, ctx: Context):
     """Compile ``expr`` and evaluate it once."""
     return compile(expr)(ctx)
-
-
-def evaluate_number(expr: Expr, ctx: Context, low: float | None = None, high: float | None = None, name: str = "value"):
-    """Compile ``expr`` as a number and evaluate it once."""
-    return compile_number(expr, low, high, name)(ctx)
-
-
-def evaluate_condition(expr: Expr, ctx: Context) -> bool:
-    """Compile ``expr`` as a condition and evaluate it once."""
-    return compile_condition(expr)(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -322,47 +307,41 @@ def infer_type(expr: Expr, env: TypeEnv) -> str:
         return expr.kind
     if isinstance(expr, AttrRef):
         if expr.owner is not None and expr.owner != env.owner:
-            raise ExprTypeError(
-                f"'{expr.owner}.{expr.name}' does not resolve in this context", expr.span
-            )
+            raise ExprTypeError(f"'{expr.owner}.{expr.name}' does not resolve in this context")
         if expr.name in env.attributes:
             return env.attributes[expr.name]
         if expr.owner is None and expr.name in env.builtins:
             return env.builtins[expr.name]
-        raise ExprTypeError(f"unknown attribute '{expr.name}'", expr.span)
+        raise ExprTypeError(f"unknown attribute '{expr.name}'")
     if isinstance(expr, StateTest):
         states = env.machines.get(expr.machine)
         if states is None:
-            raise ExprTypeError(
-                f"no state machine or disease named '{expr.machine}' in this context", expr.span
-            )
+            raise ExprTypeError(f"no state machine or disease named '{expr.machine}' in this context")
         if expr.state not in states:
-            raise ExprTypeError(
-                f"'{expr.state}' is not a state of '{expr.machine}'", expr.span
-            )
+            raise ExprTypeError(f"'{expr.state}' is not a state of '{expr.machine}'")
         return BOOLEAN
     if isinstance(expr, Aggregate):
         if not env.allow_aggregates:
-            raise ExprTypeError("aggregates are not allowed in this context", expr.span)
+            raise ExprTypeError("aggregates are not allowed in this context")
         member = env.populations.get(expr.population)
         if member is None:
-            raise ExprTypeError(f"unknown population '{expr.population}'", expr.span)
+            raise ExprTypeError(f"unknown population '{expr.population}'")
         if expr.predicate is not None and infer_type(expr.predicate, member) != BOOLEAN:
-            raise ExprTypeError("aggregate filter must be boolean", expr.span)
+            raise ExprTypeError("aggregate filter must be boolean")
         if expr.func == "count":
             return INTEGER
         vkind = infer_type(expr.value, member)
         if vkind not in NUMERIC:
-            raise ExprTypeError("sum requires a numeric value expression", expr.span)
+            raise ExprTypeError("sum requires a numeric value expression")
         return vkind
     if isinstance(expr, Unary):
         inner = infer_type(expr.operand, env)
         if expr.op == "-":
             if inner not in NUMERIC:
-                raise ExprTypeError("unary '-' requires a number", expr.span)
+                raise ExprTypeError("unary '-' requires a number")
             return inner
         if inner != BOOLEAN:
-            raise ExprTypeError("'not' requires a boolean", expr.span)
+            raise ExprTypeError("'not' requires a boolean")
         return BOOLEAN
     if isinstance(expr, Binary):
         return _infer_binary(expr, env)
@@ -375,18 +354,18 @@ def _infer_binary(expr: Binary, env: TypeEnv) -> str:
     op = expr.op
     if op in BOOL_OPS:
         if lk != BOOLEAN or rk != BOOLEAN:
-            raise ExprTypeError(f"'{op}' requires boolean operands", expr.span)
+            raise ExprTypeError(f"'{op}' requires boolean operands")
         return BOOLEAN
     if op in ("==", "!="):
         if not _comparable(lk, rk):
-            raise ExprTypeError(f"cannot compare {lk} with {rk}", expr.span)
+            raise ExprTypeError(f"cannot compare {lk} with {rk}")
         return BOOLEAN
     if op in ("<", "<=", ">", ">="):
         if lk not in NUMERIC or rk not in NUMERIC:
-            raise ExprTypeError(f"'{op}' requires numeric operands", expr.span)
+            raise ExprTypeError(f"'{op}' requires numeric operands")
         return BOOLEAN
     if lk not in NUMERIC or rk not in NUMERIC:
-        raise ExprTypeError(f"'{op}' requires numeric operands", expr.span)
+        raise ExprTypeError(f"'{op}' requires numeric operands")
     if op == "/":
         return REAL
     return REAL if REAL in (lk, rk) else INTEGER

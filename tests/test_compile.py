@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from abms import engine
 from abms import expr as ex
 from abms.errors import EvalError
-from abms.source import SourceSpan
 
 import tree_walk
 from contexts import MapContext
@@ -24,12 +23,12 @@ HUGE = 10**400  # an integer beyond the float range
 
 
 def outcome(fn, ctx):
-    """What ``fn(ctx)`` gives: a value with its type, an EvalError's message
-    and span, or any other arithmetic failure."""
+    """What ``fn(ctx)`` gives: a value with its type, an EvalError's message,
+    or any other arithmetic failure."""
     try:
         value = fn(ctx)
     except EvalError as err:
-        return ("error", err.message, err.span)
+        return ("error", err.message)
     except ArithmeticError as err:
         return ("raised", type(err).__name__, str(err))
     return ("value", type(value), repr(value))
@@ -88,20 +87,6 @@ def branches(children):
     )
 
 
-def with_spans(tree):
-    """``tree`` with a span of its own on every node, so a wrong span shows."""
-    for line, node in enumerate(nodes(tree), start=1):
-        node.span = SourceSpan("h.abms", line, 1, line, 9)
-    return tree
-
-
-def nodes(tree):
-    yield tree
-    for child in (getattr(tree, f, None) for f in ("operand", "left", "right", "predicate", "value")):
-        if child is not None and not isinstance(child, (bool, int, float, str)):
-            yield from nodes(child)
-
-
 # Mostly well-typed trees, so that values, not only type errors, are compared.
 numbers = st.one_of(
     literals.filter(lambda lit: lit.kind in ex.NUMERIC),
@@ -124,7 +109,6 @@ def numeric_branches(children):
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(st.recursive(leaves, branches, max_leaves=10), st.recursive(numbers, numeric_branches, max_leaves=8))
-    .map(with_spans)
 )
 def test_compiled_tree_agrees_with_the_walk(tree):
     for ctx in CONTEXTS:
@@ -135,7 +119,7 @@ def test_compiled_tree_agrees_with_the_walk(tree):
     "tree",
     [
         ex.Aggregate("count", "Q", ex.StateTest("m", "S"), None),  # the fused count meets a member without m
-        ex.Aggregate("count", "Z", ex.StateTest("m", "S"), None),  # an unknown population keeps no span
+        ex.Aggregate("count", "Z", ex.StateTest("m", "S"), None),
         ex.Aggregate("count", "Q", None, None),  # the roster's length, members unread
         ex.Aggregate("count", "Z", None, None),
         ex.Aggregate("sum", "P", None, ex.AttrRef(None, "b")),  # an integer start, then floats
@@ -148,7 +132,7 @@ def test_compiled_tree_agrees_with_the_walk(tree):
 )
 def test_edge_trees_agree_with_the_walk(tree):
     for ctx in CONTEXTS:
-        assert_agrees(with_spans(tree), ctx)
+        assert_agrees(tree, ctx)
 
 
 def test_count_without_a_predicate_reads_the_length():

@@ -2,7 +2,6 @@ import pytest
 
 from abms import expr as ex
 from abms.errors import EvalError, ExprTypeError
-from abms.source import SourceSpan
 
 from contexts import MapContext
 
@@ -51,11 +50,12 @@ class TestEvaluate:
             ("*", 10**400, 1.5, "'*' overflows: int too large to convert to float"),
         ],
     )
-    def test_binary_errors_carry_the_span(self, op, left, right, message):
-        span = SourceSpan("m.abms", 3, 5, 3, 12)
-        with pytest.raises(EvalError) as err:
-            ex.evaluate(ex.Binary(op, ex.lit(left), ex.lit(right), span), ctx())
-        assert (err.value.message, err.value.span) == (message, span)
+    def test_binary_errors_carry_the_path_of_their_site(self, op, left, right, message):
+        tree = ex.Binary(op, ex.lit(left), ex.lit(right))
+        for site in (ex.compile_number(tree, path="output:o.series:x"), ex.compile_condition(tree, "output:o.series:x")):
+            with pytest.raises(EvalError) as err:
+                site(ctx())
+            assert (err.value.message, err.value.path) == (message, "output:o.series:x")
 
     def test_comparisons_and_bool(self):
         assert ex.evaluate(ex.Binary("<", ex.lit(1), ex.lit(2)), ctx()) is True
@@ -92,12 +92,12 @@ class TestEvaluate:
             ex.evaluate(ex.Unary("not", ex.lit(3)), ctx())
 
 
-class TestEvaluateNumber:
+class TestCompileNumber:
     def test_numbers_come_back_unchanged(self):
-        assert ex.evaluate_number(ex.lit(3), ctx()) == 3
-        assert type(ex.evaluate_number(ex.lit(3), ctx())) is int
-        assert ex.evaluate_number(ex.lit(0.25), ctx(), 0, 1, "rate") == 0.25
-        assert ex.evaluate_number(ex.lit(0), ctx(), 0, None, "duration") == 0
+        assert ex.compile_number(ex.lit(3))(ctx()) == 3
+        assert type(ex.compile_number(ex.lit(3))(ctx())) is int
+        assert ex.compile_number(ex.lit(0.25), 0, 1, "rate")(ctx()) == 0.25
+        assert ex.compile_number(ex.lit(0), 0, None, "duration")(ctx()) == 0
 
     @pytest.mark.parametrize(
         "value,bounds,message",
@@ -115,7 +115,7 @@ class TestEvaluateNumber:
     )
     def test_rejects(self, value, bounds, message):
         with pytest.raises(EvalError, match=message):
-            ex.evaluate_number(ex.AttrRef(None, "v"), ctx(v=value), *bounds)
+            ex.compile_number(ex.AttrRef(None, "v"), *bounds)(ctx(v=value))
 
 
 class TestInferType:

@@ -1,6 +1,6 @@
 """The tree-walking evaluator that ``abms.expr`` compiled closures replaced,
 kept as a test oracle: each closure must give what this walk gives, the
-same value of the same type or the same EvalError message and span.
+same value of the same type or the same EvalError message.
 
 It walks the expression tree on every call, exactly as the engine once did.
 """
@@ -20,22 +20,16 @@ def evaluate(expr: Expr, ctx: Context):
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, AttrRef):
-        try:
-            return ctx.attribute(expr.owner, expr.name)
-        except EvalError as e:
-            raise EvalError(e.message, e.span or expr.span) from None
+        return ctx.attribute(expr.owner, expr.name)
     if isinstance(expr, StateTest):
-        try:
-            return ctx.machine_state(expr.machine) == expr.state
-        except EvalError as e:
-            raise EvalError(e.message, e.span or expr.span) from None
+        return ctx.machine_state(expr.machine) == expr.state
     if isinstance(expr, Aggregate):
         return _evaluate_aggregate(expr, ctx)
     if isinstance(expr, Unary):
         v = evaluate(expr.operand, ctx)
         if expr.op == "-":
-            return -_as_number(v, expr)
-        return not _as_bool(v, expr)
+            return -_as_number(v)
+        return not _as_bool(v)
     if isinstance(expr, Binary):
         return _evaluate_binary(expr, ctx)
     raise EvalError(f"unknown expression node {type(expr).__name__}")
@@ -45,44 +39,44 @@ def _evaluate_aggregate(expr: Aggregate, ctx: Context):
     total: float | int = 0
     count = 0
     for member in ctx.population(expr.population):
-        if expr.predicate is not None and not _as_bool(evaluate(expr.predicate, member), expr):
+        if expr.predicate is not None and not _as_bool(evaluate(expr.predicate, member)):
             continue
         if expr.func == "count":
             count += 1
         else:
-            total += _as_number(evaluate(expr.value, member), expr)
+            total += _as_number(evaluate(expr.value, member))
     return count if expr.func == "count" else total
 
 
 def _evaluate_binary(expr: Binary, ctx: Context):
     op = expr.op
     if op in BOOL_OPS:
-        left = _as_bool(evaluate(expr.left, ctx), expr)
+        left = _as_bool(evaluate(expr.left, ctx))
         if op == "and":
-            return left and _as_bool(evaluate(expr.right, ctx), expr)
-        return left or _as_bool(evaluate(expr.right, ctx), expr)
+            return left and _as_bool(evaluate(expr.right, ctx))
+        return left or _as_bool(evaluate(expr.right, ctx))
     left = evaluate(expr.left, ctx)
     right = evaluate(expr.right, ctx)
     if op in COMPARE_OPS:
         for operand in (left, right):
             if isinstance(operand, (int, float)) and not _finite(operand):
-                raise EvalError(f"'{op}' operand {operand} is not finite", expr.span)
+                raise EvalError(f"'{op}' operand {operand} is not finite")
         if op in ("==", "!="):  # any two values compare for equality
             return _OPERATORS[op](left, right)
-    ln, rn = _as_number(left, expr), _as_number(right, expr)
+    ln, rn = _as_number(left), _as_number(right)
     if op not in _OPERATORS:
-        raise EvalError(f"unknown operator '{op}'", expr.span)
+        raise EvalError(f"unknown operator '{op}'")
     if op == "/" and rn == 0:
-        raise EvalError("division by zero", expr.span)
+        raise EvalError("division by zero")
     try:  # an integer beyond the float range meets a float, or is divided
         return _OPERATORS[op](ln, rn)
     except OverflowError as err:
-        raise EvalError(f"'{op}' overflows: {err}", expr.span) from None
+        raise EvalError(f"'{op}' overflows: {err}") from None
 
 
-def _as_number(v, node) -> float | int:
+def _as_number(v) -> float | int:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise EvalError(f"expected a number, got {type(v).__name__}", getattr(node, "span", None))
+        raise EvalError(f"expected a number, got {type(v).__name__}")
     return v
 
 
@@ -93,9 +87,9 @@ def _finite(value: float | int) -> bool:
         return False
 
 
-def _as_bool(v, node) -> bool:
+def _as_bool(v) -> bool:
     if not isinstance(v, bool):
-        raise EvalError(f"expected a boolean, got {type(v).__name__}", getattr(node, "span", None))
+        raise EvalError(f"expected a boolean, got {type(v).__name__}")
     return v
 
 
@@ -105,7 +99,7 @@ def evaluate_number(
     """Evaluate ``expr`` to a finite number, within [low, high] when bounds
     are given; anything else (bool, text, NaN, inf) raises EvalError.  An
     integer comes back as an integer."""
-    value = _as_number(evaluate(expr, ctx), expr)
+    value = _as_number(evaluate(expr, ctx))
     if _finite(value) and (low is None or low <= value) and (high is None or value <= high):
         return value
     if low is None and high is None:
@@ -114,9 +108,9 @@ def evaluate_number(
         lower = "(-inf" if low is None else f"[{low}"
         upper = "inf)" if high is None else f"{high}]"
         message = f"{name} {value} outside {lower}, {upper}"
-    raise EvalError(message, getattr(expr, "span", None))
+    raise EvalError(message)
 
 
 def evaluate_condition(expr: Expr, ctx: Context) -> bool:
     """Evaluate ``expr`` to a boolean; anything else raises EvalError."""
-    return _as_bool(evaluate(expr, ctx), expr)
+    return _as_bool(evaluate(expr, ctx))
