@@ -16,7 +16,7 @@ from pathlib import Path
 from . import codegen, engine
 from . import metamodel as mm
 from .dsl import format_model, parse
-from .errors import AbmsError, FileFormatError
+from .errors import AbmsError, FileFormatError, InvalidModelError
 from .ingest import read_text
 
 DEFAULT_SEED = 42
@@ -89,8 +89,7 @@ def _load_valid(path: str):
         return None
     report = mm.validate(model)
     if not report.ok():
-        for diag in report.errors():
-            print(str(diag), file=sys.stderr)
+        print("\n".join(map(str, report.errors())), file=sys.stderr)
         return None
     return model
 
@@ -123,7 +122,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    model = _load_valid(args.model)
+    model, _ = _load(args.model)  # the run validates it: build_world is the one gate
     if model is None:
         return 1
     seed = int.from_bytes(os.urandom(8), "big") % (2**63) if args.seed == "random" else args.seed
@@ -135,6 +134,9 @@ def _cmd_run(args) -> int:
     )
     try:
         result = engine.run(model, config)
+    except InvalidModelError as err:  # printed as ``_load_valid`` prints it
+        print("\n".join(map(str, err.report.errors())), file=sys.stderr)
+        return 1
     except AbmsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

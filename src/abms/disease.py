@@ -248,9 +248,9 @@ class Transmission:
     condition: Callable[[ex.Context], bool] | None  # on the source
 
 
-def compile_transmission(spec: TransmissionSpec, path: str | None = None) -> Transmission:
-    condition = None if spec.condition is None else ex.compile_condition(spec.condition, path)
-    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, 0, 1, "rate", path), condition)
+def compile_transmission(spec: TransmissionSpec) -> Transmission:
+    condition = None if spec.condition is None else ex.compile_condition(spec.condition)
+    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, 0, 1, "rate"), condition)
 
 
 def attempt_transmission(
@@ -316,11 +316,11 @@ def introduce(
     return [agent_id for agent_id in chosen if rng.random() < p]
 
 
-def compile_mortality(rule: MortalitySpec, path: str | None = None) -> Callable[[ex.Context, int, random.Random], bool]:
+def compile_mortality(rule: MortalitySpec) -> Callable[[ex.Context, int, random.Random], bool]:
     """Compile a per-tick rule into ``dies(ctx, tick, rng)``: whether it kills
-    this tick, drawing once when it applies.  A failure names ``path``."""
-    rate = ex.compile_number(rule.rate, 0, 1, "rate", path)
-    condition = ex.compile_condition(rule.condition, path) if rule.evaluation == WHEN_CONDITION else None
+    this tick, drawing once when it applies."""
+    rate = ex.compile_number(rule.rate, 0, 1, "rate")
+    condition = ex.compile_condition(rule.condition) if rule.evaluation == WHEN_CONDITION else None
 
     def dies(ctx: ex.Context, tick: int, rng: random.Random) -> bool:
         if (rule.evaluation == SPECIFIC_TIMEUNIT and tick != rule.at_tick) or (condition is not None and not condition(ctx)):

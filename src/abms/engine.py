@@ -28,9 +28,10 @@ Reordering these phases is a breaking change for reproducibility.
 
 Agents, entities and the world are themselves the contexts expressions are
 evaluated in (they implement the ``expr.Context`` hooks).  Every expression is
-compiled once, when the world is built, with the model path of its site; a
-tick only calls the closures, and ``_reported`` turns a failure into
-``tick N: path: message``.
+compiled once, when the world is built; a tick only calls the closures.  A
+failure carries the expression it was compiled from, and ``_reported`` turns
+it into ``tick N: path: message``, with the path ``abms validate`` gives that
+site (``World.sites``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from . import expr as ex
 from . import metamodel as mm
 from . import statemachine as sm
 from . import traffic as tf
-from .errors import EngineError, EvalError
+from .errors import EngineError, EvalError, InvalidModelError
 from .ingest import GisPoint, Graph, graph_from_inline, load_gis_points, load_osm_graph
 
 INTERSECTION_DEGREE = 3
@@ -193,19 +194,19 @@ class ResolvedDisease:
 
 
 def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
-    path, t = f"disease:{spec.name}", spec.transmission  # validation requires a transmission
+    t = spec.transmission  # validation requires a transmission
     tick_rules: dict[str, list] = {}
     for rule in spec.mortality:
         if rule.evaluation != dz.LEAVING_COMPARTMENT:  # the machine realizes these as abortions
-            tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule, f"{path}.mortality"))
+            tick_rules.setdefault(rule.compartment, []).append(dz.compile_mortality(rule))
     if t.interaction != dz.PROXIMITY:
         radius = 0
     else:  # a literal is a number (validation types it); one outside (0, inf) fails each scan instead
         radius = t.distance.value if isinstance(t.distance, ex.Literal) and 0 < t.distance.value < math.inf else None
-    distance = ex.compile_number(t.distance, path=f"{path}.transmission") if t.interaction == dz.PROXIMITY else None
+    distance = ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None
     return ResolvedDisease(
-        spec, sm.compile_machine(dz.build_machine(spec), path), dz.susceptible_compartment(spec), dz.infection_target(spec),
-        frozenset(dz.infectious_states(spec)), tick_rules, dz.compile_transmission(t, f"{path}.transmission"), distance, radius,
+        spec, sm.compile_machine(dz.build_machine(spec)), dz.susceptible_compartment(spec), dz.infection_target(spec),
+        frozenset(dz.infectious_states(spec)), tick_rules, dz.compile_transmission(t), distance, radius,
     )
 
 
@@ -213,10 +214,11 @@ class World(ex.Context):
     """Mutable simulation state, advanced in place by :func:`tick`; the
     context of world-level expressions (placements and output series)."""
 
-    def __init__(self, model: mm.Model, config: RunConfig):
+    def __init__(self, model: mm.Model, config: RunConfig, sites: dict[int, str]):
         assert model.environment is not None
         self.model = model
         self.config = config
+        self.sites = sites  # each expression's site path, from the model's ValidationReport
         # The model resolved once per run: the tick reads these, never a lookup by name.
         self.topology = topo = model.environment.topology
         self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
@@ -247,24 +249,19 @@ class World(ex.Context):
         self.agent_type_names = frozenset(a.name for a in model.agent_types)
         self.entity_type_names = frozenset(e.name for e in model.entity_types)
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
-        # Every expression the tick evaluates is compiled here, once per run, with the model path its
-        # failure names.
+        # Every expression the tick evaluates is compiled here, once per run.
         self.walk_steps = {
-            a.name: ex.compile_number(cap.step, 0, None, "step", f"agent:{a.name}: mobility step")
-            for a in walkers if (cap := a.capability("mobility"))
+            a.name: ex.compile_number(cap.step, 0, None, "step") for a in walkers if (cap := a.capability("mobility"))
         }
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
-        self.machines = {m.name: sm.compile_machine(m, f"machine:{m.name}") for m in model.machines}
+        self.machines = {m.name: sm.compile_machine(m) for m in model.machines}
         self.introductions = [  # each with its eligibility criterion, if any
-            (i, ex.compile_condition(i.eligibility, f"introduce {i.disease}")
-             if i.selection == "eligible" and i.eligibility is not None else None)
+            (i, ex.compile_condition(i.eligibility) if i.selection == "eligible" and i.eligibility is not None else None)
             for i in model.introductions
         ]
-        self.series = {o.name: [ex.compile_number(s.value, path=f"output:{o.name}.series:{s.label}") for s in o.series]
-                       for o in model.outputs}
+        self.series = {o.name: [ex.compile_number(s.value) for s in o.series] for o in model.outputs}
         self.defaults = {  # per type, each attribute with its default compiled (None without one)
-            t.name: [(a, _compile_default(a, f"{kind}:{t.name}.attr:{a.name}")) for a in t.attributes]
-            for kind, types in (("agent", model.agent_types), ("entity", model.entity_types)) for t in types
+            t.name: [(a, _compile_default(a)) for a in t.attributes] for t in (*model.agent_types, *model.entity_types)
         }
         self.plans = {p.name: p for p in model.plans}
         self.tick = 0
@@ -381,12 +378,13 @@ def _cell_of(position: tuple) -> tuple[int, int]:
 
 def _reported(world: World, fn, *args, path: str | None = None):
     """``fn(*args)``, with a failure raised as an EngineError that names the
-    tick and the model path the failing site was compiled with (``path`` for
-    a site that carries none)."""
+    tick and the path the validator gave the failing expression's site
+    (``path`` for a failure at no expression, such as a placement)."""
     try:
         return fn(*args)
     except EvalError as err:
-        raise EngineError(f"tick {world.tick}: {err.path or path}: {err.message}") from None
+        where = path if err.site is None else world.sites[id(err.site)]
+        raise EngineError(f"tick {world.tick}: {where}: {err.message}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +420,14 @@ def _convert_raw(raw: str, kind: str, where: str):
         raise EngineError(f"{where}: cannot read '{raw}' as {kind}") from None
 
 
-def _compile_default(attr: mm.AttributeSpec, path: str):
-    """``attr``'s default compiled to fail with ``path``, or None without one."""
+def _compile_default(attr: mm.AttributeSpec):
+    """``attr``'s default compiled, or None without one."""
     if attr.default is None:
         return None
     if attr.kind in ex.NUMERIC:
-        return ex.compile_number(attr.default, path=path)
+        return ex.compile_number(attr.default)
     if attr.kind == ex.BOOLEAN:
-        return ex.compile_condition(attr.default, path)
+        return ex.compile_condition(attr.default)
     return ex.compile(attr.default)  # a text literal or an earlier text attribute: it cannot fail
 
 
@@ -439,12 +437,13 @@ def _resolve(path: str, config: RunConfig) -> Path:
 
 
 def build_world(model: mm.Model, config: RunConfig) -> World:
-    """Realize the environment, then populate it (:func:`_populate`)."""
+    """Validate the model, realize the environment, then populate it
+    (:func:`_populate`).  A model that fails validation raises
+    InvalidModelError, which carries the report."""
     report = mm.validate(model)
     if not report.ok():
-        first = "; ".join(str(d) for d in report.errors()[:3])
-        raise EngineError(f"model failed validation: {first}")
-    world = World(model, config)
+        raise InvalidModelError(report)
+    world = World(model, config, report.sites)
     for agent_type in model.agent_types:
         for cap in agent_type.capabilities:
             if cap.kind == "external":
@@ -499,7 +498,7 @@ def _positions_for(world: World, strategy: mm.CreationalStrategy, type_name: str
         else:  # validation rules out explicit positions and point files on graphs
             spots = []
             for x_expr, y_expr in strategy.placement:
-                x, y = (ex.compile_number(e, path=f"{type_name}: position")(world) for e in (x_expr, y_expr))
+                x, y = (ex.compile_number(e, name="position")(world) for e in (x_expr, y_expr))
                 spots.append(_reported(world, mm.place, topo, x, y, path=type_name))
             for i in range(strategy.count):
                 out.append(spots[i % len(spots)])
@@ -547,8 +546,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     diseases = {name: world.diseases[name].machine for name in spec.disease_names()}
     machines = {m.name: world.machines[m.name] for m in world.model.machines_of(spec)}
     mobility = spec.capability("mobility")
-    speed = None if mobility is None or world.graph is None else (
-        ex.compile_number(mobility.step, path=f"agent:{spec.name}: mobility step"))
+    speed = None if mobility is None or world.graph is None else ex.compile_number(mobility.step, name="step")
     flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
@@ -562,7 +560,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         if speed is not None:
             agent.speed = speed(agent)
             if agent.speed <= 0:
-                raise EvalError("vehicle speed must be positive on graphs", f"agent:{spec.name}")
+                raise EvalError("vehicle speed must be positive on graphs", mobility.step)
             _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
         if flow is not None:
             _init_controller(world, agent, spec, flow)
@@ -613,7 +611,7 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
         state = tf.discretize_state(_queue_lengths(ctrl), qspec.bins)
         table: tf.QTable = {}
         action = tf.select_action(table, state, qspec.plans, qspec.epsilon, world.rng)
-        reward = None if qspec.reward is None else ex.compile_number(qspec.reward, path=f"agent:{spec.name}: reward")
+        reward = None if qspec.reward is None else ex.compile_number(qspec.reward, name="reward")
         ctrl.learner = LearnerState(spec=qspec, table=table, prev_state=state, prev_action=action, reward=reward)
         _controller_set_plan(world, ctrl, action)
 
@@ -907,7 +905,7 @@ def _disease_step(
     if inst.current == disease.susceptible:
         radius = 0.0
         if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
-            raise EvalError(f"distance {radius} outside (0, inf)", f"disease:{disease_name}.transmission")
+            raise EvalError(f"distance {radius} outside (0, inf)", disease.spec.transmission.distance)
         candidates = [
             dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
             else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)

@@ -9,13 +9,13 @@ class AbmsError(Exception):
 
 class EvalError(AbmsError):
     """An expression could not be evaluated (bad reference, bad operand,
-    division by zero).  ``path`` names the model element whose site failed,
-    once the compiled site has tagged it."""
+    division by zero).  ``site`` is the expression the failing compiled site
+    was compiled from; the validator's report maps it to its model path."""
 
-    def __init__(self, message: str, path: str | None = None):
+    def __init__(self, message: str, site: object = None):
         super().__init__(message)
         self.message = message
-        self.path = path
+        self.site = site
 
 
 class ExprTypeError(AbmsError):
@@ -28,6 +28,14 @@ class ExprTypeError(AbmsError):
 
 class EngineError(AbmsError):
     """A simulation run could not be built or completed."""
+
+
+class InvalidModelError(EngineError):
+    """A model failed validation; ``report`` holds its diagnostics."""
+
+    def __init__(self, report):
+        super().__init__("model failed validation: " + "; ".join(str(d) for d in report.errors()[:3]))
+        self.report = report
 
 
 class FileFormatError(EngineError):

@@ -236,14 +236,12 @@ def _number(value, low: float | None, high: float | None, name: str) -> float | 
     raise EvalError(f"{name} {value} outside {lower}, {upper}")
 
 
-def compile_number(
-    expr: Expr, low: float | None = None, high: float | None = None, name: str = "value", path: str | None = None
-):
+def compile_number(expr: Expr, low: float | None = None, high: float | None = None, name: str = "value"):
     """Compile ``expr`` into ``fn(ctx)``, which yields a finite number, within
     [low, high] when bounds are given; anything else (bool, text, NaN, inf)
-    raises EvalError, tagged with ``path``, the model path of the site.  An
-    integer comes back as an integer.  A literal that passes is checked here,
-    once, and becomes a constant."""
+    raises EvalError, tagged with ``expr`` as its site.  An integer comes back
+    as an integer.  A literal that passes is checked here, once, and becomes a
+    constant."""
     if isinstance(expr, Literal):
         try:
             return lambda ctx, value=_number(expr.value, low, high, name): value
@@ -255,20 +253,20 @@ def compile_number(
         try:
             return _number(fn(ctx), low, high, name)
         except EvalError as err:
-            raise EvalError(err.message, path) from None
+            raise EvalError(err.message, expr) from None
     return number
 
 
-def compile_condition(expr: Expr, path: str | None = None):
+def compile_condition(expr: Expr):
     """Compile ``expr`` into ``fn(ctx)``, which yields a boolean; anything
-    else raises EvalError, tagged with ``path``, the model path of the site."""
+    else raises EvalError, tagged with ``expr`` as its site."""
     fn = compile(expr)
 
     def condition(ctx):
         try:
             return _as_bool(fn(ctx))
         except EvalError as err:
-            raise EvalError(err.message, path) from None
+            raise EvalError(err.message, expr) from None
     return condition
 
 

@@ -296,6 +296,8 @@ class Diagnostic:
 @dataclass
 class ValidationReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # id of each expression tree -> the first site path it was typed at; valid while the model lives
+    sites: dict[int, str] = field(default_factory=dict, compare=False, repr=False)
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
@@ -310,13 +312,14 @@ class ValidationReport:
 class _Collector:
     def __init__(self) -> None:
         self.seen: set[Diagnostic] = set()
+        self.sites: dict[int, str] = {}
 
     def __call__(self, severity: str, path: str, message: str) -> None:
         self.seen.add(Diagnostic(severity, path, message))
 
     def report(self) -> ValidationReport:
         ordered = sorted(self.seen, key=lambda d: (d.path, d.severity, d.message))
-        return ValidationReport(ordered)
+        return ValidationReport(ordered, self.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +549,7 @@ def _check_attributes(owner_path: str, owner_name: str, attributes: list[Attribu
 
 def _infer(expr_: ex.Expr, env: ex.TypeEnv, add: _Collector, path: str, what: str) -> str | None:
     """The kind of ``expr_`` under ``env``, or None after reporting why it has none."""
+    add.sites.setdefault(id(expr_), path)
     try:
         return ex.infer_type(expr_, env)
     except ExprTypeError as err:
@@ -809,6 +813,7 @@ def _check_introduction(model: Model, intro: dz.DiseaseIntroductionSpec, envs, a
             carriers = [a.name for a in model.carriers(intro.disease)]
             if carriers:  # no carrier, no agent the criterion is read on
                 _check_expr(intro.eligibility, envs, carriers, True, (ex.BOOLEAN,), add, path, "eligibility")
+            add.sites.setdefault(id(intro.eligibility), path)  # typed or not, the engine compiles it
     elif intro.selection != "arbitrary":
         add("error", path, f"unknown selection '{intro.selection}'")
 

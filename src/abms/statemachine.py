@@ -106,15 +106,14 @@ class MachineError(AbmsError):
     pass
 
 
-def compile_machine(spec: StateMachineSpec, path: str | None = None) -> Machine:
-    """Compile every guard, trigger and abort probability of ``spec`` once,
-    each failing with ``path``, the model path of the machine."""
+def compile_machine(spec: StateMachineSpec) -> Machine:
+    """Compile every guard, trigger and abort probability of ``spec`` once."""
     transitions: dict[str, list[tuple]] = {}
     for tr in spec.transitions:
-        guard = None if tr.guard is None else ex.compile_condition(tr.guard, path)
+        guard = None if tr.guard is None else ex.compile_condition(tr.guard)
         abort, abort_to = (None, None) if tr.abortion is None else (
-            ex.compile_number(tr.abortion.probability, 0, 1, "rate", path), tr.abortion.abort_to)
-        transitions.setdefault(tr.source, []).append((guard, compile_trigger(tr.trigger, path), abort, abort_to, tr.target))
+            ex.compile_number(tr.abortion.probability, 0, 1, "rate"), tr.abortion.abort_to)
+        transitions.setdefault(tr.source, []).append((guard, compile_trigger(tr.trigger), abort, abort_to, tr.target))
     return Machine(spec, transitions)
 
 
@@ -152,21 +151,20 @@ def force_state(instance: MachineInstance, state: str) -> None:
     instance.dwell = 0
 
 
-def compile_trigger(trigger: Trigger, path: str | None = None):
-    """Compile ``trigger`` into ``fires(dwell, ctx, rng) -> bool``, failing
-    with ``path``."""
+def compile_trigger(trigger: Trigger):
+    """Compile ``trigger`` into ``fires(dwell, ctx, rng) -> bool``."""
     if isinstance(trigger, ProbabilisticTrigger):
-        rate = ex.compile_number(trigger.rate, 0, 1, "rate", path)
+        rate = ex.compile_number(trigger.rate, 0, 1, "rate")
         return lambda dwell, ctx, rng: rng.random() < rate(ctx)
     if isinstance(trigger, DeterministicTrigger):
-        ticks = ex.compile_number(trigger.ticks, 0, None, "duration", path)
+        ticks = ex.compile_number(trigger.ticks, 0, None, "duration")
         return lambda dwell, ctx, rng: dwell >= ticks(ctx)
     if isinstance(trigger, ConditionalTrigger):
-        condition = ex.compile_condition(trigger.condition, path)
+        condition = ex.compile_condition(trigger.condition)
         return lambda dwell, ctx, rng: condition(ctx)
     if isinstance(trigger, CompositeTrigger):
         # Every part is evaluated (draws included) so composition is order-free.
-        parts = [compile_trigger(p, path) for p in trigger.parts]
+        parts = [compile_trigger(p) for p in trigger.parts]
         combine = all if trigger.mode == "all_of" else any
         return lambda dwell, ctx, rng: combine([fires(dwell, ctx, rng) for fires in parts])
     raise MachineError(f"unknown trigger {type(trigger).__name__}")

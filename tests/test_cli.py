@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from abms import metamodel as mm
 from abms.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -93,10 +94,22 @@ class TestRun:
         assert f"argument --ticks: must be at least 1, got {ticks}" in capsys.readouterr().err
 
     def test_invalid_model_exit_one(self, workdir, capsys):
+        """``run`` prints exactly the ``error:`` lines ``validate`` prints."""
         text = (workdir / "measles.abms").read_text().replace("duration I probabilistic rate 0.08\n", "")
         (workdir / "bad.abms").write_text(text)
-        assert main(["run", str(workdir / "bad.abms")]) == 1
-        assert "missing duration" in capsys.readouterr().err
+        assert main(["validate", str(workdir / "bad.abms")]) == 1
+        errors = [line for line in capsys.readouterr().out.splitlines(keepends=True) if line.startswith("error: ")]
+        assert main(["run", str(workdir / "bad.abms"), "--out-dir", str(workdir / "out")]) == 1
+        assert capsys.readouterr() == ("", "".join(errors))
+        assert "missing duration" in "".join(errors)
+        assert not (workdir / "out").exists()
+
+    def test_run_validates_the_model_once(self, workdir, monkeypatch):
+        calls = []
+        validate = mm.validate
+        monkeypatch.setattr(mm, "validate", lambda model: calls.append(model) or validate(model))
+        assert main(["run", str(workdir / "measles.abms"), "--ticks", "5", "--out-dir", str(workdir / "out")]) == 0
+        assert len(calls) == 1
 
     def test_run_time_error_is_one_line_and_writes_no_csv(self, workdir, capsys):
         big = "1" + "0" * 400 + ".0"  # parses to inf

@@ -17,11 +17,12 @@ from abms import statemachine as sm
 from abms import traffic as tf
 from abms.cli import main
 from abms.dsl import parse_model
-from abms.errors import AbmsError, EngineError, EvalError, FileFormatError
+from abms.errors import AbmsError, EngineError, EvalError, FileFormatError, InvalidModelError
 from abms.ingest import Graph, load_gis_points, load_osm_graph
 
 from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
 from digest_corpus import SEED as CORPUS_SEED
+from validate_corpus import cases as validate_cases
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1055,8 +1056,9 @@ class TestRun:
 
     def test_run_rejects_invalid_model(self, tmp_path):
         model = grid_model("  agent A { create fixed 1 random\n    capability disease ghost\n  }")
-        with pytest.raises(EngineError, match="validation"):
+        with pytest.raises(InvalidModelError, match="^model failed validation: error: agent:A") as err:
             engine.run(model, cfg(tmp_path))
+        assert err.value.report.errors() == mm.validate(model).errors()
 
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range
@@ -1096,25 +1098,28 @@ def disease_model(clauses, entity="", intro="introduce d deterministic 5 arbitra
 
 
 NON_FINITE_CASES = {
-    "inf step on a grid": (walker(GRID, BIG), r"tick 1: agent:A: mobility step: "),
-    "nan step on a cartesian space": (walker(CART, NAN), r"tick 1: agent:A: mobility step: "),
+    "inf step on a grid": (walker(GRID, BIG), r"^tick 1: agent:A\.capability\[0\]: step inf outside \[0, inf\)$"),
+    "nan step on a cartesian space": (
+        walker(CART, NAN), r"^tick 1: agent:A\.capability\[0\]: step nan outside \[0, inf\)$"
+    ),
     "inf distance on a grid": (walker(GRID, "1", how=f"proximity {BIG}"), r"tick 1: disease:d\.transmission: "),
     "nan distance on a cartesian space": (
         walker(CART, "1", how=f"proximity {NAN}"), r"tick 1: disease:d\.transmission: "
     ),
     "inf placement": (
-        f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 at ({BIG}, 1) }}\n}}\n", r"tick 0: agent:A: position: "
+        f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 at ({BIG}, 1) }}\n}}\n",
+        r"^tick 0: agent:A: position inf is not finite$",
     ),
     "nan duration": (
         f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 20 random\n"
         "    capability disease d\n  }\n" + SIR.format(how="contact", duration=f"deterministic {NAN}") + "}\n",
-        r"tick 1: disease:d: duration nan outside \[0, inf\)",
+        r"^tick 1: disease:d\.duration:I: duration nan outside \[0, inf\)$",
     ),
     "nan reward": (
         (FIXTURES / "traffic.abms").read_text().replace(
             "bins 2 5\n", f"bins 2 5 reward {NAN}\n"
         ),
-        r"tick 1: agent:Controller: reward: ",
+        r"^tick 1: agent:Controller\.capability\[1\]: reward nan is not finite$",
     ),
     "inf series": (
         f"model t {{\n  {GRID}\n  agent A {{ create fixed 1 random }}\n"
@@ -1129,7 +1134,7 @@ NON_FINITE_CASES = {
         f"model t {{\n  {GRID}\n  agent A {{\n    create fixed 5 random\n    capability state_machine m\n  }}\n"
         f"  machine m {{\n    initial a\n    state a\n    state b\n"
         f"    transition a b conditional ({NAN}) > 0.5\n  }}\n}}\n",
-        r"tick 1: machine:m: '>' operand nan is not finite",
+        r"^tick 1: machine:m\.transition\[0\]: '>' operand nan is not finite$",
     ),
     "integer beyond the float range times a real": (
         f'model t {{\n  {GRID}\n  output o every 1 to "o.csv" {{\n    series x {HUGE} * 1.0\n  }}\n}}\n',
@@ -1140,10 +1145,12 @@ NON_FINITE_CASES = {
         r"tick 0: output:o\.series:x: '/' overflows: integer division result too large for a float",
     ),
     "nan in a guard": (
-        machine_model(f"deterministic 1 guard ({NAN}) > 0.5"), r"^tick 1: machine:m: '>' operand nan is not finite$"
+        machine_model(f"deterministic 1 guard ({NAN}) > 0.5"),
+        r"^tick 1: machine:m\.transition\[0\]: '>' operand nan is not finite$",
     ),
     "nan abort probability": (
-        machine_model(f"deterministic 1 abort {NAN} to c"), r"^tick 1: machine:m: rate nan outside \[0, 1\]$"
+        machine_model(f"deterministic 1 abort {NAN} to c"),
+        r"^tick 1: machine:m\.transition\[0\]: rate nan outside \[0, 1\]$",
     ),
     "nan in a contamination condition": (
         disease_model(
@@ -1158,18 +1165,18 @@ NON_FINITE_CASES = {
             "transmission contact probability 0.5\n    duration I deterministic 5",
             intro=f"introduce d deterministic 5 eligible ({NAN}) > 0.5 aperiodic",
         ),
-        r"^tick 0: introduce d: '>' operand nan is not finite$",
+        r"^tick 0: introduce\[0\]: '>' operand nan is not finite$",
     ),
     "nan probabilistic trigger rate": (
         disease_model(f"transmission contact probability 0.5\n    duration I probabilistic rate {NAN}"),
-        r"^tick 1: disease:d: rate nan outside \[0, 1\]$",
+        r"^tick 1: disease:d\.duration:I: rate nan outside \[0, 1\]$",
     ),
     "nan in a when_condition mortality rule": (
         disease_model(
             "transmission contact probability 0.5\n    duration I deterministic 5\n"
             f"    mortality I rate 0.1 when_condition ({NAN}) > 0.5"
         ),
-        r"^tick 1: disease:d\.mortality: '>' operand nan is not finite$",
+        r"^tick 1: disease:d\.mortality\[0\]: '>' operand nan is not finite$",
     ),
     "nan entity attribute default": (
         f"model t {{\n  {GRID}\n  entity W {{\n    create fixed 1 random\n    attr w real = {NAN}\n  }}\n}}\n",
@@ -1182,18 +1189,18 @@ NON_FINITE_CASES = {
     "nan computed vehicle step": (
         "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
         f"  agent Car {{\n    create fixed 2 random\n    capability mobility random_walk step {NAN}\n  }}\n}}\n",
-        r"^tick 0: agent:Car: mobility step: value nan is not finite$",
+        r"^tick 0: agent:Car\.capability\[0\]: step nan is not finite$",
     ),
     "nan immunity rate": (
         disease_model(
             "transmission contact probability 0.5\n    duration I deterministic 1\n"
             f"    immunity duration probabilistic rate {NAN}"
         ),
-        r"^tick 2: disease:d: rate nan outside \[0, 1\]$",
+        r"^tick 2: disease:d\.immunity: rate nan outside \[0, 1\]$",
     ),
     "nan rate in a composite trigger": (
         machine_model(f"custom any_of(deterministic 5, probabilistic rate {NAN})"),
-        r"^tick 1: machine:m: rate nan outside \[0, 1\]$",
+        r"^tick 1: machine:m\.transition\[0\]: rate nan outside \[0, 1\]$",
     ),
 }
 
@@ -1217,7 +1224,7 @@ class TestRunTimeRanges:
             self.run_with(tmp_path, "transmission contact probability p\n    duration I deterministic 5")
 
     def test_mortality_rate_out_of_range(self, tmp_path):
-        with pytest.raises(AbmsError, match=r"tick 1: disease:d\.mortality: rate 1\.5 outside \[0, 1\]"):
+        with pytest.raises(AbmsError, match=r"tick 1: disease:d\.mortality\[0\]: rate 1\.5 outside \[0, 1\]"):
             self.run_with(
                 tmp_path,
                 "transmission contact probability 0.1\n    duration I deterministic 5\n"
@@ -1229,7 +1236,7 @@ class TestRunTimeRanges:
         [
             (
                 walker(GRID, "s", attr="    attr s integer = 0 - 1\n"),
-                r"tick 1: agent:A: mobility step: step -1 outside \[0, inf\)",
+                r"tick 1: agent:A\.capability\[0\]: step -1 outside \[0, inf\)",
             ),
             (
                 walker(CART, "1", attr="    attr d real = 0.0 - 1.0\n", how="proximity d"),
@@ -1246,7 +1253,7 @@ class TestRunTimeRanges:
             (
                 "model g {\n  environment graph from edges {\n    node a 0 0\n    node b 10 0\n    edge a b 10\n  }\n"
                 "  agent Car {\n    create fixed 2 random\n    capability mobility random_walk step 0.0 - 2\n  }\n}\n",
-                r"tick 0: agent:Car: vehicle speed must be positive on graphs",
+                r"tick 0: agent:Car\.capability\[0\]: vehicle speed must be positive on graphs",
             ),
         ],
         ids=[
@@ -1279,6 +1286,53 @@ class TestRunTimeRanges:
         with pytest.raises(AbmsError, match=expected):
             engine.run(model, cfg(tmp_path, max_ticks=80, base_dir=FIXTURES))
         assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestSitePaths:
+    """A run-time failure names the path ``abms validate`` gives its site: the
+    validator's report maps every expression the world compiles to a path."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The root expressions handed to the compilers that tag a failure."""
+        roots = []
+        for name in ("compile_number", "compile_condition"):
+            def recording(expr, *args, compile=getattr(ex, name), **kwargs):
+                roots.append(expr)
+                return compile(expr, *args, **kwargs)
+            monkeypatch.setattr(ex, name, recording)
+        return roots
+
+    def unnamed(self, model, roots, base_dir=FIXTURES):
+        """The roots compiled while ``model``'s world is built that its table lacks."""
+        start = len(roots)
+        world = engine.build_world(model, engine.RunConfig(seed=CORPUS_SEED, max_ticks=5, base_dir=base_dir))
+        return [root for root in roots[start:] if id(root) not in world.sites]
+
+    def test_every_compiled_site_of_the_digest_corpus_has_a_path(self, compiled):
+        for name, model, base_dir in corpus():
+            assert not self.unnamed(model, compiled, base_dir), name
+        assert compiled
+
+    def test_every_compiled_site_of_a_valid_validate_corpus_model_has_a_path(self, compiled):
+        valid = [(name, model) for name, model in validate_cases() if mm.validate(model).ok()]
+        assert len(valid) > 100
+        for name, model in valid:
+            assert not self.unnamed(model, compiled), name
+        assert compiled
+
+    def test_an_eligibility_no_carrier_types_is_still_named(self, compiled):
+        """With no carrier the validator types no eligibility criterion, yet
+        the world compiles it, so the report names its site all the same."""
+        model = grid_model(
+            "  agent A { create fixed 3 random }\n"
+            "  disease d model SIR {\n    transmission contact probability 0.5\n    duration I deterministic 5\n  }\n"
+            "  introduce d deterministic 1 eligible tick > 0 aperiodic"
+        )
+        report = mm.validate(model)
+        assert report.ok() and report.sites[id(model.introductions[0].eligibility)] == "introduce[0]"
+        assert not self.unnamed(model, compiled)
+        assert model.introductions[0].eligibility in compiled
 
 
 @contextmanager

@@ -52,7 +52,7 @@ def test_outcomes_match_pinned():
 
 def test_validate_types_every_expression(monkeypatch):
     """Every expression tree of every corpus text reaches ex.infer_type during
-    validate."""
+    validate, and the report names the site of each."""
     typed: set[int] = set()
     infer_type = ex.infer_type
 
@@ -64,6 +64,8 @@ def test_validate_types_every_expression(monkeypatch):
     for name, text in texts() + [("external", EXTERNAL)]:
         model = parse_model(text)
         typed.clear()
-        mm.validate(model)
+        report = mm.validate(model)
         untyped = [t for t in expression_trees(model) if id(t) not in typed]
         assert not untyped, f"{name}: never typed: {untyped}"
+        unnamed = [t for t in expression_trees(model) if id(t) not in report.sites]
+        assert not unnamed, f"{name}: no site path: {unnamed}"
