@@ -5,14 +5,14 @@ One run consumes a single seeded PRNG stream in a fixed schedule, so identical
 runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
-  2. ``_agent_phase``: each disease's sources indexed (on a grid or
-     cartesian space by exposure, each under every cell within reach, when
-     the model states the radius and the filing costs no more than the
-     scans it spares; else by cell); then per agent of ``World.actors``,
-     mobility (a walking source refiled at once), the signal plan's phase
-     count and generic machines not in Dead (entering a new state at once),
-     then the disease step (transmission when susceptible, else mortality
-     and progression)
+  2. ``_agent_phase``: each disease's sources indexed by the cell each keeps
+     (by exposure, under every cell within reach, when the model states the
+     radius and the filing costs no more than the scans it spares; else by
+     cell); then per agent of ``World.actors``, mobility (the walk sets the
+     position and its cell, refiling a source that changes cell), the signal
+     plan's phase count and generic machines not in Dead (entering a new
+     state at once), then the disease step (transmission when susceptible,
+     else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals join their queue in ascending id
@@ -134,6 +134,7 @@ class _Instance(ex.Context):
     id: int
     type_name: str
     position: object
+    cell: tuple[int, int] | None = None  # the cell of ``position``, set at placement and by the walk; None on a graph
     attrs: dict[str, object] = field(default_factory=dict)
 
     controller = None  # only agents control flow
@@ -246,8 +247,7 @@ class World(ex.Context):
             self.cell_span = (math.floor(topo.x_max) - math.floor(topo.x_min), math.floor(topo.y_max) - math.floor(topo.y_min))
             self.distance = math.dist
         self.stencil = None  # (offsets, reaches, bound), built and grown by ``_stencil`` as scans need
-        self.agent_type_names = frozenset(a.name for a in model.agent_types)
-        self.entity_type_names = frozenset(e.name for e in model.entity_types)
+        self.gap = 0 if self.on_grid else 1  # grid points in cells d apart on an axis are |d| apart; cartesian ones can be |d| - 1
         walkers = [] if isinstance(topo, mm.GraphTopology) else model.agent_types  # vehicles move in phase 4
         # Every expression the tick evaluates is compiled here, once per run.
         self.walk_steps = {
@@ -281,7 +281,7 @@ class World(ex.Context):
         self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
         # Rosters, which phase 3 prunes the dead from; all but ``vehicles`` are in ascending id order
         # and filled only by ``build_world``.
-        self.by_type: dict[str, list[_Instance]] = {name: [] for name in self.entity_type_names | self.agent_type_names}
+        self.by_type: dict[str, list[_Instance]] = {t.name: [] for t in (*model.agent_types, *model.entity_types)}
         self.actors: list[AgentInstance] = []  # phase 2: a walk step, a signal plan, a declared machine or a disease
         self.vehicles: list[AgentInstance] = []  # phase 4: the vehicles on an edge, in no order; ``_enter_random_edge`` adds
         self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
@@ -372,8 +372,11 @@ def _graph_point(graph: Graph, position) -> tuple[float, float]:
     return (sx + (txx - sx) * frac, sy + (tyy - sy) * frac)
 
 
-def _cell_of(position: tuple) -> tuple[int, int]:
-    return (math.floor(position[0]), math.floor(position[1]))
+def _cell_of(world: World, position) -> tuple[int, int] | None:
+    """The cell a placed instance keeps: its position on a grid, None on a graph."""
+    if world.cell_span is None:
+        return None
+    return position if world.on_grid else (math.floor(position[0]), math.floor(position[1]))
 
 
 def _reported(world: World, fn, *args, path: str | None = None):
@@ -534,7 +537,7 @@ def _init_attrs(world: World, instance, point: GisPoint | None, where: str) -> N
 def _create_entities(world: World, spec: mm.EntityTypeSpec) -> None:
     positions, points = _positions_for(world, spec.creation, f"entity:{spec.name}")
     for i, position in enumerate(positions):
-        entity = EntityInstance(weakref.proxy(world), world.new_id(), spec.name, position)
+        entity = EntityInstance(weakref.proxy(world), world.new_id(), spec.name, position, _cell_of(world, position))
         point = points[i] if points is not None else None
         _init_attrs(world, entity, point, f"entity:{spec.name}")
         world.entities[entity.id] = entity
@@ -549,7 +552,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     speed = None if mobility is None or world.graph is None else ex.compile_number(mobility.step, name="step")
     flow = spec.capability("flow_control")
     for i, position in enumerate(positions):
-        agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position)
+        agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position, _cell_of(world, position))
         agent.diseases = {name: sm.instantiate(m) for name, m in diseases.items()}
         agent.machines = {name: sm.instantiate(m) for name, m in machines.items()}
         point = points[i] if points is not None else None
@@ -660,8 +663,8 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligibl
 
 
 def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Random):
-    """New position for one random-walk step of the compiled length
-    ``step_of`` (graph agents move in phase 4)."""
+    """The new position and its cell after one random-walk step of the
+    compiled length ``step_of`` (graph agents move in phase 4)."""
     topo = world.topology
     step = step_of(agent)
     if isinstance(topo, mm.GridTopology):
@@ -671,15 +674,15 @@ def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Rando
         span = int(round(step))
         x, y = agent.position  # type: ignore[misc]
         nx, ny = x + dx * span, y + dy * span
-        if topo.wrap:
-            return (nx % topo.width, ny % topo.height)
-        return (min(max(nx, 0), topo.width - 1), min(max(ny, 0), topo.height - 1))
+        new = ((nx % topo.width, ny % topo.height) if topo.wrap
+               else (min(max(nx, 0), topo.width - 1), min(max(ny, 0), topo.height - 1)))
+        return new, new  # on a grid a position is its cell
     # Cartesian: graph agents take no random-walk step (``World.walk_steps``).
     angle = rng.random() * 2.0 * math.pi
     x, y = agent.position  # type: ignore[misc]
     nx = min(max(x + math.cos(angle) * step, topo.x_min), topo.x_max)
     ny = min(max(y + math.sin(angle) * step, topo.y_min), topo.y_max)
-    return (nx, ny)
+    return (nx, ny), (math.floor(nx), math.floor(ny))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +699,7 @@ class SourceIndex:
     """One disease's infection sources during phase 2, in ascending id order
     (``items``), which ``_near`` reads.  Unless ``reach`` is None (as on a
     graph), ``cells`` also files each source under every cell the offsets of
-    ``reach`` take its own cell to, modulo a wrapped grid:
+    ``reach`` take the cell it keeps to, modulo a wrapped grid:
 
     - by cell, when ``reach`` is ``BY_CELL``: each source under its own cell,
       so a scan reads the stencil's cells within its radius;
@@ -711,8 +714,8 @@ class SourceIndex:
         if reach is None:
             return
         self.cells = cells = defaultdict(list)
-        for item in items:  # on a grid a position is its cell
-            for cell in self.reached(item.position if world.on_grid else _cell_of(item.position), reach):
+        for item in items:
+            for cell in self.reached(item.cell, reach):
                 cells[cell].append(item)
 
     def reached(self, cell: tuple[int, int], offsets: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -770,29 +773,28 @@ def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, s
     return world.stencil[0][:n]
 
 
-def _near(world: World, sources: SourceIndex, position, radius: float, exclude: _Instance | None) -> list[_Instance]:
-    """The sources within Euclidean distance ``radius`` of ``position``
-    (toroidal on wrapped grids), in ascending id order, without ``exclude``.
-    An index by exposure, built for this ``radius``, is read at the cell of
-    ``position`` alone; one by cell is read at the stencil's cells within
-    ``radius``, unless the stencil stops short of it or there are fewer
-    sources than those cells: then the list is measured.  On a grid a read
-    of cells measures nothing; in a cartesian space the sources found are
-    measured."""
-    items, distance = sources.items, world.distance
+def _near(world: World, sources: SourceIndex, scanner: _Instance, radius: float) -> list[_Instance]:
+    """The sources within Euclidean distance ``radius`` of ``scanner``'s
+    position (toroidal on wrapped grids), in ascending id order, without
+    ``scanner``.  An index by exposure, built for this ``radius``, is read at
+    the cell ``scanner`` keeps alone; one by cell is read at the stencil's
+    cells within ``radius`` of it, unless the stencil stops short of it or
+    there are fewer sources than those cells: then the list is measured.  On
+    a grid a read of cells measures nothing; in a cartesian space the sources
+    found are measured."""
+    items, distance, position = sources.items, world.distance, scanner.position
     if (cells := sources.cells) is not None:
-        cell = position if world.on_grid else _cell_of(position)
         if sources.exposed:
-            found = cells.get(cell, ())
+            found = cells.get(scanner.cell, ())
         elif (n := _prefix(world, radius)) is not None and n <= len(items):
-            found = [item for near in sources.reached(cell, world.stencil[0][:n]) for item in cells.get(near, ())]
+            found = [item for near in sources.reached(scanner.cell, world.stencil[0][:n]) for item in cells.get(near, ())]
         else:
             found = None  # the list is measured
         if found is not None:
             items = sorted(found, key=_BY_ID)
-            if world.on_grid:
-                return [item for item in items if item is not exclude]
-    return [item for item in items if item is not exclude and distance(position, item.position) <= radius]
+            if not world.gap:  # the cells within reach on a grid are exactly those within the radius
+                return [item for item in items if item is not scanner]
+    return [item for item in items if item is not scanner and distance(position, item.position) <= radius]
 
 
 def _prefix(world: World, radius: float) -> int | None:
@@ -812,7 +814,7 @@ def _stencil(world: World, radius: float) -> None:
     up to STENCIL_MAX_REACH: cell offsets (each once modulo a wrapped grid)
     sorted by reach, the least distance of two points in cells that far apart;
     the reaches; and the bound below which a radius reads a prefix of them."""
-    gap = 0 if world.on_grid else 1  # cartesian points in cells d apart on an axis can be |d| - 1 apart
+    gap = world.gap
     built = world.stencil[2] - 1 + gap if world.stencil is not None else 0  # a finite bound is reach + 1 - gap
     if built >= STENCIL_MAX_REACH:
         return
@@ -870,13 +872,11 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     for agent in world.actors:
         step_of = world.walk_steps.get(agent.type_name)
         if step_of is not None:
-            old_cell = agent.position
-            agent.position = new_cell = mobility_step(world, agent, step_of, world.rng)
-            if not world.on_grid:  # on a grid a position is its cell
-                old_cell, new_cell = _cell_of(old_cell), _cell_of(new_cell)
-            if new_cell != old_cell:
+            old = agent.cell
+            agent.position, agent.cell = mobility_step(world, agent, step_of, world.rng)
+            if agent.cell != old:
                 for index in world.sources.values():  # a walking source changes cell
-                    index.move(agent, old_cell, new_cell)
+                    index.move(agent, old, agent.cell)
         ctrl = agent.controller
         if ctrl is not None and ctrl.plan is not None:
             ctrl.ticks_in_cycle += 1
@@ -909,7 +909,7 @@ def _disease_step(
         candidates = [
             dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
             else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
-            for other in _near(world, world.sources[disease_name], agent.position, radius, agent)
+            for other in _near(world, world.sources[disease_name], agent, radius)
         ]
         if dz.attempt_transmission(agent, candidates, disease.transmission, disease.infectious, world.rng):
             changes.moves.append((agent, disease_name, disease.target))

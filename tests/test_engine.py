@@ -71,6 +71,21 @@ _BY_ID = operator.attrgetter("id")
 GRAPH_CORPUS = [case for case in corpus() if isinstance(case[1].environment.topology, mm.GraphTopology)]
 
 
+def cell_of(world, position):
+    """The cell of ``position``, worked out apart from the engine: the
+    position itself on a grid, its floor in a cartesian space, None on a graph."""
+    if world.graph is not None:
+        return None
+    return position if world.on_grid else (math.floor(position[0]), math.floor(position[1]))
+
+
+class Scanner:
+    """A scan's stand-in at ``position``: no source is its scanner."""
+
+    def __init__(self, world, position):
+        self.position, self.cell = position, cell_of(world, position)
+
+
 def cfg(tmp_path, **kw):
     base = dict(seed=42, max_ticks=10, out_dir=tmp_path, base_dir=tmp_path)
     base.update(kw)
@@ -380,35 +395,46 @@ class TestNeighbors:
         return engine.build_world(model, cfg(tmp_path))
 
     @staticmethod
-    def near(world, position, radius, exclude_id):
+    def near(world, scanner, radius):
         sources = engine.SourceIndex(world, list(world.agents.values()), engine.BY_CELL)
-        return [item.id for item in engine._near(world, sources, position, radius, world.agents[exclude_id])]
+        return [item.id for item in engine._near(world, sources, scanner, radius)]
+
+    @staticmethod
+    def scan(world, index, position, radius, scanner):
+        """The ids ``_near`` finds when ``scanner`` scans from ``position``:
+        it stands there, in that cell, for the call, while the index keeps
+        it filed where it was (a scan skips its scanner wherever it is filed)."""
+        kept = scanner.position, scanner.cell
+        scanner.position, scanner.cell = position, cell_of(world, position)
+        try:
+            return [a.id for a in engine._near(world, index, scanner, radius)]
+        finally:
+            scanner.position, scanner.cell = kept
 
     def test_torus_wraps_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)])
         ids = sorted(world.agents)
-        assert self.near(world, world.agents[ids[0]].position, 1, ids[0]) == [ids[1]]
+        assert self.near(world, world.agents[ids[0]], 1) == [ids[1]]
 
     def test_no_wrap_distance(self, tmp_path):
         world = self.build(tmp_path, [(0, 0), (9, 0)], wrap=False)
         ids = sorted(world.agents)
-        assert self.near(world, world.agents[ids[0]].position, 1, ids[0]) == []
+        assert self.near(world, world.agents[ids[0]], 1) == []
 
     def test_radius_zero_means_contact(self, tmp_path):
         world = self.build(tmp_path, [(3, 3), (3, 3), (3, 4)])
         ids = sorted(world.agents)
-        got = self.near(world, world.agents[ids[0]].position, 0, ids[0])
+        got = self.near(world, world.agents[ids[0]], 0)
         assert got == [ids[1]]
 
     def test_empty_world(self, tmp_path):
         world = self.build(tmp_path, [(1, 1)])
-        only = next(iter(world.agents))
-        assert self.near(world, (5, 5), 2, only) == []
+        assert self.near(world, Scanner(world, (5, 5)), 2) == []
 
     def test_ascending_id_order(self, tmp_path):
         world = self.build(tmp_path, [(5, 5), (5, 6), (5, 4), (6, 5)])
         ids = sorted(world.agents)
-        got = self.near(world, world.agents[ids[0]].position, 1.5, ids[0])
+        got = self.near(world, world.agents[ids[0]], 1.5)
         assert got == sorted(got)
         assert got == ids[1:]
 
@@ -447,12 +473,12 @@ class TestNeighbors:
         found = 0
         for position, radius, exclude in cases:
             expected = [a.id for a in items if a is not exclude and world.distance(position, a.position) <= radius]
-            assert [a.id for a in engine._near(world, by_cell, position, radius, exclude)] == expected
-            assert [a.id for a in engine._near(world, listed, position, radius, exclude)] == expected
+            assert self.scan(world, by_cell, position, radius, exclude) == expected
+            assert self.scan(world, listed, position, radius, exclude) == expected
             if radius not in exposed and (n := engine._prefix(world, radius)) is not None:
                 exposed[radius] = engine.SourceIndex(world, items, world.stencil[0][:n])
             if radius in exposed:
-                assert [a.id for a in engine._near(world, exposed[radius], position, radius, exclude)] == expected
+                assert self.scan(world, exposed[radius], position, radius, exclude) == expected
             found += len(expected)
         assert found > 0 and len(exposed) > 5
 
@@ -495,7 +521,7 @@ class TestNeighbors:
         by_cell = engine.SourceIndex(world, items, engine.BY_CELL)
         for radius in (bound, 100):  # beyond the stencil: the list is measured, and the stencil is kept
             expected = [a.id for a in items if world.distance((7, 7), a.position) <= radius]
-            assert [a.id for a in engine._near(world, by_cell, (7, 7), radius, None)] == expected
+            assert [a.id for a in engine._near(world, by_cell, Scanner(world, (7, 7)), radius)] == expected
             assert world.stencil is stencil
 
     @pytest.mark.parametrize("environment", ["grid width 12 height 9 wrap", "grid width 12 height 9"])
@@ -512,7 +538,8 @@ class TestNeighbors:
             return measure(a, b)
 
         world.distance = counting
-        found = sum(len(engine._near(world, by_cell, (x, y), r, None)) for x in range(12) for y in range(9) for r in (1, 2, 2.5))
+        scanners = [Scanner(world, (x, y)) for x in range(12) for y in range(9)]
+        found = sum(len(engine._near(world, by_cell, scanner, r)) for scanner in scanners for r in (1, 2, 2.5))
         assert found > 0
         assert calls == 0
 
@@ -537,7 +564,7 @@ class TestSourceIndex:
         cell of ``position``: on a grid those at most ``radius`` from it
         (toroidally, each once, on a wrapped grid); in a cartesian space those
         whose nearest points are that close."""
-        cx, cy = engine._cell_of(position)
+        cx, cy = cell_of(world, position)
         gap = 0 if world.on_grid else 1
         span = range(-math.floor(radius) - gap, math.floor(radius) + gap + 1)
         if world.wrap is not None:
@@ -567,18 +594,25 @@ class TestSourceIndex:
                     assert len(cells) == len(set(cells))
                     assert set(cells) == cls.within_reach(world, item.position, world.diseases[name].radius)
                 else:
-                    assert cells == [engine._cell_of(item.position)]
+                    assert cells == [cell_of(world, item.position)]
             assert not filed
+
+    @staticmethod
+    def assert_cells_kept(world):
+        for item in (*world.agents.values(), *world.entities.values()):
+            assert item.cell == cell_of(world, item.position), item
 
     @classmethod
     def run_checked(cls, monkeypatch, world, ticks):
-        """Tick ``world``, checking the index before every disease step;
-        returns the largest index seen and the ways they were filed."""
+        """Tick ``world``, checking the cell each instance keeps and the index
+        before every disease step; returns the largest index seen and the
+        ways they were filed."""
         largest, filings = 0, set()
         disease_step = engine._disease_step
 
         def checked_step(world, *args):
             nonlocal largest
+            cls.assert_cells_kept(world)
             cls.assert_indexed(world)
             largest = max([largest, *(len(index.items) for index in world.sources.values())])
             filings.update("exposure" if index.exposed else "by cell" for index in world.sources.values())
@@ -617,6 +651,33 @@ class TestSourceIndex:
         largest, filings = self.run_checked(monkeypatch, world, 10)
         assert largest > 49 and filings == {"exposure", "by cell"}  # more sources than cells in reach
         assert world.dead["A"] > 0
+
+    def test_cartesian_placements_keep_their_cell(self, tmp_path, monkeypatch):
+        # Placed on the x_max and y_max bounds, at -0.0, in negative cells and
+        # from a point file, then walked: each instance's cell stays the floor of its position.
+        (tmp_path / "p.points").write_text("6,4\n-0.0,0.5\n-1.5,-0.5\n2.5,3.9\n")
+        model = parse_model(
+            "model t {\n  environment cartesian -2..6 -1..4\n"
+            "  agent A {\n    create fixed 30 at (6, 3.7) (-0.0, 1) (6, 4) (-2, -1)\n"
+            "    capability mobility random_walk step 1\n    capability disease d\n  }\n"
+            '  agent B {\n    create gis "p.points"\n    capability mobility random_walk step 0.7\n'
+            "    capability disease d\n  }\n"
+            "  entity W {\n    create fixed 2 at (6, -1) (-0.0, 3.5)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 1.5 probability 0.3 sources W\n"
+            "    duration I deterministic 4\n  }\n"
+            "  introduce d deterministic 3 arbitrary periodic 4\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        placed = {name: {tuple(map(repr, item.position)) for item in roster} for name, roster in world.by_type.items()}
+        assert placed == {
+            "A": {("6.0", "3.7"), ("-0.0", "1.0"), ("6.0", "4.0"), ("-2.0", "-1.0")},
+            "B": {("6.0", "4.0"), ("-0.0", "0.5"), ("-1.5", "-0.5"), ("2.5", "3.9")},
+            "W": {("6.0", "-1.0"), ("-0.0", "3.5")},
+        }
+        self.assert_cells_kept(world)
+        start = {item.id: item.cell for item in world.agents.values()}
+        largest, _ = self.run_checked(monkeypatch, world, 12)
+        assert largest > 2 and any(agent.cell != start[aid] for aid, agent in world.agents.items())
 
     def test_graph_index_is_a_list(self, tmp_path, monkeypatch):
         world = engine.build_world(parse_model(INLINE_GRAPH_DISEASE), cfg(tmp_path))
@@ -658,7 +719,7 @@ class TestSourceIndex:
         (walker,), host, still = (world.by_type[name] for name in ("Walker", "Host", "Still"))
         for source in (walker, *still):
             sm.force_state(source.diseases["d"], "I")
-        monkeypatch.setattr(engine, "mobility_step", lambda world, agent, step, rng: end)
+        monkeypatch.setattr(engine, "mobility_step", lambda world, agent, step, rng: (end, cell_of(world, end)))
         engine.tick(world)
         assert walker.id < host[0].id and walker.position == end
         index = world.sources["d"]
@@ -895,8 +956,8 @@ class TestMobility:
         seen = set()
         for _ in range(1000):
             agent.position = (4, 4)
-            new_pos = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
-            assert new_pos in allowed
+            new_pos, cell = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
+            assert new_pos in allowed and cell == new_pos
             seen.add(new_pos)
         assert seen == allowed
 
@@ -913,7 +974,7 @@ class TestMobility:
         rng.setstate(world.rng.getstate())
         signs = set()
         for _ in range(20):
-            expected = engine.mobility_step(world, agent, world.walk_steps["A"], rng)
+            expected, _ = engine.mobility_step(world, agent, world.walk_steps["A"], rng)
             engine.tick(world)
             assert repr(agent.position) == repr(expected)
             signs.add(math.copysign(1.0, agent.position[0]))
@@ -927,8 +988,8 @@ class TestMobility:
         world = engine.build_world(model, cfg(tmp_path))
         agent = next(iter(world.agents.values()))
         for _ in range(50):
-            x, y = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
-            assert 0 <= x <= 10 and 0 <= y <= 10
+            (x, y), cell = engine.mobility_step(world, agent, world.walk_steps["A"], world.rng)
+            assert 0 <= x <= 10 and 0 <= y <= 10 and cell == (math.floor(x), math.floor(y))
             agent.position = (x, y)
 
 
@@ -1663,11 +1724,12 @@ class TestRosters:
         for name, roster in expected.items():
             assert sorted(getattr(world, name), key=_BY_ID) == roster, name
         assert world.actors == expected["actors"] and world.learners == expected["learners"]
-        populations = {name: world.population(name) for name in world.agent_type_names | world.entity_type_names}
-        for name in world.agent_type_names:
-            assert populations[name] == [a for a in agents if a.type_name == name], name
-        for name in world.entity_type_names:
-            assert populations[name] == [e for e in world.entities.values() if e.type_name == name], name
+        agent_types = {a.name for a in world.model.agent_types}
+        assert list(world.by_type) == [t.name for t in (*world.model.agent_types, *world.model.entity_types)]
+        populations = {name: world.population(name) for name in world.by_type}
+        for name, roster in populations.items():
+            instances = agents if name in agent_types else world.entities.values()
+            assert roster == [x for x in instances if x.type_name == name], name
         assert all(world.population(name) is roster for name, roster in populations.items())  # no copy
         dead = created - set(world.agents)
         for roster in (*expected.values(), *populations.values()):
