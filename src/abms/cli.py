@@ -10,6 +10,7 @@ import argparse
 import difflib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -188,13 +189,15 @@ def _cmd_fmt(args) -> int:
     if args.check:
         if canonical == original:
             return 0
+        # As diff(1) does, end lines only at a newline, and mark a last line that has none.
         diff = difflib.unified_diff(
-            (original or "").splitlines(keepends=True),
-            canonical.splitlines(keepends=True),
+            re.findall(r".*\n|.+", original or ""),
+            re.findall(r".*\n|.+", canonical),
             fromfile=args.model,
             tofile=args.model + " (canonical)",
         )
-        sys.stderr.writelines(diff)
+        for line in diff:
+            sys.stderr.write(line if line.endswith("\n") else line + "\n\\ No newline at end of file\n")
         return 1
     if canonical != original:
         Path(args.model).write_text(canonical, encoding="utf-8")

@@ -7,7 +7,7 @@ become error tokens for the parser to report, never exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..source import SourceSpan
 
@@ -31,11 +31,13 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+# One match per token, whitespace and comments skipped as its prefix; as ``.``
+# or ``\Z`` always matches after the skip, the skip never backtracks.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[\s]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<real>\d+\.\d+)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<real>\d+\.\d+)
     | (?P<int>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"(?:\\.|[^"\\\n])*")
@@ -43,6 +45,7 @@ _TOKEN_RE = re.compile(
     | (?P<punct>\.\.|==|!=|<=|>=|[{}(),.=<>+\-*/])
     | (?P<error>.)
     | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -53,8 +56,7 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # kw | ident | int | real | string | punct | error | eof
     value: object  # parsed value (str for idents/kw/punct, numbers for literals)
     text: str
@@ -73,24 +75,22 @@ class Token:
             return f"'{self.text}'"
         if self.type == "ident":
             return f"identifier '{self.text}'"
-        return self.type
+        return str(self.value) if self.type == "error" else self.type
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokens for ``text``, always ending with a single eof token."""
+    """Tokens for ``text``, always ending with a single eof token; only ``\\n`` ends a line."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(text):
-        kind, raw = m.lastgroup, m.group()
-        start_line, start_col = line, col
-        newlines = raw.count("\n")
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        newlines = text.count("\n", pos, start)
         if newlines:
             line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        if kind in ("ws", "comment"):
-            continue
+            line_start = text.rfind("\n", pos, start) + 1
+        start_line, start_col = line, start - line_start + 1
+        raw = m[kind]
         value: object = raw
         if kind == "ident":
             kind = "kw" if raw in KEYWORDS else "ident"
@@ -104,5 +104,11 @@ def tokenize(text: str) -> list[Token]:
             kind, value = "error", "unterminated string"
         elif kind == "error":
             value = f"unexpected character {raw!r}"
-        tokens.append(Token(kind, value, raw, start_line, start_col, line, col))
+        if "\n" in raw:  # only a string spans lines, by a backslash-newline
+            line += raw.count("\n")
+            line_start = text.rfind("\n", start, end) + 1
+        tokens.append(Token(kind, value, raw, start_line, start_col, line, end - line_start + 1))
+        if kind == "eof":  # a match that reaches the end is followed by one more, empty, at \Z
+            break
+        pos = end
     return tokens

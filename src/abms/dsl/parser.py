@@ -30,6 +30,7 @@ _DISEASE_BODY = frozenset(
     ["transmission", "duration", "passive", "immunity", "mortality", "states", "initial", "transition"]
 )
 _MACHINE_BODY = frozenset(["initial", "state", "transition"])
+_LITERAL_KINDS = {"int": ex.INTEGER, "real": ex.REAL, "string": ex.TEXT}
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != "eof":
             self.pos += 1
             if tok.type == "punct":
@@ -91,17 +92,18 @@ class _Parser:
         return tok
 
     def at(self, type_: str, value: object = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == type_ and (value is None or tok.value == value)
 
     def at_kw(self, *names: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == "kw" and tok.value in names
 
     def accept(self, type_: str, value: object = None) -> Token | None:
-        if self.at(type_, value):
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.type != type_ or (value is not None and tok.value != value):
+            return None
+        return self.next()
 
     def choose(self, *keywords: str) -> str:
         """Consume and return whichever of ``keywords`` comes next, or fail
@@ -217,7 +219,8 @@ class _Parser:
             self.record(err)
         trailing = self.peek()
         if trailing.type != "eof":
-            self.error_at(trailing, f"unexpected {trailing.describe()} after the model block")
+            found = trailing.describe() if trailing.type == "error" else f"unexpected {trailing.describe()}"
+            self.error_at(trailing, f"{found} after the model block")
         if model.environment is None:
             self.errors.append(
                 ParseError(self.span_from(start), ("'environment'",), "end of model", "model declares no environment")
@@ -695,14 +698,8 @@ class _Parser:
             if tok.text == "is":
                 state = str(self.expect_ident("state name").value)
                 if not (isinstance(left, ex.AttrRef) and left.owner is None):
-                    raise _Syntax(
-                        ParseError(
-                            tok.span(self.file),
-                            (),
-                            tok.describe(),
-                            "the left side of 'is' must name a disease or state machine",
-                        )
-                    )
+                    message = "the left side of 'is' must name a disease or state machine"
+                    raise _Syntax(ParseError(tok.span(self.file), (), tok.describe(), message))
                 left = ex.StateTest(left.name, state, span=left.span.merge(tok.span(self.file)))
             else:
                 right = self.parse_expr(prec + 1)
@@ -710,19 +707,13 @@ class _Parser:
 
     def parse_primary(self) -> ex.Expr:
         tok = self.peek()
-        if tok.type == "int":
+        if tok.type in _LITERAL_KINDS:  # the lexer has parsed the literal's value
             self.next()
-            return ex.Literal(int(tok.value), ex.INTEGER, span=tok.span(self.file))  # type: ignore[arg-type]
-        if tok.type == "real":
-            self.next()
-            return ex.Literal(float(tok.value), ex.REAL, span=tok.span(self.file))  # type: ignore[arg-type]
-        if tok.type == "string":
-            self.next()
-            return ex.Literal(str(tok.value), ex.TEXT, span=tok.span(self.file))
-        if self.at_kw("true") or self.at_kw("false"):
+            return ex.Literal(tok.value, _LITERAL_KINDS[tok.type], span=tok.span(self.file))
+        if self.at_kw("true", "false"):
             self.next()
             return ex.Literal(tok.value == "true", ex.BOOLEAN, span=tok.span(self.file))
-        if self.at_kw("count") or self.at_kw("sum"):
+        if self.at_kw("count", "sum"):
             return self.parse_aggregate()
         if self.accept("punct", "("):
             inner = self.parse_expr()

@@ -167,6 +167,19 @@ class TestFmt:
         assert main(["fmt", "--check", str(workdir / "messy.abms")]) == 1
         assert "---" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ending", ["\t", "  # no newline after this comment"])
+    def test_check_diff_marks_a_missing_final_newline(self, workdir, capsys, ending):
+        """As diff(1) does: only a newline ends a line (not the form feed put in here), every
+        line of the diff ends, and the last line, which has no newline, is marked."""
+        text = (workdir / "measles.abms").read_text().replace("\n  agent", "\x0c\n  agent", 1)
+        (workdir / "messy.abms").write_text(text + ending)
+        assert main(["fmt", "--check", str(workdir / "messy.abms")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\n\\ No newline at end of file\n")
+        assert err.count("No newline at end of file") == 1
+        for line in err.split("\n")[:-1]:
+            assert line[:1] in ("-", "+", "@", " ", "\\"), repr(line)
+
     def test_rewrite_makes_canonical(self, workdir):
         messy = (workdir / "measles.abms").read_text().replace("  agent", "     agent")
         (workdir / "messy.abms").write_text(messy)

@@ -12,8 +12,12 @@ from abms import statemachine as sm
 from abms.dsl import format_model, parse, parse_model
 from abms.dsl.lexer import KEYWORDS, tokenize
 
+import digest_corpus
+import token_loop
+import validate_corpus
 from digest_corpus import corpus as digest_models
 from netlogo_corpus import INLINE_COMPOSITE
+from parse_error_corpus import cases as parse_error_cases
 from parse_error_corpus import error_list
 from randmodels import random_text_model
 from validate_corpus import texts as validate_texts
@@ -117,6 +121,30 @@ model m {
         result = parse('model m { environment graph from osm "broken }')
         assert result.model is None
         assert result.errors
+
+    @pytest.mark.parametrize(
+        "text,found,message",
+        [
+            (
+                "model m { environment grid width @ height 3 }",
+                "unexpected character '@'",
+                "expected grid width, found unexpected character '@'",
+            ),
+            (
+                'model m { environment graph from osm "broken }',
+                "unterminated string",
+                "expected OSM file path, found unterminated string",
+            ),
+            (
+                "model m { environment grid width 3 height 3 } $",
+                "unexpected character '$'",
+                "unexpected character '$' after the model block",
+            ),
+        ],
+    )
+    def test_error_token_is_reported_by_the_lexer_message(self, text, found, message):
+        error = parse(text).errors[0]
+        assert (error.found, error.message) == (found, message)
 
     def test_state_test_requires_bare_name(self):
         result = parse(
@@ -380,7 +408,19 @@ def _assert_tokens_are_slices(text):
         assert tok.text == _source_slice(text, tok.line, tok.col, tok.end_line, tok.end_col), tok
 
 
+def _token_fields(tokens):
+    return [(t.type, t.value, type(t.value), t.text, t.line, t.col, t.end_line, t.end_col) for t in tokens]
+
+
+def _assert_tokens_match_token_loop(text):
+    assert _token_fields(tokenize(text)) == _token_fields(token_loop.tokenize(text)), text
+
+
 LEXER_ALPHABET = 'ab_1.2 "\\\n\r\t#<=>!{}()-+*/,'
+# The last alphabet makes strings continued by a backslash-newline common.
+LEXER_TEXTS = st.one_of(
+    st.text(max_size=200), st.text(alphabet=LEXER_ALPHABET, max_size=200), st.text(alphabet='"\\\na ', max_size=40)
+)
 
 
 class TestLexer:
@@ -391,10 +431,54 @@ class TestLexer:
         for text in texts:
             _assert_tokens_are_slices(text)
 
-    @given(st.one_of(st.text(max_size=200), st.text(alphabet=LEXER_ALPHABET, max_size=200)))
+    @given(LEXER_TEXTS)
     @settings(max_examples=300, deadline=None)
     def test_generated_tokens_are_source_slices(self, text):
         _assert_tokens_are_slices(text)
+
+    def test_corpus_tokens_match_the_token_loop(self, monkeypatch):
+        """The source and mutated texts of the validate, digest and parse-error corpora."""
+        texts = [text for _, text in validate_texts() + parse_error_cases()]
+        texts += [format_model(model) for _, model, _ in digest_models()]
+        texts += [getattr(digest_corpus, name) for name in dir(digest_corpus) if name.startswith("INLINE_")]
+        # The validate corpus's mutated texts are the ones it parses.
+        monkeypatch.setattr(validate_corpus, "parse", lambda text: texts.append(text) or parse(text))
+        validate_corpus.cases()
+        for text in texts:
+            _assert_tokens_match_token_loop(text)
+
+    @given(LEXER_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_tokens_match_the_token_loop(self, text):
+        _assert_tokens_match_token_loop(text)
+
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("", 1, 1),
+            ("a", 1, 2),
+            ("a  \t", 1, 5),
+            ("a # note", 1, 9),
+            ("a\r\n", 2, 1),
+            ("a\n\n", 3, 1),
+            ('a "b', 1, 5),
+        ],
+    )
+    def test_one_eof_at_the_end(self, text, line, col):
+        """Also after a last match that reaches the end, which the eof's empty match follows."""
+        tokens = tokenize(text)
+        assert [t.type for t in tokens].count("eof") == 1
+        eof = tokens[-1]
+        assert (eof.type, eof.line, eof.col, eof.end_line, eof.end_col) == ("eof", line, col, line, col)
+        _assert_tokens_match_token_loop(text)
+
+    def test_long_blank_and_comment_text_is_one_eof(self):
+        lines = ["# a comment line", "", "   \t ", "  # indented # comment", "\r"]
+        text = "\n".join(lines[i % len(lines)] for i in range(30000))[:200_000]
+        assert len(text) == 200_000
+        [eof] = tokenize(text)
+        last_line = text.rsplit("\n", 1)[1]
+        assert (eof.type, eof.line, eof.col) == ("eof", text.count("\n") + 1, len(last_line) + 1)
 
     @pytest.mark.parametrize(
         "source,value",
