@@ -8,11 +8,13 @@ runs six phase functions:
   2. ``_agent_phase``: each disease's sources indexed by the cell each keeps
      (by exposure, under every cell within reach, when the model states the
      radius and the filing costs no more than the scans it spares; else by
-     cell); then per agent of ``World.actors``, mobility (the walk sets the
-     position and its cell, refiling a source that changes cell), the signal
-     plan's phase count and generic machines not in Dead (entering a new
-     state at once), then the disease step (transmission when susceptible,
-     else mortality and progression)
+     cell); then per agent of ``World.actors``, mobility (the walk, within
+     the size or bounds ``World`` resolved, sets the position and its cell,
+     refiling a source that changes cell: by cell out of one and into one),
+     the signal plan's phase count and generic machines not in Dead
+     (entering a new state at once), then the disease step (when
+     susceptible, a scan and trials only against the sources it finds, its
+     rate evaluated either way; else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals join their queue in ascending id
@@ -225,6 +227,7 @@ class World(ex.Context):
         self.wrap = (topo.width, topo.height) if isinstance(topo, mm.GridTopology) and topo.wrap else None
         self.on_grid = isinstance(topo, mm.GridTopology)
         self.graph: Graph | None = None
+        self.bounds = None  # (x_min, y_min, x_max, y_max) the walk clamps to, on a bounded grid or a cartesian space
         # Per axis, the widest cell offset between two positions (None on graphs), and their distance.
         if isinstance(topo, mm.GraphTopology):
             if isinstance(topo.source, mm.OsmGraphStrategy):
@@ -243,7 +246,9 @@ class World(ex.Context):
             self.cell_span, self.distance = (topo.width // 2, topo.height // 2), _torus_distance(*self.wrap)
         elif self.on_grid:
             self.cell_span, self.distance = (topo.width - 1, topo.height - 1), math.dist  # positions are points
+            self.bounds = (0, 0, topo.width - 1, topo.height - 1)
         else:  # a cartesian space
+            self.bounds = (topo.x_min, topo.y_min, topo.x_max, topo.y_max)
             self.cell_span = (math.floor(topo.x_max) - math.floor(topo.x_min), math.floor(topo.y_max) - math.floor(topo.y_min))
             self.distance = math.dist
         self.stencil = None  # (offsets, reaches, bound), built and grown by ``_stencil`` as scans need
@@ -664,25 +669,29 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligibl
 
 def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Random):
     """The new position and its cell after one random-walk step of the
-    compiled length ``step_of`` (graph agents move in phase 4)."""
-    topo = world.topology
+    compiled length ``step_of``, within the size or the bounds ``World``
+    resolved (graph agents move in phase 4)."""
     step = step_of(agent)
-    if isinstance(topo, mm.GridTopology):
-        # 8-neighborhood plus "stay", all nine outcomes equally likely.
-        pick = rng.randrange(9)
-        dx, dy = pick % 3 - 1, pick // 3 - 1
-        span = int(round(step))
-        x, y = agent.position  # type: ignore[misc]
-        nx, ny = x + dx * span, y + dy * span
-        new = ((nx % topo.width, ny % topo.height) if topo.wrap
-               else (min(max(nx, 0), topo.width - 1), min(max(ny, 0), topo.height - 1)))
-        return new, new  # on a grid a position is its cell
-    # Cartesian: graph agents take no random-walk step (``World.walk_steps``).
-    angle = rng.random() * 2.0 * math.pi
     x, y = agent.position  # type: ignore[misc]
-    nx = min(max(x + math.cos(angle) * step, topo.x_min), topo.x_max)
-    ny = min(max(y + math.sin(angle) * step, topo.y_min), topo.y_max)
-    return (nx, ny), (math.floor(nx), math.floor(ny))
+    if not world.on_grid:  # cartesian: graph agents take no random-walk step (``World.walk_steps``)
+        angle = rng.random() * 2.0 * math.pi
+        nx, ny = x + math.cos(angle) * step, y + math.sin(angle) * step
+        x_min, y_min, x_max, y_max = world.bounds
+        nx = x_min if nx < x_min else x_max if nx > x_max else nx  # the object min(max(nx, x_min), x_max) gives
+        ny = y_min if ny < y_min else y_max if ny > y_max else ny
+        return (nx, ny), (math.floor(nx), math.floor(ny))
+    # 8-neighborhood plus "stay", all nine outcomes equally likely.
+    pick = rng.randrange(9)
+    span = int(round(step))
+    nx, ny = x + (pick % 3 - 1) * span, y + (pick // 3 - 1) * span
+    if (wrap := world.wrap) is not None:
+        new = (nx % wrap[0], ny % wrap[1])
+    else:
+        x_min, y_min, x_max, y_max = world.bounds
+        nx = x_min if nx < x_min else x_max if nx > x_max else nx
+        ny = y_min if ny < y_min else y_max if ny > y_max else ny
+        new = (nx, ny)
+    return new, new  # on a grid a position is its cell
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +718,7 @@ class SourceIndex:
     def __init__(self, world: World, items: list[_Instance], reach: list[tuple[int, int]] | None):
         self.items, self.reach, self.wrap = items, reach, world.wrap
         self.exposed = reach is not None and reach is not BY_CELL
-        self.members = set(items)  # the instances ``move`` refiles
+        self.members = set(items)  # the instances the walk refiles with ``move``
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
         if reach is None:
             return
@@ -727,13 +736,16 @@ class SourceIndex:
         return [((cx + dx) % width, (cy + dy) % height) for dx, dy in offsets]
 
     def move(self, item: _Instance, old: tuple[int, int], new: tuple[int, int]) -> None:
-        """Refile ``item``, if it is a source here, from cell ``old`` to cell ``new``."""
-        if item in self.members:
-            cells = self.cells
-            for cell in self.reached(old, self.reach):
-                cells[cell].remove(item)
-            for cell in self.reached(new, self.reach):
-                cells[cell].append(item)
+        """Refile ``item``, one of ``members``, from cell ``old`` to cell ``new``."""
+        cells = self.cells
+        if not self.exposed:  # by cell: out of one cell and into one
+            cells[old].remove(item)
+            cells[new].append(item)
+            return
+        for cell in self.reached(old, self.reach):
+            cells[cell].remove(item)
+        for cell in self.reached(new, self.reach):
+            cells[cell].append(item)
 
 
 def _index_sources(world: World) -> None:
@@ -785,7 +797,8 @@ def _near(world: World, sources: SourceIndex, scanner: _Instance, radius: float)
     items, distance, position = sources.items, world.distance, scanner.position
     if (cells := sources.cells) is not None:
         if sources.exposed:
-            found = cells.get(scanner.cell, ())
+            if not (found := cells.get(scanner.cell)):
+                return []
         elif (n := _prefix(world, radius)) is not None and n <= len(items):
             found = [item for near in sources.reached(scanner.cell, world.stencil[0][:n]) for item in cells.get(near, ())]
         else:
@@ -869,26 +882,29 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     """Phase 2: per-agent behaviour, with disease changes buffered."""
     _index_sources(world)
     changes = DiseaseChanges()
+    walk_steps, rng, diseases, indexes = world.walk_steps, world.rng, world.diseases, list(world.sources.values())
     for agent in world.actors:
-        step_of = world.walk_steps.get(agent.type_name)
+        step_of = walk_steps.get(agent.type_name)
         if step_of is not None:
             old = agent.cell
-            agent.position, agent.cell = mobility_step(world, agent, step_of, world.rng)
+            agent.position, agent.cell = mobility_step(world, agent, step_of, rng)
             if agent.cell != old:
-                for index in world.sources.values():  # a walking source changes cell
-                    index.move(agent, old, agent.cell)
+                for index in indexes:  # a walking source changes cell
+                    if agent in index.members:
+                        index.move(agent, old, agent.cell)
         ctrl = agent.controller
         if ctrl is not None and ctrl.plan is not None:
             ctrl.ticks_in_cycle += 1
             ctrl.dwell += 1
             if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
                 _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
-        for name, inst in agent.machines.items():
-            if inst.current != sm.DEAD_STATE and (state := sm.step(inst, agent, world.rng)) is not None:
-                sm.force_state(inst, state)
+        if agent.machines:
+            for inst in agent.machines.values():
+                if inst.current != sm.DEAD_STATE and (state := sm.step(inst, agent, rng)) is not None:
+                    sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
-            if (agent.id, disease_name) not in infected_now:
-                _disease_step(world, agent, inst, world.diseases[disease_name], changes)
+            if not infected_now or (agent.id, disease_name) not in infected_now:
+                _disease_step(world, agent, inst, diseases[disease_name], changes)
     return changes
 
 
@@ -906,10 +922,13 @@ def _disease_step(
         radius = 0.0
         if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
             raise EvalError(f"distance {radius} outside (0, inf)", disease.spec.transmission.distance)
+        if not (near := _near(world, world.sources[disease_name], agent, radius)):
+            disease.transmission.probability(agent)  # a trial with no source draws nothing, but its rate is checked
+            return
         candidates = [
             dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)
             else dz.Candidate(other.id, False, other.type_name, other, other.diseases[disease_name].current)
-            for other in _near(world, world.sources[disease_name], agent, radius)
+            for other in near
         ]
         if dz.attempt_transmission(agent, candidates, disease.transmission, disease.infectious, world.rng):
             changes.moves.append((agent, disease_name, disease.target))

@@ -48,9 +48,16 @@ def texts() -> list[tuple[str, str]]:
     return found
 
 
+def lines_of(text: str) -> list[str]:
+    """The lines of ``text``, each with its ending newline.  Unlike
+    ``str.splitlines``, only "\\n" ends a line, as in the lexer's line count."""
+    *ended, last = text.split("\n")
+    return [line + "\n" for line in ended] + ([last] if last else [])
+
+
 def mutate(text: str, rng: random.Random) -> tuple[str, str]:
     """One seeded mutation of ``text``: (mutated text, what was done)."""
-    lines = text.splitlines(keepends=True)
+    lines = lines_of(text)
     line_starts = [0]
     for line in lines:
         line_starts.append(line_starts[-1] + len(line))

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abms import engine
 from abms import expr as ex
@@ -23,6 +25,7 @@ from abms.ingest import Graph, load_gis_points, load_osm_graph
 from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
 from digest_corpus import SEED as CORPUS_SEED
 from validate_corpus import cases as validate_cases
+import walk_oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -940,7 +943,52 @@ class TestDeadMachines:
         assert agent.id in world.agents  # a declared machine in Dead leaves its agent alive
 
 
+@st.composite
+def walks(draw):
+    """A topology, a position in it and a step length: a wrapped or bounded
+    grid with each axis often at an edge and steps rounding to spans 0-3, or
+    a cartesian space with int or float bounds, possibly negative, and each
+    axis often on a bound or at -0.0."""
+    kind = draw(st.sampled_from(["wrapped grid", "bounded grid", "cartesian"]))
+    if kind != "cartesian":
+        width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        position = tuple(draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1)) for size in (width, height))
+        step = draw(st.sampled_from([0, 0.4, 0.5, 1, 1.5, 2, 2.5, 3, 3.4]))
+        return mm.GridTopology(width, height, kind == "wrapped grid"), position, step
+    number = st.integers(-8, 8) | st.integers(-32, 32).map(lambda q: q / 4)
+    extent = st.integers(1, 6) | st.integers(1, 24).map(lambda q: q / 4)
+    bounds, position = [], []
+    for _ in range(2):
+        low = draw(number)
+        high = low + draw(extent)
+        on_bound = [low, high, float(low), float(high)] + ([-0.0] if low <= 0 <= high else [])
+        position.append(draw(st.sampled_from(on_bound) | st.floats(low, high)))
+        bounds.append((low, high))
+    (x_min, x_max), (y_min, y_max) = bounds
+    step = draw(st.integers(0, 4) | st.floats(0, 5))
+    return mm.CartesianTopology(x_min, x_max, y_min, y_max), tuple(position), step
+
+
 class TestMobility:
+    @given(walks(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_step_matches_the_walk_oracle(self, walk, seed):
+        """Four chained steps give the oracle's position and cell, with the
+        sign of a zero and the type of a bound, and leave its random stream."""
+        topology, position, step = walk
+        model = parse_model("model t {\n  environment grid width 1 height 1\n  agent A { create fixed 1 random }\n}\n")
+        model.environment.topology = topology
+        world = engine.build_world(model, engine.RunConfig(seed=seed, max_ticks=1))
+        (agent,) = world.agents.values()
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            agent.position = position
+            got = engine.mobility_step(world, agent, lambda _: step, rng)
+            expected = walk_oracle.mobility_step(world, agent, lambda _: step, oracle_rng)
+            assert repr(got) == repr(expected) and got == expected
+            assert rng.getstate() == oracle_rng.getstate()
+            position = got[0]
+
     def test_step_zero_stays(self, tmp_path):
         model = grid_model("  agent A {\n    create fixed 1 at (4, 4)\n    capability mobility random_walk step 0\n  }")
         world = engine.build_world(model, cfg(tmp_path))
@@ -1347,6 +1395,28 @@ class TestRunTimeRanges:
         with pytest.raises(AbmsError, match=expected):
             engine.run(model, cfg(tmp_path, max_ticks=80, base_dir=FIXTURES))
         assert not list(tmp_path.rglob("*.csv"))
+
+
+    @pytest.mark.parametrize("env", ["grid width 10 height 10", "grid width 10 height 10 wrap", "cartesian 0..10 0..10"])
+    @pytest.mark.parametrize("hosts", [5, 40], ids=["by cell", "by exposure"])
+    def test_a_rate_out_of_range_fails_where_no_source_is_in_reach(self, tmp_path, monkeypatch, env, hosts):
+        """The trial's rate is evaluated on every susceptible agent's scan,
+        also one that finds no source, so it fails at the same tick with the
+        same text."""
+        model = parse_model(
+            f"model t {{\n  environment {env}\n"
+            f"  agent A {{\n    create fixed {hosts} at (1, 1)\n    attr p real = 1.5\n    capability disease d\n  }}\n"
+            "  entity W {\n    create fixed 1 at (8, 8)\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability p sources W\n"
+            "    duration I deterministic 3\n  }\n}\n"
+        )
+        assert mm.validate(model).ok()
+        world = engine.build_world(model, cfg(tmp_path))
+        scans, near = [], engine._near
+        monkeypatch.setattr(engine, "_near", lambda *args: scans.append(near(*args)) or scans[-1])
+        with pytest.raises(AbmsError, match=r"^tick 1: disease:d\.transmission: rate 1\.5 outside \[0, 1\]$"):
+            engine.tick(world)
+        assert scans == [[]] and world.sources["d"].exposed == (hosts == 40)
 
 
 class TestSitePaths:

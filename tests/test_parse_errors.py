@@ -1,9 +1,12 @@
 """Pinned parser diagnostics: the full error list of every mutated text must
 match fixtures/golden/parse_errors.json (see parse_error_corpus.py)."""
 
+import ast
 import json
+import random
+import re
 
-from parse_error_corpus import PINNED, cases, error_list
+from parse_error_corpus import PINNED, cases, error_list, mutate
 
 CASES = cases()
 
@@ -35,3 +38,30 @@ def test_error_lists_match_pinned():
     for name, text in CASES:
         got = error_list(text)
         assert got == pinned[name], f"first differing case: {name}\n got: {got}\nwant: {pinned[name]}"
+
+
+def test_mutations_land_on_their_token_past_other_line_breaks():
+    """Token lines end at "\\n" only; a form feed, a NEL and a line
+    separator, at which ``str.splitlines`` also breaks, move no mutation."""
+    text = "a\x0cb\x85c\nd\u2028e f\n"
+    lines = text.split("\n")
+    starts = [0, len(lines[0]) + 1]
+    kinds = set()
+    for seed in range(80):
+        mutated, what = mutate(text, random.Random(seed))
+        if (copied := re.fullmatch(r"copy line (\d+)", what)) is not None:
+            n = int(copied[1])
+            assert mutated.split("\n") == lines[:n] + [lines[n - 1]] + lines[n:], what
+            kinds.add("copy line")
+            continue
+        kind, token, line, col = re.fullmatch(r"(\w+) ?(.*) at (\d+):(\d+)", what).groups()
+        at = starts[int(line) - 1] + int(col) - 1
+        expected = {
+            "cut": lambda: text[:at],
+            "drop": lambda: text[:at] + text[at + len(ast.literal_eval(token)):],
+            "insert": lambda: text[:at] + ast.literal_eval(token) + " " + text[at:],
+            "copy": lambda: text[:at] + ast.literal_eval(token) + " " + text[at:],
+        }[kind]()
+        assert mutated == expected, what
+        kinds.add(kind)
+    assert kinds == {"drop", "insert", "copy", "copy line", "cut"}

@@ -8,8 +8,9 @@ import re
 from abms import expr as ex
 from abms import metamodel as mm
 from abms.dsl import parse_model
+from abms.dsl.lexer import tokenize
 
-from validate_corpus import PINNED, cases, expression_trees, outcome, texts
+from validate_corpus import PINNED, _replace, cases, expression_trees, outcome, texts
 
 CASES = cases()
 SITE_LABELS = (
@@ -69,3 +70,12 @@ def test_validate_types_every_expression(monkeypatch):
         assert not untyped, f"{name}: never typed: {untyped}"
         unnamed = [t for t in expression_trees(model) if id(t) not in report.sites]
         assert not unnamed, f"{name}: no site path: {unnamed}"
+
+
+def test_a_replacement_lands_on_its_token_past_a_form_feed():
+    """Token lines end at "\\n" only, so a form feed, at which
+    ``str.splitlines`` also breaks, must not move the replacement."""
+    text = "a\x0cb\nc d"
+    token = tokenize(text)[-2]
+    assert (token.text, token.line, token.col) == ("d", 2, 3)
+    assert _replace(text, token, "X") == "a\x0cb\nc X"

@@ -29,6 +29,7 @@ from abms.dsl import parse
 from abms.dsl.lexer import tokenize
 
 from digest_corpus import FIXTURES, write_cases
+from parse_error_corpus import lines_of
 from parse_error_corpus import texts as parse_error_texts
 
 PINNED = FIXTURES / "golden" / "validate_diagnostics.json"
@@ -87,7 +88,7 @@ def texts() -> list[tuple[str, str]]:
 
 
 def _replace(text: str, tok, new: str) -> str:
-    lines = text.splitlines(keepends=True)
+    lines = lines_of(text)
     at = sum(len(line) for line in lines[: tok.line - 1]) + tok.col - 1
     return text[:at] + new + text[at + len(tok.text):]
 
@@ -98,7 +99,7 @@ def mutate(text: str, rng: random.Random) -> tuple[str, str]:
     idents = sorted({t.text for t in tokens if t.type == "ident"})
     kind = rng.choice(MUTATIONS)
     if kind == "drop line":
-        lines = text.splitlines(keepends=True)
+        lines = lines_of(text)
         i = rng.randrange(len(lines))
         return "".join(lines[:i] + lines[i + 1:]), f"drop line {i + 1}"
     wanted = {"identifier": ("ident",), "keyword": ("kw",)}.get(kind, ("int", "real"))
