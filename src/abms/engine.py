@@ -17,8 +17,8 @@ runs six phase functions:
      rate evaluated either way; else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
-     vehicles on an edge, whose arrivals join their queue in ascending id
-     order; then queue service
+     vehicles on an edge, whose arrivals take their edge's one ``QueuePos``
+     in ascending id order; then queue service, a controller read per node
   5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval
 
@@ -81,19 +81,22 @@ class NodePos:
 @dataclass
 class EdgePos:
     """Phase 4 counts ``remaining`` down in place: each edge entry makes a
-    fresh EdgePos, so one vehicle holds it."""
+    fresh EdgePos, so one vehicle holds it; arriving, it takes ``stop``."""
 
     source: str
     target: str
     remaining: int
     total: int
-    queue: list[int] = field(repr=False, compare=False)  # the edge's queue at ``target``
+    stop: QueuePos = field(repr=False, compare=False)  # the edge's one QueuePos
 
 
 @dataclass(frozen=True)
 class QueuePos:
+    """A place in ``queue``, a directed edge's queue at its end: one per edge, held by all queued there."""
+
     node: str
     from_node: str
+    queue: list[int] = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +238,13 @@ class World(ex.Context):
             else:
                 self.graph = graph = graph_from_inline(topo.source.nodes, topo.source.edges)
             self.cell_span, self.distance = None, lambda a, b: math.dist(_graph_point(graph, a), _graph_point(graph, b))
-            # Phase 4 reads these, resolved once: each directed edge's queue at its target, by (target,
-            # source); each node's roads out as (target, length, queue); the queues in service order.
+            # Phase 4 reads these, resolved once: each directed edge's queue at its target, by (target, source);
+            # each node's roads out as (target, length, stop), the edge's QueuePos; its queues, in service order.
             adjacency = graph.adjacency
-            self.edge_queues = {(n, frm): [] for n, nbrs in adjacency.items() for frm in nbrs}
-            self.roads = {n: [(to, graph.edge_length(n, to), self.edge_queues[to, n]) for to in nbrs]
-                          for n, nbrs in adjacency.items()}
-            self.service = [(n, frm, self.edge_queues[n, frm]) for n in graph.sorted_nodes for frm in adjacency[n]]
+            stops = {(n, frm): QueuePos(n, frm, []) for n, nbrs in adjacency.items() for frm in nbrs}
+            self.edge_queues = {key: stop.queue for key, stop in stops.items()}
+            self.roads = {n: [(to, graph.edge_length(n, to), stops[to, n]) for to in nbrs] for n, nbrs in adjacency.items()}
+            self.service = [(n, [(frm, self.edge_queues[n, frm]) for frm in adjacency[n]]) for n in graph.sorted_nodes]
         elif self.wrap is not None:
             self.cell_span, self.distance = (topo.width // 2, topo.height // 2), _torus_distance(*self.wrap)
         elif self.on_grid:
@@ -274,7 +277,7 @@ class World(ex.Context):
         self.agents: dict[int, AgentInstance] = {}
         self.entities: dict[int, EntityInstance] = {}
         self.queues: dict[tuple[str, str], list[int]] = {}  # the queues a vehicle has reached, for the digest
-        self.exits: dict[tuple[str, float], list] = {}  # (node, speed) -> its roads' (target, ticks, queue), filled lazily
+        self.exits: dict[tuple[str, float], list] = {}  # (node, speed) -> its roads' (target, ticks, stop), filled lazily
         self.controllers_by_node: dict[str, ControllerState] = {}
         self.created: dict[str, int] = {}
         self.dead: dict[str, int] = {}
@@ -580,10 +583,10 @@ def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
     speed = vehicle.speed
     if (exits := world.exits.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
         roads = world.roads[node]
-        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), q) for to, length, q in roads]
+        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), stop) for to, length, stop in roads]
     if exits:
-        target, ticks, queue = exits[world.rng.randrange(len(exits))]
-        vehicle.position = EdgePos(node, target, ticks, ticks, queue)
+        target, ticks, stop = exits[world.rng.randrange(len(exits))]
+        vehicle.position = EdgePos(node, target, ticks, ticks, stop)
         world.vehicles.append(vehicle)
 
 
@@ -711,12 +714,13 @@ class SourceIndex:
     ``reach`` take the cell it keeps to, modulo a wrapped grid:
 
     - by cell, when ``reach`` is ``BY_CELL``: each source under its own cell,
-      so a scan reads the stencil's cells within its radius;
+      so a scan reads the cells ``scan`` offsets its own by (none: the list is
+      measured), or, when ``scan`` is None, the stencil's within its radius;
     - by exposure, when ``reach`` is the stencil's prefix within the radius
       the model states: a scan reads the one cell it stands in."""
 
-    def __init__(self, world: World, items: list[_Instance], reach: list[tuple[int, int]] | None):
-        self.items, self.reach, self.wrap = items, reach, world.wrap
+    def __init__(self, world: World, items: list[_Instance], reach: list | None, scan: list | None = None):
+        self.items, self.reach, self.scan, self.wrap = items, reach, scan, world.wrap
         self.exposed = reach is not None and reach is not BY_CELL
         self.members = set(items)  # the instances the walk refiles with ``move``
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
@@ -765,24 +769,25 @@ def _index_sources(world: World) -> None:
                     susceptible += 1
         items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
         items.sort(key=_BY_ID)
-        world.sources[name] = SourceIndex(world, items, _reach(world, disease, len(items), walking, susceptible))
+        world.sources[name] = SourceIndex(world, items, *_reach(world, disease, len(items), walking, susceptible))
 
 
-def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, susceptible: int) -> list[tuple[int, int]] | None:
-    """The offsets a disease's sources are filed under this tick: None on a
-    graph; by exposure the stencil's prefix within the radius the model
-    states, when that radius lies below the stencil's bound and filing each
-    source under the prefix's n cells, and moving each walking source out of
-    n cells and into n more, makes no more list operations than the scans it
-    spares would: a cell read each (n <= sources) or a distance each
-    (n > sources) per susceptible agent; else ``BY_CELL``."""
+def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, susceptible: int) -> tuple:
+    """The offsets a disease's sources are filed under this tick, and its
+    ``SourceIndex.scan``: None on a graph; by exposure the stencil's prefix
+    within the radius the model states, when that radius lies below the
+    stencil's bound and filing each source under the prefix's n cells, and
+    moving each walking source out of n cells and into n more, makes no more
+    list operations than the scans it spares would: a cell read each (n <=
+    sources) or a distance each (n > sources) per susceptible agent; else
+    ``BY_CELL``, scanning that prefix (kept as the stencil grows) if n <= sources."""
     if world.cell_span is None:
-        return None
+        return None, None
     if disease.radius is None or (n := _prefix(world, disease.radius)) is None:
-        return BY_CELL
+        return BY_CELL, None if disease.radius is None else []  # beyond the stencil's bound, the list is measured
     if (sources + 2 * walking) * n > susceptible * min(n, sources):
-        return BY_CELL
-    return world.stencil[0][:n]
+        return BY_CELL, world.stencil[0][:n] if n <= sources else []
+    return world.stencil[0][:n], None
 
 
 def _near(world: World, sources: SourceIndex, scanner: _Instance, radius: float) -> list[_Instance]:
@@ -799,10 +804,11 @@ def _near(world: World, sources: SourceIndex, scanner: _Instance, radius: float)
         if sources.exposed:
             if not (found := cells.get(scanner.cell)):
                 return []
-        elif (n := _prefix(world, radius)) is not None and n <= len(items):
-            found = [item for near in sources.reached(scanner.cell, world.stencil[0][:n]) for item in cells.get(near, ())]
         else:
-            found = None  # the list is measured
+            if (offsets := sources.scan) is None:  # a computed radius: the prefix within it, or none
+                offsets = world.stencil[0][:n] if (n := _prefix(world, radius)) is not None and n <= len(items) else []
+            # No offsets: the list is measured.
+            found = [item for near in sources.reached(scanner.cell, offsets) for item in cells.get(near, ())] if offsets else None
         if found is not None:
             items = sorted(found, key=_BY_ID)
             if not world.gap:  # the cells within reach on a grid are exactly those within the radius
@@ -919,8 +925,7 @@ def _disease_step(
         changes.dying.append((agent, disease_name))
         return
     if inst.current == disease.susceptible:
-        radius = 0.0
-        if disease.distance is not None and (radius := disease.distance(agent)) <= 0:
+        if (radius := disease.radius) is None and (radius := disease.distance(agent)) <= 0:
             raise EvalError(f"distance {radius} outside (0, inf)", disease.spec.transmission.distance)
         if not (near := _near(world, world.sources[disease_name], agent, radius)):
             disease.transmission.probability(agent)  # a trial with no source draws nothing, but its rate is checked
@@ -964,7 +969,7 @@ def _remove_agent(world: World, agent: AgentInstance) -> None:
     del world.agents[agent.id]
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
     if isinstance(agent.position, QueuePos):  # a queued vehicle is in its queue until served
-        world.queues[(agent.position.node, agent.position.from_node)].remove(agent.id)
+        agent.position.queue.remove(agent.id)
     ctrl = agent.controller
     if ctrl is not None and world.controllers_by_node.get(ctrl.node) is ctrl:
         del world.controllers_by_node[ctrl.node]
@@ -984,24 +989,28 @@ def _vehicle_phase(world: World) -> None:
         else:
             arrived.append(agent)
     arrived.sort(key=_BY_ID)
+    controllers = world.controllers_by_node
     for agent in arrived:
         pos = agent.position
-        if not (queue := pos.queue):  # the digest lists each queue a vehicle has reached
+        if not (queue := pos.stop.queue):  # the digest lists each queue a vehicle has reached
             world.queues[pos.target, pos.source] = queue
-        ctrl = world.controllers_by_node.get(pos.target)
+        ctrl = controllers.get(pos.target)
         capacity = ctrl.capacities.get(pos.source) if ctrl is not None else None
         if capacity is not None and len(queue) >= capacity:
             pos.remaining = 0  # blocked; retry next tick
             transit.append(agent)
             continue
         queue.append(agent.id)
-        agent.position = QueuePos(pos.target, pos.source)
+        agent.position = pos.stop
         world.arrivals += 1
     world.vehicles = transit
     # Service: one vehicle per queue per tick, unless its stream is red; a served vehicle rejoins the roster.
-    for node, from_node, queue in world.service:
-        if queue and ((ctrl := world.controllers_by_node.get(node)) is None or from_node not in ctrl.red):
-            _enter_random_edge(world, world.agents[queue.pop(0)], node)
+    # Serving changes no controller, so each node's is read once.
+    for node, queues in world.service:
+        red = ctrl.red if (ctrl := controllers.get(node)) is not None else ()
+        for from_node, queue in queues:
+            if queue and from_node not in red:
+                _enter_random_edge(world, world.agents[queue.pop(0)], node)
 
 
 def _learning_phase(world: World) -> None:

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import json
 import math
 import operator
@@ -25,6 +26,7 @@ from abms.ingest import Graph, load_gis_points, load_osm_graph
 from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
 from digest_corpus import SEED as CORPUS_SEED
 from validate_corpus import cases as validate_cases
+import vehicle_oracle
 import walk_oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -766,6 +768,51 @@ class TestSourceIndex:
         engine.tick(world)
         index = world.sources["d"]
         assert len(index.items) == sources and index.exposed == exposure
+
+    def test_a_stated_distance_is_read_not_computed(self, tmp_path):
+        """A literal distance is the radius every scan reads: no tick calls
+        its constant closure, and the scans still find their sources."""
+        model = grid_model(
+            "  agent A {\n    create fixed 40 random\n    capability mobility random_walk step 1\n"
+            "    capability disease d\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 2 probability 0.3\n    duration I deterministic 5\n  }\n"
+            "  introduce d deterministic 5 arbitrary aperiodic"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        calls, distance = [], world.diseases["d"].distance
+        world.diseases["d"] = dataclasses.replace(
+            world.diseases["d"], distance=lambda ctx: calls.append(ctx) or distance(ctx)
+        )
+        for _ in range(10):
+            engine.tick(world)
+        assert calls == [] and world.ever_infected["d"] > 5
+
+    def test_a_stated_radius_resolves_its_scan_prefix_once_per_tick(self, tmp_path, monkeypatch):
+        """By cell, the stencil's prefix within a literal radius is worked out
+        once per tick, when the index is built, and stays the prefix of the
+        stencil as a computed radius grows it during the scans."""
+        model = grid_model(
+            "  agent A {\n    create fixed 40 random\n    attr r real = 6\n"
+            "    capability disease d\n    capability disease e\n  }\n"
+            "  disease d model SIR {\n    transmission proximity 1 probability 0\n    duration I deterministic 50\n  }\n"
+            "  disease e model SIR {\n    transmission proximity r probability 0\n    duration I deterministic 50\n  }",
+            width=30, height=30,
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        agents = list(world.agents.values())
+        for agent in agents[:30]:  # more sources than susceptible agents: by cell, and the prefix is read
+            sm.force_state(agent.diseases["d"], "I")
+        for agent in agents[:2]:
+            sm.force_state(agent.diseases["e"], "I")
+        radii, prefix = [], engine._prefix
+        monkeypatch.setattr(engine, "_prefix", lambda world, radius: radii.append(radius) or prefix(world, radius))
+        for tick in range(1, 4):
+            engine.tick(world)
+            index = world.sources["d"]
+            assert not index.exposed and len(index.items) == 30
+            offsets, reaches, bound = world.stencil
+            assert bound > 6 and index.scan == offsets[:bisect.bisect_right(reaches, 1)]
+            assert radii.count(1) == tick and set(radii) == {1, 6}
 
     def test_a_source_that_dies_is_absent_from_the_next_index(self, tmp_path):
         model = grid_model(
@@ -1654,13 +1701,19 @@ model transit {
     @staticmethod
     def assert_resolved(world, reached: set) -> None:
         agents = list(world.agents.values())
+        # Each directed edge's one stop, as the roads out of its source hold it.
+        stops = {(stop.node, stop.from_node): stop for roads in world.roads.values() for _, _, stop in roads}
+        assert stops.keys() == world.edge_queues.keys()
+        assert all(stop.queue is world.edge_queues[key] for key, stop in stops.items())
         on_edges = [a for a in agents if isinstance(a.position, engine.EdgePos)]
         assert sorted(world.vehicles, key=_BY_ID) == on_edges
         for vehicle in on_edges:
             pos = vehicle.position
             assert pos.total == max(1, math.ceil(world.graph.edge_length(pos.source, pos.target) / vehicle.speed))
-            assert pos.queue is world.edge_queues[pos.target, pos.source]
+            assert pos.stop is stops[pos.target, pos.source]
+            assert pos.stop.queue is world.edge_queues[pos.target, pos.source]
         queued = [a for a in agents if isinstance(a.position, engine.QueuePos)]
+        assert all(a.position is stops[a.position.node, a.position.from_node] for a in queued)
         assert all(a.id in world.edge_queues[a.position.node, a.position.from_node] for a in queued)
         assert sum(map(len, world.edge_queues.values())) == len(queued)
         # The digest lists exactly the queues a vehicle has reached, each the edge's own.
@@ -1690,6 +1743,24 @@ model transit {
             assert {a.speed for a in world.agents.values() if a.speed} == {45, 20} and blocked > 0
         if name == "graph disease":
             assert world.dead["Car"] > 0
+
+    @pytest.mark.parametrize("seed", [1, 5, 42])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_phase_4_matches_the_vehicle_oracle(self, tmp_path, monkeypatch, name, seed):
+        """Twin worlds, one ticked by the engine and one with the phase 4 it
+        replaced, agree after every tick: the digest, the transit roster and
+        each agent's position."""
+        config = cfg(tmp_path, seed=seed, base_dir=FIXTURES)
+        world, twin = (engine.build_world(parse_model(self.MODELS[name]), config) for _ in range(2))
+        for _ in range(80):
+            engine.tick(world)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_vehicle_phase", vehicle_oracle.vehicle_phase)
+                engine.tick(twin)
+            assert twin.digest() == world.digest()
+            assert [a.id for a in twin.vehicles] == [a.id for a in world.vehicles]
+            assert [repr(a.position) for a in twin.agents.values()] == [repr(a.position) for a in world.agents.values()]
+        assert world.arrivals > 0
 
     @pytest.mark.parametrize(
         "name,model,base_dir", GRAPH_CORPUS, ids=[name for name, _, _ in GRAPH_CORPUS]
