@@ -31,18 +31,21 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# One match per token, whitespace and comments skipped as its prefix; as ``.``
-# or ``\Z`` always matches after the skip, the skip never backtracks.
+# One match per token or newline, whitespace and comments skipped as its
+# prefix; as ``\n``, ``.`` or ``\Z`` always matches after the skip, the skip
+# never backtracks.  A newline is a match of its own, so the loop counts lines
+# there and no token searches its prefix for them.
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|\#[^\n]*)*
+    (?:[^\S\n]+|\#[^\n]*)*
     (?:
-      (?P<real>\d+\.\d+)
-    | (?P<int>\d+)
+      (?P<nl>\n)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>\.\.|==|!=|<=|>=|[{}(),.=<>+\-*/])
+    | (?P<real>\d+\.\d+)
+    | (?P<int>\d+)
     | (?P<string>"(?:\\.|[^"\\\n])*")
     | (?P<badstring>"(?:\\.|[^"\\\n])*)
-    | (?P<punct>\.\.|==|!=|<=|>=|[{}(),.=<>+\-*/])
     | (?P<error>.)
     | (?P<eof>\Z)
     )
@@ -81,20 +84,25 @@ class Token(NamedTuple):
 def tokenize(text: str) -> list[Token]:
     """Tokens for ``text``, always ending with a single eof token; only ``\\n`` ends a line."""
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+    append, new = tokens.append, tuple.__new__
+    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start, end = m.span(kind)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", pos, start) + 1
-        start_line, start_col = line, start - line_start + 1
+        if kind == "nl":
+            line += 1
+            line_start = m.end()
+            continue
         raw = m[kind]
+        end = m.end()
+        start_col = end - len(raw) - line_start + 1
+        if kind == "ident" or kind == "punct":  # the commonest tokens: value is text, one line
+            if kind == "ident" and raw in KEYWORDS:
+                kind = "kw"
+            append(new(Token, (kind, raw, raw, line, start_col, line, end - line_start + 1)))
+            continue
+        start_line = line
         value: object = raw
-        if kind == "ident":
-            kind = "kw" if raw in KEYWORDS else "ident"
-        elif kind == "int":
+        if kind == "int":
             value = int(raw)
         elif kind == "real":
             value = float(raw)
@@ -106,9 +114,8 @@ def tokenize(text: str) -> list[Token]:
             value = f"unexpected character {raw!r}"
         if "\n" in raw:  # only a string spans lines, by a backslash-newline
             line += raw.count("\n")
-            line_start = text.rfind("\n", start, end) + 1
-        tokens.append(Token(kind, value, raw, start_line, start_col, line, end - line_start + 1))
+            line_start = text.rfind("\n", 0, end) + 1
+        append(Token(kind, value, raw, start_line, start_col, line, end - line_start + 1))
         if kind == "eof":  # a match that reaches the end is followed by one more, empty, at \Z
             break
-        pos = end
     return tokens

@@ -32,6 +32,16 @@ _DISEASE_BODY = frozenset(
 _MACHINE_BODY = frozenset(["initial", "state", "transition"])
 _LITERAL_KINDS = {"int": ex.INTEGER, "real": ex.REAL, "string": ex.TEXT}
 
+# The deepest expression the parser accepts, in levels: each operator, prefix,
+# pair of parentheses and aggregate is one level around its operands, so a flat
+# sum of n terms is n - 1 levels deep.  Every later walk over a tree (typing,
+# formatting, emitting, compiling, evaluating) recurses at least once per level,
+# and the parser's own descent recurses once per level of prefixes, right
+# operands, parentheses and aggregates; the bound keeps all of them well inside
+# Python's default recursion limit of 1000 frames.
+MAX_EXPR_DEPTH = 200
+_TOO_DEEP = f"expression nested more than {MAX_EXPR_DEPTH} levels deep"
+
 
 @dataclass(frozen=True)
 class ParseError:
@@ -669,78 +679,107 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self, min_prec: int = ex.PREC_OR) -> ex.Expr:
+    def parse_expr(self) -> ex.Expr:
+        return self._expr(ex.PREC_OR, 0)[0]
+
+    def _expr(self, min_prec: int, outer: int) -> tuple[ex.Expr, int]:
         """Precedence climbing over :data:`expr.PRECEDENCE`: an expression whose
-        operators all bind at least as tightly as ``min_prec``.  Binary
+        operators all bind at least as tightly as ``min_prec``, with its depth in
+        levels, inside ``outer`` levels (see :data:`MAX_EXPR_DEPTH`).  Binary
         operators are left-associative, and after a comparison or ``is`` only a
         looser operator (``and``, ``or``) may follow.  After each operator only
         one at its level or looser may follow (only a looser one after a
-        comparison, ``is`` or a prefix), so what an operand refused stays refused."""
-        tok = self.peek()
+        comparison, ``is`` or a prefix), so what an operand refused stays refused.
+
+        Operators, literals and names are never braces or eof, so they are
+        consumed by moving ``pos`` past them rather than through :meth:`next`.
+        A node's span runs from its first token's start to its last operand's
+        end (to the ``is`` of a state test)."""
+        if outer > MAX_EXPR_DEPTH:
+            raise self.fail(message=_TOO_DEEP)
+        tokens, file = self.tokens, self.file
+        tok = tokens[self.pos]
         prefix = ex.PREC_NEG if tok.text == "-" else ex.PREC_NOT if tok.text == "not" else None
         if prefix is not None and min_prec <= prefix:
-            self.next()
-            operand = self.parse_expr(prefix)
-            left: ex.Expr = ex.Unary(tok.text, operand, span=tok.span(self.file).merge(operand.span))
+            self.pos += 1
+            operand, depth = self._expr(prefix, outer + 1)
+            end = operand.span
+            left: ex.Expr = ex.Unary(tok.text, operand, SourceSpan(file, tok.line, tok.col, end.end_line, end.end_col))
+            depth += 1
             limit = prefix
         else:
-            left = self.parse_primary()
+            left, depth = self._primary(outer)
             limit = ex.PREC_ATOM
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             # Only keyword and punctuation tokens spell an operator: the text of a
             # string keeps its quotes and a keyword is never an identifier.
             prec = ex.PRECEDENCE.get(tok.text, 0)
             if not min_prec <= prec < limit:
-                return left
-            self.next()
+                if depth > MAX_EXPR_DEPTH:
+                    raise _Syntax(ParseError(left.span, (), "expression", _TOO_DEEP))
+                return left, depth
+            self.pos += 1
             limit = prec if prec == ex.PREC_CMP else prec + 1
+            start = left.span
             if tok.text == "is":
                 state = str(self.expect_ident("state name").value)
                 if not (isinstance(left, ex.AttrRef) and left.owner is None):
                     message = "the left side of 'is' must name a disease or state machine"
-                    raise _Syntax(ParseError(tok.span(self.file), (), tok.describe(), message))
-                left = ex.StateTest(left.name, state, span=left.span.merge(tok.span(self.file)))
+                    raise _Syntax(ParseError(tok.span(file), (), tok.describe(), message))
+                span = SourceSpan(file, start.start_line, start.start_col, tok.end_line, tok.end_col)
+                left = ex.StateTest(left.name, state, span)
+                depth += 1
             else:
-                right = self.parse_expr(prec + 1)
-                left = ex.Binary(tok.text, left, right, span=left.span.merge(right.span))
+                right, right_depth = self._expr(prec + 1, outer + 1)
+                end = right.span
+                span = SourceSpan(file, start.start_line, start.start_col, end.end_line, end.end_col)
+                left = ex.Binary(tok.text, left, right, span)
+                depth = (depth if depth > right_depth else right_depth) + 1
 
-    def parse_primary(self) -> ex.Expr:
-        tok = self.peek()
-        if tok.type in _LITERAL_KINDS:  # the lexer has parsed the literal's value
-            self.next()
-            return ex.Literal(tok.value, _LITERAL_KINDS[tok.type], span=tok.span(self.file))
-        if self.at_kw("true", "false"):
-            self.next()
-            return ex.Literal(tok.value == "true", ex.BOOLEAN, span=tok.span(self.file))
-        if self.at_kw("count", "sum"):
-            return self.parse_aggregate()
-        if self.accept("punct", "("):
-            inner = self.parse_expr()
-            self.expect("punct", ")")
-            return inner
-        if tok.type == "ident":
-            self.next()
-            if self.accept("punct", "."):
+    def _primary(self, outer: int) -> tuple[ex.Expr, int]:
+        """A name, literal, parenthesized expression or aggregate, with its depth;
+        identifiers, the commonest, are tested first."""
+        tok = self.tokens[self.pos]
+        kind = tok.type
+        if kind == "ident":
+            self.pos += 1
+            if self.tokens[self.pos].text == ".":
+                self.pos += 1
                 attr = self.expect_ident("attribute name")
-                return ex.AttrRef(str(tok.value), str(attr.value), span=tok.span(self.file))
-            return ex.AttrRef(None, str(tok.value), span=tok.span(self.file))
+                return ex.AttrRef(tok.value, attr.value, tok.span(self.file)), 0  # type: ignore[arg-type]
+            return ex.AttrRef(None, tok.value, tok.span(self.file)), 0  # type: ignore[arg-type]
+        if kind in _LITERAL_KINDS:  # the lexer has parsed the literal's value
+            self.pos += 1
+            return ex.Literal(tok.value, _LITERAL_KINDS[kind], tok.span(self.file)), 0
+        if kind == "kw":
+            if tok.value == "true" or tok.value == "false":
+                self.pos += 1
+                return ex.Literal(tok.value == "true", ex.BOOLEAN, tok.span(self.file)), 0
+            if tok.value == "count" or tok.value == "sum":
+                return self._aggregate(outer)
+        elif tok.text == "(":
+            self.pos += 1
+            inner, depth = self._expr(ex.PREC_OR, outer + 1)
+            self.expect("punct", ")")
+            return inner, depth + 1
         raise self.fail("expression")
 
-    def parse_aggregate(self) -> ex.Expr:
+    def _aggregate(self, outer: int) -> tuple[ex.Expr, int]:
         tok = self.next()  # count | sum
         func = str(tok.value)
         self.expect("punct", "(")
         population = str(self.expect_ident("population type").value)
-        predicate = None
+        predicate = value = None
+        depth = 0
         if self.accept("kw", "where"):
-            predicate = self.parse_expr()
-        value = None
+            predicate, depth = self._expr(ex.PREC_OR, outer + 1)
         if func == "sum":
             self.expect("punct", ",")
-            value = self.parse_expr()
+            value, value_depth = self._expr(ex.PREC_OR, outer + 1)
+            depth = max(depth, value_depth)
         self.expect("punct", ")")
-        return ex.Aggregate(func, population, predicate, value, span=tok.span(self.file))
+        return ex.Aggregate(func, population, predicate, value, span=tok.span(self.file)), depth + 1
 
 
 # The model items parsed by :meth:`_Parser.parse_item` through one branch: the

@@ -5,9 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SourceSpan:
-    """Half-open region of a source file, 1-based lines and columns."""
+    """Half-open region of a source file, 1-based lines and columns.
+
+    Treat a span as immutable: it is hashed by value.  It is not declared
+    frozen because a frozen dataclass sets each field through
+    ``object.__setattr__``, which triples the cost of the parser's commonest
+    allocation."""
 
     file: str
     start_line: int
@@ -18,11 +23,6 @@ class SourceSpan:
     def __post_init__(self) -> None:
         if (self.start_line, self.start_col) > (self.end_line, self.end_col):
             raise ValueError("span start must not come after its end")
-
-    def merge(self, other: "SourceSpan") -> "SourceSpan":
-        start = min((self.start_line, self.start_col), (other.start_line, other.start_col))
-        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return SourceSpan(self.file, start[0], start[1], end[0], end[1])
 
     def label(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"

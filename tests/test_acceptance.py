@@ -388,6 +388,20 @@ def test_criterion_8_parser_round_trip():
     for _ in range(10_000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 80)))
         parse(text)  # must never raise
+    # Long texts nested far past the parser's depth bound: any run of these
+    # openers starts an expression, a chain of operators nests it to the left,
+    # and noise follows.
+    openers = ["(", "not ", "- (", "count(A where ", "sum(A, ", "1 + (", "x < ("]
+    links = ["1 + ", "x * ", "a and ", "b or ", "2 - ", "y / "]
+    noise = [")", "1", "x", " + ", " and ", " < ", ",", "\n", "#", '"', "}"]
+    too_deep = 0
+    for _ in range(300):
+        body = rng.choices(openers, k=rng.randrange(0, 400)) + rng.choices(links, k=rng.randrange(0, 400))
+        body += rng.choices(noise, k=rng.randrange(0, 100))
+        text = f'model m {{ environment grid width 5 height 5 output o every 1 to "o.csv" {{ series s {"".join(body)} }} }}'
+        result = parse(text)  # must never raise
+        too_deep += any("levels deep" in error.message for error in result.errors)
+    assert too_deep >= 100  # the bound is reached, not only approached
 
 
 @criterion(9, "identical seeds give identical per-tick digests; a new seed diverges")

@@ -6,6 +6,7 @@ import pytest
 
 from abms import metamodel as mm
 from abms.cli import main
+from abms.dsl import format_model, parse_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -223,3 +224,47 @@ def test_usage_error_exit_code(capsys):
 def test_fmt_takes_no_format_option(workdir, capsys):
     assert main(["fmt", "--format", "json", str(workdir / "measles.abms")]) == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def _deep_model(series: str) -> str:
+    return (
+        "model deep {\n  environment grid width 5 height 5\n  agent A { create fixed 1 random }\n"
+        f'  output o every 1 to "o.csv" {{\n    series s {series}\n  }}\n}}\n'
+    )
+
+
+# Each numeric, ``levels`` deep; the count adds a level around its predicate.
+DEEP_SERIES = {
+    "sum": lambda levels: " + ".join(["1"] * (levels + 1)),
+    "parentheses": lambda levels: "(" * levels + "1" + ")" * levels,
+    "nots": lambda levels: "count(A where " + "not " * (levels - 1) + "true)",
+}
+# Past the bound, and deep enough for the recursion of every later walk (or of
+# the parser itself) to fail without it.
+TOO_DEEP = {"sum": 599, "parentheses": 500, "nots": 1000}
+COMMANDS = [["validate"], ["run", "--ticks", "2"], ["gen"], ["fmt", "--check"]]
+
+
+class TestDeepExpressions:
+    """A model that nests an expression too deep is a parse diagnostic, exit 1,
+    from every command; one at the bound runs through every command."""
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("shape", DEEP_SERIES)
+    def test_too_deep_is_a_diagnostic(self, workdir, capsys, monkeypatch, shape, command):
+        monkeypatch.chdir(workdir)
+        (workdir / "deep.abms").write_text(_deep_model(DEEP_SERIES[shape](TOO_DEEP[shape])))
+        assert main([command[0], "deep.abms", *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("deep.abms:5:")
+        assert line.endswith(": error: expression nested more than 200 levels deep")
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("shape", DEEP_SERIES)
+    def test_the_bound_runs_everywhere(self, workdir, capsys, monkeypatch, shape, command):
+        monkeypatch.chdir(workdir)
+        canonical = format_model(parse_model(_deep_model(DEEP_SERIES[shape](200))))
+        (workdir / "deep.abms").write_text(canonical)
+        assert main([command[0], "deep.abms", *command[1:]]) == 0

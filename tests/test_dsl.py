@@ -9,8 +9,10 @@ from abms import codegen, engine
 from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
-from abms.dsl import format_model, parse, parse_model
+from abms.dsl import ParseError, format_model, parse, parse_model
 from abms.dsl.lexer import KEYWORDS, tokenize
+from abms.dsl.parser import MAX_EXPR_DEPTH
+from abms.source import SourceSpan
 
 import digest_corpus
 import token_loop
@@ -608,3 +610,72 @@ class TestExpressionGrammar:
     )
     def test_errors(self, source, errors):
         assert error_list(_expr_text(source)) == errors
+
+
+# One text per way of nesting, ``levels`` deep (see ``parser.MAX_EXPR_DEPTH``).
+NESTINGS = {
+    "flat sum": lambda levels: " + ".join(["1"] * (levels + 1)),
+    "parentheses": lambda levels: "(" * levels + "1" + ")" * levels,
+    "nots": lambda levels: "not " * levels + "true",
+    "negations": lambda levels: "- " * levels + "1",
+    "right operands": lambda levels: "1 + (" * (levels // 2) + "- " * (levels % 2) + "1" + ")" * (levels // 2),
+    "aggregates": lambda levels: "count(A where " * levels + "true" + ")" * levels,
+}
+TOO_DEEP = f"expression nested more than {MAX_EXPR_DEPTH} levels deep"
+
+
+class TestExpressionDepth:
+    """Every later walk over an expression recurses per level, so the parser
+    rejects a tree deeper than ``MAX_EXPR_DEPTH``, and its own descent stops there."""
+
+    @pytest.mark.parametrize("nesting", NESTINGS)
+    def test_the_bound_itself_parses(self, nesting):
+        assert parse(_expr_text(NESTINGS[nesting](MAX_EXPR_DEPTH))).errors == []
+
+    @pytest.mark.parametrize("levels", [MAX_EXPR_DEPTH + 1, 20 * MAX_EXPR_DEPTH])
+    @pytest.mark.parametrize("nesting", NESTINGS)
+    def test_one_level_more_is_one_error(self, nesting, levels):
+        [error] = parse(_expr_text(NESTINGS[nesting](levels))).errors
+        assert error.message == TOO_DEEP
+
+    def test_a_long_flat_sum_is_reported_at_its_span(self):
+        source = NESTINGS["flat sum"](MAX_EXPR_DEPTH + 1)
+        assert error_list(_expr_text(source)) == [[[5, 1, 5, len(source) + 1], [], "expression", TOO_DEEP]]
+
+    def test_descent_is_reported_at_the_first_token_too_deep(self):
+        """At the first token one level past the bound."""
+        levels = MAX_EXPR_DEPTH + 1
+        expected = [[5, levels + 1, 5, levels + 2], [], "'('", TOO_DEEP]
+        assert error_list(_expr_text(NESTINGS["parentheses"](2 * levels))) == [expected]
+
+    def test_recovery_resumes_after_a_deep_series(self):
+        text = _expr_text(NESTINGS["nots"](5000) + "\n    series t -")
+        assert [e.message for e in parse(text).errors] == [TOO_DEEP, "expected expression, found '}'"]
+
+
+class TestSourceSpan:
+    def test_equal_spans_compare_and_hash_equal(self):
+        span = SourceSpan("m.abms", 1, 2, 3, 4)
+        same = SourceSpan("m.abms", 1, 2, 3, 4)
+        assert span == same and hash(span) == hash(same) == hash(("m.abms", 1, 2, 3, 4))
+        assert len({span, same}) == 1
+        assert span != SourceSpan("m.abms", 1, 2, 3, 5) and span != SourceSpan("n.abms", 1, 2, 3, 4)
+
+    def test_repr(self):
+        expected = "SourceSpan(file='m.abms', start_line=1, start_col=2, end_line=3, end_col=4)"
+        assert repr(SourceSpan("m.abms", 1, 2, 3, 4)) == expected
+
+    @pytest.mark.parametrize("start,end", [((2, 1), (1, 9)), ((1, 5), (1, 4))])
+    def test_start_after_end_raises(self, start, end):
+        with pytest.raises(ValueError, match="span start must not come after its end"):
+            SourceSpan("m.abms", *start, *end)
+
+    def test_an_empty_span_is_allowed(self):
+        assert SourceSpan("m.abms", 3, 4, 3, 4).label() == "m.abms:3:4"
+
+    def test_parse_errors_are_equal_only_with_equal_spans(self):
+        def error(span):
+            return ParseError(span, ("'}'",), "end of input", "expected '}', found end of input")
+
+        assert error(SourceSpan("m.abms", 1, 2, 1, 2)) == error(SourceSpan("m.abms", 1, 2, 1, 2))
+        assert error(SourceSpan("m.abms", 1, 2, 1, 2)) != error(SourceSpan("m.abms", 1, 3, 1, 3))
