@@ -16,7 +16,6 @@ from typing import Callable, Collection, Iterable, Sequence
 
 from . import expr as ex
 from . import statemachine as sm
-from .source import SourceSpan
 
 SIR = "SIR"
 SEIR = "SEIR"
@@ -51,7 +50,6 @@ class TransmissionSpec:
     infectious: list[str] | None = None  # None = default {I}
     condition: ex.Expr | None = None  # contamination condition, checked on the source
     sources: list[str] = field(default_factory=list)  # entity types that can infect
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -60,7 +58,6 @@ class ProgressionSpec:
 
     compartment: str
     trigger: sm.Trigger
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -70,7 +67,6 @@ class MortalitySpec:
     evaluation: str  # one of MORTALITY_EVALUATIONS
     at_tick: int | None = None  # specific_timeunit
     condition: ex.Expr | None = None  # when_condition
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -78,7 +74,6 @@ class CustomTransitionSpec:
     source: str
     target: str
     trigger: sm.Trigger
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -93,7 +88,6 @@ class DiseaseModelSpec:
     custom_states: list[str] = field(default_factory=list)
     custom_initial: str | None = None
     custom_transitions: list[CustomTransitionSpec] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -106,7 +100,6 @@ class DiseaseIntroductionSpec:
     eligibility: ex.Expr | None = None
     periodicity: str = "aperiodic"  # "aperiodic" | "periodic"
     interval: int | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Canonical text for a model: deterministic, 2-space indented, reparseable.
 
-``parse(format_model(m))`` reproduces ``m`` structurally (source spans
-excluded), and formatting already-canonical text is a fixed point.
+``parse(format_model(m))`` reproduces ``m`` structurally, and formatting
+already-canonical text is a fixed point.  Only agent and entity types carry a
+source span (tokens and parse errors aside), and equality ignores it.
 Agent and entity types keep their declaration order among each other, since
 the engine creates them in that order (:func:`metamodel.creation_order`);
 the other declarations keep their in-category order.  Categories are emitted
@@ -12,6 +13,7 @@ introductions, outputs, concerns.
 from __future__ import annotations
 
 import contextlib
+from decimal import Decimal
 from typing import Iterator
 
 from .. import disease as dz
@@ -22,13 +24,15 @@ from .. import traffic as tf
 
 
 def format_number(value: float | int) -> str:
+    """A real keeps the digits of its shortest ``repr``, written out without
+    an exponent, so it reads back as the same float."""
     if isinstance(value, int):
         return str(value)
     text = repr(float(value))
-    if "e" in text or "E" in text:
-        text = f"{value:.20f}".rstrip("0")
-        if text.endswith("."):
-            text += "0"
+    if "e" in text:
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
     return text
 
 

@@ -235,16 +235,14 @@ class _Parser:
             self.errors.append(
                 ParseError(self.span_from(start), ("'environment'",), "end of model", "model declares no environment")
             )
-        model.span = self.span_from(start)
         return model
 
     def parse_item(self, model: mm.Model) -> None:
         if self.at_kw("environment"):
+            start = self.peek()
             env = self.parse_environment()
             if model.environment is not None:
-                self.errors.append(
-                    ParseError(env.span or self.span_from(self.peek()), (), "environment", "duplicate environment declaration")
-                )
+                self.errors.append(ParseError(self.span_from(start), (), "environment", "duplicate environment declaration"))
             else:
                 model.environment = env
         elif self.at_kw("introduce"):
@@ -260,7 +258,7 @@ class _Parser:
     # -- environment -------------------------------------------------------
 
     def parse_environment(self) -> mm.EnvironmentSpec:
-        start = self.expect_kw("environment")
+        self.expect_kw("environment")
         kind = self.choose("grid", "cartesian", "graph")
         if kind == "grid":
             self.expect_kw("width")
@@ -268,16 +266,16 @@ class _Parser:
             self.expect_kw("height")
             height = self.expect_int("grid height")
             wrap = self.accept("kw", "wrap") is not None
-            topo: object = mm.GridTopology(width, height, wrap, span=self.span_from(start))
+            topo: object = mm.GridTopology(width, height, wrap)
         elif kind == "cartesian":
             x_min, x_max = self.parse_range()
             y_min, y_max = self.parse_range()
-            topo = mm.CartesianTopology(x_min, x_max, y_min, y_max, span=self.span_from(start))
+            topo = mm.CartesianTopology(x_min, x_max, y_min, y_max)
         else:
             self.expect_kw("from")
             source = self.parse_strategy()
-            topo = mm.GraphTopology(source, span=self.span_from(start))
-        return mm.EnvironmentSpec(topology=topo, span=self.span_from(start))  # type: ignore[arg-type]
+            topo = mm.GraphTopology(source)
+        return mm.EnvironmentSpec(topology=topo)  # type: ignore[arg-type]
 
     def parse_range(self) -> tuple[float, float]:
         low = self.expect_number("range bound")
@@ -288,17 +286,16 @@ class _Parser:
     # -- creational strategies ----------------------------------------------
 
     def parse_strategy(self) -> mm.CreationalStrategy:
-        start = self.peek()
         kind = self.choose("fixed", "gis", "osm", "edges")
         if kind == "gis":
-            return mm.GisPointsStrategy(self.expect_string("point file path"), span=self.span_from(start))
+            return mm.GisPointsStrategy(self.expect_string("point file path"))
         if kind == "osm":
-            return mm.OsmGraphStrategy(self.expect_string("OSM file path"), span=self.span_from(start))
+            return mm.OsmGraphStrategy(self.expect_string("OSM file path"))
         if kind == "edges":
-            return self.parse_inline_edges(start)
+            return self.parse_inline_edges()
         count = self.expect_int("count")
         if self.accept("kw", "random"):
-            return mm.FixedCountStrategy(count, None, span=self.span_from(start))
+            return mm.FixedCountStrategy(count, None)
         self.expect_kw("at")
         positions: list[tuple[ex.Expr, ex.Expr]] = []
         while self.at("punct", "("):
@@ -310,29 +307,27 @@ class _Parser:
             positions.append((x, y))
         if not positions:
             raise self.fail("'('", message="expected at least one (x, y) position")
-        return mm.FixedCountStrategy(count, positions, span=self.span_from(start))
+        return mm.FixedCountStrategy(count, positions)
 
-    def parse_inline_edges(self, start: Token) -> mm.InlineEdgeListStrategy:
+    def parse_inline_edges(self) -> mm.InlineEdgeListStrategy:
         self.expect("punct", "{")
         nodes: list[mm.InlineNode] = []
         edges: list[mm.InlineEdge] = []
         while not self.at("punct", "}") and not self.at("eof"):
             if self.accept("kw", "node"):
-                nstart = self.peek()
                 name = str(self.expect_ident("node name").value)
                 x = self.expect_number("x coordinate")
                 y = self.expect_number("y coordinate")
-                nodes.append(mm.InlineNode(name, x, y, span=self.span_from(nstart)))
+                nodes.append(mm.InlineNode(name, x, y))
             elif self.accept("kw", "edge"):
-                estart = self.peek()
                 a = str(self.expect_ident("node name").value)
                 b = str(self.expect_ident("node name").value)
                 length = self.expect_number("edge length")
-                edges.append(mm.InlineEdge(a, b, length, span=self.span_from(estart)))
+                edges.append(mm.InlineEdge(a, b, length))
             else:
                 raise self.fail("'node'", "'edge'", "'}'")
         self.expect("punct", "}")
-        return mm.InlineEdgeListStrategy(nodes, edges, span=self.span_from(start))
+        return mm.InlineEdgeListStrategy(nodes, edges)
 
     # -- agents and entities -------------------------------------------------
 
@@ -366,7 +361,7 @@ class _Parser:
         return spec, name_tok
 
     def parse_attr(self, into: list[mm.AttributeSpec], seen: set[str]) -> None:
-        start = self.expect_kw("attr")
+        self.expect_kw("attr")
         name_tok = self.expect_ident("attribute name")
         kind = self.choose("integer", "real", "boolean", "identifier", "text")
         default = None
@@ -374,37 +369,36 @@ class _Parser:
             default = self.parse_expr()
         if not self.unique(seen, name_tok, "attribute name"):
             return
-        into.append(mm.AttributeSpec(str(name_tok.value), kind, default, span=self.span_from(start)))
+        into.append(mm.AttributeSpec(str(name_tok.value), kind, default))
 
     def parse_capability(self) -> mm.CapabilityRef:
-        start = self.expect_kw("capability")
+        self.expect_kw("capability")
         if self.accept("kw", "adaptation"):
             # Reserved vocabulary: parsed so validation can reject it clearly,
             # but never offered as an expected keyword.
-            return mm.CapabilityRef("adaptation", span=self.span_from(start))
+            return mm.CapabilityRef("adaptation")
         kind = self.choose("mobility", "disease", "state_machine", "flow_control", "qlearning", "external")
         if kind == "mobility":
             self.expect_kw("random_walk")
             self.expect_kw("step")
-            return mm.CapabilityRef("mobility", step=self.parse_expr(), span=self.span_from(start))
+            return mm.CapabilityRef("mobility", step=self.parse_expr())
         if kind in ("disease", "state_machine"):
             target = self.expect_ident("disease name" if kind == "disease" else "machine or plan name")
-            return mm.CapabilityRef(kind, target=str(target.value), span=self.span_from(start))
+            return mm.CapabilityRef(kind, target=str(target.value))
         if kind == "flow_control":
-            return self.parse_flow_control(start)
+            return self.parse_flow_control()
         if kind == "qlearning":
-            return self.parse_qlearning(start)
+            return self.parse_qlearning()
         library = self.expect_string("library path")
         entry = str(self.expect_ident("entry point").value)
-        return mm.CapabilityRef("external", target=entry, library=library, span=self.span_from(start))
+        return mm.CapabilityRef("external", target=entry, library=library)
 
-    def parse_flow_control(self, start: Token) -> mm.CapabilityRef:
+    def parse_flow_control(self) -> mm.CapabilityRef:
         if self.accept("kw", "streams"):
             self.expect_kw("auto")
-            return mm.CapabilityRef("flow_control", streams=None, span=self.span_from(start))
+            return mm.CapabilityRef("flow_control", streams=None)
         streams: list[tf.StreamSpec] = []
-        while self.at_kw("stream"):
-            sstart = self.next()
+        while self.accept("kw", "stream"):
             sid = str(self.expect_ident("stream id").value)
             self.expect_kw("edge")
             a = str(self.expect_ident("node name").value)
@@ -412,12 +406,12 @@ class _Parser:
             capacity = None
             if self.accept("kw", "capacity"):
                 capacity = self.expect_int("capacity")
-            streams.append(tf.StreamSpec(sid, (a, b), capacity, span=self.span_from(sstart)))
+            streams.append(tf.StreamSpec(sid, (a, b), capacity))
         if not streams:
             raise self.fail("'streams'", "'stream'")
-        return mm.CapabilityRef("flow_control", streams=streams, span=self.span_from(start))
+        return mm.CapabilityRef("flow_control", streams=streams)
 
-    def parse_qlearning(self, start: Token) -> mm.CapabilityRef:
+    def parse_qlearning(self) -> mm.CapabilityRef:
         """Options in any order; a repeated one is reported and parsed on."""
         given: dict = {"bins": []}
         seen: set[str] = set()
@@ -438,8 +432,7 @@ class _Parser:
         missing = tuple(key for key in ("alpha", "gamma", "epsilon", "plans") if key not in given)
         if missing:
             raise self.fail(*(f"'{m}'" for m in missing), message=f"qlearning is missing {_join(missing)}")
-        spec = tf.QLearningSpec(**given, span=self.span_from(start))
-        return mm.CapabilityRef("reinforcement_learning", qlearning=spec, span=self.span_from(start))
+        return mm.CapabilityRef("reinforcement_learning", qlearning=tf.QLearningSpec(**given))
 
     def parse_ident_list(self, label: str) -> list[str]:
         names = [str(self.expect_ident(label).value)]
@@ -450,7 +443,7 @@ class _Parser:
     # -- diseases ------------------------------------------------------------
 
     def parse_disease(self) -> tuple[dz.DiseaseModelSpec, Token]:
-        start = self.expect_kw("disease")
+        self.expect_kw("disease")
         name_tok = self.expect_ident("disease name")
         self.expect_kw("model")
         if self.at("ident") and self.peek().value in (dz.SIR, dz.SEIR, dz.PSIR):
@@ -464,7 +457,6 @@ class _Parser:
         duration_seen: set[str] = set()
         self.block(_DISEASE_BODY, lambda: self.parse_disease_clause(spec, duration_seen))
         self.expect("punct", "}")
-        spec.span = self.span_from(start)
         return spec, name_tok
 
     def parse_disease_clause(self, spec: dz.DiseaseModelSpec, duration_seen: set[str]) -> None:
@@ -472,16 +464,13 @@ class _Parser:
             tstart = self.next()
             if spec.transmission is not None:
                 self.error_at(tstart, "duplicate transmission clause")
-            spec.transmission = self.parse_transmission(tstart)
-        elif self.at_kw("duration"):
-            dstart = self.next()
+            spec.transmission = self.parse_transmission()
+        elif self.accept("kw", "duration"):
             comp_tok = self.expect_ident("compartment")
             trigger = self.parse_trigger()
             if not self.unique(duration_seen, comp_tok, "duration for compartment"):
                 return
-            spec.progressions.append(
-                dz.ProgressionSpec(str(comp_tok.value), trigger, span=self.span_from(dstart))
-            )
+            spec.progressions.append(dz.ProgressionSpec(str(comp_tok.value), trigger))
         elif self.at_kw("passive"):
             pstart = self.next()
             self.expect_kw("duration")
@@ -494,8 +483,7 @@ class _Parser:
             if spec.recovered_immunity is not None:
                 self.error_at(istart, "duplicate immunity duration")
             spec.recovered_immunity = self.parse_trigger()
-        elif self.at_kw("mortality"):
-            mstart = self.next()
+        elif self.accept("kw", "mortality"):
             comp = str(self.expect_ident("compartment").value)
             self.expect_kw("rate")
             rate = self.parse_expr()
@@ -504,24 +492,20 @@ class _Parser:
                 rule.at_tick = self.expect_int("tick")
             elif rule.evaluation == dz.WHEN_CONDITION:
                 rule.condition = self.parse_expr()
-            rule.span = self.span_from(mstart)
             spec.mortality.append(rule)
-        elif self.at_kw("states"):
-            self.next()
+        elif self.accept("kw", "states"):
             spec.custom_states = self.parse_ident_list("compartment")
-        elif self.at_kw("initial"):
-            self.next()
+        elif self.accept("kw", "initial"):
             spec.custom_initial = str(self.expect_ident("compartment").value)
-        elif self.at_kw("transition"):
-            tstart = self.next()
+        elif self.accept("kw", "transition"):
             a = str(self.expect_ident("compartment").value)
             b = str(self.expect_ident("compartment").value)
             trigger = self.parse_trigger()
-            spec.custom_transitions.append(dz.CustomTransitionSpec(a, b, trigger, span=self.span_from(tstart)))
+            spec.custom_transitions.append(dz.CustomTransitionSpec(a, b, trigger))
         else:
             raise self.fail(*(f"'{k}'" for k in sorted(_DISEASE_BODY)), "'}'")
 
-    def parse_transmission(self, start: Token) -> dz.TransmissionSpec:
+    def parse_transmission(self) -> dz.TransmissionSpec:
         """Options in any order; a repeated one is reported and parsed on."""
         interaction = self.choose(dz.PROXIMITY, dz.CONTACT)
         distance = self.parse_expr() if interaction == dz.PROXIMITY else None
@@ -541,33 +525,31 @@ class _Parser:
                 spec.condition = self.parse_expr()
             else:
                 spec.sources = self.parse_ident_list("entity type")
-        spec.span = self.span_from(start)
         return spec
 
     # -- triggers ------------------------------------------------------------
 
     def parse_trigger(self) -> sm.Trigger:
-        start = self.peek()
         kind = self.choose("probabilistic", "deterministic", "conditional", "custom")
         if kind == "probabilistic":
             self.expect_kw("rate")
-            return sm.ProbabilisticTrigger(self.parse_expr(), span=self.span_from(start))
+            return sm.ProbabilisticTrigger(self.parse_expr())
         if kind == "deterministic":
-            return sm.DeterministicTrigger(self.parse_expr(), span=self.span_from(start))
+            return sm.DeterministicTrigger(self.parse_expr())
         if kind == "conditional":
-            return sm.ConditionalTrigger(self.parse_expr(), span=self.span_from(start))
+            return sm.ConditionalTrigger(self.parse_expr())
         mode = self.choose("all_of", "any_of")
         self.expect("punct", "(")
         parts = [self.parse_trigger()]
         while self.accept("punct", ","):
             parts.append(self.parse_trigger())
         self.expect("punct", ")")
-        return sm.CompositeTrigger(mode, parts, span=self.span_from(start))
+        return sm.CompositeTrigger(mode, parts)
 
     # -- machines and plans ----------------------------------------------------
 
     def parse_machine(self) -> tuple[sm.StateMachineSpec, Token]:
-        start = self.expect_kw("machine")
+        self.expect_kw("machine")
         name_tok = self.expect_ident("machine name")
         self.expect("punct", "{")
         self.expect_kw("initial")
@@ -581,8 +563,7 @@ class _Parser:
                 state_tok = self.expect_ident("state name")
                 if self.unique(state_names, state_tok, "state name"):
                     states.append(str(state_tok.value))
-            elif self.at_kw("transition"):
-                tstart = self.next()
+            elif self.accept("kw", "transition"):
                 a = str(self.expect_ident("state name").value)
                 b = str(self.expect_ident("state name").value)
                 trigger = self.parse_trigger()
@@ -595,40 +576,39 @@ class _Parser:
                     self.expect_kw("to")
                     abort_to = str(self.expect_ident("state name").value)
                     abortion = sm.Abortion(prob, abort_to)
-                transitions.append(sm.Transition(a, b, trigger, guard, abortion, span=self.span_from(tstart)))
+                transitions.append(sm.Transition(a, b, trigger, guard, abortion))
             else:
                 raise self.fail("'state'", "'transition'", "'}'")
 
         self.block(_MACHINE_BODY, item)
         self.expect("punct", "}")
-        spec = sm.StateMachineSpec(str(name_tok.value), states, initial, transitions, span=self.span_from(start))
-        return spec, name_tok
+        return sm.StateMachineSpec(str(name_tok.value), states, initial, transitions), name_tok
 
     def parse_plan(self) -> tuple[tf.PlanSpec, Token]:
-        start = self.expect_kw("plan")
+        self.expect_kw("plan")
         name_tok = self.expect_ident("plan name")
         self.expect("punct", "{")
         phases: list[tf.PhaseSpec] = []
         phase_names: set[str] = set()
 
         def item() -> None:
-            pstart = self.expect_kw("phase")
+            self.expect_kw("phase")
             phase_tok = self.expect_ident("phase name")
             self.expect_kw("green")
             green = self.parse_ident_list("stream id")
             self.expect_kw("duration")
             duration = self.expect_int("duration")
             if self.unique(phase_names, phase_tok, "phase name"):
-                phases.append(tf.PhaseSpec(str(phase_tok.value), green, duration, span=self.span_from(pstart)))
+                phases.append(tf.PhaseSpec(str(phase_tok.value), green, duration))
 
         self.block(frozenset(["phase"]), item)
         self.expect("punct", "}")
-        return tf.PlanSpec(str(name_tok.value), phases, span=self.span_from(start)), name_tok
+        return tf.PlanSpec(str(name_tok.value), phases), name_tok
 
     # -- introductions, outputs, concerns ---------------------------------------
 
     def parse_introduce(self) -> dz.DiseaseIntroductionSpec:
-        start = self.expect_kw("introduce")
+        self.expect_kw("introduce")
         disease = str(self.expect_ident("disease name").value)
         spec = dz.DiseaseIntroductionSpec(disease, quantity_kind=self.choose("deterministic", "probabilistic"))
         if spec.quantity_kind == "deterministic":
@@ -641,11 +621,10 @@ class _Parser:
         spec.periodicity = self.choose("aperiodic", "periodic")
         if spec.periodicity == "periodic":
             spec.interval = self.expect_int("interval")
-        spec.span = self.span_from(start)
         return spec
 
     def parse_output(self) -> tuple[mm.OutputDatasetSpec, Token]:
-        start = self.expect_kw("output")
+        self.expect_kw("output")
         name_tok = self.expect_ident("output name")
         self.expect_kw("every")
         interval = self.expect_int("interval")
@@ -656,26 +635,25 @@ class _Parser:
         labels: set[str] = set()
 
         def item() -> None:
-            sstart = self.expect_kw("series")
+            self.expect_kw("series")
             label_tok = self.expect_ident("series label")
             value = self.parse_expr()
             if self.unique(labels, label_tok, "series label"):
-                series.append(mm.SeriesSpec(str(label_tok.value), value, span=self.span_from(sstart)))
+                series.append(mm.SeriesSpec(str(label_tok.value), value))
 
         self.block(frozenset(["series"]), item)
         self.expect("punct", "}")
-        spec = mm.OutputDatasetSpec(str(name_tok.value), interval, path, series, span=self.span_from(start))
-        return spec, name_tok
+        return mm.OutputDatasetSpec(str(name_tok.value), interval, path, series), name_tok
 
     def parse_concern(self) -> tuple[mm.ConcernSpec, Token]:
-        start = self.expect_kw("concern")
+        self.expect_kw("concern")
         name_tok = self.expect_ident("concern name")
         self.expect("punct", "{")
         members: list[str] = []
         if self.accept("kw", "members"):
             members = self.parse_ident_list("member name")
         self.expect("punct", "}")
-        return mm.ConcernSpec(str(name_tok.value), members, span=self.span_from(start)), name_tok
+        return mm.ConcernSpec(str(name_tok.value), members), name_tok
 
     # -- expressions -------------------------------------------------------------
 
@@ -693,18 +671,16 @@ class _Parser:
 
         Operators, literals and names are never braces or eof, so they are
         consumed by moving ``pos`` past them rather than through :meth:`next`.
-        A node's span runs from its first token's start to its last operand's
-        end (to the ``is`` of a state test)."""
+        An expression too deep is reported from its first token to its last."""
         if outer > MAX_EXPR_DEPTH:
             raise self.fail(message=_TOO_DEEP)
-        tokens, file = self.tokens, self.file
-        tok = tokens[self.pos]
+        tokens, first = self.tokens, self.pos
+        tok = tokens[first]
         prefix = ex.PREC_NEG if tok.text == "-" else ex.PREC_NOT if tok.text == "not" else None
         if prefix is not None and min_prec <= prefix:
             self.pos += 1
             operand, depth = self._expr(prefix, outer + 1)
-            end = operand.span
-            left: ex.Expr = ex.Unary(tok.text, operand, SourceSpan(file, tok.line, tok.col, end.end_line, end.end_col))
+            left: ex.Expr = ex.Unary(tok.text, operand)
             depth += 1
             limit = prefix
         else:
@@ -717,24 +693,20 @@ class _Parser:
             prec = ex.PRECEDENCE.get(tok.text, 0)
             if not min_prec <= prec < limit:
                 if depth > MAX_EXPR_DEPTH:
-                    raise _Syntax(ParseError(left.span, (), "expression", _TOO_DEEP))
+                    raise _Syntax(ParseError(self.span_from(tokens[first]), (), "expression", _TOO_DEEP))
                 return left, depth
             self.pos += 1
             limit = prec if prec == ex.PREC_CMP else prec + 1
-            start = left.span
             if tok.text == "is":
                 state = str(self.expect_ident("state name").value)
                 if not (isinstance(left, ex.AttrRef) and left.owner is None):
                     message = "the left side of 'is' must name a disease or state machine"
-                    raise _Syntax(ParseError(tok.span(file), (), tok.describe(), message))
-                span = SourceSpan(file, start.start_line, start.start_col, tok.end_line, tok.end_col)
-                left = ex.StateTest(left.name, state, span)
+                    raise _Syntax(ParseError(tok.span(self.file), (), tok.describe(), message))
+                left = ex.StateTest(left.name, state)
                 depth += 1
             else:
                 right, right_depth = self._expr(prec + 1, outer + 1)
-                end = right.span
-                span = SourceSpan(file, start.start_line, start.start_col, end.end_line, end.end_col)
-                left = ex.Binary(tok.text, left, right, span)
+                left = ex.Binary(tok.text, left, right)
                 depth = (depth if depth > right_depth else right_depth) + 1
 
     def _primary(self, outer: int) -> tuple[ex.Expr, int]:
@@ -747,15 +719,15 @@ class _Parser:
             if self.tokens[self.pos].text == ".":
                 self.pos += 1
                 attr = self.expect_ident("attribute name")
-                return ex.AttrRef(tok.value, attr.value, tok.span(self.file)), 0  # type: ignore[arg-type]
-            return ex.AttrRef(None, tok.value, tok.span(self.file)), 0  # type: ignore[arg-type]
+                return ex.AttrRef(tok.value, attr.value), 0  # type: ignore[arg-type]
+            return ex.AttrRef(None, tok.value), 0  # type: ignore[arg-type]
         if kind in _LITERAL_KINDS:  # the lexer has parsed the literal's value
             self.pos += 1
-            return ex.Literal(tok.value, _LITERAL_KINDS[kind], tok.span(self.file)), 0
+            return ex.Literal(tok.value, _LITERAL_KINDS[kind]), 0
         if kind == "kw":
             if tok.value == "true" or tok.value == "false":
                 self.pos += 1
-                return ex.Literal(tok.value == "true", ex.BOOLEAN, tok.span(self.file)), 0
+                return ex.Literal(tok.value == "true", ex.BOOLEAN), 0
             if tok.value == "count" or tok.value == "sum":
                 return self._aggregate(outer)
         elif tok.text == "(":
@@ -766,8 +738,7 @@ class _Parser:
         raise self.fail("expression")
 
     def _aggregate(self, outer: int) -> tuple[ex.Expr, int]:
-        tok = self.next()  # count | sum
-        func = str(tok.value)
+        func = str(self.next().value)  # count | sum
         self.expect("punct", "(")
         population = str(self.expect_ident("population type").value)
         predicate = value = None
@@ -779,7 +750,7 @@ class _Parser:
             value, value_depth = self._expr(ex.PREC_OR, outer + 1)
             depth = max(depth, value_depth)
         self.expect("punct", ")")
-        return ex.Aggregate(func, population, predicate, value, span=tok.span(self.file)), depth + 1
+        return ex.Aggregate(func, population, predicate, value), depth + 1
 
 
 # The model items parsed by :meth:`_Parser.parse_item` through one branch: the

@@ -479,8 +479,7 @@ def _populate(world: World) -> World:
     world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
                     or (a.controller is not None and a.controller.plan is not None)]
     world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
-    for intro, eligible in world.introductions:
-        _apply_introduction(world, intro, eligible, set())
+    _introduction_phase(world)
     return world
 
 
@@ -1083,8 +1082,7 @@ def run(model: mm.Model, config: RunConfig) -> RunResult:
     if config.max_ticks < 1:
         raise EngineError("max_ticks must be at least 1")
     world = build_world(model, config)
-    for output in model.outputs:
-        _reported(world, sample_output, world, output)  # tick 0 row
+    _reported(world, _sampling_phase, world)  # the tick 0 rows
     for _ in range(config.max_ticks):
         tick(world)
     tables: dict[str, OutputTable] = {}

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .errors import EvalError, ExprTypeError
-from .source import SourceSpan
 
 INTEGER = "integer"
 REAL = "real"
@@ -57,7 +56,6 @@ PRECEDENCE = {
 class Literal:
     value: object
     kind: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -66,7 +64,6 @@ class AttrRef:
 
     owner: str | None
     name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -76,7 +73,6 @@ class StateTest:
 
     machine: str
     state: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -87,14 +83,12 @@ class Aggregate:
     population: str
     predicate: "Expr | None"
     value: "Expr | None"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Unary:
     op: str  # "-" | "not"
     operand: "Expr"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -102,7 +96,6 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 Expr = Union[Literal, AttrRef, StateTest, Aggregate, Unary, Binary]
@@ -139,6 +132,12 @@ class Context:
 def compile(expr: Expr):
     """Compile ``expr`` into ``fn(ctx)``, which evaluates it against ``ctx``
     and raises EvalError on any failure.  Compiling evaluates nothing."""
+    return _compile(expr, None)
+
+
+def _compile(expr: Expr, memos: list[dict] | None):
+    """:func:`compile` outside any aggregate (``memos`` None), or inside one's
+    ``where`` or value, where each aggregate adds its memo to ``memos``."""
     if isinstance(expr, Literal):
         return lambda ctx, value=expr.value: value
     if isinstance(expr, AttrRef):
@@ -146,41 +145,63 @@ def compile(expr: Expr):
     if isinstance(expr, StateTest):
         return lambda ctx, machine=expr.machine, state=expr.state: ctx.machine_state(machine) == state
     if isinstance(expr, Aggregate):
-        return _compile_aggregate(expr)
+        return _compile_aggregate(expr, memos)
     if isinstance(expr, Unary):
-        operand = compile(expr.operand)
+        operand = _compile(expr.operand, memos)
         if expr.op == "-":
             return lambda ctx: -_as_number(operand(ctx))
         return lambda ctx: not _as_bool(operand(ctx))
     if isinstance(expr, Binary):
-        return _compile_binary(expr)
+        return _compile_binary(expr, memos)
     raise EvalError(f"unknown expression node {type(expr).__name__}")
 
 
-def _compile_aggregate(expr: Aggregate):
+def _compile_aggregate(expr: Aggregate, memos: list[dict] | None):
+    """An aggregate reads no member of an enclosing one, only the roster its
+    population gives, so one nested in another's ``where`` or value keeps its
+    value per roster: k nested aggregates over n members cost k * n member
+    evaluations, not n ** k.  The outermost aggregate clears every memo
+    inside it at each of its evaluations, so no value outlives one."""
     population, test = expr.population, expr.predicate
+    nested = [] if memos is None else memos
     if expr.func == "count" and isinstance(test, StateTest):  # one loop over the roster, no per-member dispatch
         machine, state = test.machine, test.state
-        return lambda ctx: [member.machine_state(machine) for member in ctx.population(population)].count(state)
-    if expr.func == "count" and test is None:
-        return lambda ctx: len(ctx.population(population))
-    predicate = None if test is None else compile(test)
-    if expr.func == "count":
-        return lambda ctx: sum(1 for m in ctx.population(population) if _as_bool(predicate(m)))
-    value = compile(expr.value)
+        over = lambda roster: [member.machine_state(machine) for member in roster].count(state)
+    elif expr.func == "count" and test is None:
+        over = len
+    else:
+        predicate = None if test is None else _compile(test, nested)
+        if expr.func == "count":
+            over = lambda roster: sum(1 for m in roster if _as_bool(predicate(m)))
+        else:
+            value = _compile(expr.value, nested)
 
-    def total(ctx):
-        result: float | int = 0
-        for member in ctx.population(population):
-            if predicate is None or _as_bool(predicate(member)):
-                result += _as_number(value(member))
-        return result
-    return total
+            def over(roster):
+                result: float | int = 0
+                for member in roster:
+                    if predicate is None or _as_bool(predicate(member)):
+                        result += _as_number(value(member))
+                return result
+    if memos is None:
+        def outermost(ctx):
+            for values in nested:
+                values.clear()
+            return over(ctx.population(population))
+        return outermost
+    memo: dict[int, tuple] = {}  # id(roster) -> (roster, value)
+    memos.append(memo)
+
+    def memoized(ctx):
+        roster = ctx.population(population)
+        if (hit := memo.get(id(roster))) is None:
+            hit = memo[id(roster)] = (roster, over(roster))
+        return hit[1]
+    return memoized
 
 
-def _compile_binary(expr: Binary):
+def _compile_binary(expr: Binary, memos: list[dict] | None):
     op, fn = expr.op, _OPERATORS.get(expr.op)
-    left, right = compile(expr.left), compile(expr.right)
+    left, right = _compile(expr.left, memos), _compile(expr.right, memos)
     if op in BOOL_OPS:
         if op == "and":
             return lambda ctx: _as_bool(left(ctx)) and _as_bool(right(ctx))

@@ -48,7 +48,6 @@ class AttributeSpec:
     name: str
     kind: str
     default: ex.Expr | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -56,7 +55,6 @@ class GridTopology:
     width: int
     height: int
     wrap: bool = False
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -65,19 +63,16 @@ class CartesianTopology:
     x_max: float
     y_min: float
     y_max: float
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class GraphTopology:
     source: "CreationalStrategy"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class EnvironmentSpec:
     topology: "GridTopology | CartesianTopology | GraphTopology"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -87,7 +82,6 @@ class FixedCountStrategy:
 
     count: int
     placement: list[tuple[ex.Expr, ex.Expr]] | None = None  # None = random
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -95,7 +89,6 @@ class GisPointsStrategy:
     """One instance per line of a point file (``x,y[,attr=value...]``)."""
 
     path: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -104,7 +97,6 @@ class OsmGraphStrategy:
     agent strategy: one controller per intersection node (degree >= 3)."""
 
     path: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -112,7 +104,6 @@ class InlineNode:
     name: str
     x: float = 0.0
     y: float = 0.0
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -120,14 +111,12 @@ class InlineEdge:
     source: str
     target: str
     length: float
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class InlineEdgeListStrategy:
     nodes: list[InlineNode] = field(default_factory=list)
     edges: list[InlineEdge] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 CreationalStrategy = (
@@ -151,7 +140,6 @@ class CapabilityRef:
     library: str | None = None  # external
     streams: list[tf.StreamSpec] | None = None  # flow_control; None = auto
     qlearning: tf.QLearningSpec | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -184,7 +172,6 @@ class AgentTypeSpec:
 class SeriesSpec:
     label: str
     value: ex.Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -193,14 +180,12 @@ class OutputDatasetSpec:
     interval: int
     path: str
     series: list[SeriesSpec] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ConcernSpec:
     name: str
     members: list[str] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -215,7 +200,6 @@ class Model:
     introductions: list[dz.DiseaseIntroductionSpec] = field(default_factory=list)
     outputs: list[OutputDatasetSpec] = field(default_factory=list)
     concerns: list[ConcernSpec] = field(default_factory=list)
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def agent_type(self, name: str) -> AgentTypeSpec | None:
         return next((a for a in self.agent_types if a.name == name), None)

@@ -1,18 +1,14 @@
-"""Source locations attached to parsed model elements."""
+"""Source locations: a token's, a parse error's, and each agent and entity
+type's, whose order in the text is the order the engine creates them in."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
-    """Half-open region of a source file, 1-based lines and columns.
-
-    Treat a span as immutable: it is hashed by value.  It is not declared
-    frozen because a frozen dataclass sets each field through
-    ``object.__setattr__``, which triples the cost of the parser's commonest
-    allocation."""
+    """Half-open region of a source file, 1-based lines and columns."""
 
     file: str
     start_line: int

@@ -12,12 +12,11 @@ run steps each spec as a :class:`Machine`, its expressions compiled once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from . import expr as ex
 from .errors import AbmsError
-from .source import SourceSpan
 
 DEAD_STATE = "Dead"
 
@@ -27,7 +26,6 @@ class ProbabilisticTrigger:
     """Fires with per-tick probability ``rate`` (a Bernoulli draw each step)."""
 
     rate: ex.Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -35,7 +33,6 @@ class DeterministicTrigger:
     """Fires once the instance has spent ``ticks`` steps in the state."""
 
     ticks: ex.Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -43,7 +40,6 @@ class ConditionalTrigger:
     """Fires on any step where ``condition`` evaluates to true."""
 
     condition: ex.Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -53,7 +49,6 @@ class CompositeTrigger:
 
     mode: str  # "all_of" | "any_of"
     parts: list["Trigger"]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 Trigger = Union[ProbabilisticTrigger, DeterministicTrigger, ConditionalTrigger, CompositeTrigger]
@@ -63,7 +58,6 @@ Trigger = Union[ProbabilisticTrigger, DeterministicTrigger, ConditionalTrigger, 
 class Abortion:
     probability: ex.Expr
     abort_to: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -73,7 +67,6 @@ class Transition:
     trigger: Trigger | None  # None only in structural skeletons
     guard: ex.Expr | None = None
     abortion: Abortion | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -82,7 +75,6 @@ class StateMachineSpec:
     states: list[str]
     initial: str
     transitions: list[Transition]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

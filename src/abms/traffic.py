@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import expr as ex
 from . import statemachine as sm
-from .source import SourceSpan
 
 
 @dataclass
@@ -30,7 +29,6 @@ class StreamSpec:
     stream_id: str
     edge: tuple[str, str] | None = None
     capacity: int | None = None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -38,14 +36,12 @@ class PhaseSpec:
     name: str
     green: list[str]  # stream ids set to green while the phase is active
     duration: int
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class PlanSpec:
     name: str
     phases: list[PhaseSpec]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def cycle_length(self) -> int:
         return sum(p.duration for p in self.phases)
@@ -59,7 +55,6 @@ class QLearningSpec:
     plans: list[str]  # actions, in declaration order
     bins: list[int]  # queue-length discretization thresholds, strictly increasing
     reward: ex.Expr | None = None  # default: negated stopped-vehicle count
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 # Action values keyed by (discretized state, action name); missing = 0.

@@ -49,6 +49,17 @@ class TestGenerate:
         for spec in model.diseases:
             assert f"disease:{spec.name}" in report.procedures
 
+    def test_fixed_positions_and_unary_minus_are_emitted(self):
+        model = parse_model(
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 2 at (1, 2) (3, 4)\n    attr x integer = 1\n    attr y integer = -x\n  }\n}\n"
+        )
+        assert mm.validate(model).ok()
+        source, report = codegen.generate(model)
+        assert "  ; place cycling through fixed positions (1, 2) (3, 4)" in source
+        assert "  set y (- x)" in source
+        assert codegen.check_structure(source, report)
+
     def test_external_capability_emits_comment_and_report_entry(self):
         model = parse_model(
             'model m {\n  environment grid width 5 height 5\n'

@@ -191,3 +191,32 @@ def test_ticks_compile_nothing(monkeypatch, name, model, base_dir):
     for _ in range(3):
         engine.tick(world)
     assert world.digest() == json.loads(PINNED.read_text(encoding="utf-8"))[name][3]
+
+
+def test_nested_aggregates_read_each_member_once_per_level():
+    """An aggregate reads only its roster, not the member of an enclosing one,
+    so k nested levels over n members read k * n attributes, not n ** k, and
+    no value is kept from one evaluation to the next."""
+
+    class Counting(MapContext):
+        reads = 0
+
+        def attribute(self, owner, name):
+            Counting.reads += 1
+            return super().attribute(owner, name)
+
+    levels, size = 6, 4
+    roster: list = []
+    roster += [Counting(attrs={"x": i}, populations={"A": roster}) for i in range(size)]
+    world = MapContext(populations={"A": roster})
+    tree = None
+    for _ in range(levels):
+        test = ex.Binary(">", ex.AttrRef(None, "x"), ex.lit(-1))
+        if tree is not None:
+            test = ex.Binary("and", test, ex.Binary(">", tree, ex.lit(0)))
+        tree = ex.Aggregate("count", "A", test, None)
+    compiled = ex.compile(tree)
+    assert compiled(world) == size and Counting.reads == levels * size
+    roster[0]._attrs["x"] = -5
+    assert compiled(world) == size - 1 and Counting.reads == 2 * levels * size
+    assert tree_walk.evaluate(tree, world) == size - 1

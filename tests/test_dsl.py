@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abms import codegen, engine
+from abms import disease as dz
 from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
+from abms import traffic as tf
 from abms.dsl import ParseError, format_model, parse, parse_model
 from abms.dsl.lexer import KEYWORDS, tokenize
 from abms.dsl.parser import MAX_EXPR_DEPTH
@@ -97,19 +100,19 @@ model m {
         # Diseases, machines and plans share one name space.
         assert any("duplicate machine name 'flu'" in e.message for e in result.errors)
 
-    def test_every_element_carries_span(self):
-        text = (FIXTURES / "measles.abms").read_text()
-        model = parse_model(text, "measles.abms")
-        elements = (
-            [model.environment]
-            + model.agent_types
-            + model.diseases
-            + model.introductions
-            + model.outputs
-        )
-        for element in elements:
-            assert element.span is not None
-            assert element.span.file == "measles.abms"
+    def test_only_types_carry_spans(self):
+        """The engine creates agent and entity types in source order, so they
+        keep a span; no other model element carries one."""
+        model = parse_model((FIXTURES / "measles.abms").read_text(), "measles.abms")
+        assert [t.span.label() for t in model.agent_types] == ["measles.abms:3:3", "measles.abms:8:3"]
+        spanned = {
+            cls.__name__
+            for module in (mm, dz, sm, tf, ex)
+            for cls in vars(module).values()
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+            and any(f.name == "span" for f in dataclasses.fields(cls))
+        }
+        assert spanned == {"AgentTypeSpec", "EntityTypeSpec"}
 
     def test_error_spans_point_inside_input(self):
         bad = "model m {\n  environment grid width -3 height 3\n}\n"
@@ -318,6 +321,31 @@ class TestFormat:
         model.outputs.append(mm.OutputDatasetSpec("o", 1, "o.csv", [mm.SeriesSpec("s", tricky)]))
         text = format_model(model)
         assert parse_model(text).outputs[0].series[0].value == tricky
+
+    @pytest.mark.parametrize("value", [1e-25, 1.234567e-15, 5e-324, 1.2345678901234569e23])
+    def test_a_real_reads_back_exactly(self, value):
+        """A real whose shortest repr has an exponent is written out digit for digit."""
+        model = parse_model(_expr_text("1.0"))
+        model.outputs[0].series[0].value = ex.lit(value)
+        text = format_model(model)
+        assert "e" not in text.split("series s ")[1].split("\n")[0]
+        assert parse_model(text).outputs[0].series[0].value.value == value
+        assert format_model(parse_model(text)) == text
+
+    def test_transmission_condition_and_sources_round_trip(self):
+        text = (
+            "model m {\n  environment grid width 5 height 5\n"
+            "  agent A {\n    create fixed 2 random\n    capability disease flu\n  }\n"
+            "  entity Well {\n    create fixed 1 random\n  }\n"
+            "  disease flu model SIR {\n"
+            "    transmission proximity 1 probability 0.5 condition tick > 2 sources Well\n"
+            "    duration I deterministic 3\n  }\n}\n"
+        )
+        model = parse_model(text)
+        assert mm.validate(model).ok()
+        formatted = format_model(model)
+        assert "transmission proximity 1 probability 0.5 condition tick > 2 sources Well\n" in formatted
+        assert parse_model(formatted) == model
 
     @pytest.mark.parametrize("value", [
         "count(A where (tick < 3) == true)",
@@ -548,47 +576,37 @@ def _expr_text(expr):
 
 
 def _sexpr(e):
-    """Prefix form of a parsed expression and the (start_col, end_col) of every node, in preorder."""
-    span = (e.span.start_col, e.span.end_col)
+    """Prefix form of a parsed expression."""
     if isinstance(e, ex.Binary):
-        left, lspans = _sexpr(e.left)
-        right, rspans = _sexpr(e.right)
-        return f"({e.op} {left} {right})", [span] + lspans + rspans
+        return f"({e.op} {_sexpr(e.left)} {_sexpr(e.right)})"
     if isinstance(e, ex.Unary):
-        operand, ospans = _sexpr(e.operand)
-        return f"({'neg' if e.op == '-' else e.op} {operand})", [span] + ospans
+        return f"({'neg' if e.op == '-' else e.op} {_sexpr(e.operand)})"
     if isinstance(e, ex.StateTest):
-        return f"(is {e.machine} {e.state})", [span]
+        return f"(is {e.machine} {e.state})"
     if isinstance(e, ex.AttrRef):
-        return e.name, [span]
-    return repr(e.value), [span]
+        return e.name
+    return repr(e.value)
 
 
 class TestExpressionGrammar:
-    """Precedence, associativity and spans; the expression sits alone on line 5."""
+    """Precedence and associativity; the expression sits alone on line 5."""
 
     @pytest.mark.parametrize(
-        "source,tree,spans",
+        "source,tree",
         [
-            ("a - b - c", "(- (- a b) c)", [(1, 10), (1, 6), (1, 2), (5, 6), (9, 10)]),
-            ("-a * b", "(* (neg a) b)", [(1, 7), (1, 3), (2, 3), (6, 7)]),
-            ("not a == b", "(not (== a b))", [(1, 11), (5, 11), (5, 6), (10, 11)]),
-            (
-                "not a and b or c",
-                "(or (and (not a) b) c)",
-                [(1, 17), (1, 12), (1, 6), (5, 6), (11, 12), (16, 17)],
-            ),
-            ("a < b + c", "(< a (+ b c))", [(1, 10), (1, 2), (5, 10), (5, 6), (9, 10)]),
-            ("a / b * -c", "(* (/ a b) (neg c))", [(1, 11), (1, 6), (1, 2), (5, 6), (9, 11), (10, 11)]),
-            ("- -(a + b)", "(neg (neg (+ a b)))", [(1, 10), (3, 10), (5, 10), (5, 6), (9, 10)]),
-            ("(x) is S or y", "(or (is x S) y)", [(2, 14), (2, 7), (13, 14)]),
-            ("not not x is S", "(not (not (is x S)))", [(1, 13), (5, 13), (9, 13)]),
+            ("a - b - c", "(- (- a b) c)"),
+            ("-a * b", "(* (neg a) b)"),
+            ("not a == b", "(not (== a b))"),
+            ("not a and b or c", "(or (and (not a) b) c)"),
+            ("a < b + c", "(< a (+ b c))"),
+            ("a / b * -c", "(* (/ a b) (neg c))"),
+            ("- -(a + b)", "(neg (neg (+ a b)))"),
+            ("(x) is S or y", "(or (is x S) y)"),
+            ("not not x is S", "(not (not (is x S)))"),
         ],
     )
-    def test_tree_and_spans(self, source, tree, spans):
-        series = parse_model(_expr_text(source)).outputs[0].series[0].value
-        assert series.span.start_line == series.span.end_line == 5
-        assert _sexpr(series) == (tree, spans)
+    def test_tree(self, source, tree):
+        assert _sexpr(parse_model(_expr_text(source)).outputs[0].series[0].value) == tree
 
     @pytest.mark.parametrize(
         "source,errors",
@@ -642,6 +660,11 @@ class TestExpressionDepth:
         source = NESTINGS["flat sum"](MAX_EXPR_DEPTH + 1)
         assert error_list(_expr_text(source)) == [[[5, 1, 5, len(source) + 1], [], "expression", TOO_DEEP]]
 
+    def test_a_too_deep_span_runs_from_the_first_token_to_the_last(self):
+        """Parentheses and an aggregate's closing bracket included."""
+        source = "(1) + " + NESTINGS["flat sum"](MAX_EXPR_DEPTH - 1) + " + count(A)"
+        assert error_list(_expr_text(source)) == [[[5, 1, 5, len(source) + 1], [], "expression", TOO_DEEP]]
+
     def test_descent_is_reported_at_the_first_token_too_deep(self):
         """At the first token one level past the bound."""
         levels = MAX_EXPR_DEPTH + 1
@@ -660,6 +683,12 @@ class TestSourceSpan:
         assert span == same and hash(span) == hash(same) == hash(("m.abms", 1, 2, 3, 4))
         assert len({span, same}) == 1
         assert span != SourceSpan("m.abms", 1, 2, 3, 5) and span != SourceSpan("n.abms", 1, 2, 3, 4)
+
+    def test_a_span_is_immutable(self):
+        span = SourceSpan("m.abms", 1, 2, 3, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.start_line = 5  # type: ignore[misc]
+        assert span.start_line == 1
 
     def test_repr(self):
         expected = "SourceSpan(file='m.abms', start_line=1, start_col=2, end_line=3, end_col=4)"

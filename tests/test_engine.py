@@ -226,6 +226,15 @@ class TestBuildWorld:
         assert by_pos[(1, 1)].attrs == {"age": 30, "older": True}
         assert by_pos[(2, 2)].attrs == {"age": 7, "older": False}
 
+    def test_text_defaults(self, tmp_path):
+        model = parse_model(
+            'model t {\n  environment grid width 10 height 10\n'
+            '  agent A {\n    create fixed 2 random\n    attr name text = "ann"\n'
+            "    attr alias text = name\n    attr tag identifier\n  }\n}\n"
+        )
+        world = engine.build_world(model, cfg(tmp_path))
+        assert [a.attrs for a in world.agents.values()] == [{"name": "ann", "alias": "ann", "tag": ""}] * 2
+
     @pytest.mark.parametrize("line", ["nan,2.0", "inf,2.0"])
     def test_gis_point_must_be_finite(self, tmp_path, line):
         (tmp_path / "bad.points").write_text(f"1.0,1.0\n{line}\n")
