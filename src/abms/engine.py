@@ -5,10 +5,13 @@ One run consumes a single seeded PRNG stream in a fixed schedule, so identical
 runs six phase functions:
 
   1. ``_introduction_phase``: periodic disease introductions
-  2. ``_agent_phase``: each disease's sources indexed by the cell each keeps
-     (by exposure, under every cell within reach, when the model states the
-     radius and the filing costs no more than the scans it spares; else by
-     cell); then per agent of ``World.actors``, mobility (the walk, within
+  2. ``_agent_phase``: each disease's kept source index brought up to date,
+     adding and removing only the agents that entered a state or died since
+     (``World.entered``), and filed by the cell each source keeps (by
+     exposure, under every cell within reach, when the model states the
+     radius and the filing costs no more than the scans it spares, counted
+     from the tallies; else by cell), all afresh only when that filing
+     changes; then per agent of ``World.actors``, mobility (the walk, within
      the size or bounds ``World`` resolved, sets the position and its cell,
      refiling a source that changes cell: by cell out of one and into one),
      the signal plan's phase count and generic machines not in Dead
@@ -20,7 +23,9 @@ runs six phase functions:
      vehicles on an edge, whose arrivals take their edge's one ``QueuePos``
      in ascending id order; then queue service, a controller read per node
   5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
-  6. ``_sampling_phase``: output sampling when the tick hits an interval
+  6. ``_sampling_phase``: output sampling when the tick hits an interval;
+     ``count(T where m is S)`` reads the tally ``sm.force_state`` keeps per
+     (agent type, machine or disease), not the roster
 
 Phases 2, 4 and 5 visit only their roster, and a population is its type's
 roster in ``World.by_type``; phase 3 prunes the dead from them all.  Every
@@ -156,6 +161,9 @@ class _Instance(ex.Context):
     def population(self, type_name: str):
         return self.world.population(type_name)
 
+    def state_count(self, type_name: str, machine: str, state: str) -> int:
+        return self.world.state_count(type_name, machine, state)
+
 
 @dataclass(eq=False)
 class AgentInstance(_Instance):
@@ -286,7 +294,12 @@ class World(ex.Context):
         self.arrivals = 0
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
-        self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; rebuilt and read in phase 2
+        self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; kept from the first phase 2 on
+        self.entered: list[AgentInstance] = []  # agents that entered a disease state or died since phase 2 last filed
+        # (agent type, machine or disease) -> the type's agents in each state, kept by ``sm.force_state``;
+        # and per disease, each carrying type's tally and whether that type walks.  ``_create_agents`` fills both.
+        self.tallies: dict[tuple[str, str], dict[str, int]] = {}
+        self.disease_tallies: dict[str, list[tuple[dict[str, int], bool]]] = {name: [] for name in self.diseases}
         # Rosters, which phase 3 prunes the dead from; all but ``vehicles`` are in ascending id order
         # and filled only by ``build_world``.
         self.by_type: dict[str, list[_Instance]] = {t.name: [] for t in (*model.agent_types, *model.entity_types)}
@@ -306,6 +319,13 @@ class World(ex.Context):
         if (roster := self.by_type.get(type_name)) is None:
             raise EvalError(f"unknown population '{type_name}'")
         return roster
+
+    def state_count(self, type_name: str, machine: str, state: str) -> int:
+        """Read from the type's tally when ``machine`` is one of its diseases
+        or machines; else (a signal plan's phase, say) the roster is scanned."""
+        if (tally := self.tallies.get((type_name, machine))) is None:
+            return super().state_count(type_name, machine, state)
+        return tally.get(state, 0)
 
     # -- ids --------------------------------------------------------------------
 
@@ -558,10 +578,15 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     mobility = spec.capability("mobility")
     speed = None if mobility is None or world.graph is None else ex.compile_number(mobility.step, name="step")
     flow = spec.capability("flow_control")
+    disease_tallies, machine_tallies = {name: {} for name in diseases}, {name: {} for name in machines}
+    for name, tally in (*disease_tallies.items(), *machine_tallies.items()):  # a disease's first, as in machine_state
+        world.tallies.setdefault((spec.name, name), tally)
+    for name, tally in disease_tallies.items():
+        world.disease_tallies[name].append((tally, spec.name in world.walk_steps))
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position, _cell_of(world, position))
-        agent.diseases = {name: sm.instantiate(m) for name, m in diseases.items()}
-        agent.machines = {name: sm.instantiate(m) for name, m in machines.items()}
+        agent.diseases = {name: sm.instantiate(m, disease_tallies[name]) for name, m in diseases.items()}
+        agent.machines = {name: sm.instantiate(m, machine_tallies[name]) for name, m in machines.items()}
         point = points[i] if points is not None else None
         _init_attrs(world, agent, point, f"agent:{spec.name}")
         world.agents[agent.id] = agent
@@ -660,7 +685,9 @@ def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligibl
         if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
     ]
     for aid in dz.introduce(pool, intro, eligible, world.tick, world.rng):
-        sm.force_state(world.agents[aid].diseases[intro.disease], disease.target)
+        agent = world.agents[aid]
+        sm.force_state(agent.diseases[intro.disease], disease.target)
+        world.entered.append(agent)
         world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
         infected_now.add((aid, intro.disease))
 
@@ -707,10 +734,10 @@ BY_CELL = [(0, 0)]  # the reach of an index by cell: each source under its own c
 
 
 class SourceIndex:
-    """One disease's infection sources during phase 2, in ascending id order
-    (``items``), which ``_near`` reads.  Unless ``reach`` is None (as on a
-    graph), ``cells`` also files each source under every cell the offsets of
-    ``reach`` take the cell it keeps to, modulo a wrapped grid:
+    """One disease's infection sources in ascending id order (``items``),
+    which ``_near`` reads, kept from tick to tick.  Unless ``reach`` is None
+    (as on a graph), ``cells`` also files each source under every cell the
+    offsets of ``reach`` take the cell it keeps to, modulo a wrapped grid:
 
     - by cell, when ``reach`` is ``BY_CELL``: each source under its own cell,
       so a scan reads the cells ``scan`` offsets its own by (none: the list is
@@ -719,16 +746,22 @@ class SourceIndex:
       the model states: a scan reads the one cell it stands in."""
 
     def __init__(self, world: World, items: list[_Instance], reach: list | None, scan: list | None = None):
-        self.items, self.reach, self.scan, self.wrap = items, reach, scan, world.wrap
-        self.exposed = reach is not None and reach is not BY_CELL
+        self.items, self.wrap = items, world.wrap
         self.members = set(items)  # the instances the walk refiles with ``move``
+        self.reach: list | None = None
         self.cells: dict[tuple[int, int], list[_Instance]] | None = None
-        if reach is None:
-            return
-        self.cells = cells = defaultdict(list)
-        for item in items:
-            for cell in self.reached(item.cell, reach):
-                cells[cell].append(item)
+        self.file(reach, scan)
+
+    def file(self, reach: list | None, scan: list | None = None) -> None:
+        """Take this tick's filing, filing every source afresh only when
+        ``reach`` puts them under other cells than the last one did."""
+        if reach != self.reach:  # never on a graph, where ``reach`` stays None
+            self.cells = cells = defaultdict(list)
+            for item in self.items:
+                for cell in self.reached(item.cell, reach):
+                    cells[cell].append(item)
+        self.reach, self.scan = reach, scan
+        self.exposed = reach is not None and reach is not BY_CELL
 
     def reached(self, cell: tuple[int, int], offsets: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """The cells ``offsets`` take ``cell`` to, each once."""
@@ -737,6 +770,22 @@ class SourceIndex:
             return [(cx + dx, cy + dy) for dx, dy in offsets]
         width, height = self.wrap
         return [((cx + dx) % width, (cy + dy) % height) for dx, dy in offsets]
+
+    def add(self, item: _Instance) -> None:
+        """File ``item``, a new source, at the cell it keeps."""
+        bisect.insort(self.items, item, key=_BY_ID)
+        self.members.add(item)
+        if self.cells is not None:
+            for cell in self.reached(item.cell, self.reach):
+                self.cells[cell].append(item)
+
+    def remove(self, item: _Instance) -> None:
+        """Unfile ``item``, one of ``members``, from the cell it keeps."""
+        self.items.remove(item)
+        self.members.discard(item)
+        if self.cells is not None:
+            for cell in self.reached(item.cell, self.reach):
+                self.cells[cell].remove(item)
 
     def move(self, item: _Instance, old: tuple[int, int], new: tuple[int, int]) -> None:
         """Refile ``item``, one of ``members``, from cell ``old`` to cell ``new``."""
@@ -752,23 +801,34 @@ class SourceIndex:
 
 
 def _index_sources(world: World) -> None:
-    """Index, per disease, the agents in an infectious state and the entities
-    of a declared source type.  States change only in phases 1 and 3, deaths
-    come in phase 3 and entities never move, so the index stays exact through
-    phase 2 while walking sources are moved in it."""
-    world.sources = {}
+    """Keep, per disease, the index of the agents in an infectious state and
+    the entities of a declared source type, and decide its filing for this
+    tick from the tallies.  The first phase 2 files the sources from the
+    rosters; each later one adds and removes only the agents in
+    ``World.entered``, which phases 1 and 3 fill as states are entered and
+    agents die.  Entities never change, and only the walk moves agents
+    between cells, so the index stays exact through phase 2 while walking
+    sources are moved in it.  (A state entered by ``sm.force_state`` outside
+    the tick after the first phase 2 is tallied but not refiled.)"""
+    entered, world.entered = world.entered, []
     for name, disease in world.diseases.items():
-        items, walking, susceptible = [], 0, 0
-        for agent in world.agents.values():
-            if (inst := agent.diseases.get(name)) is not None:
-                if inst.current in disease.infectious:
-                    items.append(agent)
-                    walking += agent.type_name in world.walk_steps
-                if inst.current == disease.susceptible:
-                    susceptible += 1
-        items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
-        items.sort(key=_BY_ID)
-        world.sources[name] = SourceIndex(world, items, *_reach(world, disease, len(items), walking, susceptible))
+        if (index := world.sources.get(name)) is None:
+            items = [a for a in world.agents.values() if (inst := a.diseases.get(name)) is not None
+                     and inst.current in disease.infectious]
+            items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
+            items.sort(key=_BY_ID)
+            index = world.sources[name] = SourceIndex(world, items, None)
+        else:
+            alive, members = world.agents, index.members
+            for agent in entered:
+                if (inst := agent.diseases.get(name)) is not None:
+                    source = inst.current in disease.infectious and agent.id in alive
+                    if source != (agent in members):
+                        (index.add if source else index.remove)(agent)
+        tallies = world.disease_tallies[name]
+        susceptible = sum(tally.get(disease.susceptible, 0) for tally, _ in tallies)
+        walking = sum(tally.get(state, 0) for tally, walks in tallies if walks for state in disease.infectious)
+        index.file(*_reach(world, disease, len(index.items), walking, susceptible))
 
 
 def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, susceptible: int) -> tuple:
@@ -947,6 +1007,7 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
     """Phase 3: enter the buffered disease states, then remove the dead."""
     for agent, disease_name, state in changes.moves:
         sm.force_state(agent.diseases[disease_name], state)
+        world.entered.append(agent)
         if state == sm.DEAD_STATE:  # after the per-tick deaths of phase 2
             changes.dying.append((agent, disease_name))
     dead_types = set()
@@ -966,6 +1027,9 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
 
 def _remove_agent(world: World, agent: AgentInstance) -> None:
     del world.agents[agent.id]
+    world.entered.append(agent)  # the next phase 2 unfiles it as a source
+    for inst in (*agent.diseases.values(), *agent.machines.values()):  # out of its type's tallies
+        inst.tally[inst.current] -= 1
     world.dead[agent.type_name] = world.dead.get(agent.type_name, 0) + 1
     if isinstance(agent.position, QueuePos):  # a queued vehicle is in its queue until served
         agent.position.queue.remove(agent.id)

@@ -123,10 +123,16 @@ class Context:
     ``machine_state(name)`` and ``population(type_name)``, a list of
     member contexts.  Worlds, agents and entities implement them in the
     engine.  Each hook raises :class:`EvalError` for a name it does not know;
-    a context without machines may keep this one."""
+    a context without machines may keep this one.  ``state_count`` answers
+    ``count(T where m is S)``; a context that keeps counts may override it."""
 
     def machine_state(self, name: str) -> str:
         raise EvalError(f"no state machine or disease named '{name}' in this context")
+
+    def state_count(self, type_name: str, machine: str, state: str) -> int:
+        """How many members of ``population(type_name)`` sit in ``state`` of
+        ``machine``: one loop over the roster, no per-member dispatch."""
+        return [member.machine_state(machine) for member in self.population(type_name)].count(state)
 
 
 def compile(expr: Expr):
@@ -164,11 +170,11 @@ def _compile_aggregate(expr: Aggregate, memos: list[dict] | None):
     inside it at each of its evaluations, so no value outlives one."""
     population, test = expr.population, expr.predicate
     nested = [] if memos is None else memos
-    if expr.func == "count" and isinstance(test, StateTest):  # one loop over the roster, no per-member dispatch
+    if expr.func == "count" and isinstance(test, StateTest):  # the context counts, from a tally where it keeps one
         machine, state = test.machine, test.state
-        over = lambda roster: [member.machine_state(machine) for member in roster].count(state)
+        of = lambda ctx: ctx.state_count(population, machine, state)
     elif expr.func == "count" and test is None:
-        over = len
+        of = lambda ctx: len(ctx.population(population))
     else:
         predicate = None if test is None else _compile(test, nested)
         if expr.func == "count":
@@ -182,11 +188,12 @@ def _compile_aggregate(expr: Aggregate, memos: list[dict] | None):
                     if predicate is None or _as_bool(predicate(member)):
                         result += _as_number(value(member))
                 return result
+        of = lambda ctx: over(ctx.population(population))
     if memos is None:
         def outermost(ctx):
             for values in nested:
                 values.clear()
-            return over(ctx.population(population))
+            return of(ctx)
         return outermost
     memo: dict[int, tuple] = {}  # id(roster) -> (roster, value)
     memos.append(memo)
@@ -194,7 +201,7 @@ def _compile_aggregate(expr: Aggregate, memos: list[dict] | None):
     def memoized(ctx):
         roster = ctx.population(population)
         if (hit := memo.get(id(roster))) is None:
-            hit = memo[id(roster)] = (roster, over(roster))
+            hit = memo[id(roster)] = (roster, of(ctx))
         return hit[1]
     return memoized
 

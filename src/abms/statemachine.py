@@ -12,7 +12,7 @@ run steps each spec as a :class:`Machine`, its expressions compiled once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from . import expr as ex
@@ -87,11 +87,14 @@ class Machine:
 
 @dataclass
 class MachineInstance:
-    """Per-agent runtime state of one machine."""
+    """Per-agent runtime state of one machine.  ``tally``, when given, counts
+    the instances of its agent type in each state: it holds counts only, so an
+    instance refers to no agent."""
 
     machine: Machine
     current: str
     dwell: int = 0
+    tally: dict[str, int] | None = field(default=None, repr=False, compare=False)
 
 
 class MachineError(AbmsError):
@@ -109,9 +112,13 @@ def compile_machine(spec: StateMachineSpec) -> Machine:
     return Machine(spec, transitions)
 
 
-def instantiate(machine: Machine) -> MachineInstance:
-    """Fresh instance sitting in the initial state with zero dwell."""
-    return MachineInstance(machine=machine, current=machine.spec.initial)
+def instantiate(machine: Machine, tally: dict[str, int] | None = None) -> MachineInstance:
+    """Fresh instance sitting in the initial state with zero dwell, counted
+    in ``tally`` if one is given."""
+    initial = machine.spec.initial
+    if tally is not None:
+        tally[initial] = tally.get(initial, 0) + 1
+    return MachineInstance(machine, initial, 0, tally)
 
 
 def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str | None:
@@ -138,7 +145,11 @@ def step(instance: MachineInstance, ctx: ex.Context, rng: random.Random) -> str 
 def force_state(instance: MachineInstance, state: str) -> None:
     """Place the instance in ``state``: every state is entered here, the
     targets ``step`` returns and the engine's infections and introductions
-    alike, ``Dead`` included.  Resets dwell."""
+    alike, ``Dead`` included, so the instance's tally moves one count here.
+    Resets dwell."""
+    if (tally := instance.tally) is not None:
+        tally[instance.current] -= 1
+        tally[state] = tally.get(state, 0) + 1
     instance.current = state
     instance.dwell = 0
 

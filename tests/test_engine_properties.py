@@ -452,14 +452,20 @@ class TestContextsOncePerInstance:
 
     @pytest.mark.parametrize("fixture", ["measles", "traffic"])
     def test_dropped_world_is_freed_without_the_cycle_collector(self, tmp_path, fixture):
+        """The world, an agent and one of its machine instances: a tally
+        holds counts, not agents, so no instance refers back to its agent."""
         model = parse_model((FIXTURES / f"{fixture}.abms").read_text())
         world = engine.build_world(model, cfg(tmp_path, seed=42, base_dir=FIXTURES))
         engine.tick(world)
-        freed = weakref.ref(world)
+        agent = next((a for a in world.agents.values() if a.diseases or a.machines), None)
+        instances = [*agent.diseases.values(), *agent.machines.values()] if agent is not None else []
+        assert fixture == "traffic" or instances
+        freed = [weakref.ref(x) for x in (world, agent, *instances[:1]) if x is not None]
+        del agent, instances
         gc.disable()
         try:
             del world
-            assert freed() is None
+            assert [ref() for ref in freed] == [None] * len(freed)
         finally:
             gc.enable()
 

@@ -27,6 +27,28 @@ def sir_spec(**kw):
 
 
 class TestInstantiate:
+    def test_a_tally_counts_what_each_instance_enters(self):
+        machine = sm.compile_machine(dz.build_machine(sir_spec()))
+        tally = {}
+        a, b = sm.instantiate(machine, tally), sm.instantiate(machine, tally)
+        sm.force_state(a, "I")
+        assert tally == {"S": 1, "I": 1}
+        sm.force_state(a, "R")
+        sm.force_state(b, "R")
+        assert tally == {"S": 0, "I": 0, "R": 2}
+
+    def test_an_instance_without_a_tally_steps_and_enters(self):
+        inst = sm.instantiate(sm.compile_machine(two_state(sm.DeterministicTrigger(ex.lit(1)))))
+        assert inst.tally is None
+        sm.force_state(inst, sm.step(inst, MapContext(), random.Random(0)))
+        assert (inst.current, inst.dwell, inst.tally) == ("b", 0, None)
+
+    def test_a_tally_changes_neither_repr_nor_equality(self):
+        machine = sm.compile_machine(two_state(sm.DeterministicTrigger(ex.lit(1))))
+        counted, plain = sm.instantiate(machine, {}), sm.instantiate(machine)
+        assert counted == plain and repr(counted) == repr(plain)
+        assert repr(plain) == f"MachineInstance(machine={machine!r}, current='a', dwell=0)"
+
     def test_sir_starts_susceptible(self):
         inst = sm.instantiate(sm.compile_machine(dz.build_machine(sir_spec())))
         assert inst.current == "S"
