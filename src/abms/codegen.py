@@ -93,21 +93,23 @@ def _nl_expr(expr_: ex.Expr) -> str:
 
 
 class _Emitter:
+    """The source lines and the report: :meth:`proc` emits each procedure
+    and reports it under its element path, the only writer of procedures."""
+
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self.report = GenerationReport()
 
     def raw(self, text: str = "") -> None:
         self.lines.append(text)
 
-    def proc(self, name: str, body: list[str], report_to: list[str] | None = None, reporter: bool = False) -> str:
+    def proc(self, name: str, body: list[str], path: str, reporter: bool = False) -> None:
         self.raw(("to-report " if reporter else "to ") + name)
         for line in body:
             self.raw("  " + line if line else "")
         self.raw("end")
         self.raw()
-        if report_to is not None:
-            report_to.append(name)
-        return name
+        self.report.procedures.setdefault(path, []).append(name)
 
     def text(self) -> str:
         return "\n".join(self.lines).rstrip("\n") + "\n"
@@ -115,32 +117,30 @@ class _Emitter:
 
 def generate(model: mm.Model) -> tuple[str, GenerationReport]:
     """Emit NetLogo source text and the generation report for ``model``."""
-    report = GenerationReport()
     e = _Emitter()
     e.raw(f"; NetLogo source generated from model '{model.name}'")
     e.raw("; sections: globals, breeds, setup, go, capability procedures, outputs")
     e.raw()
     _emit_globals(e, model)
-    _emit_breeds(e, model, report)
-    _emit_setup(e, model, report)
-    _emit_go(e, model, report)
+    _emit_breeds(e, model)
+    _emit_setup(e, model)
+    _emit_go(e, model)
     for agent in model.agent_types:
-        _emit_agent_procs(e, model, agent, report)
+        _emit_agent_procs(e, model, agent)
     for spec in model.diseases:
-        _emit_disease_procs(e, model, spec, report)
+        _emit_disease_procs(e, model, spec)
     for i, intro in enumerate(model.introductions):
-        _emit_introduction(e, model, intro, i, report)
+        _emit_introduction(e, model, intro, i)
     for machine in model.machines:
         name = _nl_name(machine.name)
-        procs = report.procedures.setdefault(f"machine:{machine.name}", [])
-        e.proc(f"step-machine-{name}", _step_body(name, machine), procs)
+        e.proc(f"step-machine-{name}", _step_body(name, machine), f"machine:{machine.name}")
     for plan in model.plans:
-        _emit_plan(e, plan, report)
+        _emit_plan(e, plan)
     for output in model.outputs:
-        _emit_output(e, model, output, report)
+        _emit_output(e, model, output)
     for concern in model.concerns:
-        report.procedures.setdefault(f"concern:{concern.name}", [])
-    return e.text(), report
+        e.report.procedures.setdefault(f"concern:{concern.name}", [])
+    return e.text(), e.report
 
 
 def _emit_globals(e: _Emitter, model: mm.Model) -> None:
@@ -169,20 +169,20 @@ def _own_vars(spec: mm.AgentTypeSpec | mm.EntityTypeSpec) -> list[str]:
     return out
 
 
-def _emit_breeds(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
+def _emit_breeds(e: _Emitter, model: mm.Model) -> None:
     types = [*model.agent_types, *model.entity_types]
     for spec in types:
-        plural, singular = report.breeds[spec.name] = _breed_names(spec.name)
+        plural, singular = e.report.breeds[spec.name] = _breed_names(spec.name)
         e.raw(f"breed [{plural} {singular}]")
     e.raw()
     for spec in types:
         own = _own_vars(spec)
         if own:
-            e.raw(f"{report.breeds[spec.name][0]}-own [ {' '.join(own)} ]")
+            e.raw(f"{e.report.breeds[spec.name][0]}-own [ {' '.join(own)} ]")
     e.raw()
 
 
-def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
+def _emit_setup(e: _Emitter, model: mm.Model) -> None:
     body = ["clear-all"]
     topo = model.environment.topology
     if isinstance(topo, mm.GridTopology):
@@ -203,7 +203,7 @@ def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
     if model.outputs:
         body.append("setup-outputs")
     body.append("reset-ticks")
-    e.proc("setup", body, report.procedures.setdefault("model", []))
+    e.proc("setup", body, "model")
     if isinstance(topo, mm.GraphTopology):
         source = topo.source
         origin = source.path if isinstance(source, mm.OsmGraphStrategy) else "inline edge list"
@@ -211,11 +211,11 @@ def _emit_setup(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
             "setup-road-network",
             [f"; build road graph nodes and links from {origin}",
              "; nodes become stationary junction turtles, links carry a length attribute"],
-            report.procedures.setdefault("environment", []),
+            "environment",
         )
 
 
-def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
+def _emit_go(e: _Emitter, model: mm.Model) -> None:
     vehicles = model.graph_topology() is not None and any(a.capability("mobility") for a in model.agent_types)
     body = ["if ticks >= sim-max-ticks [ stop ]"]
     for i, intro in enumerate(model.introductions):
@@ -240,19 +240,18 @@ def _emit_go(e: _Emitter, model: mm.Model, report: GenerationReport) -> None:
     if model.outputs:
         body.append("sample-outputs")
     body.append("tick")
-    e.proc("go", body, report.procedures.setdefault("model", []))
+    e.proc("go", body, "model")
     if vehicles:
         e.proc(
             "vehicle-phase",
             ["; advance vehicles along links, enqueue at junctions,",
              "; then serve one vehicle per green stream"],
-            report.procedures.setdefault("environment", []),
+            "environment",
         )
 
 
-def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, report: GenerationReport) -> None:
+def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec) -> None:
     path = f"agent:{agent.name}"
-    procs = report.procedures.setdefault(path, [])
     plural, _ = _breed_names(agent.name)
     name = _nl_name(agent.name)
     creation = agent.creation
@@ -288,14 +287,14 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
         body.append(f"create-{plural} count-intersections [")
         body.extend("  " + line for line in init)
         body.append("]")
-    e.proc(f"setup-{name}s", body, procs)
+    e.proc(f"setup-{name}s", body, path)
     # A reporter the types share is emitted, and reported, with the first type that needs it.
     if agent is next((a for a in model.agent_types if isinstance(a.creation, mm.OsmGraphStrategy)), None):
         e.proc(
             "count-intersections",
             ["; junction nodes of the road network with degree >= 3",
              "report 0"],
-            procs,
+            path,
             reporter=True,
         )
     mobility = agent.capability("mobility")
@@ -311,7 +310,7 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
                     "  set heading pick * 45",
                     f"  fd {step}",
                     "]"]
-        e.proc(f"move-{name}", move, procs)
+        e.proc(f"move-{name}", move, path)
     learning = agent.capability("reinforcement_learning")
     if agent.capability("flow_control") is not None:
         plan = model.plan_of(agent)
@@ -322,14 +321,14 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
              "set phase-clock phase-clock + 1",
              "; move to the next phase once the current duration elapses",
              "; and recolor this junction's incoming streams"],
-            procs,
+            path,
         )
     if agent is next((a for a in model.agent_types if a.capability("flow_control") is not None), None):
         e.proc(
             "stopped-here",
             ["; vehicles queued on this controller's red streams",
              "report 0"],
-            procs,
+            path,
             reporter=True,
         )
     if learning is not None:
@@ -341,31 +340,30 @@ def _emit_agent_procs(e: _Emitter, model: mm.Model, agent: mm.AgentTypeSpec, rep
              "; on cycle completion: q-update with "
              f"alpha {_nl_number(q.alpha)} gamma {_nl_number(q.gamma)}, then",
              f"; epsilon-greedy ({_nl_number(q.epsilon)}) selection over {' '.join(q.plans)}"],
-            procs,
+            path,
         )
         e.proc(
             f"q-update-{name}",
             ["; Q(s,a) <- Q(s,a) + alpha * (r + gamma * max Q(s',a') - Q(s,a))",
              "; q-table is a list of [state action value] triples"],
-            procs,
+            path,
         )
         e.proc(
             f"q-select-{name}",
             ["; epsilon-greedy over the configured plans; ties to first declared",
              "report q-prev-action"],
-            procs,
+            path,
             reporter=True,
         )
     for i, cap in enumerate(agent.capabilities):
         if cap.kind == "external":
             e.raw(f"; external capability: {cap.target} (include manually from {cap.library})")
             e.raw()
-            report.unsupported.append((f"{path}.capability[{i}]", f"external capability {cap.target}"))
+            e.report.unsupported.append((f"{path}.capability[{i}]", f"external capability {cap.target}"))
 
 
-def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec, report: GenerationReport) -> None:
+def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec) -> None:
     path = f"disease:{spec.name}"
-    procs = report.procedures.setdefault(path, [])
     name = _nl_name(spec.name)
     carrier_set = _carrier_set(model, spec.name)
     susceptible = dz.susceptible_compartment(spec)
@@ -376,7 +374,7 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
         f"apply-{name}-deaths",
         f"ask {carrier_set} [ recolor-{name} ]",
     ]
-    e.proc(f"disease-phase-{name}", phase_body, procs)
+    e.proc(f"disease-phase-{name}", phase_body, path)
     radius = _nl_expr(t.distance) if t.interaction == dz.PROXIMITY else "0"
     infectious = dz.infectious_states(spec)
     states_list = " ".join(f'"{s}"' for s in infectious)
@@ -391,13 +389,13 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
         "  ]",
         "]",
     ]
-    e.proc(f"attempt-{name}-infection", body, procs)
+    e.proc(f"attempt-{name}-infection", body, path)
     e.proc(
         f"become-{name}-infected",
         [f'set {name}-state "{target}"',
          f"set {name}-dwell 0",
          f"set {name}-ever-infected {name}-ever-infected + 1"],
-        procs,
+        path,
     )
     progress_body = _step_body(name, dz.build_machine(spec))
     for rule in spec.mortality:
@@ -409,20 +407,20 @@ def _emit_disease_procs(e: _Emitter, model: mm.Model, spec: dz.DiseaseModelSpec,
             f"and random-float 1.0 < {_nl_expr(rule.rate)} "
             f'[ set {name}-state "Dead" ]'
         )
-    e.proc(f"progress-{name}", progress_body, procs)
+    e.proc(f"progress-{name}", progress_body, path)
     e.proc(
         f"apply-{name}-deaths",
         [f'let victims {carrier_set} with [{name}-state = "Dead"]',
          f"set {name}-deaths {name}-deaths + count victims",
          "ask victims [ die ]"],
-        procs,
+        path,
     )
     color_lines = []
     palette = {"S": "blue", "E": "yellow", "I": "red", "R": "green", "P": "gray"}
     for comp in dz.compartments_of(spec):
         color = palette.get(comp, "white")
         color_lines.append(f'if {name}-state = "{comp}" [ set color {color} ]')
-    e.proc(f"recolor-{name}", color_lines, procs)
+    e.proc(f"recolor-{name}", color_lines, path)
 
 
 def _trigger_condition(trigger: sm.Trigger, dwell_var: str) -> str:
@@ -446,9 +444,7 @@ def _mortality_guard(rule: dz.MortalitySpec) -> str:
     return "true"
 
 
-def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroductionSpec, index: int, report: GenerationReport) -> None:
-    path = f"introduce[{index}]"
-    procs = report.procedures.setdefault(path, [])
+def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroductionSpec, index: int) -> None:
     spec = model.disease(intro.disease)
     name = _nl_name(intro.disease)
     susceptible = dz.susceptible_compartment(spec)
@@ -464,7 +460,7 @@ def _emit_introduction(e: _Emitter, model: mm.Model, intro: dz.DiseaseIntroducti
     body.append(f"  set {name}-dwell 0")
     body.append(f"  set {name}-ever-infected {name}-ever-infected + 1")
     body.append("]")
-    e.proc(f"introduce-{name}-{index}", body, procs)
+    e.proc(f"introduce-{name}-{index}", body, f"introduce[{index}]")
 
 
 def _step_body(name: str, machine: sm.StateMachineSpec) -> list[str]:
@@ -491,20 +487,18 @@ def _carrier_set(model: mm.Model, disease: str) -> str:
     return "(turtle-set " + " ".join(breeds) + ")" if breeds else "no-turtles"
 
 
-def _emit_plan(e: _Emitter, plan: tf.PlanSpec, report: GenerationReport) -> None:
-    procs = report.procedures.setdefault(f"plan:{plan.name}", [])
+def _emit_plan(e: _Emitter, plan: tf.PlanSpec) -> None:
     name = _nl_name(plan.name)
     body = [f"; {len(plan.phases)} phases, cycle length {plan.cycle_length()} ticks"]
     for i, phase in enumerate(plan.phases):
         streams = " ".join(phase.green)
         body.append(f"; phase {i} '{phase.name}': green {streams} for {phase.duration} ticks")
     body.append("set phase-clock phase-clock + 1")
-    e.proc(f"cycle-plan-{name}", body, procs)
+    e.proc(f"cycle-plan-{name}", body, f"plan:{plan.name}")
 
 
-def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec, report: GenerationReport) -> None:
+def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec) -> None:
     path = f"output:{output.name}"
-    procs = report.procedures.setdefault(path, [])
     name = _nl_name(output.name)
     labels = ",".join(["tick"] + [s.label for s in output.series])
     setup_body = [
@@ -514,7 +508,7 @@ def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec, rep
         f'file-print "{labels}"',
         "file-close",
     ]
-    e.proc(f"setup-output-{name}", setup_body, procs)
+    e.proc(f"setup-output-{name}", setup_body, path)
     sample_body = [
         f"if ticks mod {output.interval} != 0 [ stop ]",
         f"file-open output-{name}-file",
@@ -524,11 +518,10 @@ def _emit_output(e: _Emitter, model: mm.Model, output: mm.OutputDatasetSpec, rep
         sample_body.append(f'  "," {_nl_expr(series.value)}')
     sample_body.append(")")
     sample_body.append("file-close")
-    e.proc(f"sample-output-{name}", sample_body, procs)
+    e.proc(f"sample-output-{name}", sample_body, path)
     if output is model.outputs[0]:
-        procs = report.procedures["model-outputs"] = []
-        e.proc("setup-outputs", [f"setup-output-{_nl_name(o.name)}" for o in model.outputs], procs)
-        e.proc("sample-outputs", [f"sample-output-{_nl_name(o.name)}" for o in model.outputs], procs)
+        e.proc("setup-outputs", [f"setup-output-{_nl_name(o.name)}" for o in model.outputs], "model-outputs")
+        e.proc("sample-outputs", [f"sample-output-{_nl_name(o.name)}" for o in model.outputs], "model-outputs")
 
 
 # A string runs to its closing quote or the end of its line; a backslash

@@ -7,17 +7,18 @@ runs six phase functions:
   1. ``_introduction_phase``: periodic disease introductions
   2. ``_agent_phase``: each disease's kept source index brought up to date,
      adding and removing only the agents that entered a state or died since
-     (``World.entered``), and filed by the cell each source keeps (by
-     exposure, under every cell within reach, when the model states the
-     radius and the filing costs no more than the scans it spares, counted
-     from the tallies; else by cell), all afresh only when that filing
-     changes; then per agent of ``World.actors``, mobility (the walk, within
-     the size or bounds ``World`` resolved, sets the position and its cell,
-     refiling a source that changes cell: by cell out of one and into one),
-     the signal plan's phase count and generic machines not in Dead
-     (entering a new state at once), then the disease step (when
-     susceptible, a scan and trials only against the sources it finds, its
-     rate evaluated either way; else mortality and progression)
+     (``World.entered``, every carrier before the first), and filed by the
+     cell each source keeps (by exposure, under every cell within reach, when
+     the model states the radius and the filing costs no more than the scans
+     it spares, counted from the tallies; not at all on a graph or at or
+     beyond the stencil's bound; else by cell), all afresh only when that
+     filing changes; then per agent of ``World.actors``, mobility (the walk,
+     within the size or bounds ``World`` resolved, sets the position and its
+     cell, refiling a source that changes cell: by cell out of one and into
+     one), the signal plan's phase count and generic machines not in Dead
+     (entering a new state at once), then the disease step (when susceptible,
+     a scan and trials only against the sources it finds, its rate evaluated
+     either way; else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals take their edge's one ``QueuePos``
@@ -294,8 +295,8 @@ class World(ex.Context):
         self.arrivals = 0
         self.output_rows: dict[str, list[list]] = {o.name: [] for o in model.outputs}
         self._next_id = 0
-        self.sources: dict[str, SourceIndex] = {}  # per transmitting disease; kept from the first phase 2 on
-        self.entered: list[AgentInstance] = []  # agents that entered a disease state or died since phase 2 last filed
+        self.sources: dict[str, SourceIndex] = {}  # per disease, made by ``_populate`` with its entity sources
+        self.entered: list[AgentInstance] = []  # every carrier, then the agents that entered a disease state or died
         # (agent type, machine or disease) -> the type's agents in each state, kept by ``sm.force_state``;
         # and per disease, each carrying type's tally and whether that type walks.  ``_create_agents`` fills both.
         self.tallies: dict[tuple[str, str], dict[str, int]] = {}
@@ -499,6 +500,10 @@ def _populate(world: World) -> World:
     world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
                     or (a.controller is not None and a.controller.plan is not None)]
     world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
+    entities = world.entities.values()  # each index starts with its entity sources, which never change
+    world.sources = {name: SourceIndex(world, [e for e in entities if e.type_name in d.transmission.sources], None)
+                     for name, d in world.diseases.items()}
+    world.entered = [a for a in agents if a.diseases]  # every carrier enters the indexes as later state changes do
     _introduction_phase(world)
     return world
 
@@ -755,7 +760,7 @@ class SourceIndex:
     def file(self, reach: list | None, scan: list | None = None) -> None:
         """Take this tick's filing, filing every source afresh only when
         ``reach`` puts them under other cells than the last one did."""
-        if reach != self.reach:  # never on a graph, where ``reach`` stays None
+        if reach != self.reach:  # never where ``reach`` stays None: on a graph or beyond the stencil's bound
             self.cells = cells = defaultdict(list)
             for item in self.items:
                 for cell in self.reached(item.cell, reach):
@@ -803,28 +808,21 @@ class SourceIndex:
 def _index_sources(world: World) -> None:
     """Keep, per disease, the index of the agents in an infectious state and
     the entities of a declared source type, and decide its filing for this
-    tick from the tallies.  The first phase 2 files the sources from the
-    rosters; each later one adds and removes only the agents in
-    ``World.entered``, which phases 1 and 3 fill as states are entered and
-    agents die.  Entities never change, and only the walk moves agents
-    between cells, so the index stays exact through phase 2 while walking
-    sources are moved in it.  (A state entered by ``sm.force_state`` outside
-    the tick after the first phase 2 is tallied but not refiled.)"""
+    tick from the tallies.  ``_populate`` makes it with the entities, which
+    never change, and queues every carrier in ``World.entered``, which
+    phases 1 and 3 then fill as states are entered and agents die; phase 2
+    adds and removes only those agents.  Only the walk moves agents between
+    cells, so the index stays exact through phase 2 while walking sources
+    are moved in it.  (A state entered by ``sm.force_state`` outside the
+    tick after the first phase 2 is tallied but not refiled.)"""
     entered, world.entered = world.entered, []
     for name, disease in world.diseases.items():
-        if (index := world.sources.get(name)) is None:
-            items = [a for a in world.agents.values() if (inst := a.diseases.get(name)) is not None
-                     and inst.current in disease.infectious]
-            items += [e for e in world.entities.values() if e.type_name in disease.transmission.sources]
-            items.sort(key=_BY_ID)
-            index = world.sources[name] = SourceIndex(world, items, None)
-        else:
-            alive, members = world.agents, index.members
-            for agent in entered:
-                if (inst := agent.diseases.get(name)) is not None:
-                    source = inst.current in disease.infectious and agent.id in alive
-                    if source != (agent in members):
-                        (index.add if source else index.remove)(agent)
+        index = world.sources[name]
+        for agent in entered:
+            if (inst := agent.diseases.get(name)) is not None:
+                source = inst.current in disease.infectious and agent.id in world.agents
+                if source != (agent in index.members):
+                    (index.add if source else index.remove)(agent)
         tallies = world.disease_tallies[name]
         susceptible = sum(tally.get(disease.susceptible, 0) for tally, _ in tallies)
         walking = sum(tally.get(state, 0) for tally, walks in tallies if walks for state in disease.infectious)
@@ -833,17 +831,18 @@ def _index_sources(world: World) -> None:
 
 def _reach(world: World, disease: ResolvedDisease, sources: int, walking: int, susceptible: int) -> tuple:
     """The offsets a disease's sources are filed under this tick, and its
-    ``SourceIndex.scan``: None on a graph; by exposure the stencil's prefix
-    within the radius the model states, when that radius lies below the
-    stencil's bound and filing each source under the prefix's n cells, and
+    ``SourceIndex.scan``: None, filing nothing, on a graph and for a stated
+    radius at or beyond the stencil's bound (every tick or none: the stencil
+    stops growing); by exposure the stencil's prefix within the radius the
+    model states, when filing each source under the prefix's n cells, and
     moving each walking source out of n cells and into n more, makes no more
     list operations than the scans it spares would: a cell read each (n <=
     sources) or a distance each (n > sources) per susceptible agent; else
     ``BY_CELL``, scanning that prefix (kept as the stencil grows) if n <= sources."""
-    if world.cell_span is None:
-        return None, None
-    if disease.radius is None or (n := _prefix(world, disease.radius)) is None:
-        return BY_CELL, None if disease.radius is None else []  # beyond the stencil's bound, the list is measured
+    if world.cell_span is None or disease.radius is not None and (n := _prefix(world, disease.radius)) is None:
+        return None, None  # each scan measures the list
+    if disease.radius is None:
+        return BY_CELL, None
     if (sources + 2 * walking) * n > susceptible * min(n, sources):
         return BY_CELL, world.stencil[0][:n] if n <= sources else []
     return world.stencil[0][:n], None
@@ -947,7 +946,8 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     """Phase 2: per-agent behaviour, with disease changes buffered."""
     _index_sources(world)
     changes = DiseaseChanges()
-    walk_steps, rng, diseases, indexes = world.walk_steps, world.rng, world.diseases, list(world.sources.values())
+    walk_steps, rng, diseases = world.walk_steps, world.rng, world.diseases
+    indexes = [index for index in world.sources.values() if index.cells is not None]  # the walk refiles filed ones
     for agent in world.actors:
         step_of = walk_steps.get(agent.type_name)
         if step_of is not None:

@@ -366,6 +366,8 @@ def infer_type(expr: Expr, env: TypeEnv) -> str:
             if inner not in NUMERIC:
                 raise ExprTypeError("unary '-' requires a number")
             return inner
+        if expr.op != "not":
+            raise ExprTypeError(f"unknown operator '{expr.op}'")
         if inner != BOOLEAN:
             raise ExprTypeError("'not' requires a boolean")
         return BOOLEAN
@@ -390,6 +392,8 @@ def _infer_binary(expr: Binary, env: TypeEnv) -> str:
         if lk not in NUMERIC or rk not in NUMERIC:
             raise ExprTypeError(f"'{op}' requires numeric operands")
         return BOOLEAN
+    if op not in _OPERATORS:
+        raise ExprTypeError(f"unknown operator '{op}'")
     if lk not in NUMERIC or rk not in NUMERIC:
         raise ExprTypeError(f"'{op}' requires numeric operands")
     if op == "/":

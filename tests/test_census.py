@@ -71,6 +71,29 @@ model sir_cart {
 }
 """
 
+# A stated radius at or beyond the stencil's bound, on a cartesian space and
+# on a wrapped grid: each scan measures the list, so no cell is filed, while
+# walking sources enter, move and die.
+FAR_CART = """
+model far_cart {
+  environment cartesian 0.0..200.0 0.0..200.0
+  agent Walker {
+    create fixed 300 random
+    capability mobility random_walk step 1
+    capability disease flu
+  }
+  disease flu model SIR {
+    transmission proximity 100 probability 0.002
+    duration I probabilistic rate 0.1
+    mortality I rate 0.02 every_timeunit
+  }
+  introduce flu deterministic 3 arbitrary periodic 10
+}
+"""
+
+FAR_GRID = (FAR_CART.replace("far_cart", "far_grid").replace("proximity 100", "proximity 80")
+            .replace("cartesian 0.0..200.0 0.0..200.0", "grid width 200 height 200 wrap"))
+
 # Every source dies in its first tick as one, and none recovers.
 DYING_SOURCES = """
 model dying {
@@ -131,6 +154,20 @@ def test_sir_grid_shape_is_filed_afresh_when_its_filing_changes(monkeypatch, tmp
     _, filings = run_checked(monkeypatch, parse_model(SIR_GRID), 42, 20, tmp_path)
     exposed = [f["measles"] for f in filings]
     assert exposed[0] and not exposed[-1]
+
+
+@pytest.mark.parametrize("text", [FAR_CART, FAR_GRID], ids=["cartesian", "wrapped grid"])
+def test_a_radius_beyond_the_stencil_files_no_cell(monkeypatch, tmp_path, text):
+    unfiled, tick = [], engine.tick
+
+    def checked(world):
+        tick(world)
+        unfiled.append(world.sources["flu"].cells is None)
+
+    monkeypatch.setattr(engine, "tick", checked)
+    world, _ = run_checked(monkeypatch, parse_model(text), 3, 25, tmp_path)
+    assert unfiled == [True] * 25
+    assert world.ever_infected["flu"] > 100 and world.dead["Walker"] > 0 and world.sources["flu"].items
 
 
 def test_the_oracle_catches_a_dead_source_left_filed(monkeypatch, tmp_path):

@@ -149,6 +149,29 @@ class TestGen:
         report = json.loads((workdir / "gen" / "measles_outbreak.genreport.json").read_text())
         assert "disease:measles" in report["procedures"]
 
+    def test_json_format(self, workdir, capsys):
+        code = main(["gen", str(workdir / "measles.abms"), "--out-dir", str(workdir / "gen"), "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        report = json.loads((workdir / "gen" / "measles_outbreak.genreport.json").read_text())
+        assert payload == {
+            "model": "measles_outbreak",
+            "source": str(workdir / "gen" / "measles_outbreak.nlogo"),
+            "report": str(workdir / "gen" / "measles_outbreak.genreport.json"),
+            "procedures": sum(map(len, report["procedures"].values())),
+            "unsupported": 0,
+        }
+        assert payload["procedures"] > 0
+
+    def test_an_external_capability_is_listed_as_unsupported(self, workdir, capsys):
+        text = (workdir / "measles.abms").read_text()
+        external = 'capability disease measles\n    capability external "lib.py" boost'
+        (workdir / "ext.abms").write_text(text.replace("capability disease measles", external, 1))
+        assert main(["gen", str(workdir / "ext.abms"), "--out-dir", str(workdir / "gen")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("wrote ") and len(lines) == 2
+        assert lines[1] == "  unsupported: agent:Native.capability[2]: external capability boost"
+
     def test_invalid_model_exit_one(self, workdir, capsys):
         text = (workdir / "measles.abms").read_text().replace("duration I probabilistic rate 0.08\n", "")
         (workdir / "bad.abms").write_text(text)

@@ -14,7 +14,7 @@ from abms import statemachine as sm
 from abms import traffic as tf
 from abms.dsl import ParseError, format_model, parse, parse_model
 from abms.dsl.lexer import KEYWORDS, tokenize
-from abms.dsl.parser import MAX_EXPR_DEPTH
+from abms.dsl.parser import MAX_EXPR_DEPTH, ParseFailure
 from abms.source import SourceSpan
 
 import digest_corpus
@@ -185,6 +185,34 @@ _CHOICE_BASE = """model m {
 """
 
 
+class TestParseFailure:
+    """``parse_model`` raises every error ``parse`` lists, each as
+    ``file:line:col: message``."""
+
+    def test_carries_the_errors_with_their_positions(self):
+        text = "model x {\n  environment grid width\n}\n"
+        with pytest.raises(ParseFailure) as failure:
+            parse_model(text, "m.abms")
+        errors = parse(text, "m.abms").errors
+        assert failure.value.errors == errors and errors
+        assert str(failure.value) == "; ".join(str(e) for e in errors)
+        assert str(errors[0]).startswith("m.abms:3:1: ")
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("create fixed 1 random", "create fixed 2 at", "expected at least one (x, y) position"),
+            ("duration I deterministic 3", "duration I deterministic 3\n    passive duration deterministic 2\n"
+             "    passive duration deterministic 4", "duplicate passive immunity duration"),
+        ],
+        ids=["fixed count without positions", "second passive duration"],
+    )
+    def test_message(self, old, new, message):
+        with pytest.raises(ParseFailure) as failure:
+            parse_model(_CHOICE_BASE.replace(old, new), "m.abms")
+        assert [e.message for e in failure.value.errors] == [message]
+
+
 class TestKeywordChoices:
     """Full error lists at keyword choices the mutation corpus never reaches."""
 
@@ -331,6 +359,12 @@ class TestFormat:
         assert "e" not in text.split("series s ")[1].split("\n")[0]
         assert parse_model(text).outputs[0].series[0].value.value == value
         assert format_model(parse_model(text)) == text
+
+    def test_external_capability_round_trip(self):
+        model = parse_model(_CHOICE_BASE.replace("capability disease d", 'capability external "lib.py" entry'))
+        text = format_model(model)
+        assert '    capability external "lib.py" entry\n' in text
+        assert parse_model(text) == model and format_model(parse_model(text)) == text
 
     def test_transmission_condition_and_sources_round_trip(self):
         text = (

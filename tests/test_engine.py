@@ -279,12 +279,15 @@ class TestBuildWorld:
             ("2.0,2.0,color=red", "point file sets unknown attribute 'color'"),
             ("2.0,2.0,age=old", "cannot read 'old' as integer"),
             ("2.0,2.0,p=inf", "'inf' is not a finite real"),
+            ("2.0,2.0,flag=maybe", "cannot read 'maybe' as boolean"),
         ],
-        ids=["undeclared attribute", "unreadable value", "non-finite real"],
+        ids=["undeclared attribute", "unreadable value", "non-finite real", "unreadable boolean"],
     )
     def test_point_file_attribute_error_names_the_tick_and_the_line(self, tmp_path, line, expected):
         (tmp_path / "p.points").write_text(f"1.0,1.0\n{line}\n")
-        model = grid_model('  agent A {\n    create gis "p.points"\n    attr age integer\n    attr p real = 0.1\n  }')
+        model = grid_model(
+            '  agent A {\n    create gis "p.points"\n    attr age integer\n    attr p real = 0.1\n    attr flag boolean\n  }'
+        )
         assert mm.validate(model).ok()
         with pytest.raises(EngineError, match=rf"^tick 0: agent:A \(point file line 2\): {re.escape(expected)}$"):
             engine.build_world(model, cfg(tmp_path))
@@ -1224,6 +1227,12 @@ class TestRun:
         with pytest.raises(InvalidModelError, match="^model failed validation: error: agent:A") as err:
             engine.run(model, cfg(tmp_path))
         assert err.value.report.errors() == mm.validate(model).errors()
+
+    def test_run_takes_at_least_one_tick(self, tmp_path):
+        model = parse_model((FIXTURES / "measles.abms").read_text())
+        with pytest.raises(EngineError, match="^max_ticks must be at least 1$"):
+            engine.run(model, cfg(tmp_path, base_dir=FIXTURES, max_ticks=0))
+        assert list(tmp_path.iterdir()) == []  # nothing was written
 
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range

@@ -161,6 +161,15 @@ class TestInferType:
         with pytest.raises(ExprTypeError):
             ex.infer_type(ex.Binary("<", ex.lit("a"), ex.lit("b")), env)
 
+    @pytest.mark.parametrize(
+        "expr", [ex.Unary("~", ex.lit(True)), ex.Binary("%", ex.lit(7), ex.lit(2))], ids=["unary", "binary"]
+    )
+    def test_unknown_operators_do_not_type(self, expr):
+        """Only ``-`` and ``not`` are unary and only the arithmetic, comparison
+        and boolean operators binary: no other runs as one of them."""
+        with pytest.raises(ExprTypeError, match=f"^unknown operator '{expr.op}'$"):
+            ex.infer_type(expr, self.env())
+
     def test_assignable(self):
         assert ex.assignable(ex.INTEGER, ex.REAL)
         assert not ex.assignable(ex.REAL, ex.INTEGER)

@@ -258,6 +258,19 @@ class TestValidate:
         )
         assert any("must be integer or real" in d.message for d in mm.validate(model))
 
+    @pytest.mark.parametrize(
+        "value,op", [(ex.Binary("%", ex.lit(7), ex.lit(2)), "%"), (ex.Unary("~", ex.lit(True)), "~")]
+    )
+    def test_unknown_operator_fails_validation(self, value, op):
+        """A tree built in Python may hold an operator no expression evaluates:
+        validation reports it, rather than a run failing (``%``) or reading
+        it as another one (``~`` as ``not``)."""
+        model = model_from(SIR_MODEL)
+        model.outputs.append(mm.OutputDatasetSpec("o", 1, "o.csv", [mm.SeriesSpec("x", value)]))
+        assert [str(d) for d in mm.validate(model).errors()] == [
+            f"error: output:o.series:x: series: unknown operator '{op}'"
+        ]
+
     def test_rate_out_of_range(self):
         text = SIR_MODEL.replace("probability 0.3", "probability 1.5")
         assert any("outside [0, 1]" in d.message for d in mm.validate(model_from(text)))
@@ -419,6 +432,16 @@ class TestResolveConcern:
         assert view.machines == frozenset({"watcher"})
         assert view.agent_types == frozenset({"Native"})
         assert view.diseases == frozenset({"measles"})  # via Native's capability
+
+    def test_closure_through_an_owned_attribute(self):
+        """``Owner.attr`` in an expression reaches the owner's type."""
+        model = self.tutorial()
+        condition = sm.ConditionalTrigger(ex.Binary(">", ex.AttrRef("Native", "age"), ex.lit(3)))
+        model.machines.append(sm.StateMachineSpec("watcher", ["idle", "alert"], "idle",
+                                                  [sm.Transition("idle", "alert", condition)]))
+        model.concerns.append(mm.ConcernSpec("watchers", ["watcher"]))
+        view = mm.resolve_concern(model, "watchers")
+        assert (view.machines, view.agent_types) == (frozenset({"watcher"}), frozenset({"Native"}))
 
 
 def test_graph_environment_rejects_explicit_positions():
