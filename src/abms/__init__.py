@@ -3,7 +3,7 @@ deterministic discrete-time engine, and a NetLogo source emitter."""
 
 from .dsl import format_model, parse, parse_model
 from .engine import RunConfig, build_world, run, tick
-from .metamodel import Model, ValidationReport, resolve_concern, validate
+from .metamodel import Model, ValidationReport, validate
 
 __all__ = [
     "Model",
@@ -13,7 +13,6 @@ __all__ = [
     "format_model",
     "parse",
     "parse_model",
-    "resolve_concern",
     "run",
     "tick",
     "validate",

@@ -156,7 +156,7 @@ class _Instance(ex.Context):
         if name in self.attrs:
             return self.attrs[name]
         if name == "stopped" and self.controller is not None:
-            return controller_stopped(self.world, self.controller)
+            return controller_stopped(self.controller)
         return self.world.attribute(None, name)
 
     def population(self, type_name: str):
@@ -672,7 +672,7 @@ def _queue_lengths(ctrl: ControllerState) -> list[int]:
     return list(map(len, ctrl.queues.values()))
 
 
-def controller_stopped(world: World, ctrl: ControllerState) -> int:
+def controller_stopped(ctrl: ControllerState) -> int:
     return sum(map(len, ctrl.red.values()))
 
 
@@ -1086,7 +1086,7 @@ def _learning_phase(world: World) -> None:
 def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
-    reward = learner.reward(agent) if learner.reward is not None else -float(controller_stopped(world, ctrl))
+    reward = learner.reward(agent) if learner.reward is not None else -float(controller_stopped(ctrl))
     learner.accumulated += reward
     if (ctrl.phase, ctrl.dwell) != (0, 0):  # a cycle completes on re-entering its first phase
         return

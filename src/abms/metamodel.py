@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from . import disease as dz
 from . import expr as ex
 from . import statemachine as sm
 from . import traffic as tf
-from .errors import AbmsError, EvalError, ExprTypeError
+from .errors import EvalError, ExprTypeError
 from .source import SourceSpan
 
 CAPABILITY_KINDS = (
@@ -389,8 +388,7 @@ def validate(model: Model) -> ValidationReport:
         _check_introduction(model, intro, envs, add, f"introduce[{i}]")
     for output in model.outputs:
         _check_output(model, output, envs, add)
-    for concern in model.concerns:
-        _check_concern(model, concern, add)
+    _check_concerns(model, add)
     return add.report()
 
 
@@ -817,109 +815,10 @@ def _check_output(model: Model, output: OutputDatasetSpec, envs, add: _Collector
         _check_expr(series.value, envs, [], True, ex.NUMERIC, add, spath, "series")
 
 
-def _elements(model: Model) -> dict[str, tuple[str, object]]:
-    """Element name -> (category, spec).  A name declared twice means its
-    last category and, within that category, its first declaration."""
-    elements: dict[str, tuple[str, object]] = {}
-    for category, specs in (
-        ("agent", model.agent_types),
-        ("entity", model.entity_types),
-        ("disease", model.diseases),
-        ("machine", model.machines),
-        ("plan", model.plans),
-        ("output", model.outputs),
-    ):
-        for spec in reversed(specs):
-            elements[spec.name] = (category, spec)
-    return elements
-
-
-def _check_concern(model: Model, concern: ConcernSpec, add: _Collector) -> None:
-    known = _elements(model)
-    for member in concern.members:
-        if member not in known:
-            add("error", f"concern:{concern.name}", f"member '{member}' does not name a model element")
-
-
-# ---------------------------------------------------------------------------
-# Concern views
-
-
-@dataclass(frozen=True)
-class ConcernView:
-    """Read-only closure of a concern: its members plus everything they reference."""
-
-    concern: str
-    agent_types: frozenset[str]
-    entity_types: frozenset[str]
-    diseases: frozenset[str]
-    machines: frozenset[str]
-    plans: frozenset[str]
-    outputs: frozenset[str]
-
-
-_EXPR_NODES = typing.get_args(ex.Expr)
-
-
-def _expressions(spec: object):
-    """Every expression node held in ``spec``'s fields, at any depth."""
-    if isinstance(spec, _EXPR_NODES):
-        yield spec
-    if dataclasses.is_dataclass(spec):
-        for f in dataclasses.fields(spec):
-            yield from _expressions(getattr(spec, f.name))
-    elif isinstance(spec, (list, tuple, dict)):
-        for item in spec.values() if isinstance(spec, dict) else spec:
-            yield from _expressions(item)
-
-
-def _direct_references(spec: object) -> set[str]:
-    """Names ``spec`` refers to: capability targets, learning plans and
-    transmission sources, and the populations, state-tested machines and
-    attribute owners of its expressions."""
-    refs: set[str] = set()
-    if isinstance(spec, AgentTypeSpec):
-        for cap in spec.capabilities:
-            if cap.kind in ("disease", "state_machine") and cap.target:
-                refs.add(cap.target)
-            if cap.qlearning is not None:
-                refs.update(cap.qlearning.plans)
-    elif isinstance(spec, dz.DiseaseModelSpec) and spec.transmission is not None:
-        refs.update(spec.transmission.sources)
-    for node in _expressions(spec):
-        if isinstance(node, ex.Aggregate):
-            refs.add(node.population)
-        elif isinstance(node, ex.StateTest):
-            refs.add(node.machine)
-        elif isinstance(node, ex.AttrRef) and node.owner is not None:
-            refs.add(node.owner)
-    return refs
-
-
-def resolve_concern(model: Model, concern_name: str) -> ConcernView:
-    """The concern's members plus every element transitively referenced.
-
-    Raises :class:`AbmsError` for an unknown concern name.
-    """
-    concern = next((c for c in model.concerns if c.name == concern_name), None)
-    if concern is None:
-        raise AbmsError(f"unknown concern '{concern_name}'")
-    known = _elements(model)
-    reached: set[str] = set()
-    frontier = [m for m in concern.members if m in known]
-    while frontier:
-        name = frontier.pop()
-        if name not in reached:
-            reached.add(name)
-            frontier.extend(ref for ref in _direct_references(known[name][1]) if ref in known)
-    def of(category: str) -> frozenset[str]:
-        return frozenset(n for n in reached if known[n][0] == category)
-    return ConcernView(
-        concern=concern_name,
-        agent_types=of("agent"),
-        entity_types=of("entity"),
-        diseases=of("disease"),
-        machines=of("machine"),
-        plans=of("plan"),
-        outputs=of("output"),
-    )
+def _check_concerns(model: Model, add: _Collector) -> None:
+    groups = (model.agent_types, model.entity_types, model.diseases, model.machines, model.plans, model.outputs)
+    known = {spec.name for group in groups for spec in group}
+    for concern in model.concerns:
+        for member in concern.members:
+            if member not in known:
+                add("error", f"concern:{concern.name}", f"member '{member}' does not name a model element")

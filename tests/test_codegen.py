@@ -49,6 +49,14 @@ class TestGenerate:
         for spec in model.diseases:
             assert f"disease:{spec.name}" in report.procedures
 
+    def test_a_concern_is_reported_without_procedures(self):
+        text = "model m {\n  environment grid width 5 height 5\n  agent A {\n    create fixed 1 random\n  }\n}\n"
+        model = parse_model(text.replace("\n}\n", "\n  concern c {\n    members A\n  }\n}\n"))
+        source, report = codegen.generate(model)
+        assert report.procedures["concern:c"] == []
+        assert source == codegen.generate(parse_model(text))[0]
+        assert codegen.check_structure(source, report)
+
     def test_fixed_positions_and_unary_minus_are_emitted(self):
         model = parse_model(
             "model m {\n  environment grid width 5 height 5\n"

@@ -366,6 +366,13 @@ class TestFormat:
         assert '    capability external "lib.py" entry\n' in text
         assert parse_model(text) == model and format_model(parse_model(text)) == text
 
+    def test_concern_round_trip(self):
+        model = parse_model(_CHOICE_BASE.replace("\n}\n", "\n  concern c {\n    members A d\n  }\n}\n"))
+        assert model.concerns == [mm.ConcernSpec("c", ["A", "d"])]
+        text = format_model(model)
+        assert "  concern c {\n    members A d\n  }\n" in text
+        assert parse_model(text) == model and format_model(parse_model(text)) == text
+
     def test_transmission_condition_and_sources_round_trip(self):
         text = (
             "model m {\n  environment grid width 5 height 5\n"

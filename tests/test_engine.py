@@ -1610,7 +1610,7 @@ class TestVehicles:
                 for frm, sid in ctrl.streams.items()
                 if sid not in phase.green
             )
-            assert engine.controller_stopped(world, ctrl) == expected
+            assert engine.controller_stopped(ctrl) == expected
             stopped.append(expected)
         assert any(stopped)  # some red queue holds vehicles
 
@@ -1741,7 +1741,7 @@ model transit {
             assert all(ctrl.queues[frm] is world.edge_queues[ctrl.node, frm] for frm in ctrl.streams)
             green = ctrl.plan.phases[ctrl.phase].green if ctrl.plan is not None else ()
             assert red_of(world, ctrl) == {frm for frm, sid in ctrl.streams.items() if sid not in green}
-            assert engine.controller_stopped(world, ctrl) == sum(len(ctrl.queues[frm]) for frm in ctrl.red)
+            assert engine.controller_stopped(ctrl) == sum(len(ctrl.queues[frm]) for frm in ctrl.red)
 
     @pytest.mark.parametrize("name", list(MODELS))
     def test_resolved_references_match_the_scans_every_tick(self, tmp_path, name):

@@ -383,7 +383,7 @@ model m {{
             engine.tick(world)
             assert len(west) == before[0] + due["a"]
             assert len(east) == max(before[1] + due["c"] - 1, 0)
-            assert engine.controller_stopped(world, ctrl) == len(west)
+            assert engine.controller_stopped(ctrl) == len(west)
         assert len(west) == 6 and ("b", "c") in world.queues  # the queue from c served cars, and b keeps them all
 
 

@@ -4,7 +4,6 @@ from abms import expr as ex
 from abms import metamodel as mm
 from abms import statemachine as sm
 from abms.dsl import parse_model
-from abms.errors import AbmsError
 
 HUGE_REAL = "1" + "0" * 400 + ".0"  # parses to inf
 
@@ -27,6 +26,41 @@ model demo {
 
 def model_from(text: str) -> mm.Model:
     return parse_model(text)
+
+
+# One element of each kind a concern may list; MEMBERS is replaced per case.
+CONCERN_MODEL = """
+model c {
+  environment grid width 5 height 5
+  agent A {
+    create fixed 2 random
+    capability disease flu
+    capability state_machine m
+  }
+  entity Well {
+    create fixed 1 random
+  }
+  disease flu model SIR {
+    transmission proximity 1 probability 0.5
+    duration I deterministic 3
+  }
+  machine m {
+    initial S
+    state S
+    state T
+    transition S T deterministic 2
+  }
+  plan P {
+    phase p green s0 duration 3
+  }
+  output o every 1 to "o.csv" {
+    series n count(A)
+  }
+  concern c {
+    members MEMBERS
+  }
+}
+"""
 
 
 class TestValidate:
@@ -379,69 +413,23 @@ model t {
         report = mm.validate(model)
         assert any(d.severity == "warning" and "not attached" in d.message for d in report)
 
-
-class TestResolveConcern:
-    def tutorial(self) -> mm.Model:
-        model = model_from(SIR_MODEL)
-        model.concerns.append(mm.ConcernSpec("epidemic", ["measles"]))
-        model.concerns.append(mm.ConcernSpec("empty", []))
-        model.concerns.append(mm.ConcernSpec("people", ["Native"]))
-        return model
-
-    def test_disease_member_includes_itself(self):
-        view = mm.resolve_concern(self.tutorial(), "epidemic")
-        assert view.diseases == frozenset({"measles"})
-
-    def test_empty_concern_gives_empty_view(self):
-        view = mm.resolve_concern(self.tutorial(), "empty")
-        assert view == mm.ConcernView("empty", *[frozenset()] * 6)
-
-    def test_agent_member_pulls_capability_targets(self):
-        view = mm.resolve_concern(self.tutorial(), "people")
-        assert view.agent_types == frozenset({"Native"})
-        assert view.diseases == frozenset({"measles"})
-
-    def test_unknown_concern_raises(self):
-        with pytest.raises(AbmsError):
-            mm.resolve_concern(self.tutorial(), "nope")
-
-    def test_transitive_closure_through_expressions(self):
-        model = self.tutorial()
-        model.machines.append(
-            sm.StateMachineSpec(
-                "watcher",
-                ["idle", "alert"],
-                "idle",
-                [
-                    sm.Transition(
-                        "idle",
-                        "alert",
-                        sm.ConditionalTrigger(
-                            ex.Binary(
-                                ">",
-                                ex.Aggregate("count", "Native", None, None),
-                                ex.lit(3),
-                            )
-                        ),
-                    )
-                ],
-            )
-        )
-        model.concerns.append(mm.ConcernSpec("watchers", ["watcher"]))
-        view = mm.resolve_concern(model, "watchers")
-        assert view.machines == frozenset({"watcher"})
-        assert view.agent_types == frozenset({"Native"})
-        assert view.diseases == frozenset({"measles"})  # via Native's capability
-
-    def test_closure_through_an_owned_attribute(self):
-        """``Owner.attr`` in an expression reaches the owner's type."""
-        model = self.tutorial()
-        condition = sm.ConditionalTrigger(ex.Binary(">", ex.AttrRef("Native", "age"), ex.lit(3)))
-        model.machines.append(sm.StateMachineSpec("watcher", ["idle", "alert"], "idle",
-                                                  [sm.Transition("idle", "alert", condition)]))
-        model.concerns.append(mm.ConcernSpec("watchers", ["watcher"]))
-        view = mm.resolve_concern(model, "watchers")
-        assert (view.machines, view.agent_types) == (frozenset({"watcher"}), frozenset({"Native"}))
+    @pytest.mark.parametrize(
+        "members, expected",
+        [
+            ("A", []),
+            ("Well", []),
+            ("flu", []),
+            ("m", []),
+            ("P", []),
+            ("o", []),
+            ("A Well flu m P o", []),
+            ("nope", ["error: concern:c: member 'nope' does not name a model element"]),
+            ("flu nope o", ["error: concern:c: member 'nope' does not name a model element"]),
+        ],
+    )
+    def test_concern_members_name_model_elements(self, members, expected):
+        model = model_from(CONCERN_MODEL.replace("MEMBERS", members))
+        assert [str(d) for d in mm.validate(model)] == expected
 
 
 def test_graph_environment_rejects_explicit_positions():

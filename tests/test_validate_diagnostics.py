@@ -1,6 +1,5 @@
-"""Pinned validator output: the report and the one-member concern closures of
-every mutated model must match fixtures/golden/validate_diagnostics.json
-(see validate_corpus.py)."""
+"""Pinned validator output: the report of every mutated model must match
+fixtures/golden/validate_diagnostics.json (see validate_corpus.py)."""
 
 import json
 import re

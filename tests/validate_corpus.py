@@ -1,6 +1,6 @@
 """Pinned validator output: seeded mutations of model texts that still parse,
-and for each the full ``validate`` report and the concern closure of every
-model element, in ``fixtures/golden/validate_diagnostics.json``.
+and for each the full ``validate`` report, in
+``fixtures/golden/validate_diagnostics.json``.
 
 The texts are those of the parse-error corpus plus ``INLINE_PROBE``, which
 adds a guarded machine with ``abort`` clauses, ``at (x, y)`` placement and a
@@ -10,8 +10,8 @@ of ``NUMBERS``, replaces a number with an identifier or ``true``, swaps a
 keyword, or drops a line; a mutation whose text no longer parses is drawn
 again.  ``tests/test_validate_diagnostics.py`` compares a fresh validation of
 every case against the pinned file.  Running this module rewrites the file;
-do that only for an intended change to the validator's diagnostics or
-closures, and say why in CHANGES.md:
+do that only for an intended change to the validator's diagnostics, and say
+why in CHANGES.md:
 
     PYTHONPATH=src python tests/validate_corpus.py
 """
@@ -115,35 +115,9 @@ def mutate(text: str, rng: random.Random) -> tuple[str, str]:
     return _replace(text, tok, new), f"{tok.text!r} -> {new!r} at {tok.line}:{tok.col}"
 
 
-def element_names(model: mm.Model) -> list[str]:
-    """Every element name a concern may list, in declaration order, once each."""
-    groups = (model.agent_types, model.entity_types, model.diseases, model.machines, model.plans, model.outputs)
-    return list(dict.fromkeys(e.name for group in groups for e in group))
-
-
-def closures(model: mm.Model) -> dict[str, list[str]]:
-    """The closure of each element taken as a one-member concern."""
-    found = {}
-    for name in element_names(model):
-        view = mm.resolve_concern(dataclasses.replace(model, concerns=[mm.ConcernSpec(name, [name])]), name)
-        found[name] = sorted(
-            f"{category}:{member}"
-            for category, members in (
-                ("agent", view.agent_types),
-                ("entity", view.entity_types),
-                ("disease", view.diseases),
-                ("machine", view.machines),
-                ("plan", view.plans),
-                ("output", view.outputs),
-            )
-            for member in members
-        )
-    return found
-
-
 def outcome(model: mm.Model) -> dict:
-    """What is pinned per case: the report, one line per diagnostic, and the closures."""
-    return {"report": [str(d) for d in mm.validate(model)], "closures": closures(model)}
+    """What is pinned per case: the report, one line per diagnostic."""
+    return {"report": [str(d) for d in mm.validate(model)]}
 
 
 def expression_trees(obj) -> typing.Iterator:
@@ -182,7 +156,7 @@ def cases() -> list[tuple[str, mm.Model]]:
 def main() -> int:
     pinned = [(name, outcome(model)) for name, model in cases()]
     write_cases(PINNED, pinned)
-    print(f"wrote the reports and closures of {len(pinned)} cases to {PINNED}")
+    print(f"wrote the reports of {len(pinned)} cases to {PINNED}")
     return 0
 
 
