@@ -22,8 +22,11 @@ runs six phase functions:
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals take their edge's one ``QueuePos``
-     in ascending id order; then queue service, a controller read per node
-  5. ``_learning_phase``: ``World.learners`` update on completed plan cycles
+     in ascending id order; then queue service, a controller read per node;
+     then the served vehicles enter their next edges, in service order, in
+     one ``_enter_random_edges`` call, the one way onto an edge
+  5. ``_learning_phase``: each of ``World.learners`` accumulates its reward
+     every tick and updates on completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval;
      ``count(T where m is S)`` reads the tally ``sm.force_state`` keeps per
      (agent type, machine or disease), not the roster
@@ -84,7 +87,7 @@ class NodePos:
     node: str
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgePos:
     """Phase 4 counts ``remaining`` down in place: each edge entry makes a
     fresh EdgePos, so one vehicle holds it; arriving, it takes ``stop``."""
@@ -305,7 +308,7 @@ class World(ex.Context):
         # and filled only by ``build_world``.
         self.by_type: dict[str, list[_Instance]] = {t.name: [] for t in (*model.agent_types, *model.entity_types)}
         self.actors: list[AgentInstance] = []  # phase 2: a walk step, a signal plan, a declared machine or a disease
-        self.vehicles: list[AgentInstance] = []  # phase 4: the vehicles on an edge, in no order; ``_enter_random_edge`` adds
+        self.vehicles: list[AgentInstance] = []  # phase 4: the vehicles on an edge, in no order; ``_enter_random_edges`` adds
         self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
 
     # -- evaluation context -----------------------------------------------------
@@ -588,6 +591,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
         world.tallies.setdefault((spec.name, name), tally)
     for name, tally in disease_tallies.items():
         world.disease_tallies[name].append((tally, spec.name in world.walk_steps))
+    entries = []  # created vehicles sit on a node; expressions draw nothing, so they enter after the loop
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position, _cell_of(world, position))
         agent.diseases = {name: sm.instantiate(m, disease_tallies[name]) for name, m in diseases.items()}
@@ -601,22 +605,28 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
             agent.speed = speed(agent)
             if agent.speed <= 0:
                 raise EvalError("vehicle speed must be positive on graphs", mobility.step)
-            _enter_random_edge(world, agent, agent.position.node)  # created vehicles sit on a node
-        if flow is not None:
+            entries.append((agent, position.node))
+        if flow is not None:  # validation keeps flow control off mobile agents: no controller draws among vehicles
             _init_controller(world, agent, spec, flow)
+    if entries:
+        _enter_random_edges(world, entries)
 
 
-def _enter_random_edge(world: World, vehicle: AgentInstance, node: str) -> None:
-    """Start the vehicle on a uniformly random edge out of ``node``, if any,
-    and add it to the transit roster."""
-    speed = vehicle.speed
-    if (exits := world.exits.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
-        roads = world.roads[node]
-        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), stop) for to, length, stop in roads]
-    if exits:
-        target, ticks, stop = exits[world.rng.randrange(len(exits))]
-        vehicle.position = EdgePos(node, target, ticks, ticks, stop)
-        world.vehicles.append(vehicle)
+def _enter_random_edges(world: World, entries: list[tuple[AgentInstance, str]]) -> None:
+    """Start each vehicle of the ``(vehicle, node)`` pairs, in order, on a
+    uniformly random edge out of its node, if any, and add it to the transit
+    roster: the one way onto an edge."""
+    getrandbits, below, tables, vehicles = world.rng.getrandbits, sm.below, world.exits, world.vehicles
+    for vehicle, node in entries:
+        speed = vehicle.speed
+        if (exits := tables.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
+            exits = tables[node, speed] = [
+                (to, max(1, math.ceil(length / speed)), stop) for to, length, stop in world.roads[node]
+            ]
+        if exits:
+            target, ticks, stop = exits[below(getrandbits, len(exits))]
+            vehicle.position = EdgePos(node, target, ticks, ticks, stop)
+            vehicles.append(vehicle)
 
 
 def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec, flow: mm.CapabilityRef) -> None:
@@ -715,7 +725,7 @@ def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Rando
         ny = y_min if ny < y_min else y_max if ny > y_max else ny
         return (nx, ny), (math.floor(nx), math.floor(ny))
     # 8-neighborhood plus "stay", all nine outcomes equally likely.
-    pick = rng.randrange(9)
+    pick = sm.below(rng.getrandbits, 9)
     span = int(round(step))
     nx, ny = x + (pick % 3 - 1) * span, y + (pick // 3 - 1) * span
     if (wrap := world.wrap) is not None:
@@ -786,7 +796,7 @@ class SourceIndex:
 
     def remove(self, item: _Instance) -> None:
         """Unfile ``item``, one of ``members``, from the cell it keeps."""
-        self.items.remove(item)
+        del self.items[bisect.bisect_left(self.items, item.id, key=_BY_ID)]
         self.members.discard(item)
         if self.cells is not None:
             for cell in self.reached(item.cell, self.reach):
@@ -1039,7 +1049,8 @@ def _remove_agent(world: World, agent: AgentInstance) -> None:
 
 
 def _vehicle_phase(world: World) -> None:
-    """Phase 4, on graphs only: vehicle movement, then queue service."""
+    """Phase 4, on graphs only: vehicle movement, then queue service; the
+    served vehicles then enter their next edges, in service order."""
     if world.graph is None:
         return
     # Movement: progress along edges; completed traversals join the queue, in id order.
@@ -1053,6 +1064,7 @@ def _vehicle_phase(world: World) -> None:
             arrived.append(agent)
     arrived.sort(key=_BY_ID)
     controllers = world.controllers_by_node
+    arrivals = 0
     for agent in arrived:
         pos = agent.position
         if not (queue := pos.stop.queue):  # the digest lists each queue a vehicle has reached
@@ -1065,31 +1077,36 @@ def _vehicle_phase(world: World) -> None:
             continue
         queue.append(agent.id)
         agent.position = pos.stop
-        world.arrivals += 1
+        arrivals += 1
+    world.arrivals += arrivals
     world.vehicles = transit
     # Service: one vehicle per queue per tick, unless its stream is red; a served vehicle rejoins the roster.
-    # Serving changes no controller, so each node's is read once.
+    # Serving changes no controller, so each node's is read once; it draws nothing, so the served vehicles
+    # enter their next edges after it, in service order, drawing what entering each at its service drew.
+    agents, served = world.agents, []
     for node, queues in world.service:
         red = ctrl.red if (ctrl := controllers.get(node)) is not None else ()
         for from_node, queue in queues:
             if queue and from_node not in red:
-                _enter_random_edge(world, world.agents[queue.pop(0)], node)
+                served.append((agents[queue.pop(0)], node))
+    if served:
+        _enter_random_edges(world, served)
 
 
 def _learning_phase(world: World) -> None:
-    """Phase 5: rewards accumulate, and controllers whose plan cycle completed
-    update their Q-table and pick the next plan."""
+    """Phase 5: each learner's reward accumulates every tick; a controller
+    whose plan cycle completed updates its Q-table and picks the next plan."""
     for agent in world.learners:
-        _learn(world, agent, agent.controller)
+        ctrl = agent.controller
+        learner = ctrl.learner
+        learner.accumulated += learner.reward(agent) if learner.reward is not None else -float(controller_stopped(ctrl))
+        if ctrl.phase == 0 and ctrl.dwell == 0:  # a cycle completes on re-entering its first phase
+            _learn(world, ctrl)
 
 
-def _learn(world: World, agent: AgentInstance, ctrl: ControllerState) -> None:
+def _learn(world: World, ctrl: ControllerState) -> None:
     learner = ctrl.learner
     assert learner is not None and ctrl.plan is not None
-    reward = learner.reward(agent) if learner.reward is not None else -float(controller_stopped(ctrl))
-    learner.accumulated += reward
-    if (ctrl.phase, ctrl.dwell) != (0, 0):  # a cycle completes on re-entering its first phase
-        return
     state = tf.discretize_state(_queue_lengths(ctrl), learner.spec.bins)
     tf.q_update(learner.table, learner.prev_state, learner.prev_action, learner.accumulated, state, learner.spec)
     action = tf.select_action(learner.table, state, learner.spec.plans, learner.spec.epsilon, world.rng)

@@ -154,6 +154,23 @@ def force_state(instance: MachineInstance, state: str) -> None:
     instance.dwell = 0
 
 
+def below(getrandbits, n: int) -> int:
+    """A uniform int in ``[0, n)``, ``n > 0``: draws exactly what
+    ``rng.randrange(n)`` draws when ``getrandbits`` is ``rng.getrandbits``.
+    This is CPython's ``Random._randbelow_with_getrandbits``, the same on
+    3.10-3.13: ``n.bit_length()`` bits at a time until the value is below
+    ``n``.  ``randrange`` takes that path for ``random.Random`` and for any
+    subclass that overrides ``getrandbits`` whenever it overrides ``random``.
+
+    The engine reads ``world.rng.getrandbits`` when it draws, never when the
+    world is built: a generator swapped in after that is the one drawn from."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def compile_trigger(trigger: Trigger):
     """Compile ``trigger`` into ``fires(dwell, ctx, rng) -> bool``."""
     if isinstance(trigger, ProbabilisticTrigger):

@@ -103,7 +103,7 @@ def select_action(
     if not actions:
         raise ValueError("select_action requires at least one action")
     if rng.random() < epsilon:
-        return actions[rng.randrange(len(actions))]
+        return actions[sm.below(rng.getrandbits, len(actions))]
     best = actions[0]
     best_value = table.get((s, best), 0.0)
     for action in actions[1:]:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from abms import disease as dz
 from abms import expr as ex
 from abms import statemachine as sm
@@ -24,6 +26,43 @@ def sir_spec(**kw):
         progressions=[dz.ProgressionSpec("I", sm.ProbabilisticTrigger(ex.lit(0.1)))],
         **kw,
     )
+
+
+# Every bound to 300, and each power of two to 2**70 with its neighbours.
+BOUNDS = [*range(1, 301), *(2**k + d for k in range(1, 71) for d in (-1, 0, 1))]
+
+
+class CountingRandom(random.Random):
+    """Counts draws, overriding both ``random`` and ``getrandbits`` as the
+    benchmark's tracing generator does."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+class TestBelow:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_draws_what_randrange_draws(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in BOUNDS:
+            assert sm.below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_counting_generator_counts_the_same_draws(self, seed):
+        ours, theirs = CountingRandom(seed), CountingRandom(seed)
+        for n in BOUNDS:
+            assert sm.below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.draws == theirs.draws
+        assert ours.getstate() == theirs.getstate()
+        assert ours.draws > len(BOUNDS)  # a value at or above the bound is drawn again
 
 
 class TestInstantiate:

@@ -2,14 +2,30 @@
 oracle: a world ticked with it must reach the digest, the transit roster and
 the vehicle positions the engine's phase 4 gives, after every tick.
 
-It builds a new ``QueuePos`` for each arrival and looks up the controller of
-each queue it serves, exactly as the engine once did; it reads an edge's
-queue from ``EdgePos.stop``, which holds it now.
+It builds a new ``QueuePos`` for each arrival, looks up the controller of
+each queue it serves and starts each served vehicle on its next edge at once,
+one ``rng.randrange`` each (``enter_random_edge``), exactly as the engine once
+did; it reads an edge's queue from ``EdgePos.stop``, which holds it now.
 """
 
 from __future__ import annotations
 
-from abms.engine import _BY_ID, QueuePos, _enter_random_edge
+import math
+
+from abms.engine import _BY_ID, EdgePos, QueuePos
+
+
+def enter_random_edge(world, vehicle, node: str) -> None:
+    """Start the vehicle on a uniformly random edge out of ``node``, if any,
+    and add it to the transit roster."""
+    speed = vehicle.speed
+    if (exits := world.exits.get((node, speed))) is None:  # speeds are per agent, so the table fills as they come
+        roads = world.roads[node]
+        exits = world.exits[node, speed] = [(to, max(1, math.ceil(length / speed)), stop) for to, length, stop in roads]
+    if exits:
+        target, ticks, stop = exits[world.rng.randrange(len(exits))]
+        vehicle.position = EdgePos(node, target, ticks, ticks, stop)
+        world.vehicles.append(vehicle)
 
 
 def vehicle_phase(world) -> None:
@@ -45,4 +61,4 @@ def vehicle_phase(world) -> None:
         for from_node in world.graph.adjacency[node]:
             queue = world.edge_queues[node, from_node]
             if queue and ((ctrl := world.controllers_by_node.get(node)) is None or from_node not in ctrl.red):
-                _enter_random_edge(world, world.agents[queue.pop(0)], node)
+                enter_random_edge(world, world.agents[queue.pop(0)], node)
