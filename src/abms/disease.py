@@ -241,9 +241,12 @@ class Transmission:
     condition: Callable[[ex.Context], bool] | None  # on the source
 
 
+RATE = (0, 1, "rate")  # the bounds and name a transmission rate is checked with
+
+
 def compile_transmission(spec: TransmissionSpec) -> Transmission:
     condition = None if spec.condition is None else ex.compile_condition(spec.condition)
-    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, 0, 1, "rate"), condition)
+    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, *RATE), condition)
 
 
 def attempt_transmission(

@@ -17,8 +17,11 @@ runs six phase functions:
      cell, refiling a source that changes cell: by cell out of one and into
      one), the signal plan's phase count and generic machines not in Dead
      (entering a new state at once), then the disease step (when susceptible,
-     a scan and trials only against the sources it finds, its rate evaluated
-     either way; else mortality and progression)
+     a scan and trials only against the sources it finds, a literal rate
+     checked once, when the world is built, and a computed one on every scan;
+     under exposure filing, a susceptible agent that no source reaches costs
+     one cell read, its step skipped when the rate is such a literal and no
+     per-tick mortality rule applies; else mortality and progression)
   3. ``_disease_phase``: buffered disease moves entered; the dead removed
   4. ``_vehicle_phase``, on graphs: movement of ``World.vehicles``, the
      vehicles on an edge, whose arrivals take their edge's one ``QueuePos``
@@ -209,6 +212,9 @@ class ResolvedDisease:
     transmission: dz.Transmission
     distance: Callable[[ex.Context], float | int] | None  # proximity only
     radius: float | int | None  # what every scan reads when the model states it: 0 for contact, or a literal
+    # The compartment whose step does nothing when no source is in reach: the susceptible one, when it has no
+    # per-tick rule and the rate is a literal checked when compiled; else None.
+    idle: str | None
 
 
 def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
@@ -222,9 +228,12 @@ def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
     else:  # a literal is a number (validation types it); one outside (0, inf) fails each scan instead
         radius = t.distance.value if isinstance(t.distance, ex.Literal) and 0 < t.distance.value < math.inf else None
     distance = ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None
+    susceptible = dz.susceptible_compartment(spec)
+    checked = ex.checked_literal(t.probability, *dz.RATE) is not None  # a literal rate that cannot fail where read
+    idle = susceptible if checked and susceptible not in tick_rules else None
     return ResolvedDisease(
-        spec, sm.compile_machine(dz.build_machine(spec)), dz.susceptible_compartment(spec), dz.infection_target(spec),
-        frozenset(dz.infectious_states(spec)), tick_rules, dz.compile_transmission(t), distance, radius,
+        spec, sm.compile_machine(dz.build_machine(spec)), susceptible, dz.infection_target(spec),
+        frozenset(dz.infectious_states(spec)), tick_rules, dz.compile_transmission(t), distance, radius, idle,
     )
 
 
@@ -956,8 +965,14 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     """Phase 2: per-agent behaviour, with disease changes buffered."""
     _index_sources(world)
     changes = DiseaseChanges()
-    walk_steps, rng, diseases = world.walk_steps, world.rng, world.diseases
+    walk_steps, rng = world.walk_steps, world.rng
     indexes = [index for index in world.sources.values() if index.cells is not None]  # the walk refiles filed ones
+    # Per disease: under exposure filing, an agent in its idle compartment whose cell files no source skips its
+    # step, as ``_near`` would find no source there and nothing else in the step draws, fails or buffers.
+    steps = {
+        name: (disease, disease.idle if (index := world.sources[name]).exposed else None, index.cells)
+        for name, disease in world.diseases.items()
+    }
     for agent in world.actors:
         step_of = walk_steps.get(agent.type_name)
         if step_of is not None:
@@ -979,7 +994,9 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
                     sm.force_state(inst, state)
         for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
             if not infected_now or (agent.id, disease_name) not in infected_now:
-                _disease_step(world, agent, inst, diseases[disease_name], changes)
+                disease, idle, cells = steps[disease_name]
+                if inst.current != idle or cells.get(agent.cell):
+                    _disease_step(world, agent, inst, disease, changes)
     return changes
 
 
@@ -997,7 +1014,7 @@ def _disease_step(
         if (radius := disease.radius) is None and (radius := disease.distance(agent)) <= 0:
             raise EvalError(f"distance {radius} outside (0, inf)", disease.spec.transmission.distance)
         if not (near := _near(world, world.sources[disease_name], agent, radius)):
-            disease.transmission.probability(agent)  # a trial with no source draws nothing, but its rate is checked
+            disease.transmission.probability(agent)  # no source, no draw; a computed rate is still checked on every scan
             return
         candidates = [
             dz.Candidate(other.id, True, other.type_name, other, None) if isinstance(other, EntityInstance)

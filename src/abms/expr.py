@@ -264,17 +264,26 @@ def _number(value, low: float | None, high: float | None, name: str) -> float | 
     raise EvalError(f"{name} {value} outside {lower}, {upper}")
 
 
+def checked_literal(expr: Expr, low: float | None = None, high: float | None = None, name: str = "value"):
+    """The value of ``expr`` when it is a literal that passes the check
+    ``compile_number`` makes with these bounds, else None.  Such a literal is
+    checked once, when compiled, and never fails where it is used."""
+    if isinstance(expr, Literal):
+        try:
+            return _number(expr.value, low, high, name)
+        except EvalError:
+            pass  # it fails on each use, as any other value would
+    return None
+
+
 def compile_number(expr: Expr, low: float | None = None, high: float | None = None, name: str = "value"):
     """Compile ``expr`` into ``fn(ctx)``, which yields a finite number, within
     [low, high] when bounds are given; anything else (bool, text, NaN, inf)
     raises EvalError, tagged with ``expr`` as its site.  An integer comes back
     as an integer.  A literal that passes is checked here, once, and becomes a
-    constant."""
-    if isinstance(expr, Literal):
-        try:
-            return lambda ctx, value=_number(expr.value, low, high, name): value
-        except EvalError:
-            pass  # it fails on each use, as any other value would
+    constant (``checked_literal``)."""
+    if (value := checked_literal(expr, low, high, name)) is not None:
+        return lambda ctx, value=value: value
     fn = compile(expr)
 
     def number(ctx):

@@ -160,6 +160,11 @@ def test_a_literal_in_range_is_checked_once():
             outside(None)
     ex.compile_number(ex.AttrRef(None, "a"))(Counting(attrs={"a": 1}))
     assert Counting.reads == 1
+    # ``checked_literal`` is that one check: a literal that passes, else None.
+    assert ex.checked_literal(ex.lit(0.5), 0, 1, "rate") == 0.5
+    assert ex.checked_literal(ex.lit(0), 0, 1, "rate") == 0
+    assert ex.checked_literal(ex.lit(1.5), 0, 1, "rate") is None
+    assert ex.checked_literal(ex.AttrRef(None, "a"), 0, 1, "rate") is None
 
 
 @pytest.mark.parametrize("name,model,base_dir", CORPUS, ids=[name for name, _, _ in CORPUS])

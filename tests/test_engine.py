@@ -25,6 +25,7 @@ from abms.ingest import Graph, load_gis_points, load_osm_graph
 
 from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
 from digest_corpus import SEED as CORPUS_SEED
+from digest_corpus import TICKS
 from validate_corpus import cases as validate_cases
 import vehicle_oracle
 import walk_oracle
@@ -1482,6 +1483,113 @@ class TestRunTimeRanges:
         with pytest.raises(AbmsError, match=r"^tick 1: disease:d\.transmission: rate 1\.5 outside \[0, 1\]$"):
             engine.tick(world)
         assert scans == [[]] and world.sources["d"].exposed == (hosts == 40)
+
+
+def stepping_every_agent(world):
+    """``world`` with phase 2's skip off: every resolved disease rebuilt with no idle compartment."""
+    world.diseases = {name: dataclasses.replace(disease, idle=None) for name, disease in world.diseases.items()}
+    return world
+
+
+def skip_model(env: str, hosts: int, transmission: str, clause: str = "") -> mm.Model:
+    """``hosts`` walkers of the SIR disease ``d``, two entity sources and a
+    periodic introduction, in environment ``env``."""
+    return parse_model(
+        f"model t {{\n  environment {env}\n"
+        f"  agent A {{\n    create fixed {hosts} random\n    attr p real = 0.3\n"
+        "    capability mobility random_walk step 1\n    capability disease d\n  }\n"
+        "  entity W {\n    create fixed 2 at (2, 2) (7, 7)\n  }\n"
+        f"  disease d model SIR {{\n    transmission {transmission} sources W\n    duration I deterministic 3\n"
+        f"    immunity duration deterministic 2\n{clause}  }}\n"
+        "  introduce d deterministic 2 arbitrary periodic 4\n}\n"
+    )
+
+
+class TestIdleSkip:
+    """Phase 2 skips the disease step of an agent in its disease's idle
+    compartment when the disease is filed by exposure and the agent's cell
+    files no source.  The oracle is the same run with the skip off: it must
+    reach the same digest and the same generator state after every tick."""
+
+    @staticmethod
+    def compare(model, config, ticks):
+        """Run ``model`` with the skip and without it, tick by tick; returns
+        the disease steps each side took and the filings the skipping side used."""
+        skipping = engine.build_world(model, config)
+        stepping = stepping_every_agent(engine.build_world(model, config))
+        steps, filings = {id(skipping): 0, id(stepping): 0}, set()
+        disease_step, index_sources = engine._disease_step, engine._index_sources
+
+        def counted_step(world, *args):
+            steps[id(world)] += 1
+            return disease_step(world, *args)
+
+        def recorded_index(world):
+            index_sources(world)
+            if world is skipping:
+                filings.update("exposure" if index.exposed else "by cell" for index in world.sources.values())
+
+        assert skipping.digest() == stepping.digest()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_disease_step", counted_step)
+            patch.setattr(engine, "_index_sources", recorded_index)
+            for tick in range(1, ticks + 1):
+                engine.tick(skipping)
+                engine.tick(stepping)
+                assert skipping.digest() == stepping.digest(), f"tick {tick}"
+                assert skipping.rng.getstate() == stepping.rng.getstate(), f"tick {tick}"
+        return steps[id(skipping)], steps[id(stepping)], filings
+
+    @pytest.mark.parametrize("transmission,clause,idle", [
+        ("proximity 2 probability 0.3", "", "S"),
+        ("contact probability 0", "", "S"),
+        ("proximity 2 probability 0.3", "    mortality I rate 0.2 every_timeunit\n", "S"),
+        ("proximity 2 probability p", "", None),  # computed: checked on every scan
+        ("proximity 2 probability 1.5", "", None),  # fails its check, so on every scan
+        ("proximity 2 probability 0.3", "    mortality S rate 0.2 every_timeunit\n", None),
+    ])
+    def test_the_idle_compartment_is_resolved_once_per_disease(self, transmission, clause, idle):
+        model = skip_model("grid width 10 height 10", 5, transmission, clause)
+        assert engine._resolve_disease(model.diseases[0]).idle == idle
+
+    def test_the_idle_compartment_is_the_susceptible_one(self):
+        model = parse_model(
+            "model t {\n  environment grid width 10 height 10\n"
+            "  agent A {\n    create fixed 5 random\n    capability disease d\n  }\n"
+            "  disease d model custom {\n    states H X\n    initial H\n"
+            "    transmission contact probability 0.6 to X infectious X\n    transition X H deterministic 3\n  }\n}\n"
+        )
+        disease = engine._resolve_disease(model.diseases[0])
+        assert disease.idle == disease.susceptible == "H"
+
+    def test_the_digest_corpus_runs_alike_with_the_skip_off(self):
+        skipped = []
+        for name, model, base_dir in corpus():
+            config = engine.RunConfig(seed=CORPUS_SEED, max_ticks=TICKS, base_dir=base_dir)
+            taken, all_steps, _ = self.compare(model, config, TICKS)
+            assert taken <= all_steps, name
+            if taken < all_steps:
+                skipped.append(name)
+        assert "inline_cartesian" in skipped and "inline_contact" in skipped  # the oracle is not vacuous
+
+    ENVS = ["grid width 10 height 10", "grid width 10 height 10 wrap", "cartesian 0..10 0..10"]
+    CASES = {
+        "literal rate": ("proximity 2 probability 0.3", "", True),
+        "per-tick mortality in S": ("proximity 2 probability 0.3", "    mortality S rate 0.2 every_timeunit\n", False),
+        "computed rate": ("proximity 2 probability p", "", False),
+        "contact": ("contact probability 0.5", "", True),
+    }
+
+    @pytest.mark.parametrize("env", ENVS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_small_models_run_alike_with_the_skip_off(self, tmp_path, env, case):
+        """Few hosts file by cell and many by exposure; the skip fires only
+        under exposure, and only where the step provably does nothing."""
+        transmission, clause, idle = self.CASES[case]
+        for hosts, filing in ((5, "by cell"), (120, "exposure")):
+            taken, all_steps, filings = self.compare(skip_model(env, hosts, transmission, clause), cfg(tmp_path), 12)
+            assert filing in filings, (hosts, filings)
+            assert (taken < all_steps) == (idle and "exposure" in filings), (hosts, taken, all_steps)
 
 
 class TestSitePaths:
