@@ -23,9 +23,8 @@ from abms.dsl import parse_model
 from abms.errors import AbmsError, EngineError, EvalError, FileFormatError, InvalidModelError
 from abms.ingest import Graph, load_gis_points, load_osm_graph
 
-from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, corpus
+from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, TICKS, corpus
 from digest_corpus import SEED as CORPUS_SEED
-from digest_corpus import TICKS
 from validate_corpus import cases as validate_cases
 import vehicle_oracle
 import walk_oracle
