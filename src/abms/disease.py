@@ -107,9 +107,10 @@ class DiseaseIntroductionSpec:
 
 
 def compartments_of(spec: DiseaseModelSpec) -> list[str]:
+    """The compartments of ``spec``; none for a kind it does not know, which validation reports."""
     if spec.kind == CUSTOM:
         return list(spec.custom_states)
-    return list(_STANDARD_CHAIN[spec.kind])
+    return list(_STANDARD_CHAIN.get(spec.kind, ()))
 
 
 def entry_compartment(spec: DiseaseModelSpec) -> str:
@@ -241,12 +242,9 @@ class Transmission:
     condition: Callable[[ex.Context], bool] | None  # on the source
 
 
-RATE = (0, 1, "rate")  # the bounds and name a transmission rate is checked with
-
-
 def compile_transmission(spec: TransmissionSpec) -> Transmission:
     condition = None if spec.condition is None else ex.compile_condition(spec.condition)
-    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, *RATE), condition)
+    return Transmission(frozenset(spec.sources), ex.compile_number(spec.probability, *sm.RATE), condition)
 
 
 def attempt_transmission(
@@ -289,33 +287,30 @@ def introduction_due(spec: DiseaseIntroductionSpec, tick: int) -> bool:
 
 
 def introduce(
-    pool: Sequence[tuple[int, ex.Context]],
+    pool: Sequence[ex.Context],
     spec: DiseaseIntroductionSpec,
     eligible: Callable[[ex.Context], bool] | None,
-    tick: int,
     rng: random.Random,
-) -> list[int]:
-    """Agent ids selected for infection at ``tick``.
+) -> list[ex.Context]:
+    """The agents of ``pool`` a due introduction infects, in pool order.
 
     The pool must contain only susceptible agents, ascending by id.  The
     compiled eligibility criterion, if any, filters the pool first; a
     deterministic quantity samples without replacement (clamped to the pool
     size) and a probabilistic quantity draws one Bernoulli per pool member.
     """
-    if not introduction_due(spec, tick):
-        return []
-    chosen = [agent_id for agent_id, ctx in pool if eligible is None or eligible(ctx)]
+    chosen = [ctx for ctx in pool if eligible is None or eligible(ctx)]
     if spec.quantity_kind == "deterministic":
         n = min(int(spec.count or 0), len(chosen))
-        return sorted(rng.sample(chosen, n))
+        return [chosen[i] for i in sorted(rng.sample(range(len(chosen)), n))]  # a sample draws by size and n alone
     p = float(spec.probability or 0.0)
-    return [agent_id for agent_id in chosen if rng.random() < p]
+    return [ctx for ctx in chosen if rng.random() < p]
 
 
 def compile_mortality(rule: MortalitySpec) -> Callable[[ex.Context, int, random.Random], bool]:
     """Compile a per-tick rule into ``dies(ctx, tick, rng)``: whether it kills
     this tick, drawing once when it applies."""
-    rate = ex.compile_number(rule.rate, 0, 1, "rate")
+    rate = ex.compile_number(rule.rate, *sm.RATE)
     condition = ex.compile_condition(rule.condition) if rule.evaluation == WHEN_CONDITION else None
 
     def dies(ctx: ex.Context, tick: int, rng: random.Random) -> bool:

@@ -12,10 +12,11 @@ runs six phase functions:
      the model states the radius and the filing costs no more than the scans
      it spares, counted from the tallies; not at all on a graph or at or
      beyond the stencil's bound; else by cell), all afresh only when that
-     filing changes; then per agent of ``World.actors``, mobility (the walk,
-     within the size or bounds ``World`` resolved, sets the position and its
-     cell, refiling a source that changes cell: by cell out of one and into
-     one), the signal plan's phase count and generic machines not in Dead
+     filing changes; then per agent of the types in ``World.actors``, each
+     type with its walk step resolved once: mobility (the walk, within the
+     size or bounds ``World`` resolved, sets the position and its cell,
+     refiling a source that changes cell: by cell out of one and into one),
+     the signal plan's phase count and generic machines not in Dead
      (entering a new state at once), then the disease step (when susceptible,
      a scan and trials only against the sources it finds, a literal rate
      checked once, when the world is built, and a computed one on every scan;
@@ -28,15 +29,17 @@ runs six phase functions:
      in ascending id order; then queue service, a controller read per node;
      then the served vehicles enter their next edges, in service order, in
      one ``_enter_random_edges`` call, the one way onto an edge
-  5. ``_learning_phase``: each of ``World.learners`` accumulates its reward
-     every tick and updates on completed plan cycles
+  5. ``_learning_phase``: each agent of the types in ``World.learners``
+     accumulates its reward every tick and updates on completed plan cycles
   6. ``_sampling_phase``: output sampling when the tick hits an interval;
      ``count(T where m is S)`` reads the tally ``sm.force_state`` keeps per
      (agent type, machine or disease), not the roster
 
-Phases 2, 4 and 5 visit only their roster, and a population is its type's
-roster in ``World.by_type``; phase 3 prunes the dead from them all.  Every
-roster is in ascending id order but phase 4's, whose arrivals are sorted.
+Phases 2 and 5 visit their types' rosters in ``World.by_type``, type by type
+in creation order; ids are assigned in that order, so both visit in ascending
+id order.  Phase 4 visits its own roster, ``World.vehicles``, in no order, and
+sorts its arrivals.  A population is its type's roster; phase 3 prunes the dead
+from the rosters.
 
 Reordering these phases is a breaking change for reproducibility.
 
@@ -229,7 +232,7 @@ def _resolve_disease(spec: dz.DiseaseModelSpec) -> ResolvedDisease:
         radius = t.distance.value if isinstance(t.distance, ex.Literal) and 0 < t.distance.value < math.inf else None
     distance = ex.compile_number(t.distance) if t.interaction == dz.PROXIMITY else None
     susceptible = dz.susceptible_compartment(spec)
-    checked = ex.checked_literal(t.probability, *dz.RATE) is not None  # a literal rate that cannot fail where read
+    checked = ex.checked_literal(t.probability, *sm.RATE) is not None  # a literal rate that cannot fail where read
     idle = susceptible if checked and susceptible not in tick_rules else None
     return ResolvedDisease(
         spec, sm.compile_machine(dz.build_machine(spec)), susceptible, dz.infection_target(spec),
@@ -284,8 +287,9 @@ class World(ex.Context):
         }
         self.diseases = {d.name: _resolve_disease(d) for d in model.diseases}
         self.machines = {m.name: sm.compile_machine(m) for m in model.machines}
-        self.introductions = [  # each with its eligibility criterion, if any
-            (i, ex.compile_condition(i.eligibility) if i.selection == "eligible" and i.eligibility is not None else None)
+        self.introductions = [  # each with its disease and its eligibility criterion, if any
+            (i, self.diseases[i.disease],
+             ex.compile_condition(i.eligibility) if i.selection == "eligible" and i.eligibility is not None else None)
             for i in model.introductions
         ]
         self.series = {o.name: [ex.compile_number(s.value) for s in o.series] for o in model.outputs}
@@ -313,12 +317,14 @@ class World(ex.Context):
         # and per disease, each carrying type's tally and whether that type walks.  ``_create_agents`` fills both.
         self.tallies: dict[tuple[str, str], dict[str, int]] = {}
         self.disease_tallies: dict[str, list[tuple[dict[str, int], bool]]] = {name: [] for name in self.diseases}
-        # Rosters, which phase 3 prunes the dead from; all but ``vehicles`` are in ascending id order
-        # and filled only by ``build_world``.
+        # Rosters, which phase 3 prunes the dead from: ``by_type``'s are in ascending id order and filled only by
+        # ``build_world``, which assigns ids type by type in creation order.
         self.by_type: dict[str, list[_Instance]] = {t.name: [] for t in (*model.agent_types, *model.entity_types)}
-        self.actors: list[AgentInstance] = []  # phase 2: a walk step, a signal plan, a declared machine or a disease
         self.vehicles: list[AgentInstance] = []  # phase 4: the vehicles on an edge, in no order; ``_enter_random_edges`` adds
-        self.learners: list[AgentInstance] = []  # phase 5: controllers with a learner
+        # The agent types phases 2 and 5 visit, in creation order, filled by ``_create_agents``: phase 2's with
+        # their walk steps (None for none), phase 5's those whose controllers learn.
+        self.actors: list[tuple[str, Callable[[ex.Context], float | int] | None]] = []
+        self.learners: list[str] = []
 
     # -- evaluation context -----------------------------------------------------
 
@@ -508,14 +514,10 @@ def _populate(world: World) -> World:
             _create_entities(world, spec)
         else:
             _create_agents(world, spec)
-    agents = world.agents.values()
-    world.actors = [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
-                    or (a.controller is not None and a.controller.plan is not None)]
-    world.learners = [a for a in agents if a.controller is not None and a.controller.learner is not None]
     entities = world.entities.values()  # each index starts with its entity sources, which never change
     world.sources = {name: SourceIndex(world, [e for e in entities if e.type_name in d.transmission.sources], None)
                      for name, d in world.diseases.items()}
-    world.entered = [a for a in agents if a.diseases]  # every carrier enters the indexes as later state changes do
+    world.entered = [a for a in world.agents.values() if a.diseases]  # every carrier enters the indexes as later state changes do
     _introduction_phase(world)
     return world
 
@@ -595,11 +597,19 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
     mobility = spec.capability("mobility")
     speed = None if mobility is None or world.graph is None else ex.compile_number(mobility.step, name="step")
     flow = spec.capability("flow_control")
+    plan = world.model.plan_of(spec) if flow is not None else None
+    learning = spec.capability("reinforcement_learning") if flow is not None else None
+    step_of = world.walk_steps.get(spec.name)
+    # A type acts in phase 2 with a walk step, a disease, a declared machine or a signal plan (learning sets one).
+    if step_of is not None or diseases or machines or plan is not None or learning is not None:
+        world.actors.append((spec.name, step_of))
+    if learning is not None:
+        world.learners.append(spec.name)
     disease_tallies, machine_tallies = {name: {} for name in diseases}, {name: {} for name in machines}
     for name, tally in (*disease_tallies.items(), *machine_tallies.items()):  # a disease's first, as in machine_state
         world.tallies.setdefault((spec.name, name), tally)
     for name, tally in disease_tallies.items():
-        world.disease_tallies[name].append((tally, spec.name in world.walk_steps))
+        world.disease_tallies[name].append((tally, step_of is not None))
     entries = []  # created vehicles sit on a node; expressions draw nothing, so they enter after the loop
     for i, position in enumerate(positions):
         agent = AgentInstance(weakref.proxy(world), world.new_id(), spec.name, position, _cell_of(world, position))
@@ -616,7 +626,7 @@ def _create_agents(world: World, spec: mm.AgentTypeSpec) -> None:
                 raise EvalError("vehicle speed must be positive on graphs", mobility.step)
             entries.append((agent, position.node))
         if flow is not None:  # validation keeps flow control off mobile agents: no controller draws among vehicles
-            _init_controller(world, agent, spec, flow)
+            _init_controller(world, agent, flow, plan, learning)
     if entries:
         _enter_random_edges(world, entries)
 
@@ -638,7 +648,7 @@ def _enter_random_edges(world: World, entries: list[tuple[AgentInstance, str]]) 
             vehicles.append(vehicle)
 
 
-def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec, flow: mm.CapabilityRef) -> None:
+def _init_controller(world: World, agent: AgentInstance, flow: mm.CapabilityRef, plan, learning) -> None:
     # Validation puts flow control on graphs only, on agents without mobility,
     # so the controller sits on the node it was created at.
     node = agent.position.node
@@ -662,9 +672,8 @@ def _init_controller(world: World, agent: AgentInstance, spec: mm.AgentTypeSpec,
     ctrl = ControllerState(node=node, streams=streams, queues=queues, capacities=capacities, red=dict(queues))
     agent.controller = ctrl
     world.controllers_by_node.setdefault(node, ctrl)
-    if (plan := world.model.plan_of(spec)) is not None:
+    if plan is not None:
         _controller_set_plan(world, ctrl, plan.name)
-    learning = spec.capability("reinforcement_learning")
     if learning is not None:
         qspec = learning.qlearning
         state = tf.discretize_state(_queue_lengths(ctrl), qspec.bins)
@@ -696,27 +705,6 @@ def controller_stopped(ctrl: ControllerState) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Introductions
-
-
-def _apply_introduction(world: World, intro: dz.DiseaseIntroductionSpec, eligible, infected_now: set) -> None:
-    if not dz.introduction_due(intro, world.tick):
-        return
-    disease = world.diseases[intro.disease]
-    pool = [
-        (aid, agent)
-        for aid, agent in world.agents.items()
-        if (inst := agent.diseases.get(intro.disease)) is not None and inst.current == disease.susceptible
-    ]
-    for aid in dz.introduce(pool, intro, eligible, world.tick, world.rng):
-        agent = world.agents[aid]
-        sm.force_state(agent.diseases[intro.disease], disease.target)
-        world.entered.append(agent)
-        world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
-        infected_now.add((aid, intro.disease))
-
-
-# ---------------------------------------------------------------------------
 # Mobility
 
 
@@ -726,25 +714,21 @@ def mobility_step(world: World, agent: AgentInstance, step_of, rng: random.Rando
     resolved (graph agents move in phase 4)."""
     step = step_of(agent)
     x, y = agent.position  # type: ignore[misc]
-    if not world.on_grid:  # cartesian: graph agents take no random-walk step (``World.walk_steps``)
+    if world.on_grid:  # 8-neighborhood plus "stay", all nine outcomes equally likely
+        pick = sm.below(rng.getrandbits, 9)
+        span = int(round(step))
+        nx, ny = x + (pick % 3 - 1) * span, y + (pick // 3 - 1) * span
+        if (wrap := world.wrap) is not None:
+            new = (nx % wrap[0], ny % wrap[1])
+            return new, new  # on a grid a position is its cell
+    else:  # cartesian: graph agents take no random-walk step (``World.walk_steps``)
         angle = rng.random() * 2.0 * math.pi
         nx, ny = x + math.cos(angle) * step, y + math.sin(angle) * step
-        x_min, y_min, x_max, y_max = world.bounds
-        nx = x_min if nx < x_min else x_max if nx > x_max else nx  # the object min(max(nx, x_min), x_max) gives
-        ny = y_min if ny < y_min else y_max if ny > y_max else ny
-        return (nx, ny), (math.floor(nx), math.floor(ny))
-    # 8-neighborhood plus "stay", all nine outcomes equally likely.
-    pick = sm.below(rng.getrandbits, 9)
-    span = int(round(step))
-    nx, ny = x + (pick % 3 - 1) * span, y + (pick // 3 - 1) * span
-    if (wrap := world.wrap) is not None:
-        new = (nx % wrap[0], ny % wrap[1])
-    else:
-        x_min, y_min, x_max, y_max = world.bounds
-        nx = x_min if nx < x_min else x_max if nx > x_max else nx
-        ny = y_min if ny < y_min else y_max if ny > y_max else ny
-        new = (nx, ny)
-    return new, new  # on a grid a position is its cell
+    x_min, y_min, x_max, y_max = world.bounds
+    nx = x_min if nx < x_min else x_max if nx > x_max else nx  # the object min(max(nx, x_min), x_max) gives
+    ny = y_min if ny < y_min else y_max if ny > y_max else ny
+    new = (nx, ny)
+    return new, new if world.on_grid else (math.floor(nx), math.floor(ny))
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +932,16 @@ def _introduction_phase(world: World) -> set[tuple[int, str]]:
     """Phase 1: due (so periodic) introductions; returns the (agent id, disease)
     pairs infected, which skip their disease step this tick."""
     infected_now: set[tuple[int, str]] = set()
-    for intro, eligible in world.introductions:
-        _apply_introduction(world, intro, eligible, infected_now)
+    for intro, disease, eligible in world.introductions:
+        if not dz.introduction_due(intro, world.tick):
+            continue
+        pool = [a for a in world.agents.values() if (inst := a.diseases.get(intro.disease)) is not None
+                and inst.current == disease.susceptible]
+        for agent in dz.introduce(pool, intro, eligible, world.rng):
+            sm.force_state(agent.diseases[intro.disease], disease.target)
+            world.entered.append(agent)
+            world.ever_infected[intro.disease] = world.ever_infected.get(intro.disease, 0) + 1
+            infected_now.add((agent.id, intro.disease))
     return infected_now
 
 
@@ -965,7 +957,7 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
     """Phase 2: per-agent behaviour, with disease changes buffered."""
     _index_sources(world)
     changes = DiseaseChanges()
-    walk_steps, rng = world.walk_steps, world.rng
+    rng, by_type = world.rng, world.by_type
     indexes = [index for index in world.sources.values() if index.cells is not None]  # the walk refiles filed ones
     # Per disease: under exposure filing, an agent in its idle compartment whose cell files no source skips its
     # step, as ``_near`` would find no source there and nothing else in the step draws, fails or buffers.
@@ -973,30 +965,30 @@ def _agent_phase(world: World, infected_now: set[tuple[int, str]]) -> DiseaseCha
         name: (disease, disease.idle if (index := world.sources[name]).exposed else None, index.cells)
         for name, disease in world.diseases.items()
     }
-    for agent in world.actors:
-        step_of = walk_steps.get(agent.type_name)
-        if step_of is not None:
-            old = agent.cell
-            agent.position, agent.cell = mobility_step(world, agent, step_of, rng)
-            if agent.cell != old:
-                for index in indexes:  # a walking source changes cell
-                    if agent in index.members:
-                        index.move(agent, old, agent.cell)
-        ctrl = agent.controller
-        if ctrl is not None and ctrl.plan is not None:
-            ctrl.ticks_in_cycle += 1
-            ctrl.dwell += 1
-            if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
-                _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
-        if agent.machines:
-            for inst in agent.machines.values():
-                if inst.current != sm.DEAD_STATE and (state := sm.step(inst, agent, rng)) is not None:
-                    sm.force_state(inst, state)
-        for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
-            if not infected_now or (agent.id, disease_name) not in infected_now:
-                disease, idle, cells = steps[disease_name]
-                if inst.current != idle or cells.get(agent.cell):
-                    _disease_step(world, agent, inst, disease, changes)
+    for type_name, step_of in world.actors:
+        for agent in by_type[type_name]:
+            if step_of is not None:
+                old = agent.cell
+                agent.position, agent.cell = mobility_step(world, agent, step_of, rng)
+                if agent.cell != old:
+                    for index in indexes:  # a walking source changes cell
+                        if agent in index.members:
+                            index.move(agent, old, agent.cell)
+            ctrl = agent.controller
+            if ctrl is not None and ctrl.plan is not None:
+                ctrl.ticks_in_cycle += 1
+                ctrl.dwell += 1
+                if ctrl.dwell >= ctrl.plan.phases[ctrl.phase].duration:
+                    _controller_enter_phase(ctrl, (ctrl.phase + 1) % len(ctrl.plan.phases))
+            if agent.machines:
+                for inst in agent.machines.values():
+                    if inst.current != sm.DEAD_STATE and (state := sm.step(inst, agent, rng)) is not None:
+                        sm.force_state(inst, state)
+            for disease_name, inst in agent.diseases.items():  # a disease entering Dead removes its agent in phase 3
+                if not infected_now or (agent.id, disease_name) not in infected_now:
+                    disease, idle, cells = steps[disease_name]
+                    if inst.current != idle or cells.get(agent.cell):
+                        _disease_step(world, agent, inst, disease, changes)
     return changes
 
 
@@ -1045,9 +1037,7 @@ def _disease_phase(world: World, changes: DiseaseChanges) -> None:
             dead_types.add(agent.type_name)
     if dead_types:  # prune each roster the dead were in
         alive = world.agents
-        world.actors = [a for a in world.actors if a.id in alive]
         world.vehicles = [a for a in world.vehicles if a.id in alive]
-        world.learners = [a for a in world.learners if a.id in alive]
         for name in dead_types:
             world.by_type[name] = [a for a in world.by_type[name] if a.id in alive]
 
@@ -1113,12 +1103,13 @@ def _vehicle_phase(world: World) -> None:
 def _learning_phase(world: World) -> None:
     """Phase 5: each learner's reward accumulates every tick; a controller
     whose plan cycle completed updates its Q-table and picks the next plan."""
-    for agent in world.learners:
-        ctrl = agent.controller
-        learner = ctrl.learner
-        learner.accumulated += learner.reward(agent) if learner.reward is not None else -float(controller_stopped(ctrl))
-        if ctrl.phase == 0 and ctrl.dwell == 0:  # a cycle completes on re-entering its first phase
-            _learn(world, ctrl)
+    for type_name in world.learners:
+        for agent in world.by_type[type_name]:
+            ctrl = agent.controller
+            learner = ctrl.learner
+            learner.accumulated += learner.reward(agent) if learner.reward is not None else -float(controller_stopped(ctrl))
+            if ctrl.phase == 0 and ctrl.dwell == 0:  # a cycle completes on re-entering its first phase
+                _learn(world, ctrl)
 
 
 def _learn(world: World, ctrl: ControllerState) -> None:

@@ -101,13 +101,16 @@ class MachineError(AbmsError):
     pass
 
 
+RATE = (0, 1, "rate")  # the bounds and name every rate is checked with
+
+
 def compile_machine(spec: StateMachineSpec) -> Machine:
     """Compile every guard, trigger and abort probability of ``spec`` once."""
     transitions: dict[str, list[tuple]] = {}
     for tr in spec.transitions:
         guard = None if tr.guard is None else ex.compile_condition(tr.guard)
         abort, abort_to = (None, None) if tr.abortion is None else (
-            ex.compile_number(tr.abortion.probability, 0, 1, "rate"), tr.abortion.abort_to)
+            ex.compile_number(tr.abortion.probability, *RATE), tr.abortion.abort_to)
         transitions.setdefault(tr.source, []).append((guard, compile_trigger(tr.trigger), abort, abort_to, tr.target))
     return Machine(spec, transitions)
 
@@ -174,7 +177,7 @@ def below(getrandbits, n: int) -> int:
 def compile_trigger(trigger: Trigger):
     """Compile ``trigger`` into ``fires(dwell, ctx, rng) -> bool``."""
     if isinstance(trigger, ProbabilisticTrigger):
-        rate = ex.compile_number(trigger.rate, 0, 1, "rate")
+        rate = ex.compile_number(trigger.rate, *RATE)
         return lambda dwell, ctx, rng: rng.random() < rate(ctx)
     if isinstance(trigger, DeterministicTrigger):
         ticks = ex.compile_number(trigger.ticks, 0, None, "duration")

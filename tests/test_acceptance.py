@@ -281,13 +281,14 @@ model m {{
         assert world.ever_infected.get("d", 0) == expected
 
     # Probabilistic quantity: total over 1000 trials inside the binomial 99% CI.
-    pool = [(i, MapContext()) for i in range(200)]
+    pool = [MapContext() for _ in range(200)]
     spec = dz.DiseaseIntroductionSpec(
         disease="d", quantity_kind="probabilistic", probability=0.3
     )
+    assert dz.introduction_due(spec, 0)  # aperiodic: due at tick 0 only
     rng = random.Random(77)
     trials = 1000
-    total = sum(len(dz.introduce(pool, spec, None, 0, rng)) for _ in range(trials))
+    total = sum(len(dz.introduce(pool, spec, None, rng)) for _ in range(trials))
     n_draws = trials * len(pool)
     mean = n_draws * 0.3
     half_width = 2.576 * (n_draws * 0.3 * 0.7) ** 0.5

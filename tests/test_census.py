@@ -15,6 +15,7 @@ from abms.errors import EvalError
 from census_oracle import assert_sources, assert_tallies, count_by_roster
 from contexts import MapContext
 from digest_corpus import INLINE_PLAN_EDGES, PINNED, SEED, TICKS, corpus
+from roster_oracle import learners
 
 CORPUS = corpus()
 
@@ -205,7 +206,7 @@ class TestFallback:
                 assert (type_name, plan) not in world.tallies
                 for phase in phases:
                     assert world.state_count(type_name, plan, phase) == count_by_roster(world, type_name, plan, phase)
-            plans.update(agent.controller.plan.name for agent in world.learners)
+            plans.update(agent.controller.plan.name for agent in learners(world))
         assert len(plans) > 1  # the learners switched plans
 
     @staticmethod

@@ -165,7 +165,11 @@ class TestAttemptTransmission:
 
 class TestIntroduce:
     def pool(self, n):
-        return [(i, MapContext({"age": i})) for i in range(n)]
+        return [MapContext({"age": i}) for i in range(n)]
+
+    @staticmethod
+    def ages(chosen):
+        return [ctx.attribute(None, "age") for ctx in chosen]
 
     def spec(self, **kw):
         base = dict(disease="d", quantity_kind="deterministic", count=5)
@@ -173,27 +177,30 @@ class TestIntroduce:
         return dz.DiseaseIntroductionSpec(**base)
 
     def test_deterministic_exact_count(self):
-        chosen = dz.introduce(self.pool(100), self.spec(), None, 0, random.Random(1))
+        chosen = dz.introduce(self.pool(100), self.spec(), None, random.Random(1))
         assert len(chosen) == 5
-        assert len(set(chosen)) == 5
+        assert len(set(map(id, chosen))) == 5
+        # In pool order, and the members a sample of the ids draws.
+        assert self.ages(chosen) == sorted(random.Random(1).sample(range(100), 5))
 
     def test_deterministic_clamps_to_pool(self):
-        chosen = dz.introduce(self.pool(3), self.spec(), None, 0, random.Random(1))
-        assert sorted(chosen) == [0, 1, 2]
+        pool = self.pool(3)
+        assert dz.introduce(pool, self.spec(), None, random.Random(1)) == pool
 
     def test_probabilistic_certainty_takes_all(self):
         spec = self.spec(quantity_kind="probabilistic", probability=1.0, count=None)
-        assert dz.introduce(self.pool(40), spec, None, 0, random.Random(1)) == list(range(40))
+        pool = self.pool(40)
+        assert dz.introduce(pool, spec, None, random.Random(1)) == pool
 
     def test_aperiodic_fires_only_at_zero(self):
-        assert dz.introduce(self.pool(10), self.spec(), None, 1, random.Random(1)) == []
-        assert dz.introduce(self.pool(10), self.spec(), None, 0, random.Random(1)) != []
+        assert not dz.introduction_due(self.spec(), 1)
+        assert dz.introduction_due(self.spec(), 0)
+        assert dz.introduce(self.pool(10), self.spec(), None, random.Random(1)) != []
 
     def test_periodic_fires_on_multiples(self):
         spec = self.spec(periodicity="periodic", interval=4)
         for tick in range(12):
-            fired = dz.introduce(self.pool(10), spec, None, tick, random.Random(1)) != []
-            assert fired == (tick % 4 == 0)
+            assert dz.introduction_due(spec, tick) == (tick % 4 == 0)
 
     def test_eligible_filters_pool(self):
         spec = self.spec(
@@ -201,8 +208,8 @@ class TestIntroduce:
             selection="eligible",
             eligibility=ex.Binary(">=", ex.AttrRef(None, "age"), ex.lit(7)),
         )
-        chosen = dz.introduce(self.pool(10), spec, ex.compile_condition(spec.eligibility), 0, random.Random(1))
-        assert sorted(chosen) == [7, 8, 9]
+        chosen = dz.introduce(self.pool(10), spec, ex.compile_condition(spec.eligibility), random.Random(1))
+        assert self.ages(chosen) == [7, 8, 9]
 
 
 def compiled(rules):

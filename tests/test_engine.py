@@ -26,6 +26,7 @@ from abms.ingest import Graph, load_gis_points, load_osm_graph
 from digest_corpus import INLINE_GRAPH_DISEASE, INLINE_MACHINE_THEN_PLAN, PINNED, TICKS, corpus
 from digest_corpus import SEED as CORPUS_SEED
 from validate_corpus import cases as validate_cases
+import roster_oracle
 import vehicle_oracle
 import walk_oracle
 
@@ -1033,7 +1034,8 @@ class TestMobility:
     @settings(max_examples=300, deadline=None)
     def test_step_matches_the_walk_oracle(self, walk, seed):
         """Four chained steps give the oracle's position and cell, with the
-        sign of a zero and the type of a bound, and leave its random stream."""
+        sign of a zero and the type of a bound, and leave its random stream;
+        on a grid the position is its cell, one object."""
         topology, position, step = walk
         model = parse_model("model t {\n  environment grid width 1 height 1\n  agent A { create fixed 1 random }\n}\n")
         model.environment.topology = topology
@@ -1046,6 +1048,7 @@ class TestMobility:
             expected = walk_oracle.mobility_step(world, agent, lambda _: step, oracle_rng)
             assert repr(got) == repr(expected) and got == expected
             assert rng.getstate() == oracle_rng.getstate()
+            assert (got[0] is got[1]) == isinstance(topology, mm.GridTopology)
             position = got[0]
 
     def test_step_zero_stays(self, tmp_path):
@@ -1955,9 +1958,10 @@ class TestSignalPlans:
 
 
 class TestRosters:
-    """Each phase visits its roster: exactly the agents it has work for, in
-    ascending id order but for phase 4's transit roster, and a population is
-    its type's roster.  A dead agent is in none of them."""
+    """Each phase visits exactly the agents it has work for, in ascending id
+    order but for phase 4's transit roster: phases 2 and 5 their types'
+    rosters, in creation order (``roster_oracle``).  A population is its
+    type's roster.  A dead agent is in none of them."""
 
     MODELS = {
         "graph disease": INLINE_GRAPH_DISEASE,
@@ -1981,15 +1985,9 @@ class TestRosters:
     @staticmethod
     def assert_rosters(world, created: set[int]) -> None:
         agents = list(world.agents.values())
-        expected = {  # the scans over every agent that the rosters replace
-            "actors": [a for a in agents if a.type_name in world.walk_steps or a.machines or a.diseases
-                       or (a.controller is not None and a.controller.plan is not None)],
-            "vehicles": [a for a in agents if isinstance(a.position, engine.EdgePos)],
-            "learners": [a for a in agents if a.controller is not None and a.controller.learner is not None],
-        }
-        for name, roster in expected.items():
-            assert sorted(getattr(world, name), key=_BY_ID) == roster, name
-        assert world.actors == expected["actors"] and world.learners == expected["learners"]
+        vehicles = [a for a in agents if isinstance(a.position, engine.EdgePos)]  # the scan the roster replaces
+        assert sorted(world.vehicles, key=_BY_ID) == vehicles
+        roster_oracle.assert_visits(world)
         agent_types = {a.name for a in world.model.agent_types}
         assert list(world.by_type) == [t.name for t in (*world.model.agent_types, *world.model.entity_types)]
         populations = {name: world.population(name) for name in world.by_type}
@@ -1998,7 +1996,7 @@ class TestRosters:
             assert roster == [x for x in instances if x.type_name == name], name
         assert all(world.population(name) is roster for name, roster in populations.items())  # no copy
         dead = created - set(world.agents)
-        for roster in (*expected.values(), *populations.values()):
+        for roster in (vehicles, *roster_oracle.visits(world), *populations.values()):
             ids = [item.id for item in roster]
             assert ids == sorted(set(ids)) and not dead.intersection(ids)
         assert not dead.intersection(aid for queue in world.queues.values() for aid in queue)
@@ -2007,14 +2005,28 @@ class TestRosters:
     def test_rosters_match_the_scans_they_replace_every_tick(self, tmp_path, name):
         world = engine.build_world(parse_model(self.MODELS[name]), cfg(tmp_path, base_dir=FIXTURES))
         created = set(world.agents)
-        learners = len(world.learners)
+        learners = len(roster_oracle.learners(world))
         self.assert_rosters(world, created)
         for _ in range(60):
             engine.tick(world)
             self.assert_rosters(world, created)
         assert sum(world.dead.values()) > 0  # pruning ran
         if learners:
-            assert 0 < len(world.learners) < learners
+            assert 0 < len(roster_oracle.learners(world)) < learners
+
+    def test_phases_2_and_5_visit_what_the_predicates_select_across_the_digest_corpus(self):
+        visited = [0, 0]
+        for name, model, base_dir in corpus():
+            world = engine.build_world(model, engine.RunConfig(seed=CORPUS_SEED, max_ticks=TICKS, base_dir=base_dir))
+            roster_oracle.assert_visits(world)
+            for tick in range(1, TICKS + 1):
+                engine.tick(world)
+                try:
+                    roster_oracle.assert_visits(world)
+                except AssertionError as failure:
+                    raise AssertionError(f"{name}, tick {tick}") from failure
+                visited = [n + len(roster) for n, roster in zip(visited, roster_oracle.visits(world))]
+        assert all(visited)  # the corpus has agents for both phases
 
     def test_idle_agents_are_in_no_phase_roster(self, tmp_path):
         model = parse_model((FIXTURES / "traffic.abms").read_text())
@@ -2022,5 +2034,6 @@ class TestRosters:
         controllers = [a for a in world.agents.values() if a.type_name == "Controller"]
         vehicles = [a for a in world.agents.values() if a.type_name == "Vehicle"]
         assert controllers and vehicles
-        assert world.actors == controllers and world.learners == controllers  # no vehicle has phase-2 or phase-5 work
+        assert world.actors == [("Controller", None)] and world.learners == ["Controller"]
+        assert roster_oracle.visits(world) == (controllers, controllers)  # no vehicle has phase-2 or phase-5 work
         assert world.vehicles == vehicles  # each created vehicle entered an edge, in creation order

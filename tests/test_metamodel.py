@@ -652,3 +652,112 @@ def test_creation_counts_are_bounded_in_total(counts, expected):
     names = ("agent A", "entity W", "agent B", "agent C")
     text = _model(GRID, "".join(f"  {name} {{ create fixed {count} random }}\n" for name, count in zip(names, counts)))
     assert [(d.path, d.message) for d in mm.validate(parse_model(text)).errors()] == expected
+
+
+# Every part the validator checks below the text syntax, in a model that validates clean.
+PROGRAMMATIC_BASE = _model(
+    GRAPH,
+    "  agent Light {\n    create fixed 1 random\n    attr age integer = 1\n    capability flow_control streams auto\n"
+    "    capability qlearning alpha 0.1 gamma 0.9 epsilon 0.1 plans P Q\n    capability disease d\n"
+    '    capability external "lib.nls" warmup\n  }\n'
+    "  agent Walker {\n    create fixed 2 random\n    capability state_machine m\n  }\n"
+    "  disease d model SIR {\n    transmission proximity 2 probability 0.3\n    duration I deterministic 3\n"
+    "    mortality I rate 0.1 every_timeunit\n  }\n"
+    "  machine m {\n    initial a\n    state a\n    state b\n    transition a b probabilistic rate 0.5\n  }\n"
+    "  plan P { phase x green s0 duration 2 }\n  plan Q { phase y green s0 duration 3 }\n"
+    "  introduce d deterministic 1 arbitrary aperiodic\n"
+    '  output o every 1 to "o.csv" {\n    series n count(Light)\n  }\n',
+)
+
+
+def _set(obj, **fields) -> None:
+    for name, value in fields.items():
+        setattr(obj, name, value)
+
+
+def _light(model: mm.Model) -> mm.AgentTypeSpec:
+    return model.agent_types[0]
+
+
+def _cap(model: mm.Model, kind: str) -> mm.CapabilityRef:
+    return next(c for c in _light(model).capabilities if c.kind == kind)
+
+
+_HALF = sm.ProbabilisticTrigger(ex.lit(0.5))
+
+
+def _case(name: str, mutate, *expected: tuple[str, str]):
+    return pytest.param(mutate, [mm.Diagnostic("error", path, message) for path, message in expected], id=name)
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        _case("graph from a count", lambda m: _set(m.environment.topology, source=mm.FixedCountStrategy(1)),
+              ("environment", "graph environments require an OSM or inline edge list source")),
+        _case("unknown topology", lambda m: _set(m.environment, topology=mm.ConcernSpec("c", [])),
+              ("agent:Light.capability[0]", "flow control requires graph topology"),  # no graph, so no flow control
+              ("environment", "unknown topology ConcernSpec")),
+        _case("negative count", lambda m: _set(_light(m), creation=mm.FixedCountStrategy(-1)),
+              ("agent:Light", "creation count must be non-negative")),
+        _case("duplicate attribute", lambda m: _light(m).attributes.append(mm.AttributeSpec("age", "integer", None)),
+              ("agent:Light.attr:age", "duplicate attribute name 'age'")),
+        _case("unknown attribute kind", lambda m: _set(_light(m).attributes[0], kind="complex"),
+              ("agent:Light.attr:age", "unknown attribute kind 'complex'")),
+        _case("unknown capability kind", lambda m: _light(m).capabilities.append(mm.CapabilityRef("telepathy")),
+              ("agent:Light.capability[4]", "unknown capability kind 'telepathy'")),
+        _case("state_machine without target", lambda m: _set(m.agent_types[1].capabilities[0], target=None),
+              ("agent:Walker.capability[0]", "state_machine requires a target")),
+        _case("learning without configuration", lambda m: _set(_cap(m, "reinforcement_learning"), qlearning=None),
+              ("agent:Light.capability[1]", "learning capability is missing its configuration")),
+        _case("external without entry point", lambda m: _set(_cap(m, "external"), target=""),
+              ("agent:Light.capability[3]", "external capability requires an entry point name")),
+        _case("duplicate state", lambda m: m.machines[0].states.append("a"), ("machine:m", "duplicate state names")),
+        _case("transition without trigger", lambda m: _set(m.machines[0].transitions[0], trigger=None),
+              ("machine:m.transition[0]", "transition has no trigger")),
+        _case("unknown composition",
+              lambda m: _set(m.machines[0].transitions[0], trigger=sm.CompositeTrigger("most_of", [_HALF])),
+              ("machine:m.transition[0]", "unknown composition 'most_of'")),
+        _case("empty composite", lambda m: _set(m.machines[0].transitions[0], trigger=sm.CompositeTrigger("all_of", [])),
+              ("machine:m.transition[0]", "composite trigger needs at least one part")),
+        _case("unknown quantity kind", lambda m: _set(m.introductions[0], quantity_kind="lots"),
+              ("introduce[0]", "unknown quantity kind 'lots'")),
+        _case("unknown periodicity", lambda m: _set(m.introductions[0], periodicity="weekly"),
+              ("introduce[0]", "unknown periodicity 'weekly'")),
+        _case("eligible without criterion", lambda m: _set(m.introductions[0], selection="eligible"),
+              ("introduce[0]", "eligible selection requires a criterion expression")),
+        _case("unknown selection", lambda m: _set(m.introductions[0], selection="oldest"),
+              ("introduce[0]", "unknown selection 'oldest'")),
+        _case("duplicate series", lambda m: m.outputs[0].series.append(mm.SeriesSpec("n", ex.lit(1))),
+              ("output:o.series:n", "duplicate series label 'n'")),
+        _case("unknown disease kind", lambda m: _set(m.diseases[0], kind="SIRS"),
+              ("disease:d", "unknown compartmental model 'SIRS'")),
+        _case("duplicate duration", lambda m: m.diseases[0].progressions.append(m.diseases[0].progressions[0]),
+              ("disease:d.duration:I", "duplicate duration for this compartment")),
+        _case("proximity without distance", lambda m: _set(m.diseases[0].transmission, distance=None),
+              ("disease:d.transmission", "proximity interaction requires a distance")),
+        _case("unknown interaction", lambda m: _set(m.diseases[0].transmission, interaction="airborne"),
+              ("disease:d.transmission", "unknown interaction 'airborne'")),
+        _case("empty infectious set", lambda m: _set(m.diseases[0].transmission, infectious=[]),
+              ("disease:d.transmission", "infectious state set must not be empty")),
+        _case("unknown death evaluation", lambda m: _set(m.diseases[0].mortality[0], evaluation="monthly"),
+              ("disease:d.mortality[0]", "unknown death rate evaluation 'monthly'")),
+        _case("specific_timeunit without tick", lambda m: _set(m.diseases[0].mortality[0], evaluation="specific_timeunit"),
+              ("disease:d.mortality[0]", "specific_timeunit requires a tick >= 0")),
+        _case("when_condition without condition", lambda m: _set(m.diseases[0].mortality[0], evaluation="when_condition"),
+              ("disease:d.mortality[0]", "when_condition requires a condition expression")),
+        _case("duplicate phase", lambda m: m.plans[0].phases.append(m.plans[0].phases[0]),
+              ("plan:P.phase:x", "duplicate phase name")),
+        _case("phase without green", lambda m: _set(m.plans[0].phases[0], green=[]),
+              ("plan:P.phase:x", "phase must set at least one stream green")),
+        _case("learning without plans", lambda m: _set(_cap(m, "reinforcement_learning").qlearning, plans=[]),
+              ("agent:Light.capability[1]", "learning requires at least one plan to choose from")),
+    ],
+)
+def test_diagnostic_the_text_syntax_cannot_reach(mutate, expected):
+    """Mistakes the parser already rejects, made on a model built in code:
+    each mutation of a model that validates clean is reported exactly."""
+    model = parse_model(PROGRAMMATIC_BASE)
+    assert mm.validate(model).diagnostics == []
+    mutate(model)
+    assert mm.validate(model).diagnostics == expected
